@@ -18,8 +18,8 @@ from .errors import GridUnusableError, NotFoundError, StructuralError
 from .multistage import apply_multistage, to_multistage
 from .polyexp import SeriesSpec, eval_factorized, eval_summed, factorize, suggest_gamma
 from .schemes import get_scheme
-from .spinmodel import XxzConfig, build_xxz, frobenius_error, make_expm_hook
-from .tolerances import DEFAULT_KAPPA, LIFTED_PATH_MIN_DIM
+from .spinmodel import XxzConfig, build_xxz, frobenius_error
+from .tolerances import DEFAULT_KAPPA
 
 DEFAULT_METHODS = ("strang", "forest-ruth", "suzuki4", "blanes-moan4")
 DEFAULT_H_GRID = tuple(1.0 / 2**j for j in range(7))
@@ -163,11 +163,11 @@ def _oracle(evals, evecs, t):
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
-def _step_operator(method, split, h, gamma, hook, cache_dir):
+def _step_operator(method, split, h, gamma, cache_dir):
     """The dense one-step operator approximating exp(-i H h)."""
     if method.kind == "scheme":
         ms = to_multistage(method.scheme)
-        return apply_multistage(split, ms, h, expm_hook=hook)
+        return apply_multistage(split, ms, h)
     if method.kind == "taylor":
         spec = SeriesSpec("taylor", method.k, h=h)
     else:
@@ -185,13 +185,13 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     """All (method, h) cells of the plan, each a BenchmarkRecord.
 
     Deterministic: the exact oracle comes from one eigendecomposition shared
-    across cells, steps compose by matrix powering, and wall_time stays 0.0
+    across cells, as do the split's part eigensystems, steps compose by
+    matrix powering, and wall_time stays 0.0
     unless timing is requested (times are informational, never part of the
     data contract).
     """
     methods = [parse_method(d, catalog_path=catalog_path) for d in plan.methods]
     split = build_xxz(plan.model)
-    hook = make_expm_hook(plan.model) if split.dim >= LIFTED_PATH_MIN_DIM else None
     evals, evecs = np.linalg.eigh(split.total)
     gamma = None
     if any(m.kind == "chebyshev" for m in methods):
@@ -205,7 +205,7 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
             if method.kind == "exact":
                 u = _oracle(evals, evecs, t_eff)
             else:
-                step_op = _step_operator(method, split, h, gamma, hook, cache_dir)
+                step_op = _step_operator(method, split, h, gamma, cache_dir)
                 u = np.linalg.matrix_power(step_op, steps)
             wall = time.perf_counter() - begin if timing else 0.0
             err = frobenius_error(

@@ -10,23 +10,26 @@ descending block runs k = L..1.  For Lambda = 2 adjacent same-operator
 exponentials merge and U reduces to S exactly; for general Lambda the
 order of the source scheme is preserved.  Reversing the (c, d) sequence
 yields the adjoint decomposition, and alternating the two across steps
-elevates an odd-order scheme to the next even order.
+elevates an odd-order scheme to the next even order.  Every operator here
+is built by `compose.compose` from the scheme's merged factor sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, StructuralError
-from .schemes import (
-    TwoStageScheme,
-    fit_loglog_slope,
-    random_hermitian,
-    validate_consistency,
+from .compose import (
+    OperatorSplit,
+    compose,
+    direction_prefactor,
+    evolve_sequence,
+    merge_factors,
 )
-from .tolerances import CONSISTENCY_TOL, DEFAULT_SEED, HERMITICITY_TOL
+from .errors import ConsistencyError, DimensionError, StructuralError
+from .schemes import fit_loglog_slope, random_hermitian, validate_consistency
+from .tolerances import CONSISTENCY_TOL, DEFAULT_SEED
 
 __all__ = [
     "MultiStageScheme",
@@ -84,54 +87,13 @@ class MultiStageScheme:
             source_scheme=self.source_scheme,
         )
 
-
-@dataclass(frozen=True)
-class OperatorSplit:
-    """An ordered split H = sum_k A_k into Hermitian parts."""
-
-    parts: tuple
-    total: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        parts = tuple(np.asarray(p, dtype=complex) for p in self.parts)
-        if not parts:
-            raise StructuralError("operator split needs at least one part")
-        dim = parts[0].shape[0]
-        for i, p in enumerate(parts):
-            if p.ndim != 2 or p.shape != (dim, dim):
-                raise DimensionError(
-                    f"part {i} has shape {p.shape}, expected ({dim}, {dim})"
-                )
-            dev = np.max(np.abs(p - p.conj().T))
-            if dev > HERMITICITY_TOL:
-                raise StructuralError(
-                    f"part {i} is not Hermitian (max deviation {dev:.3e})"
-                )
-        for p in parts:
-            p.setflags(write=False)
-        object.__setattr__(self, "parts", parts)
-        total = np.zeros((dim, dim), dtype=complex)
-        for p in parts:
-            total = total + p
-        total.setflags(write=False)
-        object.__setattr__(self, "total", total)
-
-    @property
-    def dim(self):
-        return self.parts[0].shape[0]
-
-    @property
-    def n_parts(self):
-        return len(self.parts)
-
-
-def direction_prefactor(direction):
-    """Generator prefactor: -i for real-time, -1 for imaginary-time."""
-    if direction == "forward":
-        return -1j
-    if direction == "imaginary":
-        return -1.0
-    raise StructuralError(f"direction must be 'forward' or 'imaginary', got {direction!r}")
+    def factor_sequence(self, n_parts):
+        """Merged (part, coefficient) sequence of one step on n_parts parts."""
+        pairs = []
+        for ci, di in zip(self.c, self.d):
+            pairs += [(k, ci) for k in range(n_parts)]
+            pairs += [(k, di) for k in reversed(range(n_parts))]
+        return merge_factors(pairs)
 
 
 def to_multistage(scheme):
@@ -182,80 +144,21 @@ def reconstruct_two_stage(ms):
 # evolution operators
 
 
-class _FactorCache:
-    """Per-call cache of e^{A_k * tau} factors, built from one eigh per part.
-
-    An optional hook may supply factors directly (e.g. a lifted fast path
-    for structured Hamiltonians); the cache is local to one evolve call, so
-    concurrent calls never share mutable state.
-    """
-
-    def __init__(self, parts, hook=None):
-        self._parts = parts
-        self._hook = hook
-        self._eigs = [None] * len(parts)
-        self._factors = {}
-
-    def factor(self, k, tau):
-        key = (k, tau)
-        got = self._factors.get(key)
-        if got is not None:
-            return got
-        mat = self._hook(k, tau) if self._hook is not None else None
-        if mat is None:
-            if self._eigs[k] is None:
-                w, v = np.linalg.eigh(self._parts[k])
-                # One Newton-Schulz step pulls v back onto the unitary
-                # manifold; otherwise LAPACK's orthonormality drift leaks a
-                # ~dim*eps unitarity defect into every factor and compounds
-                # over long step sequences.
-                v = v @ (1.5 * np.eye(v.shape[0]) - 0.5 * (v.conj().T @ v))
-                self._eigs[k] = (w, v)
-            w, v = self._eigs[k]
-            mat = (v * np.exp(tau * w)) @ v.conj().T
-        self._factors[key] = mat
-        return mat
-
-
 def apply_two_stage(a, b, scheme, h, direction="forward"):
     """Ordered product e^{A a_1 h'} e^{B b_1 h'} ... with h' = prefactor * h."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"A and B must be square and same shape, got {a.shape} vs {b.shape}")
-    pref = direction_prefactor(direction)
-    cache = _FactorCache((a, b))
-    u = cache.factor(0, pref * scheme.a[0] * h)
-    for i in range(scheme.q):
-        u = u @ cache.factor(1, pref * scheme.b[i] * h)
-        u = u @ cache.factor(0, pref * scheme.a[i + 1] * h)
-    return u
+    return compose(OperatorSplit((a, b)), scheme.factor_sequence(), h, direction)
 
 
-def _one_step(split, ms, h, pref, cache):
-    dim = split.dim
-    u = np.eye(dim, dtype=complex)
-    n = split.n_parts
-    for i in range(ms.q):
-        ci, di = ms.c[i], ms.d[i]
-        if ci != 0:
-            for k in range(n):
-                u = u @ cache.factor(k, pref * ci * h)
-        if di != 0:
-            for k in range(n - 1, -1, -1):
-                u = u @ cache.factor(k, pref * di * h)
-    return u
-
-
-def apply_multistage(split, ms, h, direction="forward", *, expm_hook=None):
+def apply_multistage(split, ms, h, direction="forward"):
     """One step of the Lambda-stage decomposition (ascending/descending blocks)."""
-    pref = direction_prefactor(direction)
-    cache = _FactorCache(split.parts, expm_hook)
-    return _one_step(split, ms, h, pref, cache)
+    return compose(split, ms.factor_sequence(split.n_parts), h, direction)
 
 
-def evolve(split, ms, h, steps, alternate_reversal=False, direction="forward",
-           *, expm_hook=None):
+def evolve(split, ms, h, steps, alternate_reversal=False, direction="forward"):
     """Compose `steps` applications of the decomposition.
 
     With alternate_reversal, every second step uses the reversed coefficient
@@ -263,16 +166,8 @@ def evolve(split, ms, h, steps, alternate_reversal=False, direction="forward",
     the next even order.  For symmetric schemes the reversal is the identity
     and the results are bit-identical.
     """
-    if steps < 1:
-        raise StructuralError(f"steps must be >= 1, got {steps}")
-    pref = direction_prefactor(direction)
-    cache = _FactorCache(split.parts, expm_hook)
-    ms_rev = ms.reversed() if alternate_reversal else ms
-    u = np.eye(split.dim, dtype=complex)
-    for i in range(steps):
-        use = ms_rev if (alternate_reversal and i % 2 == 1) else ms
-        u = u @ _one_step(split, use, h, pref, cache)
-    return u
+    return evolve_sequence(split, ms.factor_sequence(split.n_parts), h, steps,
+                           direction, alternate_reversal)
 
 
 def multistage_order(
@@ -283,7 +178,6 @@ def multistage_order(
     t_total=1.0,
     direction="forward",
     alternate_reversal=False,
-    expm_hook=None,
 ):
     """Fitted log-log slope of the Lambda-stage decomposition error.
 
@@ -298,8 +192,7 @@ def multistage_order(
     for h in h_grid:
         steps = max(1, round(t_total / h))
         u_exact = (v * np.exp(pref * steps * h * w)) @ v.conj().T
-        u = evolve(split, ms, h, steps, alternate_reversal, direction,
-                   expm_hook=expm_hook)
+        u = evolve(split, ms, h, steps, alternate_reversal, direction)
         errors.append(float(np.linalg.norm(u - u_exact)))
     return fit_loglog_slope(h_grid, errors)
 

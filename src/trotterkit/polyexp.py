@@ -22,6 +22,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from typing import Optional
 
 import mpmath as mp
 import numpy as np
@@ -67,8 +68,8 @@ class SeriesSpec:
 
     family: str
     k: int
-    gamma_scale: float = None
-    axis: str = None
+    gamma_scale: Optional[float] = None
+    axis: Optional[str] = None
     h: float = 1.0
 
     def __post_init__(self):
@@ -412,7 +413,7 @@ def _cheb_deriv_coeffs(mu):
     return d[:k]
 
 
-def _cheb_guesses(mu_d, k, gh, axis):
+def _cheb_guesses(mu_d, k):
     """Colleague-matrix roots in double precision as initial guesses (in the
     unit-interval variable x)."""
     arr = np.asarray(mu_d, dtype=complex)
@@ -457,7 +458,7 @@ def _chebyshev_zeros_mp(spec):
             def p_and_dp(x):
                 return _clenshaw(mu, x), _clenshaw(dmu, x)
 
-            guesses = [mp.mpc(x) for x in _cheb_guesses([complex(m) for m in mu], k, gh, axis)]
+            guesses = [mp.mpc(x) for x in _cheb_guesses([complex(m) for m in mu], k)]
             # steps and residuals map to the z-plane with |dz/dx| = Gamma*h
             roots, worst = _aberth_polish(p_and_dp, guesses, mp.mpf(tol), mp.mpf(gh))
             if worst < tol:

@@ -24,6 +24,7 @@ from importlib import resources
 import mpmath as mp
 import numpy as np
 
+from .compose import OperatorSplit, evolve_sequence, merge_factors
 from .errors import (
     ConsistencyError,
     DegenerateDrawError,
@@ -93,6 +94,13 @@ class TwoStageScheme:
             symmetric=self.symmetric,
             source=self.source,
         )
+
+    def factor_sequence(self):
+        """Merged (part, coefficient) sequence of S(h) on parts (A, B)."""
+        pairs = [(0, self.a[0])]
+        for bi, ai in zip(self.b, self.a[1:]):
+            pairs += [(1, bi), (0, ai)]
+        return merge_factors(pairs)
 
     def is_real(self):
         return all(abs(x.imag) == 0.0 for x in self.a + self.b)
@@ -477,23 +485,6 @@ def fit_loglog_slope(h_values, errors, plateau=PLATEAU_ERROR):
     return float(np.polyfit(np.log(np.asarray(hs)), np.log(np.asarray(es)), 1)[0])
 
 
-def _compose_two_stage(a_w, a_v, b_w, b_v, scheme, h, steps, pref):
-    """(S(h))^steps with per-factor exponentials from cached eigensystems."""
-    dim = a_v.shape[0]
-
-    def expo(w, v, coef):
-        return (v * np.exp(pref * coef * h * w)) @ v.conj().T
-
-    s = expo(a_w, a_v, scheme.a[0])
-    for i in range(scheme.q):
-        s = s @ expo(b_w, b_v, scheme.b[i])
-        s = s @ expo(a_w, a_v, scheme.a[i + 1])
-    u = np.eye(dim, dtype=complex)
-    for _ in range(steps):
-        u = u @ s
-    return u
-
-
 def empirical_order(
     scheme,
     dim=8,
@@ -515,15 +506,14 @@ def empirical_order(
     rng = np.random.default_rng(seed)
     a = random_hermitian(rng, dim)
     b = random_hermitian(rng, dim)
-    a_w, a_v = np.linalg.eigh(a)
-    b_w, b_v = np.linalg.eigh(b)
+    split = OperatorSplit((a, b))
+    sequence = scheme.factor_sequence()
     h_w, h_v = np.linalg.eigh(a + b)
-    pref = -1j
     errors = []
     for h in h_grid:
         steps = max(1, round(t_total / h))
-        u_exact = (h_v * np.exp(pref * steps * h * h_w)) @ h_v.conj().T
-        u = _compose_two_stage(a_w, a_v, b_w, b_v, scheme, h, steps, pref)
+        u_exact = (h_v * np.exp(-1j * steps * h * h_w)) @ h_v.conj().T
+        u = evolve_sequence(split, sequence, h, steps)
         errors.append(float(np.linalg.norm(u - u_exact)))
     return fit_loglog_slope(h_grid, errors)
 

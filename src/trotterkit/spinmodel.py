@@ -3,8 +3,8 @@
 H = J sum_bonds (sx sx + sy sy + Delta sz sz) over nearest-neighbour bonds
 (Pauli-matrix convention, J = 1 by default).  Bonds are partitioned into
 three colors so the chain always presents a Lambda = 3 split; every color
-group consists of site-disjoint bonds, so its exponential factorizes into
-lifted two-site exponentials (the fast path for larger chains).
+group consists of site-disjoint bonds.  Every part is real, so the
+composer diagonalizes it as a real symmetric matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DimensionError, StructuralError
-from .multistage import OperatorSplit, direction_prefactor
+from .compose import OperatorSplit, direction_prefactor
 from .tolerances import DENSE_DIM_CAP, HERMITICITY_TOL
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "EvolutionError",
     "build_xxz",
     "bond_coloring",
-    "make_expm_hook",
     "exact_evolution",
     "frobenius_error",
     "xxz_spectrum",
@@ -109,8 +108,6 @@ def _bond_matrix(cfg):
 
 def _lift_bond(op4, i, j, L):
     """Embed a two-site operator acting on sites (i, j) into the full chain."""
-    t = op4.reshape(2, 2, 2, 2)  # (i_out, j_out, i_in, j_in)
-    full = np.zeros((2**L, 2**L), dtype=complex)
     eye_rest = np.eye(2 ** (L - 2), dtype=complex)
     # build via tensor product in site order, then fix the site placement
     # by axis permutation of the 2L-leg tensor
@@ -120,8 +117,7 @@ def _lift_bond(op4, i, j, L):
     perm_sites = [i, j] + rest
     inv = [perm_sites.index(s) for s in range(L)]
     big = np.transpose(big, axes=inv + [L + p for p in inv])
-    full = big.reshape(2**L, 2**L)
-    return full
+    return big.reshape(2**L, 2**L)
 
 
 def build_xxz(cfg):
@@ -136,39 +132,6 @@ def build_xxz(cfg):
     for i, j, c in bond_coloring(cfg):
         parts[c] += _lift_bond(b4, i, j, cfg.L)
     return OperatorSplit(tuple(parts))
-
-
-def _apply_two_site(mat, e4, i, j, L):
-    """Left-multiply a dense (dim x n) array by e4 acting on row sites i, j."""
-    cols = mat.shape[1]
-    t = mat.reshape((2,) * L + (cols,))
-    t = np.moveaxis(t, (i, j), (0, 1))
-    shape_rest = t.shape[2:]
-    t = t.reshape(4, -1)
-    t = (e4 @ t).reshape((2, 2) + shape_rest)
-    t = np.moveaxis(t, (0, 1), (i, j))
-    return t.reshape(2**L, cols)
-
-
-def make_expm_hook(cfg):
-    """Factor supplier for multistage.evolve: builds e^{A_c tau} as a product
-    of lifted two-site exponentials (valid because each color group is
-    site-disjoint).  One 4x4 eigendecomposition serves every bond."""
-    colored = bond_coloring(cfg)
-    by_color = {c: [(i, j) for i, j, cc in colored if cc == c] for c in range(3)}
-    b4 = _bond_matrix(cfg)
-    w4, v4 = np.linalg.eigh(b4)
-    dim = cfg.dim
-    L = cfg.L
-
-    def hook(k, tau):
-        e4 = (v4 * np.exp(tau * w4)) @ v4.conj().T
-        u = np.eye(dim, dtype=complex)
-        for i, j in by_color.get(k, ()):
-            u = _apply_two_site(u, e4, i, j, L)
-        return u
-
-    return hook
 
 
 def exact_evolution(h_matrix, t, direction="forward"):

@@ -9,15 +9,12 @@ zero computation and error-coefficient estimation.
 # Scheme validation
 CONSISTENCY_TOL = 1e-12       # |sum(a) - 1|, |sum(b) - 1|
 SYMMETRY_TOL = 1e-14          # component-wise palindrome check
-FIRST_ORDER_RESIDUAL_TOL = 1e-10   # |nu - 1|, |sigma - 1| for consistent schemes
-ORDER4_RESIDUAL_TOL = 1e-8    # |alpha|, |beta| for claimed order >= 4
 PROJECTION_RESIDUAL_FRACTION = 0.10  # degenerate-draw threshold
 CATALOG_ORDER_SLOPE_TOL = 0.5  # load-time empirical order gate
 
 # Evolution / error metrics
 HERMITICITY_TOL = 1e-13       # component-wise, OperatorSplit parts
 PLATEAU_ERROR = 1e-12         # round-off plateau cut in order fits
-MERGE_TOL = 1e-12             # two-stage vs lambda=2 multistage agreement
 
 # Polynomial factorization
 ZERO_RESIDUAL_PER_K = 1e-25   # |p(z)/p'(z)| < ZERO_RESIDUAL_PER_K * k
@@ -28,7 +25,6 @@ VALIDITY_TRUNCATION = 1e-13   # truncation level defining the Taylor validity di
 
 # Model / bench
 DENSE_DIM_CAP = 4096
-LIFTED_PATH_MIN_DIM = 512     # above this, stage exponentials use lifted bond factors
 GAMMA_MARGIN = 1.01           # Gamma = margin * spectral bound
 DEFAULT_KAPPA = 6.0           # polynomial cost model q = k / kappa
 

@@ -1,8 +1,9 @@
 """Shared test configuration.
 
 Registers a seeded hypothesis profile (every randomized property runs at
-least 100 cases, derandomized so CI is reproducible) and a session-wide
-zeros cache so the expensive Aberth-Ehrlich runs happen once.
+least 100 cases, derandomized so CI is reproducible), a session-wide
+zeros cache so the expensive Aberth-Ehrlich runs happen once, and a
+per-test default zeros directory so no test writes under ~/.cache.
 """
 
 import sys
@@ -23,6 +24,13 @@ settings.load_profile("trotterkit")
 @pytest.fixture(scope="session")
 def zeros_cache(tmp_path_factory):
     return str(tmp_path_factory.mktemp("zeros"))
+
+
+@pytest.fixture(autouse=True)
+def hermetic_zeros_dir(tmp_path, monkeypatch):
+    """Point the default zeros cache at a per-test directory, so no test
+    writes under the user's home."""
+    monkeypatch.setenv("TROTTERKIT_ZEROS_DIR", str(tmp_path / "zeros"))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -23,7 +23,8 @@ from trotterkit.errors import (
     NotFoundError,
     StructuralError,
 )
-from trotterkit.spinmodel import XxzConfig
+from trotterkit.schemes import load_catalog
+from trotterkit.spinmodel import XxzConfig, build_xxz
 
 TINY_PLAN = BenchPlan(
     model=XxzConfig(L=4),
@@ -160,6 +161,25 @@ def test_wall_time_zero_without_timing_flag(tiny_records, zeros_cache):
 def test_run_is_deterministic(tiny_records, zeros_cache):
     again = run_benchmark(TINY_PLAN, cache_dir=zeros_cache)
     assert again == tiny_records  # bit-identical records, wall_time included
+
+
+def test_run_diagonalizes_each_part_once(zeros_cache, monkeypatch):
+    # one eigh per part plus one for the oracle, whatever the number of cells
+    load_catalog()  # catalog validation diagonalizes its own test pairs
+    n_parts = build_xxz(TINY_PLAN.model).n_parts
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    one_cell = BenchPlan(model=TINY_PLAN.model, methods=("strang",), h_grid=(0.5,))
+    for plan in (one_cell, TINY_PLAN):
+        calls.clear()
+        run_benchmark(plan, cache_dir=zeros_cache)
+        assert len(calls) == n_parts + 1
 
 
 # ---------------------------------------------------------------------------

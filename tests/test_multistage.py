@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from trotterkit.errors import ConsistencyError, DimensionError, StructuralError
@@ -20,7 +21,7 @@ from trotterkit.multistage import (
     to_multistage,
 )
 from trotterkit.schemes import TwoStageScheme, get_scheme, load_catalog, random_hermitian
-from trotterkit.spinmodel import XxzConfig, build_xxz, make_expm_hook
+from trotterkit.spinmodel import XxzConfig, build_xxz
 
 THETA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 
@@ -184,13 +185,85 @@ def test_imaginary_direction_decays():
     assert np.linalg.norm(u - exact) > 0.0  # not the unitary branch
 
 
-def test_expm_hook_matches_dense_path():
-    cfg = XxzConfig(L=6)
-    split = build_xxz(cfg)
+# ---------------------------------------------------------------------------
+# the composer against the explicit factor products it replaces
+
+
+def random_real_symmetric(rng, dim):
+    m = rng.standard_normal((dim, dim))
+    m = (m + m.T) / 2.0
+    w = np.linalg.eigvalsh(m)
+    return m / max(abs(w[0]), abs(w[-1]))
+
+
+def block_pairs(ms, n_parts):
+    """Unmerged (part, coefficient) pairs of the ascending/descending blocks."""
+    pairs = []
+    for ci, di in zip(ms.c, ms.d):
+        pairs += [(k, ci) for k in range(n_parts)]
+        pairs += [(k, di) for k in reversed(range(n_parts))]
+    return pairs
+
+
+def expm_product(parts, pairs, h, direction):
+    pref = direction_prefactor(direction)
+    u = np.eye(parts[0].shape[0], dtype=complex)
+    for k, coef in pairs:
+        u = u @ scipy.linalg.expm(pref * coef * h * parts[k])
+    return u
+
+
+@pytest.mark.parametrize("n_parts", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(load_catalog()))
+def test_composer_matches_unmerged_expm_product(name, n_parts):
+    scheme = get_scheme(name)
+    ms = to_multistage(scheme)
+    rng = np.random.default_rng(100 + n_parts)
+    dim = 4 * n_parts + 4
+    h = 0.3
+    two_stage_pairs = [(0, scheme.a[0])]
+    for bi, ai in zip(scheme.b, scheme.a[1:]):
+        two_stage_pairs += [(1, bi), (0, ai)]
+    for kind in ("real", "complex", "mixed"):
+        split = OperatorSplit(tuple(
+            random_real_symmetric(rng, dim)
+            if kind == "real" or (kind == "mixed" and k % 2 == 0)
+            else random_hermitian(rng, dim)
+            for k in range(n_parts)
+        ))
+        for direction in ("forward", "imaginary"):
+            want = expm_product(split.parts, block_pairs(ms, n_parts), h, direction)
+            got = apply_multistage(split, ms, h, direction)
+            assert np.linalg.norm(got - want) <= 1e-12
+            if n_parts == 2:
+                want = expm_product(split.parts, two_stage_pairs, h, direction)
+                got = apply_two_stage(*split.parts, scheme, h, direction)
+                assert np.linalg.norm(got - want) <= 1e-12
+
+
+def test_composer_matches_dense_factor_path_on_xxz_chain():
+    split = build_xxz(XxzConfig(L=8))
+    assert all(np.isrealobj(split.eigensystem(k)[1]) for k in range(split.n_parts))
+    eigs = []
+    for part in split.parts:
+        w, v = np.linalg.eigh(part)
+        eigs.append((w, v @ (1.5 * np.eye(split.dim) - 0.5 * (v.conj().T @ v))))
+    h = 0.1
+    for scheme in load_catalog().values():
+        ms = to_multistage(scheme)
+        u = np.eye(split.dim, dtype=complex)
+        for k, coef in block_pairs(ms, split.n_parts):
+            w, v = eigs[k]
+            u = u @ ((v * np.exp(-1j * coef * h * w)) @ v.conj().T)
+        assert np.linalg.norm(apply_multistage(split, ms, h) - u) <= 1e-12
+
+
+def test_adjacent_factors_merge():
     ms = to_multistage(get_scheme("blanes-moan4"))
-    dense = evolve(split, ms, 0.125, 8)
-    hooked = evolve(split, ms, 0.125, 8, expm_hook=make_expm_hook(cfg))
-    assert np.linalg.norm(dense - hooked) < 1e-11
+    assert len(block_pairs(ms, 3)) == 36
+    assert len(ms.factor_sequence(3)) == 25
+    scheme = get_scheme("suzuki4")
+    assert len(to_multistage(scheme).factor_sequence(2)) == len(scheme.a) + len(scheme.b)
 
 
 # ---------------------------------------------------------------------------

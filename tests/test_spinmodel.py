@@ -13,7 +13,6 @@ from trotterkit.spinmodel import (
     build_xxz,
     exact_evolution,
     frobenius_error,
-    make_expm_hook,
     xxz_spectrum,
 )
 
@@ -185,26 +184,6 @@ def test_strang_error_halves_as_h_squared():
         u = evolve(split, ms, h, steps)
         errs.append(frobenius_error(u, exact, t=1.0, method="strang").value)
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.5)
-
-
-def test_expm_hook_agrees_with_dense_exponentials():
-    cfg = XxzConfig(L=6, boundary="periodic")
-    split = build_xxz(cfg)
-    hook = make_expm_hook(cfg)
-    for k, part in enumerate(split.parts):
-        tau = -0.37j
-        got = hook(k, tau)
-        w, v = np.linalg.eigh(part)
-        want = (v * np.exp(tau * w)) @ v.conj().T
-        assert np.linalg.norm(got - want) < 1e-12
-
-
-def test_expm_hook_large_chain_stays_unitary():
-    cfg = XxzConfig(L=10)
-    hook = make_expm_hook(cfg)
-    u = hook(0, -0.25j)
-    eye = np.eye(2**10)
-    assert np.linalg.norm(u.conj().T @ u - eye) < 1e-12
 
 
 @given(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
