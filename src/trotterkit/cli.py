@@ -128,7 +128,7 @@ def _cmd_schemes_efficiency(args):
     if args.name not in catalog:
         known = ", ".join(sorted(catalog))
         raise NotFoundError(f"unknown scheme {args.name!r}; catalog has: {known}")
-    score = efficiency(catalog[args.name], seed=args.seed)
+    score = efficiency(catalog[args.name])
     print(f"name={args.name} order={score.order_n} q={score.q} eff={_g(score.eff)}")
     return 0
 
@@ -261,7 +261,7 @@ def _build_parser():
     )
     parser.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,
-        help="seed for operations using randomness (order fits, estimates)",
+        help="seed for the random operators of order fits and adapt --check",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -34,12 +34,6 @@ class NotFoundError(TrotterkitError):
     category = "not-found"
 
 
-class DegenerateDrawError(TrotterkitError):
-    """Random test operators turned out (numerically) commuting."""
-
-    category = "degenerate-draw"
-
-
 class GridUnusableError(TrotterkitError):
     """Too few usable points left for a log-log order fit."""
 

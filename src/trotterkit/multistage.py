@@ -28,7 +28,7 @@ from .compose import (
     merge_factors,
 )
 from .errors import ConsistencyError, DimensionError, StructuralError
-from .schemes import fit_loglog_slope, random_hermitian, validate_consistency
+from .schemes import _fit_order, random_hermitian, validate_consistency
 from .tolerances import CONSISTENCY_TOL, DEFAULT_SEED
 
 __all__ = [
@@ -184,17 +184,8 @@ def multistage_order(
     Error is the Frobenius distance to the exact exponential of the summed
     operator after t/h steps; plateau points are excluded by the fit.
     """
-    if h_grid is None:
-        h_grid = [2.0 ** (-j) for j in range(2, 7)]
-    pref = direction_prefactor(direction)
-    w, v = np.linalg.eigh(split.total)
-    errors = []
-    for h in h_grid:
-        steps = max(1, round(t_total / h))
-        u_exact = (v * np.exp(pref * steps * h * w)) @ v.conj().T
-        u = evolve(split, ms, h, steps, alternate_reversal, direction)
-        errors.append(float(np.linalg.norm(u - u_exact)))
-    return fit_loglog_slope(h_grid, errors)
+    return _fit_order(split, ms.factor_sequence(split.n_parts), h_grid, t_total,
+                      direction, alternate_reversal)
 
 
 def random_split(n_parts, dim, *, seed=DEFAULT_SEED):

@@ -243,19 +243,28 @@ def taylor_cutoff(lambda_max, h, epsilon):
     return k
 
 
-def chebyshev_coefficients(spec):
+def _chebyshev_mu(spec, dps=None):
     """mu_0..mu_k: Bessel-I on the real axis, phased Bessel-J on the
-    imaginary axis (I_i(i*Gh) = i^i J_i(Gh))."""
+    imaginary axis (I_i(i*Gh) = i^i J_i(Gh)).
+
+    In double precision by default; with dps set, as mpmath numbers at that
+    working precision (call it inside mp.workdps(dps)).
+    """
+    imaginary = spec.axis == "imaginary"
+    num = mp.mpc if dps is not None else complex if imaginary else float
+    seq = _bessel_sequence("J" if imaginary else "I", spec.k, spec.gamma_h, dps=dps)
+    phase = num(1j if imaginary else 1)
+    return [num(seq[0])] + [2 * phase**i * seq[i] for i in range(1, spec.k + 1)]
+
+
+def chebyshev_coefficients(spec):
+    """mu_0..mu_k of a Chebyshev spec in double precision."""
     if spec.family != "chebyshev":
         raise StructuralError("chebyshev_coefficients needs a chebyshev spec")
     gh = spec.gamma_h
     if gh > BESSEL_X_MAX:
         raise RangeError(f"Gamma*h = {gh} beyond supported range (<= {BESSEL_X_MAX:g})")
-    if spec.axis == "real":
-        seq = _bessel_sequence("I", spec.k, gh)
-        return [seq[0]] + [2.0 * seq[i] for i in range(1, spec.k + 1)]
-    seq = _bessel_sequence("J", spec.k, gh)
-    return [complex(seq[0])] + [2.0 * (1j**i) * seq[i] for i in range(1, spec.k + 1)]
+    return _chebyshev_mu(spec)
 
 
 def chebyshev_admissible_k(gamma_h, axis, epsilon):
@@ -445,14 +454,7 @@ def _chebyshev_zeros_mp(spec):
     for boost in (1.0, 1.5):
         dps = int(base_dps * boost)
         with mp.workdps(dps):
-            if axis == "imaginary":
-                seq = _bessel_sequence("J", k, gh, dps=dps)
-                mu = [mp.mpc(seq[0])] + [
-                    2 * mp.mpc(1j) ** i * seq[i] for i in range(1, k + 1)
-                ]
-            else:
-                seq = _bessel_sequence("I", k, gh, dps=dps)
-                mu = [mp.mpc(seq[0])] + [2 * mp.mpc(seq[i]) for i in range(1, k + 1)]
+            mu = _chebyshev_mu(spec, dps)
             dmu = _cheb_deriv_coeffs(mu)
 
             def p_and_dp(x):
@@ -656,15 +658,7 @@ def factorize(spec, *, cache_dir=None):
         if spec.axis == "real":
             dps0 += _real_axis_guard_digits(spec.gamma_h)
         with mp.workdps(dps0):
-            if spec.axis == "imaginary":
-                seq = _bessel_sequence("J", spec.k, spec.gamma_h, dps=dps0)
-                mu0 = [mp.mpc(seq[0])] + [
-                    2 * mp.mpc(1j) ** i * seq[i] for i in range(1, spec.k + 1)
-                ]
-            else:
-                seq = _bessel_sequence("I", spec.k, spec.gamma_h, dps=dps0)
-                mu0 = [mp.mpc(seq[0])] + [2 * mp.mpc(s) for s in seq[1:]]
-            p0 = _clenshaw(mu0, mp.mpf(0))
+            p0 = _clenshaw(_chebyshev_mu(spec, dps0), mp.mpf(0))
         scale = float(p0.real)
     gammas = gamma_for(zeros, spec.k)
     groups = order_factors(gammas)

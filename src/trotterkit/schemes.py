@@ -6,10 +6,10 @@ A two-stage scheme approximates e^{(A+B)h} by
 
 with len(a) = len(b) + 1 = q + 1.  Consistency (sum(a) = sum(b) = 1) makes
 the first-order error vanish; symmetry of the coefficient lists guarantees
-even order.  Leading error coefficients are estimated numerically by
-projecting the matrix-log defect onto a graded commutator basis in
-extended precision, because closed forms for alpha/beta/gamma of a general
-scheme are unwieldy and easy to get wrong.
+even order.  Leading error coefficients are exact: log S(h) is expanded in
+the free algebra on {A, B} (the BCH route of Omelyan, Mryglod & Folk,
+Comput. Phys. Commun. 146 (2002) 188) and projected onto a graded
+commutator basis, all in double precision.
 """
 
 from __future__ import annotations
@@ -21,13 +21,11 @@ import warnings
 from dataclasses import dataclass
 from importlib import resources
 
-import mpmath as mp
 import numpy as np
 
-from .compose import OperatorSplit, evolve_sequence, merge_factors
+from .compose import OperatorSplit, direction_prefactor, evolve_sequence, merge_factors
 from .errors import (
     ConsistencyError,
-    DegenerateDrawError,
     GridUnusableError,
     NotFoundError,
     StructuralError,
@@ -36,8 +34,8 @@ from .tolerances import (
     CATALOG_ORDER_SLOPE_TOL,
     CONSISTENCY_TOL,
     DEFAULT_SEED,
+    LEADING_ERROR_ZERO_TOL,
     PLATEAU_ERROR,
-    PROJECTION_RESIDUAL_FRACTION,
     SYMMETRY_TOL,
 )
 
@@ -118,14 +116,16 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ErrorCoefficients:
-    """Estimated leading-error coefficients with an across-draw spread.
+    """Exact leading-error coefficients in the graded commutator basis.
 
     gamma holds the six fifth-order commutator coefficients in the basis
 
         [A,[A,[A,[A,B]]]], [A,[A,[B,[A,B]]]], [B,[A,[A,[A,B]]]],
         [B,[B,[B,[A,B]]]], [B,[B,[A,[A,B]]]], [A,[B,[B,[A,B]]]]
 
-    and is empty when the estimate was requested at max_order = 3.
+    and is empty when the coefficients were requested at max_order = 3.
+    They are computed in double precision; extended precision is left to
+    the zero solve in polyexp.
     """
 
     nu_minus_1: complex
@@ -133,8 +133,6 @@ class ErrorCoefficients:
     alpha: complex
     beta: complex
     gamma: tuple
-    spread: float
-    projection_residual: float
 
 
 @dataclass(frozen=True)
@@ -182,22 +180,51 @@ def random_hermitian(rng, dim):
 
 
 # ---------------------------------------------------------------------------
-# extended-precision machinery for the coefficient estimator
+# exact error coefficients in the truncated free algebra on {A, B}
+#
+# An element is one flat vector over all words in A and B of degree 0..n:
+# the 2**d words of degree d sit at offset 2**d - 1, indexed by their letters
+# read as binary digits (A = 0, B = 1), so that concatenating two words is
+# an outer product of their blocks.  The degree of a word counts its powers
+# of h, so products of e^{c A} and e^{c B} expand S(h) at h = 1.
 
 # graded commutator basis: grades of the 14 elements, in order
 _BASIS_GRADES = (1, 1, 2, 3, 3, 4, 4, 4, 5, 5, 5, 5, 5, 5)
 
 
-def _mpmatrix(m):
-    out = mp.matrix(m.shape[0], m.shape[1])
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            out[i, j] = mp.mpc(m[i, j].real, m[i, j].imag)
+def _degree(x, d):
+    """View of the degree-d block of x."""
+    return x[2**d - 1 : 2 ** (d + 1) - 1]
+
+
+def _mul(x, y):
+    """x y, truncated at the top degree of x and y."""
+    n = (len(x) + 1).bit_length() - 2
+    out = np.zeros_like(x)
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            _degree(out, p + q)[:] += np.outer(_degree(x, p), _degree(y, q)).ravel()
     return out
 
 
 def _comm(x, y):
-    return x * y - y * x
+    return _mul(x, y) - _mul(y, x)
+
+
+def _unit(word, n):
+    """The element 1 (word 0), A (word 1) or B (word 2), truncated at degree n."""
+    x = np.zeros(2 ** (n + 1) - 1, dtype=complex)
+    x[word] = 1.0
+    return x
+
+
+def _exp_letter(letter, coef, n):
+    """e^{coef X} for X = A (letter 0) or B (letter 1): degree d holds the
+    single word X^d with coefficient coef^d / d!."""
+    x = np.zeros(2 ** (n + 1) - 1, dtype=complex)
+    for d in range(n + 1):
+        _degree(x, d)[letter * (2**d - 1)] = coef**d / math.factorial(d)
+    return x
 
 
 def _commutator_basis(a, b):
@@ -223,113 +250,35 @@ def _commutator_basis(a, b):
     ]
 
 
-def _herm_eig_mp(m):
-    e, q = mp.eighe(m)
-    return [e[i] for i in range(m.rows)], q
+def _bch_coefficients(scheme, n):
+    """Coefficients of log S - (A + B) on the basis elements of grade <= n.
 
-
-def _expm_from_eig(evals, q, tau):
-    d = mp.diag([mp.exp(tau * w) for w in evals])
-    return q * d * q.H
-
-
-def _logm_series(s):
-    """Principal log of a matrix close to the identity.
-
-    Uses log(S) = 2 atanh(Y) with Y = (S-1)(S+1)^{-1}; the series in Y
-    converges fast here because ||Y|| = O(h).
+    S is the product of e^{c A} and e^{c B} over the scheme's merged factor
+    sequence, expanded to degree n; the coefficient of a grade-g element
+    multiplies h^g in log S(h) - (A + B) h.  The basis spans the free Lie
+    algebra up to degree 5, so the projection of this Lie element is exact.
     """
-    n = s.rows
-    eye = mp.eye(n)
-    y = (s - eye) * mp.inverse(s + eye)
-    y2 = y * y
-    term = y
-    total = mp.zeros(n, n)
-    tol = mp.mpf(10) ** (-mp.mp.dps + 2)
-    for j in range(1, 200, 2):
-        total += term / j
-        if mp.mnorm(term, "F") < tol:
-            break
-        term = term * y2
-    return 2 * total
+    s = _unit(0, n)
+    for letter, coef in scheme.factor_sequence():
+        s = _mul(s, _exp_letter(letter, coef, n))
+    # log(1 + y) = sum_m (-1)^(m+1) y^m / m; y^m starts at degree m
+    y = s - _unit(0, n)
+    log_s = np.zeros_like(y)
+    power = y
+    for m in range(1, n + 1):
+        log_s += (-1) ** (m + 1) / m * power
+        power = _mul(power, y)
+    a, b = _unit(1, n), _unit(2, n)
+    basis = [v for v, g in zip(_commutator_basis(a, b), _BASIS_GRADES) if g <= n]
+    return np.linalg.lstsq(np.stack(basis, axis=1), log_s - a - b, rcond=None)[0]
 
 
-def _frob_mp(m):
-    return mp.mnorm(m, "F")
+def estimate_error_coefficients(scheme, max_order=3):
+    """Exact (nu-1, sigma-1, alpha, beta[, gamma]) of a scheme.
 
-
-def _project_onto_basis(e_mat, basis, gram_lu):
-    """Least-squares coefficients of e_mat in the basis, plus the residual."""
-    k = len(basis)
-    rhs = mp.matrix(k, 1)
-    for i in range(k):
-        acc = mp.mpc(0)
-        bi = basis[i]
-        for r in range(bi.rows):
-            for c in range(bi.cols):
-                acc += mp.conj(bi[r, c]) * e_mat[r, c]
-        rhs[i] = acc
-    coeffs = mp.lu_solve(gram_lu, rhs)
-    recon = mp.zeros(e_mat.rows, e_mat.cols)
-    for i in range(k):
-        recon += coeffs[i] * basis[i]
-    e_norm = _frob_mp(e_mat)
-    resid = _frob_mp(e_mat - recon) / e_norm if e_norm > 0 else mp.mpf(0)
-    return [coeffs[i] for i in range(k)], resid
-
-
-def _scheme_defect(a_eig, b_eig, a_mat, b_mat, scheme, h):
-    """E(h) = logm(S(h)) - (A+B) h in the current working precision."""
-    (ea, qa), (eb, qb) = a_eig, b_eig
-    hh = mp.mpf(h)
-    s = _expm_from_eig(ea, qa, mp.mpc(scheme.a[0]) * hh)
-    for i in range(scheme.q):
-        s = s * _expm_from_eig(eb, qb, mp.mpc(scheme.b[i]) * hh)
-        s = s * _expm_from_eig(ea, qa, mp.mpc(scheme.a[i + 1]) * hh)
-    return _logm_series(s) - (a_mat + b_mat) * hh
-
-
-def _richardson_schedule(grade, symmetric):
-    """Exponents of the two next contaminating orders beyond the basis."""
-    if symmetric:
-        return (grade, 7, 9)
-    return (grade, 6, 7)
-
-
-def _solve_power_model(values, levels, exponents):
-    """Fit c1 h^{e1} + c2 h^{e2} + c3 h^{e3} through three (h, value) pairs."""
-    m = mp.matrix(3, 3)
-    rhs = mp.matrix(3, 1)
-    for i, h in enumerate(levels):
-        for j, e in enumerate(exponents):
-            m[i, j] = mp.mpf(h) ** e
-        rhs[i] = values[i]
-    sol = mp.lu_solve(m, rhs)
-    return sol[0]
-
-
-def estimate_error_coefficients(
-    scheme,
-    max_order=3,
-    *,
-    seed=DEFAULT_SEED,
-    draws=5,
-    dim=8,
-    h0=0.01,
-    operators=None,
-    dps=40,
-):
-    """Estimate (nu-1, sigma-1, alpha, beta[, gamma]) for a scheme.
-
-    The defect E(h) = logm(S(h)) - (A+B)h is computed in extended precision
-    at three step sizes (h0, h0/2, h0/4), projected onto the graded
-    commutator basis, and the per-element power law c h^g is separated from
-    the two next contaminating orders.  Results are averaged over the draws
-    in a fixed order; ``spread`` is the largest across-draw deviation.
-
-    ``operators`` may supply explicit (A, B) pairs (mainly for tests); the
-    default draws seeded random Hermitian pairs and redraws on a degenerate
-    (numerically commuting) pair.
+    log S(h) is expanded in the free associative algebra on {A, B},
+    truncated at degree max_order, and projected onto the graded
+    commutator basis (see ErrorCoefficients).
     """
     if max_order not in (3, 5):
         raise StructuralError("max_order must be 3 or 5")
@@ -339,104 +288,17 @@ def estimate_error_coefficients(
             f"scheme {scheme.name!r} is inconsistent: "
             f"a-residual {report.a_residual:.3e}, b-residual {report.b_residual:.3e}"
         )
-
-    rng = np.random.default_rng(seed)
-    explicit = operators is not None
-    budget = draws if explicit else 3 * draws
-    pending = list(operators) if explicit else []
-
-    levels = (h0, h0 / 2.0, h0 / 4.0)
-    per_draw = []
-    worst_resid = 0.0
-    attempts = 0
-    with mp.workdps(dps):
-        while len(per_draw) < (len(pending) if explicit else draws):
-            if explicit:
-                a_np, b_np = pending[len(per_draw)]
-            else:
-                a_np, b_np = (random_hermitian(rng, dim), random_hermitian(rng, dim))
-            attempts += 1
-            try:
-                coeffs = _single_draw(a_np, b_np, scheme, levels)
-            except DegenerateDrawError:
-                if explicit or attempts >= budget:
-                    raise
-                continue
-            per_draw.append(coeffs[0])
-            worst_resid = max(worst_resid, coeffs[1])
-
-    n = len(per_draw)
-    mean = [sum(d[j] for d in per_draw) / n for j in range(len(_BASIS_GRADES))]
-    spread = 0.0
-    for j in range(len(_BASIS_GRADES)):
-        for d in per_draw:
-            spread = max(spread, abs(d[j] - mean[j]))
-
-    gamma = tuple(mean[8:14]) if max_order == 5 else ()
+    c = [complex(v) for v in _bch_coefficients(scheme, max_order)]
     return ErrorCoefficients(
-        nu_minus_1=mean[0],
-        sigma_minus_1=mean[1],
-        alpha=mean[3],
-        beta=mean[4],
-        gamma=gamma,
-        spread=spread,
-        projection_residual=worst_resid,
+        nu_minus_1=c[0],
+        sigma_minus_1=c[1],
+        alpha=c[3],
+        beta=c[4],
+        gamma=tuple(c[8:14]),
     )
 
 
-def _single_draw(a_np, b_np, scheme, levels):
-    """Per-draw estimate: project E(h) at each level, then Richardson-solve."""
-    a_mat = _mpmatrix(a_np)
-    b_mat = _mpmatrix(b_np)
-    basis = _commutator_basis(a_mat, b_mat)
-    k = len(basis)
-
-    # Gram matrix of the basis under the Frobenius inner product
-    gram = mp.matrix(k, k)
-    for i in range(k):
-        for j in range(i, k):
-            acc = mp.mpc(0)
-            bi, bj = basis[i], basis[j]
-            for r in range(bi.rows):
-                for c in range(bi.cols):
-                    acc += mp.conj(bi[r, c]) * bj[r, c]
-            gram[i, j] = acc
-            gram[j, i] = mp.conj(acc)
-    comm_norm = mp.sqrt(abs(gram[2, 2]))
-    if comm_norm < mp.mpf("1e-8"):
-        raise DegenerateDrawError(
-            "test operators numerically commute; redraw with different operators"
-        )
-
-    a_eig = _herm_eig_mp(a_mat)
-    b_eig = _herm_eig_mp(b_mat)
-
-    by_level = []
-    worst = 0.0
-    for h in levels:
-        e_mat = _scheme_defect(a_eig, b_eig, a_mat, b_mat, scheme, h)
-        try:
-            coeffs, resid = _project_onto_basis(e_mat, basis, gram)
-        except ZeroDivisionError as exc:
-            raise DegenerateDrawError(f"singular commutator basis: {exc}") from exc
-        if resid > PROJECTION_RESIDUAL_FRACTION:
-            raise DegenerateDrawError(
-                f"projection residual {float(resid):.2%} of |E| exceeds "
-                f"{PROJECTION_RESIDUAL_FRACTION:.0%}; redraw"
-            )
-        worst = max(worst, float(resid))
-        by_level.append(coeffs)
-
-    out = []
-    for j, grade in enumerate(_BASIS_GRADES):
-        exps = _richardson_schedule(grade, scheme.symmetric)
-        vals = [by_level[i][j] for i in range(len(levels))]
-        c = _solve_power_model(vals, levels, exps)
-        out.append(complex(c.real, c.imag))
-    return out, worst
-
-
-def efficiency(scheme, *, coeffs=None, seed=DEFAULT_SEED):
+def efficiency(scheme, *, coeffs=None):
     """Efficiency score 1/(q^n * leading-error norm), higher is better.
 
     Order-2 schemes score with sqrt(|alpha|^2+|beta|^2), order-4 schemes
@@ -448,16 +310,14 @@ def efficiency(scheme, *, coeffs=None, seed=DEFAULT_SEED):
     if n not in (2, 4):
         raise StructuralError(f"efficiency defined for order 2 and 4, got {n}")
     if coeffs is None:
-        coeffs = estimate_error_coefficients(
-            scheme, max_order=5 if n == 4 else 3, seed=seed
-        )
+        coeffs = estimate_error_coefficients(scheme, max_order=5 if n == 4 else 3)
     if n == 2:
         norm = math.hypot(abs(coeffs.alpha), abs(coeffs.beta))
     else:
         if not coeffs.gamma:
-            raise StructuralError("order-4 efficiency needs gamma; estimate at max_order=5")
+            raise StructuralError("order-4 efficiency needs gamma; compute it at max_order=5")
         norm = math.sqrt(sum(abs(g) ** 2 for g in coeffs.gamma))
-    if norm < 1e3 * max(coeffs.spread, 1e-18):
+    if norm < LEADING_ERROR_ZERO_TOL:
         warnings.warn(
             f"scheme {scheme.name!r}: leading error at order {n} is numerically zero; "
             "order underclaimed",
@@ -485,6 +345,23 @@ def fit_loglog_slope(h_values, errors, plateau=PLATEAU_ERROR):
     return float(np.polyfit(np.log(np.asarray(hs)), np.log(np.asarray(es)), 1)[0])
 
 
+def _fit_order(split, sequence, h_grid=None, t_total=1.0, direction="forward",
+               alternate_reversal=False):
+    """Log-log slope of the Frobenius distance between `sequence` composed
+    over t/h steps and the exact exponential of the summed operator."""
+    if h_grid is None:
+        h_grid = [2.0 ** (-j) for j in range(2, 7)]
+    pref = direction_prefactor(direction)
+    w, v = np.linalg.eigh(split.total)
+    errors = []
+    for h in h_grid:
+        steps = max(1, round(t_total / h))
+        u_exact = (v * np.exp(pref * steps * h * w)) @ v.conj().T
+        u = evolve_sequence(split, sequence, h, steps, direction, alternate_reversal)
+        errors.append(float(np.linalg.norm(u - u_exact)))
+    return fit_loglog_slope(h_grid, errors)
+
+
 def empirical_order(
     scheme,
     dim=8,
@@ -499,23 +376,12 @@ def empirical_order(
     scheme over t/h steps and the exact exponential.  Points below the
     round-off plateau are excluded from the fit.
     """
-    if h_grid is None:
-        h_grid = [2.0 ** (-j) for j in range(2, 7)]
-    if len(h_grid) < 4:
+    if h_grid is not None and len(h_grid) < 4:
         raise GridUnusableError("h_grid needs at least 4 points")
     rng = np.random.default_rng(seed)
     a = random_hermitian(rng, dim)
     b = random_hermitian(rng, dim)
-    split = OperatorSplit((a, b))
-    sequence = scheme.factor_sequence()
-    h_w, h_v = np.linalg.eigh(a + b)
-    errors = []
-    for h in h_grid:
-        steps = max(1, round(t_total / h))
-        u_exact = (h_v * np.exp(-1j * steps * h * h_w)) @ h_v.conj().T
-        u = evolve_sequence(split, sequence, h, steps)
-        errors.append(float(np.linalg.norm(u - u_exact)))
-    return fit_loglog_slope(h_grid, errors)
+    return _fit_order(OperatorSplit((a, b)), scheme.factor_sequence(), h_grid, t_total)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,15 @@
 
 Everything numeric that acts as a pass/fail threshold lives here so the
 choices are documented in one place.  All values assume IEEE double
-arithmetic in the public API; extended precision is internal to the
-zero computation and error-coefficient estimation.
+arithmetic in the public API; extended precision is internal to the zero
+computation.
 """
 
 # Scheme validation
 CONSISTENCY_TOL = 1e-12       # |sum(a) - 1|, |sum(b) - 1|
 SYMMETRY_TOL = 1e-14          # component-wise palindrome check
-PROJECTION_RESIDUAL_FRACTION = 0.10  # degenerate-draw threshold
 CATALOG_ORDER_SLOPE_TOL = 0.5  # load-time empirical order gate
+LEADING_ERROR_ZERO_TOL = 1e-12  # leading-error norm read as zero: order underclaimed
 
 # Evolution / error metrics
 HERMITICITY_TOL = 1e-13       # component-wise, OperatorSplit parts

@@ -4,12 +4,14 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import trotterkit
 from trotterkit.cli import main
 
 # In-process zero computations here share the polyexp memo with the rest of
@@ -104,6 +106,14 @@ def test_schemes_efficiency_strang(capsys):
     fields = dict(kv.split("=") for kv in out.split())
     assert fields["name"] == "strang" and fields["order"] == "2" and fields["q"] == "1"
     assert float(fields["eff"]) == pytest.approx(24 / math.sqrt(5), rel=1e-10)
+
+
+def test_schemes_efficiency_does_not_depend_on_seed(capsys):
+    # The score comes from exact coefficients; no random operator enters it.
+    first = run_cli(capsys, "--seed", "1", "schemes", "efficiency", "suzuki4")
+    second = run_cli(capsys, "--seed", "2", "schemes", "efficiency", "suzuki4")
+    assert first[0] == 0 and first[1].startswith("name=suzuki4 ")
+    assert first == second
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +386,15 @@ def test_console_script_roundtrip():
 
 
 def test_module_entry_point():
+    # The child imports the same trotterkit as this process, installed or not.
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(trotterkit.__file__)))
+    pythonpath = os.pathsep.join(p for p in (src_root, os.environ.get("PYTHONPATH")) if p)
     res = subprocess.run(
         [sys.executable, "-m", "trotterkit.cli", "schemes", "validate", "strang"],
         capture_output=True,
         text=True,
         check=False,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
     )
     assert res.returncode == 0
     assert res.stdout.startswith("strang: ok")

@@ -1,20 +1,17 @@
 """Catalog validation, error-coefficient estimation, and efficiency scores."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, strategies as st
 
-from trotterkit.errors import (
-    DegenerateDrawError,
-    GridUnusableError,
-    NotFoundError,
-    StructuralError,
-)
+from trotterkit.errors import GridUnusableError, NotFoundError, StructuralError
 from trotterkit.schemes import (
+    _BASIS_GRADES,
     TwoStageScheme,
+    _bch_coefficients,
     efficiency,
     empirical_order,
     estimate_error_coefficients,
@@ -25,13 +22,9 @@ from trotterkit.schemes import (
     validate_consistency,
 )
 
-# Cheap estimator settings: bit-identical leading coefficients to the
-# defaults on every scheme checked below, at a fraction of the runtime.
-FAST = dict(draws=2, dim=6)
-
-
-def coeffs(scheme, max_order=3):
-    return estimate_error_coefficients(scheme, max_order, **FAST)
+# A first-order asymmetric scheme and the plain Lie splitting e^{Ah} e^{Bh}.
+ASYM = TwoStageScheme(name="asym", order_n=1, a=(0.2, 0.8, 0.0), b=(0.6, 0.4), symmetric=False)
+LIE = TwoStageScheme(name="lie", order_n=1, a=(1.0, 0.0), b=(1.0,), symmetric=False)
 
 
 # ---------------------------------------------------------------------------
@@ -91,41 +84,37 @@ def test_get_scheme_unknown_name():
 
 
 def test_reversed_swaps_coefficients():
-    s = TwoStageScheme(name="asym", order_n=1, a=(0.2, 0.8, 0.0), b=(0.6, 0.4), symmetric=False)
-    r = s.reversed()
-    assert r.a == tuple(reversed(s.a))
-    assert r.b == tuple(reversed(s.b))
+    r = ASYM.reversed()
+    assert r.a == tuple(reversed(ASYM.a))
+    assert r.b == tuple(reversed(ASYM.b))
 
 
 # ---------------------------------------------------------------------------
-# error-coefficient estimation
+# exact error coefficients
 
 
 def test_strang_leading_coefficients_analytic():
     # Symmetric BCH for e^{Ah/2} e^{Bh} e^{Ah/2}: alpha = -1/24, beta = -1/12.
-    c = coeffs(get_scheme("strang"))
-    assert abs(c.nu_minus_1) < 1e-10
-    assert abs(c.sigma_minus_1) < 1e-10
-    assert c.alpha.real == pytest.approx(-1 / 24, rel=1e-10)
-    assert c.beta.real == pytest.approx(-1 / 12, rel=1e-10)
-    assert abs(c.alpha.imag) < 1e-12 and abs(c.beta.imag) < 1e-12
-    assert c.spread < 1e-12
+    c = estimate_error_coefficients(get_scheme("strang"))
+    assert abs(c.nu_minus_1) < 1e-15
+    assert abs(c.sigma_minus_1) < 1e-15
+    assert c.alpha == pytest.approx(-1 / 24, abs=1e-15)
+    assert c.beta == pytest.approx(-1 / 12, abs=1e-15)
     assert c.gamma == ()
 
 
 def test_lie_leading_coefficients_analytic():
     # Plain BCH for e^{Ah} e^{Bh}: alpha = +1/12, beta = -1/12.
-    lie = TwoStageScheme(name="lie", order_n=1, a=(1.0, 0.0), b=(1.0,), symmetric=False)
-    c = coeffs(lie)
-    assert c.alpha.real == pytest.approx(1 / 12, rel=1e-9)
-    assert c.beta.real == pytest.approx(-1 / 12, rel=1e-9)
+    c = estimate_error_coefficients(LIE)
+    assert c.alpha == pytest.approx(1 / 12, abs=1e-15)
+    assert c.beta == pytest.approx(-1 / 12, abs=1e-15)
 
 
 @pytest.mark.parametrize("name", ["forest-ruth", "suzuki4", "blanes-moan4", "triple-jump-complex"])
 def test_order4_annihilates_third_order(name):
-    c = coeffs(get_scheme(name))
-    assert abs(c.alpha) < 1e-8
-    assert abs(c.beta) < 1e-8
+    c = estimate_error_coefficients(get_scheme(name))
+    assert abs(c.alpha) < 1e-14
+    assert abs(c.beta) < 1e-14
 
 
 def test_duplicated_strang_quarters_the_coefficients():
@@ -134,27 +123,39 @@ def test_duplicated_strang_quarters_the_coefficients():
     dup = TwoStageScheme(
         name="dup-strang", order_n=2, a=(0.25, 0.5, 0.25), b=(0.5, 0.5), symmetric=True
     )
-    c_s = coeffs(get_scheme("strang"))
-    c_d = coeffs(dup)
-    assert c_d.alpha == pytest.approx(c_s.alpha / 4, rel=1e-9)
-    assert c_d.beta == pytest.approx(c_s.beta / 4, rel=1e-9)
+    c_s = estimate_error_coefficients(get_scheme("strang"))
+    c_d = estimate_error_coefficients(dup)
+    assert c_d.alpha == pytest.approx(c_s.alpha / 4, rel=1e-14)
+    assert c_d.beta == pytest.approx(c_s.beta / 4, rel=1e-14)
     e_s = efficiency(get_scheme("strang"), coeffs=c_s)
     e_d = efficiency(dup, coeffs=c_d)
-    assert e_d.eff == pytest.approx(e_s.eff, rel=1e-9)
+    assert e_d.eff == pytest.approx(e_s.eff, rel=1e-14)
 
 
 def test_reversal_preserves_coefficient_magnitudes():
-    s = TwoStageScheme(name="asym", order_n=1, a=(0.2, 0.8, 0.0), b=(0.6, 0.4), symmetric=False)
-    cf = coeffs(s)
-    cr = coeffs(s.reversed())
-    assert abs(cr.alpha) == pytest.approx(abs(cf.alpha), rel=1e-9)
-    assert abs(cr.beta) == pytest.approx(abs(cf.beta), rel=1e-9)
+    cf = estimate_error_coefficients(ASYM)
+    cr = estimate_error_coefficients(ASYM.reversed())
+    assert abs(cr.alpha) == pytest.approx(abs(cf.alpha), rel=1e-14)
+    assert abs(cr.beta) == pytest.approx(abs(cf.beta), rel=1e-14)
 
 
 def test_max_order_five_fills_gamma():
-    c = estimate_error_coefficients(get_scheme("blanes-moan4"), 5, **FAST)
+    c = estimate_error_coefficients(get_scheme("blanes-moan4"), 5)
     assert len(c.gamma) == 6
     assert max(abs(g) for g in c.gamma) > 1e-6
+
+
+def test_suzuki4_gamma_pinned():
+    # Reference values from an independent 40-digit matrix-log estimate,
+    # Richardson-extrapolated over random Hermitian pairs.
+    want = (
+        -0.0002595309050065978, -0.0006623802222130388, -0.00037574339781335257,
+        -0.00044158681480869263, -0.0011272301934400577, -0.00013168683399067998,
+    )
+    c = estimate_error_coefficients(get_scheme("suzuki4"), 5)
+    assert np.max(np.abs(np.array(c.gamma) - want)) < 1e-15
+    eff = efficiency(get_scheme("suzuki4"), coeffs=c).eff
+    assert eff == pytest.approx(1.096231121301969, rel=1e-12)
 
 
 def test_max_order_must_be_three_or_five():
@@ -162,18 +163,40 @@ def test_max_order_must_be_three_or_five():
         estimate_error_coefficients(get_scheme("strang"), 4)
 
 
-def test_commuting_explicit_operators_degenerate():
-    a = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    with pytest.raises(DegenerateDrawError):
-        estimate_error_coefficients(get_scheme("strang"), 3, operators=[(a, 2.0 * a)])
+def _matrix_basis(a, b):
+    """The 14 graded commutators of ErrorCoefficients, as matrices."""
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    ab = comm(a, b)
+    aab, bab = comm(a, ab), comm(b, ab)
+    return [
+        a, b, ab, aab, bab,
+        comm(a, aab), comm(a, bab), comm(b, bab),
+        comm(a, comm(a, aab)), comm(a, comm(a, bab)), comm(b, comm(a, aab)),
+        comm(b, comm(b, bab)), comm(b, comm(b, aab)), comm(a, comm(b, bab)),
+    ]
 
 
-def test_seed_independence_of_estimates():
-    base = estimate_error_coefficients(get_scheme("strang"), 3, **FAST)
-    for seed in (7, 99, 2024):
-        c = estimate_error_coefficients(get_scheme("strang"), 3, seed=seed, **FAST)
-        assert abs(c.alpha - base.alpha) <= 1e-6 * abs(base.alpha)
-        assert abs(c.beta - base.beta) <= 1e-6 * abs(base.beta)
+@pytest.mark.parametrize("scheme", [*load_catalog().values(), ASYM, LIE], ids=lambda s: s.name)
+def test_coefficients_match_logm_defect(scheme):
+    # Slow path: logm of an unmerged expm product on a random 6x6 pair.  The
+    # degree-5 reconstruction leaves an O(h^6) (asymmetric) or O(h^7)
+    # (symmetric) residual, so it must fall by 2^6 or 2^7 per halving of h.
+    rng = np.random.default_rng(2024)
+    a, b = random_hermitian(rng, 6), random_hermitian(rng, 6)
+    basis = _matrix_basis(a, b)
+    coeffs = _bch_coefficients(scheme, 5)
+    residuals = []
+    for h in (1 / 5, 1 / 10, 1 / 20):
+        s = scipy.linalg.expm(scheme.a[0] * h * a)
+        for bi, ai in zip(scheme.b, scheme.a[1:]):
+            s = s @ scipy.linalg.expm(bi * h * b) @ scipy.linalg.expm(ai * h * a)
+        recon = sum(c * h**g * m for c, g, m in zip(coeffs, _BASIS_GRADES, basis))
+        residuals.append(np.linalg.norm(scipy.linalg.logm(s) - h * (a + b) - recon))
+    assert residuals[0] / residuals[1] > 40
+    assert residuals[1] / residuals[2] > 40
 
 
 # ---------------------------------------------------------------------------
@@ -182,38 +205,37 @@ def test_seed_independence_of_estimates():
 
 def test_strang_efficiency_value():
     # Eff_2 = 1/(q^2 sqrt(alpha^2 + beta^2)) = 24/sqrt(5) for Strang.
-    e = efficiency(get_scheme("strang"), coeffs=coeffs(get_scheme("strang")))
+    e = efficiency(get_scheme("strang"))
     assert e.order_n == 2 and e.q == 1
-    assert e.eff == pytest.approx(24 / math.sqrt(5), rel=1e-10)
+    assert e.eff == pytest.approx(24 / math.sqrt(5), rel=1e-14)
 
 
 def test_order4_efficiency_hierarchy():
     scores = {}
     for name in ("forest-ruth", "suzuki4", "blanes-moan4"):
         s = get_scheme(name)
-        scores[name] = efficiency(s, coeffs=estimate_error_coefficients(s, 5, **FAST)).eff
+        scores[name] = efficiency(s).eff
     assert scores["forest-ruth"] < scores["suzuki4"] < scores["blanes-moan4"]
 
 
 def test_underclaimed_order_warns_and_scores_inf():
     bm = get_scheme("blanes-moan4")
     under = TwoStageScheme(name="bm-as-2", order_n=2, a=bm.a, b=bm.b, symmetric=True)
-    c = coeffs(under)
+    c = estimate_error_coefficients(under)
     with pytest.warns(UserWarning, match="order underclaimed"):
         e = efficiency(under, coeffs=c)
     assert e.eff == math.inf
 
 
 def test_efficiency_rejects_unsupported_orders():
-    lie = TwoStageScheme(name="lie", order_n=1, a=(1.0, 0.0), b=(1.0,), symmetric=False)
     with pytest.raises(StructuralError):
-        efficiency(lie, coeffs=coeffs(lie))
+        efficiency(LIE, coeffs=estimate_error_coefficients(LIE))
 
 
 def test_order4_efficiency_needs_fifth_order_coeffs():
     bm = get_scheme("blanes-moan4")
     with pytest.raises(StructuralError):
-        efficiency(bm, coeffs=coeffs(bm))  # max_order=3: gamma missing
+        efficiency(bm, coeffs=estimate_error_coefficients(bm))  # max_order=3: gamma missing
 
 
 # ---------------------------------------------------------------------------
