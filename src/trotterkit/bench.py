@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
+from .compose import _eig_expm
 from .errors import GridUnusableError, NotFoundError, StructuralError
 from .multistage import apply_multistage, to_multistage
 from .polyexp import SeriesSpec, eval_factorized, eval_summed, factorize, suggest_gamma
@@ -159,10 +160,6 @@ def plan_from_dict(data):
 # the sweep
 
 
-def _oracle(evals, evecs, t):
-    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-
-
 def _step_operator(method, split, h, gamma, cache_dir):
     """The dense one-step operator approximating exp(-i H h)."""
     if method.kind == "scheme":
@@ -203,13 +200,13 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
             t_eff = steps * h
             begin = time.perf_counter()
             if method.kind == "exact":
-                u = _oracle(evals, evecs, t_eff)
+                u = _eig_expm(evals, evecs, -1j * t_eff)
             else:
                 step_op = _step_operator(method, split, h, gamma, cache_dir)
                 u = np.linalg.matrix_power(step_op, steps)
             wall = time.perf_counter() - begin if timing else 0.0
             err = frobenius_error(
-                u, _oracle(evals, evecs, t_eff), t=t_eff, method=method.descriptor
+                u, _eig_expm(evals, evecs, -1j * t_eff), t=t_eff, method=method.descriptor
             )
             records.append(
                 BenchmarkRecord(
@@ -356,14 +353,20 @@ def stability_probe(k_list, z_samples, *, cache_dir=None):
     return rows
 
 
-def emit_probe(rows, path):
-    """CSV for stability_probe output, mirroring emit_records conventions."""
-    if not rows:
-        raise StructuralError("no probe rows to emit")
+def probe_csv(rows):
+    """CSV text for stability_probe output, mirroring emit_records
+    conventions; an empty row list gives the header alone."""
     lines = ["k,z,err_sum,err_prod"]
     for r in rows:
         z = f"{r.z.real:.17g}" if r.z.imag == 0.0 else f"{r.z!r}"
         lines.append(f"{r.k},{z},{r.err_sum:.17g},{r.err_prod:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def emit_probe(rows, path):
+    """Write probe_csv(rows) to path; there must be at least one row."""
+    if not rows:
+        raise StructuralError("no probe rows to emit")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(probe_csv(rows))
     return path

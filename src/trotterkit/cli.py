@@ -22,6 +22,7 @@ from .bench import (
     emit_probe,
     emit_records,
     plan_from_dict,
+    probe_csv,
     run_benchmark,
     stability_probe,
 )
@@ -87,6 +88,15 @@ def _cmd_schemes_list(args):
     return 0
 
 
+def _catalog_scheme(args, name):
+    """The named entry of the --catalog catalog (loaded unvalidated)."""
+    catalog = load_catalog(args.catalog, validate=False)
+    if name not in catalog:
+        known = ", ".join(sorted(catalog))
+        raise NotFoundError(f"unknown scheme {name!r}; catalog has: {known}")
+    return catalog[name]
+
+
 def _looks_like_path(target):
     return os.sep in target or target.endswith(".json") or os.path.exists(target)
 
@@ -95,11 +105,7 @@ def _cmd_schemes_validate(args):
     if _looks_like_path(args.target):
         entries = list(load_catalog(args.target, validate=False).values())
     else:
-        catalog = load_catalog(args.catalog, validate=False)
-        if args.target not in catalog:
-            known = ", ".join(sorted(catalog))
-            raise NotFoundError(f"unknown scheme {args.target!r}; catalog has: {known}")
-        entries = [catalog[args.target]]
+        entries = [_catalog_scheme(args, args.target)]
     failures = []
     for scheme in entries:
         report = validate_consistency(scheme)
@@ -124,22 +130,13 @@ def _cmd_schemes_validate(args):
 
 
 def _cmd_schemes_efficiency(args):
-    catalog = load_catalog(args.catalog, validate=False)
-    if args.name not in catalog:
-        known = ", ".join(sorted(catalog))
-        raise NotFoundError(f"unknown scheme {args.name!r}; catalog has: {known}")
-    score = efficiency(catalog[args.name])
+    score = efficiency(_catalog_scheme(args, args.name))
     print(f"name={args.name} order={score.order_n} q={score.q} eff={_g(score.eff)}")
     return 0
 
 
 def _cmd_adapt(args):
-    catalog = load_catalog(args.catalog, validate=False)
-    if args.name not in catalog:
-        known = ", ".join(sorted(catalog))
-        raise NotFoundError(f"unknown scheme {args.name!r}; catalog has: {known}")
-    scheme = catalog[args.name]
-    ms = to_multistage(scheme)
+    ms = to_multistage(_catalog_scheme(args, args.name))
     if args.check:
         split = random_split(args.n_stage, 8, seed=args.seed)
         slope = multistage_order(split, ms)
@@ -233,11 +230,8 @@ def _cmd_probe_stability(args):
     )
     if args.out is not None:
         emit_probe(rows, args.out)
-        return 0
-    print("k,z,err_sum,err_prod")
-    for r in rows:
-        z = _g(r.z.real) if r.z.imag == 0.0 else repr(r.z)
-        print(f"{r.k},{z},{_g(r.err_sum)},{_g(r.err_prod)}")
+    else:
+        sys.stdout.write(probe_csv(rows))
     return 0
 
 

@@ -134,6 +134,11 @@ def merge_factors(pairs):
     return tuple(out)
 
 
+def _eig_expm(w, v, z):
+    """e^{z A} = v diag(e^{z w}) v^H for a Hermitian A = v diag(w) v^H."""
+    return (v * np.exp(z * w)) @ v.conj().T
+
+
 def _left_multiply(m, x):
     """m @ x for a complex C-ordered x; a real m takes one real product."""
     if np.isrealobj(m):

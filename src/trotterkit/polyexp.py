@@ -12,7 +12,9 @@ imaginary arguments with k > 17).
 
 Zeros are computed once in extended precision by Aberth-Ehrlich iteration
 from asymptotic initial guesses, verified against a per-root residual
-contract, cached on disk, and rounded to doubles for evaluation.
+contract, cached on disk, and rounded to doubles for evaluation.  The
+Chebyshev coefficients are Bessel values from mpmath J/I seeds plus
+downward recurrence.
 """
 
 from __future__ import annotations
@@ -125,89 +127,33 @@ class FactorizedPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions (Miller downward recurrence)
-
-
-def _bessel_series_small_x(kind, n_max, x, mpf, digits):
-    """Power series for tiny x: converges in a handful of terms."""
-    out = []
-    half = x / 2
-    eps = mpf(10) ** (-digits - 4)
-    for n in range(n_max + 1):
-        term = half**n / mpf(math.factorial(n))
-        acc = term
-        for m in range(1, 80):
-            fac = (half * half) / (m * (n + m))
-            term = term * (fac if kind == "I" else -fac)
-            acc += term
-            if abs(term) <= abs(acc) * eps:
-                break
-        out.append(acc)
-    return out
+# Bessel functions (mpmath J/I seeds plus downward recurrence)
 
 
 def _bessel_sequence(kind, n_max, x, *, dps=None):
-    """[f_0(x), ..., f_n_max(x)] for f = J or I, by normalized downward
-    recurrence; a power-series path handles small x.
+    """[f_0(x), ..., f_n_max(x)] for f = J or I.
 
-    With dps set, runs in mpmath at that precision (the zero solver needs
-    extended-precision coefficients); otherwise pure double arithmetic.
+    mpmath gives f_{n_max+1} and f_{n_max}; the downward recurrence
+    f_{n-1} = (2n/x) f_n -/+ f_{n+1} (stable for both J and I) gives the
+    rest, at 10 guard digits above the requested precision.  Returns
+    mpmath numbers at dps when it is set (the zero solver needs
+    extended-precision coefficients), doubles otherwise.
     """
     if kind not in ("I", "J"):
         raise StructuralError(f"kind must be 'I' or 'J', got {kind!r}")
-    if dps is not None:
-        with mp.workdps(dps):
-            return _bessel_sequence_ctx(kind, n_max, x, mp.mpf, dps)
-    return _bessel_sequence_ctx(kind, n_max, x, float, 16)
-
-
-def _bessel_sequence_ctx(kind, n_max, x, mpf, digits):
-    use_mp = mpf is not float
-
+    num = float if dps is None else mp.mpf
     if x == 0:
-        return [mpf(1)] + [mpf(0)] * n_max
-    if x < 1e-2:
-        return _bessel_series_small_x(kind, n_max, mpf(x), mpf, digits)
-
-    def run(n_top):
-        x_ = mpf(x)
-        fp = mpf(0)                      # f_{n+1}
-        fc = mpf(10) ** (-digits - 10)   # f_n (arbitrary tiny seed)
-        out = [mpf(0)] * (n_max + 1)
-        norm = mpf(0)                    # accumulates the normalization sum
-        big = mpf(10) ** 250
-        for n in range(n_top, 0, -1):
-            fm = (2 * n / x_) * fc + (fp if kind == "I" else -fp)
-            fp, fc = fc, fm
-            nn = n - 1
-            if nn <= n_max:
-                out[nn] = fc
-            if nn >= 1 and (kind == "I" or nn % 2 == 0):
-                norm += 2 * fc
-            if not use_mp and abs(fc) > big:
-                fp, fc = fp / big, fc / big
-                norm = norm / big
-                for idx in range(min(nn, n_max), n_max + 1):
-                    out[idx] = out[idx] / big
-        norm += fc  # n reached 0: fc holds f_0
-        target = (mp.exp(mpf(x)) if use_mp else math.exp(x)) if kind == "I" else mpf(1)
-        factor = target / norm
-        return [v * factor for v in out]
-
-    # start above the requested order by the usual Miller safety margin,
-    # then verify by re-running higher until the sequence stops moving
-    base = n_max + int(math.ceil(math.sqrt(2.3 * digits * max(n_max, x)))) + 10
-    prev = run(base)
-    cur = prev
-    for _ in range(6):
-        base = int(base * 1.25) + 16
-        cur = run(base)
-        ref = max(abs(v) for v in cur)
-        dev = max(abs(a - b) for a, b in zip(prev, cur))
-        if dev <= ref * mpf(10) ** (-(digits - 2)):
-            return cur
-        prev = cur
-    return cur
+        return [num(1)] + [num(0)] * n_max
+    sign, f = (1, mp.besseli) if kind == "I" else (-1, mp.besselj)
+    with mp.workdps((dps or 16) + 10):
+        x_ = mp.mpf(x)
+        nxt, cur = f(n_max + 1, x_), f(n_max, x_)
+        out = [cur]
+        for n in range(n_max, 0, -1):
+            nxt, cur = cur, (2 * n / x_) * cur + sign * nxt
+            out.append(cur)
+    with mp.workdps(dps or 16):
+        return [num(v) for v in reversed(out)]
 
 
 def bessel(kind, order, x):
@@ -245,7 +191,8 @@ def taylor_cutoff(lambda_max, h, epsilon):
 
 def _chebyshev_mu(spec, dps=None):
     """mu_0..mu_k: Bessel-I on the real axis, phased Bessel-J on the
-    imaginary axis (I_i(i*Gh) = i^i J_i(Gh)).
+    imaginary axis (I_i(i*Gh) = i^i J_i(Gh)), from mpmath J/I seeds plus
+    downward recurrence.
 
     In double precision by default; with dps set, as mpmath numbers at that
     working precision (call it inside mp.workdps(dps)).
@@ -253,8 +200,9 @@ def _chebyshev_mu(spec, dps=None):
     imaginary = spec.axis == "imaginary"
     num = mp.mpc if dps is not None else complex if imaginary else float
     seq = _bessel_sequence("J" if imaginary else "I", spec.k, spec.gamma_h, dps=dps)
-    phase = num(1j if imaginary else 1)
-    return [num(seq[0])] + [2 * phase**i * seq[i] for i in range(1, spec.k + 1)]
+    # i^i cycles exactly through (1, i, -1, -i); a complex power would not
+    phase = [num(p) for p in ((1, 1j, -1, -1j) if imaginary else (1, 1, 1, 1))]
+    return [num(seq[0])] + [2 * phase[i % 4] * seq[i] for i in range(1, spec.k + 1)]
 
 
 def chebyshev_coefficients(spec):
@@ -691,8 +639,7 @@ def _check_zero_clearance(fact):
             # sufficiently negative x; there the series legitimately
             # oscillates through zero, so clearance is only meaningful on
             # the sub-segment where the approximation resolves e^x at all.
-            seq = _bessel_sequence("I", spec.k + 1, gh)
-            tail = 2.0 * abs(seq[spec.k + 1])
+            tail = 2.0 * abs(float(mp.besseli(spec.k + 1, gh)))
             if tail > 0:
                 lo = max(lo, math.log(tail) + 1.0)
         if lo >= gh:
@@ -735,31 +682,23 @@ def _check_target(h_op, target):
     return t
 
 
-def eval_factorized(h_op, target, fact, *, pair_mode="quadratic"):
+def eval_factorized(h_op, target, fact):
     """scale * prod over groups of (1 + c1 M/k + c2 (M/k)^2) applied to target,
     with M = H * spec.h; H is applied twice for quadratic groups rather
-    than squared.  pair_mode='linear' evaluates conjugate pairs as two
-    complex linear factors (testing fallback)."""
+    than squared."""
     spec = fact.spec
     k = spec.k
     target = _check_target(h_op, target)
     apply_h = _scaled_applier(h_op, spec.h)
     acc = target
-    if pair_mode == "quadratic":
-        for g in fact.groups:
-            if g.kind == "quad":
-                c1, c2 = g.coeffs
-                mv = apply_h(acc)
-                acc = acc + (c1 / k) * mv + (c2 / k**2) * apply_h(mv)
-            else:
-                (c1,) = g.coeffs
-                acc = acc + (c1 / k) * apply_h(acc)
-    elif pair_mode == "linear":
-        for g in fact.groups:
-            for gam in g.gammas:
-                acc = acc + (gam / k) * apply_h(acc)
-    else:
-        raise StructuralError(f"pair_mode must be 'quadratic' or 'linear', got {pair_mode!r}")
+    for g in fact.groups:
+        if g.kind == "quad":
+            c1, c2 = g.coeffs
+            mv = apply_h(acc)
+            acc = acc + (c1 / k) * mv + (c2 / k**2) * apply_h(mv)
+        else:
+            (c1,) = g.coeffs
+            acc = acc + (c1 / k) * apply_h(acc)
     if fact.overall_scale != 1.0:
         acc = fact.overall_scale * acc
     return acc

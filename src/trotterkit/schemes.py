@@ -23,7 +23,13 @@ from importlib import resources
 
 import numpy as np
 
-from .compose import OperatorSplit, direction_prefactor, evolve_sequence, merge_factors
+from .compose import (
+    OperatorSplit,
+    _eig_expm,
+    direction_prefactor,
+    evolve_sequence,
+    merge_factors,
+)
 from .errors import (
     ConsistencyError,
     GridUnusableError,
@@ -356,7 +362,7 @@ def _fit_order(split, sequence, h_grid=None, t_total=1.0, direction="forward",
     errors = []
     for h in h_grid:
         steps = max(1, round(t_total / h))
-        u_exact = (v * np.exp(pref * steps * h * w)) @ v.conj().T
+        u_exact = _eig_expm(w, v, pref * steps * h)
         u = evolve_sequence(split, sequence, h, steps, direction, alternate_reversal)
         errors.append(float(np.linalg.norm(u - u_exact)))
     return fit_loglog_slope(h_grid, errors)

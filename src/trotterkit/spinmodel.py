@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DimensionError, StructuralError
-from .compose import OperatorSplit, direction_prefactor
+from .compose import OperatorSplit, _eig_expm, direction_prefactor
 from .tolerances import DENSE_DIM_CAP, HERMITICITY_TOL
 
 __all__ = [
@@ -144,7 +144,7 @@ def exact_evolution(h_matrix, t, direction="forward"):
         raise StructuralError(f"H is not Hermitian (max deviation {dev:.3e})")
     pref = direction_prefactor(direction)
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(pref * t * w)) @ v.conj().T
+    return _eig_expm(w, v, pref * t)
 
 
 def frobenius_error(u_approx, u_exact, *, t=0.0, method=""):

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import trotterkit
+from trotterkit import polyexp
 from trotterkit.cli import main
 
 # In-process zero computations here share the polyexp memo with the rest of
@@ -228,6 +229,34 @@ def test_expm_chebyshev_imaginary(capsys):
     )
     assert rc == 0
     assert float(out.splitlines()[1].split(",")[4]) < 1e-11
+
+
+def test_expm_chebyshev_high_order_tiny_argument(capsys):
+    rc, out, err = run_cli(
+        capsys,
+        "expm",
+        "--method",
+        "chebyshev",
+        "--k",
+        "200",
+        "--gamma-h",
+        "0.005",
+        "--axis",
+        "real",
+        "--sum",
+        "--scalar",
+        "0.001",
+    )
+    assert rc == 0, err
+    assert math.isfinite(float(out.splitlines()[1].split(",")[4]))
+
+
+def test_zeros_convergence_failure_is_reported(capsys, monkeypatch):
+    monkeypatch.setattr(polyexp, "ZERO_RESIDUAL_PER_K", 0.0)
+    monkeypatch.setattr(polyexp, "_memo", {})
+    rc, out, err = run_cli(capsys, "zeros", "--family", "taylor", "--k", "5")
+    assert rc == 1
+    assert err.startswith("error:convergence:")
 
 
 def test_expm_rejects_unparseable_scalar(capsys):

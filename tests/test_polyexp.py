@@ -11,7 +11,8 @@ import pytest
 import scipy.special
 from hypothesis import given, strategies as st
 
-from trotterkit.errors import RangeError, StructuralError
+from trotterkit import polyexp
+from trotterkit.errors import ConvergenceError, RangeError, StructuralError
 from trotterkit.polyexp import (
     SeriesSpec,
     bessel,
@@ -203,6 +204,34 @@ def test_chebyshev_helpers_reject_taylor_spec():
         chebyshev_zeros(t)
 
 
+@pytest.mark.parametrize("k, gh, axis", [(302, 100.0, "imaginary"), (304, 20.0, "real")])
+def test_chebyshev_coefficients_correctly_rounded(k, gh, axis):
+    mu = chebyshev_coefficients(SeriesSpec("chebyshev", k, gamma_scale=gh, axis=axis))
+    with mp.workdps(50):
+        for i, got in enumerate(mu):
+            if axis == "imaginary":
+                want = mp.mpc(0, 1) ** i * mp.besselj(i, gh)
+            else:
+                want = mp.besseli(i, gh)
+            want = want if i == 0 else 2 * want
+            if abs(want) > 1e-290:
+                assert abs(mp.mpc(got) - want) <= 2e-16 * abs(want), i
+
+
+def test_chebyshev_coefficients_exact_quarter_turn_phase():
+    mu = chebyshev_coefficients(SeriesSpec("chebyshev", 152, gamma_scale=100.0, axis="imaginary"))
+    assert all(m.imag == 0.0 for m in mu[0::2])
+    assert all(m.real == 0.0 for m in mu[1::2])
+
+
+def test_chebyshev_coefficients_high_order_tiny_argument():
+    # mu_i underflows to zero from i = 80 on; nothing overflows on the way.
+    mu = chebyshev_coefficients(SeriesSpec("chebyshev", 200, gamma_scale=0.005, axis="real"))
+    assert len(mu) == 201
+    assert all(math.isfinite(m) for m in mu)
+    assert mu[0] == pytest.approx(1.0, rel=1e-5)
+
+
 def test_chebyshev_coefficients_range_gate():
     spec = SeriesSpec("chebyshev", 10, gamma_scale=501.0, axis="real", h=1.0)
     with pytest.raises(RangeError):
@@ -250,6 +279,20 @@ def test_taylor_zeros_are_accurate(k, zeros_cache):
                 dp = dp * zz + p
                 p = p * zz + c
             assert abs(p / dp) < 1e-13 * max(1.0, abs(z))
+
+
+def test_zero_solvers_raise_convergence_error(monkeypatch):
+    # With a zero residual contract no solve can pass: both solvers must
+    # give up after their precision boost and report the residual reached.
+    monkeypatch.setattr(polyexp, "ZERO_RESIDUAL_PER_K", 0.0)
+    monkeypatch.setattr(polyexp, "_memo", {})
+    with pytest.raises(ConvergenceError) as exc:
+        polyexp._taylor_zeros_mp(5)
+    assert math.isfinite(exc.value.worst_residual)
+    spec = SeriesSpec("chebyshev", 6, gamma_scale=2.0, axis="imaginary")
+    with pytest.raises(ConvergenceError) as exc:
+        polyexp._chebyshev_zeros_mp(spec)
+    assert math.isfinite(exc.value.worst_residual)
 
 
 def test_szego_curve_convergence(zeros_cache):
@@ -494,16 +537,12 @@ def test_property_sum_and_product_agree_inside_validity(zeros_cache, k, radius, 
     angle=st.floats(min_value=0.0, max_value=2.0 * math.pi),
 )
 def test_property_pair_modes_agree(zeros_cache, radius, angle):
+    # The merged real quadratic factors against the complex linear factors
+    # (1 + gamma z / k) they stand for.
     z = 4.0 * math.sqrt(radius) * cmath.exp(1j * angle)
     fact = factorize(SeriesSpec("taylor", 12), cache_dir=zeros_cache)
-    h_op = np.array([[z]], dtype=complex)
-    target = np.eye(1, dtype=complex)
-    quad = eval_factorized(h_op, target, fact, pair_mode="quadratic")[0, 0]
-    lin = eval_factorized(h_op, target, fact, pair_mode="linear")[0, 0]
+    quad = eval_factorized(np.array([[z]], dtype=complex), np.eye(1, dtype=complex), fact)[0, 0]
+    lin = fact.overall_scale
+    for g in fact.gammas:
+        lin = lin + (g / 12) * z * lin
     assert abs(quad - lin) <= 1e-13 * max(abs(quad), 1.0)
-
-
-def test_eval_factorized_rejects_bad_pair_mode(zeros_cache):
-    fact = factorize(SeriesSpec("taylor", 5), cache_dir=zeros_cache)
-    with pytest.raises(StructuralError):
-        eval_factorized(np.eye(1, dtype=complex), np.eye(1, dtype=complex), fact, pair_mode="cubic")
