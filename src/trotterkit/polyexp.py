@@ -10,15 +10,19 @@ and evaluated as a product of degree-<=2 real-coefficient factors
 direct sum suffers catastrophic cancellation (large negative or large
 imaginary arguments with k > 17).
 
-Zeros are computed once in extended precision by Aberth-Ehrlich iteration
-from asymptotic initial guesses, verified against a per-root residual
-contract, cached on disk, and rounded to doubles for evaluation.  The
-Chebyshev coefficients are Bessel values from mpmath J/I seeds plus
-downward recurrence.
+Zeros are computed once in extended precision by certified Newton: from
+asymptotic (Taylor) or colleague-matrix (Chebyshev) guesses, one zero of
+each conjugate pair is solved by Newton in fixed-point integer arithmetic
+and the other mirrored exactly.  Each zero is checked against a per-root
+residual contract, and disjoint inclusion disks certify that all k were
+found.  The zeros are cached on disk with their provenance, and rounded to
+doubles for evaluation.  The Chebyshev coefficients are Bessel values from
+mpmath J/I seeds plus downward recurrence.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -31,9 +35,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError, RangeError, StructuralError
 from .tolerances import (
-    ABERTH_MAX_SWEEPS,
     BESSEL_X_MAX,
     GAMMA_MARGIN,
+    NEWTON_MAX_STEPS,
     TAYLOR_K_MAX,
     VALIDITY_TRUNCATION,
     ZERO_RESIDUAL_PER_K,
@@ -127,7 +131,14 @@ class FactorizedPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions (mpmath J/I seeds plus downward recurrence)
+# Bessel functions (mpmath J/I, and sequences by downward recurrence)
+
+
+def _bessel_function(kind):
+    """mpmath's I or J."""
+    if kind not in ("I", "J"):
+        raise StructuralError(f"kind must be 'I' or 'J', got {kind!r}")
+    return mp.besseli if kind == "I" else mp.besselj
 
 
 def _bessel_sequence(kind, n_max, x, *, dps=None):
@@ -139,12 +150,11 @@ def _bessel_sequence(kind, n_max, x, *, dps=None):
     mpmath numbers at dps when it is set (the zero solver needs
     extended-precision coefficients), doubles otherwise.
     """
-    if kind not in ("I", "J"):
-        raise StructuralError(f"kind must be 'I' or 'J', got {kind!r}")
+    f = _bessel_function(kind)
     num = float if dps is None else mp.mpf
     if x == 0:
         return [num(1)] + [num(0)] * n_max
-    sign, f = (1, mp.besseli) if kind == "I" else (-1, mp.besselj)
+    sign = 1 if kind == "I" else -1
     with mp.workdps((dps or 16) + 10):
         x_ = mp.mpf(x)
         nxt, cur = f(n_max + 1, x_), f(n_max, x_)
@@ -167,7 +177,9 @@ def bessel(kind, order, x):
         raise RangeError(f"x = {x} beyond supported range (<= {BESSEL_X_MAX:g})")
     if order > 2 * x + 200:
         raise RangeError(f"order {order} beyond supported range (<= 2x + 200 = {2 * x + 200:g})")
-    return float(_bessel_sequence(kind, int(order), x)[int(order)])
+    f = _bessel_function(kind)
+    with mp.workdps(26):
+        return float(f(int(order), x))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +231,8 @@ def chebyshev_admissible_k(gamma_h, axis, epsilon):
     """Smallest k with |mu_{k+1}| < epsilon (series tail suppressed)."""
     if gamma_h < 0 or not (0 < epsilon < 1):
         raise RangeError("need gamma_h >= 0, 0 < epsilon < 1")
+    if axis not in ("real", "imaginary"):
+        raise StructuralError(f"axis must be 'real' or 'imaginary', got {axis!r}")
     if gamma_h == 0:
         return 1
     kind = "I" if axis == "real" else "J"
@@ -284,53 +298,163 @@ def _szego_guesses(k):
     return [z * k for z in rest + upper + [z.conjugate() for z in upper]]
 
 
-def _aberth_polish(p_and_dp, guesses, tol_z, step_scale):
-    """Aberth-Ehrlich sweeps + one Newton polish in the ambient precision.
+def _representatives(guesses):
+    """One working-plane guess per conjugate pair (Im w > 0) plus the guesses
+    on the real axis, snapped onto it so that Newton keeps them exactly real;
+    None if the guesses are not symmetric.
 
-    step_scale converts steps/residuals from the working plane to the
-    z-plane (Gamma*h for Chebyshev solved in the unit interval variable).
-    Returns (roots, worst z-plane residual |p/p'| * step_scale).
+    Every solved polynomial is real on the real axis of its working plane,
+    so the roots below it are the exact conjugates of the ones above.
     """
-    zs = list(guesses)
-    n = len(zs)
-    stop = tol_z * mp.mpf("1e-2")
-    for _ in range(ABERTH_MAX_SWEEPS):
-        maxstep = mp.mpf(0)
-        new = list(zs)
-        for i in range(n):
-            p, dp = p_and_dp(zs[i])
-            if p == 0:
-                continue
-            nwt = p / dp
-            s = mp.mpc(0)
-            for j in range(n):
-                if j != i:
-                    s += 1 / (zs[i] - zs[j])
-            w = nwt / (1 - nwt * s)
-            new[i] = zs[i] - w
-            if abs(w) > maxstep:
-                maxstep = abs(w)
-        zs = new
-        if maxstep * step_scale < stop:
+    line, upper, n_lower = [], [], 0
+    for w in guesses:
+        # double-precision guesses of real roots carry rounding-level imaginary parts
+        if abs(w.imag) <= 1e-8 * max(1.0, abs(w)):
+            line.append(complex(w.real, 0.0))
+        elif w.imag > 0:
+            upper.append(complex(w))
+        else:
+            n_lower += 1
+    return line + upper if n_lower == len(upper) else None
+
+
+def _fraction_bits(dps):
+    """Fixed-point fraction bits for a working precision of dps digits."""
+    return math.ceil(dps * math.log2(10)) + 16
+
+
+def _fixed(x, bits):
+    """Real number (float or mpf) as an int scaled by 2^bits."""
+    return int(mp.ldexp(mp.mpf(x), bits))
+
+
+def _newton_fixed(p_and_dp, w, bits, stop):
+    """Newton steps in complex fixed point (a pair of ints scaled by 2^bits)
+    from w until a step is shorter than stop (fixed point too), then one more
+    step."""
+    done = False
+    for _ in range(NEWTON_MAX_STEPS):
+        (pr, pi), (dr, di) = p_and_dp(w)
+        den = dr * dr + di * di
+        if den == 0:
             break
-    worst = mp.mpf(0)
-    for i in range(n):
-        p, dp = p_and_dp(zs[i])
-        zs[i] = zs[i] - p / dp
-        p, dp = p_and_dp(zs[i])
-        r = abs(p / dp) * step_scale
-        if r > worst:
-            worst = r
-    return zs, worst
+        step = (((pr * dr + pi * di) << bits) // den, ((pi * dr - pr * di) << bits) // den)
+        w = (w[0] - step[0], w[1] - step[1])
+        if done:
+            break
+        done = step[0] ** 2 + step[1] ** 2 < stop**2
+    return w
+
+
+def _disks_disjoint(zs, radius):
+    """True when the disks of the given radius around the double roots zs,
+    widened by their rounding, are pairwise disjoint."""
+    z = np.asarray(zs, dtype=complex)
+    rad = radius + 2.0**-50 * np.abs(z)
+    gap = np.abs(z[:, None] - z[None, :]) - (rad[:, None] + rad[None, :])
+    np.fill_diagonal(gap, np.inf)
+    return bool(np.all(gap > 0))
+
+
+def _newton_certified(k, guesses, scale, bits, fixed_p_and_dp, residual):
+    """Solve one representative per symmetric pair of guesses by fixed-point
+    Newton, mirror it, and certify the result as the complete root set.
+
+    The working plane is w = z / scale (scale > 0 real).  residual(w) is the
+    z-plane |p/p'| from the mpmath evaluator; a mirrored root inherits it.
+    Some root lies within k*|p/p'| of any point (|p'/p| = |sum 1/(z - z_j)|),
+    so k pairwise disjoint disks of radius k * worst prove all k roots found.
+    Returns (z-plane roots as doubles, worst residual, certified).
+    """
+    reps = _representatives(guesses)
+    if reps is None:
+        return [], mp.inf, False
+    tol = ZERO_RESIDUAL_PER_K * k
+    stop = _fixed(tol * 1e-2 / scale, bits)
+    num, den = float(scale).as_integer_ratio()
+    den <<= bits
+    zs, worst = [], mp.mpf(0)
+    for g in reps:
+        w = _newton_fixed(fixed_p_and_dp, (_fixed(g.real, bits), _fixed(g.imag, bits)), bits, stop)
+        worst = max(worst, residual(mp.mpc(mp.mpf((w[0], -bits)), mp.mpf((w[1], -bits)))))
+        # z = scale * w rounded once, so the mirror is the exact conjugate
+        z = complex(w[0] * num / den, w[1] * num / den)
+        zs += [z] if w[1] == 0 else [z, z.conjugate()]
+    certified = len(zs) == k and _disks_disjoint(zs, k * float(worst)) and worst < tol
+    return zs, worst, certified
+
+
+def _refined_guesses(fixed_p_and_dp, guesses, bits):
+    """All guesses moved together by Aberth-Ehrlich corrections: the Newton
+    step p/p' from the fixed-point kernel, the pair sums in double precision,
+    until every step is below 1e-13 of the largest guess.
+
+    Independent Newton needs guesses inside each root's basin; where the
+    double-precision guesses cannot resolve the roots (clusters that only
+    extended precision separates), the pair sums keep the guesses apart.
+    """
+    ws = np.array(guesses, dtype=complex)
+    for _ in range(NEWTON_MAX_STEPS):
+        largest = 0.0
+        for i, w in enumerate(ws):
+            (pr, pi), (dr, di) = fixed_p_and_dp((_fixed(w.real, bits), _fixed(w.imag, bits)))
+            den = dr * dr + di * di
+            if den == 0:
+                continue
+            nwt = complex((pr * dr + pi * di) / den, (pi * dr - pr * di) / den)
+            gaps = w - np.delete(ws, i)
+            step = nwt / (1 - nwt * np.sum(1 / gaps[gaps != 0]))
+            ws[i] = w - step
+            largest = max(largest, abs(step))
+        if largest < 1e-13 * np.max(np.abs(ws)):
+            break
+    return list(ws)
+
+
+def _solve_certified(k, guesses, scale, bits, fixed_p_and_dp, residual):
+    """Certified Newton from the working-plane guesses, and again from
+    refined guesses if that fails; returns as _newton_certified."""
+    out = _newton_certified(k, guesses, scale, bits, fixed_p_and_dp, residual)
+    if not out[2]:
+        guesses = _refined_guesses(fixed_p_and_dp, guesses, bits)
+        out = _newton_certified(k, guesses, scale, bits, fixed_p_and_dp, residual)
+    return out
+
+
+def _solve_failed(what, tol, worst):
+    """The error of a solve that failed its contract or its certificate."""
+    reason = "residual above contract" if worst >= tol else "root disks not disjoint"
+    return ConvergenceError(
+        f"{what}: {reason}: residual {float(worst):.3e}, contract {tol:.3e}",
+        worst_residual=float(worst),
+    )
+
+
+def _fixed_horner(c, w, bits):
+    """Sum c_i w^i and its derivative in one fixed-point Horner pass; the
+    complex products are inlined."""
+    wr, wi = w
+    pr, pi, dr, di = c[-1], 0, 0, 0
+    for ci in c[-2::-1]:
+        dr, di = ((dr * wr - di * wi) >> bits) + pr, ((dr * wi + di * wr) >> bits) + pi
+        pr, pi = ((pr * wr - pi * wi) >> bits) + ci, (pr * wi + pi * wr) >> bits
+    return (pr, pi), (dr, di)
 
 
 def _taylor_zeros_mp(k):
-    """All k zeros of the Taylor partial sum, meeting the residual contract."""
+    """All k zeros of the Taylor partial sum, meeting the residual contract,
+    with their worst residual.
+
+    Newton runs in u = z/k, where the coefficients k^i/i! are all >= 1 and
+    every zero has |u| <= 1.
+    """
     tol = ZERO_RESIDUAL_PER_K * k
     base_dps = 41 + int(0.25 * k)
-    worst = None
+    guesses = [z / k for z in _szego_guesses(k)]
     for boost in (1.0, 1.5):
         dps = int(base_dps * boost)
+        bits = _fraction_bits(dps)
+        c = [(k**i << bits) // math.factorial(i) for i in range(k + 1)]
         with mp.workdps(dps):
             fac = [1 / mp.factorial(i) for i in range(k + 1)]
             inv_kfac = fac[k]
@@ -341,14 +465,16 @@ def _taylor_zeros_mp(k):
                     s = s * z + fac[i]
                 return s, s - z**k * inv_kfac
 
-            guesses = [mp.mpc(z) for z in _szego_guesses(k)]
-            roots, worst = _aberth_polish(p_and_dp, guesses, mp.mpf(tol), mp.mpf(1))
-            if worst < tol:
-                return [complex(z) for z in roots]
-    raise ConvergenceError(
-        f"taylor zeros k={k}: residual {float(worst):.3e} above contract {tol:.3e}",
-        worst_residual=float(worst),
-    )
+            def residual(w):
+                p, dp = p_and_dp(k * w)
+                return abs(p / dp)
+
+            zs, worst, certified = _solve_certified(
+                k, guesses, k, bits, lambda w: _fixed_horner(c, w, bits), residual
+            )
+            if certified:
+                return zs, float(worst)
+    raise _solve_failed(f"taylor zeros k={k}", tol, worst)
 
 
 def _clenshaw(coeffs, x):
@@ -368,6 +494,37 @@ def _cheb_deriv_coeffs(mu):
         d[n - 1] = (d[n + 1] if n + 1 <= k else mp.mpc(0)) + 2 * n * mu[n]
     d[0] = d[0] / 2
     return d[:k]
+
+
+def _fixed_clenshaw(mu, x, bits):
+    """Sum mu_i T_i(x) and its x-derivative in one fixed-point Clenshaw pass:
+    b_j = 2x b_{j+1} - b_{j+2} + mu_j, b'_j = 2 b_{j+1} + 2x b'_{j+1} - b'_{j+2}.
+    The complex products are inlined; 2x b is x b shifted by one bit less."""
+    xr, xi = x
+    br = bi = b2r = b2i = dr = di = d2r = d2i = 0
+    for cr, ci in mu[:0:-1]:
+        tr, ti = (xr * br - xi * bi) >> (bits - 1), (xr * bi + xi * br) >> (bits - 1)
+        ur, ui = (xr * dr - xi * di) >> (bits - 1), (xr * di + xi * dr) >> (bits - 1)
+        br, bi, b2r, b2i, dr, di, d2r, d2i = (
+            tr - b2r + cr, ti - b2i + ci, br, bi, 2 * br + ur - d2r, 2 * bi + ui - d2i, dr, di
+        )
+    tr, ti = (xr * br - xi * bi) >> bits, (xr * bi + xi * br) >> bits
+    ur, ui = (xr * dr - xi * di) >> bits, (xr * di + xi * dr) >> bits
+    return (tr - b2r + mu[0][0], ti - b2i + mu[0][1]), (br + ur - d2r, bi + ui - d2i)
+
+
+def _clenshaw_guard_bits(mu, xs):
+    """Extra fraction bits so that a fixed-point Clenshaw pass keeps the
+    accuracy of a floating one at the points xs: rounding errors at x grow
+    like rho^k, rho = |x + sqrt(x^2 - 1)| >= 1, while the terms of the sum
+    are only as large as max_i |mu_i| rho^i (Taylor-like zeros far off the
+    segment have rho ~ 2|x| and tiny high-order mu).  The shortfall grows
+    with rho, so the outermost point decides."""
+    k = len(mu) - 1
+    roots = [(x, cmath.sqrt(x * x - 1)) for x in xs]
+    log_rho = max(math.log2(max(abs(x + r), abs(x - r))) for x, r in roots)
+    terms = max(mp.mag(m) + i * log_rho for i, m in enumerate(mu) if m != 0)
+    return max(0, math.ceil(k * log_rho + math.log2(k + 1) - terms))
 
 
 def _cheb_guesses(mu_d, k):
@@ -392,60 +549,68 @@ def _real_axis_guard_digits(gh):
 
 
 def _chebyshev_zeros_mp(spec):
-    """All k zeros (z-plane) of the Chebyshev truncation for spec."""
+    """All k zeros (z-plane) of the Chebyshev truncation for spec, with their
+    worst residual.
+
+    Newton runs in w = z / (Gamma*h): w = x on the real axis and w = i x on
+    the imaginary one, where conj(p(-conj(x))) = p(x) because the phase i^i
+    of mu is exact.  Either way the roots are symmetric about Im w = 0.
+    """
     k, gh, axis = spec.k, spec.gamma_h, spec.axis
+    imaginary = axis == "imaginary"
     tol = ZERO_RESIDUAL_PER_K * k
     base_dps = 65 + int(0.25 * k)
     if axis == "real":
         base_dps += _real_axis_guard_digits(gh)
-    worst = None
     for boost in (1.0, 1.5):
         dps = int(base_dps * boost)
         with mp.workdps(dps):
             mu = _chebyshev_mu(spec, dps)
             dmu = _cheb_deriv_coeffs(mu)
+            xs = _cheb_guesses([complex(m) for m in mu], k)
+            bits = _fraction_bits(dps) + _clenshaw_guard_bits(mu, xs)
+            fixed_mu = [(_fixed(m.real, bits), _fixed(m.imag, bits)) for m in mu]
 
-            def p_and_dp(x):
-                return _clenshaw(mu, x), _clenshaw(dmu, x)
+            def fixed_p_and_dp(w):
+                if not imaginary:
+                    return _fixed_clenshaw(fixed_mu, w, bits)
+                # x = -i w and dp/dw = -i dp/dx
+                p, dp = _fixed_clenshaw(fixed_mu, (w[1], -w[0]), bits)
+                return p, (dp[1], -dp[0])
 
-            guesses = [mp.mpc(x) for x in _cheb_guesses([complex(m) for m in mu], k)]
-            # steps and residuals map to the z-plane with |dz/dx| = Gamma*h
-            roots, worst = _aberth_polish(p_and_dp, guesses, mp.mpf(tol), mp.mpf(gh))
-            if worst < tol:
-                rot = mp.mpc(0, gh) if axis == "imaginary" else mp.mpf(gh)
-                return [complex(rot * x) for x in roots]
-    raise ConvergenceError(
-        f"chebyshev zeros k={k} Gamma*h={gh} {axis}: residual {float(worst):.3e} "
-        f"above contract {tol:.3e}",
-        worst_residual=float(worst),
-    )
+            def residual(w):
+                x = mp.mpc(w.imag, -w.real) if imaginary else w
+                # |dz/dx| = Gamma*h
+                return abs(_clenshaw(mu, x) / _clenshaw(dmu, x)) * gh
+
+            guesses = [1j * x if imaginary else x for x in xs]
+            zs, worst, certified = _solve_certified(k, guesses, gh, bits, fixed_p_and_dp, residual)
+            if certified:
+                return zs, float(worst)
+    raise _solve_failed(f"chebyshev zeros k={k} Gamma*h={gh} {axis}", tol, worst)
 
 
 def _sort_conjugate_closed(zs):
-    """Deterministic order with exact conjugate closure: real zeros first
-    (ascending), then each upper-half zero immediately followed by its
-    exact conjugate."""
-    reals = []
-    upper = []
-    for z in zs:
-        if abs(z.imag) <= 1e-9 * max(1.0, abs(z)):
-            reals.append(complex(z.real, 0.0))
-        elif z.imag > 0:
-            upper.append(z)
-    reals.sort(key=lambda z: z.real)
-    upper.sort(key=lambda z: (abs(z.imag), z.real))
-    out = reals + [w for z in upper for w in (z, z.conjugate())]
-    if len(out) != len(zs):
+    """Deterministic order: real zeros first (ascending), then each
+    upper-half zero immediately followed by its conjugate.  Raises
+    ConvergenceError unless the set is exactly closed under conjugation."""
+    reals = sorted(z.real for z in zs if z.imag == 0)
+    upper = sorted((z for z in zs if z.imag > 0), key=lambda z: (z.imag, z.real))
+    lower = sorted((z.conjugate() for z in zs if z.imag < 0), key=lambda z: (z.imag, z.real))
+    if upper != lower or len(reals) + 2 * len(upper) != len(zs):
         raise ConvergenceError(
             f"zero set not conjugate-closed: {len(zs)} roots, "
-            f"{len(reals)} real + {2 * len(upper)} paired",
+            f"{len(reals)} real, {len(upper)} above and {len(lower)} below the real axis",
             worst_residual=math.inf,
         )
-    return out
+    return [complex(x, 0.0) for x in reals] + [w for z in upper for w in (z, z.conjugate())]
 
 
 # ---------------------------------------------------------------------------
 # disk cache
+
+# written into every cache file; a file from another solver version is recomputed
+_SOLVER = "certified-newton-1"
 
 
 def default_cache_dir():
@@ -461,37 +626,55 @@ def _cache_name(family, k, gh=None, axis=None):
     return f"chebyshev_{k}_{gh:.6f}_{axis}.json"
 
 
+def _load_zeros(path, header, k):
+    """The zeros of a cache file, or None unless its header matches and its
+    zeros are k, exactly conjugate-closed and certified by disjoint disks of
+    radius k * residual (a legacy bare-list file fails)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict) or any(data.get(f) != v for f, v in header.items()):
+            return None
+        residual = float(data["residual"])
+        zs = _sort_conjugate_closed([complex(float(re), float(im)) for re, im in data["zeros"]])
+    except (OSError, ValueError, KeyError, TypeError, ConvergenceError):
+        return None
+    if len(zs) != k or not 0 <= residual < ZERO_RESIDUAL_PER_K * k:
+        return None
+    return zs if _disks_disjoint(zs, k * residual) else None
+
+
 _memo = {}
 
 
 def _zeros_cached(family, k, gh, axis, compute, cache_dir):
-    key = (family, k, None if gh is None else f"{gh:.6f}", axis)
+    key = (family, k, gh, axis)
     got = _memo.get(key)
     if got is not None:
         return list(got)
     cdir = cache_dir if cache_dir is not None else default_cache_dir()
     path = os.path.join(cdir, _cache_name(family, k, gh, axis))
-    if os.path.exists(path):
+    header = {
+        "family": family,
+        "k": k,
+        "gamma_h": None if gh is None else float(gh).hex(),
+        "axis": axis,
+        "solver": _SOLVER,
+    }
+    zs = _load_zeros(path, header, k)
+    if zs is None:
+        zs, residual = compute()
+        zs = _sort_conjugate_closed(zs)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            zs = [complex(float(re), float(im)) for re, im in data]
-            if len(zs) == k:
-                zs = _sort_conjugate_closed(zs)
-                _memo[key] = tuple(zs)
-                return zs
-        except (ValueError, OSError, ConvergenceError):
-            pass  # unreadable or stale cache entry: recompute below
-    zs = _sort_conjugate_closed(compute())
-    try:
-        os.makedirs(cdir, exist_ok=True)
-        payload = [[f"{z.real:.35g}", f"{z.imag:.35g}"] for z in zs]
-        fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # cache is an optimization; never fail the computation
+            os.makedirs(cdir, exist_ok=True)
+            payload = dict(header, residual=residual,
+                           zeros=[[f"{z.real:.35g}", f"{z.imag:.35g}"] for z in zs])
+            fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+            os.replace(tmp, path)
+        except OSError:
+            pass  # cache is an optimization; never fail the computation
     _memo[key] = tuple(zs)
     return zs
 

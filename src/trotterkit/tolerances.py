@@ -18,7 +18,7 @@ PLATEAU_ERROR = 1e-12         # round-off plateau cut in order fits
 
 # Polynomial factorization
 ZERO_RESIDUAL_PER_K = 1e-25   # |p(z)/p'(z)| < ZERO_RESIDUAL_PER_K * k
-ABERTH_MAX_SWEEPS = 200
+NEWTON_MAX_STEPS = 100        # per root; the guesses converge in at most 7
 TAYLOR_K_MAX = 400
 BESSEL_X_MAX = 500.0
 VALIDITY_TRUNCATION = 1e-13   # truncation level defining the Taylor validity disk

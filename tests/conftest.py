@@ -2,7 +2,7 @@
 
 Registers a seeded hypothesis profile (every randomized property runs at
 least 100 cases, derandomized so CI is reproducible), a session-wide
-zeros cache so the expensive Aberth-Ehrlich runs happen once, and a
+zeros cache so the certified Newton zero solves happen once, and a
 per-test default zeros directory so no test writes under ~/.cache.
 """
 

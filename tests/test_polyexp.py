@@ -157,6 +157,16 @@ def test_chebyshev_admissible_pinned_values():
     assert chebyshev_admissible_k(100.0, "real", 1e-14) > 146
 
 
+def test_chebyshev_admissible_rejects_unknown_axis():
+    # "Real" used to be taken as the imaginary axis (k = 25 where the real
+    # axis needs 26)
+    assert chebyshev_admissible_k(10.0, "real", 1e-8) == 26
+    assert chebyshev_admissible_k(10.0, "imaginary", 1e-8) == 25
+    for axis in ("Real", "imag", None):
+        with pytest.raises(StructuralError):
+            chebyshev_admissible_k(10.0, axis, 1e-8)
+
+
 def test_admissible_tail_is_suppressed():
     for gh, axis, eps in [(20.0, "imaginary", 1e-12), (35.0, "real", 1e-10)]:
         k = chebyshev_admissible_k(gh, axis, eps)
@@ -295,6 +305,135 @@ def test_zero_solvers_raise_convergence_error(monkeypatch):
     assert math.isfinite(exc.value.worst_residual)
 
 
+def _to_mp(a, bits):
+    return mp.mpc(mp.mpf((a[0], -bits)), mp.mpf((a[1], -bits)))
+
+
+@pytest.mark.parametrize("k", [5, 52, 152])
+def test_fixed_horner_matches_mpmath(k):
+    # P(u) = p(k u) and P'(u) = k p'(k u) against the mpmath evaluator
+    # (Horner in z, p' = p - z^k/k!) at 90 digits, within the fixed-point
+    # resolution times the size of the terms.
+    bits = polyexp._fraction_bits(60)
+    c = [(k**i << bits) // math.factorial(i) for i in range(k + 1)]
+    rng = np.random.default_rng(k)
+    with mp.workdps(90):
+        fac = [1 / mp.factorial(i) for i in range(k + 1)]
+        for r, t in zip(rng.uniform(0, 1, 20), rng.uniform(-math.pi, math.pi, 20)):
+            u = complex(r * math.cos(t), r * math.sin(t))
+            w = (polyexp._fixed(u.real, bits), polyexp._fixed(u.imag, bits))
+            p, dp = polyexp._fixed_horner(c, w, bits)
+            z = k * mp.mpc(u)
+            want = mp.mpc(fac[k])
+            for i in range(k - 1, -1, -1):
+                want = want * z + fac[i]
+            want_d = k * (want - z**k * fac[k])
+            scale = math.exp(k * abs(u))  # bounds the sum of |terms|
+            assert abs(_to_mp(p, bits) - want) < 1e-55 * scale
+            assert abs(_to_mp(dp, bits) - want_d) < 1e-55 * k * scale
+
+
+@pytest.mark.parametrize("k, gh, axis", [(6, 2.0, "real"), (40, 20.0, "real"), (40, 0.5, "real"),
+                                         (40, 20.0, "imaginary"), (40, 0.5, "imaginary"),
+                                         (100, 80.0, "imaginary")])
+def test_fixed_clenshaw_matches_mpmath(k, gh, axis):
+    # value and derivative against the two mpmath Clenshaw passes at 90
+    # digits, within the fixed-point resolution times the size of the terms
+    spec = SeriesSpec("chebyshev", k, gamma_scale=gh, axis=axis)
+    rng = np.random.default_rng(k)
+    with mp.workdps(90):
+        mu = polyexp._chebyshev_mu(spec, 90)
+        dmu = polyexp._cheb_deriv_coeffs(mu)
+        reach = 1.5 * max(1.0, k / gh)
+        for re, im in zip(rng.uniform(-reach, reach, 20), rng.uniform(-reach, reach, 20)):
+            x = complex(re, im)
+            bits = polyexp._fraction_bits(60) + polyexp._clenshaw_guard_bits(mu, [x])
+            fmu = [(polyexp._fixed(m.real, bits), polyexp._fixed(m.imag, bits)) for m in mu]
+            w = (polyexp._fixed(re, bits), polyexp._fixed(im, bits))
+            p, dp = polyexp._fixed_clenshaw(fmu, w, bits)
+            xm = mp.mpc(x)
+            rho = max(abs(x + cmath.sqrt(x * x - 1)), abs(x - cmath.sqrt(x * x - 1)))
+            scale = sum(abs(complex(m)) * rho**i for i, m in enumerate(mu))
+            assert abs(_to_mp(p, bits) - polyexp._clenshaw(mu, xm)) < 1e-55 * scale
+            assert abs(_to_mp(dp, bits) - polyexp._clenshaw(dmu, xm)) < 1e-55 * k * k * scale
+
+
+@pytest.mark.parametrize("k", [3, 10, 21])
+def test_taylor_zeros_match_polyroots(k):
+    # mpmath's polyroots (Durand-Kerner) is an independent solver
+    zs, _ = polyexp._taylor_zeros_mp(k)
+    with mp.workdps(50):
+        coeffs = [1 / mp.factorial(i) for i in range(k, -1, -1)]
+        ref = mp.polyroots(coeffs, maxsteps=200, extraprec=200)
+    key = lambda z: (round(z.real, 6), round(z.imag, 6))
+    for got, want in zip(sorted(zs, key=key), sorted((complex(r) for r in ref), key=key)):
+        assert abs(got - want) <= 4e-16 * abs(want)
+
+
+def _duplicate_guesses(monkeypatch):
+    """Taylor k = 5 guesses with two upper-half guesses next to one zero:
+    independent Newton takes both to it and misses another zero."""
+    true = sorted(polyexp._szego_guesses(5), key=lambda z: z.imag)
+    (z1,) = [z for z in true if z.imag > 0 and abs(z) < 3]
+    near = z1 * 1.001
+    guesses = [z for z in true if z.imag == 0] + [z1, near, z1.conjugate(), near.conjugate()]
+    monkeypatch.setattr(polyexp, "_szego_guesses", lambda k: guesses)
+
+
+def test_duplicate_convergence_fails_the_certificate(monkeypatch):
+    # the residual contract holds, but the disks overlap; with the
+    # refinement stage switched off nothing repairs the guesses
+    _duplicate_guesses(monkeypatch)
+    monkeypatch.setattr(polyexp, "_refined_guesses", lambda p_and_dp, guesses, bits: guesses)
+    with pytest.raises(ConvergenceError, match="disks not disjoint") as exc:
+        polyexp._taylor_zeros_mp(5)
+    assert exc.value.worst_residual < 1e-25 * 5
+
+
+def test_refined_guesses_repair_duplicate_convergence(monkeypatch):
+    want = polyexp._sort_conjugate_closed(polyexp._taylor_zeros_mp(5)[0])
+    _duplicate_guesses(monkeypatch)
+    assert polyexp._sort_conjugate_closed(polyexp._taylor_zeros_mp(5)[0]) == want
+
+
+def test_overresolved_chebyshev_is_solved_from_refined_guesses(monkeypatch):
+    # k = 60 at Gamma*h = 20 on the real axis: the colleague guesses put
+    # two zero pairs on the real axis (there are no real zeros), so the
+    # first Newton pass fails its certificate and the refinement stage runs
+    calls = []
+    refine = polyexp._refined_guesses
+    monkeypatch.setattr(polyexp, "_refined_guesses", lambda *a: calls.append(1) or refine(*a))
+    spec = SeriesSpec("chebyshev", 60, gamma_scale=20.0, axis="real")
+    zs, worst = polyexp._chebyshev_zeros_mp(spec)
+    assert calls == [1] and worst < 1e-25 * 60
+    assert len(polyexp._sort_conjugate_closed(zs)) == 60
+    with mp.workdps(120):
+        mu = polyexp._chebyshev_mu(spec, 120)
+        dmu = polyexp._cheb_deriv_coeffs(mu)
+        for z in zs:
+            x = mp.mpc(z) / 20
+            # Newton correction at each double-rounded zero is at rounding level
+            assert abs(polyexp._clenshaw(mu, x) / polyexp._clenshaw(dmu, x)) * 20 < 1e-14 * abs(z)
+
+
+def test_representatives_snap_and_pair():
+    guesses = [complex(-2.0, 3e-17), complex(1, 2), complex(1, -2), complex(5, -1e-16)]
+    reps = polyexp._representatives(guesses)
+    assert reps == [complex(-2.0, 0.0), complex(5.0, 0.0), complex(1, 2)]
+    assert all(w.imag == 0.0 for w in reps[:2])
+    # two guesses above the axis and none below: no symmetric split
+    assert polyexp._representatives([complex(1, 2), complex(3, 1)]) is None
+
+
+def test_line_roots_stay_exactly_real():
+    # guesses on the symmetry line are snapped onto it; Newton keeps them there
+    cheb = [SeriesSpec("chebyshev", 7, gamma_scale=0.5, axis="real"),
+            SeriesSpec("chebyshev", 7, gamma_scale=2.0, axis="imaginary")]
+    for zs, _ in [polyexp._taylor_zeros_mp(21)] + [polyexp._chebyshev_zeros_mp(s) for s in cheb]:
+        assert sum(1 for z in zs if z.imag == 0.0) % 2 == 1
+        assert polyexp._sort_conjugate_closed(zs)
+
+
 def test_szego_curve_convergence(zeros_cache):
     # Scaled zeros approach |w e^{1 - w}| = 1; the two zeros nearest w = 1
     # converge slowest and are excluded, as the remainder term there decays
@@ -328,11 +467,23 @@ def test_gamma_for_inverts_zeros(zeros_cache):
 # zero cache files
 
 
+def _cache_header(family, k, gh=None, axis=None):
+    return {
+        "family": family,
+        "k": k,
+        "gamma_h": None if gh is None else float(gh).hex(),
+        "axis": axis,
+        "solver": polyexp._SOLVER,
+    }
+
+
 def test_cache_file_is_read_back(tmp_path):
     # Pre-seed a well-formed (deliberately off-true) entry for k=2 and check
     # the loader trusts the file over recomputation.
     seeded = [[-1.5, 0.8], [-1.5, -0.8]]
-    (tmp_path / "taylor_2.json").write_text(json.dumps([[str(a), str(b)] for a, b in seeded]))
+    payload = dict(_cache_header("taylor", 2), residual=1e-30,
+                   zeros=[[str(a), str(b)] for a, b in seeded])
+    (tmp_path / "taylor_2.json").write_text(json.dumps(payload))
     zs = taylor_zeros(2, cache_dir=str(tmp_path))
     assert sorted((z.real, z.imag) for z in zs) == sorted((a, b) for a, b in seeded)
 
@@ -345,10 +496,79 @@ def test_corrupt_cache_file_recomputed(tmp_path):
     assert len(zs) == 3
     assert sum(1 for z in zs if z.imag == 0.0) == 1
     data = json.loads(path.read_text())  # rewritten with a valid payload
-    assert len(data) == 3
-    assert all(isinstance(re, str) and isinstance(im, str) for re, im in data)
-    reloaded = [complex(float(re), float(im)) for re, im in data]
+    assert {f: data[f] for f in _cache_header("taylor", 3)} == _cache_header("taylor", 3)
+    assert 0 <= data["residual"] < 1e-25 * 3
+    assert len(data["zeros"]) == 3
+    assert all(isinstance(re, str) and isinstance(im, str) for re, im in data["zeros"])
+    reloaded = [complex(float(re), float(im)) for re, im in data["zeros"]]
     assert sorted((z.real, z.imag) for z in reloaded) == sorted((z.real, z.imag) for z in zs)
+
+
+def _recomputed(path, payload, solve, monkeypatch):
+    """Write payload to path, solve with an empty memo, and return the zeros
+    and the file read back."""
+    monkeypatch.setattr(polyexp, "_memo", {})
+    path.write_text(json.dumps(payload))
+    zs = solve()
+    return zs, json.loads(path.read_text())
+
+
+def test_legacy_cache_file_recomputed(tmp_path, monkeypatch):
+    # a bare list of the right length (the format before provenance headers)
+    # is not trusted, even though it parses and pairs up
+    legacy = [["-1.5", "0.8"], ["-1.5", "-0.8"], ["-2.0", "0.0"], ["-7.0", "0.0"], ["-9.0", "0.0"]]
+    zs, data = _recomputed(tmp_path / "taylor_5.json", legacy,
+                           lambda: taylor_zeros(5, cache_dir=str(tmp_path)), monkeypatch)
+    assert all(abs(mp_exp_poly(5, z)) < 1e-12 for z in zs)
+    assert isinstance(data, dict) and data["solver"] == polyexp._SOLVER
+
+
+@pytest.mark.parametrize("corruption", ["not_closed", "overlapping", "residual", "solver", "k"])
+def test_corrupted_cache_file_recomputed(tmp_path, monkeypatch, corruption):
+    good = polyexp._sort_conjugate_closed(polyexp._taylor_zeros_mp(5)[0])
+    zeros = [[repr(z.real), repr(z.imag)] for z in good]
+    payload = dict(_cache_header("taylor", 5), residual=1e-40, zeros=zeros)
+    if corruption == "not_closed":
+        zeros[1][1] = repr(float(zeros[1][1]) * (1 + 1e-15))
+    elif corruption == "overlapping":
+        # conjugate-closed, but one real zero twice
+        zeros[:3] = [["-1.0", "0.0"], ["-1.0", "0.0"], ["-3.0", "0.0"]]
+    elif corruption == "residual":
+        payload["residual"] = 1.0  # above the contract 1e-25 * k
+    elif corruption == "solver":
+        payload["solver"] = "aberth"
+    else:
+        payload["k"] = 4
+    zs, data = _recomputed(tmp_path / "taylor_5.json", payload,
+                           lambda: taylor_zeros(5, cache_dir=str(tmp_path)), monkeypatch)
+    assert zs == good
+    assert data == dict(_cache_header("taylor", 5), residual=data["residual"],
+                        zeros=[[f"{z.real:.35g}", f"{z.imag:.35g}"] for z in good])
+
+
+def test_gamma_h_mismatched_cache_file_recomputed(tmp_path, monkeypatch):
+    # Gamma*h = 1.25 and 1.2500001 share a file name; the header tells them apart
+    near = SeriesSpec("chebyshev", 6, gamma_scale=1.2500001, axis="real")
+    want = chebyshev_zeros(near, cache_dir=str(tmp_path / "ref"))
+    path = tmp_path / "chebyshev_6_1.250000_real.json"
+    payload = dict(_cache_header("chebyshev", 6, 1.25, "real"), residual=1e-40,
+                   zeros=[[repr(z.real), repr(z.imag)] for z in want])
+    payload["gamma_h"] = (1.25).hex()
+    zs, data = _recomputed(path, payload,
+                           lambda: chebyshev_zeros(near, cache_dir=str(tmp_path)), monkeypatch)
+    assert zs == want
+    assert data["gamma_h"] == (1.2500001).hex()
+
+
+def test_nearby_gamma_h_get_their_own_zeros(tmp_path):
+    # keyed on the exact Gamma*h: a rounded key returned the zeros of 10.0
+    # for 10.0000004, off by ~2.6e-7
+    a = chebyshev_zeros(SeriesSpec("chebyshev", 20, gamma_scale=10.0, axis="imaginary"),
+                        cache_dir=str(tmp_path))
+    b = chebyshev_zeros(SeriesSpec("chebyshev", 20, gamma_scale=10.0000004, axis="imaginary"),
+                        cache_dir=str(tmp_path))
+    moved = max(abs(x - y) for x, y in zip(a, b))
+    assert 1e-8 < moved < 1e-5
 
 
 def test_wrong_length_cache_file_recomputed(tmp_path):
