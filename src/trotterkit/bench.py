@@ -182,7 +182,7 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     """All (method, h) cells of the plan, each a BenchmarkRecord.
 
     Deterministic: the exact oracle comes from one eigendecomposition shared
-    across cells, as do the split's part eigensystems, steps compose by
+    across cells, as do the eigensystems of the split's bond terms, steps compose by
     matrix powering, and wall_time stays 0.0
     unless timing is requested (times are informational, never part of the
     data contract).

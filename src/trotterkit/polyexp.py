@@ -533,6 +533,15 @@ def _cheb_guesses(mu_d, k):
     arr = np.asarray(mu_d, dtype=complex)
     # rescale to keep the companion matrix in floating range; roots unchanged
     arr = arr / np.max(np.abs(arr))
+    # The colleague matrix holds mu_n / mu_k: a mu_k that underflows against
+    # the largest mu (a truncation far above the admissible k for its Gamma*h)
+    # leaves no finite matrix and no usable guesses.
+    if abs(arr[-1]) < np.finfo(float).tiny:
+        raise ConvergenceError(
+            f"colleague guess stage: |mu_k / max mu| = {abs(arr[-1]):.3e} underflows "
+            f"in double precision at k={k}; the truncation is far over-resolved",
+            worst_residual=math.inf,
+        )
     roots = np.polynomial.chebyshev.chebroots(arr)
     if len(roots) != k:
         raise ConvergenceError(

@@ -3,8 +3,10 @@
 H = J sum_bonds (sx sx + sy sy + Delta sz sz) over nearest-neighbour bonds
 (Pauli-matrix convention, J = 1 by default).  Bonds are partitioned into
 three colors so the chain always presents a Lambda = 3 split; every color
-group consists of site-disjoint bonds.  Every part is real, so the
-composer diagonalizes it as a real symmetric matrix.
+group consists of site-disjoint bonds.  The split records each color as
+its local terms (i, j, h_b), one shared 4x4 bond term, so the composer
+builds every step from cached 4x4 bond gates; the dense parts are the
+terms applied to the identity.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, StructuralError
+from .errors import DimensionError, StructuralError
 from .compose import OperatorSplit, _eig_expm, direction_prefactor
-from .tolerances import DENSE_DIM_CAP, HERMITICITY_TOL
+from .tolerances import HERMITICITY_TOL
 
 __all__ = [
     "XxzConfig",
@@ -106,32 +108,13 @@ def _bond_matrix(cfg):
     )
 
 
-def _lift_bond(op4, i, j, L):
-    """Embed a two-site operator acting on sites (i, j) into the full chain."""
-    eye_rest = np.eye(2 ** (L - 2), dtype=complex)
-    # build via tensor product in site order, then fix the site placement
-    # by axis permutation of the 2L-leg tensor
-    big = np.kron(op4, eye_rest).reshape((2,) * (2 * L))
-    # legs: out = [i, j, rest...], in = [i, j, rest...]; map to site order
-    rest = [s for s in range(L) if s not in (i, j)]
-    perm_sites = [i, j] + rest
-    inv = [perm_sites.index(s) for s in range(L)]
-    big = np.transpose(big, axes=inv + [L + p for p in inv])
-    return big.reshape(2**L, 2**L)
-
-
 def build_xxz(cfg):
-    """OperatorSplit with Lambda = 3 parts (zero parts kept) for the chain."""
-    dim = cfg.dim
-    if dim > DENSE_DIM_CAP:
-        raise CapacityError(
-            f"dim 2^{cfg.L} = {dim} exceeds dense capacity {DENSE_DIM_CAP}"
-        )
+    """OperatorSplit of Lambda = 3 colors of bond terms (empty colors kept)."""
     b4 = _bond_matrix(cfg)
-    parts = [np.zeros((dim, dim), dtype=complex) for _ in range(3)]
+    terms = [[] for _ in range(3)]
     for i, j, c in bond_coloring(cfg):
-        parts[c] += _lift_bond(b4, i, j, cfg.L)
-    return OperatorSplit(tuple(parts))
+        terms[c].append((i, j, b4))
+    return OperatorSplit.from_terms(cfg.L, terms)
 
 
 def exact_evolution(h_matrix, t, direction="forward"):

@@ -163,23 +163,27 @@ def test_run_is_deterministic(tiny_records, zeros_cache):
     assert again == tiny_records  # bit-identical records, wall_time included
 
 
-def test_run_diagonalizes_each_part_once(zeros_cache, monkeypatch):
-    # one eigh per part plus one for the oracle, whatever the number of cells
+def test_run_diagonalizes_each_local_term_once(zeros_cache, monkeypatch):
+    # one eigh for the oracle plus one per distinct 4x4 bond term, whatever
+    # the number of cells; no full-size part is diagonalized
     load_catalog()  # catalog validation diagonalizes its own test pairs
-    n_parts = build_xxz(TINY_PLAN.model).n_parts
+    split = build_xxz(TINY_PLAN.model)
+    n_terms = len({op4.tobytes() for part in split.terms for _, _, op4 in part})
+    assert n_terms == 1
     eigh = np.linalg.eigh
-    calls = []
+    shapes = []
 
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     one_cell = BenchPlan(model=TINY_PLAN.model, methods=("strang",), h_grid=(0.5,))
     for plan in (one_cell, TINY_PLAN):
-        calls.clear()
+        shapes.clear()
         run_benchmark(plan, cache_dir=zeros_cache)
-        assert len(calls) == n_parts + 1
+        assert len(shapes) == n_terms + 1 == 2
+        assert sorted(shapes) == [(4, 4), (split.dim, split.dim)]
 
 
 # ---------------------------------------------------------------------------

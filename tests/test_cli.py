@@ -251,6 +251,20 @@ def test_expm_chebyshev_high_order_tiny_argument(capsys):
     assert math.isfinite(float(out.splitlines()[1].split(",")[4]))
 
 
+@pytest.mark.parametrize("axis", ["real", "imaginary"])
+@pytest.mark.parametrize("gamma_h", ["0.5", "1.0"])
+def test_expm_chebyshev_underflowing_coefficients_is_convergence_error(capsys, gamma_h, axis):
+    # mu_152 underflows in double precision at these Gamma*h, which leaves
+    # the colleague matrix without finite entries
+    rc, out, err = run_cli(
+        capsys, "expm", "--method", "chebyshev", "--k", "152", "--gamma-h", gamma_h,
+        "--axis", axis, "--scalar", "0.5",
+    )
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:convergence:") and len(err.splitlines()) == 1
+
+
 def test_zeros_convergence_failure_is_reported(capsys, monkeypatch):
     monkeypatch.setattr(polyexp, "ZERO_RESIDUAL_PER_K", 0.0)
     monkeypatch.setattr(polyexp, "_memo", {})

@@ -103,6 +103,22 @@ def test_within_color_bonds_commute_and_rebuild_parts(cfg):
         assert np.linalg.norm(sum(ops) - split.parts[c]) < 1e-12
 
 
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_parts_from_terms_equal_lifted_bonds_exactly(boundary):
+    for L in range(2 if boundary == "open" else 3, 9):
+        cfg = XxzConfig(L=L, boundary=boundary, delta=0.3)
+        split = build_xxz(cfg)
+        bond4 = cfg.J * (np.kron(_SX, _SX) + np.kron(_SY, _SY) + cfg.delta * np.kron(_SZ, _SZ))
+        parts = [np.zeros((cfg.dim, cfg.dim), dtype=complex) for _ in range(3)]
+        for i, j, c in bond_coloring(cfg):
+            parts[c] = parts[c] + lift_bond(bond4, i, j, L)
+        assert [[(i, j) for i, j, _ in terms] for terms in split.terms] == [
+            [(i, j) for i, j, c in bond_coloring(cfg) if c == color] for color in range(3)
+        ]
+        for want, got in zip(parts, split.parts):
+            assert np.array_equal(want, got), (L, boundary)
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian assembly
 
