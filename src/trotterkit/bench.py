@@ -182,10 +182,9 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     """All (method, h) cells of the plan, each a BenchmarkRecord.
 
     Deterministic: the exact oracle comes from one eigendecomposition shared
-    across cells, as do the eigensystems of the split's bond terms, steps compose by
-    matrix powering, and wall_time stays 0.0
-    unless timing is requested (times are informational, never part of the
-    data contract).
+    across cells, as do the eigensystems of the split's bond terms, steps
+    compose by matrix powering, and wall_time stays 0.0 unless timing is
+    requested (times are informational, never part of the data contract).
     """
     methods = [parse_method(d, catalog_path=catalog_path) for d in plan.methods]
     split = build_xxz(plan.model)

@@ -9,27 +9,16 @@ over a factor sequence of (part index, coefficient) pairs: a two-stage
 scheme (a, b) on a pair of parts, or the ascending/descending blocks of a
 Lambda-stage scheme (c, d).  Adjacent factors of the same part merge.
 
-The product has two backends, chosen by the split.
-
-A split of dense parts is chained in the parts' eigenbases.  With
-A_k = V_k diag(w_k) V_k^H, the product is built from the right,
-
-    X <- D_n V_n^H,   X <- D_j (V_j^H V_k) X,   U = V_1 X,
-
-so each factor costs one matrix product and a row scaling.  A part with a
-zero imaginary part has real eigenvectors, and left-multiplying the complex
-X by a real matrix is one real product on X's interleaved float view, half
-the work of a complex product.
-
-A split made of local terms (a qubit chain whose part k is a sum of
-site-disjoint two-site terms, `OperatorSplit.from_terms`) never
-diagonalizes a full part.  The terms of a part commute, so its factor is
-exactly the product of the bond gates e^{tau h_b}, each from a cached 4x4
-eigensystem.  A gate acts on a (2^L x m) block by one reshape to
-(2^i, 4, 2^(L-i-2) m) and one batched matmul; the periodic wrap bond
-(L-1, 0) first moves site L-1 next to site 0.  The dense step is the
-factor sequence applied to the identity, and the dense parts themselves
-are the terms applied to the identity by the same kernel.
+Each part is a sum of terms whose gates commute, so its factor is exactly
+the product of the gates e^{tau h_b} of its terms, each from one cached
+eigensystem per distinct term.  A split made of local terms (a qubit chain,
+`OperatorSplit.from_terms`) has site-disjoint two-site terms: a gate acts
+on a (2^L x m) block by one reshape to (2^i, 4, 2^(L-i-2) m) and one
+batched matmul, and the periodic wrap bond (L-1, 0) first moves site L-1
+next to site 0.  A split of dense parts has one term per part that acts on
+the whole space, and its gate is applied as one matrix product.  The dense
+step is the factor sequence applied to the identity, and the dense parts
+of a local split are its terms applied to the identity by the same kernel.
 """
 
 from __future__ import annotations
@@ -52,19 +41,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorSplit:
-    """An ordered split H = sum_k A_k into Hermitian parts.
+    """An ordered split H = sum_k A_k into Hermitian parts, each a sum of
+    terms.
 
-    The parts are read-only, so each part's eigensystem (and each overlap
-    V_j^H V_k between two of them) is computed once, on first use, and kept
-    for the life of the split.  A split built by `from_terms` also keeps its
-    local terms, and the eigensystem of each distinct two-site term.
+    terms[k] lists part k's terms (i, j, op).  A split built by `from_terms`
+    has the two-site terms it was given; a split of dense parts has one
+    whole-space term (None, None, A_k) per part.  The parts and terms are
+    read-only, so each distinct term's eigensystem is computed once, on
+    first use, and kept for the life of the split.
     """
 
     parts: tuple
     total: np.ndarray = field(init=False, repr=False)
-    terms: tuple = field(init=False, repr=False, compare=False, default=None)
-    _eigensystems: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _overlaps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    terms: tuple = field(init=False, repr=False, compare=False)
     _term_eigensystems: dict = field(init=False, repr=False, compare=False,
                                      default_factory=dict)
 
@@ -108,7 +97,7 @@ class OperatorSplit:
         for part_terms in checked:
             part = np.zeros_like(eye)
             for i, j, op4 in part_terms:
-                part += _apply_bond(op4, i, j, n_sites, eye)
+                part += _apply_term(op4, i, j, eye)
             parts.append(part)
         split = cls(tuple(parts))
         object.__setattr__(split, "terms", tuple(checked))
@@ -137,6 +126,7 @@ class OperatorSplit:
             total = total + p
         total.setflags(write=False)
         object.__setattr__(self, "total", total)
+        object.__setattr__(self, "terms", tuple(((None, None, p),) for p in parts))
 
     @property
     def dim(self):
@@ -146,44 +136,19 @@ class OperatorSplit:
     def n_parts(self):
         return len(self.parts)
 
-    def eigensystem(self, k):
-        """(w, v) with A_k = v diag(w) v^H; v is real when A_k is."""
-        got = self._eigensystems.get(k)
-        if got is None:
-            part = self.parts[k]
-            w, v = np.linalg.eigh(part.real if not part.imag.any() else part)
-            # One Newton-Schulz step pulls v back onto the unitary manifold;
-            # otherwise LAPACK's orthonormality drift leaks a ~dim*eps
-            # unitarity defect into every step and compounds over long
-            # step sequences.
-            v = v @ (1.5 * np.eye(v.shape[0]) - 0.5 * (v.conj().T @ v))
-            got = self._eigensystems[k] = (w, v)
-        return got
-
-    def bond_gate(self, op4, z):
-        """e^{z op4} for one of the split's terms, from its cached eigh."""
-        key = op4.tobytes()
+    def term_gate(self, op, z):
+        """e^{z op} for one of the split's terms, from its cached eigh."""
+        key = op.tobytes()
         got = self._term_eigensystems.get(key)
         if got is None:
-            got = np.linalg.eigh(op4.real if not op4.imag.any() else op4)
+            got = np.linalg.eigh(op.real if not op.imag.any() else op)
             self._term_eigensystems[key] = got
         g = _eig_expm(*got, z)
         if z.real == 0:
-            # e^{z op4} is unitary: one Newton-Schulz step removes the
+            # e^{z op} is unitary: one Newton-Schulz step removes the
             # rounding that would otherwise compound over long runs.
-            g = g @ (1.5 * np.eye(4) - 0.5 * (g.conj().T @ g))
+            g = g @ (1.5 * np.eye(len(g)) - 0.5 * (g.conj().T @ g))
         return g
-
-    def overlap(self, j, k):
-        """V_j^H V_k, stored once per unordered pair of parts."""
-        if j > k:
-            w = self.overlap(k, j)
-            return w.T if np.isrealobj(w) else w.conj().T
-        got = self._overlaps.get((j, k))
-        if got is None:
-            got = self.eigensystem(j)[1].conj().T @ self.eigensystem(k)[1]
-            self._overlaps[(j, k)] = got
-        return got
 
 
 def direction_prefactor(direction):
@@ -215,53 +180,35 @@ def _eig_expm(w, v, z):
     return (v * np.exp(z * w)) @ v.conj().T
 
 
-def _left_multiply(m, x):
-    """m @ x for a complex C-ordered x; a real m takes one real product."""
-    if np.isrealobj(m):
-        return (m @ x.view(np.float64)).view(np.complex128)
-    return m @ x
-
-
-def _apply_bond(g, i, j, n_sites, x):
-    """G x for the two-site gate g on bond (i, j) and a (2^n_sites x m) block."""
+def _apply_term(g, i, j, x):
+    """G x for the gate g of the term on sites (i, j) and a (dim x m) block;
+    i = None is a whole-space term."""
+    if i is None:
+        return g @ x
     if j == i + 1:
         return (g @ x.reshape(2**i, 4, -1)).reshape(x.shape)
     # wrap bond (n_sites - 1, 0): axes (site 0, middle, site n-1, columns)
-    mid = 2 ** (n_sites - 2)
+    mid = x.shape[0] // 4
     y = x.reshape(2, mid, 2, -1).transpose(2, 0, 1, 3).reshape(4, -1)
     y = (g @ y).reshape(2, 2, mid, -1).transpose(1, 2, 0, 3)
     return y.reshape(x.shape)
 
 
 def _apply_gates(split, sequence, h, block, direction):
-    """The factor sequence of a split with terms applied to a block."""
+    """The factor sequence of a split applied to a (dim x m) block."""
     pref = direction_prefactor(direction)
-    n_sites = split.dim.bit_length() - 1
     x = np.asarray(block, dtype=complex)
     for k, coef in reversed(sequence):
         z = pref * coef * h
-        for i, j, op4 in split.terms[k]:
-            x = _apply_bond(split.bond_gate(op4, z), i, j, n_sites, x)
+        for i, j, op in split.terms[k]:
+            x = _apply_term(split.term_gate(op, z), i, j, x)
     return x
 
 
 def compose(split, sequence, h, direction="forward"):
     """The ordered product of e^{A_k * prefactor * c * h} over sequence: the
-    bond gates applied to the identity for a split with terms, the
-    eigenbasis chain otherwise."""
-    if split.terms is not None:
-        return _apply_gates(split, sequence, h, np.eye(split.dim, dtype=complex), direction)
-    pref = direction_prefactor(direction)
-    if not sequence:
-        return np.eye(split.dim, dtype=complex)
-    k, coef = sequence[-1]
-    w, v = split.eigensystem(k)
-    x = np.multiply(np.exp(pref * coef * h * w)[:, None], v.conj().T, order="C")
-    for j, coef in reversed(sequence[:-1]):
-        x = _left_multiply(split.overlap(j, k), x)
-        x *= np.exp(pref * coef * h * split.eigensystem(j)[0])[:, None]
-        k = j
-    return _left_multiply(split.eigensystem(k)[1], x)
+    term gates applied to the identity."""
+    return _apply_gates(split, sequence, h, np.eye(split.dim, dtype=complex), direction)
 
 
 def evolve_sequence(split, sequence, h, steps, direction="forward",

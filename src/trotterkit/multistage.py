@@ -71,22 +71,6 @@ class MultiStageScheme:
     def q(self):
         return len(self.c)
 
-    def reversed(self):
-        """Adjoint decomposition: reverse the full factor sequence.
-
-        Reading the factor list backwards swaps the roles of ascending and
-        descending blocks, so the reversed scheme has c' = reversed(d) and
-        d' = reversed(c).  For symmetric source schemes c = d reversed-pair
-        wise and this is the identity.
-        """
-        return MultiStageScheme(
-            name=self.name + "-reversed",
-            order_n=self.order_n,
-            c=self.d[::-1],
-            d=self.c[::-1],
-            source_scheme=self.source_scheme,
-        )
-
     def factor_sequence(self, n_parts):
         """Merged (part, coefficient) sequence of one step on n_parts parts."""
         pairs = []
@@ -117,7 +101,7 @@ def to_multistage(scheme):
     if scheme.symmetric and report.symmetry_ok:
         # A palindromic factor sequence transforms to d = reversed(c)
         # exactly; enforcing it here (instead of keeping the recurrence's
-        # round-off-contaminated d) makes the reversed scheme equal the
+        # round-off-contaminated d) makes the reversed sequence equal the
         # original bit for bit, so alternate reversal is a true no-op.
         d = c[::-1]
     return MultiStageScheme(

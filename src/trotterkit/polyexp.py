@@ -331,7 +331,7 @@ def _fixed(x, bits):
 def _newton_fixed(p_and_dp, w, bits, stop):
     """Newton steps in complex fixed point (a pair of ints scaled by 2^bits)
     from w until a step is shorter than stop (fixed point too), then one more
-    step."""
+    step.  Returns (w, whether that stop rule was met)."""
     done = False
     for _ in range(NEWTON_MAX_STEPS):
         (pr, pi), (dr, di) = p_and_dp(w)
@@ -341,9 +341,9 @@ def _newton_fixed(p_and_dp, w, bits, stop):
         step = (((pr * dr + pi * di) << bits) // den, ((pi * dr - pr * di) << bits) // den)
         w = (w[0] - step[0], w[1] - step[1])
         if done:
-            break
+            return w, True
         done = step[0] ** 2 + step[1] ** 2 < stop**2
-    return w
+    return w, False
 
 
 def _disks_disjoint(zs, radius):
@@ -364,7 +364,9 @@ def _newton_certified(k, guesses, scale, bits, fixed_p_and_dp, residual):
     z-plane |p/p'| from the mpmath evaluator; a mirrored root inherits it.
     Some root lies within k*|p/p'| of any point (|p'/p| = |sum 1/(z - z_j)|),
     so k pairwise disjoint disks of radius k * worst prove all k roots found.
-    Returns (z-plane roots as doubles, worst residual, certified).
+    Returns (z-plane roots as doubles, worst residual, certified); a
+    representative whose Newton run misses the stop rule ends the pass as
+    uncertified, with its own residual.
     """
     reps = _representatives(guesses)
     if reps is None:
@@ -375,8 +377,13 @@ def _newton_certified(k, guesses, scale, bits, fixed_p_and_dp, residual):
     den <<= bits
     zs, worst = [], mp.mpf(0)
     for g in reps:
-        w = _newton_fixed(fixed_p_and_dp, (_fixed(g.real, bits), _fixed(g.imag, bits)), bits, stop)
-        worst = max(worst, residual(mp.mpc(mp.mpf((w[0], -bits)), mp.mpf((w[1], -bits)))))
+        w, converged = _newton_fixed(
+            fixed_p_and_dp, (_fixed(g.real, bits), _fixed(g.imag, bits)), bits, stop
+        )
+        res = residual(mp.mpc(mp.mpf((w[0], -bits)), mp.mpf((w[1], -bits))))
+        if not converged:
+            return zs, res, False
+        worst = max(worst, res)
         # z = scale * w rounded once, so the mirror is the exact conjugate
         z = complex(w[0] * num / den, w[1] * num / den)
         zs += [z] if w[1] == 0 else [z, z.conjugate()]

@@ -1,35 +1,67 @@
-"""The composer's bond-gate backend for splits made of local terms."""
+"""The composer's term-gate kernel, on local and on dense splits."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from trotterkit.compose import OperatorSplit, _apply_gates, compose, evolve_sequence
+from trotterkit.compose import (
+    OperatorSplit,
+    _apply_gates,
+    compose,
+    direction_prefactor,
+    evolve_sequence,
+)
 from trotterkit.errors import DimensionError, StructuralError
-from trotterkit.multistage import to_multistage
+from trotterkit.multistage import random_split, to_multistage
 from trotterkit.schemes import get_scheme, load_catalog
 from trotterkit.spinmodel import XxzConfig, build_xxz
 
 CHAINS = [(L, b) for L in range(3, 9) for b in ("open", "periodic")]
 
 
-def dense_twin(split):
-    """The same parts without terms: the eigenbasis-chaining backend."""
-    twin = OperatorSplit(split.parts)
-    assert twin.terms is None
-    return twin
+def block_pairs(ms, n_parts):
+    """Unmerged (part, coefficient) pairs of the ascending/descending blocks."""
+    pairs = []
+    for ci, di in zip(ms.c, ms.d):
+        pairs += [(k, ci) for k in range(n_parts)]
+        pairs += [(k, di) for k in reversed(range(n_parts))]
+    return pairs
+
+
+def real_matmul(m, x):
+    """m @ x for a real m; a complex x is multiplied as its interleaved real
+    view (x is C-ordered)."""
+    if np.isrealobj(x):
+        return m @ x
+    return (m @ x.view(np.float64)).view(np.complex128)
+
+
+def eigh_product(eigs, pairs, h, direction):
+    """Unmerged product of the factors v diag(e^{z w}) v^T of real parts,
+    each applied on the left, last factor first."""
+    pref = direction_prefactor(direction)
+    x = np.eye(len(eigs[0][0]))
+    for k, coef in reversed(pairs):
+        w, v = eigs[k]
+        x = real_matmul(v, np.exp(pref * coef * h * w)[:, None] * real_matmul(v.T, x))
+    return x
 
 
 @pytest.mark.parametrize("L, boundary", CHAINS + [(10, "periodic")])
 def test_gate_backend_matches_eigenbasis_composer(L, boundary):
+    # the reference exponentiates each dense part from its own eigh and
+    # never merges factors or touches the split's terms
     split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=0.7))
-    twin = dense_twin(split)
+    assert not any(part.imag.any() for part in split.parts)
+    eigs = [np.linalg.eigh(part.real) for part in split.parts]
     schemes = load_catalog().values() if L <= 8 else [get_scheme("strang")]
     directions = ("forward", "imaginary") if L <= 8 else ("forward",)
     for scheme in schemes:
-        seq = to_multistage(scheme).factor_sequence(split.n_parts)
+        ms = to_multistage(scheme)
+        seq = ms.factor_sequence(split.n_parts)
         for direction in directions:
             got = compose(split, seq, 0.1, direction)
-            want = compose(twin, seq, 0.1, direction)
+            want = eigh_product(eigs, block_pairs(ms, split.n_parts), 0.1, direction)
             assert np.linalg.norm(got - want) <= 1e-12, (scheme.name, direction)
 
 
@@ -91,3 +123,41 @@ def test_from_terms_validates_terms():
     split = OperatorSplit.from_terms(3, [[(0, 1, bond)], [(2, 0, bond)], []])
     assert split.dim == 8 and split.n_parts == 3
     assert not split.parts[2].any()
+
+
+def test_dense_split_has_one_whole_space_term_per_part(monkeypatch):
+    split = random_split(3, 6)
+    assert len(split.terms) == 3
+    for part, terms in zip(split.parts, split.terms):
+        ((i, j, op),) = terms
+        assert i is None and j is None and op is part
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    seq = to_multistage(get_scheme("suzuki4")).factor_sequence(3)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    first = compose(split, seq, 0.1)
+    assert np.array_equal(compose(split, seq, 0.1), first)
+    assert calls == [(6, 6)] * 3
+
+
+def test_dense_split_rounding_against_extended_precision():
+    # 64 steps of the merged blanes-moan4 sequence on a random dim-8 pair,
+    # against the same product of exponentials in 30-digit arithmetic.
+    split = random_split(2, 8, seed=12345)
+    seq = to_multistage(get_scheme("blanes-moan4")).factor_sequence(2)
+    h, steps = 1 / 64, 64
+    got = evolve_sequence(split, seq, h, steps)
+    with mp.workdps(30):
+        eigs = [mp.eigh(mp.matrix(part.tolist())) for part in split.parts]
+        step = mp.eye(split.dim)
+        for k, coef in seq:
+            w, v = eigs[k]
+            z = -1j * mp.mpc(coef) * mp.mpf(h)
+            step = step * v * mp.diag([mp.exp(z * x) for x in w]) * v.H
+        want = np.array((step**steps).tolist(), dtype=complex)
+    assert np.linalg.norm(got - want) <= 2e-13

@@ -416,6 +416,30 @@ def test_overresolved_chebyshev_is_solved_from_refined_guesses(monkeypatch):
             assert abs(polyexp._clenshaw(mu, x) / polyexp._clenshaw(dmu, x)) * 20 < 1e-14 * abs(z)
 
 
+@pytest.mark.parametrize("contract, calls, certified", [(1e-25, 3, True), (0.0, 1, False)])
+def test_newton_pass_stops_at_first_unconverged_representative(monkeypatch, contract, calls,
+                                                                certified):
+    # Taylor k = 5 has three representatives (one real zero, two upper);
+    # a zero contract means a zero stop step, which no Newton run meets, so
+    # the pass gives up at the first representative with its own residual
+    monkeypatch.setattr(polyexp, "ZERO_RESIDUAL_PER_K", contract)
+    k = 5
+    bits = polyexp._fraction_bits(60)
+    c = [(k**i << bits) // math.factorial(i) for i in range(k + 1)]
+    guesses = [z / k for z in polyexp._szego_guesses(k)]
+    seen = []
+
+    def residual(w):
+        seen.append(w)
+        return mp.mpf(len(seen)) * 1e-40
+
+    zs, worst, ok = polyexp._newton_certified(
+        k, guesses, k, bits, lambda w: polyexp._fixed_horner(c, w, bits), residual
+    )
+    assert len(seen) == calls and ok is certified
+    assert worst == mp.mpf(calls) * 1e-40
+
+
 def test_representatives_snap_and_pair():
     guesses = [complex(-2.0, 3e-17), complex(1, 2), complex(1, -2), complex(5, -1e-16)]
     reps = polyexp._representatives(guesses)
