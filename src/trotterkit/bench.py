@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .compose import _eig_expm
+from .compose import _eig_expm, _eigh
 from .errors import GridUnusableError, NotFoundError, StructuralError
 from .multistage import apply_multistage, to_multistage
 from .polyexp import SeriesSpec, eval_factorized, eval_summed, factorize, suggest_gamma
@@ -182,40 +182,42 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     """All (method, h) cells of the plan, each a BenchmarkRecord.
 
     Deterministic: the exact oracle comes from one eigendecomposition shared
-    across cells, as do the eigensystems of the split's bond terms, steps
-    compose by matrix powering, and wall_time stays 0.0 unless timing is
-    requested (times are informational, never part of the data contract).
+    across cells and is exponentiated once per distinct effective time, the
+    eigensystems of the split's bond terms are shared too, steps compose by
+    matrix powering, and wall_time stays 0.0 unless timing is requested
+    (times are informational, never part of the data contract).
     """
     methods = [parse_method(d, catalog_path=catalog_path) for d in plan.methods]
     split = build_xxz(plan.model)
-    evals, evecs = np.linalg.eigh(split.total)
+    evals, evecs = _eigh(split.total)
     gamma = None
     if any(m.kind == "chebyshev" for m in methods):
         gamma = suggest_gamma(split.total, eigvals=evals)
-    records = []
-    for method in methods:
-        for h in plan.h_grid:
+    cells = [(method, h) for method in methods for h in plan.h_grid]
+    by_time = {}
+    for index, (_, h) in enumerate(cells):
+        by_time.setdefault(plan.steps_for(h) * h, []).append(index)
+    records = [None] * len(cells)
+    for t_eff, indices in by_time.items():
+        exact = _eig_expm(evals, evecs, -1j * t_eff)
+        for index in indices:
+            method, h = cells[index]
             steps = plan.steps_for(h)
-            t_eff = steps * h
             begin = time.perf_counter()
             if method.kind == "exact":
-                u = _eig_expm(evals, evecs, -1j * t_eff)
+                u = exact
             else:
                 step_op = _step_operator(method, split, h, gamma, cache_dir)
                 u = np.linalg.matrix_power(step_op, steps)
             wall = time.perf_counter() - begin if timing else 0.0
-            err = frobenius_error(
-                u, _eig_expm(evals, evecs, -1j * t_eff), t=t_eff, method=method.descriptor
-            )
-            records.append(
-                BenchmarkRecord(
-                    method=method.descriptor,
-                    h=h,
-                    steps=steps,
-                    cost=method.q_effective(plan.kappa) * steps / plan.t_total,
-                    error=err.value,
-                    wall_time=wall,
-                )
+            err = frobenius_error(u, exact, t=t_eff, method=method.descriptor)
+            records[index] = BenchmarkRecord(
+                method=method.descriptor,
+                h=h,
+                steps=steps,
+                cost=method.q_effective(plan.kappa) * steps / plan.t_total,
+                error=err.value,
+                wall_time=wall,
             )
     return records
 

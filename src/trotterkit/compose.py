@@ -19,6 +19,11 @@ next to site 0.  A split of dense parts has one term per part that acts on
 the whole space, and its gate is applied as one matrix product.  The dense
 step is the factor sequence applied to the identity, and the dense parts
 of a local split are its terms applied to the identity by the same kernel.
+
+A real Hamiltonian stays real: a term or part whose imaginary part is
+exactly zero is stored as float64 (and so is `total` when every part is),
+`_eigh` diagonalizes it in real arithmetic, and `_eig_expm` builds
+v diag(e^{z w}) v^T from a real v as one real GEMM.
 """
 
 from __future__ import annotations
@@ -46,14 +51,19 @@ class OperatorSplit:
 
     terms[k] lists part k's terms (i, j, op).  A split built by `from_terms`
     has the two-site terms it was given; a split of dense parts has one
-    whole-space term (None, None, A_k) per part.  The parts and terms are
-    read-only, so each distinct term's eigensystem is computed once, on
-    first use, and kept for the life of the split.
+    whole-space term (None, None, A_k) per part.  A part or term with no
+    nonzero imaginary entry is stored as float64, otherwise as complex128.
+    The parts and terms are read-only: each term's key into the distinct
+    term operators is computed once, when the split is built, and each
+    distinct term's eigensystem on first use, kept for the life of the
+    split.
     """
 
     parts: tuple
     total: np.ndarray = field(init=False, repr=False)
     terms: tuple = field(init=False, repr=False, compare=False)
+    _term_keys: tuple = field(init=False, repr=False, compare=False)
+    _term_ops: tuple = field(init=False, repr=False, compare=False)
     _term_eigensystems: dict = field(init=False, repr=False, compare=False,
                                      default_factory=dict)
 
@@ -65,7 +75,7 @@ class OperatorSplit:
         Hermitian 4x4 matrix on sites (i, j), first index site i, site 0
         the most significant bit.  Each bond joins neighbours, j = i + 1
         or the wrap bond (n_sites - 1, 0), and the terms of one part share
-        no site, so they commute.
+        no site, so they commute.  A part of real terms is built real.
         """
         if 2**n_sites > DENSE_DIM_CAP:
             raise CapacityError(
@@ -77,7 +87,7 @@ class OperatorSplit:
             out = []
             for i, j, op4 in part_terms:
                 i, j = int(i), int(j)
-                op4 = np.array(op4, dtype=complex)
+                op4 = _narrowed(op4)
                 if op4.shape != (4, 4):
                     raise DimensionError(f"term ({i}, {j}) has shape {op4.shape}, expected (4, 4)")
                 if np.max(np.abs(op4 - op4.conj().T)) > HERMITICITY_TOL:
@@ -92,19 +102,19 @@ class OperatorSplit:
                 op4.setflags(write=False)
                 out.append((i, j, op4))
             checked.append(tuple(out))
-        eye = np.eye(2**n_sites, dtype=complex)
+        eye = np.eye(2**n_sites)
         parts = []
         for part_terms in checked:
-            part = np.zeros_like(eye)
+            part = np.zeros(eye.shape, np.result_type(eye, *(op for _, _, op in part_terms)))
             for i, j, op4 in part_terms:
                 part += _apply_term(op4, i, j, eye)
             parts.append(part)
         split = cls(tuple(parts))
-        object.__setattr__(split, "terms", tuple(checked))
+        split._set_terms(tuple(checked))
         return split
 
     def __post_init__(self):
-        parts = tuple(np.asarray(p, dtype=complex) for p in self.parts)
+        parts = tuple(_narrowed(p) for p in self.parts)
         if not parts:
             raise StructuralError("operator split needs at least one part")
         dim = parts[0].shape[0]
@@ -121,12 +131,32 @@ class OperatorSplit:
         for p in parts:
             p.setflags(write=False)
         object.__setattr__(self, "parts", parts)
-        total = np.zeros((dim, dim), dtype=complex)
+        total = np.zeros((dim, dim), dtype=np.result_type(*parts))
         for p in parts:
-            total = total + p
+            total += p
         total.setflags(write=False)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "terms", tuple(((None, None, p),) for p in parts))
+        object.__setattr__(self, "_term_keys", tuple((k,) for k in range(len(parts))))
+        object.__setattr__(self, "_term_ops", parts)
+
+    def _set_terms(self, terms):
+        """Replace the whole-space terms by `terms`; equal term operators
+        share one key."""
+        index = {}
+        ops = []
+        keys = []
+        for part_terms in terms:
+            part_keys = []
+            for _, _, op in part_terms:
+                key = index.setdefault((op.dtype.char, op.shape, op.tobytes()), len(ops))
+                if key == len(ops):
+                    ops.append(op)
+                part_keys.append(key)
+            keys.append(tuple(part_keys))
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_term_keys", tuple(keys))
+        object.__setattr__(self, "_term_ops", tuple(ops))
 
     @property
     def dim(self):
@@ -136,13 +166,12 @@ class OperatorSplit:
     def n_parts(self):
         return len(self.parts)
 
-    def term_gate(self, op, z):
-        """e^{z op} for one of the split's terms, from its cached eigh."""
-        key = op.tobytes()
+    def term_gate(self, key, z):
+        """e^{z op} for the split's distinct term operator `key`, from its
+        cached eigh."""
         got = self._term_eigensystems.get(key)
         if got is None:
-            got = np.linalg.eigh(op.real if not op.imag.any() else op)
-            self._term_eigensystems[key] = got
+            got = self._term_eigensystems[key] = _eigh(self._term_ops[key])
         g = _eig_expm(*got, z)
         if z.real == 0:
             # e^{z op} is unitary: one Newton-Schulz step removes the
@@ -175,9 +204,34 @@ def merge_factors(pairs):
     return tuple(out)
 
 
+def _narrowed(a):
+    """a as float64 when no entry has a nonzero imaginary part, else as
+    complex128."""
+    a = np.asarray(a)
+    if not np.iscomplexobj(a):
+        return np.asarray(a, dtype=float)
+    if a.imag.any():
+        return np.asarray(a, dtype=complex)
+    return np.ascontiguousarray(a.real, dtype=float)
+
+
+def _eigh(a):
+    """Eigensystem (w, v) of a Hermitian matrix, in real arithmetic (a real
+    v) when a has no nonzero imaginary part."""
+    return np.linalg.eigh(_narrowed(a))
+
+
 def _eig_expm(w, v, z):
-    """e^{z A} = v diag(e^{z w}) v^H for a Hermitian A = v diag(w) v^H."""
-    return (v * np.exp(z * w)) @ v.conj().T
+    """e^{z A} = v diag(e^{z w}) v^H for a Hermitian A = v diag(w) v^H.
+
+    For a real v the product is one real GEMM: v times the interleaved
+    float view of the C-ordered complex right factor diag(e^{z w}) v^T.
+    """
+    y = np.exp(z * w).astype(complex, copy=False)  # complex also for real z
+    if np.iscomplexobj(v):
+        return (v * y) @ v.conj().T
+    right = np.multiply(y[:, None], v.T, order="C")
+    return (v @ right.view(np.float64)).view(np.complex128)
 
 
 def _apply_term(g, i, j, x):
@@ -200,8 +254,11 @@ def _apply_gates(split, sequence, h, block, direction):
     x = np.asarray(block, dtype=complex)
     for k, coef in reversed(sequence):
         z = pref * coef * h
-        for i, j, op in split.terms[k]:
-            x = _apply_term(split.term_gate(op, z), i, j, x)
+        gates = {}
+        for (i, j, _), key in zip(split.terms[k], split._term_keys[k]):
+            if key not in gates:
+                gates[key] = split.term_gate(key, z)
+            x = _apply_term(gates[key], i, j, x)
     return x
 
 

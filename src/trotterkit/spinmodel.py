@@ -6,7 +6,9 @@ three colors so the chain always presents a Lambda = 3 split; every color
 group consists of site-disjoint bonds.  The split records each color as
 its local terms (i, j, h_b), one shared 4x4 bond term, so the composer
 builds every step from cached 4x4 bond gates; the dense parts are the
-terms applied to the identity.
+terms applied to the identity.  The chain is real in the computational
+basis, so the bond term, the parts and the total are float64, and the
+exact oracle diagonalizes H in real arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, StructuralError
-from .compose import OperatorSplit, _eig_expm, direction_prefactor
+from .compose import OperatorSplit, _eig_expm, _eigh, direction_prefactor
 from .tolerances import HERMITICITY_TOL
 
 __all__ = [
@@ -118,15 +120,16 @@ def build_xxz(cfg):
 
 
 def exact_evolution(h_matrix, t, direction="forward"):
-    """U = V diag(e^{pref * lambda * t}) V^dagger by full diagonalization."""
-    h = np.asarray(h_matrix, dtype=complex)
+    """U = V diag(e^{pref * lambda * t}) V^dagger by full diagonalization,
+    in real arithmetic when H has no nonzero imaginary part."""
+    h = np.asarray(h_matrix)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionError(f"H must be square, got shape {h.shape}")
     dev = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
     if dev > HERMITICITY_TOL:
         raise StructuralError(f"H is not Hermitian (max deviation {dev:.3e})")
     pref = direction_prefactor(direction)
-    w, v = np.linalg.eigh(h)
+    w, v = _eigh(h)
     return _eig_expm(w, v, pref * t)
 
 

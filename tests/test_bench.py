@@ -23,8 +23,10 @@ from trotterkit.errors import (
     NotFoundError,
     StructuralError,
 )
+from trotterkit import polyexp
+from trotterkit.polyexp import SeriesSpec, factorize, suggest_gamma
 from trotterkit.schemes import load_catalog
-from trotterkit.spinmodel import XxzConfig, build_xxz
+from trotterkit.spinmodel import XxzConfig, build_xxz, exact_evolution
 
 TINY_PLAN = BenchPlan(
     model=XxzConfig(L=4),
@@ -184,6 +186,49 @@ def test_run_diagonalizes_each_local_term_once(zeros_cache, monkeypatch):
         run_benchmark(plan, cache_dir=zeros_cache)
         assert len(shapes) == n_terms + 1 == 2
         assert sorted(shapes) == [(4, 4), (split.dim, split.dim)]
+
+
+def test_xxz_oracles_diagonalize_only_real_matrices(zeros_cache, monkeypatch):
+    load_catalog()
+    eigh = np.linalg.eigh
+    dtypes = []
+
+    def recording_eigh(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    plan = BenchPlan(model=XxzConfig(L=5, boundary="periodic"), t_total=1.0,
+                     methods=("exact", "strang", "taylor:12"), h_grid=(0.5,))
+    run_benchmark(plan, cache_dir=zeros_cache)
+    exact_evolution(build_xxz(plan.model).total, 1.0)
+    exact_evolution(build_xxz(plan.model).total, 1.0, direction="imaginary")
+    # the total and the bond term in the sweep, the total in each oracle
+    assert len(dtypes) == 4 and set(dtypes) == {np.dtype(np.float64)}
+
+
+def test_run_after_warm_zeros_solves_no_zeros(tmp_path, monkeypatch):
+    # warm the zeros the way a caller does, with Gamma from a plain eigh of
+    # the split's total; the sweep must then hit every zero set it needs.
+    # At L = 6 a real and a complex eigh of H differ in the last bit of the
+    # spectral radius, so a sweep that diagonalized otherwise would miss.
+    plan = BenchPlan(model=XxzConfig(L=6), t_total=2.0,
+                     methods=("strang", "taylor:12", "chebyshev:16"), h_grid=(1.0, 0.5))
+    split = build_xxz(plan.model)
+    gamma = suggest_gamma(split.total, eigvals=np.linalg.eigh(split.total)[0])
+    cache_dir = str(tmp_path / "warm")
+    factorize(SeriesSpec("taylor", 12), cache_dir=cache_dir)
+    for h in plan.h_grid:
+        spec = SeriesSpec("chebyshev", 16, gamma_scale=gamma, axis="imaginary", h=h)
+        factorize(spec, cache_dir=cache_dir)
+
+    def no_solve(*args):
+        raise AssertionError("zero solve after warm-up")
+
+    monkeypatch.setattr(polyexp, "_taylor_zeros_mp", no_solve)
+    monkeypatch.setattr(polyexp, "_chebyshev_zeros_mp", no_solve)
+    records = run_benchmark(plan, cache_dir=cache_dir)
+    assert len(records) == 6 and all(math.isfinite(r.error) for r in records)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ import pytest
 from trotterkit.compose import (
     OperatorSplit,
     _apply_gates,
+    _apply_term,
+    _eig_expm,
+    _eigh,
     compose,
     direction_prefactor,
     evolve_sequence,
@@ -161,3 +164,75 @@ def test_dense_split_rounding_against_extended_precision():
             step = step * v * mp.diag([mp.exp(z * x) for x in w]) * v.H
         want = np.array((step**steps).tolist(), dtype=complex)
     assert np.linalg.norm(got - want) <= 2e-13
+
+
+# ---------------------------------------------------------------------------
+# real storage and real arithmetic for real Hamiltonians
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 17, 64])
+def test_real_eigenvector_expm_matches_complex_product(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, dim))
+    w, v = np.linalg.eigh(a + a.T)
+    vc = v.astype(complex)
+    for z in (-0.7j, -0.3 - 0.2j, -0.4, 0.25):  # forward, complex, imaginary time
+        got = _eig_expm(w, v, z)
+        want = (vc * np.exp(z * w)) @ vc.conj().T
+        assert got.dtype == np.complex128
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), z
+
+
+def test_eigh_is_real_for_real_data():
+    a = np.array([[2.0, 1.0], [1.0, -1.0]])
+    for m in (a, a.astype(complex)):
+        w, v = _eigh(m)
+        assert v.dtype == np.float64
+        assert np.array_equal(w, np.linalg.eigh(a)[0])
+    h = a + 1j * np.array([[0.0, 0.5], [-0.5, 0.0]])
+    assert _eigh(h)[1].dtype == np.complex128
+
+
+@pytest.mark.parametrize("L, boundary", [(3, "periodic"), (6, "open"), (8, "periodic")])
+def test_xxz_parts_are_real_and_equal_the_complex_build(L, boundary):
+    split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=0.3))
+    eye = np.eye(split.dim, dtype=complex)
+    total = np.zeros_like(eye)
+    for part, terms in zip(split.parts, split.terms):
+        want = np.zeros_like(eye)
+        for i, j, op4 in terms:
+            assert op4.dtype == np.float64
+            want += _apply_term(op4.astype(complex), i, j, eye)
+        assert part.dtype == np.float64 and np.array_equal(part, want)
+        total = total + want
+    assert split.total.dtype == np.float64 and np.array_equal(split.total, total)
+
+
+def test_complex_splits_stay_complex():
+    split = random_split(3, 6)
+    assert all(p.dtype == np.complex128 for p in split.parts)
+    assert split.total.dtype == np.complex128
+    mixed = OperatorSplit((split.parts[0], np.diag([1.0, 2, 3, 4, 5, 6]).astype(complex)))
+    assert [p.dtype for p in mixed.parts] == [np.complex128, np.float64]
+    assert mixed.total.dtype == np.complex128
+    y = np.array([[0, -1j], [1j, 0]])
+    chain = OperatorSplit.from_terms(3, [[(0, 1, np.kron(y, np.eye(2)))], [(1, 2, np.eye(4))]])
+    assert [p.dtype for p in chain.parts] == [np.complex128, np.float64]
+
+
+def test_one_gate_per_distinct_term_per_factor(monkeypatch):
+    # an XXZ color's bonds share one 4x4 term, so each merged factor of a
+    # nonempty color builds one gate, and the split has one term key
+    split = build_xxz(XxzConfig(L=8, boundary="periodic"))
+    assert {key for keys in split._term_keys for key in keys} == {0}
+    gate = OperatorSplit.term_gate
+    calls = []
+
+    def counting_gate(self, key, z):
+        calls.append(key)
+        return gate(self, key, z)
+
+    monkeypatch.setattr(OperatorSplit, "term_gate", counting_gate)
+    seq = to_multistage(get_scheme("blanes-moan4")).factor_sequence(split.n_parts)
+    compose(split, seq, 0.1)
+    assert len(calls) == sum(1 for k, _ in seq if split.terms[k])

@@ -167,6 +167,24 @@ def test_exact_evolution_is_unitary_group():
     assert np.linalg.norm(u1 @ u2 - u12) < 1e-11
 
 
+@pytest.mark.parametrize("L, boundary", [(6, "open"), (7, "periodic"), (8, "open")])
+def test_real_oracle_matches_complex_oracle(L, boundary):
+    # a float64 H is diagonalized and exponentiated in real arithmetic; the
+    # reference is the complex eigh and product of its complex128 copy
+    h = build_xxz(XxzConfig(L=L, boundary=boundary, delta=0.6)).total
+    assert h.dtype == np.float64
+    hc = h.astype(complex)
+    w, v = np.linalg.eigh(hc)
+    eye = np.eye(len(h))
+    for direction, z in (("forward", -0.9j), ("imaginary", -0.9)):
+        got = exact_evolution(h, 0.9, direction)
+        assert np.array_equal(exact_evolution(hc, 0.9, direction), got)
+        want = (v * np.exp(z * w)) @ v.conj().T
+        assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+    u = exact_evolution(h, 0.9)
+    assert np.linalg.norm(u.conj().T @ u - eye) <= 1e-12
+
+
 def test_exact_evolution_requires_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(StructuralError):
