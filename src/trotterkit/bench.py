@@ -193,16 +193,15 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     gamma = None
     if any(m.kind == "chebyshev" for m in methods):
         gamma = suggest_gamma(split.total, eigvals=evals)
-    cells = [(method, h) for method in methods for h in plan.h_grid]
+    cells = [(method, h, plan.steps_for(h)) for method in methods for h in plan.h_grid]
     by_time = {}
-    for index, (_, h) in enumerate(cells):
-        by_time.setdefault(plan.steps_for(h) * h, []).append(index)
+    for index, (_, h, steps) in enumerate(cells):
+        by_time.setdefault(steps * h, []).append(index)
     records = [None] * len(cells)
     for t_eff, indices in by_time.items():
         exact = _eig_expm(evals, evecs, -1j * t_eff)
         for index in indices:
-            method, h = cells[index]
-            steps = plan.steps_for(h)
+            method, h, steps = cells[index]
             begin = time.perf_counter()
             if method.kind == "exact":
                 u = exact
