@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .compose import _eig_expm, _eigh
+from .compose import _eig_expm
 from .errors import GridUnusableError, NotFoundError, StructuralError
 from .multistage import apply_multistage, to_multistage
 from .polyexp import SeriesSpec, eval_factorized, eval_summed, factorize, suggest_gamma
@@ -189,19 +189,19 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     """
     methods = [parse_method(d, catalog_path=catalog_path) for d in plan.methods]
     split = build_xxz(plan.model)
-    evals, evecs = _eigh(split.total)
+    evals, evecs = np.linalg.eigh(split.total)
     gamma = None
     if any(m.kind == "chebyshev" for m in methods):
         gamma = suggest_gamma(split.total, eigvals=evals)
-    cells = [(method, h, plan.steps_for(h)) for method in methods for h in plan.h_grid]
-    by_time = {}
-    for index, (_, h, steps) in enumerate(cells):
-        by_time.setdefault(steps * h, []).append(index)
-    records = [None] * len(cells)
-    for t_eff, indices in by_time.items():
-        exact = _eig_expm(evals, evecs, -1j * t_eff)
-        for index in indices:
-            method, h, steps = cells[index]
+    oracles = {}
+    records = []
+    for method in methods:
+        for h in plan.h_grid:
+            steps = plan.steps_for(h)
+            t_eff = steps * h
+            exact = oracles.get(t_eff)
+            if exact is None:
+                exact = oracles[t_eff] = _eig_expm(evals, evecs, -1j * t_eff)
             begin = time.perf_counter()
             if method.kind == "exact":
                 u = exact
@@ -210,13 +210,15 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
                 u = np.linalg.matrix_power(step_op, steps)
             wall = time.perf_counter() - begin if timing else 0.0
             err = frobenius_error(u, exact, t=t_eff, method=method.descriptor)
-            records[index] = BenchmarkRecord(
-                method=method.descriptor,
-                h=h,
-                steps=steps,
-                cost=method.q_effective(plan.kappa) * steps / plan.t_total,
-                error=err.value,
-                wall_time=wall,
+            records.append(
+                BenchmarkRecord(
+                    method=method.descriptor,
+                    h=h,
+                    steps=steps,
+                    cost=method.q_effective(plan.kappa) * steps / plan.t_total,
+                    error=err.value,
+                    wall_time=wall,
+                )
             )
     return records
 

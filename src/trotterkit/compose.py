@@ -22,8 +22,8 @@ of a local split are its terms applied to the identity by the same kernel.
 
 A real Hamiltonian stays real: a term or part whose imaginary part is
 exactly zero is stored as float64 (and so is `total` when every part is),
-`_eigh` diagonalizes it in real arithmetic, and `_eig_expm` builds
-v diag(e^{z w}) v^T from a real v as one real GEMM.
+so `np.linalg.eigh` diagonalizes it in real arithmetic, and `_eig_expm`
+builds v diag(e^{z w}) v^T from a real v as one real GEMM.
 """
 
 from __future__ import annotations
@@ -52,18 +52,15 @@ class OperatorSplit:
     terms[k] lists part k's terms (i, j, op).  A split built by `from_terms`
     has the two-site terms it was given; a split of dense parts has one
     whole-space term (None, None, A_k) per part.  A part or term with no
-    nonzero imaginary entry is stored as float64, otherwise as complex128.
-    The parts and terms are read-only: each term's key into the distinct
-    term operators is computed once, when the split is built, and each
-    distinct term's eigensystem on first use, kept for the life of the
-    split.
+    nonzero imaginary entry is stored as float64, otherwise as complex128,
+    in a copy the split owns.  The parts and terms are read-only, so each
+    distinct term's eigensystem is computed once, on first use, and kept
+    for the life of the split.
     """
 
     parts: tuple
     total: np.ndarray = field(init=False, repr=False)
     terms: tuple = field(init=False, repr=False, compare=False)
-    _term_keys: tuple = field(init=False, repr=False, compare=False)
-    _term_ops: tuple = field(init=False, repr=False, compare=False)
     _term_eigensystems: dict = field(init=False, repr=False, compare=False,
                                      default_factory=dict)
 
@@ -110,7 +107,7 @@ class OperatorSplit:
                 part += _apply_term(op4, i, j, eye)
             parts.append(part)
         split = cls(tuple(parts))
-        split._set_terms(tuple(checked))
+        object.__setattr__(split, "terms", tuple(checked))
         return split
 
     def __post_init__(self):
@@ -137,26 +134,6 @@ class OperatorSplit:
         total.setflags(write=False)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "terms", tuple(((None, None, p),) for p in parts))
-        object.__setattr__(self, "_term_keys", tuple((k,) for k in range(len(parts))))
-        object.__setattr__(self, "_term_ops", parts)
-
-    def _set_terms(self, terms):
-        """Replace the whole-space terms by `terms`; equal term operators
-        share one key."""
-        index = {}
-        ops = []
-        keys = []
-        for part_terms in terms:
-            part_keys = []
-            for _, _, op in part_terms:
-                key = index.setdefault((op.dtype.char, op.shape, op.tobytes()), len(ops))
-                if key == len(ops):
-                    ops.append(op)
-                part_keys.append(key)
-            keys.append(tuple(part_keys))
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_term_keys", tuple(keys))
-        object.__setattr__(self, "_term_ops", tuple(ops))
 
     @property
     def dim(self):
@@ -166,12 +143,12 @@ class OperatorSplit:
     def n_parts(self):
         return len(self.parts)
 
-    def term_gate(self, key, z):
-        """e^{z op} for the split's distinct term operator `key`, from its
-        cached eigh."""
+    def term_gate(self, op, z):
+        """e^{z op} for one of the split's terms, from its cached eigh."""
+        key = op.tobytes()
         got = self._term_eigensystems.get(key)
         if got is None:
-            got = self._term_eigensystems[key] = _eigh(self._term_ops[key])
+            got = self._term_eigensystems[key] = np.linalg.eigh(op)
         g = _eig_expm(*got, z)
         if z.real == 0:
             # e^{z op} is unitary: one Newton-Schulz step removes the
@@ -205,20 +182,12 @@ def merge_factors(pairs):
 
 
 def _narrowed(a):
-    """a as float64 when no entry has a nonzero imaginary part, else as
-    complex128."""
+    """A new array holding a: float64 when no entry has a nonzero imaginary
+    part, else complex128."""
     a = np.asarray(a)
-    if not np.iscomplexobj(a):
-        return np.asarray(a, dtype=float)
-    if a.imag.any():
-        return np.asarray(a, dtype=complex)
-    return np.ascontiguousarray(a.real, dtype=float)
-
-
-def _eigh(a):
-    """Eigensystem (w, v) of a Hermitian matrix, in real arithmetic (a real
-    v) when a has no nonzero imaginary part."""
-    return np.linalg.eigh(_narrowed(a))
+    if np.iscomplexobj(a) and a.imag.any():
+        return np.array(a, dtype=complex)
+    return np.array(a.real, dtype=float)
 
 
 def _eig_expm(w, v, z):
@@ -254,11 +223,8 @@ def _apply_gates(split, sequence, h, block, direction):
     x = np.asarray(block, dtype=complex)
     for k, coef in reversed(sequence):
         z = pref * coef * h
-        gates = {}
-        for (i, j, _), key in zip(split.terms[k], split._term_keys[k]):
-            if key not in gates:
-                gates[key] = split.term_gate(key, z)
-            x = _apply_term(gates[key], i, j, x)
+        for i, j, op in split.terms[k]:
+            x = _apply_term(split.term_gate(op, z), i, j, x)
     return x
 
 

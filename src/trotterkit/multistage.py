@@ -130,8 +130,8 @@ def reconstruct_two_stage(ms):
 
 def apply_two_stage(a, b, scheme, h, direction="forward"):
     """Ordered product e^{A a_1 h'} e^{B b_1 h'} ... with h' = prefactor * h."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = np.asarray(a)
+    b = np.asarray(b)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"A and B must be square and same shape, got {a.shape} vs {b.shape}")
     return compose(OperatorSplit((a, b)), scheme.factor_sequence(), h, direction)

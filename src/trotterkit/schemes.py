@@ -26,7 +26,6 @@ import numpy as np
 from .compose import (
     OperatorSplit,
     _eig_expm,
-    _eigh,
     direction_prefactor,
     evolve_sequence,
     merge_factors,
@@ -359,7 +358,7 @@ def _fit_order(split, sequence, h_grid=None, t_total=1.0, direction="forward",
     if h_grid is None:
         h_grid = [2.0 ** (-j) for j in range(2, 7)]
     pref = direction_prefactor(direction)
-    w, v = _eigh(split.total)
+    w, v = np.linalg.eigh(split.total)
     errors = []
     for h in h_grid:
         steps = max(1, round(t_total / h))

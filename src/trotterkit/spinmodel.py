@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, StructuralError
-from .compose import OperatorSplit, _eig_expm, _eigh, direction_prefactor
+from .compose import OperatorSplit, _eig_expm, _narrowed, direction_prefactor
 from .tolerances import HERMITICITY_TOL
 
 __all__ = [
@@ -122,14 +122,14 @@ def build_xxz(cfg):
 def exact_evolution(h_matrix, t, direction="forward"):
     """U = V diag(e^{pref * lambda * t}) V^dagger by full diagonalization,
     in real arithmetic when H has no nonzero imaginary part."""
-    h = np.asarray(h_matrix)
+    h = _narrowed(h_matrix)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionError(f"H must be square, got shape {h.shape}")
     dev = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
     if dev > HERMITICITY_TOL:
         raise StructuralError(f"H is not Hermitian (max deviation {dev:.3e})")
     pref = direction_prefactor(direction)
-    w, v = _eigh(h)
+    w, v = np.linalg.eigh(h)
     return _eig_expm(w, v, pref * t)
 
 

@@ -9,13 +9,13 @@ from trotterkit.compose import (
     _apply_gates,
     _apply_term,
     _eig_expm,
-    _eigh,
+    _narrowed,
     compose,
     direction_prefactor,
     evolve_sequence,
 )
 from trotterkit.errors import DimensionError, StructuralError
-from trotterkit.multistage import random_split, to_multistage
+from trotterkit.multistage import apply_two_stage, random_split, to_multistage
 from trotterkit.schemes import get_scheme, load_catalog
 from trotterkit.spinmodel import XxzConfig, build_xxz
 
@@ -183,14 +183,32 @@ def test_real_eigenvector_expm_matches_complex_product(dim):
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), z
 
 
-def test_eigh_is_real_for_real_data():
+def test_narrowed_copies_and_keeps_only_nonzero_imaginary_parts():
     a = np.array([[2.0, 1.0], [1.0, -1.0]])
-    for m in (a, a.astype(complex)):
-        w, v = _eigh(m)
-        assert v.dtype == np.float64
-        assert np.array_equal(w, np.linalg.eigh(a)[0])
+    for m in (a, a.astype(complex), a.astype(int)):
+        got = _narrowed(m)
+        assert got.dtype == np.float64 and np.array_equal(got, a)
+        assert not np.shares_memory(got, m)
     h = a + 1j * np.array([[0.0, 0.5], [-0.5, 0.0]])
-    assert _eigh(h)[1].dtype == np.complex128
+    got = _narrowed(h)
+    assert got.dtype == np.complex128 and np.array_equal(got, h)
+    assert not np.shares_memory(got, h)
+
+
+def test_split_inputs_stay_writeable():
+    # a split stores read-only copies; the caller's arrays are left alone
+    rng = np.random.default_rng(7)
+    real = rng.normal(size=(4, 4))
+    real = real + real.T
+    cplx = real + 1j * (np.triu(real, 1) - np.triu(real, 1).T)
+    split = OperatorSplit((real, cplx))
+    assert [p.dtype for p in split.parts] == [np.float64, np.complex128]
+    assert not any(p.flags.writeable for p in split.parts)
+    apply_two_stage(real, cplx, get_scheme("strang"), 0.1)
+    OperatorSplit.from_terms(3, [[(0, 1, real)], [(1, 2, cplx)]])
+    for m in (real, cplx):
+        assert m.flags.writeable
+        m[0, 0] += 1.0
 
 
 @pytest.mark.parametrize("L, boundary", [(3, "periodic"), (6, "open"), (8, "periodic")])
@@ -218,21 +236,3 @@ def test_complex_splits_stay_complex():
     y = np.array([[0, -1j], [1j, 0]])
     chain = OperatorSplit.from_terms(3, [[(0, 1, np.kron(y, np.eye(2)))], [(1, 2, np.eye(4))]])
     assert [p.dtype for p in chain.parts] == [np.complex128, np.float64]
-
-
-def test_one_gate_per_distinct_term_per_factor(monkeypatch):
-    # an XXZ color's bonds share one 4x4 term, so each merged factor of a
-    # nonempty color builds one gate, and the split has one term key
-    split = build_xxz(XxzConfig(L=8, boundary="periodic"))
-    assert {key for keys in split._term_keys for key in keys} == {0}
-    gate = OperatorSplit.term_gate
-    calls = []
-
-    def counting_gate(self, key, z):
-        calls.append(key)
-        return gate(self, key, z)
-
-    monkeypatch.setattr(OperatorSplit, "term_gate", counting_gate)
-    seq = to_multistage(get_scheme("blanes-moan4")).factor_sequence(split.n_parts)
-    compose(split, seq, 0.1)
-    assert len(calls) == sum(1 for k, _ in seq if split.terms[k])
