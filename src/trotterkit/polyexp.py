@@ -36,6 +36,7 @@ import numpy as np
 from .errors import ConvergenceError, DimensionError, RangeError, StructuralError
 from .tolerances import (
     BESSEL_X_MAX,
+    ENTRY_APPLY_MAX_FILL,
     GAMMA_MARGIN,
     NEWTON_MAX_STEPS,
     TAYLOR_K_MAX,
@@ -857,39 +858,66 @@ def _check_zero_clearance(fact):
 # evaluation
 
 
-def _scaled_applier(h_op, factor):
-    """Closure applying (h_op * factor) to a scalar, vector, or matrix."""
+def _applier(h_op, factor, target):
+    """The target as an array, and a closure applying (h_op * factor) to
+    arrays of its shape.
+
+    A scalar multiplies.  A matrix applied to a 1-D target (a state) whose
+    nonzeros fill at most ENTRY_APPLY_MAX_FILL of it is applied through
+    its entries: one gather, multiply and row sum over the nonzeros.  Any
+    other matrix, and every matrix on a 2-D target (a block, which BLAS-3
+    GEMM serves better), is applied as the dense (h_op * factor) @ v.
+    """
     if np.isscalar(h_op):
         val = h_op * factor
-        return lambda v: val * v
+        return target, lambda v: val * v
     m = np.asarray(h_op)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"operator must be square, got shape {m.shape}")
-    m = m * factor
-    return lambda v: m @ v
-
-
-def _check_target(h_op, target):
-    if np.isscalar(h_op):
-        return target
-    m_dim = np.asarray(h_op).shape[0]
     t = np.asarray(target)
-    if t.shape[0] != m_dim:
+    if t.ndim == 0 or t.shape[0] != m.shape[0]:
         raise DimensionError(
-            f"target leading dimension {t.shape[0]} does not match operator dim {m_dim}"
+            f"target of shape {t.shape} does not match operator dim {m.shape[0]}"
         )
-    return t
+    if t.ndim == 1:
+        flat = np.flatnonzero(m != 0)  # 2.6x faster than on complex m itself
+        if flat.size <= ENTRY_APPLY_MAX_FILL * m.size:
+            return t, _entry_applier(m, flat, factor)
+    m = m * factor
+    return t, lambda v: m @ v
+
+
+def _entry_applier(m, flat, factor):
+    """Closure applying (m * factor) to a vector through the nonzeros of m
+    at the C-order flat indices flat.  Rows without an entry give zero."""
+    n = m.shape[0]
+    rows, cols = np.divmod(flat, n)
+    vals = m.reshape(-1)[flat] * factor
+    # reduceat sums from each start to the next, so only the first entry of
+    # each nonempty row may start a sum; the sums land in their rows
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    hit = rows[starts]
+
+    def apply(v):
+        out = np.zeros(n, np.result_type(vals, v))
+        out[hit] = np.add.reduceat(vals * v[cols], starts)
+        return out
+
+    return apply
 
 
 def eval_factorized(h_op, target, fact):
     """scale * prod over groups of (1 + c1 M/k + c2 (M/k)^2) applied to target,
     with M = H * spec.h; H is applied twice for quadratic groups rather
-    than squared."""
+    than squared.
+
+    h_op is a scalar or a square matrix.  A matrix whose nonzeros fill at
+    most ENTRY_APPLY_MAX_FILL of it is applied to a 1-D target (a state)
+    through those entries; a 2-D target (a block) and a denser matrix get
+    the dense product."""
     spec = fact.spec
     k = spec.k
-    target = _check_target(h_op, target)
-    apply_h = _scaled_applier(h_op, spec.h)
-    acc = target
+    acc, apply_h = _applier(h_op, spec.h, target)
     for g in fact.groups:
         if g.kind == "quad":
             c1, c2 = g.coeffs
@@ -906,13 +934,13 @@ def eval_factorized(h_op, target, fact):
 def eval_summed(h_op, target, spec):
     """Direct accumulation: Taylor running-term sum, or the Chebyshev
     three-term recurrence.  Reference path; unstable for Taylor k > 17 at
-    large |lambda h|."""
-    target = _check_target(h_op, target)
+    large |lambda h|.  H is applied to the target as in `eval_factorized`:
+    through its entries on a 1-D target when they fill at most
+    ENTRY_APPLY_MAX_FILL of it, otherwise as a dense product."""
     k = spec.k
     if spec.family == "taylor":
-        apply_h = _scaled_applier(h_op, spec.h)
-        term = target
-        acc = target
+        term, apply_h = _applier(h_op, spec.h, target)
+        acc = term
         for i in range(1, k + 1):
             term = apply_h(term) / i
             acc = acc + term
@@ -920,7 +948,7 @@ def eval_summed(h_op, target, spec):
     mu = chebyshev_coefficients(spec)
     gh = spec.gamma_h
     denom = (1j * gh) if spec.axis == "imaginary" else gh
-    apply_x = _scaled_applier(h_op, spec.h / denom)
+    target, apply_x = _applier(h_op, spec.h / denom, target)
     t_prev = target
     t_cur = apply_x(target)
     acc = mu[0] * t_prev + mu[1] * t_cur

@@ -117,6 +117,15 @@ def test_schemes_efficiency_does_not_depend_on_seed(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("command", ["schemes validate strang", "schemes efficiency strang"])
+def test_readme_example_shows_the_printed_line(capsys, command):
+    rc, out, err = run_cli(capsys, *command.split())
+    assert rc == 0 and err == "" and out.count("\n") == 1
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        assert f"\n$ trotterkit {command}\n{out}" in fh.read()
+
+
 # ---------------------------------------------------------------------------
 # adapt
 

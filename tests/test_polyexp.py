@@ -12,7 +12,7 @@ import scipy.special
 from hypothesis import given, strategies as st
 
 from trotterkit import polyexp
-from trotterkit.errors import ConvergenceError, RangeError, StructuralError
+from trotterkit.errors import ConvergenceError, DimensionError, RangeError, StructuralError
 from trotterkit.polyexp import (
     SeriesSpec,
     bessel,
@@ -790,3 +790,133 @@ def test_property_pair_modes_agree(zeros_cache, radius, angle):
     for g in fact.gammas:
         lin = lin + (g / 12) * z * lin
     assert abs(quad - lin) <= 1e-13 * max(abs(quad), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# applying H to a state through its entries
+
+# bounds the spectrum of every chain below: at most 10 bonds of norm 2 + delta <= 3
+GAMMA_ALL = 31.0
+ENTRY_CHAINS = [
+    (L, b, d) for L in (4, 6, 8, 10) for b in ("open", "periodic") for d in (0.0, 0.3, 1.0)
+]
+
+
+def spy_entry_applier(monkeypatch):
+    """Record each matrix that `_applier` sends through its entries."""
+    seen = []
+    real = polyexp._entry_applier
+
+    def spy(m, flat, factor):
+        seen.append(m)
+        return real(m, flat, factor)
+
+    monkeypatch.setattr(polyexp, "_entry_applier", spy)
+    return seen
+
+
+def random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+def dense_factorized(h_op, target, fact):
+    """eval_factorized with every H-apply the dense (H * h) @ v."""
+    m = h_op * fact.spec.h
+    k = fact.spec.k
+    acc = target
+    for g in fact.groups:
+        if g.kind == "quad":
+            c1, c2 = g.coeffs
+            mv = m @ acc
+            acc = acc + (c1 / k) * mv + (c2 / k**2) * (m @ mv)
+        else:
+            (c1,) = g.coeffs
+            acc = acc + (c1 / k) * (m @ acc)
+    if fact.overall_scale != 1.0:
+        acc = fact.overall_scale * acc
+    return acc
+
+
+@pytest.mark.parametrize("L, boundary, delta", ENTRY_CHAINS)
+def test_entry_path_matches_dense_product(zeros_cache, monkeypatch, L, boundary, delta):
+    # the one-column block takes the dense path; the state takes the
+    # entries whenever H is sparse enough (every chain here but some L = 4)
+    gen = -1j * build_xxz(XxzConfig(L=L, boundary=boundary, delta=delta)).total
+    psi = random_state(gen.shape[0], L)
+    h = 0.1
+    k = chebyshev_admissible_k(GAMMA_ALL * h, "imaginary", 1e-13)
+    specs = (SeriesSpec("taylor", 20, h=h),
+             SeriesSpec("chebyshev", k, gamma_scale=GAMMA_ALL, axis="imaginary", h=h))
+    seen = spy_entry_applier(monkeypatch)
+    for spec in specs:
+        fact = factorize(spec, cache_dir=zeros_cache)
+        for evaluate, arg in ((eval_factorized, fact), (eval_summed, spec)):
+            got = evaluate(gen, psi, arg)
+            want = evaluate(gen, psi[:, None], arg)[:, 0]
+            assert got.shape == psi.shape
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    sparse = np.count_nonzero(gen) <= polyexp.ENTRY_APPLY_MAX_FILL * gen.size
+    assert len(seen) == (4 if sparse else 0)
+    assert sparse or L == 4
+
+
+def test_empty_rows_and_the_zero_operator(zeros_cache, monkeypatch):
+    # the XX chain has no entry in its first and last rows (|0...0>, |1...1>)
+    gen = -1j * build_xxz(XxzConfig(L=6, delta=0.0)).total
+    empty = np.flatnonzero(~gen.any(axis=1))
+    assert list(empty) == [0, 63]
+    psi = np.zeros(64, dtype=complex)
+    psi[[0, 5, 63]] = [0.6, 0.1j, 0.8]
+    seen = spy_entry_applier(monkeypatch)
+    fact = factorize(SeriesSpec("taylor", 20, h=0.1), cache_dir=zeros_cache)
+    got = eval_factorized(gen, psi, fact)
+    assert np.linalg.norm(got - dense_factorized(gen, psi, fact)) <= 1e-15
+    assert got[0] == 0.6 and got[63] == 0.8
+    spec = SeriesSpec("chebyshev", 30, gamma_scale=20.0, axis="imaginary")
+    fact = factorize(spec, cache_dir=zeros_cache)
+    zero = np.zeros((64, 64))
+    assert np.array_equal(eval_factorized(zero, psi, fact), fact.overall_scale * psi)
+    assert len(seen) == 2
+
+
+def test_dense_operator_on_a_state_stays_dense(zeros_cache, monkeypatch):
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    gen = -1j * (a + a.conj().T) / 16
+    psi = random_state(64, 7)
+    seen = spy_entry_applier(monkeypatch)
+    fact = factorize(SeriesSpec("taylor", 20, h=0.1), cache_dir=zeros_cache)
+    assert np.array_equal(eval_factorized(gen, psi, fact), dense_factorized(gen, psi, fact))
+    eval_summed(gen, psi, fact.spec)
+    assert seen == []
+
+
+def test_operator_and_target_shapes_are_checked(zeros_cache):
+    fact = factorize(SeriesSpec("taylor", 5), cache_dir=zeros_cache)
+    with pytest.raises(DimensionError, match="square"):
+        eval_factorized(np.zeros((3, 4)), np.zeros(3), fact)
+    for target in (np.zeros(4), np.zeros((4, 2)), np.array(1.0)):
+        with pytest.raises(DimensionError, match="does not match"):
+            eval_summed(np.zeros((3, 3)), target, fact.spec)
+
+
+def test_block_target_never_scans_for_nonzeros(zeros_cache, monkeypatch):
+    gen = -1j * build_xxz(XxzConfig(L=6)).total
+    flatnonzero = np.flatnonzero
+    scans = []
+
+    def counting(a):
+        scans.append(np.shape(a))
+        return flatnonzero(a)
+
+    monkeypatch.setattr(np, "flatnonzero", counting)
+    spec = SeriesSpec("taylor", 20, h=0.1)
+    fact = factorize(spec, cache_dir=zeros_cache)
+    block = np.eye(64, dtype=complex)[:, :3]
+    assert np.array_equal(eval_factorized(gen, block, fact), dense_factorized(gen, block, fact))
+    eval_summed(gen, block, spec)
+    assert scans == []
+    eval_factorized(gen, block[:, 0], fact)
+    assert scans.count((64, 64)) == 1  # a state: the operator is scanned once
