@@ -14,13 +14,11 @@ the product of the gates e^{tau h_b} of its terms, each from one cached
 eigensystem per distinct term.  A split made of local terms (a qubit chain,
 `OperatorSplit.from_terms`) has site-disjoint two-site terms: a gate acts
 on a (2^L x m) block by one reshape to (2^i, 4, 2^(L-i-2) m) and one
-batched matmul (or, where the trailing axis is short, as near the chain's
-end on one column, one GEMM with the bond axis moved last), and the
-periodic wrap bond (L-1, 0) first moves site L-1 next to site 0.  A split
-of dense parts has one term per part that acts on the whole space, and its
-gate is applied as one matrix product.  The dense step is the factor
-sequence applied to the identity, and the dense parts of a local split are
-its terms applied to the identity by the same kernel.
+batched matmul, and the periodic wrap bond (L-1, 0) first moves site L-1
+next to site 0.  A split of dense parts has one term per part that acts on
+the whole space, and its gate is applied as one matrix product.  The dense
+step is the factor sequence applied to the identity, and the dense parts
+of a local split are its terms applied to the identity by the same kernel.
 
 A real Hamiltonian stays real: a term or part whose imaginary part is
 exactly zero is stored as float64 (and so is `total` when every part is),
@@ -205,28 +203,13 @@ def _eig_expm(w, v, z):
     return (v @ right.view(np.float64)).view(np.complex128)
 
 
-# A bond's stacked matmul runs one 4 x rest product per leading index.  Below
-# this trailing length, with more leading indices than trailing entries, one
-# (2^i rest x 4) @ g^T GEMM is faster: on one column the crossover was
-# rest = 16 at L = 12 and 16, and 8 at L = 20 (one BLAS thread), and at
-# L = 16 bond (13, 14) took 1.54 ms stacked against 0.28 ms.
-_STACKED_MIN_REST = 16
-
-
 def _apply_term(g, i, j, x):
     """G x for the gate g of the term on sites (i, j) and a (dim x m) block;
     i = None is a whole-space term."""
     if i is None:
         return g @ x
     if j == i + 1:
-        y = x.reshape(2**i, 4, -1)
-        lead, _, rest = y.shape
-        if rest >= _STACKED_MIN_REST or rest >= lead:
-            return (g @ y).reshape(x.shape)
-        # the chain's end on a few columns: move the bond axis last.  A block
-        # of m >= dim columns has rest >= 2^L > lead and never gets here.
-        y = y.transpose(0, 2, 1).reshape(-1, 4) @ g.T
-        return y.reshape(lead, rest, 4).transpose(0, 2, 1).reshape(x.shape)
+        return (g @ x.reshape(2**i, 4, -1)).reshape(x.shape)
     # wrap bond (n_sites - 1, 0): axes (site 0, middle, site n-1, columns)
     mid = x.shape[0] // 4
     y = x.reshape(2, mid, 2, -1).transpose(2, 0, 1, 3).reshape(4, -1)

@@ -880,9 +880,12 @@ def _applier(h_op, factor, target):
             f"target of shape {t.shape} does not match operator dim {m.shape[0]}"
         )
     if t.ndim == 1:
-        flat = np.flatnonzero(m != 0)  # 2.6x faster than on complex m itself
-        if flat.size <= ENTRY_APPLY_MAX_FILL * m.size:
-            return t, _entry_applier(m, flat, factor)
+        # count before indexing, so a dense operator never holds an index
+        # array; scanning m != 0 is 2.6x faster than complex m itself
+        nonzero = m != 0
+        if np.count_nonzero(nonzero) <= ENTRY_APPLY_MAX_FILL * m.size:
+            return t, _entry_applier(m, np.flatnonzero(nonzero), factor)
+        del nonzero
     m = m * factor
     return t, lambda v: m @ v
 

@@ -82,28 +82,6 @@ def test_sequence_on_a_block_matches_dense_step(L, boundary):
             assert np.linalg.norm(got - want) <= 1e-12
 
 
-@pytest.mark.parametrize("L, boundary", CHAINS)
-def test_every_bond_on_one_column_matches_the_dense_product(L, boundary):
-    # near the chain's end a column takes the moved-axis GEMM; the dense
-    # reference is the gate on the identity block, which for an open bond
-    # equals the Kronecker lift bit for bit
-    rng = np.random.default_rng(L)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    x = rng.normal(size=(2**L, 1)) + 1j * rng.normal(size=(2**L, 1))
-    eye = np.eye(2**L, dtype=complex)
-    bonds = [(i, i + 1) for i in range(L - 1)]
-    if boundary == "periodic":
-        bonds.append((L - 1, 0))
-    for i, j in bonds:
-        dense = _apply_term(g, i, j, eye)
-        if j == i + 1:
-            lifted = np.kron(np.kron(np.eye(2**i), g), np.eye(2 ** (L - j - 1)))
-            assert np.array_equal(dense, lifted)
-        got = _apply_term(g, i, j, x)
-        assert got.shape == x.shape
-        assert np.linalg.norm(got - dense @ x) <= 1e-14 * np.linalg.norm(dense @ x), (i, j)
-
-
 def test_gate_path_diagonalizes_only_bond_terms(monkeypatch):
     split = build_xxz(XxzConfig(L=6, boundary="periodic"))
     eigh = np.linalg.eigh

@@ -815,6 +815,20 @@ def spy_entry_applier(monkeypatch):
     return seen
 
 
+def record_scans(monkeypatch):
+    """Record (function name, shape) of each nonzero count or index."""
+    scans = []
+    for name in ("count_nonzero", "flatnonzero"):
+        real = getattr(np, name)
+
+        def recording(a, *args, _name=name, _real=real, **kwargs):
+            scans.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, recording)
+    return scans
+
+
 def random_state(dim, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -888,9 +902,12 @@ def test_dense_operator_on_a_state_stays_dense(zeros_cache, monkeypatch):
     psi = random_state(64, 7)
     seen = spy_entry_applier(monkeypatch)
     fact = factorize(SeriesSpec("taylor", 20, h=0.1), cache_dir=zeros_cache)
+    scans = record_scans(monkeypatch)
     assert np.array_equal(eval_factorized(gen, psi, fact), dense_factorized(gen, psi, fact))
     eval_summed(gen, psi, fact.spec)
     assert seen == []
+    # counted once per call, never indexed
+    assert scans == [("count_nonzero", (64, 64))] * 2
 
 
 def test_operator_and_target_shapes_are_checked(zeros_cache):
@@ -904,19 +921,14 @@ def test_operator_and_target_shapes_are_checked(zeros_cache):
 
 def test_block_target_never_scans_for_nonzeros(zeros_cache, monkeypatch):
     gen = -1j * build_xxz(XxzConfig(L=6)).total
-    flatnonzero = np.flatnonzero
-    scans = []
-
-    def counting(a):
-        scans.append(np.shape(a))
-        return flatnonzero(a)
-
-    monkeypatch.setattr(np, "flatnonzero", counting)
     spec = SeriesSpec("taylor", 20, h=0.1)
     fact = factorize(spec, cache_dir=zeros_cache)
+    scans = record_scans(monkeypatch)
     block = np.eye(64, dtype=complex)[:, :3]
     assert np.array_equal(eval_factorized(gen, block, fact), dense_factorized(gen, block, fact))
     eval_summed(gen, block, spec)
     assert scans == []
     eval_factorized(gen, block[:, 0], fact)
-    assert scans.count((64, 64)) == 1  # a state: the operator is scanned once
+    # a state: the operator is counted and indexed once, then its rows
+    assert scans[:2] == [("count_nonzero", (64, 64)), ("flatnonzero", (64, 64))]
+    assert all(shape != (64, 64) for _, shape in scans[2:])
