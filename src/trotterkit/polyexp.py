@@ -858,19 +858,9 @@ def _check_zero_clearance(fact):
 # evaluation
 
 
-def _applier(h_op, factor, target):
-    """The target as an array, and a closure applying (h_op * factor) to
-    arrays of its shape.
-
-    A scalar multiplies.  A matrix applied to a 1-D target (a state) whose
-    nonzeros fill at most ENTRY_APPLY_MAX_FILL of it is applied through
-    its entries: one gather, multiply and row sum over the nonzeros.  Any
-    other matrix, and every matrix on a 2-D target (a block, which BLAS-3
-    GEMM serves better), is applied as the dense (h_op * factor) @ v.
-    """
-    if np.isscalar(h_op):
-        val = h_op * factor
-        return target, lambda v: val * v
+def _checked(h_op, target):
+    """h_op and target as arrays, checked to be a square matrix and a
+    target whose leading axis matches it."""
     m = np.asarray(h_op)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"operator must be square, got shape {m.shape}")
@@ -879,6 +869,25 @@ def _applier(h_op, factor, target):
         raise DimensionError(
             f"target of shape {t.shape} does not match operator dim {m.shape[0]}"
         )
+    return m, t
+
+
+def _applier(h_op, factor, target):
+    """The target as an array, and a closure applying (h_op * factor) to
+    arrays of its shape.
+
+    A scalar multiplies.  A matrix applied to a 1-D target (a state) whose
+    nonzeros fill at most ENTRY_APPLY_MAX_FILL of it is applied through
+    its entries: one gather, multiply and row sum over the nonzeros.  Any
+    other matrix, and every matrix on a 2-D target (a block, which BLAS-3
+    GEMM serves better), is applied as the dense (h_op * factor) @ v.  A
+    block wide enough for `eval_factorized`'s one product per factor group
+    never comes here (see `_advancer`).
+    """
+    if np.isscalar(h_op):
+        val = h_op * factor
+        return target, lambda v: val * v
+    m, t = _checked(h_op, target)
     if t.ndim == 1:
         # count before indexing, so a dense operator never holds an index
         # array; scanning m != 0 is 2.6x faster than complex m itself
@@ -887,7 +896,7 @@ def _applier(h_op, factor, target):
             return t, _entry_applier(m, np.flatnonzero(nonzero), factor)
         del nonzero
     m = m * factor
-    return t, lambda v: m @ v
+    return t, lambda v: np.matmul(m, v)
 
 
 def _entry_applier(m, flat, factor):
@@ -909,26 +918,83 @@ def _entry_applier(m, flat, factor):
     return apply
 
 
-def eval_factorized(h_op, target, fact):
-    """scale * prod over groups of (1 + c1 M/k + c2 (M/k)^2) applied to target,
-    with M = H * spec.h; H is applied twice for quadratic groups rather
-    than squared.
+def _advancer(h_op, target, fact):
+    """The target as an array, and a closure taking an accumulator through
+    one group's factor (1 + c1 M/k + c2 (M/k)^2 or 1 + c1 M/k, M = H h).
 
-    h_op is a scalar or a square matrix.  A matrix whose nonzeros fill at
-    most ENTRY_APPLY_MAX_FILL of it is applied to a 1-D target (a state)
-    through those entries; a 2-D target (a block) and a denser matrix get
-    the dense product."""
+    A 2-D target of m columns and dim n, with q quadratic groups, takes the
+    block form (`_block_advancer`) when q (m - 1) > n: exactly where
+    forming H^2 once and one product per group, n^3 + q n^2 (m + 1)
+    multiply-adds, beat two products per quadratic group, 2 q n^2 m.
+    States, thin blocks, 1x1 inputs and scalars apply H once per factor
+    through `_applier`.
+    """
     spec = fact.spec
+    if not np.isscalar(h_op):
+        m, t = _checked(h_op, target)
+        quads = sum(g.kind == "quad" for g in fact.groups)
+        if t.ndim == 2 and quads * (t.shape[1] - 1) > t.shape[0]:
+            return _block_advancer(m, t, spec)
     k = spec.k
     acc, apply_h = _applier(h_op, spec.h, target)
-    for g in fact.groups:
+
+    def advance(acc, g):
         if g.kind == "quad":
             c1, c2 = g.coeffs
             mv = apply_h(acc)
-            acc = acc + (c1 / k) * mv + (c2 / k**2) * apply_h(mv)
-        else:
-            (c1,) = g.coeffs
-            acc = acc + (c1 / k) * apply_h(acc)
+            return acc + (c1 / k) * mv + (c2 / k**2) * apply_h(mv)
+        (c1,) = g.coeffs
+        return acc + (c1 / k) * apply_h(acc)
+
+    return acc, advance
+
+
+def _block_advancer(m, t, spec):
+    """A private copy of the block t, and a closure applying one group's
+    factor to it in place.  H^2 is formed once, unscaled, with h folded
+    into the coefficients; each group fills one reused work matrix with
+    D = (c1 h/k) H + (c2 h^2/k^2) H^2 (a lin group: D = (c1 h/k) H) and
+    adds D @ acc, one product per group.
+
+    The identity stays out of the product: multiplying by I + D would round
+    acc itself through every product, which raises the error floor of the
+    bench's small-h cells at L = 8 by up to 2.5x, while acc + D @ acc
+    stays at or below the per-apply loop's floor.
+    """
+    h, k = spec.h, spec.k
+    acc = np.array(t, dtype=np.result_type(m, t, 1.0))
+    m2 = np.matmul(m, m)
+    d = np.empty(m.shape, np.result_type(m, 1.0))
+    work = np.empty_like(d)
+    prod = np.empty_like(acc)
+
+    def advance(acc, g):
+        np.multiply(m, g.coeffs[0] * h / k, out=d)
+        if g.kind == "quad":
+            np.multiply(m2, g.coeffs[1] * h**2 / k**2, out=work)
+            np.add(d, work, out=d)
+        np.matmul(d, acc, out=prod)
+        acc += prod
+        return acc
+
+    return acc, advance
+
+
+def eval_factorized(h_op, target, fact):
+    """scale * prod over groups of (1 + c1 M/k + c2 (M/k)^2) applied to target,
+    with M = H * spec.h.  The target itself is never modified.
+
+    h_op is a scalar or a square matrix.  A state, a thin block, a 1x1
+    input or a scalar gets H applied once per factor, twice per quadratic
+    group: through its entries on a 1-D target when they fill at most
+    ENTRY_APPLY_MAX_FILL of it, otherwise as a dense product.  A block of
+    m columns, dim n and q quadratic groups with q (m - 1) > n, such as
+    the identity, takes one product per group from H^2 formed once:
+    acc + D @ acc, with the identity kept out of D (see `_advancer` and
+    `_block_advancer`)."""
+    acc, advance = _advancer(h_op, target, fact)
+    for g in fact.groups:
+        acc = advance(acc, g)
     if fact.overall_scale != 1.0:
         acc = fact.overall_scale * acc
     return acc
@@ -937,9 +1003,10 @@ def eval_factorized(h_op, target, fact):
 def eval_summed(h_op, target, spec):
     """Direct accumulation: Taylor running-term sum, or the Chebyshev
     three-term recurrence.  Reference path; unstable for Taylor k > 17 at
-    large |lambda h|.  H is applied to the target as in `eval_factorized`:
-    through its entries on a 1-D target when they fill at most
-    ENTRY_APPLY_MAX_FILL of it, otherwise as a dense product."""
+    large |lambda h|.  H is applied once per term, on every target as
+    `eval_factorized` applies it to a state or a thin block: through its
+    entries on a 1-D target when they fill at most ENTRY_APPLY_MAX_FILL
+    of it, otherwise as a dense product."""
     k = spec.k
     if spec.family == "taylor":
         term, apply_h = _applier(h_op, spec.h, target)

@@ -106,9 +106,6 @@ class TwoStageScheme:
             pairs += [(1, bi), (0, ai)]
         return merge_factors(pairs)
 
-    def is_real(self):
-        return all(abs(x.imag) == 0.0 for x in self.a + self.b)
-
 
 @dataclass(frozen=True)
 class ValidationReport:

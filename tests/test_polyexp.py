@@ -11,7 +11,8 @@ import pytest
 import scipy.special
 from hypothesis import given, strategies as st
 
-from trotterkit import polyexp
+from trotterkit import bench, polyexp
+from trotterkit.bench import BenchPlan, run_benchmark
 from trotterkit.errors import ConvergenceError, DimensionError, RangeError, StructuralError
 from trotterkit.polyexp import (
     SeriesSpec,
@@ -932,3 +933,98 @@ def test_block_target_never_scans_for_nonzeros(zeros_cache, monkeypatch):
     # a state: the operator is counted and indexed once, then its rows
     assert scans[:2] == [("count_nonzero", (64, 64)), ("flatnonzero", (64, 64))]
     assert all(shape != (64, 64) for _, shape in scans[2:])
+
+
+# ---------------------------------------------------------------------------
+# the block form: H^2 formed once, one product per group
+
+BLOCK_CHAINS = [
+    (L, b, d) for L in (4, 6, 8) for b in ("open", "periodic") for d in (0.0, 0.3, 1.0)
+]
+
+
+def record_products(monkeypatch):
+    """Record the operand shapes of each np.matmul call."""
+    shapes = []
+    real = np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        shapes.append((np.shape(a), np.shape(b)))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    return shapes
+
+
+def block_specs(h):
+    """Taylor with even and odd k (odd k has a lin group) and imaginary
+    Chebyshev, all at step h."""
+    k = chebyshev_admissible_k(GAMMA_ALL * h, "imaginary", 1e-13)
+    return (SeriesSpec("taylor", 20, h=h), SeriesSpec("taylor", 21, h=h),
+            SeriesSpec("chebyshev", k, gamma_scale=GAMMA_ALL, axis="imaginary", h=h))
+
+
+@pytest.mark.parametrize("L, boundary, delta", BLOCK_CHAINS)
+def test_block_form_matches_the_per_apply_loop(zeros_cache, monkeypatch, L, boundary, delta):
+    gen = -1j * build_xxz(XxzConfig(L=L, boundary=boundary, delta=delta)).total
+    n = gen.shape[0]
+    rng = np.random.default_rng(L)
+    wide = rng.normal(size=(n, n // 2 + 3)) + 1j * rng.normal(size=(n, n // 2 + 3))
+    kinds = set()
+    products = record_products(monkeypatch)
+    for spec in block_specs(0.1):
+        fact = factorize(spec, cache_dir=zeros_cache)
+        kinds.update(g.kind for g in fact.groups)
+        for block in (np.eye(n, dtype=complex), wide):
+            del products[:]
+            got = eval_factorized(gen, block, fact)
+            # the grouped form ran: H^2, then one product per group
+            assert len(products) == 1 + len(fact.groups)
+            want = dense_factorized(gen, block, fact)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert kinds == {"quad", "lin"}
+
+
+def test_block_form_keeps_the_rounding_floor(zeros_cache, monkeypatch):
+    # the sweep's polynomial cells at h <= 1/4, where rounding over many
+    # steps is a visible share of the error
+    plan = BenchPlan(model=XxzConfig(L=8), t_total=10.0,
+                     methods=("taylor:30", "chebyshev:40"),
+                     h_grid=tuple(1.0 / 2**j for j in range(2, 7)))
+    grouped = run_benchmark(plan, cache_dir=zeros_cache)
+    monkeypatch.setattr(bench, "eval_factorized", dense_factorized)
+    loop = run_benchmark(plan, cache_dir=zeros_cache)
+    assert len(grouped) == len(loop) == 10
+    for g, d in zip(grouped, loop):
+        assert (g.method, g.h) == (d.method, d.h)
+        assert g.error <= 1.5 * d.error, (g.method, g.h, g.error, d.error)
+
+
+def test_block_form_product_counts(zeros_cache, monkeypatch):
+    gen = -1j * build_xxz(XxzConfig(L=6)).total
+    column = random_state(64, 3)[:, None]
+    one = np.array([[-0.7j]])
+    # dense_factorized multiplies with @, which the recorder does not see
+    products = record_products(monkeypatch)
+    for spec in block_specs(0.1):
+        fact = factorize(spec, cache_dir=zeros_cache)
+        del products[:]
+        eval_factorized(gen, np.eye(64, dtype=complex), fact)
+        assert products == [((64, 64), (64, 64))] * (1 + len(fact.groups))
+        # a one-column block and a 1x1 input keep the loop: k products
+        for op, target in ((gen, column), (one, np.eye(1, dtype=complex))):
+            del products[:]
+            got = eval_factorized(op, target, fact)
+            assert len(products) == spec.k
+            assert np.array_equal(got, dense_factorized(op, target, fact))
+
+
+def test_block_form_leaves_the_target_alone(zeros_cache):
+    gen = -1j * build_xxz(XxzConfig(L=6)).total
+    fact = factorize(SeriesSpec("taylor", 21, h=0.1), cache_dir=zeros_cache)
+    rng = np.random.default_rng(11)
+    for block in (np.eye(64, dtype=complex), rng.normal(size=(64, 40)) + 0j):
+        before = block.copy()
+        got = eval_factorized(gen, block, fact)
+        assert np.array_equal(block, before)
+        assert not np.shares_memory(got, block)
