@@ -24,11 +24,19 @@ A real Hamiltonian stays real: a term or part whose imaginary part is
 exactly zero is stored as float64 (and so is `total` when every part is),
 so `np.linalg.eigh` diagonalizes it in real arithmetic, and `_eig_expm`
 builds v diag(e^{z w}) v^T from a real v as one real GEMM.
+
+A split that leaves subspaces of basis states invariant keeps them as its
+`sectors`: the connected components of the parts' joint nonzero pattern,
+the magnetization sectors of the XXZ chain.  Every step of such a split is
+block-diagonal over them, and `power_step` powers a step one sector block
+at a time (at L = 8, sum n_s^3 = 0.74M multiply-adds per product against
+16.8M for the whole matrix).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +49,7 @@ __all__ = [
     "merge_factors",
     "compose",
     "evolve_sequence",
+    "power_step",
 ]
 
 
@@ -143,6 +152,41 @@ class OperatorSplit:
     def n_parts(self):
         return len(self.parts)
 
+    @cached_property
+    def sectors(self):
+        """The split's invariant sectors: sorted index arrays of the
+        connected components of the union of the parts' exact nonzero
+        patterns (no tolerance), ordered by their first index.
+
+        Every part maps the span of each sector's basis states into itself,
+        so every step, power and polynomial of the parts is block-diagonal
+        over the sectors; for the XXZ chain they are the magnetization
+        sectors, of sizes C(L, m).  A split whose parts couple everything
+        has one sector, the whole index range.  Computed on first use and
+        kept, like the term eigensystems.
+        """
+        pattern = self.parts[0] != 0
+        for p in self.parts[1:]:
+            pattern |= p != 0
+        rows, cols = np.nonzero(pattern)
+        a, b = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+        label = np.arange(self.dim)
+        while True:
+            # each index takes its smallest neighbour's label, then the
+            # label of its label; at the fixed point every component
+            # carries its smallest index
+            new = label.copy()
+            np.minimum.at(new, a, label[b])
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        order = np.argsort(label, kind="stable")
+        sectors = tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
+        for s in sectors:
+            s.setflags(write=False)
+        return sectors
+
     def term_gate(self, op, z):
         """e^{z op} for one of the split's terms, from its cached eigh."""
         key = op.tobytes()
@@ -218,13 +262,20 @@ def _apply_term(g, i, j, x):
 
 
 def _apply_gates(split, sequence, h, block, direction):
-    """The factor sequence of a split applied to a (dim x m) block."""
+    """The factor sequence of a split applied to a (dim x m) block.  Each
+    distinct (term, z) gate is built once per call: the bonds of an XXZ
+    part share one term, and a merged sequence repeats coefficients."""
     pref = direction_prefactor(direction)
     x = np.asarray(block, dtype=complex)
+    gates = {}
     for k, coef in reversed(sequence):
         z = pref * coef * h
         for i, j, op in split.terms[k]:
-            x = _apply_term(split.term_gate(op, z), i, j, x)
+            key = (op.tobytes(), z)
+            g = gates.get(key)
+            if g is None:
+                g = gates[key] = split.term_gate(op, z)
+            x = _apply_term(g, i, j, x)
     return x
 
 
@@ -234,9 +285,29 @@ def compose(split, sequence, h, direction="forward"):
     return _apply_gates(split, sequence, h, np.eye(split.dim, dtype=complex), direction)
 
 
+def power_step(split, step, steps):
+    """step^steps by repeated squaring, one sector block at a time.
+
+    A step with no nonzero entry outside the diagonal blocks of the split's
+    sectors has each block powered on its own, and the results written
+    into a zero matrix.  A one-sector split, or a step with any off-sector
+    entry, is powered whole by `np.linalg.matrix_power`.
+    """
+    sectors = split.sectors
+    if len(sectors) > 1:
+        blocks = [step[np.ix_(s, s)] for s in sectors]
+        if sum(map(np.count_nonzero, blocks)) == np.count_nonzero(step):
+            out = np.zeros_like(step)
+            for s, b in zip(sectors, blocks):
+                out[np.ix_(s, s)] = np.linalg.matrix_power(b, steps)
+            return out
+    return np.linalg.matrix_power(step, steps)
+
+
 def evolve_sequence(split, sequence, h, steps, direction="forward",
                     alternate_reversal=False):
-    """`steps` repetitions of one composed step, powered by repeated squaring.
+    """`steps` repetitions of one composed step, powered by repeated squaring
+    sector by sector (`power_step`).
 
     With alternate_reversal every second step uses the reversed sequence
     (the adjoint decomposition): the product S S_rev S S_rev ... is the
@@ -248,7 +319,7 @@ def evolve_sequence(split, sequence, h, steps, direction="forward",
         raise StructuralError(f"steps must be >= 1, got {steps}")
     step = compose(split, sequence, h, direction)
     if not alternate_reversal or sequence[::-1] == sequence:
-        return np.linalg.matrix_power(step, steps)
+        return power_step(split, step, steps)
     pair = step @ compose(split, sequence[::-1], h, direction)
-    u = np.linalg.matrix_power(pair, steps // 2)
+    u = power_step(split, pair, steps // 2)
     return u @ step if steps % 2 else u

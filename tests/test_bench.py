@@ -23,7 +23,7 @@ from trotterkit.errors import (
     NotFoundError,
     StructuralError,
 )
-from trotterkit import polyexp
+from trotterkit import bench, polyexp
 from trotterkit.polyexp import SeriesSpec, factorize, suggest_gamma
 from trotterkit.schemes import load_catalog
 from trotterkit.spinmodel import XxzConfig, build_xxz, exact_evolution
@@ -229,6 +229,42 @@ def test_run_after_warm_zeros_solves_no_zeros(tmp_path, monkeypatch):
     monkeypatch.setattr(polyexp, "_chebyshev_zeros_mp", no_solve)
     records = run_benchmark(plan, cache_dir=cache_dir)
     assert len(records) == 6 and all(math.isfinite(r.error) for r in records)
+
+
+def test_run_multiplies_only_sector_blocks_after_the_oracle(zeros_cache, monkeypatch):
+    # the L = 8 plan with both polynomial families: apart from the oracle's
+    # exponential, every product and every power acts on one magnetization
+    # sector block, the largest C(8, 4) = 70 wide
+    plan = BenchPlan(model=XxzConfig(L=8),
+                     methods=DEFAULT_METHODS + ("taylor:30", "chebyshev:40"))
+    shapes = []
+    oracle = []
+    matmul, matrix_power, eig_expm = np.matmul, np.linalg.matrix_power, bench._eig_expm
+
+    def recording_matmul(a, b, *args, **kwargs):
+        if not oracle:
+            shapes.append(np.shape(a)[-2:] + np.shape(b)[-2:])
+        return matmul(a, b, *args, **kwargs)
+
+    def recording_power(a, n):
+        shapes.append(np.shape(a))
+        return matrix_power(a, n)
+
+    def marked_oracle(*args):
+        oracle.append(True)
+        try:
+            return eig_expm(*args)
+        finally:
+            oracle.pop()
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    monkeypatch.setattr(np.linalg, "matrix_power", recording_power)
+    monkeypatch.setattr(bench, "_eig_expm", marked_oracle)
+    records = run_benchmark(plan, cache_dir=zeros_cache)
+    assert len(records) == 6 * len(plan.h_grid)
+    assert max(max(s) for s in shapes) == 70
+    # every cell powers its nine sector blocks
+    assert sum(len(s) == 2 for s in shapes) == 9 * len(records)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """The composer's term-gate kernel, on local and on dense splits."""
 
+from math import comb
+
 import mpmath as mp
 import numpy as np
 import pytest
 
+from trotterkit import compose as compose_module
 from trotterkit.compose import (
     OperatorSplit,
     _apply_gates,
@@ -13,6 +16,7 @@ from trotterkit.compose import (
     compose,
     direction_prefactor,
     evolve_sequence,
+    power_step,
 )
 from trotterkit.errors import DimensionError, StructuralError
 from trotterkit.multistage import apply_two_stage, random_split, to_multistage
@@ -236,3 +240,183 @@ def test_complex_splits_stay_complex():
     y = np.array([[0, -1j], [1j, 0]])
     chain = OperatorSplit.from_terms(3, [[(0, 1, np.kron(y, np.eye(2)))], [(1, 2, np.eye(4))]])
     assert [p.dtype for p in chain.parts] == [np.complex128, np.float64]
+
+
+# ---------------------------------------------------------------------------
+# invariant sectors: the magnetization sectors of the XXZ chain
+
+SECTOR_CHAINS = [
+    (L, b, d)
+    for L in range(2, 11)
+    for b in ("open", "periodic")
+    if b == "open" or L >= 3
+    for d in (0.0, 0.3, 1.0)
+]
+
+
+def magnetization(dim):
+    """Number of up spins (set bits) of each basis index."""
+    return np.array([bin(i).count("1") for i in range(dim)])
+
+
+def off_sector(split):
+    """Mask of the entries outside the diagonal sector blocks."""
+    label = np.empty(split.dim, dtype=int)
+    for n, s in enumerate(split.sectors):
+        label[s] = n
+    return label[:, None] != label[None, :]
+
+
+@pytest.mark.parametrize("L, boundary, delta", SECTOR_CHAINS)
+def test_xxz_sectors_partition_the_basis_by_magnetization(L, boundary, delta):
+    split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=delta))
+    sectors = split.sectors
+    assert split.sectors is sectors  # computed once and kept
+    assert [len(s) for s in sectors] == [comb(L, m) for m in range(L + 1)]
+    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(split.dim))
+    ups = magnetization(split.dim)
+    for m, s in enumerate(sectors):
+        assert np.array_equal(s, np.flatnonzero(ups == m))
+        assert not s.flags.writeable
+
+
+def test_coupled_splits_have_one_sector():
+    for split in (random_split(3, 6), random_split(2, 17, seed=3)):
+        (whole,) = split.sectors
+        assert np.array_equal(whole, np.arange(split.dim))
+    # terms that flip one spin each couple every magnetization
+    flip = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+    split = OperatorSplit.from_terms(3, [[(0, 1, flip)], [(1, 2, flip)], [(2, 0, flip)]])
+    (whole,) = split.sectors
+    assert np.array_equal(whole, np.arange(8))
+    # with site 2 never flipped, its two values stay apart
+    split = OperatorSplit.from_terms(3, [[(0, 1, flip)], [(1, 2, flip)]])
+    assert [s.tolist() for s in split.sectors] == [[0, 2, 4, 6], [1, 3, 5, 7]]
+    zero = OperatorSplit((np.zeros((3, 3)),))
+    assert [s.tolist() for s in zero.sectors] == [[0], [1], [2]]
+
+
+@pytest.mark.parametrize("L, boundary, delta", SECTOR_CHAINS)
+def test_catalog_steps_have_exactly_zero_off_sector_entries(L, boundary, delta):
+    # A bond gate that keeps to the two-site magnetization makes the whole
+    # step keep to the sectors, since the kernel only multiplies and adds.
+    # Every scheme is checked in both directions up to L = 8; at L = 9, 10,
+    # where one step costs 0.1-0.3 s, blanes-moan4 stands for them, forward
+    # on open chains and in imaginary time on periodic ones.
+    split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=delta))
+    off = off_sector(split)
+    catalog = load_catalog()
+    names = sorted(catalog) if L <= 8 else ["blanes-moan4"]
+    directions = ("forward", "imaginary")
+    if L > 8:
+        directions = directions[:1] if boundary == "open" else directions[1:]
+    for name in names:
+        seq = to_multistage(catalog[name]).factor_sequence(split.n_parts)
+        for direction in directions:
+            step = compose(split, seq, 0.1, direction)
+            assert not step[off].any(), (name, direction)
+
+
+def record_powers(monkeypatch):
+    """Record the shape of each matrix powered by np.linalg.matrix_power."""
+    shapes = []
+    real = np.linalg.matrix_power
+
+    def recording(a, n):
+        shapes.append(np.shape(a))
+        return real(a, n)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("L, boundary", [(4, "open"), (7, "periodic"), (8, "open"), (8, "periodic")])
+def test_sector_power_matches_matrix_power(monkeypatch, L, boundary):
+    split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=0.3))
+    for name in ("strang", "blanes-moan4", "triple-jump-complex"):
+        seq = to_multistage(get_scheme(name)).factor_sequence(split.n_parts)
+        for direction in ("forward", "imaginary"):
+            step = compose(split, seq, 0.05, direction)
+            for steps in (1, 2, 7, 60):
+                want = np.linalg.matrix_power(step, steps)
+                shapes = record_powers(monkeypatch)
+                got = power_step(split, step, steps)
+                monkeypatch.undo()
+                assert shapes == [(len(s), len(s)) for s in split.sectors]
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_one_sector_split_powers_the_step_whole(monkeypatch):
+    split = random_split(3, 16)
+    step = compose(split, to_multistage(get_scheme("suzuki4")).factor_sequence(3), 0.1)
+    want = np.linalg.matrix_power(step, 9)
+    shapes = record_powers(monkeypatch)
+    assert np.array_equal(power_step(split, step, 9), want)
+    assert shapes == [(16, 16)]
+
+
+def test_step_with_an_off_sector_entry_is_powered_whole(monkeypatch):
+    split = build_xxz(XxzConfig(L=6, boundary="periodic"))
+    seq = to_multistage(get_scheme("strang")).factor_sequence(split.n_parts)
+    step = compose(split, seq, 0.1)
+    step[0, 1] = 1e-300  # all-down state <- one up spin
+    want = np.linalg.matrix_power(step, 5)
+    shapes = record_powers(monkeypatch)
+    assert np.array_equal(power_step(split, step, 5), want)
+    assert shapes == [(64, 64)]
+
+
+def test_evolve_powers_sector_blocks(monkeypatch):
+    split = build_xxz(XxzConfig(L=6))
+    seq = ((0, 0.3), (1, 0.5), (2, 0.2))  # not a palindrome
+    step = compose(split, seq, 0.2)
+    pair = step @ compose(split, seq[::-1], 0.2)
+    blocks = [(len(s), len(s)) for s in split.sectors]
+    for alternate, base, n in ((False, step, 6), (True, pair, 3)):
+        shapes = record_powers(monkeypatch)
+        got = evolve_sequence(split, seq, 0.2, 6, alternate_reversal=alternate)
+        monkeypatch.undo()
+        assert shapes == blocks
+        want = np.linalg.matrix_power(base, n)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+# ---------------------------------------------------------------------------
+# one gate per distinct (term, z) per composed product
+
+
+def gates_per_bond(split, sequence, h, direction):
+    """The composer with every gate rebuilt for every bond."""
+    pref = direction_prefactor(direction)
+    x = np.eye(split.dim, dtype=complex)
+    for k, coef in reversed(sequence):
+        for i, j, op in split.terms[k]:
+            x = _apply_term(split.term_gate(op, pref * coef * h), i, j, x)
+    return x
+
+
+@pytest.mark.parametrize("split", [
+    build_xxz(XxzConfig(L=8)),
+    build_xxz(XxzConfig(L=7, boundary="periodic", delta=0.3)),
+    random_split(3, 8),
+], ids=["xxz-open", "xxz-periodic", "dense"])
+def test_compose_builds_each_distinct_gate_once(monkeypatch, split):
+    builds = []
+    real = compose_module._eig_expm
+
+    def counting(w, v, z):
+        builds.append(z)
+        return real(w, v, z)
+
+    for name in ("strang", "blanes-moan4", "triple-jump-complex"):
+        seq = to_multistage(get_scheme(name)).factor_sequence(split.n_parts)
+        for direction in ("forward", "imaginary"):
+            want = gates_per_bond(split, seq, 0.1, direction)
+            pref = direction_prefactor(direction)
+            distinct = {(op.tobytes(), pref * c * 0.1) for k, c in seq for _, _, op in split.terms[k]}
+            monkeypatch.setattr(compose_module, "_eig_expm", counting)
+            builds.clear()
+            got = compose(split, seq, 0.1, direction)
+            monkeypatch.undo()
+            assert len(builds) == len(distinct), (name, direction)
+            assert np.array_equal(got, want)
