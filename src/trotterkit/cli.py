@@ -26,7 +26,7 @@ from .bench import (
     run_benchmark,
     stability_probe,
 )
-from .errors import NotFoundError, StructuralError, TrotterkitError
+from .errors import StructuralError, TrotterkitError
 from .multistage import multistage_order, random_split, to_multistage
 from .polyexp import (
     SeriesSpec,
@@ -37,14 +37,9 @@ from .polyexp import (
     gamma_for,
     taylor_zeros,
 )
-from .schemes import (
-    efficiency,
-    empirical_order,
-    load_catalog,
-    validate_consistency,
-)
+from .schemes import _lookup, _scheme_gate, efficiency, load_catalog
 from .spinmodel import XxzConfig, xxz_spectrum
-from .tolerances import CATALOG_ORDER_SLOPE_TOL, DEFAULT_SEED
+from .tolerances import DEFAULT_SEED
 
 
 def _g(x):
@@ -90,11 +85,7 @@ def _cmd_schemes_list(args):
 
 def _catalog_scheme(args, name):
     """The named entry of the --catalog catalog (loaded unvalidated)."""
-    catalog = load_catalog(args.catalog, validate=False)
-    if name not in catalog:
-        known = ", ".join(sorted(catalog))
-        raise NotFoundError(f"unknown scheme {name!r}; catalog has: {known}")
-    return catalog[name]
+    return _lookup(load_catalog(args.catalog, validate=False), name)
 
 
 def _looks_like_path(target):
@@ -108,12 +99,7 @@ def _cmd_schemes_validate(args):
         entries = [_catalog_scheme(args, args.target)]
     failures = []
     for scheme in entries:
-        report = validate_consistency(scheme)
-        ok = report.ok and (not scheme.symmetric or report.symmetry_ok)
-        slope = float("nan")
-        if ok:
-            slope = empirical_order(scheme, seed=args.seed)
-            ok = abs(slope - scheme.order_n) <= CATALOG_ORDER_SLOPE_TOL
+        report, slope, ok = _scheme_gate(scheme, seed=args.seed)
         verdict = "ok" if ok else "FAIL"
         print(
             f"{scheme.name}: {verdict} order={scheme.order_n} q={scheme.q} "

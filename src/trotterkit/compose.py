@@ -18,7 +18,8 @@ batched matmul, and the periodic wrap bond (L-1, 0) first moves site L-1
 next to site 0.  A split of dense parts has one term per part that acts on
 the whole space, and its gate is applied as one matrix product.  The dense
 step is the factor sequence applied to the identity, and the dense parts
-of a local split are its terms applied to the identity by the same kernel.
+of a local split are its terms applied to the identity by the same kernel,
+built on first use; `_identity` refuses both past DENSE_DIM_CAP.
 
 A real Hamiltonian stays real: a term or part whose imaginary part is
 exactly zero is stored as float64 (and so is `total` when every part is),
@@ -35,7 +36,6 @@ at a time (at L = 8, sum n_s^3 = 0.74M multiply-adds per product against
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -53,25 +53,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class OperatorSplit:
     """An ordered split H = sum_k A_k into Hermitian parts, each a sum of
     terms.
 
     terms[k] lists part k's terms (i, j, op).  A split built by `from_terms`
-    has the two-site terms it was given; a split of dense parts has one
-    whole-space term (None, None, A_k) per part.  A part or term with no
-    nonzero imaginary entry is stored as float64, otherwise as complex128,
-    in a copy the split owns.  The parts and terms are read-only, so each
+    is the two-site terms it was given, and its dense `parts` and `total`
+    are built from them on first use.  A split of dense parts has one
+    whole-space term (None, None, A_k) per part, and its `parts` are its
+    validated copies.  A term or dense part with no nonzero imaginary entry
+    is stored as float64, otherwise as complex128, in a read-only copy the
+    split owns; a part built from terms is float64 when its terms are.  Each
     distinct term's eigensystem is computed once, on first use, and kept
     for the life of the split.
     """
 
-    parts: tuple
-    total: np.ndarray = field(init=False, repr=False)
-    terms: tuple = field(init=False, repr=False, compare=False)
-    _term_eigensystems: dict = field(init=False, repr=False, compare=False,
-                                     default_factory=dict)
+    def __init__(self, parts):
+        parts = tuple(parts)
+        if not parts:
+            raise StructuralError("operator split needs at least one part")
+        shape = np.shape(parts[0])
+        for i, p in enumerate(parts):
+            if np.shape(p) != shape:
+                raise DimensionError(f"part {i} has shape {np.shape(p)}, expected {shape}")
+        self.parts = tuple(_hermitian(p, f"part {i}") for i, p in enumerate(parts))
+        self._init(tuple(((None, None, p),) for p in self.parts), shape[0])
+
+    def _init(self, terms, dim):
+        self.terms = terms
+        self.dim = dim
+        self._term_eigensystems = {}
 
     @classmethod
     def from_terms(cls, n_sites, terms):
@@ -81,23 +92,17 @@ class OperatorSplit:
         Hermitian 4x4 matrix on sites (i, j), first index site i, site 0
         the most significant bit.  Each bond joins neighbours, j = i + 1
         or the wrap bond (n_sites - 1, 0), and the terms of one part share
-        no site, so they commute.  A part of real terms is built real.
+        no site, so they commute.  Nothing dense is built here.
         """
-        if 2**n_sites > DENSE_DIM_CAP:
-            raise CapacityError(
-                f"dim 2^{n_sites} = {2**n_sites} exceeds dense capacity {DENSE_DIM_CAP}"
-            )
         checked = []
         for k, part_terms in enumerate(terms):
             used = set()
             out = []
             for i, j, op4 in part_terms:
                 i, j = int(i), int(j)
-                op4 = _narrowed(op4)
+                op4 = _hermitian(op4, f"term ({i}, {j}) of part {k}")
                 if op4.shape != (4, 4):
                     raise DimensionError(f"term ({i}, {j}) has shape {op4.shape}, expected (4, 4)")
-                if np.max(np.abs(op4 - op4.conj().T)) > HERMITICITY_TOL:
-                    raise StructuralError(f"term ({i}, {j}) of part {k} is not Hermitian")
                 if not ((0 <= i and j == i + 1 < n_sites) or (i, j) == (n_sites - 1, 0)):
                     raise StructuralError(
                         f"term ({i}, {j}) is not a bond of a {n_sites}-site chain"
@@ -105,52 +110,41 @@ class OperatorSplit:
                 if {i, j} & used:
                     raise StructuralError(f"part {k} reuses a site at bond ({i}, {j})")
                 used |= {i, j}
-                op4.setflags(write=False)
                 out.append((i, j, op4))
             checked.append(tuple(out))
-        eye = np.eye(2**n_sites)
-        parts = []
-        for part_terms in checked:
-            part = np.zeros(eye.shape, np.result_type(eye, *(op for _, _, op in part_terms)))
-            for i, j, op4 in part_terms:
-                part += _apply_term(op4, i, j, eye)
-            parts.append(part)
-        split = cls(tuple(parts))
-        object.__setattr__(split, "terms", tuple(checked))
+        split = cls.__new__(cls)
+        split._init(tuple(checked), 2**n_sites)
         return split
-
-    def __post_init__(self):
-        parts = tuple(_narrowed(p) for p in self.parts)
-        if not parts:
-            raise StructuralError("operator split needs at least one part")
-        dim = parts[0].shape[0]
-        for i, p in enumerate(parts):
-            if p.ndim != 2 or p.shape != (dim, dim):
-                raise DimensionError(
-                    f"part {i} has shape {p.shape}, expected ({dim}, {dim})"
-                )
-            dev = np.max(np.abs(p - p.conj().T))
-            if dev > HERMITICITY_TOL:
-                raise StructuralError(
-                    f"part {i} is not Hermitian (max deviation {dev:.3e})"
-                )
-        for p in parts:
-            p.setflags(write=False)
-        object.__setattr__(self, "parts", parts)
-        total = np.zeros((dim, dim), dtype=np.result_type(*parts))
-        for p in parts:
-            total += p
-        total.setflags(write=False)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "terms", tuple(((None, None, p),) for p in parts))
-
-    @property
-    def dim(self):
-        return self.parts[0].shape[0]
 
     @property
     def n_parts(self):
-        return len(self.parts)
+        return len(self.terms)
+
+    @cached_property
+    def parts(self):
+        """The dense parts A_k, each its terms applied to the identity;
+        built on first use and kept."""
+        return tuple(self._dense_parts())
+
+    @cached_property
+    def total(self):
+        """H = sum_k A_k, summed part by part in order into a zero matrix;
+        a part not kept in `parts` is built for the sum and dropped."""
+        parts = self._dense_parts()
+        ops = (op for part_terms in self.terms for _, _, op in part_terms)
+        total = np.zeros((self.dim, self.dim), np.result_type(float, *ops))
+        for p in parts:
+            total += p
+        total.setflags(write=False)
+        return total
+
+    def _dense_parts(self):
+        """The kept `parts`, or else an iterator that builds each part from
+        its terms applied to the identity (refused past DENSE_DIM_CAP)."""
+        if "parts" in self.__dict__:
+            return self.parts
+        eye = _identity(self.dim)
+        return (_applied_sum(part_terms, eye) for part_terms in self.terms)
 
     @cached_property
     def sectors(self):
@@ -234,6 +228,27 @@ def _narrowed(a):
     return np.array(a.real, dtype=float)
 
 
+def _hermitian(a, what):
+    """A read-only `_narrowed` copy of a, which must be a square matrix
+    that is Hermitian within HERMITICITY_TOL, component-wise."""
+    a = _narrowed(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"{what} must be square, got shape {a.shape}")
+    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+    if dev > HERMITICITY_TOL:
+        raise StructuralError(f"{what} is not Hermitian (max deviation {dev:.3e})")
+    a.setflags(write=False)
+    return a
+
+
+def _identity(dim, dtype=float):
+    """The identity every dense matrix of a split is built on, refused
+    before anything is allocated when dim exceeds DENSE_DIM_CAP."""
+    if dim > DENSE_DIM_CAP:
+        raise CapacityError(f"dim {dim} exceeds dense capacity {DENSE_DIM_CAP}")
+    return np.eye(dim, dtype=dtype)
+
+
 def _eig_expm(w, v, z):
     """e^{z A} = v diag(e^{z w}) v^H for a Hermitian A = v diag(w) v^H.
 
@@ -261,6 +276,15 @@ def _apply_term(g, i, j, x):
     return y.reshape(x.shape)
 
 
+def _applied_sum(terms, x):
+    """The sum of the terms (i, j, op) applied to a block x, read-only."""
+    out = np.zeros(x.shape, np.result_type(x, *(op for _, _, op in terms)))
+    for i, j, op in terms:
+        out += _apply_term(op, i, j, x)
+    out.setflags(write=False)
+    return out
+
+
 def _apply_gates(split, sequence, h, block, direction):
     """The factor sequence of a split applied to a (dim x m) block.  Each
     distinct (term, z) gate is built once per call: the bonds of an XXZ
@@ -282,7 +306,7 @@ def _apply_gates(split, sequence, h, block, direction):
 def compose(split, sequence, h, direction="forward"):
     """The ordered product of e^{A_k * prefactor * c * h} over sequence: the
     term gates applied to the identity."""
-    return _apply_gates(split, sequence, h, np.eye(split.dim, dtype=complex), direction)
+    return _apply_gates(split, sequence, h, _identity(split.dim, complex), direction)
 
 
 def power_step(split, step, steps):

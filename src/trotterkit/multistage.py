@@ -27,8 +27,8 @@ from .compose import (
     evolve_sequence,
     merge_factors,
 )
-from .errors import ConsistencyError, DimensionError, StructuralError
-from .schemes import _fit_order, random_hermitian, validate_consistency
+from .errors import ConsistencyError, StructuralError
+from .schemes import _fit_order, _require_consistent, random_hermitian
 from .tolerances import CONSISTENCY_TOL, DEFAULT_SEED
 
 __all__ = [
@@ -86,13 +86,7 @@ def to_multistage(scheme):
     The recurrence consumes a_1..a_q and b_1..b_q; consistency forces the
     final a_{q+1} to close the sequence (checked by the round trip).
     """
-    report = validate_consistency(scheme)
-    if not report.ok:
-        raise ConsistencyError(
-            f"scheme {scheme.name!r} is inconsistent "
-            f"(a-residual {report.a_residual:.3e}, b-residual {report.b_residual:.3e}); "
-            "refusing to transform"
-        )
+    report = _require_consistent(scheme)
     c = [scheme.a[0]]
     d = [scheme.b[0] - c[0]]
     for i in range(1, scheme.q):
@@ -130,10 +124,6 @@ def reconstruct_two_stage(ms):
 
 def apply_two_stage(a, b, scheme, h, direction="forward"):
     """Ordered product e^{A a_1 h'} e^{B b_1 h'} ... with h' = prefactor * h."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"A and B must be square and same shape, got {a.shape} vs {b.shape}")
     return compose(OperatorSplit((a, b)), scheme.factor_sequence(), h, direction)
 
 

@@ -822,16 +822,10 @@ def factorize(spec, *, cache_dir=None):
 
 
 def _check_zero_clearance(fact):
-    """No zero may sit inside the designated validity region."""
+    """No zero may sit on the Chebyshev approximation segment.  (The Taylor
+    disk, of radius r_valid <= 0.95 min|z|, holds no zero by construction.)"""
     spec = fact.spec
-    if spec.family == "taylor":
-        r = r_valid(fact)
-        closest = min(abs(z) for z in fact.zeros)
-        if closest <= r:
-            raise StructuralError(
-                f"zero at |z| = {closest:.6g} inside the validity disk r = {r:.6g}"
-            )
-    else:
+    if spec.family == "chebyshev":
         gh = spec.gamma_h
         lo = -gh
         if spec.axis == "real":

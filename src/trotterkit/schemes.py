@@ -170,6 +170,18 @@ def validate_consistency(scheme):
     )
 
 
+def _require_consistent(scheme):
+    """validate_consistency's report, or ConsistencyError when sum(a) or
+    sum(b) misses 1: no error expansion or transform is defined then."""
+    report = validate_consistency(scheme)
+    if not report.ok:
+        raise ConsistencyError(
+            f"scheme {scheme.name!r} is inconsistent: "
+            f"a-residual {report.a_residual:.3e}, b-residual {report.b_residual:.3e}"
+        )
+    return report
+
+
 # ---------------------------------------------------------------------------
 # random test operators
 
@@ -285,12 +297,7 @@ def estimate_error_coefficients(scheme, max_order=3):
     """
     if max_order not in (3, 5):
         raise StructuralError("max_order must be 3 or 5")
-    report = validate_consistency(scheme)
-    if not report.ok:
-        raise ConsistencyError(
-            f"scheme {scheme.name!r} is inconsistent: "
-            f"a-residual {report.a_residual:.3e}, b-residual {report.b_residual:.3e}"
-        )
+    _require_consistent(scheme)
     c = [complex(v) for v in _bch_coefficients(scheme, max_order)]
     return ErrorCoefficients(
         nu_minus_1=c[0],
@@ -391,6 +398,19 @@ def empirical_order(
 # catalog
 
 
+def _scheme_gate(scheme, *, seed=DEFAULT_SEED):
+    """(report, slope, ok) of the catalog gate: consistency, the symmetry
+    claim, then an `empirical_order` slope within CATALOG_ORDER_SLOPE_TOL of
+    the declared order (slope nan, and no fit run, if the first two fail)."""
+    report = validate_consistency(scheme)
+    ok = report.ok and (not scheme.symmetric or report.symmetry_ok)
+    slope = float("nan")
+    if ok:
+        slope = empirical_order(scheme, seed=seed)
+        ok = abs(slope - scheme.order_n) <= CATALOG_ORDER_SLOPE_TOL
+    return report, slope, ok
+
+
 _catalog_cache = {}
 
 
@@ -413,9 +433,9 @@ def _scheme_from_record(rec):
 def load_catalog(path=None, *, validate=True):
     """Load the scheme catalog, gate-keeping every entry.
 
-    Each entry must pass validate_consistency (including the symmetry
-    claim) and an empirical-order fit within +-0.5 of its declared order,
-    so transcription mistakes in the data file are caught at load time.
+    Each entry must pass `_scheme_gate` (consistency, the symmetry claim,
+    and an empirical-order fit within +-0.5 of its declared order), so
+    transcription mistakes in the data file are caught at load time.
     """
     if path is None:
         key = ("<bundled>", validate)
@@ -442,15 +462,14 @@ def load_catalog(path=None, *, validate=True):
     for rec in records:
         scheme = _scheme_from_record(rec)
         if validate:
-            report = validate_consistency(scheme)
-            if not report.ok or (scheme.symmetric and not report.symmetry_ok):
+            report, slope, ok = _scheme_gate(scheme)
+            if math.isnan(slope):
                 raise ConsistencyError(
                     f"catalog entry {scheme.name!r} failed validation: "
                     f"a-res {report.a_residual:.2e}, b-res {report.b_residual:.2e}, "
                     f"symmetry-res {report.symmetry_residual:.2e}"
                 )
-            slope = empirical_order(scheme)
-            if abs(slope - scheme.order_n) > CATALOG_ORDER_SLOPE_TOL:
+            if not ok:
                 raise ConsistencyError(
                     f"catalog entry {scheme.name!r} claims order {scheme.order_n} "
                     f"but fits slope {slope:.3f}"
@@ -461,7 +480,10 @@ def load_catalog(path=None, *, validate=True):
 
 
 def get_scheme(name, path=None):
-    catalog = load_catalog(path)
+    return _lookup(load_catalog(path), name)
+
+
+def _lookup(catalog, name):
     try:
         return catalog[name]
     except KeyError:

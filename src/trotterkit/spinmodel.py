@@ -5,10 +5,12 @@ H = J sum_bonds (sx sx + sy sy + Delta sz sz) over nearest-neighbour bonds
 three colors so the chain always presents a Lambda = 3 split; every color
 group consists of site-disjoint bonds.  The split records each color as
 its local terms (i, j, h_b), one shared 4x4 bond term, so the composer
-builds every step from cached 4x4 bond gates; the dense parts are the
-terms applied to the identity.  The chain is real in the computational
-basis, so the bond term, the parts and the total are float64, and the
-exact oracle diagonalizes H in real arithmetic.
+builds every step from cached 4x4 bond gates; the dense parts and H are
+the terms applied to the identity, built on first use, so a chain past the
+dense cap (L > 12) is split but refused at its first dense access.  The
+chain is real in the computational basis, so the bond term, the parts and
+the total are float64, and the exact oracle diagonalizes H in real
+arithmetic.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, StructuralError
-from .compose import OperatorSplit, _eig_expm, _narrowed, direction_prefactor
-from .tolerances import HERMITICITY_TOL
+from .compose import OperatorSplit, _eig_expm, _hermitian, direction_prefactor
 
 __all__ = [
     "XxzConfig",
@@ -72,7 +73,8 @@ def bond_coloring(cfg):
     bonds three apart never touch).  Periodic chains: index mod 3 when
     L % 3 == 0; an alternating 2-coloring (third color empty) for even L;
     for odd L with L % 3 == 1 the wrap bond is recolored to 1, which
-    restores a proper coloring.
+    restores a proper coloring (`OperatorSplit.from_terms` rejects a color
+    that reuses a site).
     """
     L = cfg.L
     if cfg.boundary == "open":
@@ -86,21 +88,7 @@ def bond_coloring(cfg):
         colors = [i % 3 for i in range(L)]
         if L % 3 == 1:
             colors[L - 1] = 1
-    out = [(i, j, c) for (i, j), c in zip(bonds, colors)]
-    _assert_proper(out, L)
-    return out
-
-
-def _assert_proper(colored, L):
-    for c in range(3):
-        sites = []
-        for i, j, cc in colored:
-            if cc == c:
-                if i in sites or j in sites:
-                    raise StructuralError(
-                        f"coloring defect: color {c} reuses a site at bond ({i},{j})"
-                    )
-                sites += [i, j]
+    return [(i, j, c) for (i, j), c in zip(bonds, colors)]
 
 
 def _bond_matrix(cfg):
@@ -122,12 +110,7 @@ def build_xxz(cfg):
 def exact_evolution(h_matrix, t, direction="forward"):
     """U = V diag(e^{pref * lambda * t}) V^dagger by full diagonalization,
     in real arithmetic when H has no nonzero imaginary part."""
-    h = _narrowed(h_matrix)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionError(f"H must be square, got shape {h.shape}")
-    dev = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
-    if dev > HERMITICITY_TOL:
-        raise StructuralError(f"H is not Hermitian (max deviation {dev:.3e})")
+    h = _hermitian(h_matrix, "H")
     pref = direction_prefactor(direction)
     w, v = np.linalg.eigh(h)
     return _eig_expm(w, v, pref * t)

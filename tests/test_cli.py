@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 
 import trotterkit
 from trotterkit import polyexp
-from trotterkit.cli import main
+from trotterkit.cli import _build_parser, main
 
 # In-process zero computations here share the polyexp memo with the rest of
 # the suite; stick to k values the cache-behaviour tests do not reserve.
@@ -124,6 +125,29 @@ def test_readme_example_shows_the_printed_line(capsys, command):
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
         assert f"\n$ trotterkit {command}\n{out}" in fh.read()
+
+
+def _readme_synopsis_lines():
+    """The synopsis words of each `trotterkit ...` line in the README's CLI
+    block (the text before the two-space gap to the description)."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    return [line.split("  ")[0].split() for line in block.splitlines()
+            if line.startswith("trotterkit ")]
+
+
+@pytest.mark.parametrize("words", _readme_synopsis_lines(), ids=" ".join)
+def test_readme_cli_block_options_exist(words):
+    parser = _build_parser()
+    for word in words[1:]:
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs or word not in subs[0].choices:
+            break
+        parser = subs[0].choices[word]
+    assert parser.prog != "trotterkit", words
+    options = [w.strip("[]") for w in words if w.strip("[]").startswith("--")]
+    assert [o for o in options if o not in parser._option_string_actions] == []
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,67 @@ def test_coupled_splits_have_one_sector():
     assert [s.tolist() for s in zero.sectors] == [[0], [1], [2]]
 
 
+# ---------------------------------------------------------------------------
+# dense views: built from the terms on first use
+
+
+def eager_dense(split):
+    """Reference dense parts and total, built eagerly term by term: each
+    part is its terms applied to the float identity in a zero matrix, then
+    narrowed; the total is the parts summed in order into a zero matrix."""
+    eye = np.eye(split.dim)
+    parts = []
+    for terms in split.terms:
+        part = np.zeros(eye.shape, np.result_type(eye, *(op for _, _, op in terms)))
+        for i, j, op in terms:
+            part += _apply_term(op, i, j, eye)
+        parts.append(_narrowed(part))
+    total = np.zeros(eye.shape, np.result_type(*parts))
+    for p in parts:
+        total += p
+    return parts, total
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("L, boundary, delta", SECTOR_CHAINS)
+def test_lazy_dense_views_equal_the_eager_build_bit_for_bit(L, boundary, delta):
+    cfg = XxzConfig(L=L, boundary=boundary, delta=delta)
+    want_parts, want_total = eager_dense(build_xxz(cfg))
+    total_first = build_xxz(cfg)
+    assert same_bits(total_first.total, want_total)
+    assert "parts" not in vars(total_first)  # built for the sum, not kept
+    parts_first = build_xxz(cfg)
+    for split in (total_first, parts_first):
+        parts = split.parts
+        assert split.parts is parts and len(parts) == len(want_parts) == 3
+        assert all(map(same_bits, parts, want_parts))
+        assert not any(p.flags.writeable for p in parts)
+        assert same_bits(split.total, want_total) and not split.total.flags.writeable
+
+
+def test_dense_split_parts_are_its_validated_copies(monkeypatch):
+    rng = np.random.default_rng(7)
+    real = rng.normal(size=(4, 4))
+    real = real + real.T
+    cplx = real + 1j * (np.triu(real, 1) - np.triu(real, 1).T)
+    split = OperatorSplit([real, cplx])
+    parts = split.parts
+    for part, m, ((_, _, op),) in zip(parts, (real, cplx), split.terms):
+        assert op is part and same_bits(part, _narrowed(m))
+        assert not part.flags.writeable and not np.shares_memory(part, m)
+
+    def rebuild(*args):
+        raise AssertionError("a dense split's part was rebuilt")
+
+    monkeypatch.setattr(compose_module, "_applied_sum", rebuild)
+    monkeypatch.setattr(compose_module, "_identity", rebuild)
+    assert np.array_equal(split.total, parts[0] + parts[1])
+    assert len(split.sectors) == 1 and split.parts is parts
+
+
 @pytest.mark.parametrize("L, boundary, delta", SECTOR_CHAINS)
 def test_catalog_steps_have_exactly_zero_off_sector_entries(L, boundary, delta):
     # A bond gate that keeps to the two-site magnetization makes the whole

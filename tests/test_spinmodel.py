@@ -1,11 +1,13 @@
 """XXZ chain construction, colorings, exact evolution, and error metric."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from trotterkit.errors import CapacityError, DimensionError, StructuralError
-from trotterkit.multistage import evolve, to_multistage
+from trotterkit.multistage import apply_multistage, evolve, to_multistage
 from trotterkit.schemes import get_scheme
 from trotterkit.spinmodel import (
     XxzConfig,
@@ -28,9 +30,41 @@ def test_config_validation():
         XxzConfig(L=2, boundary="periodic")  # wrap bond would duplicate (0,1)
     with pytest.raises(StructuralError):
         XxzConfig(L=4, boundary="moebius")
-    with pytest.raises(CapacityError):
-        build_xxz(XxzConfig(L=13))
     assert XxzConfig(L=4).dim == 16
+    # a chain past the dense cap is split; its first dense access is refused
+    for _, dense in dense_accesses(build_xxz(XxzConfig(L=13))):
+        with pytest.raises(CapacityError):
+            dense()
+
+
+def dense_accesses(split):
+    """Each access that needs a dense matrix of the split, by name."""
+    ms = to_multistage(get_scheme("strang"))
+    return [
+        ("parts", lambda: split.parts),
+        ("total", lambda: split.total),
+        ("sectors", lambda: split.sectors),
+        ("apply_multistage", lambda: apply_multistage(split, ms, 0.1)),
+        ("evolve", lambda: evolve(split, ms, 0.1, 2)),
+    ]
+
+
+@pytest.mark.parametrize("L", [13, 16])
+def test_chain_past_the_dense_cap_allocates_no_dense_matrix(L):
+    # 2^16 x 2^16 float64 would be 32 GiB: the split is its terms, and each
+    # dense access is refused before anything is allocated.
+    get_scheme("strang")  # load and validate the catalog outside the trace
+    tracemalloc.start()
+    try:
+        split = build_xxz(XxzConfig(L=L, boundary="periodic"))
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+        for name, dense in dense_accesses(split):
+            tracemalloc.reset_peak()
+            with pytest.raises(CapacityError):
+                dense()
+            assert tracemalloc.get_traced_memory()[1] < 2**20, name
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
