@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .compose import _eig_expm, power_step
+from .compose import _block_diagonal, _eig_expm, power_step
 from .errors import GridUnusableError, NotFoundError, StructuralError
 from .multistage import apply_multistage, to_multistage
 from .polyexp import SeriesSpec, eval_factorized, eval_summed, factorize, suggest_gamma
@@ -174,15 +174,12 @@ def _step_operator(method, split, gen_blocks, h, gamma, cache_dir):
         spec = SeriesSpec(
             "chebyshev", method.k, gamma_scale=gamma, axis="imaginary", h=h
         )
-    fact = factorize(spec, cache_dir=cache_dir) if method.mode == "prod" else None
-    step = np.zeros((split.dim, split.dim), dtype=complex)
-    for s, gen in zip(split.sectors, gen_blocks):
-        eye = np.eye(len(s), dtype=complex)
-        if fact is None:
-            step[np.ix_(s, s)] = eval_summed(gen, eye, spec)
-        else:
-            step[np.ix_(s, s)] = eval_factorized(gen, eye, fact)
-    return step
+    if method.mode == "prod":
+        fact = factorize(spec, cache_dir=cache_dir)
+        blocks = (eval_factorized(g, np.eye(len(g), dtype=complex), fact) for g in gen_blocks)
+    else:
+        blocks = (eval_summed(g, np.eye(len(g), dtype=complex), spec) for g in gen_blocks)
+    return _block_diagonal(split.sectors, blocks)
 
 
 def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
@@ -204,11 +201,12 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     """
     methods = [parse_method(d, catalog_path=catalog_path) for d in plan.methods]
     split = build_xxz(plan.model)
+    sectors = split.sectors  # builds and keeps the parts, which total then sums
     evals, evecs = np.linalg.eigh(split.total)
     gamma = None
     if any(m.kind == "chebyshev" for m in methods):
         gamma = suggest_gamma(split.total, eigvals=evals)
-    gen_blocks = [-1j * split.total[np.ix_(s, s)] for s in split.sectors]
+    gen_blocks = [-1j * split.total[np.ix_(s, s)] for s in sectors]
     oracles = {}
     records = []
     for method in methods:

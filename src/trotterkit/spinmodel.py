@@ -10,7 +10,8 @@ the terms applied to the identity, built on first use, so a chain past the
 dense cap (L > 12) is split but refused at its first dense access.  The
 chain is real in the computational basis, so the bond term, the parts and
 the total are float64, and the exact oracle diagonalizes H in real
-arithmetic.
+arithmetic, one magnetization sector at a time: H conserves the number of
+up spins, so its blocks are of size C(L, m).
 """
 
 from __future__ import annotations
@@ -20,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, StructuralError
-from .compose import OperatorSplit, _eig_expm, _hermitian, direction_prefactor
+from .compose import (
+    OperatorSplit,
+    _block_diagonal,
+    _components,
+    _eig_expm,
+    _hermitian,
+    direction_prefactor,
+)
 
 __all__ = [
     "XxzConfig",
@@ -108,12 +116,24 @@ def build_xxz(cfg):
 
 
 def exact_evolution(h_matrix, t, direction="forward"):
-    """U = V diag(e^{pref * lambda * t}) V^dagger by full diagonalization,
-    in real arithmetic when H has no nonzero imaginary part."""
+    """U = e^{pref * H * t} by exact diagonalization, one invariant block of
+    H at a time, in real arithmetic when H has no nonzero imaginary part.
+
+    The blocks are the connected components of H's exact nonzero pattern
+    (no tolerance): for the XXZ chain its magnetization sectors, of sizes
+    C(L, m), so the L = 10 chain costs sum n_s^3 = 38M multiply-adds to
+    diagonalize against 1,074M for the whole matrix.  Each block is
+    V diag(e^{pref * lambda * t}) V^dagger from its own eigh, written into a
+    zero complex matrix.  An H with one component (a dense or random
+    matrix) is diagonalized whole.  H must be finite and Hermitian.
+    """
     h = _hermitian(h_matrix, "H")
-    pref = direction_prefactor(direction)
-    w, v = np.linalg.eigh(h)
-    return _eig_expm(w, v, pref * t)
+    z = direction_prefactor(direction) * t
+    blocks = _components(h != 0)
+    if len(blocks) == 1:
+        return _eig_expm(*np.linalg.eigh(h), z)
+    exps = (_eig_expm(*np.linalg.eigh(h[np.ix_(s, s)]), z) for s in blocks)
+    return _block_diagonal(blocks, exps)
 
 
 def frobenius_error(u_approx, u_exact, *, t=0.0, method=""):

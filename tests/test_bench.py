@@ -23,7 +23,7 @@ from trotterkit.errors import (
     NotFoundError,
     StructuralError,
 )
-from trotterkit import bench, polyexp
+from trotterkit import bench, compose, polyexp
 from trotterkit.polyexp import SeriesSpec, factorize, suggest_gamma
 from trotterkit.schemes import load_catalog
 from trotterkit.spinmodel import XxzConfig, build_xxz, exact_evolution
@@ -201,10 +201,32 @@ def test_xxz_oracles_diagonalize_only_real_matrices(zeros_cache, monkeypatch):
     plan = BenchPlan(model=XxzConfig(L=5, boundary="periodic"), t_total=1.0,
                      methods=("exact", "strang", "taylor:12"), h_grid=(0.5,))
     run_benchmark(plan, cache_dir=zeros_cache)
-    exact_evolution(build_xxz(plan.model).total, 1.0)
-    exact_evolution(build_xxz(plan.model).total, 1.0, direction="imaginary")
-    # the total and the bond term in the sweep, the total in each oracle
-    assert len(dtypes) == 4 and set(dtypes) == {np.dtype(np.float64)}
+    split = build_xxz(plan.model)
+    exact_evolution(split.total, 1.0)
+    exact_evolution(split.total, 1.0, direction="imaginary")
+    # the total and the bond term in the sweep, each sector block of the
+    # total in each oracle
+    assert len(dtypes) == 2 + 2 * len(split.sectors)
+    assert set(dtypes) == {np.dtype(np.float64)}
+
+
+def test_run_builds_each_part_once(zeros_cache, monkeypatch):
+    # the parts are built for the sector pattern and kept, and the total
+    # sums those same parts, so no part is built a second time
+    plan = BenchPlan(model=XxzConfig(L=5, boundary="periodic"), t_total=1.0,
+                     methods=("exact", "strang", "taylor:12"), h_grid=(0.5,))
+    builds = []
+    applied_sum = compose._applied_sum
+
+    def counting(terms, x):
+        builds.append([(i, j) for i, j, _ in terms])
+        return applied_sum(terms, x)
+
+    monkeypatch.setattr(compose, "_applied_sum", counting)
+    run_benchmark(plan, cache_dir=zeros_cache)
+    parts = build_xxz(plan.model).terms
+    assert len(parts) == 3
+    assert builds == [[(i, j) for i, j, _ in terms] for terms in parts]
 
 
 def test_run_after_warm_zeros_solves_no_zeros(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """The composer's term-gate kernel, on local and on dense splits."""
 
+from functools import partial
 from math import comb
 
 import mpmath as mp
@@ -130,6 +131,26 @@ def test_from_terms_validates_terms():
     split = OperatorSplit.from_terms(3, [[(0, 1, bond)], [(2, 0, bond)], []])
     assert split.dim == 8 and split.n_parts == 3
     assert not split.parts[2].any()
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_parts_and_terms_are_refused(bad):
+    # on and off the diagonal, mirrored as a Hermitian entry would be: the
+    # deviation max|a - a^H| is then NaN, which no tolerance comparison fails
+    for where in ((0, 0), (0, 1)):
+        m = np.eye(4, dtype=complex)
+        m[where] = bad
+        m[where[::-1]] = np.conj(bad)
+        with pytest.raises(StructuralError, match="part 0 has a non-finite entry"):
+            OperatorSplit([m, np.eye(4)])
+        with pytest.raises(StructuralError, match="part 1 has a non-finite entry"):
+            OperatorSplit([np.eye(4), m])
+        with pytest.raises(StructuralError,
+                           match=r"term \(1, 2\) of part 1 has a non-finite entry"):
+            OperatorSplit.from_terms(3, [[(0, 1, np.eye(4))], [(1, 2, m)]])
 
 
 def test_dense_split_has_one_whole_space_term_per_part(monkeypatch):
@@ -278,6 +299,42 @@ def test_xxz_sectors_partition_the_basis_by_magnetization(L, boundary, delta):
     for m, s in enumerate(sectors):
         assert np.array_equal(s, np.flatnonzero(ups == m))
         assert not s.flags.writeable
+
+
+def components_by_search(pattern):
+    """Reference components: a breadth-first search from each unvisited
+    index in turn, edges taken both ways, each component sorted."""
+    edges = pattern | pattern.T
+    seen = np.zeros(len(pattern), dtype=bool)
+    out = []
+    for first in range(len(pattern)):
+        if seen[first]:
+            continue
+        seen[first] = True
+        found, frontier = [first], [first]
+        while frontier:
+            nxt = np.flatnonzero(edges[frontier].any(axis=0) & ~seen)
+            seen[nxt] = True
+            found += nxt.tolist()
+            frontier = nxt.tolist()
+        out.append(np.array(sorted(found)))
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    *(partial(build_xxz, XxzConfig(L=L, boundary=b, delta=d)) for L, b, d in SECTOR_CHAINS),
+    partial(random_split, 3, 6),
+    partial(random_split, 2, 17, seed=3),
+])
+def test_sectors_are_the_components_of_the_parts_pattern(make):
+    split = make()
+    pattern = np.zeros((split.dim, split.dim), dtype=bool)
+    for p in split.parts:
+        pattern |= p != 0
+    want = components_by_search(pattern)
+    got = split.sectors
+    assert len(got) == len(want)
+    assert all(same_bits(g, w) and not g.flags.writeable for g, w in zip(got, want))
 
 
 def test_coupled_splits_have_one_sector():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from trotterkit.compose import _eig_expm
 from trotterkit.errors import CapacityError, DimensionError, StructuralError
 from trotterkit.multistage import apply_multistage, evolve, to_multistage
 from trotterkit.schemes import get_scheme
@@ -229,6 +230,92 @@ def test_exact_evolution_imaginary_direction():
     h = np.diag([1.0, -2.0]).astype(complex)
     u = exact_evolution(h, 0.5, direction="imaginary")
     assert np.allclose(np.diag(u), np.exp(-0.5 * np.diag(h).real), rtol=1e-14)
+
+
+def full_eigh_oracle(h, z):
+    """The oracle as one eigh of the whole matrix."""
+    return _eig_expm(*np.linalg.eigh(h), z)
+
+
+def off_blocks(blocks, dim):
+    """Mask of the entries outside the diagonal blocks."""
+    label = np.empty(dim, dtype=int)
+    for n, s in enumerate(blocks):
+        label[s] = n
+    return label[:, None] != label[None, :]
+
+
+ORACLE_CHAINS = [
+    (L, b, d)
+    for L in range(2, 11)
+    for b in ("open", "periodic")
+    if b == "open" or L >= 3
+    for d in (0.0, 0.3, 1.0)
+]
+
+
+@pytest.mark.parametrize("L, boundary, delta", ORACLE_CHAINS)
+def test_sector_oracle_matches_full_diagonalization(L, boundary, delta):
+    # H conserves the magnetization, so the oracle works on the sectors;
+    # at delta = 0 the all-up and all-down rows of H are zero, singletons
+    split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=delta))
+    h = split.total
+    w, v = np.linalg.eigh(h)
+    off = off_blocks(split.sectors, split.dim)
+    for direction, z in (("forward", -0.9j), ("imaginary", -0.9)):
+        got = exact_evolution(h, 0.9, direction)
+        want = _eig_expm(w, v, z)
+        assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+        assert not got[off].any()
+
+
+def random_hermitian(rng, n):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return m + m.conj().T
+
+
+def test_permuted_block_oracle_matches_full_diagonalization():
+    rng = np.random.default_rng(14)
+    sizes = [3, 1, 5, 2, 4, 1]
+    dim = sum(sizes)
+    blocked = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for n in sizes:
+        blocked[start:start + n, start:start + n] = random_hermitian(rng, n)
+        start += n
+    perm = rng.permutation(dim)
+    h = blocked[np.ix_(perm, perm)]
+    # the components of h are the preimages of the blocks, not contiguous
+    place = np.argsort(perm)
+    blocks = np.split(place, np.cumsum(sizes)[:-1])
+    off = off_blocks(blocks, dim)
+    assert any(np.any(np.diff(np.sort(b)) > 1) for b in blocks)
+    for direction, z in (("forward", -0.7j), ("imaginary", -0.7)):
+        got = exact_evolution(h, 0.7, direction)
+        want = full_eigh_oracle(h, z)
+        assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+        assert not got[off].any()
+
+
+def test_one_component_oracle_is_one_full_eigh_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for h in (random_hermitian(rng, 12), random_hermitian(rng, 9).real):
+        for direction, z in (("forward", -1.3j), ("imaginary", -1.3)):
+            assert np.array_equal(exact_evolution(h, 1.3, direction), full_eigh_oracle(h, z))
+
+
+def test_diagonal_oracle_is_the_exponential_of_the_diagonal():
+    d = np.array([1.5, -2.0, 0.0, 0.25, 3.0])
+    for direction, z in (("forward", -0.4j), ("imaginary", -0.4)):
+        assert np.array_equal(exact_evolution(np.diag(d), 0.4, direction), np.diag(np.exp(z * d)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)])
+def test_exact_evolution_refuses_non_finite_entries(bad):
+    h = build_xxz(XxzConfig(L=3)).total.astype(complex)
+    h[2, 2] = bad
+    with pytest.raises(StructuralError, match="H has a non-finite entry"):
+        exact_evolution(h, 1.0)
 
 
 def test_frobenius_error_examples():
