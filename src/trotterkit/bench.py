@@ -193,20 +193,20 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     part of the data contract).
 
     Every step is block-diagonal over the chain's magnetization sectors
-    (`OperatorSplit.sectors`): the generator -iH and its sector blocks are
-    built once per call, a polynomial step is evaluated block by block, and
-    steps compose by powering each sector block (`compose.power_step`).
-    Each error still compares the assembled dense operator with the dense
-    oracle.
+    (`OperatorSplit.sectors`, the blocks of H's pattern): the generator's
+    sector blocks are built once per call, a polynomial step is evaluated
+    block by block, and steps compose by powering each sector block
+    (`compose.power_step`).  Each error compares the assembled operator
+    with the whole-matrix oracle, whose eigenvalues key the zero cache
+    through Gamma; sector eigenvalues can differ from them in the last bits.
     """
     methods = [parse_method(d, catalog_path=catalog_path) for d in plan.methods]
     split = build_xxz(plan.model)
-    sectors = split.sectors  # builds and keeps the parts, which total then sums
     evals, evecs = np.linalg.eigh(split.total)
     gamma = None
     if any(m.kind == "chebyshev" for m in methods):
         gamma = suggest_gamma(split.total, eigvals=evals)
-    gen_blocks = [-1j * split.total[np.ix_(s, s)] for s in sectors]
+    gen_blocks = [-1j * split.total[np.ix_(s, s)] for s in split.sectors]
     oracles = {}
     records = []
     for method in methods:

@@ -26,14 +26,14 @@ exactly zero is stored as float64 (and so is `total` when every part is),
 so `np.linalg.eigh` diagonalizes it in real arithmetic, and `_eig_expm`
 builds v diag(e^{z w}) v^T from a real v as one real GEMM.
 
-A split that leaves subspaces of basis states invariant keeps them as its
-`sectors`: the connected components of the parts' joint nonzero pattern,
-the magnetization sectors of the XXZ chain.  Every step of such a split is
-block-diagonal over them, and `power_step` powers a step one sector block
-at a time (at L = 8, sum n_s^3 = 0.74M multiply-adds per product against
-16.8M for the whole matrix).  One component search (`_components`) finds
-the sectors, and one scatter (`_block_diagonal`) writes blocks computed on
-them back into a dense matrix.
+A split keeps the invariant blocks of its H as its `sectors`: the
+connected components of the nonzero pattern of `total`, the same blocks
+the exact oracle (`spinmodel.exact_evolution`) diagonalizes, and for the
+XXZ chain its magnetization sectors.  `power_step` powers a step one
+sector block at a time (at L = 8, sum n_s^3 = 0.74M multiply-adds per
+product against 16.8M for the whole matrix).  One component search
+(`_components`) finds the blocks, and one scatter (`_block_diagonal`)
+writes blocks computed on them back into a dense matrix.
 """
 
 from __future__ import annotations
@@ -150,21 +150,17 @@ class OperatorSplit:
 
     @cached_property
     def sectors(self):
-        """The split's invariant sectors: sorted index arrays of the
-        connected components of the union of the parts' exact nonzero
-        patterns (no tolerance), ordered by their first index.
-
-        Every part maps the span of each sector's basis states into itself,
-        so every step, power and polynomial of the parts is block-diagonal
-        over the sectors; for the XXZ chain they are the magnetization
-        sectors, of sizes C(L, m).  A split whose parts couple everything
-        has one sector, the whole index range.  Computed on first use and
-        kept, like the term eigensystems.
+        """The invariant blocks of H: sorted index arrays of the connected
+        components of `total`'s exact nonzero pattern (no tolerance),
+        ordered by their first index, the blocks `exact_evolution`
+        diagonalizes.  For the XXZ chain they are the magnetization
+        sectors, of sizes C(L, m), and every step is block-diagonal over
+        them; parts that cancel an entry of H can couple sectors that H
+        does not.  An H that couples everything has one sector, the whole
+        index range.  Built from `total` alone, so no dense part is kept;
+        computed on first use and kept.
         """
-        pattern = self.parts[0] != 0
-        for p in self.parts[1:]:
-            pattern |= p != 0
-        return _components(pattern)
+        return _components(self.total != 0)
 
     def term_gate(self, op, z):
         """e^{z op} for one of the split's terms, from its cached eigh."""
@@ -231,10 +227,17 @@ def _hermitian(a, what):
 def _components(pattern):
     """The connected components of a square boolean pattern, its entries
     taken as edges both ways: sorted, read-only index arrays ordered by
-    their first index.  An index with no edge is a component of its own."""
+    their first index.  An index with no edge is a component of its own,
+    and a pattern with an index joined to every other one is one component,
+    found without listing its edges."""
+    n = len(pattern)
+    if (np.count_nonzero(pattern, axis=1) - pattern.diagonal() == n - 1).any():
+        whole = np.arange(n)
+        whole.setflags(write=False)
+        return (whole,)
     rows, cols = np.nonzero(pattern)
     a, b = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    label = np.arange(len(pattern))
+    label = np.arange(n)
     while True:
         # each index takes its smallest neighbour's label, then the label
         # of its label; at the fixed point every component carries its
@@ -335,16 +338,16 @@ def power_step(split, step, steps):
 
     A step with no nonzero entry outside the diagonal blocks of the split's
     sectors has each block powered on its own, and the results written
-    into a zero matrix.  A one-sector split, or a step with any off-sector
-    entry, is powered whole by `np.linalg.matrix_power`.
+    into a zero matrix.  A step with an off-sector entry is powered whole by
+    `np.linalg.matrix_power`: the sectors follow H's pattern, so a split
+    whose parts cancel an entry of H can have sectors finer than its steps.
     """
     sectors = split.sectors
-    if len(sectors) > 1:
-        blocks = [step[np.ix_(s, s)] for s in sectors]
-        if sum(map(np.count_nonzero, blocks)) == np.count_nonzero(step):
-            powers = (np.linalg.matrix_power(b, steps) for b in blocks)
-            return _block_diagonal(sectors, powers, step.dtype)
-    return np.linalg.matrix_power(step, steps)
+    blocks = [step[np.ix_(s, s)] for s in sectors]
+    if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(step):
+        return np.linalg.matrix_power(step, steps)
+    powers = (np.linalg.matrix_power(b, steps) for b in blocks)
+    return _block_diagonal(sectors, powers, step.dtype)
 
 
 def evolve_sequence(split, sequence, h, steps, direction="forward",

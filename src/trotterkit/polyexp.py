@@ -840,11 +840,7 @@ def _check_zero_clearance(fact):
             return
         for z in fact.zeros:
             along, across = (z.imag, z.real) if spec.axis == "imaginary" else (z.real, z.imag)
-            if lo <= along <= gh:
-                d = abs(across)
-            else:
-                d = math.hypot(across, min(abs(along - lo), abs(along - gh)))
-            if d == 0.0:
+            if across == 0.0 and lo <= along <= gh:
                 raise StructuralError(f"zero at {z!r} lies on the approximation segment")
 
 

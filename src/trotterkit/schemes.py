@@ -23,19 +23,14 @@ from importlib import resources
 
 import numpy as np
 
-from .compose import (
-    OperatorSplit,
-    _eig_expm,
-    direction_prefactor,
-    evolve_sequence,
-    merge_factors,
-)
+from .compose import OperatorSplit, evolve_sequence, merge_factors
 from .errors import (
     ConsistencyError,
     GridUnusableError,
     NotFoundError,
     StructuralError,
 )
+from .spinmodel import exact_evolution
 from .tolerances import (
     CATALOG_ORDER_SLOPE_TOL,
     CONSISTENCY_TOL,
@@ -358,15 +353,14 @@ def fit_loglog_slope(h_values, errors, plateau=PLATEAU_ERROR):
 def _fit_order(split, sequence, h_grid=None, t_total=1.0, direction="forward",
                alternate_reversal=False):
     """Log-log slope of the Frobenius distance between `sequence` composed
-    over t/h steps and the exact exponential of the summed operator."""
+    over t/h steps and the exact oracle of the summed operator
+    (`spinmodel.exact_evolution`)."""
     if h_grid is None:
         h_grid = [2.0 ** (-j) for j in range(2, 7)]
-    pref = direction_prefactor(direction)
-    w, v = np.linalg.eigh(split.total)
     errors = []
     for h in h_grid:
         steps = max(1, round(t_total / h))
-        u_exact = _eig_expm(w, v, pref * steps * h)
+        u_exact = exact_evolution(split.total, steps * h, direction)
         u = evolve_sequence(split, sequence, h, steps, direction, alternate_reversal)
         errors.append(float(np.linalg.norm(u - u_exact)))
     return fit_loglog_slope(h_grid, errors)

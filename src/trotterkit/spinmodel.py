@@ -124,14 +124,12 @@ def exact_evolution(h_matrix, t, direction="forward"):
     C(L, m), so the L = 10 chain costs sum n_s^3 = 38M multiply-adds to
     diagonalize against 1,074M for the whole matrix.  Each block is
     V diag(e^{pref * lambda * t}) V^dagger from its own eigh, written into a
-    zero complex matrix.  An H with one component (a dense or random
-    matrix) is diagonalized whole.  H must be finite and Hermitian.
+    zero complex matrix.  For a split these blocks are `split.sectors`.
+    H must be finite and Hermitian.
     """
     h = _hermitian(h_matrix, "H")
     z = direction_prefactor(direction) * t
     blocks = _components(h != 0)
-    if len(blocks) == 1:
-        return _eig_expm(*np.linalg.eigh(h), z)
     exps = (_eig_expm(*np.linalg.eigh(h[np.ix_(s, s)]), z) for s in blocks)
     return _block_diagonal(blocks, exps)
 

@@ -211,8 +211,8 @@ def test_xxz_oracles_diagonalize_only_real_matrices(zeros_cache, monkeypatch):
 
 
 def test_run_builds_each_part_once(zeros_cache, monkeypatch):
-    # the parts are built for the sector pattern and kept, and the total
-    # sums those same parts, so no part is built a second time
+    # each part is built once for the total, and the sectors read the
+    # total's pattern, so no part is built a second time
     plan = BenchPlan(model=XxzConfig(L=5, boundary="periodic"), t_total=1.0,
                      methods=("exact", "strang", "taylor:12"), h_grid=(0.5,))
     builds = []

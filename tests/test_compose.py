@@ -1,5 +1,6 @@
 """The composer's term-gate kernel, on local and on dense splits."""
 
+import tracemalloc
 from functools import partial
 from math import comb
 
@@ -7,11 +8,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from trotterkit import compose as compose_module
+from trotterkit import compose as compose_module, spinmodel
 from trotterkit.compose import (
     OperatorSplit,
     _apply_gates,
     _apply_term,
+    _components,
     _eig_expm,
     _narrowed,
     compose,
@@ -20,9 +22,9 @@ from trotterkit.compose import (
     power_step,
 )
 from trotterkit.errors import DimensionError, StructuralError
-from trotterkit.multistage import apply_two_stage, random_split, to_multistage
+from trotterkit.multistage import apply_two_stage, evolve, random_split, to_multistage
 from trotterkit.schemes import get_scheme, load_catalog
-from trotterkit.spinmodel import XxzConfig, build_xxz
+from trotterkit.spinmodel import XxzConfig, build_xxz, exact_evolution
 
 CHAINS = [(L, b) for L in range(3, 9) for b in ("open", "periodic")]
 
@@ -299,6 +301,7 @@ def test_xxz_sectors_partition_the_basis_by_magnetization(L, boundary, delta):
     for m, s in enumerate(sectors):
         assert np.array_equal(s, np.flatnonzero(ups == m))
         assert not s.flags.writeable
+    assert "parts" not in vars(split)  # sectors read the total alone
 
 
 def components_by_search(pattern):
@@ -321,11 +324,14 @@ def components_by_search(pattern):
     return out
 
 
-@pytest.mark.parametrize("make", [
+SECTOR_SPLITS = [
     *(partial(build_xxz, XxzConfig(L=L, boundary=b, delta=d)) for L, b, d in SECTOR_CHAINS),
     partial(random_split, 3, 6),
     partial(random_split, 2, 17, seed=3),
-])
+]
+
+
+@pytest.mark.parametrize("make", SECTOR_SPLITS)
 def test_sectors_are_the_components_of_the_parts_pattern(make):
     split = make()
     pattern = np.zeros((split.dim, split.dim), dtype=bool)
@@ -335,6 +341,52 @@ def test_sectors_are_the_components_of_the_parts_pattern(make):
     got = split.sectors
     assert len(got) == len(want)
     assert all(same_bits(g, w) and not g.flags.writeable for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("make", SECTOR_SPLITS)
+def test_sectors_are_the_oracle_blocks_of_the_total(monkeypatch, make):
+    split = make()
+    seen = []
+    scatter = spinmodel._block_diagonal
+
+    def recording(blocks, exps, *args):
+        seen.append(blocks)
+        return scatter(blocks, exps, *args)
+
+    monkeypatch.setattr(spinmodel, "_block_diagonal", recording)
+    exact_evolution(split.total, 0.5)
+    (blocks,) = seen
+    assert len(blocks) == len(split.sectors)
+    assert all(map(same_bits, blocks, split.sectors))
+
+
+@pytest.mark.parametrize("pattern", [
+    np.ones((5, 5), dtype=bool),
+    np.eye(1, dtype=bool),
+    np.zeros((1, 1), dtype=bool),
+    np.add.outer(np.arange(6) == 3, np.arange(6) == 3),  # a star on index 3
+    np.tril(np.ones((6, 6), dtype=bool)),  # index 5 joins all, one way
+    np.ones((6, 6), dtype=bool) & ~np.eye(6, k=1, dtype=bool),  # no full row
+    np.pad(np.ones((3, 3), dtype=bool), (0, 1)),  # n - 1 entries, one the diagonal
+])
+def test_components_of_patterns_with_a_full_row(pattern):
+    want = components_by_search(pattern)
+    got = _components(pattern)
+    assert len(got) == len(want)
+    assert all(same_bits(g, w) and not g.flags.writeable for g, w in zip(got, want))
+
+
+def test_dense_pattern_is_one_component_without_its_edges():
+    # the edge list of a full 1024 x 1024 pattern would take 32 MiB
+    pattern = np.ones((1024, 1024), dtype=bool)
+    tracemalloc.start()
+    try:
+        (whole,) = _components(pattern)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(whole, np.arange(1024)) and not whole.flags.writeable
+    assert peak < 2**20
 
 
 def test_coupled_splits_have_one_sector():
@@ -482,6 +534,32 @@ def test_step_with_an_off_sector_entry_is_powered_whole(monkeypatch):
     shapes = record_powers(monkeypatch)
     assert np.array_equal(power_step(split, step, 5), want)
     assert shapes == [(64, 64)]
+
+
+def cancelling_splits():
+    """Splits whose parts cancel H's off-diagonal entries: H is diagonal,
+    so every sector is one index, while each step couples them."""
+    x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    flip = np.kron(x, np.eye(2)) + 0.5 * np.kron(z, z)
+    terms = OperatorSplit.from_terms(3, [[(0, 1, flip)], [(0, 1, -np.kron(x, np.eye(2)))]])
+    rng = np.random.default_rng(11)
+    c = rng.normal(size=(6, 6))
+    c += c.T
+    d = np.diag(rng.normal(size=6))
+    return [terms, OperatorSplit((d + c - np.diag(np.diag(c)), -c + np.diag(np.diag(c))))]
+
+
+@pytest.mark.parametrize("split", cancelling_splits())
+def test_cancelling_split_is_powered_whole_bit_for_bit(monkeypatch, split):
+    assert len(split.sectors) == split.dim
+    ms = to_multistage(get_scheme("suzuki4"))
+    step = compose(split, ms.factor_sequence(split.n_parts), 0.1)
+    assert np.count_nonzero(step - np.diag(np.diag(step)))
+    want = np.linalg.matrix_power(step, 7)
+    shapes = record_powers(monkeypatch)
+    assert np.array_equal(power_step(split, step, 7), want)
+    assert np.array_equal(evolve(split, ms, 0.1, 7), want)
+    assert shapes == [step.shape, step.shape]
 
 
 def test_evolve_powers_sector_blocks(monkeypatch):

@@ -646,6 +646,32 @@ def test_chebyshev_k1_zero_matches_coefficients(zeros_cache):
     assert fact.zeros[0] == pytest.approx(-mu[0] / mu[1] * (1j * 2.0), rel=1e-13)
 
 
+def hand_built(axis, zero):
+    """A k = 20 Chebyshev factorization on the segment Gamma h = 2 whose one
+    zero is given; on the real axis the truncation tail leaves the whole
+    segment [-2, 2] checked."""
+    spec = SeriesSpec("chebyshev", 20, gamma_scale=2.0, axis=axis, h=1.0)
+    return polyexp.FactorizedPolynomial(spec, (zero,), (), (), 1.0)
+
+
+@pytest.mark.parametrize("axis, zero", [
+    ("real", -1.5 + 0j), ("real", 0.5 + 0j), ("real", 2.0 + 0j), ("imaginary", 1.5j),
+])
+def test_zero_on_the_segment_is_refused(axis, zero):
+    with pytest.raises(StructuralError, match="approximation segment"):
+        polyexp._check_zero_clearance(hand_built(axis, zero))
+
+
+@pytest.mark.parametrize("axis, zero", [
+    ("real", 0.5 + 1e-12j),  # just off the axis
+    ("real", 2.5 + 0j),  # on the axis past Gamma h
+    ("real", -2.0 - 5e-324j),  # the least step off the axis at the segment's end
+    ("imaginary", 1.5 + 0j),
+])
+def test_zero_off_the_segment_passes(axis, zero):
+    polyexp._check_zero_clearance(hand_built(axis, zero))
+
+
 def test_r_valid_formula(zeros_cache):
     fact = factorize(SeriesSpec("taylor", 52), cache_dir=zeros_cache)
     expect = (1e-13 * math.exp(math.lgamma(54))) ** (1.0 / 53.0)
