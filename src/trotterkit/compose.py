@@ -227,17 +227,10 @@ def _hermitian(a, what):
 def _components(pattern):
     """The connected components of a square boolean pattern, its entries
     taken as edges both ways: sorted, read-only index arrays ordered by
-    their first index.  An index with no edge is a component of its own,
-    and a pattern with an index joined to every other one is one component,
-    found without listing its edges."""
-    n = len(pattern)
-    if (np.count_nonzero(pattern, axis=1) - pattern.diagonal() == n - 1).any():
-        whole = np.arange(n)
-        whole.setflags(write=False)
-        return (whole,)
+    their first index.  An index with no edge is a component of its own."""
     rows, cols = np.nonzero(pattern)
     a, b = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    label = np.arange(n)
+    label = np.arange(len(pattern))
     while True:
         # each index takes its smallest neighbour's label, then the label
         # of its label; at the fixed point every component carries its

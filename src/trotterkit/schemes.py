@@ -354,15 +354,18 @@ def _fit_order(split, sequence, h_grid=None, t_total=1.0, direction="forward",
                alternate_reversal=False):
     """Log-log slope of the Frobenius distance between `sequence` composed
     over t/h steps and the exact oracle of the summed operator
-    (`spinmodel.exact_evolution`)."""
+    (`spinmodel.exact_evolution`), computed once per distinct steps * h."""
     if h_grid is None:
         h_grid = [2.0 ** (-j) for j in range(2, 7)]
+    oracles = {}
     errors = []
     for h in h_grid:
         steps = max(1, round(t_total / h))
-        u_exact = exact_evolution(split.total, steps * h, direction)
+        t_eff = steps * h
+        if t_eff not in oracles:
+            oracles[t_eff] = exact_evolution(split.total, t_eff, direction)
         u = evolve_sequence(split, sequence, h, steps, direction, alternate_reversal)
-        errors.append(float(np.linalg.norm(u - u_exact)))
+        errors.append(float(np.linalg.norm(u - oracles[t_eff])))
     return fit_loglog_slope(h_grid, errors)
 
 

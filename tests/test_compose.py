@@ -1,6 +1,5 @@
 """The composer's term-gate kernel, on local and on dense splits."""
 
-import tracemalloc
 from functools import partial
 from math import comb
 
@@ -374,19 +373,6 @@ def test_components_of_patterns_with_a_full_row(pattern):
     got = _components(pattern)
     assert len(got) == len(want)
     assert all(same_bits(g, w) and not g.flags.writeable for g, w in zip(got, want))
-
-
-def test_dense_pattern_is_one_component_without_its_edges():
-    # the edge list of a full 1024 x 1024 pattern would take 32 MiB
-    pattern = np.ones((1024, 1024), dtype=bool)
-    tracemalloc.start()
-    try:
-        (whole,) = _components(pattern)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(whole, np.arange(1024)) and not whole.flags.writeable
-    assert peak < 2**20
 
 
 def test_coupled_splits_have_one_sector():

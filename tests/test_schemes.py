@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, strategies as st
 
+from trotterkit import schemes
 from trotterkit.errors import GridUnusableError, NotFoundError, StructuralError
 from trotterkit.schemes import (
     _BASIS_GRADES,
@@ -264,6 +265,23 @@ def test_fit_loglog_slope_needs_three_points():
 def test_empirical_orders_of_catalog_entries():
     assert empirical_order(get_scheme("strang")) == pytest.approx(2.0, abs=0.2)
     assert empirical_order(get_scheme("blanes-moan4")) == pytest.approx(4.0, abs=0.3)
+
+
+def test_order_fit_runs_the_oracle_once_per_time(monkeypatch):
+    times = []
+    oracle = schemes.exact_evolution
+
+    def recording(h_matrix, t, direction="forward"):
+        times.append(t)
+        return oracle(h_matrix, t, direction)
+
+    monkeypatch.setattr(schemes, "exact_evolution", recording)
+    empirical_order(get_scheme("strang"))  # h = 2^-j: steps * h = 1 every time
+    assert times == [1.0]
+    times.clear()
+    grid = [0.3, 0.2, 0.15, 0.1]  # steps * h: 0.3 * 3, 1, 0.15 * 7, 1
+    empirical_order(get_scheme("strang"), h_grid=grid)
+    assert times == [0.3 * 3, 1.0, 0.15 * 7]
 
 
 def test_inconsistent_scheme_has_no_order():
