@@ -1,0 +1,58 @@
+#!/usr/bin/env bash
+# Run one fixed list of trotterkit commands from the source tree TREE and
+# write what each prints (stdout, stderr, exit status and any output file)
+# under OUTDIR, one set of files per command.  Two trees print the same
+# bytes when `diff -r` of their OUTDIRs is empty:
+#
+#   scripts/cli_outputs.sh . /tmp/out-head
+#   scripts/cli_outputs.sh ../base /tmp/out-base
+#   diff -r /tmp/out-base /tmp/out-head
+#
+# Every run has its own empty HOME and empty zero cache, so every zero is
+# solved cold; BLAS runs on one thread.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 TREE OUTDIR" >&2
+    exit 2
+fi
+tree=$(cd "$1" && pwd)
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/home"
+export HOME="$work/home" TROTTERKIT_ZEROS_DIR="$work/zeros" PYTHONPATH="$tree/src"
+export OMP_NUM_THREADS=1
+
+# run NAME ARGS...: `trotterkit ARGS...` into NAME.out, NAME.err, NAME.status
+run() {
+    local name=$1 status=0
+    shift
+    (cd "$work" && python3 -m trotterkit.cli "$@") \
+        >"$out/$name.out" 2>"$out/$name.err" || status=$?
+    echo "$status" >"$out/$name.status"
+}
+
+run bench bench --out "$out/bench.csv" --plot-data "$out/bench.plot"
+run adapt-forest-ruth adapt forest-ruth
+run adapt-blanes-moan4 adapt blanes-moan4
+run adapt-check-blanes-moan4 adapt blanes-moan4 --check
+run adapt-check-strang-4 adapt strang --check --lambda 4
+run schemes-list schemes list
+run schemes-validate-suzuki4 schemes validate suzuki4
+run schemes-validate-catalog schemes validate "$tree/src/trotterkit/data/schemes.json"
+run schemes-efficiency-blanes-moan4 schemes efficiency blanes-moan4
+run schemes-efficiency-strang schemes efficiency strang
+for k in 1 5 20 21 52; do
+    run "zeros-taylor-$k" zeros --family taylor --k "$k"
+done
+run zeros-chebyshev-20-10-imaginary zeros --family chebyshev --k 20 --gamma-h 10 --axis imaginary
+run zeros-chebyshev-16-2.5-real zeros --family chebyshev --k 16 --gamma-h 2.5 --axis real
+run expm-taylor-prod expm --method taylor --k 52 --scalar=-10j
+run expm-taylor-sum expm --method taylor --k 52 --scalar=-10j --sum
+run expm-chebyshev-prod expm --method chebyshev --k 40 --gamma-h 20 --axis imaginary --scalar=-15j
+run expm-chebyshev-sum expm --method chebyshev --k 40 --gamma-h 20 --axis imaginary --scalar=-15j --sum
+run model-xxz model xxz
+run model-xxz-periodic model xxz --L 6 --delta 0.3 --bc periodic
+run probe-stability probe-stability

@@ -15,9 +15,9 @@ asymptotic (Taylor) or colleague-matrix (Chebyshev) guesses, one zero of
 each conjugate pair is solved by Newton in fixed-point integer arithmetic
 and the other mirrored exactly.  Each zero is checked against a per-root
 residual contract, and disjoint inclusion disks certify that all k were
-found.  The zeros are cached on disk with their provenance, and rounded to
-doubles for evaluation.  The Chebyshev coefficients are Bessel values from
-mpmath J/I seeds plus downward recurrence.
+found.  The zeros are cached on disk with their provenance, certified again
+when loaded, and rounded to doubles for evaluation.  The Chebyshev
+coefficients are Bessel values from mpmath J/I seeds plus downward recurrence.
 """
 
 from __future__ import annotations
@@ -82,11 +82,15 @@ class SeriesSpec:
     def __post_init__(self):
         if self.family not in ("taylor", "chebyshev"):
             raise StructuralError(f"family must be 'taylor' or 'chebyshev', got {self.family!r}")
-        if self.k < 1:
-            raise StructuralError(f"k must be >= 1, got {self.k}")
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
+            raise StructuralError(f"k must be an integer >= 1, got {self.k!r}")
+        if not math.isfinite(self.h):
+            raise StructuralError(f"h must be finite, got {self.h!r}")
         if self.family == "chebyshev":
             if self.gamma_scale is None or not self.gamma_scale > 0:
                 raise StructuralError("chebyshev spec needs gamma_scale > 0")
+            if not 0 < self.gamma_h < math.inf:
+                raise StructuralError(f"Gamma*h must be finite and > 0, got {self.gamma_h!r}")
             if self.axis not in ("real", "imaginary"):
                 raise StructuralError(
                     f"axis must be 'real' or 'imaginary', got {self.axis!r}"
@@ -266,11 +270,6 @@ def _szego_guesses(k):
     Solves k(ln w + 1 - w) - ln(sqrt(2 pi k)(1-w)/w) = 2 pi i m by Newton
     continuation from the leftmost crossing; odd k adds the real root.
     """
-    if k <= 20:
-        # monomial companion roots are reliable at small k and dodge the
-        # asymptotic formula's weak regime
-        coeffs = [1.0 / math.factorial(i) for i in range(k, -1, -1)]
-        return [complex(z) for z in np.roots(coeffs)]
     r0 = 0.2784645427610738  # -W(1/e): curve crossing of the negative real axis
     out = []
     w = complex(-r0, 0.3 / max(k, 2))
@@ -347,11 +346,16 @@ def _newton_fixed(p_and_dp, w, bits, stop):
     return w, False
 
 
+def _rounding(zs):
+    """The rounding allowance 2^-50 |z| of each double root z in zs."""
+    return 2.0**-50 * np.abs(np.asarray(zs, dtype=complex))
+
+
 def _disks_disjoint(zs, radius):
     """True when the disks of the given radius around the double roots zs,
     widened by their rounding, are pairwise disjoint."""
     z = np.asarray(zs, dtype=complex)
-    rad = radius + 2.0**-50 * np.abs(z)
+    rad = radius + _rounding(z)
     gap = np.abs(z[:, None] - z[None, :]) - (rad[:, None] + rad[None, :])
     np.fill_diagonal(gap, np.inf)
     return bool(np.all(gap > 0))
@@ -419,25 +423,6 @@ def _refined_guesses(fixed_p_and_dp, guesses, bits):
     return list(ws)
 
 
-def _solve_certified(k, guesses, scale, bits, fixed_p_and_dp, residual):
-    """Certified Newton from the working-plane guesses, and again from
-    refined guesses if that fails; returns as _newton_certified."""
-    out = _newton_certified(k, guesses, scale, bits, fixed_p_and_dp, residual)
-    if not out[2]:
-        guesses = _refined_guesses(fixed_p_and_dp, guesses, bits)
-        out = _newton_certified(k, guesses, scale, bits, fixed_p_and_dp, residual)
-    return out
-
-
-def _solve_failed(what, tol, worst):
-    """The error of a solve that failed its contract or its certificate."""
-    reason = "residual above contract" if worst >= tol else "root disks not disjoint"
-    return ConvergenceError(
-        f"{what}: {reason}: residual {float(worst):.3e}, contract {tol:.3e}",
-        worst_residual=float(worst),
-    )
-
-
 def _fixed_horner(c, w, bits):
     """Sum c_i w^i and its derivative in one fixed-point Horner pass; the
     complex products are inlined."""
@@ -449,40 +434,26 @@ def _fixed_horner(c, w, bits):
     return (pr, pi), (dr, di)
 
 
-def _taylor_zeros_mp(k):
-    """All k zeros of the Taylor partial sum, meeting the residual contract,
-    with their worst residual.
+def _taylor_setup(spec, dps):
+    """The Taylor solve at dps digits (inside mp.workdps(dps)): guesses,
+    scale, fraction bits, fixed-point p and p', and mpmath residual, as
+    _newton_certified takes them.  Newton runs in u = z/k, where the
+    coefficients k^i/i! are all >= 1 and every zero has |u| <= 1."""
+    k = spec.k
+    bits = _fraction_bits(dps)
+    c = [(k**i << bits) // math.factorial(i) for i in range(k + 1)]
+    fac = [1 / mp.factorial(i) for i in range(k + 1)]
 
-    Newton runs in u = z/k, where the coefficients k^i/i! are all >= 1 and
-    every zero has |u| <= 1.
-    """
-    tol = ZERO_RESIDUAL_PER_K * k
-    base_dps = 41 + int(0.25 * k)
+    def residual(w):
+        # Horner in z; p' = p - z^k/k!
+        z = k * w
+        p = mp.mpc(fac[k])
+        for i in range(k - 1, -1, -1):
+            p = p * z + fac[i]
+        return abs(p / (p - z**k * fac[k]))
+
     guesses = [z / k for z in _szego_guesses(k)]
-    for boost in (1.0, 1.5):
-        dps = int(base_dps * boost)
-        bits = _fraction_bits(dps)
-        c = [(k**i << bits) // math.factorial(i) for i in range(k + 1)]
-        with mp.workdps(dps):
-            fac = [1 / mp.factorial(i) for i in range(k + 1)]
-            inv_kfac = fac[k]
-
-            def p_and_dp(z):
-                s = mp.mpc(fac[k])
-                for i in range(k - 1, -1, -1):
-                    s = s * z + fac[i]
-                return s, s - z**k * inv_kfac
-
-            def residual(w):
-                p, dp = p_and_dp(k * w)
-                return abs(p / dp)
-
-            zs, worst, certified = _solve_certified(
-                k, guesses, k, bits, lambda w: _fixed_horner(c, w, bits), residual
-            )
-            if certified:
-                return zs, float(worst)
-    raise _solve_failed(f"taylor zeros k={k}", tol, worst)
+    return guesses, k, bits, lambda w: _fixed_horner(c, w, bits), residual
 
 
 def _clenshaw(coeffs, x):
@@ -565,46 +536,71 @@ def _real_axis_guard_digits(gh):
     return int(0.44 * gh) + 10
 
 
-def _chebyshev_zeros_mp(spec):
-    """All k zeros (z-plane) of the Chebyshev truncation for spec, with their
-    worst residual.
+def _chebyshev_setup(spec, dps):
+    """The Chebyshev solve at dps digits, as _taylor_setup.  Newton runs in
+    w = z / (Gamma*h): w = x on the real axis and w = i x on the imaginary
+    one, where conj(p(-conj(x))) = p(x) because the phase i^i of mu is
+    exact.  Either way the roots are symmetric about Im w = 0."""
+    k, gh = spec.k, spec.gamma_h
+    imaginary = spec.axis == "imaginary"
+    mu = _chebyshev_mu(spec, dps)
+    dmu = _cheb_deriv_coeffs(mu)
+    xs = _cheb_guesses([complex(m) for m in mu], k)
+    bits = _fraction_bits(dps) + _clenshaw_guard_bits(mu, xs)
+    fixed_mu = [(_fixed(m.real, bits), _fixed(m.imag, bits)) for m in mu]
 
-    Newton runs in w = z / (Gamma*h): w = x on the real axis and w = i x on
-    the imaginary one, where conj(p(-conj(x))) = p(x) because the phase i^i
-    of mu is exact.  Either way the roots are symmetric about Im w = 0.
-    """
-    k, gh, axis = spec.k, spec.gamma_h, spec.axis
-    imaginary = axis == "imaginary"
-    tol = ZERO_RESIDUAL_PER_K * k
-    base_dps = 65 + int(0.25 * k)
-    if axis == "real":
-        base_dps += _real_axis_guard_digits(gh)
+    def fixed_p_and_dp(w):
+        if not imaginary:
+            return _fixed_clenshaw(fixed_mu, w, bits)
+        # x = -i w and dp/dw = -i dp/dx
+        p, dp = _fixed_clenshaw(fixed_mu, (w[1], -w[0]), bits)
+        return p, (dp[1], -dp[0])
+
+    def residual(w):
+        x = mp.mpc(w.imag, -w.real) if imaginary else w
+        # |dz/dx| = Gamma*h
+        return abs(_clenshaw(mu, x) / _clenshaw(dmu, x)) * gh
+
+    guesses = [1j * x if imaginary else x for x in xs]
+    return guesses, gh, bits, fixed_p_and_dp, residual
+
+
+_SETUPS = {"taylor": _taylor_setup, "chebyshev": _chebyshev_setup}
+
+
+def _working_dps(spec):
+    """Base digits of a zero solve: 41 + k/4 for Taylor; 65 + k/4 for
+    Chebyshev, plus the cancellation guard on the real axis."""
+    if spec.family == "taylor":
+        return 41 + int(0.25 * spec.k)
+    guard = _real_axis_guard_digits(spec.gamma_h) if spec.axis == "real" else 0
+    return 65 + int(0.25 * spec.k) + guard
+
+
+def _zeros_mp(spec):
+    """All k zeros (z-plane) of the truncation for spec, meeting the residual
+    contract, with their worst residual: certified Newton from the family's
+    guesses, then from refined guesses, at the working precision and then
+    at 1.5 times it."""
+    k = spec.k
     for boost in (1.0, 1.5):
-        dps = int(base_dps * boost)
+        dps = int(_working_dps(spec) * boost)
         with mp.workdps(dps):
-            mu = _chebyshev_mu(spec, dps)
-            dmu = _cheb_deriv_coeffs(mu)
-            xs = _cheb_guesses([complex(m) for m in mu], k)
-            bits = _fraction_bits(dps) + _clenshaw_guard_bits(mu, xs)
-            fixed_mu = [(_fixed(m.real, bits), _fixed(m.imag, bits)) for m in mu]
-
-            def fixed_p_and_dp(w):
-                if not imaginary:
-                    return _fixed_clenshaw(fixed_mu, w, bits)
-                # x = -i w and dp/dw = -i dp/dx
-                p, dp = _fixed_clenshaw(fixed_mu, (w[1], -w[0]), bits)
-                return p, (dp[1], -dp[0])
-
-            def residual(w):
-                x = mp.mpc(w.imag, -w.real) if imaginary else w
-                # |dz/dx| = Gamma*h
-                return abs(_clenshaw(mu, x) / _clenshaw(dmu, x)) * gh
-
-            guesses = [1j * x if imaginary else x for x in xs]
-            zs, worst, certified = _solve_certified(k, guesses, gh, bits, fixed_p_and_dp, residual)
-            if certified:
-                return zs, float(worst)
-    raise _solve_failed(f"chebyshev zeros k={k} Gamma*h={gh} {axis}", tol, worst)
+            guesses, scale, bits, kernel, residual = _SETUPS[spec.family](spec, dps)
+            zs, worst, certified = _newton_certified(k, guesses, scale, bits, kernel, residual)
+            if not certified:
+                guesses = _refined_guesses(kernel, guesses, bits)
+                zs, worst, certified = _newton_certified(k, guesses, scale, bits, kernel, residual)
+        if certified:
+            return zs, float(worst)
+    tol = ZERO_RESIDUAL_PER_K * k
+    what = f"{spec.family} zeros k={k}"
+    what += f" Gamma*h={spec.gamma_h} {spec.axis}" if spec.family == "chebyshev" else ""
+    reason = "residual above contract" if worst >= tol else "root disks not disjoint"
+    raise ConvergenceError(
+        f"{what}: {reason}: residual {float(worst):.3e}, contract {tol:.3e}",
+        worst_residual=float(worst),
+    )
 
 
 def _sort_conjugate_closed(zs):
@@ -637,16 +633,14 @@ def default_cache_dir():
     return os.path.join(os.path.expanduser("~"), ".cache", "trotterkit", "zeros")
 
 
-def _cache_name(family, k, gh=None, axis=None):
-    if family == "taylor":
-        return f"taylor_{k}.json"
-    return f"chebyshev_{k}_{gh:.6f}_{axis}.json"
-
-
-def _load_zeros(path, header, k):
-    """The zeros of a cache file, or None unless its header matches and its
-    zeros are k, exactly conjugate-closed and certified by disjoint disks of
-    radius k * residual (a legacy bare-list file fails)."""
+def _load_zeros(path, header, spec):
+    """The zeros of a cache file, or None unless its header matches, its
+    zeros are k, exactly conjugate-closed and of a stored residual within
+    the contract, and the solve's fixed-point kernel, at the base working
+    precision, certifies them again: |p/p'| at each stored double z within
+    its rounding allowance 2^-50 |z|, and disjoint disks of radius
+    k * max |p/p'| (a legacy bare-list file fails)."""
+    k = spec.k
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -654,33 +648,42 @@ def _load_zeros(path, header, k):
             return None
         residual = float(data["residual"])
         zs = _sort_conjugate_closed([complex(float(re), float(im)) for re, im in data["zeros"]])
-    except (OSError, ValueError, KeyError, TypeError, ConvergenceError):
+        if len(zs) != k or not 0 <= residual < ZERO_RESIDUAL_PER_K * k:
+            return None
+        reps = [z for z in zs if z.imag >= 0]  # a conjugate's |p/p'| is its partner's
+        dps = _working_dps(spec)
+        with mp.workdps(dps):
+            _, scale, bits, kernel, _ = _SETUPS[spec.family](spec, dps)
+            ws = [(_fixed(mp.mpf(z.real) / scale, bits), _fixed(mp.mpf(z.imag) / scale, bits))
+                  for z in reps]
+        steps = np.array([scale * math.sqrt((pr * pr + pi * pi) / (dr * dr + di * di))
+                          for (pr, pi), (dr, di) in map(kernel, ws)])
+    except (OSError, ValueError, KeyError, TypeError, ArithmeticError, ConvergenceError):
         return None
-    if len(zs) != k or not 0 <= residual < ZERO_RESIDUAL_PER_K * k:
-        return None
-    return zs if _disks_disjoint(zs, k * residual) else None
+    if np.all(steps <= _rounding(reps)) and _disks_disjoint(zs, k * np.max(steps)):
+        return zs
+    return None
 
 
 _memo = {}
 
 
-def _zeros_cached(family, k, gh, axis, compute, cache_dir):
-    key = (family, k, gh, axis)
+def _zeros_cached(spec, cache_dir):
+    # the file's record of its spec, and the memo key; Taylor specs of any h share one
+    cheb = spec.family == "chebyshev"
+    header = {"family": spec.family, "k": spec.k,
+              "gamma_h": float(spec.gamma_h).hex() if cheb else None,
+              "axis": spec.axis if cheb else None, "solver": _SOLVER}
+    key = tuple(header.values())
     got = _memo.get(key)
     if got is not None:
         return list(got)
     cdir = cache_dir if cache_dir is not None else default_cache_dir()
-    path = os.path.join(cdir, _cache_name(family, k, gh, axis))
-    header = {
-        "family": family,
-        "k": k,
-        "gamma_h": None if gh is None else float(gh).hex(),
-        "axis": axis,
-        "solver": _SOLVER,
-    }
-    zs = _load_zeros(path, header, k)
+    name = f"chebyshev_{spec.k}_{spec.gamma_h:.6f}_{spec.axis}" if cheb else f"taylor_{spec.k}"
+    path = os.path.join(cdir, name + ".json")
+    zs = _load_zeros(path, header, spec)
     if zs is None:
-        zs, residual = compute()
+        zs, residual = _zeros_mp(spec)
         zs = _sort_conjugate_closed(zs)
         try:
             os.makedirs(cdir, exist_ok=True)
@@ -700,7 +703,7 @@ def taylor_zeros(k, *, cache_dir=None):
     """All k zeros of sum_{i<=k} z^i/i!, conjugate-closed, as doubles."""
     if not 1 <= k <= TAYLOR_K_MAX:
         raise RangeError(f"k must be in [1, {TAYLOR_K_MAX}], got {k}")
-    return _zeros_cached("taylor", k, None, None, lambda: _taylor_zeros_mp(k), cache_dir)
+    return _zeros_cached(SeriesSpec("taylor", k), cache_dir)
 
 
 def chebyshev_zeros(spec, *, cache_dir=None):
@@ -709,14 +712,7 @@ def chebyshev_zeros(spec, *, cache_dir=None):
         raise StructuralError("chebyshev_zeros needs a chebyshev spec")
     if not 1 <= spec.k <= TAYLOR_K_MAX:
         raise RangeError(f"k must be in [1, {TAYLOR_K_MAX}], got {spec.k}")
-    return _zeros_cached(
-        "chebyshev",
-        spec.k,
-        spec.gamma_h,
-        spec.axis,
-        lambda: _chebyshev_zeros_mp(spec),
-        cache_dir,
-    )
+    return _zeros_cached(spec, cache_dir)
 
 
 # ---------------------------------------------------------------------------

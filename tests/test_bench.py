@@ -247,8 +247,7 @@ def test_run_after_warm_zeros_solves_no_zeros(tmp_path, monkeypatch):
     def no_solve(*args):
         raise AssertionError("zero solve after warm-up")
 
-    monkeypatch.setattr(polyexp, "_taylor_zeros_mp", no_solve)
-    monkeypatch.setattr(polyexp, "_chebyshev_zeros_mp", no_solve)
+    monkeypatch.setattr(polyexp, "_zeros_mp", no_solve)
     records = run_benchmark(plan, cache_dir=cache_dir)
     assert len(records) == 6 and all(math.isfinite(r.error) for r in records)
 

@@ -205,6 +205,15 @@ def test_zeros_chebyshev_requires_scale(capsys):
     assert err.startswith("error:structural:")
 
 
+def test_zeros_chebyshev_refuses_infinite_gamma_h(capsys, tmp_path):
+    # one error line, no traceback and no cache file
+    rc, out, err = run_cli(capsys, "--zeros-cache", str(tmp_path), "zeros", "--family",
+                           "chebyshev", "--k", "20", "--gamma-h", "inf", "--axis", "real")
+    assert rc == 1 and out == ""
+    assert err.startswith("error:structural:") and len(err.splitlines()) == 1
+    assert not os.listdir(tmp_path)
+
+
 def test_zeros_chebyshev_table(capsys, tmp_path):
     rc, out, err = run_cli(
         capsys,

@@ -203,6 +203,19 @@ def test_series_spec_validation():
         SeriesSpec("chebyshev", 10, gamma_scale=-1.0, axis="real")
     with pytest.raises(StructuralError):
         SeriesSpec("chebyshev", 10, gamma_scale=1.0, axis="diagonal")
+    # the spec keys the zero cache: a non-integer k, a non-finite h or a
+    # Gamma*h that is not finite and > 0 would name a file or reach a solve
+    for k in (5.5, 5.0, True):
+        with pytest.raises(StructuralError):
+            SeriesSpec("taylor", k)
+    with pytest.raises(StructuralError):
+        taylor_zeros(5.5)
+    for h in (math.inf, math.nan):
+        with pytest.raises(StructuralError):
+            SeriesSpec("taylor", 5, h=h)
+    for scale, h in [(5.0, -1.0), (5.0, 0.0), (math.inf, 1.0), (math.nan, 1.0), (1e300, 1e10)]:
+        with pytest.raises(StructuralError):
+            SeriesSpec("chebyshev", 20, gamma_scale=scale, axis="imaginary", h=h)
     spec = SeriesSpec("chebyshev", 10, gamma_scale=4.0, axis="real", h=0.5)
     assert spec.gamma_h == 2.0
 
@@ -298,11 +311,11 @@ def test_zero_solvers_raise_convergence_error(monkeypatch):
     monkeypatch.setattr(polyexp, "ZERO_RESIDUAL_PER_K", 0.0)
     monkeypatch.setattr(polyexp, "_memo", {})
     with pytest.raises(ConvergenceError) as exc:
-        polyexp._taylor_zeros_mp(5)
+        polyexp._zeros_mp(SeriesSpec("taylor", 5))
     assert math.isfinite(exc.value.worst_residual)
     spec = SeriesSpec("chebyshev", 6, gamma_scale=2.0, axis="imaginary")
     with pytest.raises(ConvergenceError) as exc:
-        polyexp._chebyshev_zeros_mp(spec)
+        polyexp._zeros_mp(spec)
     assert math.isfinite(exc.value.worst_residual)
 
 
@@ -359,16 +372,27 @@ def test_fixed_clenshaw_matches_mpmath(k, gh, axis):
             assert abs(_to_mp(dp, bits) - polyexp._clenshaw(dmu, xm)) < 1e-55 * k * k * scale
 
 
-@pytest.mark.parametrize("k", [3, 10, 21])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 20, 21])
 def test_taylor_zeros_match_polyroots(k):
     # mpmath's polyroots (Durand-Kerner) is an independent solver
-    zs, _ = polyexp._taylor_zeros_mp(k)
+    zs, _ = polyexp._zeros_mp(SeriesSpec("taylor", k))
     with mp.workdps(50):
         coeffs = [1 / mp.factorial(i) for i in range(k, -1, -1)]
         ref = mp.polyroots(coeffs, maxsteps=200, extraprec=200)
     key = lambda z: (round(z.real, 6), round(z.imag, 6))
     for got, want in zip(sorted(zs, key=key), sorted((complex(r) for r in ref), key=key)):
         assert abs(got - want) <= 4e-16 * abs(want)
+
+
+def test_szego_guesses_need_no_refinement(monkeypatch):
+    # the Szego curve is coarse at small k, but its guesses certify directly
+    def refine(*args):
+        raise AssertionError("refinement stage reached")
+
+    monkeypatch.setattr(polyexp, "_refined_guesses", refine)
+    for k in range(1, 21):
+        zs, worst = polyexp._zeros_mp(SeriesSpec("taylor", k))
+        assert len(zs) == k and worst < 1e-25 * k
 
 
 def _duplicate_guesses(monkeypatch):
@@ -387,14 +411,14 @@ def test_duplicate_convergence_fails_the_certificate(monkeypatch):
     _duplicate_guesses(monkeypatch)
     monkeypatch.setattr(polyexp, "_refined_guesses", lambda p_and_dp, guesses, bits: guesses)
     with pytest.raises(ConvergenceError, match="disks not disjoint") as exc:
-        polyexp._taylor_zeros_mp(5)
+        polyexp._zeros_mp(SeriesSpec("taylor", 5))
     assert exc.value.worst_residual < 1e-25 * 5
 
 
 def test_refined_guesses_repair_duplicate_convergence(monkeypatch):
-    want = polyexp._sort_conjugate_closed(polyexp._taylor_zeros_mp(5)[0])
+    want = polyexp._sort_conjugate_closed(polyexp._zeros_mp(SeriesSpec("taylor", 5))[0])
     _duplicate_guesses(monkeypatch)
-    assert polyexp._sort_conjugate_closed(polyexp._taylor_zeros_mp(5)[0]) == want
+    assert polyexp._sort_conjugate_closed(polyexp._zeros_mp(SeriesSpec("taylor", 5))[0]) == want
 
 
 def test_overresolved_chebyshev_is_solved_from_refined_guesses(monkeypatch):
@@ -405,7 +429,7 @@ def test_overresolved_chebyshev_is_solved_from_refined_guesses(monkeypatch):
     refine = polyexp._refined_guesses
     monkeypatch.setattr(polyexp, "_refined_guesses", lambda *a: calls.append(1) or refine(*a))
     spec = SeriesSpec("chebyshev", 60, gamma_scale=20.0, axis="real")
-    zs, worst = polyexp._chebyshev_zeros_mp(spec)
+    zs, worst = polyexp._zeros_mp(spec)
     assert calls == [1] and worst < 1e-25 * 60
     assert len(polyexp._sort_conjugate_closed(zs)) == 60
     with mp.workdps(120):
@@ -454,7 +478,7 @@ def test_line_roots_stay_exactly_real():
     # guesses on the symmetry line are snapped onto it; Newton keeps them there
     cheb = [SeriesSpec("chebyshev", 7, gamma_scale=0.5, axis="real"),
             SeriesSpec("chebyshev", 7, gamma_scale=2.0, axis="imaginary")]
-    for zs, _ in [polyexp._taylor_zeros_mp(21)] + [polyexp._chebyshev_zeros_mp(s) for s in cheb]:
+    for zs, _ in [polyexp._zeros_mp(s) for s in [SeriesSpec("taylor", 21)] + cheb]:
         assert sum(1 for z in zs if z.imag == 0.0) % 2 == 1
         assert polyexp._sort_conjugate_closed(zs)
 
@@ -502,15 +526,52 @@ def _cache_header(family, k, gh=None, axis=None):
     }
 
 
-def test_cache_file_is_read_back(tmp_path):
-    # Pre-seed a well-formed (deliberately off-true) entry for k=2 and check
-    # the loader trusts the file over recomputation.
-    seeded = [[-1.5, 0.8], [-1.5, -0.8]]
+def _no_solve(spec):
+    raise AssertionError(f"zero solve for {spec}")
+
+
+def test_cache_file_is_read_back(tmp_path, monkeypatch):
+    # Pre-seed a well-formed entry for k=2 whose zeros -1 +- i are off by one
+    # unit in the last place, and check the loader trusts the file: the
+    # rounding of a double root is within the load check's allowance.
+    seeded = [[-1.0, 1.0 + 2.0**-52], [-1.0, -1.0 - 2.0**-52]]
     payload = dict(_cache_header("taylor", 2), residual=1e-30,
-                   zeros=[[str(a), str(b)] for a, b in seeded])
+                   zeros=[[repr(a), repr(b)] for a, b in seeded])
     (tmp_path / "taylor_2.json").write_text(json.dumps(payload))
+    monkeypatch.setattr(polyexp, "_memo", {})
+    monkeypatch.setattr(polyexp, "_zeros_mp", _no_solve)
     zs = taylor_zeros(2, cache_dir=str(tmp_path))
     assert sorted((z.real, z.imag) for z in zs) == sorted((a, b) for a, b in seeded)
+
+
+@pytest.mark.parametrize("spec", [
+    SeriesSpec("taylor", 1), SeriesSpec("taylor", 12), SeriesSpec("taylor", 52),
+    SeriesSpec("chebyshev", 16, gamma_scale=2.5, axis="real"),
+    SeriesSpec("chebyshev", 60, gamma_scale=20.0, axis="real"),
+    SeriesSpec("chebyshev", 40, gamma_scale=20.0, axis="imaginary"),
+], ids=str)
+def test_cache_file_reloads_until_a_pair_moves(tmp_path, monkeypatch, spec):
+    # a file the solver wrote passes the load check as it stands ...
+    monkeypatch.setattr(polyexp, "_memo", {})
+    want = factorize(spec, cache_dir=str(tmp_path)).zeros
+    (path,) = tmp_path.iterdir()
+    written = path.read_text()
+    solve = polyexp._zeros_mp
+    monkeypatch.setattr(polyexp, "_memo", {})
+    monkeypatch.setattr(polyexp, "_zeros_mp", _no_solve)
+    assert factorize(spec, cache_dir=str(tmp_path)).zeros == want
+    assert path.read_text() == written
+    # ... and is solved again and rewritten once a zero moves by 1e-3 (the
+    # last zero: a pair's lower half, moved with its partner, if there is one)
+    data = json.loads(written)
+    for pair in data["zeros"][-2 if data["zeros"][-1][1] != "0" else -1:]:
+        pair[0] = repr(float(pair[0]) + 1e-3)
+    path.write_text(json.dumps(data))
+    solves = []
+    monkeypatch.setattr(polyexp, "_memo", {})
+    monkeypatch.setattr(polyexp, "_zeros_mp", lambda s: solves.append(s) or solve(s))
+    assert factorize(spec, cache_dir=str(tmp_path)).zeros == want
+    assert solves == [spec] and path.read_text() == written
 
 
 def test_corrupt_cache_file_recomputed(tmp_path):
@@ -548,9 +609,10 @@ def test_legacy_cache_file_recomputed(tmp_path, monkeypatch):
     assert isinstance(data, dict) and data["solver"] == polyexp._SOLVER
 
 
-@pytest.mark.parametrize("corruption", ["not_closed", "overlapping", "residual", "solver", "k"])
+@pytest.mark.parametrize("corruption", ["not_closed", "overlapping", "residual", "solver", "k",
+                                        "moved"])
 def test_corrupted_cache_file_recomputed(tmp_path, monkeypatch, corruption):
-    good = polyexp._sort_conjugate_closed(polyexp._taylor_zeros_mp(5)[0])
+    good = polyexp._sort_conjugate_closed(polyexp._zeros_mp(SeriesSpec("taylor", 5))[0])
     zeros = [[repr(z.real), repr(z.imag)] for z in good]
     payload = dict(_cache_header("taylor", 5), residual=1e-40, zeros=zeros)
     if corruption == "not_closed":
@@ -562,6 +624,11 @@ def test_corrupted_cache_file_recomputed(tmp_path, monkeypatch, corruption):
         payload["residual"] = 1.0  # above the contract 1e-25 * k
     elif corruption == "solver":
         payload["solver"] = "aberth"
+    elif corruption == "moved":
+        # one conjugate pair moved by 1e-3: still closed, and its disks of
+        # radius k |p/p'| stay disjoint, but |p/p'| is far above rounding
+        for pair in zeros[1:3]:
+            pair[0] = repr(float(pair[0]) + 1e-3)
     else:
         payload["k"] = 4
     zs, data = _recomputed(tmp_path / "taylor_5.json", payload,
