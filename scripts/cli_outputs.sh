@@ -35,6 +35,14 @@ run() {
 }
 
 run bench bench --out "$out/bench.csv" --plot-data "$out/bench.plot"
+# a small periodic chain with the exact control, two schemes and every
+# polynomial mode, so polynomial steps on matrices are compared too
+cat >"$work/plan-l6.json" <<'PLAN'
+{"model": {"L": 6, "boundary": "periodic", "delta": 0.3},
+ "methods": ["exact", "strang", "blanes-moan4", "taylor:30", "taylor:20:sum",
+             "chebyshev:40", "chebyshev:24:sum"]}
+PLAN
+run bench-l6 bench --config plan-l6.json --out "$out/bench-l6.csv" --plot-data "$out/bench-l6.plot"
 run adapt-forest-ruth adapt forest-ruth
 run adapt-blanes-moan4 adapt blanes-moan4
 run adapt-check-blanes-moan4 adapt blanes-moan4 --check
@@ -53,6 +61,8 @@ run expm-taylor-prod expm --method taylor --k 52 --scalar=-10j
 run expm-taylor-sum expm --method taylor --k 52 --scalar=-10j --sum
 run expm-chebyshev-prod expm --method chebyshev --k 40 --gamma-h 20 --axis imaginary --scalar=-15j
 run expm-chebyshev-sum expm --method chebyshev --k 40 --gamma-h 20 --axis imaginary --scalar=-15j --sum
+run expm-chebyshev-real-prod expm --method chebyshev --k 16 --gamma-h 2.5 --axis real --scalar=-2
+run expm-chebyshev-real-sum expm --method chebyshev --k 16 --gamma-h 2.5 --axis real --scalar=-2 --sum
 run model-xxz model xxz
 run model-xxz-periodic model xxz --L 6 --delta 0.3 --bc periodic
 run probe-stability probe-stability

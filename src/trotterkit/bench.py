@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .compose import _block_diagonal, _eig_expm, power_step
+from .compose import _blockwise, _eig_expm, power_step
 from .errors import GridUnusableError, NotFoundError, StructuralError
 from .multistage import apply_multistage, to_multistage
 from .polyexp import SeriesSpec, eval_factorized, eval_summed, factorize, suggest_gamma
@@ -43,14 +43,14 @@ class BenchPlan:
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "h_grid", tuple(float(h) for h in self.h_grid))
-        if not self.t_total > 0:
-            raise StructuralError(f"t_total must be > 0, got {self.t_total}")
-        if not self.kappa > 0:
-            raise StructuralError(f"kappa must be > 0, got {self.kappa}")
+        if not 0 < self.t_total < math.inf:
+            raise StructuralError(f"t_total must be finite and > 0, got {self.t_total}")
+        if not 0 < self.kappa < math.inf:
+            raise StructuralError(f"kappa must be finite and > 0, got {self.kappa}")
         if not self.methods:
             raise StructuralError("plan needs at least one method")
-        if not self.h_grid or any(not h > 0 for h in self.h_grid):
-            raise StructuralError("h_grid must be nonempty with positive entries")
+        if not self.h_grid or any(not 0 < h < math.inf for h in self.h_grid):
+            raise StructuralError("h_grid must be nonempty with finite positive entries")
 
     def steps_for(self, h):
         """t_total/h rounded to an integer step count >= 1."""
@@ -160,14 +160,10 @@ def plan_from_dict(data):
 # the sweep
 
 
-def _step_operator(method, split, gen_blocks, h, gamma, cache_dir):
-    """The dense one-step operator approximating exp(-i H h).  A polynomial
-    is evaluated on each sector block of the generator -iH (gen_blocks, in
-    the order of split.sectors), with that sector's identity as the target,
-    and the blocks are written into a zero matrix."""
-    if method.kind == "scheme":
-        ms = to_multistage(method.scheme)
-        return apply_multistage(split, ms, h)
+def _polynomial(method, h, gamma, cache_dir):
+    """The method's truncation of exp(-i H h) as a function of a sector
+    block b of H: the factorized or summed polynomial in -i b, evaluated
+    on the sector's identity."""
     if method.kind == "taylor":
         spec = SeriesSpec("taylor", method.k, h=h)
     else:
@@ -176,10 +172,8 @@ def _step_operator(method, split, gen_blocks, h, gamma, cache_dir):
         )
     if method.mode == "prod":
         fact = factorize(spec, cache_dir=cache_dir)
-        blocks = (eval_factorized(g, np.eye(len(g), dtype=complex), fact) for g in gen_blocks)
-    else:
-        blocks = (eval_summed(g, np.eye(len(g), dtype=complex), spec) for g in gen_blocks)
-    return _block_diagonal(split.sectors, blocks)
+        return lambda b: eval_factorized(-1j * b, np.eye(len(b), dtype=complex), fact)
+    return lambda b: eval_summed(-1j * b, np.eye(len(b), dtype=complex), spec)
 
 
 def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
@@ -193,12 +187,13 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     part of the data contract).
 
     Every step is block-diagonal over the chain's magnetization sectors
-    (`OperatorSplit.sectors`, the blocks of H's pattern): the generator's
-    sector blocks are built once per call, a polynomial step is evaluated
-    block by block, and steps compose by powering each sector block
-    (`compose.power_step`).  Each error compares the assembled operator
-    with the whole-matrix oracle, whose eigenvalues key the zero cache
-    through Gamma; sector eigenvalues can differ from them in the last bits.
+    (`OperatorSplit.sectors`, the blocks of H's pattern).  A polynomial
+    cell evaluates its step on each sector block of H and powers it there,
+    one `compose._blockwise` map; a scheme's dense step is powered sector
+    by sector (`compose.power_step`).  Each error compares the assembled
+    operator with the whole-matrix oracle, whose eigenvalues key the zero
+    cache through Gamma; sector eigenvalues can differ from them in the
+    last bits.
     """
     methods = [parse_method(d, catalog_path=catalog_path) for d in plan.methods]
     split = build_xxz(plan.model)
@@ -206,7 +201,6 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     gamma = None
     if any(m.kind == "chebyshev" for m in methods):
         gamma = suggest_gamma(split.total, eigvals=evals)
-    gen_blocks = [-1j * split.total[np.ix_(s, s)] for s in split.sectors]
     oracles = {}
     records = []
     for method in methods:
@@ -219,9 +213,13 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
             begin = time.perf_counter()
             if method.kind == "exact":
                 u = exact
+            elif method.kind == "scheme":
+                step = apply_multistage(split, to_multistage(method.scheme), h)
+                u = power_step(split, step, steps)
             else:
-                step_op = _step_operator(method, split, gen_blocks, h, gamma, cache_dir)
-                u = power_step(split, step_op, steps)
+                p = _polynomial(method, h, gamma, cache_dir)
+                u = _blockwise(split.sectors, split.total,
+                               lambda b: np.linalg.matrix_power(p(b), steps))
             wall = time.perf_counter() - begin if timing else 0.0
             err = frobenius_error(u, exact, t=t_eff, method=method.descriptor)
             records.append(

@@ -32,8 +32,10 @@ the exact oracle (`spinmodel.exact_evolution`) diagonalizes, and for the
 XXZ chain its magnetization sectors.  `power_step` powers a step one
 sector block at a time (at L = 8, sum n_s^3 = 0.74M multiply-adds per
 product against 16.8M for the whole matrix).  One component search
-(`_components`) finds the blocks, and one scatter (`_block_diagonal`)
-writes blocks computed on them back into a dense matrix.
+(`_components`) finds the blocks, and one map (`_blockwise`) gathers each
+diagonal block of a matrix, computes on it and writes the result into a
+zero matrix: the oracle's exponentials, the powers of a step and the
+bench's polynomial steps.
 """
 
 from __future__ import annotations
@@ -248,13 +250,14 @@ def _components(pattern):
     return components
 
 
-def _block_diagonal(sectors, blocks, dtype=complex):
-    """The matrix holding each block on the rows and columns of its sector,
-    zero elsewhere; the sectors partition the index range."""
-    dim = sum(map(len, sectors))
-    out = np.zeros((dim, dim), dtype)
-    for s, b in zip(sectors, blocks):
-        out[np.ix_(s, s)] = b
+def _blockwise(sectors, m, fn, dtype=complex):
+    """The matrix holding fn of each diagonal block of m on the rows and
+    columns of its sector, zero elsewhere; the sectors partition m's index
+    range."""
+    out = np.zeros(m.shape, dtype)
+    for s in sectors:
+        ix = np.ix_(s, s)
+        out[ix] = fn(m[ix])
     return out
 
 
@@ -336,11 +339,9 @@ def power_step(split, step, steps):
     whose parts cancel an entry of H can have sectors finer than its steps.
     """
     sectors = split.sectors
-    blocks = [step[np.ix_(s, s)] for s in sectors]
-    if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(step):
+    if sum(np.count_nonzero(step[np.ix_(s, s)]) for s in sectors) != np.count_nonzero(step):
         return np.linalg.matrix_power(step, steps)
-    powers = (np.linalg.matrix_power(b, steps) for b in blocks)
-    return _block_diagonal(sectors, powers, step.dtype)
+    return _blockwise(sectors, step, lambda b: np.linalg.matrix_power(b, steps), step.dtype)
 
 
 def evolve_sequence(split, sequence, h, steps, direction="forward",

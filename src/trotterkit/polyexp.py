@@ -669,18 +669,19 @@ _memo = {}
 
 
 def _zeros_cached(spec, cache_dir):
-    # the file's record of its spec, and the memo key; Taylor specs of any h share one
+    # the file's record of its spec; Taylor specs of any h share one
     cheb = spec.family == "chebyshev"
     header = {"family": spec.family, "k": spec.k,
               "gamma_h": float(spec.gamma_h).hex() if cheb else None,
               "axis": spec.axis if cheb else None, "solver": _SOLVER}
-    key = tuple(header.values())
-    got = _memo.get(key)
-    if got is not None:
-        return list(got)
     cdir = cache_dir if cache_dir is not None else default_cache_dir()
     name = f"chebyshev_{spec.k}_{spec.gamma_h:.6f}_{spec.axis}" if cheb else f"taylor_{spec.k}"
     path = os.path.join(cdir, name + ".json")
+    # the memo key: a zero set met in one directory is still written to the next
+    key = (path, *header.values())
+    got = _memo.get(key)
+    if got is not None:
+        return list(got)
     zs = _load_zeros(path, header, spec)
     if zs is None:
         zs, residual = _zeros_mp(spec)
@@ -844,9 +845,12 @@ def _check_zero_clearance(fact):
 # evaluation
 
 
-def _checked(h_op, target):
-    """h_op and target as arrays, checked to be a square matrix and a
-    target whose leading axis matches it."""
+def _operands(h_op, target):
+    """The operator and the target an evaluation runs on: a scalar h_op
+    with the target as given, or else both as arrays, checked to be a
+    square matrix and a target whose leading axis matches it."""
+    if np.isscalar(h_op):
+        return h_op, target
     m = np.asarray(h_op)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"operator must be square, got shape {m.shape}")
@@ -858,31 +862,30 @@ def _checked(h_op, target):
     return m, t
 
 
-def _applier(h_op, factor, target):
-    """The target as an array, and a closure applying (h_op * factor) to
-    arrays of its shape.
+def _applier(m, factor, t):
+    """A closure applying (m * factor) to arrays of t's shape, for m and t
+    from `_operands`.
 
     A scalar multiplies.  A matrix applied to a 1-D target (a state) whose
     nonzeros fill at most ENTRY_APPLY_MAX_FILL of it is applied through
     its entries: one gather, multiply and row sum over the nonzeros.  Any
     other matrix, and every matrix on a 2-D target (a block, which BLAS-3
-    GEMM serves better), is applied as the dense (h_op * factor) @ v.  A
+    GEMM serves better), is applied as the dense (m * factor) @ v.  A
     block wide enough for `eval_factorized`'s one product per factor group
-    never comes here (see `_advancer`).
+    never comes here (see `_block_product`).
     """
-    if np.isscalar(h_op):
-        val = h_op * factor
-        return target, lambda v: val * v
-    m, t = _checked(h_op, target)
+    if np.isscalar(m):
+        val = m * factor
+        return lambda v: val * v
     if t.ndim == 1:
         # count before indexing, so a dense operator never holds an index
         # array; scanning m != 0 is 2.6x faster than complex m itself
         nonzero = m != 0
         if np.count_nonzero(nonzero) <= ENTRY_APPLY_MAX_FILL * m.size:
-            return t, _entry_applier(m, np.flatnonzero(nonzero), factor)
+            return _entry_applier(m, np.flatnonzero(nonzero), factor)
         del nonzero
     m = m * factor
-    return t, lambda v: np.matmul(m, v)
+    return lambda v: np.matmul(m, v)
 
 
 def _entry_applier(m, flat, factor):
@@ -904,41 +907,10 @@ def _entry_applier(m, flat, factor):
     return apply
 
 
-def _advancer(h_op, target, fact):
-    """The target as an array, and a closure taking an accumulator through
-    one group's factor (1 + c1 M/k + c2 (M/k)^2 or 1 + c1 M/k, M = H h).
-
-    A 2-D target of m columns and dim n, with q quadratic groups, takes the
-    block form (`_block_advancer`) when q (m - 1) > n: exactly where
-    forming H^2 once and one product per group, n^3 + q n^2 (m + 1)
-    multiply-adds, beat two products per quadratic group, 2 q n^2 m.
-    States, thin blocks, 1x1 inputs and scalars apply H once per factor
-    through `_applier`.
-    """
-    spec = fact.spec
-    if not np.isscalar(h_op):
-        m, t = _checked(h_op, target)
-        quads = sum(g.kind == "quad" for g in fact.groups)
-        if t.ndim == 2 and quads * (t.shape[1] - 1) > t.shape[0]:
-            return _block_advancer(m, t, spec)
-    k = spec.k
-    acc, apply_h = _applier(h_op, spec.h, target)
-
-    def advance(acc, g):
-        if g.kind == "quad":
-            c1, c2 = g.coeffs
-            mv = apply_h(acc)
-            return acc + (c1 / k) * mv + (c2 / k**2) * apply_h(mv)
-        (c1,) = g.coeffs
-        return acc + (c1 / k) * apply_h(acc)
-
-    return acc, advance
-
-
-def _block_advancer(m, t, spec):
-    """A private copy of the block t, and a closure applying one group's
-    factor to it in place.  H^2 is formed once, unscaled, with h folded
-    into the coefficients; each group fills one reused work matrix with
+def _block_product(m, t, fact):
+    """The product of fact's group factors applied to a private copy of the
+    block t.  H^2 is formed once, unscaled, with h folded into the
+    coefficients; each group fills one reused work matrix with
     D = (c1 h/k) H + (c2 h^2/k^2) H^2 (a lin group: D = (c1 h/k) H) and
     adds D @ acc, one product per group.
 
@@ -947,23 +919,20 @@ def _block_advancer(m, t, spec):
     bench's small-h cells at L = 8 by up to 2.5x, while acc + D @ acc
     stays at or below the per-apply loop's floor.
     """
-    h, k = spec.h, spec.k
+    h, k = fact.spec.h, fact.spec.k
     acc = np.array(t, dtype=np.result_type(m, t, 1.0))
     m2 = np.matmul(m, m)
     d = np.empty(m.shape, np.result_type(m, 1.0))
     work = np.empty_like(d)
     prod = np.empty_like(acc)
-
-    def advance(acc, g):
+    for g in fact.groups:
         np.multiply(m, g.coeffs[0] * h / k, out=d)
         if g.kind == "quad":
             np.multiply(m2, g.coeffs[1] * h**2 / k**2, out=work)
             np.add(d, work, out=d)
         np.matmul(d, acc, out=prod)
         acc += prod
-        return acc
-
-    return acc, advance
+    return acc
 
 
 def eval_factorized(h_op, target, fact):
@@ -976,11 +945,24 @@ def eval_factorized(h_op, target, fact):
     ENTRY_APPLY_MAX_FILL of it, otherwise as a dense product.  A block of
     m columns, dim n and q quadratic groups with q (m - 1) > n, such as
     the identity, takes one product per group from H^2 formed once:
-    acc + D @ acc, with the identity kept out of D (see `_advancer` and
-    `_block_advancer`)."""
-    acc, advance = _advancer(h_op, target, fact)
-    for g in fact.groups:
-        acc = advance(acc, g)
+    acc + D @ acc, with the identity kept out of D (`_block_product`).
+    There H^2 and the q products cost n^3 + q n^2 (m + 1) multiply-adds
+    against 2 q n^2 m for two products per quadratic group."""
+    m, acc = _operands(h_op, target)
+    quads = sum(g.kind == "quad" for g in fact.groups)
+    if not np.isscalar(m) and acc.ndim == 2 and quads * (acc.shape[1] - 1) > acc.shape[0]:
+        acc = _block_product(m, acc, fact)
+    else:
+        k = fact.spec.k
+        apply_h = _applier(m, fact.spec.h, acc)
+        for g in fact.groups:
+            if g.kind == "quad":
+                c1, c2 = g.coeffs
+                mv = apply_h(acc)
+                acc = acc + (c1 / k) * mv + (c2 / k**2) * apply_h(mv)
+            else:
+                (c1,) = g.coeffs
+                acc = acc + (c1 / k) * apply_h(acc)
     if fact.overall_scale != 1.0:
         acc = fact.overall_scale * acc
     return acc
@@ -995,7 +977,8 @@ def eval_summed(h_op, target, spec):
     of it, otherwise as a dense product."""
     k = spec.k
     if spec.family == "taylor":
-        term, apply_h = _applier(h_op, spec.h, target)
+        m, term = _operands(h_op, target)
+        apply_h = _applier(m, spec.h, term)
         acc = term
         for i in range(1, k + 1):
             term = apply_h(term) / i
@@ -1004,7 +987,8 @@ def eval_summed(h_op, target, spec):
     mu = chebyshev_coefficients(spec)
     gh = spec.gamma_h
     denom = (1j * gh) if spec.axis == "imaginary" else gh
-    target, apply_x = _applier(h_op, spec.h / denom, target)
+    m, target = _operands(h_op, target)
+    apply_x = _applier(m, spec.h / denom, target)
     t_prev = target
     t_cur = apply_x(target)
     acc = mu[0] * t_prev + mu[1] * t_cur

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionError, StructuralError
 from .compose import (
     OperatorSplit,
-    _block_diagonal,
+    _blockwise,
     _components,
     _eig_expm,
     _hermitian,
@@ -125,13 +125,13 @@ def exact_evolution(h_matrix, t, direction="forward"):
     diagonalize against 1,074M for the whole matrix.  Each block is
     V diag(e^{pref * lambda * t}) V^dagger from its own eigh, written into a
     zero complex matrix.  For a split these blocks are `split.sectors`.
-    H must be finite and Hermitian.
+    H must be finite and Hermitian, and t finite.
     """
     h = _hermitian(h_matrix, "H")
+    if not np.isfinite(t):
+        raise StructuralError(f"t must be finite, got {t!r}")
     z = direction_prefactor(direction) * t
-    blocks = _components(h != 0)
-    exps = (_eig_expm(*np.linalg.eigh(h[np.ix_(s, s)]), z) for s in blocks)
-    return _block_diagonal(blocks, exps)
+    return _blockwise(_components(h != 0), h, lambda b: _eig_expm(*np.linalg.eigh(b), z))
 
 
 def frobenius_error(u_approx, u_exact, *, t=0.0, method=""):

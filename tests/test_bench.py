@@ -25,6 +25,7 @@ from trotterkit.errors import (
 )
 from trotterkit import bench, compose, polyexp
 from trotterkit.polyexp import SeriesSpec, factorize, suggest_gamma
+from trotterkit.multistage import apply_multistage, to_multistage
 from trotterkit.schemes import load_catalog
 from trotterkit.spinmodel import XxzConfig, build_xxz, exact_evolution
 
@@ -64,6 +65,14 @@ def test_plan_validation():
         BenchPlan(methods=())
     with pytest.raises(StructuralError):
         BenchPlan(h_grid=(0.5, -0.1))
+
+
+@pytest.mark.parametrize("field", ["t_total", "kappa", "h_grid"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_plan_refuses_non_finite_values(field, value):
+    data = {field: [0.5, value] if field == "h_grid" else value}
+    with pytest.raises(StructuralError, match="finite"):
+        plan_from_dict(data)
 
 
 def test_plan_from_dict_roundtrip():
@@ -286,6 +295,43 @@ def test_run_multiplies_only_sector_blocks_after_the_oracle(zeros_cache, monkeyp
     assert max(max(s) for s in shapes) == 70
     # every cell powers its nine sector blocks
     assert sum(len(s) == 2 for s in shapes) == 9 * len(records)
+
+
+def test_every_cell_matches_a_sector_by_sector_reference(zeros_cache):
+    # the exact control, two schemes and all four polynomial modes on a
+    # periodic chain: each step is built and powered per sector block,
+    # scattered, and compared with the whole-matrix oracle
+    plan = BenchPlan(model=XxzConfig(L=6, boundary="periodic", delta=0.3),
+                     methods=("exact", "strang", "blanes-moan4", "taylor:30",
+                              "taylor:20:sum", "chebyshev:40", "chebyshev:24:sum"))
+    records = run_benchmark(plan, cache_dir=zeros_cache)
+    split = build_xxz(plan.model)
+    evals, evecs = np.linalg.eigh(split.total)
+    gamma = suggest_gamma(split.total, eigvals=evals)
+    gathered = [np.ix_(s, s) for s in split.sectors]
+    assert len(records) == 7 * len(plan.h_grid)
+    for r in records:
+        method = parse_method(r.method)
+        exact = compose._eig_expm(evals, evecs, -1j * (r.steps * r.h))
+        u = np.zeros_like(exact)
+        if method.kind == "exact":
+            u = exact
+        elif method.kind == "scheme":
+            step = apply_multistage(split, to_multistage(method.scheme), r.h)
+            for ix in gathered:
+                u[ix] = np.linalg.matrix_power(step[ix], r.steps)
+        else:
+            spec = (SeriesSpec("taylor", method.k, h=r.h) if method.kind == "taylor" else
+                    SeriesSpec("chebyshev", method.k, gamma_scale=gamma, axis="imaginary", h=r.h))
+            for ix in gathered:
+                g = -1j * split.total[ix]
+                eye = np.eye(len(g), dtype=complex)
+                if method.mode == "prod":
+                    p = polyexp.eval_factorized(g, eye, factorize(spec, cache_dir=zeros_cache))
+                else:
+                    p = polyexp.eval_summed(g, eye, spec)
+                u[ix] = np.linalg.matrix_power(p, r.steps)
+        assert r.error == float(np.linalg.norm(u - exact)), (r.method, r.h)
 
 
 # ---------------------------------------------------------------------------

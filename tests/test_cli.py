@@ -408,6 +408,18 @@ def test_bench_missing_config(capsys, tmp_path):
     assert err.startswith("error:io:")
 
 
+@pytest.mark.parametrize("field", ['"t_total": 1e999', '"kappa": 1e999', '"h_grid": [0.5, 1e999]'])
+def test_bench_refuses_a_non_finite_plan_value(capsys, tmp_path, field):
+    # JSON's 1e999 parses as inf
+    path = tmp_path / "plan.json"
+    path.write_text('{"model": {"L": 3}, "methods": ["strang", "taylor:8"], ' + field + "}")
+    out = tmp_path / "r.csv"
+    rc, stdout, err = run_cli(capsys, "bench", "--config", str(path), "--out", str(out))
+    assert rc == 1 and stdout == ""
+    assert err.startswith("error:structural:") and "finite" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bench_requires_out(capsys, plan_file):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--config", str(plan_file)])

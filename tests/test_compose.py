@@ -346,13 +346,13 @@ def test_sectors_are_the_components_of_the_parts_pattern(make):
 def test_sectors_are_the_oracle_blocks_of_the_total(monkeypatch, make):
     split = make()
     seen = []
-    scatter = spinmodel._block_diagonal
+    blockwise = spinmodel._blockwise
 
-    def recording(blocks, exps, *args):
+    def recording(blocks, m, fn, *args):
         seen.append(blocks)
-        return scatter(blocks, exps, *args)
+        return blockwise(blocks, m, fn, *args)
 
-    monkeypatch.setattr(spinmodel, "_block_diagonal", recording)
+    monkeypatch.setattr(spinmodel, "_blockwise", recording)
     exact_evolution(split.total, 0.5)
     (blocks,) = seen
     assert len(blocks) == len(split.sectors)

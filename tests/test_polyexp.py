@@ -544,6 +544,19 @@ def test_cache_file_is_read_back(tmp_path, monkeypatch):
     assert sorted((z.real, z.imag) for z in zs) == sorted((a, b) for a, b in seeded)
 
 
+def test_memo_is_kept_per_cache_file(tmp_path, monkeypatch):
+    # zeros met in one directory are still written to the next, and a
+    # directory that has met them needs neither its file nor a solve
+    monkeypatch.setattr(polyexp, "_memo", {})
+    a, b = tmp_path / "a", tmp_path / "b"
+    want = taylor_zeros(3, cache_dir=str(a))
+    assert taylor_zeros(3, cache_dir=str(b)) == want
+    assert [p.name for p in b.iterdir()] == ["taylor_3.json"]
+    (a / "taylor_3.json").unlink()
+    monkeypatch.setattr(polyexp, "_zeros_mp", _no_solve)
+    assert taylor_zeros(3, cache_dir=str(a)) == want
+
+
 @pytest.mark.parametrize("spec", [
     SeriesSpec("taylor", 1), SeriesSpec("taylor", 12), SeriesSpec("taylor", 52),
     SeriesSpec("chebyshev", 16, gamma_scale=2.5, axis="real"),
@@ -1110,6 +1123,20 @@ def test_block_form_product_counts(zeros_cache, monkeypatch):
             got = eval_factorized(op, target, fact)
             assert len(products) == spec.k
             assert np.array_equal(got, dense_factorized(op, target, fact))
+
+
+def test_block_form_rule_at_its_boundary(zeros_cache, monkeypatch):
+    # n = 16 and Taylor k = 8, four quadratic groups: q (m - 1) > n first
+    # holds at m = 6 columns, where H^2 and one product per group replace
+    # two products per group
+    gen = -1j * build_xxz(XxzConfig(L=4)).total
+    fact = factorize(SeriesSpec("taylor", 8, h=0.1), cache_dir=zeros_cache)
+    assert [g.kind for g in fact.groups] == ["quad"] * 4
+    products = record_products(monkeypatch)
+    for m, count in ((5, 8), (6, 1 + 4)):
+        del products[:]
+        eval_factorized(gen, np.eye(16, m, dtype=complex), fact)
+        assert len(products) == count, m
 
 
 def test_block_form_leaves_the_target_alone(zeros_cache):

@@ -226,6 +226,13 @@ def test_exact_evolution_requires_hermitian():
         exact_evolution(m, 1.0)
 
 
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_exact_evolution_refuses_a_non_finite_time(t):
+    h = build_xxz(XxzConfig(L=3)).total
+    with pytest.raises(StructuralError, match="t must be finite"):
+        exact_evolution(h, t)
+
+
 def test_exact_evolution_imaginary_direction():
     h = np.diag([1.0, -2.0]).astype(complex)
     u = exact_evolution(h, 0.5, direction="imaginary")
