@@ -51,6 +51,9 @@ class BenchPlan:
             raise StructuralError("plan needs at least one method")
         if not self.h_grid or any(not 0 < h < math.inf for h in self.h_grid):
             raise StructuralError("h_grid must be nonempty with finite positive entries")
+        for h in self.h_grid:
+            if not math.isfinite(self.t_total / h):
+                raise StructuralError(f"t_total / h must be finite, got {self.t_total} / {h}")
 
     def steps_for(self, h):
         """t_total/h rounded to an integer step count >= 1."""

@@ -862,38 +862,86 @@ def _operands(h_op, target):
     return m, t
 
 
-def _applier(m, factor, t):
-    """A closure applying (m * factor) to arrays of t's shape, for m and t
-    from `_operands`.
+def _finite(m):
+    """m, refused with StructuralError if any entry is not finite."""
+    if not np.isfinite(m).all():
+        raise StructuralError("h_op has a non-finite entry")
+    return m
 
-    A scalar multiplies.  A matrix applied to a 1-D target (a state) whose
-    nonzeros fill at most ENTRY_APPLY_MAX_FILL of it is applied through
-    its entries: one gather, multiply and row sum over the nonzeros.  Any
-    other matrix, and every matrix on a 2-D target (a block, which BLAS-3
-    GEMM serves better), is applied as the dense (m * factor) @ v.  A
-    block wide enough for `eval_factorized`'s one product per factor group
-    never comes here (see `_block_product`).
+
+def _applier(m, factor, t, k):
+    """(apply, at) for m and t from `_operands`: apply multiplies (m * factor)
+    into arrays of t's shape, and at is None or the sorted indices a
+    degree-k polynomial in m applied to t runs on.
+
+    A scalar multiplies.  A matrix on a 1-D target (a state) whose nonzeros
+    fill at most ENTRY_APPLY_MAX_FILL of it is applied through its entry
+    table.  The table holds the rows of R_k: t's support (t != 0), grown
+    by at most k rounds in which row i joins when m[i, j] != 0 for some j
+    already in the set, stopping early once a round adds nothing.  k
+    applies of m keep t's support in R_k and every other row exactly zero,
+    so dropping those rows changes no value.  at is R_k with the columns
+    its rows read, which stay zero; keeping them keeps each row's sum in
+    the order and the rounding of the whole matrix's.  For a Hermitian m,
+    R_k lies in the union of the `OperatorSplit.sectors` blocks that meet
+    the support, and equals it once the rounds reach a fixed point; a
+    state with an entry in every sector reaches the whole range.
+
+    Any other matrix, and every matrix on a 2-D target (a block, which
+    BLAS-3 GEMM serves better), is applied as the dense (m * factor) @ v.
+    A block wide enough for `eval_factorized`'s one product per factor
+    group never comes here (see `_block_product`).  A non-finite entry of
+    m is refused on every path.
     """
     if np.isscalar(m):
-        val = m * factor
-        return lambda v: val * v
+        val = _finite(m) * factor
+        return (lambda v: val * v), None
     if t.ndim == 1:
-        # count before indexing, so a dense operator never holds an index
-        # array; scanning m != 0 is 2.6x faster than complex m itself
-        nonzero = m != 0
+        m = np.ascontiguousarray(m)
+        nonzero = _nonzero(m)
+        # count before indexing, so a dense operator never holds an index array
         if np.count_nonzero(nonzero) <= ENTRY_APPLY_MAX_FILL * m.size:
-            return _entry_applier(m, np.flatnonzero(nonzero), factor)
+            rows, cols = np.divmod(np.flatnonzero(nonzero), len(m))
+            del nonzero
+            vals = _finite(m[rows, cols])
+            mark = _reach(rows, cols, t != 0, k)
+            keep = mark[rows]
+            rows, cols = rows[keep], cols[keep]
+            mark[cols] = True
+            at = np.flatnonzero(mark)
+            where = np.empty(len(m), np.intp)
+            where[at] = np.arange(len(at))
+            return _entry_applier(where[rows], where[cols], vals[keep] * factor, len(at)), at
         del nonzero
-    m = m * factor
-    return lambda v: np.matmul(m, v)
+    m = _finite(m) * factor
+    return (lambda v: np.matmul(m, v)), None
 
 
-def _entry_applier(m, flat, factor):
-    """Closure applying (m * factor) to a vector through the nonzeros of m
-    at the C-order flat indices flat.  Rows without an entry give zero."""
-    n = m.shape[0]
-    rows, cols = np.divmod(flat, n)
-    vals = m.reshape(-1)[flat] * factor
+def _nonzero(m):
+    """m != 0 for a C-contiguous m.  A complex m is compared as its real
+    and imaginary parts and each pair of flags read as one uint16, the same
+    (n, n) flags about 2.5x faster than comparing the complex entries."""
+    if np.iscomplexobj(m):
+        return (m.view(m.real.dtype) != 0).view(np.uint16) != 0
+    return m != 0
+
+
+def _reach(rows, cols, mark, k):
+    """The boolean mask of R_k: the set marked in mark, grown by at most k
+    rounds over the entry table (rows, cols), each round adding every row
+    with an entry in a marked column; a round that adds nothing ends it."""
+    for _ in range(k):
+        grown = mark.copy()
+        grown[rows[mark[cols]]] = True
+        if np.array_equal(grown, mark):
+            break
+        mark = grown
+    return mark
+
+
+def _entry_applier(rows, cols, vals, n):
+    """Closure applying the length-n operator with entries vals at (rows,
+    cols), sorted by row, to a vector.  Rows without an entry give zero."""
     # reduceat sums from each start to the next, so only the first entry of
     # each nonempty row may start a sum; the sums land in their rows
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
@@ -905,6 +953,17 @@ def _entry_applier(m, flat, factor):
         return out
 
     return apply
+
+
+def _on_reach(at, t, run):
+    """run(t) on the indices at (all of them if at is None), the result
+    written into zeros of t's length."""
+    if at is None:
+        return run(t)
+    short = run(t[at])
+    out = np.zeros(len(t), short.dtype)
+    out[at] = short
+    return out
 
 
 def _block_product(m, t, fact):
@@ -939,30 +998,40 @@ def eval_factorized(h_op, target, fact):
     """scale * prod over groups of (1 + c1 M/k + c2 (M/k)^2) applied to target,
     with M = H * spec.h.  The target itself is never modified.
 
-    h_op is a scalar or a square matrix.  A state, a thin block, a 1x1
-    input or a scalar gets H applied once per factor, twice per quadratic
-    group: through its entries on a 1-D target when they fill at most
-    ENTRY_APPLY_MAX_FILL of it, otherwise as a dense product.  A block of
-    m columns, dim n and q quadratic groups with q (m - 1) > n, such as
-    the identity, takes one product per group from H^2 formed once:
-    acc + D @ acc, with the identity kept out of D (`_block_product`).
-    There H^2 and the q products cost n^3 + q n^2 (m + 1) multiply-adds
-    against 2 q n^2 m for two products per quadratic group."""
-    m, acc = _operands(h_op, target)
+    h_op is a scalar or a square matrix with finite entries.  A state, a
+    thin block, a 1x1 input or a scalar gets H applied once per factor,
+    twice per quadratic group, k times in all: through its entries on a
+    1-D target when they fill at most ENTRY_APPLY_MAX_FILL of it,
+    otherwise as a dense product.  On a state the loop runs on R_k, the
+    indices k applies of H can reach from its support (`_applier`), which
+    for a Hermitian H lies within the `OperatorSplit.sectors` blocks the
+    state meets; the result is zero elsewhere, bit for bit the whole-range
+    result up to the sign of a zero.  A block of m columns, dim n and q
+    quadratic groups with q (m - 1) > n, such as the identity, takes one
+    product per group from H^2 formed once: acc + D @ acc, with the
+    identity kept out of D (`_block_product`).  There H^2 and the q
+    products cost n^3 + q n^2 (m + 1) multiply-adds against 2 q n^2 m for
+    two products per quadratic group."""
+    m, t = _operands(h_op, target)
     quads = sum(g.kind == "quad" for g in fact.groups)
-    if not np.isscalar(m) and acc.ndim == 2 and quads * (acc.shape[1] - 1) > acc.shape[0]:
-        acc = _block_product(m, acc, fact)
+    if not np.isscalar(m) and t.ndim == 2 and quads * (t.shape[1] - 1) > t.shape[0]:
+        acc = _block_product(_finite(m), t, fact)
     else:
         k = fact.spec.k
-        apply_h = _applier(m, fact.spec.h, acc)
-        for g in fact.groups:
-            if g.kind == "quad":
-                c1, c2 = g.coeffs
-                mv = apply_h(acc)
-                acc = acc + (c1 / k) * mv + (c2 / k**2) * apply_h(mv)
-            else:
-                (c1,) = g.coeffs
-                acc = acc + (c1 / k) * apply_h(acc)
+        apply_h, at = _applier(m, fact.spec.h, t, k)
+
+        def run(acc):
+            for g in fact.groups:
+                if g.kind == "quad":
+                    c1, c2 = g.coeffs
+                    mv = apply_h(acc)
+                    acc = acc + (c1 / k) * mv + (c2 / k**2) * apply_h(mv)
+                else:
+                    (c1,) = g.coeffs
+                    acc = acc + (c1 / k) * apply_h(acc)
+            return acc
+
+        acc = _on_reach(at, t, run)
     if fact.overall_scale != 1.0:
         acc = fact.overall_scale * acc
     return acc
@@ -971,28 +1040,36 @@ def eval_factorized(h_op, target, fact):
 def eval_summed(h_op, target, spec):
     """Direct accumulation: Taylor running-term sum, or the Chebyshev
     three-term recurrence.  Reference path; unstable for Taylor k > 17 at
-    large |lambda h|.  H is applied once per term, on every target as
-    `eval_factorized` applies it to a state or a thin block: through its
-    entries on a 1-D target when they fill at most ENTRY_APPLY_MAX_FILL
-    of it, otherwise as a dense product."""
+    large |lambda h|.  H is applied once per term, k times in all, on
+    every target as `eval_factorized` applies it to a state or a thin
+    block: through its entries on a 1-D target when they fill at most
+    ENTRY_APPLY_MAX_FILL of it, otherwise as a dense product.  On a state
+    the terms run on R_k as in `eval_factorized`: within the
+    `OperatorSplit.sectors` blocks the state meets, for a Hermitian H."""
     k = spec.k
+    m, t = _operands(h_op, target)
     if spec.family == "taylor":
-        m, term = _operands(h_op, target)
-        apply_h = _applier(m, spec.h, term)
-        acc = term
-        for i in range(1, k + 1):
-            term = apply_h(term) / i
-            acc = acc + term
-        return acc
-    mu = chebyshev_coefficients(spec)
-    gh = spec.gamma_h
-    denom = (1j * gh) if spec.axis == "imaginary" else gh
-    m, target = _operands(h_op, target)
-    apply_x = _applier(m, spec.h / denom, target)
-    t_prev = target
-    t_cur = apply_x(target)
-    acc = mu[0] * t_prev + mu[1] * t_cur
-    for i in range(2, k + 1):
-        t_prev, t_cur = t_cur, 2 * apply_x(t_cur) - t_prev
-        acc = acc + mu[i] * t_cur
-    return acc
+        apply_h, at = _applier(m, spec.h, t, k)
+
+        def run(term):
+            acc = term
+            for i in range(1, k + 1):
+                term = apply_h(term) / i
+                acc = acc + term
+            return acc
+
+    else:
+        mu = chebyshev_coefficients(spec)
+        gh = spec.gamma_h
+        denom = (1j * gh) if spec.axis == "imaginary" else gh
+        apply_x, at = _applier(m, spec.h / denom, t, k)
+
+        def run(t_prev):
+            t_cur = apply_x(t_prev)
+            acc = mu[0] * t_prev + mu[1] * t_cur
+            for i in range(2, k + 1):
+                t_prev, t_cur = t_cur, 2 * apply_x(t_cur) - t_prev
+                acc = acc + mu[i] * t_cur
+            return acc
+
+    return _on_reach(at, t, run)

@@ -75,6 +75,13 @@ def test_plan_refuses_non_finite_values(field, value):
         plan_from_dict(data)
 
 
+def test_plan_refuses_a_step_count_that_overflows():
+    # both values are finite, their ratio is not
+    with pytest.raises(StructuralError, match="t_total / h must be finite"):
+        BenchPlan(t_total=1e300, h_grid=(0.5, 1e-10))
+    assert BenchPlan(t_total=1e300, h_grid=(1e-5,)).steps_for(1e-5) == round(1e305)
+
+
 def test_plan_from_dict_roundtrip():
     plan = plan_from_dict(
         {

@@ -420,6 +420,17 @@ def test_bench_refuses_a_non_finite_plan_value(capsys, tmp_path, field):
     assert not out.exists()
 
 
+def test_bench_refuses_a_plan_whose_step_count_overflows(capsys, tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text('{"model": {"L": 3}, "methods": ["strang"], '
+                    '"t_total": 1e300, "h_grid": [1e-10]}')
+    out = tmp_path / "r.csv"
+    rc, stdout, err = run_cli(capsys, "bench", "--config", str(path), "--out", str(out))
+    assert rc == 1 and stdout == ""
+    assert err.startswith("error:structural:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bench_requires_out(capsys, plan_file):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--config", str(plan_file)])

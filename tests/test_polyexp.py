@@ -910,13 +910,13 @@ ENTRY_CHAINS = [
 
 
 def spy_entry_applier(monkeypatch):
-    """Record each matrix that `_applier` sends through its entries."""
+    """Record each entry table (rows, cols, vals, n) that `_applier` builds."""
     seen = []
     real = polyexp._entry_applier
 
-    def spy(m, flat, factor):
-        seen.append(m)
-        return real(m, flat, factor)
+    def spy(rows, cols, vals, n):
+        seen.append((rows, cols, vals, n))
+        return real(rows, cols, vals, n)
 
     monkeypatch.setattr(polyexp, "_entry_applier", spy)
     return seen
@@ -1039,6 +1039,152 @@ def test_block_target_never_scans_for_nonzeros(zeros_cache, monkeypatch):
     # a state: the operator is counted and indexed once, then its rows
     assert scans[:2] == [("count_nonzero", (64, 64)), ("flatnonzero", (64, 64))]
     assert all(shape != (64, 64) for _, shape in scans[2:])
+
+
+# ---------------------------------------------------------------------------
+# a state runs on the indices its polynomial can reach
+
+
+def whole_range_applier(m, factor, t, k):
+    """`_applier` for a matrix without the reach: a state is multiplied
+    through all of m's nonzero entries (when they fill at most
+    ENTRY_APPLY_MAX_FILL of it) or by the dense gemv, on every index."""
+    n = m.shape[0]
+    flat = np.flatnonzero(m != 0)
+    if t.ndim == 1 and len(flat) <= polyexp.ENTRY_APPLY_MAX_FILL * m.size:
+        rows, cols = np.divmod(flat, n)
+        vals = m.reshape(-1)[flat] * factor
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        hit = rows[starts]
+
+        def apply(v):
+            out = np.zeros(n, np.result_type(vals, v))
+            out[hit] = np.add.reduceat(vals * v[cols], starts)
+            return out
+
+        return apply, None
+    dense = m * factor
+    return (lambda v: dense @ v), None
+
+
+def whole_range(monkeypatch, evaluate, h_op, target, arg):
+    with monkeypatch.context() as patch:
+        patch.setattr(polyexp, "_applier", whole_range_applier)
+        return evaluate(h_op, target, arg)
+
+
+def basis_state(dim, index):
+    e = np.zeros(dim, dtype=complex)
+    e[index] = 1.0
+    return e
+
+
+def chain_states(L):
+    """The Neel state |1010...>, the domain wall |11..100..0>, one basis
+    state and a random state, as vectors over the 2^L basis."""
+    dim = 2**L
+    return {"neel": basis_state(dim, int("10" * (L // 2), 2)),
+            "wall": basis_state(dim, (2**(L // 2) - 1) << (L - L // 2)),
+            "basis": basis_state(dim, 5),
+            "random": random_state(dim, L)}
+
+
+@pytest.mark.parametrize("L, boundary, delta", ENTRY_CHAINS)
+def test_reach_is_bit_identical_to_the_whole_range(zeros_cache, monkeypatch, L, boundary, delta):
+    gen = -1j * build_xxz(XxzConfig(L=L, boundary=boundary, delta=delta)).total
+    h = 0.1
+    k = chebyshev_admissible_k(GAMMA_ALL * h, "imaginary", 1e-13)
+    specs = (SeriesSpec("taylor", 20, h=h),
+             SeriesSpec("chebyshev", k, gamma_scale=GAMMA_ALL, axis="imaginary", h=h))
+    for spec in specs:
+        fact = factorize(spec, cache_dir=zeros_cache)
+        for name, psi in chain_states(L).items():
+            for evaluate, arg in ((eval_factorized, fact), (eval_summed, spec)):
+                got = evaluate(gen, psi, arg)
+                want = whole_range(monkeypatch, evaluate, gen, psi, arg)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (name, spec.family, evaluate.__name__)
+
+
+def test_reach_keeps_every_term_of_a_row(zeros_cache, monkeypatch):
+    # row 4 reads columns 0-3 and column 0 is never reached; were its term
+    # dropped, np.add.reduceat would sum 1e16 + (1 + 1) where the whole
+    # row sums 0 + ((1e16 + 1) + 1)
+    m = np.zeros((64, 64))
+    m[4, :4] = [1.0, 1e16, 1.0, 1.0]
+    t = np.zeros(64)
+    t[1:4] = 1.0
+    apply_h, at = polyexp._applier(m, 1.0, t, 1)
+    assert list(at) == [0, 1, 2, 3, 4]
+    spec = SeriesSpec("taylor", 1)
+    fact = factorize(spec, cache_dir=zeros_cache)
+    for evaluate, arg in ((eval_factorized, fact), (eval_summed, spec)):
+        got = evaluate(m, t, arg)
+        assert np.array_equal(got, whole_range(monkeypatch, evaluate, m, t, arg))
+        assert got[4] == 1e16
+
+
+def test_reach_on_a_shift(zeros_cache):
+    # the shift e_i -> e_(i+1): k applies to e_0 reach e_0 ... e_k
+    shift = np.eye(64, k=-1)
+    e0 = basis_state(64, 0)
+    _, at = polyexp._applier(shift, 1.0, e0, 5)
+    assert list(at) == list(range(6))
+    fact = factorize(SeriesSpec("taylor", 5), cache_dir=zeros_cache)
+    got = eval_factorized(shift, e0, fact)
+    assert np.all(got[:6] != 0) and not got[6:].any()
+    assert np.array_equal(got, dense_factorized(shift, e0, fact))
+
+
+@pytest.mark.parametrize("L", (4, 6, 8, 10))
+@pytest.mark.parametrize("boundary, delta", [("open", 0.0), ("periodic", 0.3), ("open", 1.0)])
+def test_reach_fixed_point_is_a_sector(L, boundary, delta):
+    split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=delta))
+    rows, cols = np.nonzero(split.total)
+    dim = split.dim
+    for sector in split.sectors:
+        for i in sector:
+            start = np.zeros(dim, dtype=bool)
+            start[i] = True
+            assert np.array_equal(np.flatnonzero(polyexp._reach(rows, cols, start, dim)),
+                                  sector)
+            # short of the fixed point, R_k stays inside the sector
+            assert set(np.flatnonzero(polyexp._reach(rows, cols, start, 2))) <= set(sector)
+
+
+def test_neel_state_table_holds_its_sector(zeros_cache, monkeypatch):
+    split = build_xxz(XxzConfig(L=10))
+    psi = chain_states(10)["neel"]
+    sector = next(s for s in split.sectors if psi[s].any())
+    assert len(sector) == 252
+    seen = spy_entry_applier(monkeypatch)
+    _, at = polyexp._applier(-1j * split.total, 0.5, psi, 52)
+    ((rows, cols, _, n),) = seen
+    assert np.array_equal(at, sector)
+    assert n == 252 and np.array_equal(np.unique(rows), np.arange(252))
+    assert cols.max() < 252
+
+
+def test_non_finite_operator_is_refused_on_every_path(zeros_cache):
+    gen = -1j * build_xxz(XxzConfig(L=6)).total
+    psi = chain_states(6)["neel"]
+    # an entry of the all-up sector, which the Neel state never reaches
+    assert not polyexp._reach(*np.nonzero(gen), psi != 0, 64)[63]
+    spec = SeriesSpec("taylor", 20, h=0.1)
+    fact = factorize(spec, cache_dir=zeros_cache)
+    dense = np.full((64, 64), 0.01 + 0j)
+    for bad in (math.nan, math.inf):
+        cases = []
+        for op in (gen, dense):
+            op = op.copy()
+            op[63, 63] = bad
+            # a state (through the entries, or dense), a thin and a wide block
+            cases += [(op, psi), (op, psi[:, None]), (op, np.eye(64, dtype=complex))]
+        cases.append((complex(bad), 1.0 + 0j))
+        for op, target in cases:
+            for evaluate, arg in ((eval_factorized, fact), (eval_summed, spec)):
+                with pytest.raises(StructuralError, match="h_op has a non-finite entry"):
+                    evaluate(op, target, arg)
 
 
 # ---------------------------------------------------------------------------
