@@ -13,11 +13,13 @@ imaginary arguments with k > 17).
 Zeros are computed once in extended precision by certified Newton: from
 asymptotic (Taylor) or colleague-matrix (Chebyshev) guesses, one zero of
 each conjugate pair is solved by Newton in fixed-point integer arithmetic
-and the other mirrored exactly.  Each zero is checked against a per-root
-residual contract, and disjoint inclusion disks certify that all k were
-found.  The zeros are cached on disk with their provenance, certified again
-when loaded, and rounded to doubles for evaluation.  The Chebyshev
-coefficients are Bessel values from mpmath J/I seeds plus downward recurrence.
+and the other mirrored exactly.  Each zero's residual |p/p'| comes from
+the kernel's own last evaluation, |p| widened by its evaluation allowance,
+and must meet a per-root contract; disjoint inclusion disks certify that all
+k were found.  The zeros are cached on disk with their provenance, certified
+again by the same residual when loaded, and rounded to doubles for
+evaluation.  The Chebyshev coefficients are Bessel values from mpmath J/I
+seeds plus downward recurrence.
 """
 
 from __future__ import annotations
@@ -328,22 +330,33 @@ def _fixed(x, bits):
     return int(mp.ldexp(mp.mpf(x), bits))
 
 
-def _newton_fixed(p_and_dp, w, bits, stop):
+def _residual(value, slack, scale):
+    """The z-plane |p/p'| of one kernel evaluation value = (p, p'): (|p| +
+    slack) / |p'| in the working plane, its square roots rounded to widen
+    it, times scale.  slack, the kernel's evaluation allowance in units of
+    2^-bits, makes it bound the exact |p/p'| where the fixed-point |p|
+    truncates to 0."""
+    (pr, pi), (dr, di) = value
+    den = math.isqrt(dr * dr + di * di)
+    return scale * ((math.isqrt(pr * pr + pi * pi) + 1 + slack) / den) if den else math.inf
+
+
+def _newton_fixed(p_and_dp, w, bits, stop, slack, scale):
     """Newton steps in complex fixed point (a pair of ints scaled by 2^bits)
     from w until a step is shorter than stop (fixed point too), then one more
-    step.  Returns (w, whether that stop rule was met)."""
+    kernel evaluation at the point reached, which takes no step.  Returns
+    (w, its `_residual` from that evaluation, whether the stop rule was met);
+    a run that misses the rule returns where it stopped, with its residual."""
     done = False
-    for _ in range(NEWTON_MAX_STEPS):
-        (pr, pi), (dr, di) = p_and_dp(w)
+    for n in range(NEWTON_MAX_STEPS):
+        (pr, pi), (dr, di) = value = p_and_dp(w)
         den = dr * dr + di * di
-        if den == 0:
+        if done or den == 0 or n == NEWTON_MAX_STEPS - 1:
             break
         step = (((pr * dr + pi * di) << bits) // den, ((pi * dr - pr * di) << bits) // den)
         w = (w[0] - step[0], w[1] - step[1])
-        if done:
-            return w, True
         done = step[0] ** 2 + step[1] ** 2 < stop**2
-    return w, False
+    return w, _residual(value, slack, scale), done
 
 
 def _rounding(zs):
@@ -361,39 +374,40 @@ def _disks_disjoint(zs, radius):
     return bool(np.all(gap > 0))
 
 
-def _newton_certified(k, guesses, scale, bits, fixed_p_and_dp, residual):
+def _newton_certified(k, guesses, scale, bits, fixed_p_and_dp, slack):
     """Solve one representative per symmetric pair of guesses by fixed-point
     Newton, mirror it, and certify the result as the complete root set.
 
-    The working plane is w = z / scale (scale > 0 real).  residual(w) is the
-    z-plane |p/p'| from the mpmath evaluator; a mirrored root inherits it.
-    Some root lies within k*|p/p'| of any point (|p'/p| = |sum 1/(z - z_j)|),
-    so k pairwise disjoint disks of radius k * worst prove all k roots found.
-    Returns (z-plane roots as doubles, worst residual, certified); a
-    representative whose Newton run misses the stop rule ends the pass as
-    uncertified, with its own residual.
+    The working plane is w = z / scale (scale > 0 real).  Each residual is
+    the z-plane |p/p'| `_newton_fixed` returns, with the kernel's allowance
+    slack; a mirrored root inherits it.  Some root lies within k*|p/p'| of
+    any point (|p'/p| = |sum 1/(z - z_j)|), so k pairwise disjoint disks of
+    radius k * worst prove all k roots found.  Returns (z-plane roots as
+    doubles, worst residual, None), with the failed check named in place of
+    None; a Newton run that misses the stop rule ends the pass there.
     """
     reps = _representatives(guesses)
     if reps is None:
-        return [], mp.inf, False
+        return [], math.inf, "guesses not conjugate-symmetric"
     tol = ZERO_RESIDUAL_PER_K * k
     stop = _fixed(tol * 1e-2 / scale, bits)
     num, den = float(scale).as_integer_ratio()
     den <<= bits
-    zs, worst = [], mp.mpf(0)
+    zs, worst = [], 0.0
     for g in reps:
-        w, converged = _newton_fixed(
-            fixed_p_and_dp, (_fixed(g.real, bits), _fixed(g.imag, bits)), bits, stop
-        )
-        res = residual(mp.mpc(mp.mpf((w[0], -bits)), mp.mpf((w[1], -bits))))
+        w0 = (_fixed(g.real, bits), _fixed(g.imag, bits))
+        w, res, converged = _newton_fixed(fixed_p_and_dp, w0, bits, stop, slack, scale)
         if not converged:
-            return zs, res, False
+            return zs, res, "Newton missed its stop rule"
         worst = max(worst, res)
         # z = scale * w rounded once, so the mirror is the exact conjugate
         z = complex(w[0] * num / den, w[1] * num / den)
         zs += [z] if w[1] == 0 else [z, z.conjugate()]
-    certified = len(zs) == k and _disks_disjoint(zs, k * float(worst)) and worst < tol
-    return zs, worst, certified
+    if worst >= tol:
+        return zs, worst, "residual above contract"
+    if len(zs) != k or not _disks_disjoint(zs, k * worst):
+        return zs, worst, "root disks not disjoint"
+    return zs, worst, None
 
 
 def _refined_guesses(fixed_p_and_dp, guesses, bits):
@@ -436,43 +450,16 @@ def _fixed_horner(c, w, bits):
 
 def _taylor_setup(spec, dps):
     """The Taylor solve at dps digits (inside mp.workdps(dps)): guesses,
-    scale, fraction bits, fixed-point p and p', and mpmath residual, as
-    _newton_certified takes them.  Newton runs in u = z/k, where the
-    coefficients k^i/i! are all >= 1 and every zero has |u| <= 1."""
+    scale, fraction bits, fixed-point p and p', and the allowance for the
+    error of p, as _newton_certified takes them.  Newton runs in u = z/k,
+    where the coefficients k^i/i! are all >= 1 and every zero has |u| <= 1,
+    so each Horner step truncates once and no error grows: 3(k + 1) units of
+    2^-bits bound it."""
     k = spec.k
     bits = _fraction_bits(dps)
     c = [(k**i << bits) // math.factorial(i) for i in range(k + 1)]
-    fac = [1 / mp.factorial(i) for i in range(k + 1)]
-
-    def residual(w):
-        # Horner in z; p' = p - z^k/k!
-        z = k * w
-        p = mp.mpc(fac[k])
-        for i in range(k - 1, -1, -1):
-            p = p * z + fac[i]
-        return abs(p / (p - z**k * fac[k]))
-
     guesses = [z / k for z in _szego_guesses(k)]
-    return guesses, k, bits, lambda w: _fixed_horner(c, w, bits), residual
-
-
-def _clenshaw(coeffs, x):
-    """Sum c_i T_i(x) by Clenshaw recurrence (any coefficient count >= 1)."""
-    b1 = mp.mpc(0)
-    b2 = mp.mpc(0)
-    for c in coeffs[:0:-1]:
-        b1, b2 = 2 * x * b1 - b2 + c, b1
-    return x * b1 - b2 + coeffs[0]
-
-
-def _cheb_deriv_coeffs(mu):
-    """T-basis coefficients of d/dx sum mu_i T_i: d_{n-1} = d_{n+1} + 2n mu_n."""
-    k = len(mu) - 1
-    d = [mp.mpc(0)] * (k + 1)
-    for n in range(k, 0, -1):
-        d[n - 1] = (d[n + 1] if n + 1 <= k else mp.mpc(0)) + 2 * n * mu[n]
-    d[0] = d[0] / 2
-    return d[:k]
+    return guesses, k, bits, lambda w: _fixed_horner(c, w, bits), 3 * (k + 1)
 
 
 def _fixed_clenshaw(mu, x, bits):
@@ -492,16 +479,23 @@ def _fixed_clenshaw(mu, x, bits):
     return (tr - b2r + mu[0][0], ti - b2i + mu[0][1]), (br + ur - d2r, bi + ui - d2i)
 
 
+def _clenshaw_log_rho(xs):
+    """log2 of the largest rho = |x + sqrt(x^2 - 1)| >= 1 (the larger branch)
+    over the points xs: rounding errors of a Clenshaw pass at x grow like
+    rho^k."""
+    roots = [(x, cmath.sqrt(x * x - 1)) for x in xs]
+    return max(math.log2(max(abs(x + r), abs(x - r))) for x, r in roots)
+
+
 def _clenshaw_guard_bits(mu, xs):
     """Extra fraction bits so that a fixed-point Clenshaw pass keeps the
     accuracy of a floating one at the points xs: rounding errors at x grow
-    like rho^k, rho = |x + sqrt(x^2 - 1)| >= 1, while the terms of the sum
-    are only as large as max_i |mu_i| rho^i (Taylor-like zeros far off the
-    segment have rho ~ 2|x| and tiny high-order mu).  The shortfall grows
-    with rho, so the outermost point decides."""
+    like rho^k (`_clenshaw_log_rho`), while the terms of the sum are only as
+    large as max_i |mu_i| rho^i (Taylor-like zeros far off the segment have
+    rho ~ 2|x| and tiny high-order mu).  The shortfall grows with rho, so
+    the outermost point decides."""
     k = len(mu) - 1
-    roots = [(x, cmath.sqrt(x * x - 1)) for x in xs]
-    log_rho = max(math.log2(max(abs(x + r), abs(x - r))) for x, r in roots)
+    log_rho = _clenshaw_log_rho(xs)
     terms = max(mp.mag(m) + i * log_rho for i, m in enumerate(mu) if m != 0)
     return max(0, math.ceil(k * log_rho + math.log2(k + 1) - terms))
 
@@ -540,14 +534,16 @@ def _chebyshev_setup(spec, dps):
     """The Chebyshev solve at dps digits, as _taylor_setup.  Newton runs in
     w = z / (Gamma*h): w = x on the real axis and w = i x on the imaginary
     one, where conj(p(-conj(x))) = p(x) because the phase i^i of mu is
-    exact.  Either way the roots are symmetric about Im w = 0."""
+    exact.  Either way the roots are symmetric about Im w = 0.  The
+    allowance is 4(k + 1) 2^ceil(k log2 rho + log2(k + 1)) units, with rho
+    over the guesses as in `_clenshaw_guard_bits`."""
     k, gh = spec.k, spec.gamma_h
     imaginary = spec.axis == "imaginary"
     mu = _chebyshev_mu(spec, dps)
-    dmu = _cheb_deriv_coeffs(mu)
     xs = _cheb_guesses([complex(m) for m in mu], k)
     bits = _fraction_bits(dps) + _clenshaw_guard_bits(mu, xs)
     fixed_mu = [(_fixed(m.real, bits), _fixed(m.imag, bits)) for m in mu]
+    slack = 4 * (k + 1) << math.ceil(k * _clenshaw_log_rho(xs) + math.log2(k + 1))
 
     def fixed_p_and_dp(w):
         if not imaginary:
@@ -556,13 +552,8 @@ def _chebyshev_setup(spec, dps):
         p, dp = _fixed_clenshaw(fixed_mu, (w[1], -w[0]), bits)
         return p, (dp[1], -dp[0])
 
-    def residual(w):
-        x = mp.mpc(w.imag, -w.real) if imaginary else w
-        # |dz/dx| = Gamma*h
-        return abs(_clenshaw(mu, x) / _clenshaw(dmu, x)) * gh
-
     guesses = [1j * x if imaginary else x for x in xs]
-    return guesses, gh, bits, fixed_p_and_dp, residual
+    return guesses, gh, bits, fixed_p_and_dp, slack
 
 
 _SETUPS = {"taylor": _taylor_setup, "chebyshev": _chebyshev_setup}
@@ -581,25 +572,23 @@ def _zeros_mp(spec):
     """All k zeros (z-plane) of the truncation for spec, meeting the residual
     contract, with their worst residual: certified Newton from the family's
     guesses, then from refined guesses, at the working precision and then
-    at 1.5 times it."""
+    at 1.5 times it.  ConvergenceError names the check the last pass failed."""
     k = spec.k
     for boost in (1.0, 1.5):
         dps = int(_working_dps(spec) * boost)
         with mp.workdps(dps):
-            guesses, scale, bits, kernel, residual = _SETUPS[spec.family](spec, dps)
-            zs, worst, certified = _newton_certified(k, guesses, scale, bits, kernel, residual)
-            if not certified:
+            guesses, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps)
+            zs, worst, failed = _newton_certified(k, guesses, scale, bits, kernel, slack)
+            if failed:
                 guesses = _refined_guesses(kernel, guesses, bits)
-                zs, worst, certified = _newton_certified(k, guesses, scale, bits, kernel, residual)
-        if certified:
-            return zs, float(worst)
+                zs, worst, failed = _newton_certified(k, guesses, scale, bits, kernel, slack)
+        if not failed:
+            return zs, worst
     tol = ZERO_RESIDUAL_PER_K * k
     what = f"{spec.family} zeros k={k}"
     what += f" Gamma*h={spec.gamma_h} {spec.axis}" if spec.family == "chebyshev" else ""
-    reason = "residual above contract" if worst >= tol else "root disks not disjoint"
     raise ConvergenceError(
-        f"{what}: {reason}: residual {float(worst):.3e}, contract {tol:.3e}",
-        worst_residual=float(worst),
+        f"{what}: {failed}: residual {worst:.3e}, contract {tol:.3e}", worst_residual=worst
     )
 
 
@@ -637,9 +626,9 @@ def _load_zeros(path, header, spec):
     """The zeros of a cache file, or None unless its header matches, its
     zeros are k, exactly conjugate-closed and of a stored residual within
     the contract, and the solve's fixed-point kernel, at the base working
-    precision, certifies them again: |p/p'| at each stored double z within
-    its rounding allowance 2^-50 |z|, and disjoint disks of radius
-    k * max |p/p'| (a legacy bare-list file fails)."""
+    precision, certifies them again with the solve's `_residual`: |p/p'| at
+    each stored double z within its rounding allowance 2^-50 |z|, and
+    disjoint disks of radius k * max |p/p'| (a legacy bare-list file fails)."""
     k = spec.k
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -653,11 +642,10 @@ def _load_zeros(path, header, spec):
         reps = [z for z in zs if z.imag >= 0]  # a conjugate's |p/p'| is its partner's
         dps = _working_dps(spec)
         with mp.workdps(dps):
-            _, scale, bits, kernel, _ = _SETUPS[spec.family](spec, dps)
+            _, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps)
             ws = [(_fixed(mp.mpf(z.real) / scale, bits), _fixed(mp.mpf(z.imag) / scale, bits))
                   for z in reps]
-        steps = np.array([scale * math.sqrt((pr * pr + pi * pi) / (dr * dr + di * di))
-                          for (pr, pi), (dr, di) in map(kernel, ws)])
+        steps = np.array([_residual(kernel(w), slack, scale) for w in ws])
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError, ConvergenceError):
         return None
     if np.all(steps <= _rounding(reps)) and _disks_disjoint(zs, k * np.max(steps)):
@@ -803,8 +791,10 @@ def factorize(spec, *, cache_dir=None):
         if spec.axis == "real":
             dps0 += _real_axis_guard_digits(spec.gamma_h)
         with mp.workdps(dps0):
-            p0 = _clenshaw(_chebyshev_mu(spec, dps0), mp.mpf(0))
-        scale = float(p0.real)
+            p0 = mp.mpf(0)  # p(0) = mu_0 - mu_2 + ..., from the top as Clenshaw sums it
+            for m in reversed(_chebyshev_mu(spec, dps0)[::2]):
+                p0 = m.real - p0
+        scale = float(p0)
     gammas = gamma_for(zeros, spec.k)
     groups = order_factors(gammas)
     fact = FactorizedPolynomial(

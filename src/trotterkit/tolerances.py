@@ -17,7 +17,7 @@ HERMITICITY_TOL = 1e-13       # component-wise, OperatorSplit parts
 PLATEAU_ERROR = 1e-12         # round-off plateau cut in order fits
 
 # Polynomial factorization
-ZERO_RESIDUAL_PER_K = 1e-25   # |p(z)/p'(z)| < ZERO_RESIDUAL_PER_K * k
+ZERO_RESIDUAL_PER_K = 1e-25   # per root: (|p| + kernel allowance) / |p'| < this * k
 NEWTON_MAX_STEPS = 100        # per root; the guesses converge in at most 7
 TAYLOR_K_MAX = 400
 BESSEL_X_MAX = 500.0

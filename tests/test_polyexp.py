@@ -323,6 +323,26 @@ def _to_mp(a, bits):
     return mp.mpc(mp.mpf((a[0], -bits)), mp.mpf((a[1], -bits)))
 
 
+def _clenshaw(coeffs, x):
+    """Sum c_i T_i(x) by Clenshaw recurrence in mpmath (any coefficient
+    count >= 1): the reference for the fixed-point kernel."""
+    b1 = mp.mpc(0)
+    b2 = mp.mpc(0)
+    for c in coeffs[:0:-1]:
+        b1, b2 = 2 * x * b1 - b2 + c, b1
+    return x * b1 - b2 + coeffs[0]
+
+
+def _cheb_deriv_coeffs(mu):
+    """T-basis coefficients of d/dx sum mu_i T_i: d_{n-1} = d_{n+1} + 2n mu_n."""
+    k = len(mu) - 1
+    d = [mp.mpc(0)] * (k + 1)
+    for n in range(k, 0, -1):
+        d[n - 1] = (d[n + 1] if n + 1 <= k else mp.mpc(0)) + 2 * n * mu[n]
+    d[0] = d[0] / 2
+    return d[:k]
+
+
 @pytest.mark.parametrize("k", [5, 52, 152])
 def test_fixed_horner_matches_mpmath(k):
     # P(u) = p(k u) and P'(u) = k p'(k u) against the mpmath evaluator
@@ -357,7 +377,7 @@ def test_fixed_clenshaw_matches_mpmath(k, gh, axis):
     rng = np.random.default_rng(k)
     with mp.workdps(90):
         mu = polyexp._chebyshev_mu(spec, 90)
-        dmu = polyexp._cheb_deriv_coeffs(mu)
+        dmu = _cheb_deriv_coeffs(mu)
         reach = 1.5 * max(1.0, k / gh)
         for re, im in zip(rng.uniform(-reach, reach, 20), rng.uniform(-reach, reach, 20)):
             x = complex(re, im)
@@ -368,8 +388,8 @@ def test_fixed_clenshaw_matches_mpmath(k, gh, axis):
             xm = mp.mpc(x)
             rho = max(abs(x + cmath.sqrt(x * x - 1)), abs(x - cmath.sqrt(x * x - 1)))
             scale = sum(abs(complex(m)) * rho**i for i, m in enumerate(mu))
-            assert abs(_to_mp(p, bits) - polyexp._clenshaw(mu, xm)) < 1e-55 * scale
-            assert abs(_to_mp(dp, bits) - polyexp._clenshaw(dmu, xm)) < 1e-55 * k * k * scale
+            assert abs(_to_mp(p, bits) - _clenshaw(mu, xm)) < 1e-55 * scale
+            assert abs(_to_mp(dp, bits) - _clenshaw(dmu, xm)) < 1e-55 * k * k * scale
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 20, 21])
@@ -434,35 +454,85 @@ def test_overresolved_chebyshev_is_solved_from_refined_guesses(monkeypatch):
     assert len(polyexp._sort_conjugate_closed(zs)) == 60
     with mp.workdps(120):
         mu = polyexp._chebyshev_mu(spec, 120)
-        dmu = polyexp._cheb_deriv_coeffs(mu)
+        dmu = _cheb_deriv_coeffs(mu)
         for z in zs:
             x = mp.mpc(z) / 20
             # Newton correction at each double-rounded zero is at rounding level
-            assert abs(polyexp._clenshaw(mu, x) / polyexp._clenshaw(dmu, x)) * 20 < 1e-14 * abs(z)
+            assert abs(_clenshaw(mu, x) / _clenshaw(dmu, x)) * 20 < 1e-14 * abs(z)
 
 
-@pytest.mark.parametrize("contract, calls, certified", [(1e-25, 3, True), (0.0, 1, False)])
-def test_newton_pass_stops_at_first_unconverged_representative(monkeypatch, contract, calls,
+@pytest.mark.parametrize("contract, runs, certified", [(1e-25, 3, True), (0.0, 1, False)])
+def test_newton_pass_stops_at_first_unconverged_representative(monkeypatch, contract, runs,
                                                                 certified):
     # Taylor k = 5 has three representatives (one real zero, two upper);
     # a zero contract means a zero stop step, which no Newton run meets, so
-    # the pass gives up at the first representative with its own residual
+    # the pass gives up after the first representative's run, with the
+    # finite residual of the point where that run stopped
     monkeypatch.setattr(polyexp, "ZERO_RESIDUAL_PER_K", contract)
+    newton = polyexp._newton_fixed
+    seen = []
+    monkeypatch.setattr(polyexp, "_newton_fixed", lambda *a: seen.append(a) or newton(*a))
     k = 5
     bits = polyexp._fraction_bits(60)
     c = [(k**i << bits) // math.factorial(i) for i in range(k + 1)]
     guesses = [z / k for z in polyexp._szego_guesses(k)]
-    seen = []
-
-    def residual(w):
-        seen.append(w)
-        return mp.mpf(len(seen)) * 1e-40
-
-    zs, worst, ok = polyexp._newton_certified(
-        k, guesses, k, bits, lambda w: polyexp._fixed_horner(c, w, bits), residual
+    zs, worst, failed = polyexp._newton_certified(
+        k, guesses, k, bits, lambda w: polyexp._fixed_horner(c, w, bits), 3 * (k + 1)
     )
-    assert len(seen) == calls and ok is certified
-    assert worst == mp.mpf(calls) * 1e-40
+    assert len(seen) == runs and (failed is None) is certified
+    assert 0 < worst < math.inf
+    assert failed in (None, "Newton missed its stop rule")
+
+
+@pytest.mark.parametrize("attr, value, reason", [
+    ("ZERO_RESIDUAL_PER_K", 0.0, "Newton missed its stop rule"),
+    ("_residual", lambda value, slack, scale: 1.0, "residual above contract"),
+    ("_representatives", lambda guesses: None, "guesses not conjugate-symmetric"),
+])
+def test_zero_solve_failure_names_the_failed_check(monkeypatch, attr, value, reason):
+    # a zero contract stops no Newton run; a residual of 1 stops them all
+    # but misses the contract; guesses without a conjugate split leave no
+    # pass to run (disjointness: the duplicate-guess test)
+    monkeypatch.setattr(polyexp, attr, value)
+    with pytest.raises(ConvergenceError, match=f"taylor zeros k=5: {reason}: residual"):
+        polyexp._zeros_mp(SeriesSpec("taylor", 5))
+
+
+@pytest.mark.parametrize("spec", [SeriesSpec("taylor", k) for k in (1, 2, 5, 12, 21, 52, 152)] + [
+    SeriesSpec("chebyshev", k, gamma_scale=gh, axis=axis)
+    for k, gh, axis in [(6, 2.0, "real"), (16, 2.5, "real"), (40, 20.0, "real"),
+                        (40, 20.0, "imaginary"), (40, 0.5, "real"), (100, 80.0, "imaginary"),
+                        (51, 27.27, "imaginary")]
+], ids=str)
+def test_newton_residual_bounds_the_kernel_polynomials(spec):
+    # The residual each Newton run returns, (|p| + allowance) / |p'| from
+    # the kernel's last evaluation, bounds |p/p'| at that point of the
+    # kernel's own polynomial (its fixed-point coefficients read as exact
+    # numbers), evaluated in mpmath at 3x the working digits; the
+    # fixed-point |p| alone truncates to 0 at many representatives.
+    k, dps = spec.k, polyexp._working_dps(spec)
+    with mp.workdps(dps):
+        guesses, scale, bits, kernel, slack = polyexp._SETUPS[spec.family](spec, dps)
+        if spec.family == "taylor":
+            c = [((k**i << bits) // math.factorial(i), 0) for i in range(k + 1)]
+        else:
+            c = [(polyexp._fixed(m.real, bits), polyexp._fixed(m.imag, bits))
+                 for m in polyexp._chebyshev_mu(spec, dps)]
+    stop = polyexp._fixed(1e-25 * k * 1e-2 / scale, bits)
+    with mp.workdps(3 * dps):
+        coeffs = [_to_mp(ci, bits) for ci in c]
+        dcoeffs = _cheb_deriv_coeffs(coeffs)
+        for g in polyexp._representatives(guesses):
+            w0 = (polyexp._fixed(g.real, bits), polyexp._fixed(g.imag, bits))
+            w, res, converged = polyexp._newton_fixed(kernel, w0, bits, stop, slack, scale)
+            assert converged and res < 1e-25 * k
+            u = _to_mp(w, bits)
+            if spec.family == "taylor":
+                p, dp = mp.polyval(coeffs[::-1], u, derivative=True)
+            else:
+                x = -1j * u if spec.axis == "imaginary" else u
+                p, dp = _clenshaw(coeffs, x), _clenshaw(dcoeffs, x)
+            assert res >= scale * abs(p / dp) / (1 + 1e-12)
 
 
 def test_representatives_snap_and_pair():
