@@ -57,8 +57,10 @@ for k in 1 5 20 21 52; do
 done
 run zeros-chebyshev-20-10-imaginary zeros --family chebyshev --k 20 --gamma-h 10 --axis imaginary
 run zeros-chebyshev-16-2.5-real zeros --family chebyshev --k 16 --gamma-h 2.5 --axis real
-# the cold-start benchmark's two zero solves, and a real-axis solve at k = 40
+# the cold-start benchmark's two zero solves, the largest Taylor order (u^k
+# far below the fixed-point resolution), and a real-axis solve at k = 40
 run zeros-taylor-152 zeros --family taylor --k 152
+run zeros-taylor-400 zeros --family taylor --k 400
 run zeros-chebyshev-100-80-imaginary zeros --family chebyshev --k 100 --gamma-h 80 --axis imaginary
 run zeros-chebyshev-40-20-real zeros --family chebyshev --k 40 --gamma-h 20 --axis real
 run expm-taylor-prod expm --method taylor --k 52 --scalar=-10j

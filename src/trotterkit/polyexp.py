@@ -343,20 +343,24 @@ def _residual(value, slack, scale):
 
 def _newton_fixed(p_and_dp, w, bits, stop, slack, scale):
     """Newton steps in complex fixed point (a pair of ints scaled by 2^bits)
-    from w until a step is shorter than stop (fixed point too), then one more
-    kernel evaluation at the point reached, which takes no step.  Returns
-    (w, its `_residual` from that evaluation, whether the stop rule was met);
-    a run that misses the rule returns where it stopped, with its residual."""
-    done = False
-    for n in range(NEWTON_MAX_STEPS):
+    from w, at most NEWTON_MAX_STEPS kernel evaluations.  The run ends at the
+    first evaluation whose requested step is shorter than stop (fixed point
+    too), without taking that step: it returns (the point of that evaluation,
+    its `_residual`, True).  The step it declines is |p/p'| there, so the
+    residual is below stop plus the allowance.  A run that misses the rule
+    returns (the last point evaluated, its residual, False)."""
+    for n in range(1, NEWTON_MAX_STEPS + 1):
         (pr, pi), (dr, di) = value = p_and_dp(w)
         den = dr * dr + di * di
-        if done or den == 0 or n == NEWTON_MAX_STEPS - 1:
+        if den == 0:
             break
         step = (((pr * dr + pi * di) << bits) // den, ((pi * dr - pr * di) << bits) // den)
+        if step[0] ** 2 + step[1] ** 2 < stop**2:
+            return w, _residual(value, slack, scale), True
+        if n == NEWTON_MAX_STEPS:
+            break
         w = (w[0] - step[0], w[1] - step[1])
-        done = step[0] ** 2 + step[1] ** 2 < stop**2
-    return w, _residual(value, slack, scale), done
+    return w, _residual(value, slack, scale), False
 
 
 def _rounding(zs):
@@ -437,28 +441,66 @@ def _refined_guesses(fixed_p_and_dp, guesses, bits):
     return list(ws)
 
 
+def _fixed_power(w, k, bits):
+    """u^k for the fixed-point u = w 2^-bits by binary powering, as (ints
+    scaled by 2^s, s).  With m the bit length of w's larger part, |u| >=
+    2^(m - 1 - bits), so g = k (bits + 1 - m) guard bits keep min(1, |u|^k)
+    2^s, and so every partial power u^j (j <= k) at that scale, at least
+    2^bits: each truncation errs by at most about 2^-bits of it relatively.
+    The bit length of k and 2 bits more cover the up to 2k-fold growth of
+    these errors through the squarings, leaving u^k within about 2^-bits."""
+    g = max(0, k * (bits + 1 - max(abs(w[0]), abs(w[1])).bit_length())) + k.bit_length() + 2
+    s = bits + g
+    br, bi = w[0] << g, w[1] << g
+    rr, ri = 1 << s, 0
+    while True:
+        if k & 1:
+            rr, ri = (rr * br - ri * bi) >> s, (rr * bi + ri * br) >> s
+        k >>= 1
+        if not k:
+            return (rr, ri), s
+        br, bi = (br * br - bi * bi) >> s, (2 * br * bi) >> s
+
+
 def _fixed_horner(c, w, bits):
-    """Sum c_i w^i and its derivative in one fixed-point Horner pass; the
-    complex products are inlined."""
+    """The Taylor kernel: p(u) = sum c_i u^i, and p'(u) = k (p(u) - c_k u^k),
+    exact for c_i = k^i / i! since i c_i = k c_{i-1}.
+
+    p is Horner's rule on the real quadratic x^2 - t x + s that has u as a
+    root (Goertzel), two real products per coefficient: b_j = c_j + t b_{j+1}
+    - s b_{j+2}, p = c_0 + u b_1 - s b_2, with t = 2 Re u and s = |u|^2 exact
+    (s at 2*bits fraction bits).  A truncation error e_j (|e_j| < 1 unit) of
+    b_j spreads to b_i (i < j) as e_j U_{j-i}, with U_0 = 1, U_1 = t and U_n
+    = t U_{n-1} - s U_{n-2}, and reaches p as e_j u^j, since u U_n - s
+    U_{n-1} = u^(n+1); so where |u| <= 1 the truncations cost under k + 1
+    units and the floored coefficients as much again.  u^k comes from
+    `_fixed_power`, whose guard bits keep its relative precision where |u|^k
+    is far below 2^-bits (at |u| = 0.278, k = 152: 2^-281), so p' keeps its
+    relative precision at the zeros, where it is -k c_k u^k."""
     wr, wi = w
-    pr, pi, dr, di = c[-1], 0, 0, 0
-    for ci in c[-2::-1]:
-        dr, di = ((dr * wr - di * wi) >> bits) + pr, ((dr * wi + di * wr) >> bits) + pi
-        pr, pi = ((pr * wr - pi * wi) >> bits) + ci, (pr * wi + pi * wr) >> bits
-    return (pr, pi), (dr, di)
+    t, s, bits2 = 2 * wr, wr * wr + wi * wi, 2 * bits
+    b1, b2 = c[-1], 0
+    for ci in c[-2:0:-1]:
+        b1, b2 = ci + ((t * b1) >> bits) - ((s * b2) >> bits2), b1
+    pr, pi = c[0] + ((wr * b1) >> bits) - ((s * b2) >> bits2), (wi * b1) >> bits
+    k = len(c) - 1
+    (ur, ui), shift = _fixed_power(w, k, bits)
+    return (pr, pi), (k * (pr - ((c[-1] * ur) >> shift)), k * (pi - ((c[-1] * ui) >> shift)))
 
 
-def _taylor_setup(spec, dps):
+def _taylor_setup(spec, dps, zeros=None):
     """The Taylor solve at dps digits (inside mp.workdps(dps)): guesses,
-    scale, fraction bits, fixed-point p and p', and the allowance for the
-    error of p, as _newton_certified takes them.  Newton runs in u = z/k,
-    where the coefficients k^i/i! are all >= 1 and every zero has |u| <= 1,
-    so each Horner step truncates once and no error grows: 3(k + 1) units of
-    2^-bits bound it."""
+    scale, fraction bits, the fixed-point kernel for p and p', and the
+    allowance for the error of p, as _newton_certified takes them; given
+    z-plane zeros (the points a load checks), they stand in for the guesses.
+    Newton runs in u = z/k, where the coefficients k^i/i! are all >= 1 and
+    every zero has |u| <= 1, so no error grows: the kernel's p is within
+    2(k + 1) units of 2^-bits (`_fixed_horner`), and 3(k + 1) bound it.  The
+    kernel's p' comes from p, so the allowance is p's alone."""
     k = spec.k
     bits = _fraction_bits(dps)
     c = [(k**i << bits) // math.factorial(i) for i in range(k + 1)]
-    guesses = [z / k for z in _szego_guesses(k)]
+    guesses = [z / k for z in (_szego_guesses(k) if zeros is None else zeros)]
     return guesses, k, bits, lambda w: _fixed_horner(c, w, bits), 3 * (k + 1)
 
 
@@ -530,17 +572,22 @@ def _real_axis_guard_digits(gh):
     return int(0.44 * gh) + 10
 
 
-def _chebyshev_setup(spec, dps):
+def _chebyshev_setup(spec, dps, zeros=None):
     """The Chebyshev solve at dps digits, as _taylor_setup.  Newton runs in
     w = z / (Gamma*h): w = x on the real axis and w = i x on the imaginary
     one, where conj(p(-conj(x))) = p(x) because the phase i^i of mu is
     exact.  Either way the roots are symmetric about Im w = 0.  The
     allowance is 4(k + 1) 2^ceil(k log2 rho + log2(k + 1)) units, with rho
-    over the guesses as in `_clenshaw_guard_bits`."""
+    as in `_clenshaw_guard_bits` over the points the kernel is meant for:
+    the colleague guesses, or the given zeros, which then take their place
+    and spare a load the colleague matrix."""
     k, gh = spec.k, spec.gamma_h
     imaginary = spec.axis == "imaginary"
     mu = _chebyshev_mu(spec, dps)
-    xs = _cheb_guesses([complex(m) for m in mu], k)
+    if zeros is None:
+        xs = _cheb_guesses([complex(m) for m in mu], k)
+    else:
+        xs = [z / gh * (-1j if imaginary else 1) for z in zeros]
     bits = _fraction_bits(dps) + _clenshaw_guard_bits(mu, xs)
     fixed_mu = [(_fixed(m.real, bits), _fixed(m.imag, bits)) for m in mu]
     slack = 4 * (k + 1) << math.ceil(k * _clenshaw_log_rho(xs) + math.log2(k + 1))
@@ -626,9 +673,10 @@ def _load_zeros(path, header, spec):
     """The zeros of a cache file, or None unless its header matches, its
     zeros are k, exactly conjugate-closed and of a stored residual within
     the contract, and the solve's fixed-point kernel, at the base working
-    precision, certifies them again with the solve's `_residual`: |p/p'| at
-    each stored double z within its rounding allowance 2^-50 |z|, and
-    disjoint disks of radius k * max |p/p'| (a legacy bare-list file fails)."""
+    precision and set up for the stored zeros (no guesses), certifies them
+    again with the solve's `_residual`: |p/p'| at each stored double z
+    within its rounding allowance 2^-50 |z|, and disjoint disks of radius
+    k * max |p/p'| (a legacy bare-list file fails)."""
     k = spec.k
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -642,7 +690,7 @@ def _load_zeros(path, header, spec):
         reps = [z for z in zs if z.imag >= 0]  # a conjugate's |p/p'| is its partner's
         dps = _working_dps(spec)
         with mp.workdps(dps):
-            _, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps)
+            _, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps, reps)
             ws = [(_fixed(mp.mpf(z.real) / scale, bits), _fixed(mp.mpf(z.imag) / scale, bits))
                   for z in reps]
         steps = np.array([_residual(kernel(w), slack, scale) for w in ws])

@@ -18,7 +18,12 @@ PLATEAU_ERROR = 1e-12         # round-off plateau cut in order fits
 
 # Polynomial factorization
 ZERO_RESIDUAL_PER_K = 1e-25   # per root: (|p| + kernel allowance) / |p'| < this * k
-NEWTON_MAX_STEPS = 100        # per root; the guesses converge in at most 7
+# Newton steps requested (kernel evaluations) per root, and sweeps of the
+# guess refinement.  Szego and colleague guesses meet the stop rule within
+# 8 evaluations (Taylor k = 400; 7 up to k = 300, 3-5 for well-resolved
+# Chebyshev), refined guesses within 2; the colleague guesses of an
+# over-resolved real-axis truncation take up to 40 or miss.
+NEWTON_MAX_STEPS = 100
 TAYLOR_K_MAX = 400
 BESSEL_X_MAX = 500.0
 VALIDITY_TRUNCATION = 1e-13   # truncation level defining the Taylor validity disk

@@ -1,6 +1,7 @@
 """Bessel oracle, cutoff rules, polynomial zeros, and factorized evaluation."""
 
 import cmath
+import hashlib
 import json
 import math
 import os
@@ -31,6 +32,7 @@ from trotterkit.polyexp import (
     taylor_zeros,
 )
 from trotterkit.spinmodel import XxzConfig, build_xxz
+from trotterkit.tolerances import TAYLOR_K_MAX
 
 # k values reserved for the cache behaviour tests: nothing else in the
 # suite may request them, or the in-process memo would mask the file I/O.
@@ -343,28 +345,41 @@ def _cheb_deriv_coeffs(mu):
     return d[:k]
 
 
-@pytest.mark.parametrize("k", [5, 52, 152])
+@pytest.mark.parametrize("k", [5, 52, 152, TAYLOR_K_MAX])
 def test_fixed_horner_matches_mpmath(k):
-    # P(u) = p(k u) and P'(u) = k p'(k u) against the mpmath evaluator
-    # (Horner in z, p' = p - z^k/k!) at 90 digits, within the fixed-point
-    # resolution times the size of the terms.
-    bits = polyexp._fraction_bits(60)
+    # P(u) = p(k u) and P'(u) = k p'(k u) at the solve's fraction bits
+    # against the mpmath evaluator (Horner in z, p' = p - z^k/k!) at 3x the
+    # working digits, on the unit disk and on |u| in [0.27, 0.3], where the
+    # zeros nearest the origin sit and u^k < 2^-bits for k >= 52.  p is
+    # within 2(k + 1) units of 2^-bits (truncations and floored
+    # coefficients); p' = k (p - T) with T = c_k u^k is within k times that,
+    # 3 units more for T's floored c_k and final shift, plus |T| units for
+    # T's relative rounding: relatively about 2^-bits wherever |p'| >> k^2
+    # 2^-bits.  A u^k taken at the plain fraction bits loses T there: p' off
+    # by 2e-32 relatively at k = 52, 0.05 at k = 152 and 1.3 at k = 400.
+    dps = polyexp._working_dps(SeriesSpec("taylor", k))
+    bits = polyexp._fraction_bits(dps)
     c = [(k**i << bits) // math.factorial(i) for i in range(k + 1)]
     rng = np.random.default_rng(k)
-    with mp.workdps(90):
+    radii = np.concatenate([rng.uniform(0, 1, 20), rng.uniform(0.27, 0.3, 20)])
+    with mp.workdps(3 * dps):
         fac = [1 / mp.factorial(i) for i in range(k + 1)]
-        for r, t in zip(rng.uniform(0, 1, 20), rng.uniform(-math.pi, math.pi, 20)):
-            u = complex(r * math.cos(t), r * math.sin(t))
-            w = (polyexp._fixed(u.real, bits), polyexp._fixed(u.imag, bits))
+        unit = mp.ldexp(1, -bits)
+        for r, t in zip(radii, rng.uniform(-math.pi, math.pi, 40)):
+            # random low bits, as along a Newton run: a u from doubles has
+            # only 53 significant bits, and its |u|^2 needs far fewer than
+            # the 2*bits fraction bits the kernel keeps
+            w = tuple(polyexp._fixed(x, bits) + int.from_bytes(rng.bytes(bits // 16), "little")
+                      for x in (r * math.cos(t), r * math.sin(t)))
             p, dp = polyexp._fixed_horner(c, w, bits)
-            z = k * mp.mpc(u)
+            z = k * _to_mp(w, bits)
             want = mp.mpc(fac[k])
             for i in range(k - 1, -1, -1):
                 want = want * z + fac[i]
-            want_d = k * (want - z**k * fac[k])
-            scale = math.exp(k * abs(u))  # bounds the sum of |terms|
-            assert abs(_to_mp(p, bits) - want) < 1e-55 * scale
-            assert abs(_to_mp(dp, bits) - want_d) < 1e-55 * k * scale
+            t_k = z**k * fac[k]
+            want_d = k * (want - t_k)
+            assert abs(_to_mp(p, bits) - want) <= 2 * (k + 1) * unit
+            assert abs(_to_mp(dp, bits) - want_d) <= k * (2 * (k + 1) + 3 + abs(t_k)) * unit
 
 
 @pytest.mark.parametrize("k, gh, axis", [(6, 2.0, "real"), (40, 20.0, "real"), (40, 0.5, "real"),
@@ -535,6 +550,52 @@ def test_newton_residual_bounds_the_kernel_polynomials(spec):
             assert res >= scale * abs(p / dp) / (1 + 1e-12)
 
 
+def _requested_step(value, bits):
+    """The fixed-point Newton step p/p' of one kernel evaluation value."""
+    (pr, pi), (dr, di) = value
+    den = dr * dr + di * di
+    return ((pr * dr + pi * di) << bits) // den, ((pi * dr - pr * di) << bits) // den
+
+
+@pytest.mark.parametrize("spec", [SeriesSpec("taylor", k) for k in (1, 5, 52, 152)] + [
+    SeriesSpec("chebyshev", 40, gamma_scale=20.0, axis="real"),
+    SeriesSpec("chebyshev", 100, gamma_scale=80.0, axis="imaginary"),
+], ids=str)
+def test_newton_evaluates_nothing_after_its_stop_rule(spec):
+    # In every run each kernel call but the last requests a step of at least
+    # stop, and the next call is at the point that step reaches; the last
+    # call requests a step below stop, which is not taken, and the run
+    # returns that call's point and residual.  So the kernel is called once
+    # per step taken plus once.  A run that never meets the rule (stop 0)
+    # makes NEWTON_MAX_STEPS calls and returns the point of the last.
+    k, dps = spec.k, polyexp._working_dps(spec)
+    with mp.workdps(dps):
+        guesses, scale, bits, kernel, slack = polyexp._SETUPS[spec.family](spec, dps)
+    stop = polyexp._fixed(1e-25 * k * 1e-2 / scale, bits)
+    for i, g in enumerate(polyexp._representatives(guesses)):
+        calls = []
+
+        def recorded(w):
+            calls.append((w, kernel(w)))
+            return calls[-1][1]
+
+        w0 = (polyexp._fixed(g.real, bits), polyexp._fixed(g.imag, bits))
+        w, res, converged = polyexp._newton_fixed(recorded, w0, bits, stop, slack, scale)
+        assert converged
+        for (at, value), (nxt, _) in zip(calls, calls[1:]):
+            step = _requested_step(value, bits)
+            assert step[0] ** 2 + step[1] ** 2 >= stop**2
+            assert nxt == (at[0] - step[0], at[1] - step[1])
+        step = _requested_step(calls[-1][1], bits)
+        assert step[0] ** 2 + step[1] ** 2 < stop**2
+        assert w == calls[-1][0] and res == polyexp._residual(calls[-1][1], slack, scale)
+        if i == 0:
+            calls = []
+            w, res, converged = polyexp._newton_fixed(recorded, w0, bits, 0, slack, scale)
+            assert not converged and len(calls) == polyexp.NEWTON_MAX_STEPS
+            assert w == calls[-1][0] and res == polyexp._residual(calls[-1][1], slack, scale)
+
+
 def test_representatives_snap_and_pair():
     guesses = [complex(-2.0, 3e-17), complex(1, 2), complex(1, -2), complex(5, -1e-16)]
     reps = polyexp._representatives(guesses)
@@ -600,6 +661,10 @@ def _no_solve(spec):
     raise AssertionError(f"zero solve for {spec}")
 
 
+def _no_guesses(*args):
+    raise AssertionError("zero guesses made")
+
+
 def test_cache_file_is_read_back(tmp_path, monkeypatch):
     # Pre-seed a well-formed entry for k=2 whose zeros -1 +- i are off by one
     # unit in the last place, and check the loader trusts the file: the
@@ -642,8 +707,14 @@ def test_cache_file_reloads_until_a_pair_moves(tmp_path, monkeypatch, spec):
     solve = polyexp._zeros_mp
     monkeypatch.setattr(polyexp, "_memo", {})
     monkeypatch.setattr(polyexp, "_zeros_mp", _no_solve)
+    # the load check is set up for the stored zeros and makes no guesses
+    guesses = polyexp._szego_guesses, polyexp._cheb_guesses
+    monkeypatch.setattr(polyexp, "_szego_guesses", _no_guesses)
+    monkeypatch.setattr(polyexp, "_cheb_guesses", _no_guesses)
     assert factorize(spec, cache_dir=str(tmp_path)).zeros == want
     assert path.read_text() == written
+    monkeypatch.setattr(polyexp, "_szego_guesses", guesses[0])
+    monkeypatch.setattr(polyexp, "_cheb_guesses", guesses[1])
     # ... and is solved again and rewritten once a zero moves by 1e-3 (the
     # last zero: a pair's lower half, moved with its partner, if there is one)
     data = json.loads(written)
@@ -692,12 +763,34 @@ def test_legacy_cache_file_recomputed(tmp_path, monkeypatch):
     assert isinstance(data, dict) and data["solver"] == polyexp._SOLVER
 
 
-@pytest.mark.parametrize("corruption", ["not_closed", "overlapping", "residual", "solver", "k",
-                                        "moved"])
-def test_corrupted_cache_file_recomputed(tmp_path, monkeypatch, corruption):
-    good = polyexp._sort_conjugate_closed(polyexp._zeros_mp(SeriesSpec("taylor", 5))[0])
+@pytest.mark.parametrize("spec", [
+    SeriesSpec("chebyshev", k, gamma_scale=gh, axis=axis)
+    for k, gh in [(6, 2.0), (20, 10.0), (40, 20.0)] for axis in ("real", "imaginary")
+] + [SeriesSpec("chebyshev", 100, gamma_scale=80.0, axis="imaginary")], ids=str)
+def test_load_setup_from_the_zeros_matches_the_solve(spec):
+    # rho over the stored zeros (x = z / Gamma*h, times -i on the imaginary
+    # axis) gives the load check the fraction bits and allowance the solve
+    # took from the colleague guesses
+    dps = polyexp._working_dps(spec)
+    zs, _ = polyexp._zeros_mp(spec)
+    with mp.workdps(dps):
+        _, _, bits, _, slack = polyexp._chebyshev_setup(spec, dps)
+        _, _, load_bits, _, load_slack = polyexp._chebyshev_setup(spec, dps, zs)
+    assert (load_bits, load_slack) == (bits, slack)
+
+
+CORRUPTIONS = ["not_closed", "overlapping", "residual", "solver", "k", "moved"]
+
+
+def _corrupted_file_recomputed(tmp_path, monkeypatch, spec, corruption):
+    """Write spec's zeros with one corruption to its cache file (a zero set
+    with one real zero first, then pairs) and check it is solved again."""
+    good = polyexp._sort_conjugate_closed(polyexp._zeros_mp(spec)[0])
     zeros = [[repr(z.real), repr(z.imag)] for z in good]
-    payload = dict(_cache_header("taylor", 5), residual=1e-40, zeros=zeros)
+    cheb = spec.family == "chebyshev"
+    header = (_cache_header("chebyshev", spec.k, spec.gamma_h, spec.axis) if cheb
+              else _cache_header("taylor", spec.k))
+    payload = dict(header, residual=1e-40, zeros=zeros)
     if corruption == "not_closed":
         zeros[1][1] = repr(float(zeros[1][1]) * (1 + 1e-15))
     elif corruption == "overlapping":
@@ -713,12 +806,26 @@ def test_corrupted_cache_file_recomputed(tmp_path, monkeypatch, corruption):
         for pair in zeros[1:3]:
             pair[0] = repr(float(pair[0]) + 1e-3)
     else:
-        payload["k"] = 4
-    zs, data = _recomputed(tmp_path / "taylor_5.json", payload,
-                           lambda: taylor_zeros(5, cache_dir=str(tmp_path)), monkeypatch)
-    assert zs == good
-    assert data == dict(_cache_header("taylor", 5), residual=data["residual"],
+        payload["k"] = spec.k - 1
+    name = f"chebyshev_{spec.k}_{spec.gamma_h:.6f}_{spec.axis}" if cheb else f"taylor_{spec.k}"
+    zs, data = _recomputed(tmp_path / f"{name}.json", payload,
+                           lambda: factorize(spec, cache_dir=str(tmp_path)).zeros, monkeypatch)
+    assert list(zs) == good
+    assert data == dict(header, residual=data["residual"],
                         zeros=[[f"{z.real:.35g}", f"{z.imag:.35g}"] for z in good])
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_corrupted_cache_file_recomputed(tmp_path, monkeypatch, corruption):
+    _corrupted_file_recomputed(tmp_path, monkeypatch, SeriesSpec("taylor", 5), corruption)
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_corrupted_chebyshev_cache_file_recomputed(tmp_path, monkeypatch, corruption):
+    # the load check takes its guard bits and allowance from the stored
+    # zeros, the corrupted ones too
+    spec = SeriesSpec("chebyshev", 9, gamma_scale=5.0, axis="imaginary")
+    _corrupted_file_recomputed(tmp_path, monkeypatch, spec, corruption)
 
 
 def test_gamma_h_mismatched_cache_file_recomputed(tmp_path, monkeypatch):
@@ -761,6 +868,68 @@ def test_chebyshev_cache_filename(tmp_path):
     zs = chebyshev_zeros(spec, cache_dir=str(tmp_path))
     assert len(zs) == 2
     assert (tmp_path / "chebyshev_2_1.250000_imaginary.json").exists()
+
+
+# The zeros (sha256 of the float.hex parts of each zero, "re,im" joined by
+# spaces) and overall_scale of the specs scripts/cli_outputs.sh solves cold,
+# its real-axis k = 40 solve left out, and the residual the same solver
+# (certified-newton-1) recorded in their cache files when Newton still
+# evaluated once more after its stop rule.
+PINNED_ZEROS = {
+    SeriesSpec("taylor", 1): (
+        "2b2653580743ebf19186f2d13417f9cbf7abbae868fdb9d6d1e9358a5b204a88",
+        "0x1.0000000000000p+0", "0x1.c000000000000p-151"),
+    SeriesSpec("taylor", 5): (
+        "252897eed67b310330d569354246c2419801ad5fb9c4d94cd4d5f87244232b0d",
+        "0x1.0000000000000p+0", "0x1.71f2099cfff6ep-151"),
+    SeriesSpec("taylor", 20): (
+        "9653e650a587c988813584d23e163db4413918e92cd3db4f1bcf172bf68cafed",
+        "0x1.0000000000000p+0", "0x1.2ac87d90f14c7p-156"),
+    SeriesSpec("taylor", 21): (
+        "c5f2c906a7e7f362de123d5aeabf5cf1a3511a94ea69d16545f9971f9b640c20",
+        "0x1.0000000000000p+0", "0x1.a3fb16532eacep-156"),
+    SeriesSpec("taylor", 52): (
+        "fed0f08d9795d03ea14f91317f1e10ec69b1b0116f0235b85abde3f7d0058389",
+        "0x1.0000000000000p+0", "0x1.615612946fb58p-169"),
+    SeriesSpec("taylor", 152): (
+        "e5da741b4036e70209155f065b90f66177e04d8665dac9653f1672225fa708ca",
+        "0x1.0000000000000p+0", "0x1.7dfd9e2db90afp-172"),
+    SeriesSpec("taylor", TAYLOR_K_MAX): (
+        "fb01248f99d1c5bd59db85bda49ae1f58cdc4075d73040fc10f9de667714f699",
+        "0x1.0000000000000p+0", "0x1.19bb0ad882a75p-162"),
+    SeriesSpec("chebyshev", 20, gamma_scale=10.0, axis="imaginary"): (
+        "08ef9100bc8365a78d8eff4b5b06a4cc1e6fb3d5d21df710298d46c1684350c4",
+        "0x1.ffffcecf41564p-1", "0x1.f9e8b4a045cedp-173"),
+    SeriesSpec("chebyshev", 16, gamma_scale=2.5, axis="real"): (
+        "953596db7efc6919493931786ec6d3edbcd95fc46c0821520810546fc2f91fa7",
+        "0x1.0000000000054p+0", "0x1.0f479dcb5abddp-174"),
+    SeriesSpec("chebyshev", 100, gamma_scale=80.0, axis="imaginary"): (
+        "22f300781213b1f0aff6944ea6a576598a2d7779098598f8bd3224a1b12c6c50",
+        "0x1.ffffa2bb1c333p-1", "0x1.64ddc85946cadp-166"),
+}
+
+
+@pytest.mark.parametrize("spec", list(PINNED_ZEROS), ids=str)
+def test_cold_zeros_match_the_pinned_digest(tmp_path, monkeypatch, spec):
+    # A cold solve gives the pinned zeros and scale bit for bit.  The file
+    # it writes differs from the earlier one only in its residual, which is
+    # within the contract, so the earlier loader accepts it.  The earlier
+    # file (these zeros, its residual) loads here without a solve.
+    digest, scale, residual = PINNED_ZEROS[spec]
+    monkeypatch.setattr(polyexp, "_memo", {})
+    fact = factorize(spec, cache_dir=str(tmp_path))
+    text = " ".join(f"{z.real.hex()},{z.imag.hex()}" for z in fact.zeros)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert fact.overall_scale.hex() == scale
+    (path,) = tmp_path.iterdir()
+    data = json.loads(path.read_text())
+    assert data["solver"] == polyexp._SOLVER == "certified-newton-1"
+    assert 0 <= data["residual"] < 1e-25 * spec.k
+    data["residual"] = float.fromhex(residual)
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(polyexp, "_memo", {})
+    monkeypatch.setattr(polyexp, "_zeros_mp", _no_solve)
+    assert factorize(spec, cache_dir=str(tmp_path)).zeros == fact.zeros
 
 
 # ---------------------------------------------------------------------------
