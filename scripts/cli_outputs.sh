@@ -43,6 +43,13 @@ cat >"$work/plan-l6.json" <<'PLAN'
              "chebyshev:40", "chebyshev:24:sum"]}
 PLAN
 run bench-l6 bench --config plan-l6.json --out "$out/bench-l6.csv" --plot-data "$out/bench-l6.plot"
+# an open chain whose widest sector, C(7, 3) = 35, is not a multiple of the
+# packed identity's column padding, so padded step blocks are compared too
+cat >"$work/plan-l7.json" <<'PLAN'
+{"model": {"L": 7, "boundary": "open", "delta": 0.5},
+ "methods": ["strang", "suzuki4", "blanes-moan4", "taylor:30"]}
+PLAN
+run bench-l7 bench --config plan-l7.json --out "$out/bench-l7.csv" --plot-data "$out/bench-l7.plot"
 run adapt-forest-ruth adapt forest-ruth
 run adapt-blanes-moan4 adapt blanes-moan4
 run adapt-check-blanes-moan4 adapt blanes-moan4 --check

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .compose import _blockwise, _eig_expm, power_step
+from .compose import _blockwise, _eig_expm
 from .errors import GridUnusableError, NotFoundError, StructuralError
-from .multistage import apply_multistage, to_multistage
+from .multistage import evolve, to_multistage
 from .polyexp import SeriesSpec, eval_factorized, eval_summed, factorize, suggest_gamma
 from .schemes import get_scheme
 from .spinmodel import XxzConfig, build_xxz, frobenius_error
@@ -190,13 +190,15 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     part of the data contract).
 
     Every step is block-diagonal over the chain's magnetization sectors
-    (`OperatorSplit.sectors`, the blocks of H's pattern).  A polynomial
-    cell evaluates its step on each sector block of H and powers it there,
-    one `compose._blockwise` map; a scheme's dense step is powered sector
-    by sector (`compose.power_step`).  Each error compares the assembled
-    operator with the whole-matrix oracle, whose eigenvalues key the zero
-    cache through Gamma; sector eigenvalues can differ from them in the
-    last bits.
+    (`OperatorSplit.sectors`, the sectors every gate preserves, which for
+    the chain are the blocks of H's pattern).  A polynomial cell evaluates
+    its step on each sector block of H and powers it there, one
+    `compose._blockwise` map; a scheme cell builds its step's sector blocks
+    on the packed identity and powers them there (`multistage.evolve`),
+    so no step is assembled whole before its power.  Each error compares
+    the assembled operator with the whole-matrix oracle, whose eigenvalues
+    key the zero cache through Gamma; sector eigenvalues can differ from
+    them in the last bits.
     """
     methods = [parse_method(d, catalog_path=catalog_path) for d in plan.methods]
     split = build_xxz(plan.model)
@@ -217,8 +219,7 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
             if method.kind == "exact":
                 u = exact
             elif method.kind == "scheme":
-                step = apply_multistage(split, to_multistage(method.scheme), h)
-                u = power_step(split, step, steps)
+                u = evolve(split, to_multistage(method.scheme), h, steps)
             else:
                 p = _polynomial(method, h, gamma, cache_dir)
                 u = _blockwise(split.sectors, split.total,

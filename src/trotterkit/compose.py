@@ -16,26 +16,37 @@ eigensystem per distinct term.  A split made of local terms (a qubit chain,
 on a (2^L x m) block by one reshape to (2^i, 4, 2^(L-i-2) m) and one
 batched matmul, and the periodic wrap bond (L-1, 0) first moves site L-1
 next to site 0.  A split of dense parts has one term per part that acts on
-the whole space, and its gate is applied as one matrix product.  The dense
-step is the factor sequence applied to the identity, and the dense parts
-of a local split are its terms applied to the identity by the same kernel,
-built on first use; `_identity` refuses both past DENSE_DIM_CAP.
+the whole space, and its gate is applied as one matrix product.  A step is
+the factor sequence applied to the packed identity (below), and the dense
+parts of a local split are its terms applied to the identity by the same
+kernel, built on first use; `_dense_dim` refuses both past DENSE_DIM_CAP.
 
 A real Hamiltonian stays real: a term or part whose imaginary part is
 exactly zero is stored as float64 (and so is `total` when every part is),
 so `np.linalg.eigh` diagonalizes it in real arithmetic, and `_eig_expm`
 builds v diag(e^{z w}) v^T from a real v as one real GEMM.
 
-A split keeps the invariant blocks of its H as its `sectors`: the
-connected components of the nonzero pattern of `total`, the same blocks
-the exact oracle (`spinmodel.exact_evolution`) diagonalizes, and for the
-XXZ chain its magnetization sectors.  `power_step` powers a step one
-sector block at a time (at L = 8, sum n_s^3 = 0.74M multiply-adds per
-product against 16.8M for the whole matrix).  One component search
-(`_components`) finds the blocks, and one map (`_blockwise`) gathers each
-diagonal block of a matrix, computes on it and writes the result into a
-zero matrix: the oracle's exponentials, the powers of a step and the
-bench's polynomial steps.
+A split keeps the sectors that every gate preserves as its `sectors`: the
+connected components of the union of its terms' off-diagonal nonzero
+patterns, found by one component search (`_components`) over the edges
+the terms supply, with no dense matrix built.  e^{z op} has no entry
+outside op's components, so every step is block-diagonal over them.  For
+the XXZ chain they are its magnetization sectors, the blocks the exact
+oracle (`spinmodel.exact_evolution`) diagonalizes with the same search;
+they are coarser than H's blocks only where parts cancel an entry of H.
+A step is built on the packed identity, one (dim x w) block in which
+sector s holds its identity columns 0..n_s-1 on its own rows, w the widest
+sector padded to _PACK_COLUMNS: the gates act on it through the same
+kernel, and sector s's block of the step is rows s, columns 0..n_s-1
+(`_step_blocks`).  At L = 8 that is a 256 x 80 block instead of the
+256 x 256 identity.  `power_step` powers the blocks one at a time (at
+L = 8, sum n_s^3 = 0.74M multiply-adds per product against 16.8M for the
+whole matrix), and `compose` and `evolve_sequence` scatter them once into
+a zero matrix (`_scattered`).  One map (`_blockwise`) gathers each
+diagonal sector block of a matrix, computes on it and scatters the
+results: the oracle's exponentials and the bench's polynomial steps.
+A split with one sector packs nothing: its packed identity is the
+identity.
 """
 
 from __future__ import annotations
@@ -86,6 +97,13 @@ class OperatorSplit:
     def _init(self, terms, dim):
         self.terms = terms
         self.dim = dim
+        # each term's cache key, built once: the index of its distinct
+        # value, so equal terms share one eigensystem and one gate per z
+        distinct = {}
+        self._term_keys = tuple(
+            tuple(distinct.setdefault(op.tobytes(), len(distinct)) for _, _, op in part_terms)
+            for part_terms in terms
+        )
         self._term_eigensystems = {}
 
     @classmethod
@@ -152,24 +170,31 @@ class OperatorSplit:
 
     @cached_property
     def sectors(self):
-        """The invariant blocks of H: sorted index arrays of the connected
-        components of `total`'s exact nonzero pattern (no tolerance),
-        ordered by their first index, the blocks `exact_evolution`
-        diagonalizes.  For the XXZ chain they are the magnetization
-        sectors, of sizes C(L, m), and every step is block-diagonal over
-        them; parts that cancel an entry of H can couple sectors that H
-        does not.  An H that couples everything has one sector, the whole
-        index range.  Built from `total` alone, so no dense part is kept;
-        computed on first use and kept.
+        """The sectors every gate preserves: sorted index arrays of the
+        connected components of the union of the terms' exact off-diagonal
+        nonzero patterns (no tolerance), ordered by their first index.
+        e^{z op} has no entry outside op's components, so every step is
+        block-diagonal over them.  For the XXZ chain they are the
+        magnetization sectors, of sizes C(L, m), the blocks
+        `exact_evolution` diagonalizes; where parts cancel an entry of H
+        they are unions of H's blocks.  Terms that couple everything give
+        one sector, the whole index range.  Built from the terms' edges
+        alone (`_term_edges`), so nothing dense is built, past the dense
+        cap too; computed on first use and kept.
         """
-        return _components(self.total != 0)
+        none = np.empty(0, dtype=np.intp)
+        edges = [(none, none)] + [_term_edges(self.dim, i, j, op)
+                                  for part_terms in self.terms for i, j, op in part_terms]
+        rows, cols = (np.concatenate(e) for e in zip(*edges))
+        return _components(self.dim, rows, cols)
 
-    def term_gate(self, op, z):
-        """e^{z op} for one of the split's terms, from its cached eigh."""
-        key = op.tobytes()
+    def term_gate(self, k, n, z):
+        """e^{z op} for term n (i, j, op) of part k, from the cached eigh of
+        its distinct value."""
+        key = self._term_keys[k][n]
         got = self._term_eigensystems.get(key)
         if got is None:
-            got = self._term_eigensystems[key] = np.linalg.eigh(op)
+            got = self._term_eigensystems[key] = np.linalg.eigh(self.terms[k][n][2])
         g = _eig_expm(*got, z)
         if z.real == 0:
             # e^{z op} is unitary: one Newton-Schulz step removes the
@@ -226,13 +251,13 @@ def _hermitian(a, what):
     return a
 
 
-def _components(pattern):
-    """The connected components of a square boolean pattern, its entries
-    taken as edges both ways: sorted, read-only index arrays ordered by
-    their first index.  An index with no edge is a component of its own."""
-    rows, cols = np.nonzero(pattern)
+def _components(n, rows, cols):
+    """The connected components of the graph on indices 0..n-1 whose
+    edges join rows[e] and cols[e], taken both ways: sorted, read-only
+    index arrays ordered by their first index.  An index with no edge is a
+    component of its own."""
     a, b = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    label = np.arange(len(pattern))
+    label = np.arange(n)
     while True:
         # each index takes its smallest neighbour's label, then the label
         # of its label; at the fixed point every component carries its
@@ -250,23 +275,77 @@ def _components(pattern):
     return components
 
 
-def _blockwise(sectors, m, fn, dtype=complex):
-    """The matrix holding fn of each diagonal block of m on the rows and
-    columns of its sector, zero elsewhere; the sectors partition m's index
-    range."""
-    out = np.zeros(m.shape, dtype)
-    for s in sectors:
-        ix = np.ix_(s, s)
-        out[ix] = fn(m[ix])
+def _term_edges(dim, i, j, op):
+    """The off-diagonal nonzero entries (rows, cols) of a term as a
+    (dim x dim) matrix: op's own for a whole-space term (i = None), else
+    those of op on sites (i, j) of a chain, every other site kept."""
+    rows, cols = np.nonzero(op)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    if i is None:
+        return rows, cols
+    n_sites = dim.bit_length() - 1
+    bit_i, bit_j = 1 << (n_sites - 1 - i), 1 << (n_sites - 1 - j)
+    rest = np.arange(dim)
+    rest = rest[(rest & (bit_i | bit_j)) == 0]
+    # op's index is 2 * (site i's bit) + (site j's bit)
+    place = (np.arange(4) >> 1) * bit_i + (np.arange(4) & 1) * bit_j
+    return (place[rows, None] + rest).ravel(), (place[cols, None] + rest).ravel()
+
+
+def _scattered(sectors, blocks):
+    """The complex matrix holding each block on the rows and columns of its
+    sector, zero elsewhere; the sectors partition its index range."""
+    dim = sum(map(len, sectors))
+    out = np.zeros((dim, dim), complex)
+    for s, b in zip(sectors, blocks):
+        out[np.ix_(s, s)] = b
     return out
 
 
-def _identity(dim, dtype=float):
-    """The identity every dense matrix of a split is built on, refused
-    before anything is allocated when dim exceeds DENSE_DIM_CAP."""
+def _blockwise(sectors, m, fn):
+    """The matrix holding fn of each diagonal block of m on the rows and
+    columns of its sector, zero elsewhere (`_scattered`)."""
+    return _scattered(sectors, (fn(m[np.ix_(s, s)]) for s in sectors))
+
+
+# The packed identity's width is rounded up to a multiple of this.  The
+# batched matmuls of `_apply_term` then take the same kernel path on every
+# column as on the full identity, whose width 2^L is a multiple of 16 from
+# L = 4 on, so each sector block is bit for bit the full-identity step's.
+# With OpenBLAS 0.3.31 on one thread, the unpadded widest sector left
+# entries of 147 of 320 catalog steps (L = 3-10, open and periodic, both
+# directions) up to 7e-16 apart, and moved 20 of the 42 errors of an
+# L = 8 bench sweep by up to 8.5e-11 relative; a multiple of 4, 8 or 16
+# left none apart.
+_PACK_COLUMNS = 16
+
+
+def _dense_dim(dim):
+    """dim, refused before anything is allocated when it exceeds
+    DENSE_DIM_CAP."""
     if dim > DENSE_DIM_CAP:
         raise CapacityError(f"dim {dim} exceeds dense capacity {DENSE_DIM_CAP}")
-    return np.eye(dim, dtype=dtype)
+    return dim
+
+
+def _identity(dim):
+    """The float identity every dense part of a split is built on
+    (refused past DENSE_DIM_CAP)."""
+    return np.eye(_dense_dim(dim))
+
+
+def _packed_identity(split):
+    """The (dim x w) complex block every step is built on (refused past
+    DENSE_DIM_CAP): sector s holds its identity columns 0..n_s-1 on its
+    own rows, and w is the widest sector rounded up to _PACK_COLUMNS, at
+    most dim.  With one sector it is the identity."""
+    dim = _dense_dim(split.dim)
+    column = np.empty(dim, dtype=np.intp)
+    for s in split.sectors:
+        column[s] = np.arange(len(s))
+    width = -(-max(map(len, split.sectors)) // _PACK_COLUMNS) * _PACK_COLUMNS
+    return np.eye(min(width, dim), dtype=complex)[column]
 
 
 def _eig_expm(w, v, z):
@@ -314,52 +393,56 @@ def _apply_gates(split, sequence, h, block, direction):
     gates = {}
     for k, coef in reversed(sequence):
         z = pref * coef * h
-        for i, j, op in split.terms[k]:
-            key = (op.tobytes(), z)
+        for n, (i, j, _) in enumerate(split.terms[k]):
+            key = (split._term_keys[k][n], z)
             g = gates.get(key)
             if g is None:
-                g = gates[key] = split.term_gate(op, z)
+                g = gates[key] = split.term_gate(k, n, z)
             x = _apply_term(g, i, j, x)
     return x
 
 
+def _step_blocks(split, sequence, h, direction):
+    """The sector blocks of one step, in the order of `split.sectors`: the
+    factor sequence applied to the packed identity, whose columns never
+    mix the sectors they hold, since every gate preserves every sector;
+    sector s's block is rows s, columns 0..n_s-1."""
+    x = _apply_gates(split, sequence, h, _packed_identity(split), direction)
+    return [x[s, :len(s)] for s in split.sectors]
+
+
 def compose(split, sequence, h, direction="forward"):
     """The ordered product of e^{A_k * prefactor * c * h} over sequence: the
-    term gates applied to the identity."""
-    return _apply_gates(split, sequence, h, _identity(split.dim, complex), direction)
+    sector blocks of the step (`_step_blocks`) in a zero matrix."""
+    blocks = _step_blocks(split, sequence, h, direction)  # refused past the cap first
+    return _scattered(split.sectors, blocks)
 
 
-def power_step(split, step, steps):
-    """step^steps by repeated squaring, one sector block at a time.
-
-    A step with no nonzero entry outside the diagonal blocks of the split's
-    sectors has each block powered on its own, and the results written
-    into a zero matrix.  A step with an off-sector entry is powered whole by
-    `np.linalg.matrix_power`: the sectors follow H's pattern, so a split
-    whose parts cancel an entry of H can have sectors finer than its steps.
-    """
-    sectors = split.sectors
-    if sum(np.count_nonzero(step[np.ix_(s, s)]) for s in sectors) != np.count_nonzero(step):
-        return np.linalg.matrix_power(step, steps)
-    return _blockwise(sectors, step, lambda b: np.linalg.matrix_power(b, steps), step.dtype)
+def power_step(blocks, steps):
+    """Each sector block of a step to the power `steps`, by repeated
+    squaring: at L = 8, sum n_s^3 = 0.74M multiply-adds per product
+    against 16.8M for the whole matrix."""
+    return [np.linalg.matrix_power(b, steps) for b in blocks]
 
 
 def evolve_sequence(split, sequence, h, steps, direction="forward",
                     alternate_reversal=False):
-    """`steps` repetitions of one composed step, powered by repeated squaring
-    sector by sector (`power_step`).
+    """`steps` repetitions of one step, powered by repeated squaring on its
+    sector blocks (`power_step`) and scattered once into a zero matrix.
 
     With alternate_reversal every second step uses the reversed sequence
     (the adjoint decomposition): the product S S_rev S S_rev ... is the
-    power of the pair S S_rev, times S when steps is odd.  A palindromic
-    sequence reuses the step itself, so its result is bit-identical to the
-    non-alternating one.
+    power of the pair S S_rev, times S when steps is odd, each formed
+    block by block.  A palindromic sequence reuses the step itself, so its
+    result is bit-identical to the non-alternating one.
     """
     if steps < 1:
         raise StructuralError(f"steps must be >= 1, got {steps}")
-    step = compose(split, sequence, h, direction)
+    step = _step_blocks(split, sequence, h, direction)
     if not alternate_reversal or sequence[::-1] == sequence:
-        return power_step(split, step, steps)
-    pair = step @ compose(split, sequence[::-1], h, direction)
-    u = power_step(split, pair, steps // 2)
-    return u @ step if steps % 2 else u
+        return _scattered(split.sectors, power_step(step, steps))
+    reversed_step = _step_blocks(split, sequence[::-1], h, direction)
+    u = power_step([a @ b for a, b in zip(step, reversed_step)], steps // 2)
+    if steps % 2:
+        u = [a @ b for a, b in zip(u, step)]
+    return _scattered(split.sectors, u)

@@ -11,7 +11,9 @@ exponentials merge and U reduces to S exactly; for general Lambda the
 order of the source scheme is preserved.  Reversing the (c, d) sequence
 yields the adjoint decomposition, and alternating the two across steps
 elevates an odd-order scheme to the next even order.  Every operator here
-is built by `compose.compose` from the scheme's merged factor sequence.
+is built from the scheme's merged factor sequence by `compose`: one step's
+sector blocks on the packed sector identity, powered block by block for
+`evolve`, and scattered once into the dense matrix returned.
 """
 
 from __future__ import annotations

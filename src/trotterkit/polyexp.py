@@ -921,9 +921,12 @@ def _applier(m, factor, t, k):
     so dropping those rows changes no value.  at is R_k with the columns
     its rows read, which stay zero; keeping them keeps each row's sum in
     the order and the rounding of the whole matrix's.  For a Hermitian m,
-    R_k lies in the union of the `OperatorSplit.sectors` blocks that meet
-    the support, and equals it once the rounds reach a fixed point; a
-    state with an entry in every sector reaches the whole range.
+    R_k lies in the union of m's blocks (the components of its nonzero
+    pattern) that meet the support, and equals it once the rounds reach a
+    fixed point; a state with an entry in every block reaches the whole
+    range.  For the XXZ chain's H these blocks are the split's
+    `OperatorSplit.sectors`, which for any split are unions of H's
+    blocks.
 
     Any other matrix, and every matrix on a 2-D target (a block, which
     BLAS-3 GEMM serves better), is applied as the dense (m * factor) @ v.
@@ -1042,8 +1045,8 @@ def eval_factorized(h_op, target, fact):
     1-D target when they fill at most ENTRY_APPLY_MAX_FILL of it,
     otherwise as a dense product.  On a state the loop runs on R_k, the
     indices k applies of H can reach from its support (`_applier`), which
-    for a Hermitian H lies within the `OperatorSplit.sectors` blocks the
-    state meets; the result is zero elsewhere, bit for bit the whole-range
+    for a Hermitian H lies within H's blocks the state meets, and so
+    within the `OperatorSplit.sectors` it meets; the result is zero elsewhere, bit for bit the whole-range
     result up to the sign of a zero.  A block of m columns, dim n and q
     quadratic groups with q (m - 1) > n, such as the identity, takes one
     product per group from H^2 formed once: acc + D @ acc, with the
@@ -1082,8 +1085,9 @@ def eval_summed(h_op, target, spec):
     every target as `eval_factorized` applies it to a state or a thin
     block: through its entries on a 1-D target when they fill at most
     ENTRY_APPLY_MAX_FILL of it, otherwise as a dense product.  On a state
-    the terms run on R_k as in `eval_factorized`: within the
-    `OperatorSplit.sectors` blocks the state meets, for a Hermitian H."""
+    the terms run on R_k as in `eval_factorized`: within H's blocks the
+    state meets, and so within its `OperatorSplit.sectors`, for a
+    Hermitian H."""
     k = spec.k
     m, t = _operands(h_op, target)
     if spec.family == "taylor":

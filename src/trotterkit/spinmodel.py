@@ -124,14 +124,16 @@ def exact_evolution(h_matrix, t, direction="forward"):
     C(L, m), so the L = 10 chain costs sum n_s^3 = 38M multiply-adds to
     diagonalize against 1,074M for the whole matrix.  Each block is
     V diag(e^{pref * lambda * t}) V^dagger from its own eigh, written into a
-    zero complex matrix.  For a split these blocks are `split.sectors`.
-    H must be finite and Hermitian, and t finite.
+    zero complex matrix.  The search is the one behind `split.sectors`, over
+    H's entries instead of the terms', so for the XXZ chain the blocks are
+    its `sectors`.  H must be finite and Hermitian, and t finite.
     """
     h = _hermitian(h_matrix, "H")
     if not np.isfinite(t):
         raise StructuralError(f"t must be finite, got {t!r}")
     z = direction_prefactor(direction) * t
-    return _blockwise(_components(h != 0), h, lambda b: _eig_expm(*np.linalg.eigh(b), z))
+    blocks = _components(len(h), *np.nonzero(h))
+    return _blockwise(blocks, h, lambda b: _eig_expm(*np.linalg.eigh(b), z))
 
 
 def frobenius_error(u_approx, u_exact, *, t=0.0, method=""):

@@ -15,6 +15,8 @@ from trotterkit.compose import (
     _components,
     _eig_expm,
     _narrowed,
+    _scattered,
+    _step_blocks,
     compose,
     direction_prefactor,
     evolve_sequence,
@@ -300,7 +302,18 @@ def test_xxz_sectors_partition_the_basis_by_magnetization(L, boundary, delta):
     for m, s in enumerate(sectors):
         assert np.array_equal(s, np.flatnonzero(ups == m))
         assert not s.flags.writeable
-    assert "parts" not in vars(split)  # sectors read the total alone
+    assert "parts" not in vars(split) and "total" not in vars(split)  # the terms alone
+
+
+@pytest.mark.parametrize("L, boundary, delta", SECTOR_CHAINS)
+def test_term_sectors_are_the_components_of_the_total(L, boundary, delta):
+    # no bond term of the chain cancels another's entry, so the sectors
+    # every gate preserves are exactly H's blocks
+    split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=delta))
+    got = split.sectors
+    want = _components(split.dim, *np.nonzero(split.total))
+    assert len(got) == len(want)
+    assert all(map(same_bits, got, want))
 
 
 def components_by_search(pattern):
@@ -370,7 +383,7 @@ def test_sectors_are_the_oracle_blocks_of_the_total(monkeypatch, make):
 ])
 def test_components_of_patterns_with_a_full_row(pattern):
     want = components_by_search(pattern)
-    got = _components(pattern)
+    got = _components(len(pattern), *np.nonzero(pattern))
     assert len(got) == len(want)
     assert all(same_bits(g, w) and not g.flags.writeable for g, w in zip(got, want))
 
@@ -452,10 +465,18 @@ def test_dense_split_parts_are_its_validated_copies(monkeypatch):
     assert len(split.sectors) == 1 and split.parts is parts
 
 
+def full_identity_step(split, sequence, h, direction="forward"):
+    """Reference step: the split's gates applied to the whole identity,
+    with no sectors packed."""
+    return _apply_gates(split, sequence, h, np.eye(split.dim, dtype=complex), direction)
+
+
 @pytest.mark.parametrize("L, boundary, delta", SECTOR_CHAINS)
 def test_catalog_steps_have_exactly_zero_off_sector_entries(L, boundary, delta):
     # A bond gate that keeps to the two-site magnetization makes the whole
-    # step keep to the sectors, since the kernel only multiplies and adds.
+    # step, built on the full identity, keep to the sectors, since the
+    # kernel only multiplies and adds; this is what lets a step be built
+    # on the packed identity.
     # Every scheme is checked in both directions up to L = 8; at L = 9, 10,
     # where one step costs 0.1-0.3 s, blanes-moan4 stands for them, forward
     # on open chains and in imaginary time on periodic ones.
@@ -469,8 +490,23 @@ def test_catalog_steps_have_exactly_zero_off_sector_entries(L, boundary, delta):
     for name in names:
         seq = to_multistage(catalog[name]).factor_sequence(split.n_parts)
         for direction in directions:
-            step = compose(split, seq, 0.1, direction)
+            step = full_identity_step(split, seq, 0.1, direction)
             assert not step[off].any(), (name, direction)
+
+
+@pytest.mark.parametrize("L, boundary", CHAINS + [(10, "periodic")])
+def test_compose_equals_the_full_identity_step_bit_for_bit(L, boundary):
+    # The packed identity's width is padded so that every column takes the
+    # full identity's matmul path: no sector block moves by a rounding.
+    split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=0.3))
+    catalog = load_catalog()
+    names = sorted(catalog) if L <= 8 else ["blanes-moan4"]
+    for name in names:
+        seq = to_multistage(catalog[name]).factor_sequence(split.n_parts)
+        for direction in ("forward", "imaginary"):
+            want = full_identity_step(split, seq, 0.1, direction)
+            got = compose(split, seq, 0.1, direction)
+            assert np.array_equal(got, want), (name, direction)
 
 
 def record_powers(monkeypatch):
@@ -493,10 +529,11 @@ def test_sector_power_matches_matrix_power(monkeypatch, L, boundary):
         seq = to_multistage(get_scheme(name)).factor_sequence(split.n_parts)
         for direction in ("forward", "imaginary"):
             step = compose(split, seq, 0.05, direction)
+            blocks = _step_blocks(split, seq, 0.05, direction)
             for steps in (1, 2, 7, 60):
                 want = np.linalg.matrix_power(step, steps)
                 shapes = record_powers(monkeypatch)
-                got = power_step(split, step, steps)
+                got = _scattered(split.sectors, power_step(blocks, steps))
                 monkeypatch.undo()
                 assert shapes == [(len(s), len(s)) for s in split.sectors]
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -504,27 +541,20 @@ def test_sector_power_matches_matrix_power(monkeypatch, L, boundary):
 
 def test_one_sector_split_powers_the_step_whole(monkeypatch):
     split = random_split(3, 16)
-    step = compose(split, to_multistage(get_scheme("suzuki4")).factor_sequence(3), 0.1)
+    seq = to_multistage(get_scheme("suzuki4")).factor_sequence(3)
+    step = compose(split, seq, 0.1)
+    (block,) = _step_blocks(split, seq, 0.1, "forward")
+    assert np.array_equal(block, step)
     want = np.linalg.matrix_power(step, 9)
     shapes = record_powers(monkeypatch)
-    assert np.array_equal(power_step(split, step, 9), want)
+    (got,) = power_step([block], 9)
+    assert np.array_equal(got, want)
     assert shapes == [(16, 16)]
-
-
-def test_step_with_an_off_sector_entry_is_powered_whole(monkeypatch):
-    split = build_xxz(XxzConfig(L=6, boundary="periodic"))
-    seq = to_multistage(get_scheme("strang")).factor_sequence(split.n_parts)
-    step = compose(split, seq, 0.1)
-    step[0, 1] = 1e-300  # all-down state <- one up spin
-    want = np.linalg.matrix_power(step, 5)
-    shapes = record_powers(monkeypatch)
-    assert np.array_equal(power_step(split, step, 5), want)
-    assert shapes == [(64, 64)]
 
 
 def cancelling_splits():
     """Splits whose parts cancel H's off-diagonal entries: H is diagonal,
-    so every sector is one index, while each step couples them."""
+    so each of its blocks is one index, while each step couples them."""
     x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
     flip = np.kron(x, np.eye(2)) + 0.5 * np.kron(z, z)
     terms = OperatorSplit.from_terms(3, [[(0, 1, flip)], [(0, 1, -np.kron(x, np.eye(2)))]])
@@ -536,16 +566,34 @@ def cancelling_splits():
 
 
 @pytest.mark.parametrize("split", cancelling_splits())
-def test_cancelling_split_is_powered_whole_bit_for_bit(monkeypatch, split):
-    assert len(split.sectors) == split.dim
+def test_cancelling_split_sectors_hold_every_step(split):
+    # The sectors follow the terms, not H: each is a union of H's blocks
+    # (here single indices), and no step has an entry outside them.
+    h_blocks = _components(split.dim, *np.nonzero(split.total))
+    assert len(h_blocks) == split.dim
+    label = np.empty(split.dim, dtype=int)
+    for n, s in enumerate(split.sectors):
+        label[s] = n
+    assert len(split.sectors) < split.dim
+    assert all(len(set(label[b])) == 1 for b in h_blocks)
+    off = off_sector(split)
     ms = to_multistage(get_scheme("suzuki4"))
-    step = compose(split, ms.factor_sequence(split.n_parts), 0.1)
-    assert np.count_nonzero(step - np.diag(np.diag(step)))
+    seq = ms.factor_sequence(split.n_parts)
+    for direction in ("forward", "imaginary"):
+        step = full_identity_step(split, seq, 0.1, direction)
+        assert np.count_nonzero(step - np.diag(np.diag(step)))
+        assert not step[off].any(), direction
+    # The step is built bit for bit.  Its power is the full-identity
+    # step's power: bit for bit with one sector, which is powered whole, and
+    # within rounding where smaller blocks are powered on their own.
+    step = full_identity_step(split, seq, 0.1)
+    assert np.array_equal(compose(split, seq, 0.1), step)
     want = np.linalg.matrix_power(step, 7)
-    shapes = record_powers(monkeypatch)
-    assert np.array_equal(power_step(split, step, 7), want)
-    assert np.array_equal(evolve(split, ms, 0.1, 7), want)
-    assert shapes == [step.shape, step.shape]
+    blocks = _step_blocks(split, seq, 0.1, "forward")
+    for got in (_scattered(split.sectors, power_step(blocks, 7)), evolve(split, ms, 0.1, 7)):
+        if len(split.sectors) == 1:
+            assert np.array_equal(got, want)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_evolve_powers_sector_blocks(monkeypatch):
@@ -572,9 +620,20 @@ def gates_per_bond(split, sequence, h, direction):
     pref = direction_prefactor(direction)
     x = np.eye(split.dim, dtype=complex)
     for k, coef in reversed(sequence):
-        for i, j, op in split.terms[k]:
-            x = _apply_term(split.term_gate(op, pref * coef * h), i, j, x)
+        for n, (i, j, _) in enumerate(split.terms[k]):
+            x = _apply_term(split.term_gate(k, n, pref * coef * h), i, j, x)
     return x
+
+
+def test_term_keys_are_built_once_per_split_one_per_distinct_term():
+    bond = build_xxz(XxzConfig(L=4)).terms[0][0][2]
+    other = np.diag([1.0, -1.0, -1.0, 1.0])
+    chain = OperatorSplit.from_terms(
+        4, [[(0, 1, bond), (2, 3, bond)], [(1, 2, other)], [(3, 0, bond.copy())]]
+    )
+    assert chain._term_keys == ((0, 0), (1,), (0,))
+    p, q = np.eye(3), np.diag([1.0, 2.0, 3.0])
+    assert OperatorSplit((p, q, p))._term_keys == ((0,), (1,), (0,))
 
 
 @pytest.mark.parametrize("split", [

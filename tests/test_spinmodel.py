@@ -1,6 +1,7 @@
 """XXZ chain construction, colorings, exact evolution, and error metric."""
 
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -44,7 +45,6 @@ def dense_accesses(split):
     return [
         ("parts", lambda: split.parts),
         ("total", lambda: split.total),
-        ("sectors", lambda: split.sectors),
         ("apply_multistage", lambda: apply_multistage(split, ms, 0.1)),
         ("evolve", lambda: evolve(split, ms, 0.1, 2)),
     ]
@@ -66,6 +66,23 @@ def test_chain_past_the_dense_cap_allocates_no_dense_matrix(L):
             assert tracemalloc.get_traced_memory()[1] < 2**20, name
     finally:
         tracemalloc.stop()
+
+
+def test_sectors_past_the_dense_cap_are_built_from_the_terms():
+    # the sectors follow the terms' edges: at L = 16 the smallest dense
+    # array, a 2^16 x 2^16 boolean pattern, would be 4 GiB
+    L = 16
+    split = build_xxz(XxzConfig(L=L, boundary="periodic"))
+    tracemalloc.start()
+    try:
+        sectors = split.sectors
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**27
+    assert [len(s) for s in sectors] == [comb(L, m) for m in range(L + 1)]
+    ups = np.array([bin(i).count("1") for i in range(split.dim)])
+    assert all(np.array_equal(s, np.flatnonzero(ups == m)) for m, s in enumerate(sectors))
 
 
 # ---------------------------------------------------------------------------
