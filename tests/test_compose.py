@@ -305,17 +305,6 @@ def test_xxz_sectors_partition_the_basis_by_magnetization(L, boundary, delta):
     assert "parts" not in vars(split) and "total" not in vars(split)  # the terms alone
 
 
-@pytest.mark.parametrize("L, boundary, delta", SECTOR_CHAINS)
-def test_term_sectors_are_the_components_of_the_total(L, boundary, delta):
-    # no bond term of the chain cancels another's entry, so the sectors
-    # every gate preserves are exactly H's blocks
-    split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=delta))
-    got = split.sectors
-    want = _components(split.dim, *np.nonzero(split.total))
-    assert len(got) == len(want)
-    assert all(map(same_bits, got, want))
-
-
 def components_by_search(pattern):
     """Reference components: a breadth-first search from each unvisited
     index in turn, edges taken both ways, each component sorted."""
@@ -357,6 +346,9 @@ def test_sectors_are_the_components_of_the_parts_pattern(make):
 
 @pytest.mark.parametrize("make", SECTOR_SPLITS)
 def test_sectors_are_the_oracle_blocks_of_the_total(monkeypatch, make):
+    # the sectors come from the terms, the oracle's blocks from H's entries
+    # (`_components` of total != 0); no term of these splits cancels
+    # another's entry, so the two are the same arrays
     split = make()
     seen = []
     blockwise = spinmodel._blockwise
