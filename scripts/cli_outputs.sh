@@ -65,11 +65,14 @@ done
 run zeros-chebyshev-20-10-imaginary zeros --family chebyshev --k 20 --gamma-h 10 --axis imaginary
 run zeros-chebyshev-16-2.5-real zeros --family chebyshev --k 16 --gamma-h 2.5 --axis real
 # the cold-start benchmark's two zero solves, the largest Taylor order (u^k
-# far below the fixed-point resolution), and a real-axis solve at k = 40
+# far below the fixed-point resolution), a real-axis solve at k = 40, and
+# the over-resolved imaginary-axis solve of the sweep benchmark's
+# chebyshev:40 cells (290 guard bits)
 run zeros-taylor-152 zeros --family taylor --k 152
 run zeros-taylor-400 zeros --family taylor --k 400
 run zeros-chebyshev-100-80-imaginary zeros --family chebyshev --k 100 --gamma-h 80 --axis imaginary
 run zeros-chebyshev-40-20-real zeros --family chebyshev --k 40 --gamma-h 20 --axis real
+run zeros-chebyshev-40-0.213-imaginary zeros --family chebyshev --k 40 --gamma-h 0.21304262029217305 --axis imaginary
 run expm-taylor-prod expm --method taylor --k 52 --scalar=-10j
 run expm-taylor-sum expm --method taylor --k 52 --scalar=-10j --sum
 run expm-chebyshev-prod expm --method chebyshev --k 40 --gamma-h 20 --axis imaginary --scalar=-15j

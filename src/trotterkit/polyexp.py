@@ -149,23 +149,23 @@ def _bessel_function(kind):
 
 
 def _bessel_sequence(kind, n_max, x, *, dps=None):
-    """[f_0(x), ..., f_n_max(x)] for f = J or I.
+    """[f_0(x), ..., f_n_max(x), f_{n_max+1}(x)] for f = J or I.
 
-    mpmath gives f_{n_max+1} and f_{n_max}; the downward recurrence
-    f_{n-1} = (2n/x) f_n -/+ f_{n+1} (stable for both J and I) gives the
-    rest, at 10 guard digits above the requested precision.  Returns
-    mpmath numbers at dps when it is set (the zero solver needs
+    mpmath gives the seeds f_{n_max+1} and f_{n_max}; the downward
+    recurrence f_{n-1} = (2n/x) f_n -/+ f_{n+1} (stable for both J and I)
+    gives the rest, at 10 guard digits above the requested precision.
+    Returns mpmath numbers at dps when it is set (the zero solver needs
     extended-precision coefficients), doubles otherwise.
     """
     f = _bessel_function(kind)
     num = float if dps is None else mp.mpf
     if x == 0:
-        return [num(1)] + [num(0)] * n_max
+        return [num(1)] + [num(0)] * (n_max + 1)
     sign = 1 if kind == "I" else -1
     with mp.workdps((dps or 16) + 10):
         x_ = mp.mpf(x)
         nxt, cur = f(n_max + 1, x_), f(n_max, x_)
-        out = [cur]
+        out = [nxt, cur]
         for n in range(n_max, 0, -1):
             nxt, cur = cur, (2 * n / x_) * cur + sign * nxt
             out.append(cur)
@@ -208,30 +208,35 @@ def taylor_cutoff(lambda_max, h, epsilon):
     return k
 
 
-def _chebyshev_mu(spec, dps=None):
-    """mu_0..mu_k: Bessel-I on the real axis, phased Bessel-J on the
-    imaginary axis (I_i(i*Gh) = i^i J_i(Gh)), from mpmath J/I seeds plus
-    downward recurrence.
+def _chebyshev_plane(spec, dps=None):
+    """a_0..a_{k+1}, the truncation's coefficients in the working plane w =
+    z / (Gamma*h): mu_i on the real axis and (-i)^i mu_i on the imaginary
+    one, so 2 I_i(Gamma*h) or 2 J_i(Gamma*h) (a_0 undoubled), all real, from
+    mpmath J/I seeds plus downward recurrence.  a_{k+1} is the first
+    coefficient the truncation drops, the recurrence's seed.
 
     In double precision by default; with dps set, as mpmath numbers at that
     working precision (call it inside mp.workdps(dps)).
     """
-    imaginary = spec.axis == "imaginary"
-    num = mp.mpc if dps is not None else complex if imaginary else float
-    seq = _bessel_sequence("J" if imaginary else "I", spec.k, spec.gamma_h, dps=dps)
-    # i^i cycles exactly through (1, i, -1, -i); a complex power would not
-    phase = [num(p) for p in ((1, 1j, -1, -1j) if imaginary else (1, 1, 1, 1))]
-    return [num(seq[0])] + [2 * phase[i % 4] * seq[i] for i in range(1, spec.k + 1)]
+    kind = "J" if spec.axis == "imaginary" else "I"
+    seq = _bessel_sequence(kind, spec.k, spec.gamma_h, dps=dps)
+    return [seq[0]] + [2 * f for f in seq[1:]]
 
 
 def chebyshev_coefficients(spec):
-    """mu_0..mu_k of a Chebyshev spec in double precision."""
+    """mu_0..mu_k of a Chebyshev spec in double precision: Bessel-I on the
+    real axis, phased Bessel-J on the imaginary axis (I_i(i*Gh) = i^i
+    J_i(Gh)), so the working-plane a_i times 1 or i^i."""
     if spec.family != "chebyshev":
         raise StructuralError("chebyshev_coefficients needs a chebyshev spec")
     gh = spec.gamma_h
     if gh > BESSEL_X_MAX:
         raise RangeError(f"Gamma*h = {gh} beyond supported range (<= {BESSEL_X_MAX:g})")
-    return _chebyshev_mu(spec)
+    a = _chebyshev_plane(spec)[:-1]
+    if spec.axis == "real":
+        return a
+    # i^i cycles exactly through (1, i, -1, -i); a complex power would not
+    return [(1 + 0j, 1j, -1 + 0j, -1j)[i % 4] * m for i, m in enumerate(a)]
 
 
 def chebyshev_admissible_k(gamma_h, axis, epsilon):
@@ -504,66 +509,136 @@ def _taylor_setup(spec, dps, zeros=None):
     return guesses, k, bits, lambda w: _fixed_horner(c, w, bits), 3 * (k + 1)
 
 
-def _fixed_clenshaw(mu, x, bits):
-    """Sum mu_i T_i(x) and its x-derivative in one fixed-point Clenshaw pass:
-    b_j = 2x b_{j+1} - b_{j+2} + mu_j, b'_j = 2 b_{j+1} + 2x b'_{j+1} - b'_{j+2}.
-    The complex products are inlined; 2x b is x b shifted by one bit less."""
-    xr, xi = x
-    br = bi = b2r = b2i = dr = di = d2r = d2i = 0
-    for cr, ci in mu[:0:-1]:
-        tr, ti = (xr * br - xi * bi) >> (bits - 1), (xr * bi + xi * br) >> (bits - 1)
-        ur, ui = (xr * dr - xi * di) >> (bits - 1), (xr * di + xi * dr) >> (bits - 1)
-        br, bi, b2r, b2i, dr, di, d2r, d2i = (
-            tr - b2r + cr, ti - b2i + ci, br, bi, 2 * br + ur - d2r, 2 * bi + ui - d2i, dr, di
+def _fixed_chebyshev_u(w, k, bits, sign):
+    """(u_k, u_{k-1}) at the fixed-point w, for u_0 = 1, u_1 = 2w and u_{i+1}
+    = 2w u_i - sign u_{i-1} (U_i on the real axis, sign 1; i^i U_i(-i w) on
+    the imaginary one, sign -1), by doubling on the bits of k: u_{2n} = u_n^2
+    - sign u_{n-1}^2 and u_{2n-1} = 2 u_{n-1} (u_n - w u_{n-1}), then one
+    recurrence step where the bit is set.  As (ints scaled by 2^s, s).
+
+    With rho as in `_clenshaw_log_rho`, |u_i| <= (i + 1) rho^i and |w| <=
+    rho; so an error of (u_n, u_{n-1}) grows through one doubling by at most
+    10 (n + 1) rho^n, and so relatively to (2n + 1) rho^(2n) by at most 5
+    (n + 2), and through one recurrence step by at most 3, plus a few units
+    of truncation.  g = L (bit length of (k + 2) + 5) guard bits over the L
+    = bit length of k levels cover that, leaving u_k and u_{k-1} within
+    (k + 1) rho^k units of 2^-bits."""
+    levels = k.bit_length()
+    g = levels * ((k + 2).bit_length() + 5)
+    s = bits + g
+    wr, wi = w[0] << g, w[1] << g
+    ar, ai, br, bi = 2 * wr, 2 * wi, 1 << s, 0  # (u_1, u_0)
+    for bit in bin(k)[3:]:
+        cr, ci = ar - ((wr * br - wi * bi) >> s), ai - ((wr * bi + wi * br) >> s)
+        ar, ai, br, bi = (
+            ((ar + ai) * (ar - ai) - sign * (br + bi) * (br - bi)) >> s,
+            (ar * ai - sign * br * bi) >> (s - 1),
+            (br * cr - bi * ci) >> (s - 1),
+            (br * ci + bi * cr) >> (s - 1),
         )
-    tr, ti = (xr * br - xi * bi) >> bits, (xr * bi + xi * br) >> bits
-    ur, ui = (xr * dr - xi * di) >> bits, (xr * di + xi * dr) >> bits
-    return (tr - b2r + mu[0][0], ti - b2i + mu[0][1]), (br + ur - d2r, bi + ui - d2i)
+        if bit == "1":
+            ar, ai, br, bi = (((wr * ar - wi * ai) >> (s - 1)) - sign * br,
+                              ((wr * ai + wi * ar) >> (s - 1)) - sign * bi, ar, ai)
+    return (ar, ai), (br, bi), s
+
+
+def _fixed_chebyshev(a, w, bits, sign, gh_ratio):
+    """The Chebyshev kernel in the working plane w, for the real coefficients
+    a_0..a_{k+1} (`_chebyshev_plane`, in fixed point): p(w) = sum_{i<=k} a_i
+    t_i(w) over t_0 = 1, t_1 = w, t_{i+1} = 2w t_i - sign t_{i-1}, and
+
+        p'(w) = Gamma*h (p(w) - (a_k u_k(w) + sign a_{k+1} u_{k-1}(w)) / 2),
+
+    with u_i from `_fixed_chebyshev_u` and gh_ratio = Gamma*h as
+    (numerator, shift).  For the Bessel coefficients of e^(Gamma*h w) the sum over all i
+    has p' = Gamma*h p, and the Bessel recurrence leaves, of the truncation,
+    exactly the bracket's last term.
+
+    p is Clenshaw's recurrence b_j = a_j + 2w b_{j+1} - sign b_{j+2}, p =
+    a_0 + w b_1 - sign b_2, run in R[X]/(X^2 - t X + s), which has w as a
+    root, with t = 2 Re w and s = |w|^2 exact (s at 2*bits fraction bits),
+    as Goertzel's device in `_fixed_horner`: b_j = al_j + be_j X and 2X b_j
+    = -2 be_j s + 2(al_j + be_j t) X cost two real products per coefficient.
+    Evaluation at w is a ring map, so a truncation of al_j or be_j (under a
+    unit each) reaches p as an error e + e' w of a_j would, times t_j(w);
+    with the floored a_j and |t_j(w)| <= rho^j (`_clenshaw_log_rho`), p is
+    within (k + 1)(2 + |w|) rho^k + 3 units of 2^-bits.  p' enters the
+    residual only as its divisor and needs only relative accuracy: the
+    floored a_i make the identity hold up to sum_i r_i (t_i' - Gamma*h t_i)
+    (|r_i| < 1 unit), and u_k, u_{k-1} carry (k + 1) rho^k units each,
+    far below |p'| wherever the guard bits keep the sum's terms above the
+    fraction bits (`_clenshaw_guard_bits`)."""
+    wr, wi = w
+    t, s, bits2 = 2 * wr, wr * wr + wi * wi, 2 * bits
+    al = be = al2 = be2 = 0
+    for aj in a[-2:0:-1]:
+        al, be, al2, be2 = (aj - ((be * s) >> (bits2 - 1)) - sign * al2,
+                            2 * al + ((be * t) >> (bits - 1)) - sign * be2, al, be)
+    # p = a_0 + X b_1 - sign b_2 = c0 + c1 X, then X = w
+    c0 = a[0] - ((be * s) >> bits2) - sign * al2
+    c1 = al + ((be * t) >> bits) - sign * be2
+    pr, pi = c0 + ((c1 * wr) >> bits), (c1 * wi) >> bits
+    (ukr, uki), (u1r, u1i), shift = _fixed_chebyshev_u(w, len(a) - 2, bits, sign)
+    ak, ak1 = a[-2], sign * a[-1]
+    num, e = gh_ratio
+    return (pr, pi), ((num * (pr - ((ak * ukr + ak1 * u1r) >> (shift + 1)))) >> e,
+                      (num * (pi - ((ak * uki + ak1 * u1i) >> (shift + 1)))) >> e)
 
 
 def _clenshaw_log_rho(xs):
     """log2 of the largest rho = |x + sqrt(x^2 - 1)| >= 1 (the larger branch)
-    over the points xs: rounding errors of a Clenshaw pass at x grow like
-    rho^k."""
+    over the points xs of the segment's variable x (x = w on the real axis,
+    x = -i w on the imaginary one): |T_i(x)| <= rho^i and |U_i(x)| <= (i + 1)
+    rho^i, so the rounding errors of a Clenshaw pass at x grow like rho^k."""
     roots = [(x, cmath.sqrt(x * x - 1)) for x in xs]
     return max(math.log2(max(abs(x + r), abs(x - r))) for x, r in roots)
 
 
-def _clenshaw_guard_bits(mu, xs):
-    """Extra fraction bits so that a fixed-point Clenshaw pass keeps the
-    accuracy of a floating one at the points xs: rounding errors at x grow
-    like rho^k (`_clenshaw_log_rho`), while the terms of the sum are only as
-    large as max_i |mu_i| rho^i (Taylor-like zeros far off the segment have
-    rho ~ 2|x| and tiny high-order mu).  The shortfall grows with rho, so
-    the outermost point decides."""
-    k = len(mu) - 1
+def _clenshaw_guard_bits(a, xs):
+    """Extra fraction bits so that the fixed-point kernel keeps the accuracy
+    of a floating one at the points xs: rounding errors at x grow like rho^k
+    (`_clenshaw_log_rho`), while the terms a_i t_i of the sum are only as
+    large as max_i |a_i| rho^i (Taylor-like zeros far off the segment have
+    rho ~ 2|x| and tiny high-order a_i).  The shortfall grows with rho, so
+    the outermost point decides.  a_0..a_k are the working-plane
+    coefficients (`_chebyshev_plane`); |a_i| = |mu_i|."""
+    k = len(a) - 1
     log_rho = _clenshaw_log_rho(xs)
-    terms = max(mp.mag(m) + i * log_rho for i, m in enumerate(mu) if m != 0)
+    terms = max(mp.mag(m) + i * log_rho for i, m in enumerate(a) if m != 0)
     return max(0, math.ceil(k * log_rho + math.log2(k + 1) - terms))
 
 
-def _cheb_guesses(mu_d, k):
-    """Colleague-matrix roots in double precision as initial guesses (in the
-    unit-interval variable x)."""
-    arr = np.asarray(mu_d, dtype=complex)
-    # rescale to keep the companion matrix in floating range; roots unchanged
+def _colleague_guesses(a, sign):
+    """Roots of sum_{i<=k} a_i t_i(w) (`_fixed_chebyshev`'s basis) in double
+    precision, as the eigenvalues of the real colleague matrix: w t_0 = t_1
+    and w t_i = (t_{i+1} + sign t_{i-1}) / 2, with t_k replaced by -sum_{i<k}
+    a_i t_i / a_k.  A real matrix gives its complex eigenvalues in exact
+    conjugate pairs."""
+    k = len(a) - 1
+    arr = np.array([float(m) for m in a])
+    # rescale to keep the colleague matrix in floating range; roots unchanged
     arr = arr / np.max(np.abs(arr))
-    # The colleague matrix holds mu_n / mu_k: a mu_k that underflows against
-    # the largest mu (a truncation far above the admissible k for its Gamma*h)
-    # leaves no finite matrix and no usable guesses.
+    # The matrix holds a_n / a_k: an a_k that underflows against the largest
+    # a (a truncation far above the admissible k for its Gamma*h) leaves no
+    # finite matrix and no usable guesses.
     if abs(arr[-1]) < np.finfo(float).tiny:
         raise ConvergenceError(
             f"colleague guess stage: |mu_k / max mu| = {abs(arr[-1]):.3e} underflows "
             f"in double precision at k={k}; the truncation is far over-resolved",
             worst_residual=math.inf,
         )
-    roots = np.polynomial.chebyshev.chebroots(arr)
-    if len(roots) != k:
-        raise ConvergenceError(
-            f"colleague guess stage produced {len(roots)} roots, expected {k}",
-            worst_residual=math.inf,
-        )
-    return roots
+    m = np.zeros((k, k))
+    i = np.arange(1, k)
+    m[i - 1, i] = 0.5
+    m[i, i - 1] = 0.5 * sign
+    m[0, 1:2] = 1.0
+    m[-1] -= arr[:k] / arr[k] * (0.5 if k > 1 else 1.0)
+    # the similarity diag(sqrt 2, 1, ..., 1) makes the tridiagonal part
+    # symmetric up to sign, as numpy's chebcompanion does: +-sqrt(1/2)
+    # beside t_0 and +-1/2 elsewhere
+    d = np.ones(k)
+    d[0] = math.sqrt(2.0)
+    return list(np.linalg.eigvals(m * d[None, :] / d[:, None]).astype(complex))
 
 
 def _real_axis_guard_digits(gh):
@@ -574,33 +649,27 @@ def _real_axis_guard_digits(gh):
 
 def _chebyshev_setup(spec, dps, zeros=None):
     """The Chebyshev solve at dps digits, as _taylor_setup.  Newton runs in
-    w = z / (Gamma*h): w = x on the real axis and w = i x on the imaginary
-    one, where conj(p(-conj(x))) = p(x) because the phase i^i of mu is
-    exact.  Either way the roots are symmetric about Im w = 0.  The
-    allowance is 4(k + 1) 2^ceil(k log2 rho + log2(k + 1)) units, with rho
-    as in `_clenshaw_guard_bits` over the points the kernel is meant for:
-    the colleague guesses, or the given zeros, which then take their place
-    and spare a load the colleague matrix."""
+    w = z / (Gamma*h) = x on the real axis and i x on the imaginary one,
+    where the truncation is sum a_i t_i(w) with real a_i
+    (`_chebyshev_plane`), so its roots are symmetric about Im w = 0.  The
+    guesses are `_colleague_guesses`, or the given zeros, which then take
+    their place and spare a load the colleague matrix.  The fraction bits
+    take `_clenshaw_guard_bits` over those points, and the allowance is
+    `_fixed_chebyshev`'s bound for p over them, (k + 1)(3 + max |w|) units
+    of 2^-bits times 2^ceil(k log2 rho) >= rho^k, with a factor 4 for Newton
+    iterates whose rho^k exceeds the points' (rho up to 4^(1/k) larger)."""
     k, gh = spec.k, spec.gamma_h
-    imaginary = spec.axis == "imaginary"
-    mu = _chebyshev_mu(spec, dps)
-    if zeros is None:
-        xs = _cheb_guesses([complex(m) for m in mu], k)
-    else:
-        xs = [z / gh * (-1j if imaginary else 1) for z in zeros]
-    bits = _fraction_bits(dps) + _clenshaw_guard_bits(mu, xs)
-    fixed_mu = [(_fixed(m.real, bits), _fixed(m.imag, bits)) for m in mu]
-    slack = 4 * (k + 1) << math.ceil(k * _clenshaw_log_rho(xs) + math.log2(k + 1))
-
-    def fixed_p_and_dp(w):
-        if not imaginary:
-            return _fixed_clenshaw(fixed_mu, w, bits)
-        # x = -i w and dp/dw = -i dp/dx
-        p, dp = _fixed_clenshaw(fixed_mu, (w[1], -w[0]), bits)
-        return p, (dp[1], -dp[0])
-
-    guesses = [1j * x if imaginary else x for x in xs]
-    return guesses, gh, bits, fixed_p_and_dp, slack
+    sign = -1 if spec.axis == "imaginary" else 1
+    a = _chebyshev_plane(spec, dps)
+    ws = _colleague_guesses(a[:-1], sign) if zeros is None else [z / gh for z in zeros]
+    xs = [complex(w.imag, -w.real) if sign < 0 else w for w in ws]
+    bits = _fraction_bits(dps) + _clenshaw_guard_bits(a[:-1], xs)
+    fixed_a = [_fixed(m, bits) for m in a]
+    reach = 3 + math.ceil(max(abs(w) for w in ws))
+    slack = 4 * (k + 1) * reach << math.ceil(k * _clenshaw_log_rho(xs))
+    num, den = float(gh).as_integer_ratio()
+    gh_ratio = (num, den.bit_length() - 1)
+    return ws, gh, bits, lambda w: _fixed_chebyshev(fixed_a, w, bits, sign, gh_ratio), slack
 
 
 _SETUPS = {"taylor": _taylor_setup, "chebyshev": _chebyshev_setup}
@@ -785,6 +854,8 @@ def order_factors(gammas):
                 d = abs(gam[j] - g.conjugate())
                 if best_d is None or d < best_d:
                     best_d, best = d, j
+                    if d == 0:  # an exact conjugate: no later j is closer
+                        break
             if best < 0 or best_d > 1e-8 * abs(g):
                 raise StructuralError(
                     f"gammas not conjugate-closed: no partner for index {i} ({g!r})"
@@ -838,10 +909,13 @@ def factorize(spec, *, cache_dir=None):
         dps0 = 40
         if spec.axis == "real":
             dps0 += _real_axis_guard_digits(spec.gamma_h)
+        sign = -1 if spec.axis == "imaginary" else 1
         with mp.workdps(dps0):
-            p0 = mp.mpf(0)  # p(0) = mu_0 - mu_2 + ..., from the top as Clenshaw sums it
-            for m in reversed(_chebyshev_mu(spec, dps0)[::2]):
-                p0 = m.real - p0
+            # p(0) = a_0 - sign a_2 + a_4 - ..., as t_2m(0) = (-sign)^m (the
+            # basis of `_fixed_chebyshev`), from the top as Clenshaw sums it
+            p0 = mp.mpf(0)
+            for a in reversed(_chebyshev_plane(spec, dps0)[:-1:2]):
+                p0 = a - sign * p0
         scale = float(p0)
     gammas = gamma_for(zeros, spec.k)
     groups = order_factors(gammas)

@@ -325,24 +325,14 @@ def _to_mp(a, bits):
     return mp.mpc(mp.mpf((a[0], -bits)), mp.mpf((a[1], -bits)))
 
 
-def _clenshaw(coeffs, x):
-    """Sum c_i T_i(x) by Clenshaw recurrence in mpmath (any coefficient
-    count >= 1): the reference for the fixed-point kernel."""
-    b1 = mp.mpc(0)
-    b2 = mp.mpc(0)
+def _plane_clenshaw(coeffs, w, sign):
+    """sum c_i t_i(w) and its w-derivative by Clenshaw's recurrence in
+    mpmath, over t_0 = 1, t_1 = w, t_{i+1} = 2w t_i - sign t_{i-1} (any
+    coefficient count >= 1): the reference for the fixed-point kernel."""
+    b1 = b2 = d1 = d2 = mp.mpc(0)
     for c in coeffs[:0:-1]:
-        b1, b2 = 2 * x * b1 - b2 + c, b1
-    return x * b1 - b2 + coeffs[0]
-
-
-def _cheb_deriv_coeffs(mu):
-    """T-basis coefficients of d/dx sum mu_i T_i: d_{n-1} = d_{n+1} + 2n mu_n."""
-    k = len(mu) - 1
-    d = [mp.mpc(0)] * (k + 1)
-    for n in range(k, 0, -1):
-        d[n - 1] = (d[n + 1] if n + 1 <= k else mp.mpc(0)) + 2 * n * mu[n]
-    d[0] = d[0] / 2
-    return d[:k]
+        b1, b2, d1, d2 = 2 * w * b1 - sign * b2 + c, b1, 2 * b1 + 2 * w * d1 - sign * d2, d1
+    return w * b1 - sign * b2 + coeffs[0], b1 + w * d1 - sign * d2
 
 
 @pytest.mark.parametrize("k", [5, 52, 152, TAYLOR_K_MAX])
@@ -386,25 +376,36 @@ def test_fixed_horner_matches_mpmath(k):
                                          (40, 20.0, "imaginary"), (40, 0.5, "imaginary"),
                                          (100, 80.0, "imaginary")])
 def test_fixed_clenshaw_matches_mpmath(k, gh, axis):
-    # value and derivative against the two mpmath Clenshaw passes at 90
-    # digits, within the fixed-point resolution times the size of the terms
+    # p and the identity's p' of the working-plane kernel, at the solve's
+    # fraction bits with guard bits for each point, against the truncation
+    # of the exact Bessel coefficients and its derivative in mpmath at 3x
+    # the working digits, out to 1.5 k / Gamma*h, where the Taylor-like zeros
+    # lie: p within the kernel's bound (k + 1)(2 + |w|) rho^k + 3 units of
+    # 2^-bits, and p' within Gamma*h ((k + 1)(5 + |w|) rho^k + 4) + 1 (p's
+    # bound, the floored a_k and a_{k+1} against |u_k| + |u_{k-1}| <= 2 (k +
+    # 1) rho^k, and u_k, u_{k-1} within (k + 1) rho^k units each)
     spec = SeriesSpec("chebyshev", k, gamma_scale=gh, axis=axis)
+    sign = -1 if axis == "imaginary" else 1
+    dps = polyexp._working_dps(spec)
+    num, den = gh.as_integer_ratio()
+    gh_ratio = (num, den.bit_length() - 1)
     rng = np.random.default_rng(k)
-    with mp.workdps(90):
-        mu = polyexp._chebyshev_mu(spec, 90)
-        dmu = _cheb_deriv_coeffs(mu)
+    with mp.workdps(3 * dps):
+        a = polyexp._chebyshev_plane(spec, 3 * dps)
         reach = 1.5 * max(1.0, k / gh)
         for re, im in zip(rng.uniform(-reach, reach, 20), rng.uniform(-reach, reach, 20)):
             x = complex(re, im)
-            bits = polyexp._fraction_bits(60) + polyexp._clenshaw_guard_bits(mu, [x])
-            fmu = [(polyexp._fixed(m.real, bits), polyexp._fixed(m.imag, bits)) for m in mu]
-            w = (polyexp._fixed(re, bits), polyexp._fixed(im, bits))
-            p, dp = polyexp._fixed_clenshaw(fmu, w, bits)
-            xm = mp.mpc(x)
-            rho = max(abs(x + cmath.sqrt(x * x - 1)), abs(x - cmath.sqrt(x * x - 1)))
-            scale = sum(abs(complex(m)) * rho**i for i, m in enumerate(mu))
-            assert abs(_to_mp(p, bits) - _clenshaw(mu, xm)) < 1e-55 * scale
-            assert abs(_to_mp(dp, bits) - _clenshaw(dmu, xm)) < 1e-55 * k * k * scale
+            w = 1j * x if sign < 0 else x
+            bits = polyexp._fraction_bits(dps) + polyexp._clenshaw_guard_bits(a[:-1], [x])
+            fixed_a = [polyexp._fixed(m, bits) for m in a]
+            fw = (polyexp._fixed(w.real, bits), polyexp._fixed(w.imag, bits))
+            p, dp = polyexp._fixed_chebyshev(fixed_a, fw, bits, sign, gh_ratio)
+            want, want_d = _plane_clenshaw(a[:-1], _to_mp(fw, bits), sign)
+            rho = 2 ** polyexp._clenshaw_log_rho([x]) * (1 + 1e-12)
+            unit = mp.ldexp(1, -bits)
+            assert abs(_to_mp(p, bits) - want) <= ((k + 1) * (2 + abs(w)) * rho**k + 3) * unit
+            bound = gh * ((k + 1) * (5 + abs(w)) * rho**k + 4) + 1
+            assert abs(_to_mp(dp, bits) - want_d) <= bound * unit
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 20, 21])
@@ -468,12 +469,11 @@ def test_overresolved_chebyshev_is_solved_from_refined_guesses(monkeypatch):
     assert calls == [1] and worst < 1e-25 * 60
     assert len(polyexp._sort_conjugate_closed(zs)) == 60
     with mp.workdps(120):
-        mu = polyexp._chebyshev_mu(spec, 120)
-        dmu = _cheb_deriv_coeffs(mu)
+        a = polyexp._chebyshev_plane(spec, 120)[:-1]
         for z in zs:
-            x = mp.mpc(z) / 20
             # Newton correction at each double-rounded zero is at rounding level
-            assert abs(_clenshaw(mu, x) / _clenshaw(dmu, x)) * 20 < 1e-14 * abs(z)
+            p, dp = _plane_clenshaw(a, mp.mpc(z) / 20, 1)
+            assert abs(p / dp) * 20 < 1e-14 * abs(z)
 
 
 @pytest.mark.parametrize("contract, runs, certified", [(1e-25, 3, True), (0.0, 1, False)])
@@ -517,26 +517,27 @@ def test_zero_solve_failure_names_the_failed_check(monkeypatch, attr, value, rea
     SeriesSpec("chebyshev", k, gamma_scale=gh, axis=axis)
     for k, gh, axis in [(6, 2.0, "real"), (16, 2.5, "real"), (40, 20.0, "real"),
                         (40, 20.0, "imaginary"), (40, 0.5, "real"), (100, 80.0, "imaginary"),
-                        (51, 27.27, "imaginary")]
+                        (51, 27.27, "imaginary"), (40, 0.21304262029217305, "imaginary")]
 ], ids=str)
 def test_newton_residual_bounds_the_kernel_polynomials(spec):
     # The residual each Newton run returns, (|p| + allowance) / |p'| from
     # the kernel's last evaluation, bounds |p/p'| at that point of the
     # kernel's own polynomial (its fixed-point coefficients read as exact
-    # numbers), evaluated in mpmath at 3x the working digits; the
-    # fixed-point |p| alone truncates to 0 at many representatives.
+    # numbers: k^i / i! in u = z/k, or the real a_0..a_k in the Chebyshev
+    # working plane), evaluated in mpmath at 3x the working digits; the
+    # fixed-point |p| alone truncates to 0 at many representatives.  The
+    # Chebyshev (40, 0.213) spec is over-resolved: 290 guard bits.
     k, dps = spec.k, polyexp._working_dps(spec)
     with mp.workdps(dps):
         guesses, scale, bits, kernel, slack = polyexp._SETUPS[spec.family](spec, dps)
         if spec.family == "taylor":
-            c = [((k**i << bits) // math.factorial(i), 0) for i in range(k + 1)]
+            c = [(k**i << bits) // math.factorial(i) for i in range(k + 1)]
         else:
-            c = [(polyexp._fixed(m.real, bits), polyexp._fixed(m.imag, bits))
-                 for m in polyexp._chebyshev_mu(spec, dps)]
+            c = [polyexp._fixed(m, bits) for m in polyexp._chebyshev_plane(spec, dps)[:-1]]
     stop = polyexp._fixed(1e-25 * k * 1e-2 / scale, bits)
+    sign = -1 if spec.axis == "imaginary" else 1
     with mp.workdps(3 * dps):
-        coeffs = [_to_mp(ci, bits) for ci in c]
-        dcoeffs = _cheb_deriv_coeffs(coeffs)
+        coeffs = [mp.ldexp(ci, -bits) for ci in c]
         for g in polyexp._representatives(guesses):
             w0 = (polyexp._fixed(g.real, bits), polyexp._fixed(g.imag, bits))
             w, res, converged = polyexp._newton_fixed(kernel, w0, bits, stop, slack, scale)
@@ -545,8 +546,7 @@ def test_newton_residual_bounds_the_kernel_polynomials(spec):
             if spec.family == "taylor":
                 p, dp = mp.polyval(coeffs[::-1], u, derivative=True)
             else:
-                x = -1j * u if spec.axis == "imaginary" else u
-                p, dp = _clenshaw(coeffs, x), _clenshaw(dcoeffs, x)
+                p, dp = _plane_clenshaw(coeffs, u, sign)
             assert res >= scale * abs(p / dp) / (1 + 1e-12)
 
 
@@ -708,13 +708,13 @@ def test_cache_file_reloads_until_a_pair_moves(tmp_path, monkeypatch, spec):
     monkeypatch.setattr(polyexp, "_memo", {})
     monkeypatch.setattr(polyexp, "_zeros_mp", _no_solve)
     # the load check is set up for the stored zeros and makes no guesses
-    guesses = polyexp._szego_guesses, polyexp._cheb_guesses
+    guesses = polyexp._szego_guesses, polyexp._colleague_guesses
     monkeypatch.setattr(polyexp, "_szego_guesses", _no_guesses)
-    monkeypatch.setattr(polyexp, "_cheb_guesses", _no_guesses)
+    monkeypatch.setattr(polyexp, "_colleague_guesses", _no_guesses)
     assert factorize(spec, cache_dir=str(tmp_path)).zeros == want
     assert path.read_text() == written
     monkeypatch.setattr(polyexp, "_szego_guesses", guesses[0])
-    monkeypatch.setattr(polyexp, "_cheb_guesses", guesses[1])
+    monkeypatch.setattr(polyexp, "_colleague_guesses", guesses[1])
     # ... and is solved again and rewritten once a zero moves by 1e-3 (the
     # last zero: a pair's lower half, moved with its partner, if there is one)
     data = json.loads(written)
@@ -872,9 +872,11 @@ def test_chebyshev_cache_filename(tmp_path):
 
 # The zeros (sha256 of the float.hex parts of each zero, "re,im" joined by
 # spaces) and overall_scale of the specs scripts/cli_outputs.sh solves cold,
-# its real-axis k = 40 solve left out, and the residual the same solver
-# (certified-newton-1) recorded in their cache files when Newton still
-# evaluated once more after its stop rule.
+# its real-axis k = 40 solve left out, and of the (51, 27.27) spec that
+# perfbench's state-L10 solves cold, with the residual the same solver
+# (certified-newton-1) recorded in their cache files: for the first ten
+# when Newton still evaluated once more after its stop rule, for the last
+# two when the Chebyshev kernel summed p and p' together over complex mu.
 PINNED_ZEROS = {
     SeriesSpec("taylor", 1): (
         "2b2653580743ebf19186f2d13417f9cbf7abbae868fdb9d6d1e9358a5b204a88",
@@ -906,6 +908,12 @@ PINNED_ZEROS = {
     SeriesSpec("chebyshev", 100, gamma_scale=80.0, axis="imaginary"): (
         "22f300781213b1f0aff6944ea6a576598a2d7779098598f8bd3224a1b12c6c50",
         "0x1.ffffa2bb1c333p-1", "0x1.64ddc85946cadp-166"),
+    SeriesSpec("chebyshev", 51, gamma_scale=27.27, axis="imaginary"): (
+        "c538ef5edfa1d117171c7c9b3ad01d7e0447521c292ec12dc6b8e177fb7ee94e",
+        "0x1.ffffffff637cep-1", "0x1.4e9827e9d5428p-86"),
+    SeriesSpec("chebyshev", 40, gamma_scale=0.21304262029217305, axis="imaginary"): (
+        "56b4e72465b32a670e202aefb72d746337d79bc61f7a3ab59016e5b25e9c3506",
+        "0x1.0000000000000p+0", "0x1.9c862999d2bffp-86"),
 }
 
 
@@ -930,6 +938,18 @@ def test_cold_zeros_match_the_pinned_digest(tmp_path, monkeypatch, spec):
     monkeypatch.setattr(polyexp, "_memo", {})
     monkeypatch.setattr(polyexp, "_zeros_mp", _no_solve)
     assert factorize(spec, cache_dir=str(tmp_path)).zeros == fact.zeros
+
+
+@pytest.mark.parametrize("spec", [s for s in PINNED_ZEROS if s.family == "chebyshev"], ids=str)
+def test_colleague_guesses_need_no_refinement(monkeypatch, spec):
+    # the real colleague matrix's eigenvalues certify directly on every
+    # pinned Chebyshev spec, the over-resolved (40, 0.213) one too
+    def refine(*args):
+        raise AssertionError("refinement stage reached")
+
+    monkeypatch.setattr(polyexp, "_refined_guesses", refine)
+    zs, worst = polyexp._zeros_mp(spec)
+    assert len(zs) == spec.k and worst < 1e-25 * spec.k
 
 
 # ---------------------------------------------------------------------------
