@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Run one fixed list of trotterkit commands from the source tree TREE and
-# write what each prints (stdout, stderr, exit status and any output file)
-# under OUTDIR, one set of files per command.  Two trees print the same
+# Run one fixed list of trotterkit commands, and one snippet of the public
+# API, from the source tree TREE and write what each prints (stdout,
+# stderr, exit status and any output file) under OUTDIR, one set of files
+# per command.  Two trees print the same
 # bytes when `diff -r` of their OUTDIRs is empty:
 #
 #   scripts/cli_outputs.sh . /tmp/out-head
@@ -25,13 +26,18 @@ mkdir "$work/home"
 export HOME="$work/home" TROTTERKIT_ZEROS_DIR="$work/zeros" PYTHONPATH="$tree/src"
 export OMP_NUM_THREADS=1
 
-# run NAME ARGS...: `trotterkit ARGS...` into NAME.out, NAME.err, NAME.status
-run() {
+# record NAME CMD...: CMD, run in the work directory, into NAME.out,
+# NAME.err, NAME.status
+record() {
     local name=$1 status=0
     shift
-    (cd "$work" && python3 -m trotterkit.cli "$@") \
-        >"$out/$name.out" 2>"$out/$name.err" || status=$?
+    (cd "$work" && "$@") >"$out/$name.out" 2>"$out/$name.err" || status=$?
     echo "$status" >"$out/$name.status"
+}
+
+# run NAME ARGS...: `trotterkit ARGS...`
+run() {
+    record "$1" python3 -m trotterkit.cli "${@:2}"
 }
 
 run bench bench --out "$out/bench.csv" --plot-data "$out/bench.plot"
@@ -82,3 +88,31 @@ run expm-chebyshev-real-sum expm --method chebyshev --k 16 --gamma-h 2.5 --axis 
 run model-xxz model xxz
 run model-xxz-periodic model xxz --L 6 --delta 0.3 --bc periodic
 run probe-stability probe-stability
+# no command applies a polynomial to a state, so this public-API snippet
+# does: the L = 8 Neel state, open and periodic (delta = 0.3), evolved by
+# Taylor k = 30 and Chebyshev k = 40, factorized and summed, every entry
+# printed; each step runs H through its entry table on the state's reach
+cat >"$work/state-l8.py" <<'PY'
+import numpy as np
+import trotterkit as tk
+
+psi0 = np.zeros(256, dtype=complex)
+psi0[0b10101010] = 1.0
+h, steps = 0.25, 4
+for cfg in (tk.XxzConfig(L=8), tk.XxzConfig(L=8, boundary="periodic", delta=0.3)):
+    split = tk.build_xxz(cfg)
+    gamma = tk.suggest_gamma(split.total)
+    gen = -1j * split.total
+    for spec in (tk.SeriesSpec("taylor", 30, h=h),
+                 tk.SeriesSpec("chebyshev", 40, gamma_scale=gamma, axis="imaginary", h=h)):
+        fact = tk.factorize(spec)
+        for mode, evaluate, arg in (("prod", tk.eval_factorized, fact),
+                                    ("sum", tk.eval_summed, spec)):
+            psi = psi0
+            for _ in range(steps):
+                psi = evaluate(gen, psi, arg)
+            print(f"# {cfg.boundary} delta={cfg.delta} {spec.family}:{spec.k}:{mode}")
+            for z in psi:
+                print(f"{z.real:.17g} {z.imag:.17g}")
+PY
+record state-l8 python3 state-l8.py

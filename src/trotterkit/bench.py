@@ -131,8 +131,34 @@ def parse_method(descriptor, *, catalog_path=None):
     )
 
 
+def _plan_value(data, key, default, convert, what, scope="plan"):
+    """convert(data[key]), or convert(default) without the key; a value
+    that convert refuses is a StructuralError naming the key."""
+    value = data.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise StructuralError(f"{scope} {key!r} must be {what}, got {value!r}") from None
+
+
+def _names(value):
+    """A JSON array of strings as a tuple; a string is refused, not split
+    into its letters."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise TypeError(value)
+    return tuple(value)
+
+
+def _numbers(value):
+    """A JSON array as a tuple of floats."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(value)
+    return tuple(float(v) for v in value)
+
+
 def plan_from_dict(data):
-    """Build a BenchPlan from a parsed plan.json; unknown keys are rejected."""
+    """Build a BenchPlan from a parsed plan.json; unknown keys, and values
+    of the wrong type, are rejected."""
     if not isinstance(data, dict):
         raise StructuralError("plan must be a JSON object")
     unknown = set(data) - {"model", "t_total", "methods", "h_grid", "kappa"}
@@ -145,17 +171,17 @@ def plan_from_dict(data):
     if unknown:
         raise StructuralError(f"unknown model keys: {', '.join(sorted(unknown))}")
     model = XxzConfig(
-        L=int(model_data.get("L", 8)),
-        delta=float(model_data.get("delta", 1.0)),
+        L=_plan_value(model_data, "L", 8, int, "an integer", "model"),
+        delta=_plan_value(model_data, "delta", 1.0, float, "a number", "model"),
         boundary=str(model_data.get("boundary", "open")),
-        J=float(model_data.get("J", 1.0)),
+        J=_plan_value(model_data, "J", 1.0, float, "a number", "model"),
     )
     return BenchPlan(
         model=model,
-        t_total=float(data.get("t_total", 10.0)),
-        methods=tuple(data.get("methods", DEFAULT_METHODS)),
-        h_grid=tuple(data.get("h_grid", DEFAULT_H_GRID)),
-        kappa=float(data.get("kappa", DEFAULT_KAPPA)),
+        t_total=_plan_value(data, "t_total", 10.0, float, "a number"),
+        methods=_plan_value(data, "methods", DEFAULT_METHODS, _names, "a list of method names"),
+        h_grid=_plan_value(data, "h_grid", DEFAULT_H_GRID, _numbers, "a list of numbers"),
+        kappa=_plan_value(data, "kappa", DEFAULT_KAPPA, float, "a number"),
     )
 
 

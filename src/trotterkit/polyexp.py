@@ -911,10 +911,11 @@ def factorize(spec, *, cache_dir=None):
             dps0 += _real_axis_guard_digits(spec.gamma_h)
         sign = -1 if spec.axis == "imaginary" else 1
         with mp.workdps(dps0):
+            plane = _chebyshev_plane(spec, dps0)
             # p(0) = a_0 - sign a_2 + a_4 - ..., as t_2m(0) = (-sign)^m (the
             # basis of `_fixed_chebyshev`), from the top as Clenshaw sums it
             p0 = mp.mpf(0)
-            for a in reversed(_chebyshev_plane(spec, dps0)[:-1:2]):
+            for a in reversed(plane[:-1:2]):
                 p0 = a - sign * p0
         scale = float(p0)
     gammas = gamma_for(zeros, spec.k)
@@ -926,31 +927,33 @@ def factorize(spec, *, cache_dir=None):
         groups=groups,
         overall_scale=scale,
     )
-    _check_zero_clearance(fact)
+    if spec.family == "chebyshev":
+        _check_zero_clearance(fact, plane[-1])
     return fact
 
 
-def _check_zero_clearance(fact):
-    """No zero may sit on the Chebyshev approximation segment.  (The Taylor
-    disk, of radius r_valid <= 0.95 min|z|, holds no zero by construction.)"""
+def _check_zero_clearance(fact, dropped):
+    """No zero of a Chebyshev factorization may sit on its approximation
+    segment; dropped is a_{k+1}, the first coefficient the truncation drops
+    (`_chebyshev_plane`).  (The Taylor disk, of radius r_valid <= 0.95
+    min|z|, holds no zero by construction.)"""
     spec = fact.spec
-    if spec.family == "chebyshev":
-        gh = spec.gamma_h
-        lo = -gh
-        if spec.axis == "real":
-            # On the real axis, e^x drops below the truncation tail for
-            # sufficiently negative x; there the series legitimately
-            # oscillates through zero, so clearance is only meaningful on
-            # the sub-segment where the approximation resolves e^x at all.
-            tail = 2.0 * abs(float(mp.besseli(spec.k + 1, gh)))
-            if tail > 0:
-                lo = max(lo, math.log(tail) + 1.0)
-        if lo >= gh:
-            return
-        for z in fact.zeros:
-            along, across = (z.imag, z.real) if spec.axis == "imaginary" else (z.real, z.imag)
-            if across == 0.0 and lo <= along <= gh:
-                raise StructuralError(f"zero at {z!r} lies on the approximation segment")
+    gh = spec.gamma_h
+    lo = -gh
+    if spec.axis == "real":
+        # On the real axis, e^x drops below the truncation tail for
+        # sufficiently negative x; there the series legitimately
+        # oscillates through zero, so clearance is only meaningful on
+        # the sub-segment where the approximation resolves e^x at all.
+        tail = abs(float(dropped))
+        if tail > 0:
+            lo = max(lo, math.log(tail) + 1.0)
+    if lo >= gh:
+        return
+    for z in fact.zeros:
+        along, across = (z.imag, z.real) if spec.axis == "imaginary" else (z.real, z.imag)
+        if across == 0.0 and lo <= along <= gh:
+            raise StructuralError(f"zero at {z!r} lies on the approximation segment")
 
 
 # ---------------------------------------------------------------------------
@@ -982,24 +985,20 @@ def _finite(m):
 
 
 def _applier(m, factor, t, k):
-    """(apply, at) for m and t from `_operands`: apply multiplies (m * factor)
-    into arrays of t's shape, and at is None or the sorted indices a
-    degree-k polynomial in m applied to t runs on.
+    """A callable that multiplies (m * factor) into arrays of t's shape,
+    for m and t from `_operands`.
 
     A scalar multiplies.  A matrix on a 1-D target (a state) whose nonzeros
     fill at most ENTRY_APPLY_MAX_FILL of it is applied through its entry
-    table.  The table holds the rows of R_k: t's support (t != 0), grown
-    by at most k rounds in which row i joins when m[i, j] != 0 for some j
-    already in the set, stopping early once a round adds nothing.  k
-    applies of m keep t's support in R_k and every other row exactly zero,
-    so dropping those rows changes no value.  at is R_k with the columns
-    its rows read, which stay zero; keeping them keeps each row's sum in
-    the order and the rounding of the whole matrix's.  For a Hermitian m,
-    R_k lies in the union of m's blocks (the components of its nonzero
-    pattern) that meet the support, and equals it once the rounds reach a
-    fixed point; a state with an entry in every block reaches the whole
-    range.  For the XXZ chain's H these blocks are the split's
-    `OperatorSplit.sectors`, which for any split are unions of H's
+    table, cut to the rows of R_k: t's support (t != 0), grown by at most
+    k rounds in which row i joins when m[i, j] != 0 for some j already in
+    the set, stopping early once a round adds nothing.  k applies of m
+    leave every entry outside R_k exactly zero, so those rows need no sum,
+    and each kept row sums all its entries in the whole matrix's order and
+    rounding.  For a Hermitian m, R_k lies in the blocks of m's nonzero
+    pattern that meet the support, and is their union once the rounds
+    reach a fixed point.  For the XXZ chain's H these blocks are the
+    split's `OperatorSplit.sectors`, which for any split are unions of H's
     blocks.
 
     Any other matrix, and every matrix on a 2-D target (a block, which
@@ -1010,7 +1009,7 @@ def _applier(m, factor, t, k):
     """
     if np.isscalar(m):
         val = _finite(m) * factor
-        return (lambda v: val * v), None
+        return lambda v: val * v
     if t.ndim == 1:
         m = np.ascontiguousarray(m)
         nonzero = _nonzero(m)
@@ -1019,17 +1018,11 @@ def _applier(m, factor, t, k):
             rows, cols = np.divmod(np.flatnonzero(nonzero), len(m))
             del nonzero
             vals = _finite(m[rows, cols])
-            mark = _reach(rows, cols, t != 0, k)
-            keep = mark[rows]
-            rows, cols = rows[keep], cols[keep]
-            mark[cols] = True
-            at = np.flatnonzero(mark)
-            where = np.empty(len(m), np.intp)
-            where[at] = np.arange(len(at))
-            return _entry_applier(where[rows], where[cols], vals[keep] * factor, len(at)), at
+            keep = _reach(rows, cols, t != 0, k)[rows]
+            return _entry_applier(rows[keep], cols[keep], vals[keep] * factor, len(m))
         del nonzero
     m = _finite(m) * factor
-    return (lambda v: np.matmul(m, v)), None
+    return lambda v: np.matmul(m, v)
 
 
 def _nonzero(m):
@@ -1070,17 +1063,6 @@ def _entry_applier(rows, cols, vals, n):
     return apply
 
 
-def _on_reach(at, t, run):
-    """run(t) on the indices at (all of them if at is None), the result
-    written into zeros of t's length."""
-    if at is None:
-        return run(t)
-    short = run(t[at])
-    out = np.zeros(len(t), short.dtype)
-    out[at] = short
-    return out
-
-
 def _block_product(m, t, fact):
     """The product of fact's group factors applied to a private copy of the
     block t.  H^2 is formed once, unscaled, with h folded into the
@@ -1115,15 +1097,13 @@ def eval_factorized(h_op, target, fact):
 
     h_op is a scalar or a square matrix with finite entries.  A state, a
     thin block, a 1x1 input or a scalar gets H applied once per factor,
-    twice per quadratic group, k times in all: through its entries on a
-    1-D target when they fill at most ENTRY_APPLY_MAX_FILL of it,
-    otherwise as a dense product.  On a state the loop runs on R_k, the
-    indices k applies of H can reach from its support (`_applier`), which
-    for a Hermitian H lies within H's blocks the state meets, and so
-    within the `OperatorSplit.sectors` it meets; the result is zero elsewhere, bit for bit the whole-range
-    result up to the sign of a zero.  A block of m columns, dim n and q
-    quadratic groups with q (m - 1) > n, such as the identity, takes one
-    product per group from H^2 formed once: acc + D @ acc, with the
+    twice per quadratic group, k times in all, by `_applier`: on a state,
+    when H's nonzeros fill at most ENTRY_APPLY_MAX_FILL of it, through the
+    entries of its rows in R_k, the indices k applies of H can reach from
+    the state's support (bit for bit the whole-range result up to the sign
+    of a zero), otherwise as a dense product.  A block of m columns, dim n
+    and q quadratic groups with q (m - 1) > n, such as the identity, takes
+    one product per group from H^2 formed once: acc + D @ acc, with the
     identity kept out of D (`_block_product`).  There H^2 and the q
     products cost n^3 + q n^2 (m + 1) multiply-adds against 2 q n^2 m for
     two products per quadratic group."""
@@ -1133,20 +1113,16 @@ def eval_factorized(h_op, target, fact):
         acc = _block_product(_finite(m), t, fact)
     else:
         k = fact.spec.k
-        apply_h, at = _applier(m, fact.spec.h, t, k)
-
-        def run(acc):
-            for g in fact.groups:
-                if g.kind == "quad":
-                    c1, c2 = g.coeffs
-                    mv = apply_h(acc)
-                    acc = acc + (c1 / k) * mv + (c2 / k**2) * apply_h(mv)
-                else:
-                    (c1,) = g.coeffs
-                    acc = acc + (c1 / k) * apply_h(acc)
-            return acc
-
-        acc = _on_reach(at, t, run)
+        apply_h = _applier(m, fact.spec.h, t, k)
+        acc = t
+        for g in fact.groups:
+            if g.kind == "quad":
+                c1, c2 = g.coeffs
+                mv = apply_h(acc)
+                acc = acc + (c1 / k) * mv + (c2 / k**2) * apply_h(mv)
+            else:
+                (c1,) = g.coeffs
+                acc = acc + (c1 / k) * apply_h(acc)
     if fact.overall_scale != 1.0:
         acc = fact.overall_scale * acc
     return acc
@@ -1155,37 +1131,24 @@ def eval_factorized(h_op, target, fact):
 def eval_summed(h_op, target, spec):
     """Direct accumulation: Taylor running-term sum, or the Chebyshev
     three-term recurrence.  Reference path; unstable for Taylor k > 17 at
-    large |lambda h|.  H is applied once per term, k times in all, on
-    every target as `eval_factorized` applies it to a state or a thin
-    block: through its entries on a 1-D target when they fill at most
-    ENTRY_APPLY_MAX_FILL of it, otherwise as a dense product.  On a state
-    the terms run on R_k as in `eval_factorized`: within H's blocks the
-    state meets, and so within its `OperatorSplit.sectors`, for a
-    Hermitian H."""
+    large |lambda h|.  H is applied once per term, k times in all, by
+    `_applier`, as in `eval_factorized`."""
     k = spec.k
     m, t = _operands(h_op, target)
     if spec.family == "taylor":
-        apply_h, at = _applier(m, spec.h, t, k)
-
-        def run(term):
-            acc = term
-            for i in range(1, k + 1):
-                term = apply_h(term) / i
-                acc = acc + term
-            return acc
-
-    else:
-        mu = chebyshev_coefficients(spec)
-        gh = spec.gamma_h
-        denom = (1j * gh) if spec.axis == "imaginary" else gh
-        apply_x, at = _applier(m, spec.h / denom, t, k)
-
-        def run(t_prev):
-            t_cur = apply_x(t_prev)
-            acc = mu[0] * t_prev + mu[1] * t_cur
-            for i in range(2, k + 1):
-                t_prev, t_cur = t_cur, 2 * apply_x(t_cur) - t_prev
-                acc = acc + mu[i] * t_cur
-            return acc
-
-    return _on_reach(at, t, run)
+        apply_h = _applier(m, spec.h, t, k)
+        acc = term = t
+        for i in range(1, k + 1):
+            term = apply_h(term) / i
+            acc = acc + term
+        return acc
+    mu = chebyshev_coefficients(spec)
+    gh = spec.gamma_h
+    denom = (1j * gh) if spec.axis == "imaginary" else gh
+    apply_x = _applier(m, spec.h / denom, t, k)
+    t_prev, t_cur = t, apply_x(t)
+    acc = mu[0] * t_prev + mu[1] * t_cur
+    for i in range(2, k + 1):
+        t_prev, t_cur = t_cur, 2 * apply_x(t_cur) - t_prev
+        acc = acc + mu[i] * t_cur
+    return acc

@@ -35,11 +35,12 @@ VALIDITY_TRUNCATION = 1e-13   # truncation level defining the Taylor validity di
 # fill of about 0.2-0.25 at n = 512 and 1024 and 0.1 at n = 256, and a full
 # operator costs 4.5-8x through its entries at n = 64-1024.  At n <= 128 the
 # gemv is ahead at any fill, by at most 3 us per apply.  An L = 10 XXZ H
-# (fill 0.54%) is scanned for its nonzeros in 0.96 ms (2.5 ms as complex
-# m != 0), found reaching the Neel state's 252-state sector in 16 rounds
-# and 0.38 ms, and then applied on that sector in 0.016 ms, against 0.048 ms
-# through all its entries and 0.73 ms as a gemv (one BLAS thread, medians
-# of 20-200 runs).
+# (fill 0.54%) is scanned for its nonzeros in 0.94-1.03 ms (2.2-2.4 ms as
+# complex m != 0), found reaching the Neel state's 252-state sector in 16
+# rounds and 0.26-0.34 ms, and then applied through that sector's rows to
+# a full-length vector in 0.011-0.018 ms, against 0.047 ms through all its
+# entries and 0.74-0.77 ms as a gemv (one BLAS thread, medians of 200-2000
+# runs).
 ENTRY_APPLY_MAX_FILL = 1 / 8
 
 # Model / bench

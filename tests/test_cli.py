@@ -420,6 +420,29 @@ def test_bench_refuses_a_non_finite_plan_value(capsys, tmp_path, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("plan, key", [
+    ('{"h_grid": 0.5}', "'h_grid'"),
+    ('{"h_grid": [0.5, null]}', "'h_grid'"),
+    ('{"methods": 5}', "'methods'"),
+    ('{"methods": "strang"}', "'methods'"),
+    ('{"methods": ["strang", 5]}', "'methods'"),
+    ('{"kappa": "abc"}', "'kappa'"),
+    ('{"t_total": null}', "'t_total'"),
+    ('{"model": {"L": "x"}}', "'L'"),
+    ('{"model": {"L": null}}', "'L'"),
+    ('{"model": {"L": 1e999}}', "'L'"),
+    ('{"model": {"L": 3, "delta": [1]}}', "'delta'"),
+])
+def test_bench_refuses_a_plan_value_of_the_wrong_type(capsys, tmp_path, plan, key):
+    path = tmp_path / "plan.json"
+    path.write_text(plan)
+    out = tmp_path / "r.csv"
+    rc, stdout, err = run_cli(capsys, "bench", "--config", str(path), "--out", str(out))
+    assert rc == 1 and stdout == ""
+    assert err.startswith("error:structural:") and key in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bench_refuses_a_plan_whose_step_count_overflows(capsys, tmp_path):
     path = tmp_path / "plan.json"
     path.write_text('{"model": {"L": 3}, "methods": ["strang"], '

@@ -987,10 +987,11 @@ def test_chebyshev_k1_zero_matches_coefficients(zeros_cache):
 
 def hand_built(axis, zero):
     """A k = 20 Chebyshev factorization on the segment Gamma h = 2 whose one
-    zero is given; on the real axis the truncation tail leaves the whole
-    segment [-2, 2] checked."""
+    zero is given, and its dropped coefficient a_21; on the real axis the
+    truncation tail leaves the whole segment [-2, 2] checked."""
     spec = SeriesSpec("chebyshev", 20, gamma_scale=2.0, axis=axis, h=1.0)
-    return polyexp.FactorizedPolynomial(spec, (zero,), (), (), 1.0)
+    fact = polyexp.FactorizedPolynomial(spec, (zero,), (), (), 1.0)
+    return fact, polyexp._chebyshev_plane(spec)[-1]
 
 
 @pytest.mark.parametrize("axis, zero", [
@@ -998,7 +999,7 @@ def hand_built(axis, zero):
 ])
 def test_zero_on_the_segment_is_refused(axis, zero):
     with pytest.raises(StructuralError, match="approximation segment"):
-        polyexp._check_zero_clearance(hand_built(axis, zero))
+        polyexp._check_zero_clearance(*hand_built(axis, zero))
 
 
 @pytest.mark.parametrize("axis, zero", [
@@ -1008,7 +1009,7 @@ def test_zero_on_the_segment_is_refused(axis, zero):
     ("imaginary", 1.5 + 0j),
 ])
 def test_zero_off_the_segment_passes(axis, zero):
-    polyexp._check_zero_clearance(hand_built(axis, zero))
+    polyexp._check_zero_clearance(*hand_built(axis, zero))
 
 
 def test_r_valid_formula(zeros_cache):
@@ -1321,9 +1322,9 @@ def whole_range_applier(m, factor, t, k):
             out[hit] = np.add.reduceat(vals * v[cols], starts)
             return out
 
-        return apply, None
+        return apply
     dense = m * factor
-    return (lambda v: dense @ v), None
+    return lambda v: dense @ v
 
 
 def whole_range(monkeypatch, evaluate, h_op, target, arg):
@@ -1373,8 +1374,11 @@ def test_reach_keeps_every_term_of_a_row(zeros_cache, monkeypatch):
     m[4, :4] = [1.0, 1e16, 1.0, 1.0]
     t = np.zeros(64)
     t[1:4] = 1.0
-    apply_h, at = polyexp._applier(m, 1.0, t, 1)
-    assert list(at) == [0, 1, 2, 3, 4]
+    seen = spy_entry_applier(monkeypatch)
+    polyexp._applier(m, 1.0, t, 1)
+    ((rows, cols, _, n),) = seen
+    # row 4 is the one row of R_1 with entries, and it keeps all four
+    assert list(rows) == [4] * 4 and list(cols) == [0, 1, 2, 3] and n == 64
     spec = SeriesSpec("taylor", 1)
     fact = factorize(spec, cache_dir=zeros_cache)
     for evaluate, arg in ((eval_factorized, fact), (eval_summed, spec)):
@@ -1383,12 +1387,15 @@ def test_reach_keeps_every_term_of_a_row(zeros_cache, monkeypatch):
         assert got[4] == 1e16
 
 
-def test_reach_on_a_shift(zeros_cache):
+def test_reach_on_a_shift(zeros_cache, monkeypatch):
     # the shift e_i -> e_(i+1): k applies to e_0 reach e_0 ... e_k
     shift = np.eye(64, k=-1)
     e0 = basis_state(64, 0)
-    _, at = polyexp._applier(shift, 1.0, e0, 5)
-    assert list(at) == list(range(6))
+    seen = spy_entry_applier(monkeypatch)
+    polyexp._applier(shift, 1.0, e0, 5)
+    ((rows, cols, _, n),) = seen
+    # R_5 = {0, ..., 5}, of whose rows all but row 0 hold an entry
+    assert list(rows) == [1, 2, 3, 4, 5] and list(cols) == [0, 1, 2, 3, 4] and n == 64
     fact = factorize(SeriesSpec("taylor", 5), cache_dir=zeros_cache)
     got = eval_factorized(shift, e0, fact)
     assert np.all(got[:6] != 0) and not got[6:].any()
@@ -1416,12 +1423,18 @@ def test_neel_state_table_holds_its_sector(zeros_cache, monkeypatch):
     psi = chain_states(10)["neel"]
     sector = next(s for s in split.sectors if psi[s].any())
     assert len(sector) == 252
+    gen = -1j * split.total
     seen = spy_entry_applier(monkeypatch)
-    _, at = polyexp._applier(-1j * split.total, 0.5, psi, 52)
+    polyexp._applier(gen, 0.5, psi, 52)
     ((rows, cols, _, n),) = seen
-    assert np.array_equal(at, sector)
-    assert n == 252 and np.array_equal(np.unique(rows), np.arange(252))
-    assert cols.max() < 252
+    # the table's rows are exactly the sector, applied to full-length vectors
+    assert n == 1024 and np.array_equal(np.unique(rows), sector)
+    assert np.isin(cols, sector).all()
+    # every entry outside R_k is exactly zero
+    outside = np.setdiff1d(np.arange(1024), sector)
+    fact = factorize(SeriesSpec("taylor", 52, h=0.5), cache_dir=zeros_cache)
+    for got in (eval_factorized(gen, psi, fact), eval_summed(gen, psi, fact.spec)):
+        assert got.shape == (1024,) and not got[outside].any()
 
 
 def test_non_finite_operator_is_refused_on_every_path(zeros_cache):
