@@ -56,6 +56,19 @@ cat >"$work/plan-l7.json" <<'PLAN'
  "methods": ["strang", "suzuki4", "blanes-moan4", "taylor:30"]}
 PLAN
 run bench-l7 bench --config plan-l7.json --out "$out/bench-l7.csv" --plot-data "$out/bench-l7.plot"
+# a plan whose numbers are written as JSON integers where floats are meant,
+# and as a float where an integer is, which must read as the typed plan
+cat >"$work/plan-typed.json" <<'PLAN'
+{"model": {"L": 6.0, "delta": 1}, "t_total": 2, "kappa": 6, "h_grid": [1, 0.5, 0.25],
+ "methods": ["exact", "strang", "taylor:30", "chebyshev:24"]}
+PLAN
+run bench-typed bench --config plan-typed.json --out "$out/bench-typed.csv" --plot-data "$out/bench-typed.plot"
+# a catalog whose strang entry claims order 4: the load gate refuses it
+cat >"$work/bad-catalog.json" <<'CATALOG'
+[{"name": "strang", "order": 4, "a": [[0.5, 0.0], [0.5, 0.0]], "b": [[1.0, 0.0]],
+  "symmetric": true}]
+CATALOG
+run bench-bad-catalog --catalog bad-catalog.json bench --out "$out/bench-bad-catalog.csv"
 run adapt-forest-ruth adapt forest-ruth
 run adapt-blanes-moan4 adapt blanes-moan4
 run adapt-check-blanes-moan4 adapt blanes-moan4 --check

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from mpmath import mp
 
 from .compose import _blockwise, _eig_expm
-from .errors import GridUnusableError, NotFoundError, StructuralError
+from .errors import GridUnusableError, NotFoundError, StructuralError, real_field
 from .multistage import evolve, to_multistage
 from .polyexp import SeriesSpec, eval_factorized, eval_summed, factorize, suggest_gamma
 from .schemes import get_scheme
@@ -32,7 +32,8 @@ DEFAULT_H_GRID = tuple(1.0 / 2**j for j in range(7))
 
 @dataclass(frozen=True)
 class BenchPlan:
-    """One sweep: a model, a fixed total time, methods, and an h-grid."""
+    """One sweep: a model, a fixed total time, methods and an h-grid (lists
+    or tuples of names and of numbers), stored as floats and tuples."""
 
     model: XxzConfig = XxzConfig(L=8)
     t_total: float = 10.0
@@ -41,8 +42,18 @@ class BenchPlan:
     kappa: float = DEFAULT_KAPPA
 
     def __post_init__(self):
+        if not isinstance(self.model, XxzConfig):
+            raise StructuralError(f"'model' must be an XxzConfig, got {self.model!r}")
+        names = isinstance(self.methods, (list, tuple)) and all(
+            isinstance(m, str) for m in self.methods)
+        if not names:
+            raise StructuralError(f"'methods' must be a list of names, got {self.methods!r}")
+        if not isinstance(self.h_grid, (list, tuple)):
+            raise StructuralError(f"'h_grid' must be a list of numbers, got {self.h_grid!r}")
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "h_grid", tuple(float(h) for h in self.h_grid))
+        object.__setattr__(self, "h_grid", tuple(real_field(h, "h_grid") for h in self.h_grid))
+        object.__setattr__(self, "t_total", real_field(self.t_total, "t_total"))
+        object.__setattr__(self, "kappa", real_field(self.kappa, "kappa"))
         if not 0 < self.t_total < math.inf:
             raise StructuralError(f"t_total must be finite and > 0, got {self.t_total}")
         if not 0 < self.kappa < math.inf:
@@ -131,58 +142,22 @@ def parse_method(descriptor, *, catalog_path=None):
     )
 
 
-def _plan_value(data, key, default, convert, what, scope="plan"):
-    """convert(data[key]), or convert(default) without the key; a value
-    that convert refuses is a StructuralError naming the key."""
-    value = data.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise StructuralError(f"{scope} {key!r} must be {what}, got {value!r}") from None
-
-
-def _names(value):
-    """A JSON array of strings as a tuple; a string is refused, not split
-    into its letters."""
-    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-        raise TypeError(value)
-    return tuple(value)
-
-
-def _numbers(value):
-    """A JSON array as a tuple of floats."""
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(value)
-    return tuple(float(v) for v in value)
-
-
 def plan_from_dict(data):
-    """Build a BenchPlan from a parsed plan.json; unknown keys, and values
-    of the wrong type, are rejected."""
+    """Build a BenchPlan from a parsed plan.json: objects of known keys,
+    whose values pass unconverted to XxzConfig and BenchPlan, which check
+    them and hold the defaults."""
     if not isinstance(data, dict):
         raise StructuralError("plan must be a JSON object")
     unknown = set(data) - {"model", "t_total", "methods", "h_grid", "kappa"}
     if unknown:
         raise StructuralError(f"unknown plan keys: {', '.join(sorted(unknown))}")
-    model_data = data.get("model", {})
-    if not isinstance(model_data, dict):
+    model = data.get("model", {})
+    if not isinstance(model, dict):
         raise StructuralError("plan 'model' must be a JSON object")
-    unknown = set(model_data) - {"L", "delta", "boundary", "J"}
+    unknown = set(model) - {"L", "delta", "boundary", "J"}
     if unknown:
         raise StructuralError(f"unknown model keys: {', '.join(sorted(unknown))}")
-    model = XxzConfig(
-        L=_plan_value(model_data, "L", 8, int, "an integer", "model"),
-        delta=_plan_value(model_data, "delta", 1.0, float, "a number", "model"),
-        boundary=str(model_data.get("boundary", "open")),
-        J=_plan_value(model_data, "J", 1.0, float, "a number", "model"),
-    )
-    return BenchPlan(
-        model=model,
-        t_total=_plan_value(data, "t_total", 10.0, float, "a number"),
-        methods=_plan_value(data, "methods", DEFAULT_METHODS, _names, "a list of method names"),
-        h_grid=_plan_value(data, "h_grid", DEFAULT_H_GRID, _numbers, "a list of numbers"),
-        kappa=_plan_value(data, "kappa", DEFAULT_KAPPA, float, "a number"),
-    )
+    return BenchPlan(**dict(data, model=replace(BenchPlan.model, **model)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import sys
 from mpmath import mp
 
 from .bench import (
-    BenchPlan,
     emit_probe,
     emit_records,
     plan_from_dict,
@@ -191,15 +190,14 @@ def _cmd_model_xxz(args):
 
 
 def _cmd_bench(args):
+    data = {}  # no plan file: every default
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise StructuralError(f"plan file is not valid JSON: {exc}") from None
-        plan = plan_from_dict(data)
-    else:
-        plan = BenchPlan()
+    plan = plan_from_dict(data)
     records = run_benchmark(
         plan,
         cache_dir=args.zeros_cache,

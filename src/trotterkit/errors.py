@@ -1,8 +1,10 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the field checks that raise StructuralError.
 
 Every error carries a short machine-readable category that the CLI
 prints as ``error:<category>: message`` on stderr.
 """
+
+import numbers
 
 
 class TrotterkitError(Exception):
@@ -66,3 +68,22 @@ class ConvergenceError(TrotterkitError):
     def __init__(self, message, worst_residual=None):
         super().__init__(message)
         self.worst_residual = worst_residual
+
+
+def real_field(value, name):
+    """value as a float, or a StructuralError naming the field (bools refused)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise StructuralError(f"{name!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise StructuralError(f"{name!r} must be finite, got {value!r}") from None
+
+
+def integer_field(value, name):
+    """value as an int (8.0 gives 8), or a StructuralError naming the field (bools refused)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise StructuralError(f"{name!r} must be an integer, got {value!r}")
+    return int(value)

@@ -35,7 +35,7 @@ from typing import Optional
 import mpmath as mp
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, RangeError, StructuralError
+from .errors import ConvergenceError, DimensionError, RangeError, StructuralError, real_field
 from .tolerances import (
     BESSEL_X_MAX,
     ENTRY_APPLY_MAX_FILL,
@@ -73,7 +73,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """Which truncation: family, order k, and (Chebyshev) scale and axis."""
+    """Which truncation: family, order k (an int), and (Chebyshev) scale
+    and axis; h and gamma_scale are numbers, stored as floats."""
 
     family: str
     k: int
@@ -86,6 +87,9 @@ class SeriesSpec:
             raise StructuralError(f"family must be 'taylor' or 'chebyshev', got {self.family!r}")
         if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
             raise StructuralError(f"k must be an integer >= 1, got {self.k!r}")
+        object.__setattr__(self, "h", real_field(self.h, "h"))
+        if self.gamma_scale is not None:
+            object.__setattr__(self, "gamma_scale", real_field(self.gamma_scale, "gamma_scale"))
         if not math.isfinite(self.h):
             raise StructuralError(f"h must be finite, got {self.h!r}")
         if self.family == "chebyshev":
@@ -774,13 +778,13 @@ _memo = {}
 
 
 def _zeros_cached(spec, cache_dir):
-    # the file's record of its spec; Taylor specs of any h share one
+    # the file's record of its spec names the file; Taylor specs of any h share one
     cheb = spec.family == "chebyshev"
     header = {"family": spec.family, "k": spec.k,
               "gamma_h": float(spec.gamma_h).hex() if cheb else None,
               "axis": spec.axis if cheb else None, "solver": _SOLVER}
     cdir = cache_dir if cache_dir is not None else default_cache_dir()
-    name = f"chebyshev_{spec.k}_{spec.gamma_h:.6f}_{spec.axis}" if cheb else f"taylor_{spec.k}"
+    name = f"chebyshev_{spec.k}_{header['gamma_h']}_{spec.axis}" if cheb else f"taylor_{spec.k}"
     path = os.path.join(cdir, name + ".json")
     # the memo key: a zero set met in one directory is still written to the next
     key = (path, *header.values())

@@ -29,6 +29,7 @@ from .errors import (
     GridUnusableError,
     NotFoundError,
     StructuralError,
+    integer_field,
 )
 from .spinmodel import exact_evolution
 from .tolerances import (
@@ -58,7 +59,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TwoStageScheme:
-    """An (a, b) coefficient pair with its claimed order."""
+    """A named (a, b) coefficient pair with its claimed order, an int >= 1
+    (2.0 is stored as 2), and whether it claims symmetry, a bool."""
 
     name: str
     order_n: int
@@ -68,6 +70,8 @@ class TwoStageScheme:
     source: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise StructuralError(f"'name' must be a string, got {self.name!r}")
         object.__setattr__(self, "a", tuple(complex(x) for x in self.a))
         object.__setattr__(self, "b", tuple(complex(x) for x in self.b))
         if len(self.a) != len(self.b) + 1 or len(self.b) < 1:
@@ -75,8 +79,11 @@ class TwoStageScheme:
                 f"scheme {self.name!r}: need len(a) = len(b) + 1 >= 2, "
                 f"got len(a)={len(self.a)}, len(b)={len(self.b)}"
             )
+        object.__setattr__(self, "order_n", integer_field(self.order_n, "order_n"))
         if self.order_n < 1:
             raise StructuralError(f"scheme {self.name!r}: order_n must be >= 1")
+        if not isinstance(self.symmetric, bool):
+            raise StructuralError(f"'symmetric' must be a bool, got {self.symmetric!r}")
 
     @property
     def q(self):
@@ -412,15 +419,14 @@ _catalog_cache = {}
 
 
 def _scheme_from_record(rec):
+    """A catalog record's TwoStageScheme, its [re, im] pairs made complex."""
     try:
-        a = tuple(complex(re, im) for re, im in rec["a"])
-        b = tuple(complex(re, im) for re, im in rec["b"])
         return TwoStageScheme(
             name=rec["name"],
-            order_n=int(rec["order"]),
-            a=a,
-            b=b,
-            symmetric=bool(rec["symmetric"]),
+            order_n=rec["order"],
+            a=[complex(re, im) for re, im in rec["a"]],
+            b=[complex(re, im) for re, im in rec["b"]],
+            symmetric=rec["symmetric"],
             source=rec.get("source", ""),
         )
     except (KeyError, TypeError, ValueError) as exc:

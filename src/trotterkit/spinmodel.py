@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, StructuralError
+from .errors import DimensionError, StructuralError, integer_field, real_field
 from .compose import (
     OperatorSplit,
     _blockwise,
@@ -47,12 +47,17 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 @dataclass(frozen=True)
 class XxzConfig:
+    """The chain: L sites (an int; 8.0 gives 8), anisotropy delta, boundary, coupling J."""
+
     L: int
     delta: float = 1.0
     boundary: str = "open"
     J: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "L", integer_field(self.L, "L"))
+        object.__setattr__(self, "delta", real_field(self.delta, "delta"))
+        object.__setattr__(self, "J", real_field(self.J, "J"))
         if self.L < 2:
             raise StructuralError(f"need L >= 2 sites, got {self.L}")
         if self.boundary not in ("open", "periodic"):

@@ -75,6 +75,28 @@ def test_plan_refuses_non_finite_values(field, value):
         plan_from_dict(data)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("t_total", "10"), ("t_total", None), ("kappa", True),
+    pytest.param("kappa", 10**400, id="kappa-int-past-float"),
+    ("methods", "strang"), ("methods", ("strang", 5)), ("methods", None),
+    ("h_grid", 0.5), ("h_grid", ("0.5",)), ("h_grid", (0.5, True)), ("model", {"L": 3}),
+])
+def test_plan_refuses_a_field_of_the_wrong_type(field, value):
+    with pytest.raises(StructuralError, match=f"'{field}'"):
+        BenchPlan(**{field: value})
+
+
+def test_plan_from_dict_passes_integral_numbers_through():
+    # JSON integers where floats are meant, and a float where an int is,
+    # give the plan written with the intended types
+    plan = plan_from_dict({"model": {"L": 6.0, "delta": 1}, "t_total": 2, "kappa": 6,
+                           "h_grid": [1, 0.5]})
+    assert plan == BenchPlan(model=XxzConfig(L=6, delta=1.0), t_total=2.0, kappa=6.0,
+                             h_grid=(1.0, 0.5))
+    assert type(plan.model.L) is int
+    assert {type(v) for v in (plan.model.delta, plan.t_total, plan.kappa, *plan.h_grid)} == {float}
+
+
 def test_plan_refuses_a_step_count_that_overflows():
     # both values are finite, their ratio is not
     with pytest.raises(StructuralError, match="t_total / h must be finite"):

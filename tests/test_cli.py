@@ -231,7 +231,7 @@ def test_zeros_chebyshev_table(capsys, tmp_path):
     )
     assert rc == 0
     assert len(out.splitlines()) == 6
-    assert (tmp_path / "chebyshev_5_2.500000_imaginary.json").exists()
+    assert (tmp_path / f"chebyshev_5_{(2.5).hex()}_imaginary.json").exists()
 
 
 def test_expm_taylor_prod(capsys):
@@ -432,6 +432,11 @@ def test_bench_refuses_a_non_finite_plan_value(capsys, tmp_path, field):
     ('{"model": {"L": null}}', "'L'"),
     ('{"model": {"L": 1e999}}', "'L'"),
     ('{"model": {"L": 3, "delta": [1]}}', "'delta'"),
+    ('{"model": {"L": 3.9}}', "'L'"),
+    ('{"kappa": true}', "'kappa'"),
+    ('{"model": {"L": 3, "delta": true}}', "'delta'"),
+    ('{"t_total": "10"}', "'t_total'"),
+    ('{"h_grid": ["0.5"]}', "'h_grid'"),
 ])
 def test_bench_refuses_a_plan_value_of_the_wrong_type(capsys, tmp_path, plan, key):
     path = tmp_path / "plan.json"
@@ -452,6 +457,19 @@ def test_bench_refuses_a_plan_whose_step_count_overflows(capsys, tmp_path):
     assert rc == 1 and stdout == ""
     assert err.startswith("error:structural:") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_bench_without_a_plan_runs_the_default_plan(capsys, tmp_path, zeros_cache):
+    out = tmp_path / "r.csv"
+    rc, stdout, err = run_cli(capsys, "--zeros-cache", zeros_cache, "bench", "--out", str(out))
+    assert rc == 0 and stdout == "" and err == ""
+    want = tmp_path / "want.csv"
+    plan = trotterkit.BenchPlan()
+    trotterkit.emit_records(trotterkit.run_benchmark(plan, cache_dir=zeros_cache), want, plan=plan)
+    assert out.read_bytes() == want.read_bytes()
+    rows = list(csv.DictReader(line for line in out.read_text().splitlines()
+                               if not line.startswith("#")))
+    assert len(rows) == 28
 
 
 def test_bench_requires_out(capsys, plan_file):

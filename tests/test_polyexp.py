@@ -222,6 +222,18 @@ def test_series_spec_validation():
     assert spec.gamma_h == 2.0
 
 
+@pytest.mark.parametrize("family, field, value", [
+    ("taylor", "h", "x"), ("taylor", "h", True),
+    pytest.param("taylor", "h", 10**400, id="taylor-h-int-past-float"),
+    ("chebyshev", "h", None), ("chebyshev", "gamma_scale", "x"),
+    ("chebyshev", "gamma_scale", True), ("chebyshev", "gamma_scale", 1j),
+])
+def test_series_spec_refuses_a_non_number(family, field, value):
+    fields = {"h": 0.5} if family == "taylor" else {"gamma_scale": 4.0, "axis": "real", "h": 0.5}
+    with pytest.raises(StructuralError, match=f"'{field}'"):
+        SeriesSpec(family, 10, **dict(fields, **{field: value}))
+
+
 def test_chebyshev_helpers_reject_taylor_spec():
     t = SeriesSpec("taylor", 5)
     with pytest.raises(StructuralError):
@@ -807,7 +819,7 @@ def _corrupted_file_recomputed(tmp_path, monkeypatch, spec, corruption):
             pair[0] = repr(float(pair[0]) + 1e-3)
     else:
         payload["k"] = spec.k - 1
-    name = f"chebyshev_{spec.k}_{spec.gamma_h:.6f}_{spec.axis}" if cheb else f"taylor_{spec.k}"
+    name = f"chebyshev_{spec.k}_{spec.gamma_h.hex()}_{spec.axis}" if cheb else f"taylor_{spec.k}"
     zs, data = _recomputed(tmp_path / f"{name}.json", payload,
                            lambda: factorize(spec, cache_dir=str(tmp_path)).zeros, monkeypatch)
     assert list(zs) == good
@@ -829,10 +841,11 @@ def test_corrupted_chebyshev_cache_file_recomputed(tmp_path, monkeypatch, corrup
 
 
 def test_gamma_h_mismatched_cache_file_recomputed(tmp_path, monkeypatch):
-    # Gamma*h = 1.25 and 1.2500001 share a file name; the header tells them apart
+    # the file named for Gamma*h = 1.2500001 holds the zeros of 1.25: its
+    # header tells them apart
     near = SeriesSpec("chebyshev", 6, gamma_scale=1.2500001, axis="real")
     want = chebyshev_zeros(near, cache_dir=str(tmp_path / "ref"))
-    path = tmp_path / "chebyshev_6_1.250000_real.json"
+    path = tmp_path / f"chebyshev_6_{(1.2500001).hex()}_real.json"
     payload = dict(_cache_header("chebyshev", 6, 1.25, "real"), residual=1e-40,
                    zeros=[[repr(z.real), repr(z.imag)] for z in want])
     payload["gamma_h"] = (1.25).hex()
@@ -853,6 +866,21 @@ def test_nearby_gamma_h_get_their_own_zeros(tmp_path):
     assert 1e-8 < moved < 1e-5
 
 
+def test_nearby_gamma_h_keep_their_own_cache_files(tmp_path, monkeypatch):
+    # Gamma*h one ulp apart, as two eigh runs can give: each is solved once
+    # into its own file, and neither overwrites the other
+    specs = [SeriesSpec("chebyshev", 6, gamma_scale=gh, axis="real")
+             for gh in (1.25, math.nextafter(1.25, 2.0))]
+    solves = []
+    solve = polyexp._zeros_mp
+    monkeypatch.setattr(polyexp, "_zeros_mp", lambda spec: solves.append(spec) or solve(spec))
+    for spec in specs + specs:
+        monkeypatch.setattr(polyexp, "_memo", {})
+        chebyshev_zeros(spec, cache_dir=str(tmp_path))
+    assert solves == specs
+    assert len(list(tmp_path.glob("chebyshev_6_*_real.json"))) == 2
+
+
 def test_wrong_length_cache_file_recomputed(tmp_path):
     (tmp_path / "taylor_4.json").write_text(json.dumps([["-1.0", "0.0"], ["-2.0", "0.0"]]))
     zs = taylor_zeros(4, cache_dir=str(tmp_path))
@@ -863,11 +891,22 @@ def test_wrong_length_cache_file_recomputed(tmp_path):
             assert abs(val) < 1e-12
 
 
+def test_uncreatable_cache_directory_still_returns_the_zeros(tmp_path, monkeypatch):
+    # a directory under a regular file cannot be made, whatever the user's
+    # permissions; the zeros are solved and returned, and nothing is written
+    (tmp_path / "file").write_text("")
+    blocked = tmp_path / "file" / "zeros"
+    monkeypatch.setattr(polyexp, "_memo", {})
+    zs = taylor_zeros(6, cache_dir=str(blocked))
+    assert zs == polyexp._sort_conjugate_closed(polyexp._zeros_mp(SeriesSpec("taylor", 6))[0])
+    assert not blocked.exists()
+
+
 def test_chebyshev_cache_filename(tmp_path):
     spec = SeriesSpec("chebyshev", 2, gamma_scale=1.25, axis="imaginary", h=1.0)
     zs = chebyshev_zeros(spec, cache_dir=str(tmp_path))
     assert len(zs) == 2
-    assert (tmp_path / "chebyshev_2_1.250000_imaginary.json").exists()
+    assert (tmp_path / f"chebyshev_2_{(1.25).hex()}_imaginary.json").exists()
 
 
 # The zeros (sha256 of the float.hex parts of each zero, "re,im" joined by
@@ -1020,6 +1059,12 @@ def test_r_valid_formula(zeros_cache):
     assert r_valid(fact) < min(abs(z) for z in fact.zeros)
 
 
+def test_r_valid_of_a_chebyshev_factorization_is_its_half_width(zeros_cache):
+    fact = factorize(SeriesSpec("chebyshev", 12, gamma_scale=4.0, axis="imaginary", h=0.5),
+                     cache_dir=zeros_cache)
+    assert r_valid(fact) == 2.0
+
+
 def test_order_factors_golden():
     groups = order_factors([4.0 + 0j, 3.0 + 0j, 2.0 + 0j, 1.0 + 0j])
     assert [g.kind for g in groups] == ["lin", "lin", "lin", "lin"]
@@ -1035,6 +1080,11 @@ def test_order_factors_groups_conjugate_pairs():
     assert quad.gammas == (2.0 + 1.0j, 2.0 - 1.0j)
     assert quad.coeffs == pytest.approx((4.0, 5.0), rel=1e-15)  # (2 Re g, |g|^2)
     assert quad.sum_re == 4.0
+
+
+def test_order_factors_refuses_a_complex_gamma_without_its_conjugate():
+    with pytest.raises(StructuralError, match="no partner for index 0"):
+        order_factors([1.0 + 1.0j, 5.0 + 0j])
 
 
 @given(st.lists(st.floats(min_value=-8.0, max_value=8.0, allow_nan=False), min_size=1, max_size=12))

@@ -1,6 +1,8 @@
 """Catalog validation, error-coefficient estimation, and efficiency scores."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +10,12 @@ import scipy.linalg
 from hypothesis import assume, given, strategies as st
 
 from trotterkit import schemes
-from trotterkit.errors import GridUnusableError, NotFoundError, StructuralError
+from trotterkit.errors import (
+    ConsistencyError,
+    GridUnusableError,
+    NotFoundError,
+    StructuralError,
+)
 from trotterkit.schemes import (
     _BASIS_GRADES,
     TwoStageScheme,
@@ -71,12 +78,83 @@ def test_malformed_lengths_rejected(a, b):
         TwoStageScheme(name="bad", order_n=1, a=a, b=b, symmetric=False)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("order_n", 2.7), ("order_n", "2"), ("order_n", True), ("order_n", None),
+    ("symmetric", "false"), ("symmetric", 0), ("symmetric", None), ("name", 5),
+])
+def test_scheme_refuses_a_field_of_the_wrong_type(field, value):
+    fields = dict(name="strang", order_n=2, a=(0.5, 0.5), b=(1.0,), symmetric=True)
+    with pytest.raises(StructuralError, match=f"'{field}'"):
+        TwoStageScheme(**dict(fields, **{field: value}))
+
+
+def test_scheme_stores_an_integral_order_as_an_int():
+    scheme = TwoStageScheme(name="strang", order_n=2.0, a=(0.5, 0.5), b=(1.0,), symmetric=True)
+    assert scheme.order_n == 2 and type(scheme.order_n) is int
+
+
 def test_catalog_loads_and_validates():
     cat = load_catalog()
     assert len(cat) == 6
     for name, scheme in cat.items():
         assert scheme.name == name
         assert validate_consistency(scheme).ok
+
+
+def _strang_record(**changes):
+    """The bundled catalog's strang record, with changes."""
+    rec = {"name": "strang", "order": 2, "a": [[0.5, 0.0], [0.5, 0.0]], "b": [[1.0, 0.0]],
+           "symmetric": True, "source": "Strang, SIAM J. Numer. Anal. 5, 506 (1968)"}
+    return dict(rec, **changes)
+
+
+def _write_catalog(path, *records):
+    path.write_text(json.dumps(list(records)))
+    return str(path)
+
+
+def test_catalog_refuses_an_entry_whose_order_does_not_fit(tmp_path):
+    path = _write_catalog(tmp_path / "cat.json", _strang_record(order=4))
+    with pytest.raises(ConsistencyError, match="claims order 4 but fits slope 2.003"):
+        load_catalog(path)
+
+
+def test_catalog_refuses_an_inconsistent_entry(tmp_path):
+    path = _write_catalog(tmp_path / "cat.json", _strang_record(a=[[0.5, 0.0], [0.6, 0.0]]))
+    with pytest.raises(ConsistencyError, match="'strang' failed validation"):
+        load_catalog(path)
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"order": 2.7}, "'order_n'"),
+    ({"symmetric": "false"}, "'symmetric'"),
+    ({"name": 5}, "'name'"),
+])
+def test_catalog_refuses_a_record_field_of_the_wrong_type(tmp_path, changes, field):
+    path = _write_catalog(tmp_path / "cat.json", _strang_record(**changes))
+    with pytest.raises(StructuralError, match=field):
+        load_catalog(path)
+
+
+def test_catalog_file_missing_or_not_json(tmp_path):
+    with pytest.raises(NotFoundError):
+        load_catalog(str(tmp_path / "absent.json"))
+    path = tmp_path / "cat.json"
+    path.write_text("[{")
+    with pytest.raises(StructuralError, match="not valid JSON"):
+        load_catalog(str(path))
+
+
+def test_catalog_is_cached_until_its_file_changes(tmp_path):
+    path = _write_catalog(tmp_path / "cat.json", _strang_record())
+    first = load_catalog(path)
+    assert load_catalog(path) is first
+    _write_catalog(tmp_path / "cat.json", _strang_record(source="rewritten"))
+    stat = os.stat(path)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
+    second = load_catalog(path)
+    assert second is not first and second["strang"].source == "rewritten"
+    assert load_catalog(path) is second
 
 
 def test_get_scheme_unknown_name():

@@ -39,6 +39,21 @@ def test_config_validation():
             dense()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("L", 3.9), ("L", "8"), ("L", True), ("L", None), ("L", float("inf")), ("L", float("nan")),
+    ("delta", "x"), ("delta", True), ("delta", None), ("J", "1"), ("J", False),
+])
+def test_config_refuses_a_field_of_the_wrong_type(field, value):
+    with pytest.raises(StructuralError, match=f"'{field}'"):
+        XxzConfig(**dict({"L": 4}, **{field: value}))
+
+
+def test_config_stores_an_integral_length_as_an_int():
+    cfg = XxzConfig(L=8.0, delta=1, J=np.float32(0.5))
+    assert cfg == XxzConfig(L=8, delta=1.0, J=0.5)
+    assert type(cfg.L) is int and type(cfg.delta) is float and type(cfg.J) is float
+
+
 def dense_accesses(split):
     """Each access that needs a dense matrix of the split, by name."""
     ms = to_multistage(get_scheme("strang"))
