@@ -76,8 +76,9 @@ run adapt-check-strang-4 adapt strang --check --lambda 4
 run schemes-list schemes list
 run schemes-validate-suzuki4 schemes validate suzuki4
 run schemes-validate-catalog schemes validate "$tree/src/trotterkit/data/schemes.json"
-run schemes-efficiency-blanes-moan4 schemes efficiency blanes-moan4
-run schemes-efficiency-strang schemes efficiency strang
+for name in blanes-moan4 strang forest-ruth suzuki4 omelyan2 triple-jump-complex; do
+    run "schemes-efficiency-$name" schemes efficiency "$name"
+done
 for k in 1 5 20 21 52; do
     run "zeros-taylor-$k" zeros --family taylor --k "$k"
 done

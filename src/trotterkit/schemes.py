@@ -6,10 +6,14 @@ A two-stage scheme approximates e^{(A+B)h} by
 
 with len(a) = len(b) + 1 = q + 1.  Consistency (sum(a) = sum(b) = 1) makes
 the first-order error vanish; symmetry of the coefficient lists guarantees
-even order.  Leading error coefficients are exact: log S(h) is expanded in
-the free algebra on {A, B} (the BCH route of Omelyan, Mryglod & Folk,
-Comput. Phys. Commun. 146 (2002) 188) and projected onto a graded
-commutator basis, all in double precision.
+even order.  Leading error coefficients are exact: log S(h) of any factor
+sequence on Lambda letters is expanded in the truncated free algebra as one
+block of words per degree (the BCH route of Omelyan, Mryglod & Folk,
+Comput. Phys. Commun. 146 (2002) 188), all in double precision.  A two-stage
+scheme's expansion, on Lambda = 2 letters {A, B}, is projected onto a graded
+commutator basis; the same expansion of its Lambda-stage sweep
+(`multistage`) checks the order of the 2 -> Lambda transform by the
+vanishing of its words of degree 2..n.
 """
 
 from __future__ import annotations
@@ -197,51 +201,56 @@ def random_hermitian(rng, dim):
 
 
 # ---------------------------------------------------------------------------
-# exact error coefficients in the truncated free algebra on {A, B}
+# exact error coefficients in the truncated free algebra on Lambda letters
 #
-# An element is one flat vector over all words in A and B of degree 0..n:
-# the 2**d words of degree d sit at offset 2**d - 1, indexed by their letters
-# read as binary digits (A = 0, B = 1), so that concatenating two words is
-# an outer product of their blocks.  The degree of a word counts its powers
-# of h, so products of e^{c A} and e^{c B} expand S(h) at h = 1.
+# An element is a list of degree blocks 0..n: block d holds the Lambda**d
+# words of degree d in A_1 .. A_Lambda, indexed by their letters read as
+# base-Lambda digits, so that concatenating two words is an outer product of
+# their blocks.  A word's degree counts its powers of h, so products of
+# e^{c A_k} expand S(h) at h = 1.
 
 # graded commutator basis: grades of the 14 elements, in order
 _BASIS_GRADES = (1, 1, 2, 3, 3, 4, 4, 4, 5, 5, 5, 5, 5, 5)
 
 
-def _degree(x, d):
-    """View of the degree-d block of x."""
-    return x[2**d - 1 : 2 ** (d + 1) - 1]
+def _zero(n_letters, n):
+    return [np.zeros(n_letters**d, dtype=complex) for d in range(n + 1)]
 
 
 def _mul(x, y):
-    """x y, truncated at the top degree of x and y."""
-    n = (len(x) + 1).bit_length() - 2
-    out = np.zeros_like(x)
-    for p in range(n + 1):
-        for q in range(n + 1 - p):
-            _degree(out, p + q)[:] += np.outer(_degree(x, p), _degree(y, q)).ravel()
-    return out
+    """x y, truncated at the top degree of x and y: degree d sums the outer
+    products of x's degree-p and y's degree-(d - p) blocks, p ascending."""
+    return [sum(np.outer(x[p], y[d - p]).ravel() for p in range(d + 1))
+            for d in range(len(x))]
 
 
 def _comm(x, y):
-    return _mul(x, y) - _mul(y, x)
+    return [u - v for u, v in zip(_mul(x, y), _mul(y, x))]
 
 
-def _unit(word, n):
-    """The element 1 (word 0), A (word 1) or B (word 2), truncated at degree n."""
-    x = np.zeros(2 ** (n + 1) - 1, dtype=complex)
-    x[word] = 1.0
+def _exp_letter(letter, coef, n_letters, n):
+    """e^{coef A_letter}: degree d holds the word A_letter^d, at coef^d / d!."""
+    x = _zero(n_letters, n)
+    for d, block in enumerate(x):
+        block.reshape((n_letters,) * d)[(letter,) * d] = coef**d / math.factorial(d)
     return x
 
 
-def _exp_letter(letter, coef, n):
-    """e^{coef X} for X = A (letter 0) or B (letter 1): degree d holds the
-    single word X^d with coefficient coef^d / d!."""
-    x = np.zeros(2 ** (n + 1) - 1, dtype=complex)
-    for d in range(n + 1):
-        _degree(x, d)[letter * (2**d - 1)] = coef**d / math.factorial(d)
-    return x
+def _log_series(sequence, n_letters, n):
+    """log S as degree blocks 0..n (block d: the words of h^d in log S(h)),
+    S the product of e^{c A_k} over a (k, c) factor sequence on n_letters."""
+    s = _zero(n_letters, n)
+    s[0][0] = 1.0
+    for letter, coef in sequence:
+        s = _mul(s, _exp_letter(letter, coef, n_letters, n))
+    # log(1 + y) = sum_m (-1)^(m+1) y^m / m; y^m starts at degree m
+    y = [s[0] - 1, *s[1:]]
+    log_s = _zero(n_letters, n)
+    power = y
+    for m in range(1, n + 1):
+        log_s = [acc + (-1) ** (m + 1) / m * p for acc, p in zip(log_s, power)]
+        power = _mul(power, y)
+    return log_s
 
 
 def _commutator_basis(a, b):
@@ -270,24 +279,17 @@ def _commutator_basis(a, b):
 def _bch_coefficients(scheme, n):
     """Coefficients of log S - (A + B) on the basis elements of grade <= n.
 
-    S is the product of e^{c A} and e^{c B} over the scheme's merged factor
-    sequence, expanded to degree n; the coefficient of a grade-g element
-    multiplies h^g in log S(h) - (A + B) h.  The basis spans the free Lie
-    algebra up to degree 5, so the projection of this Lie element is exact.
+    log S is `_log_series` of the scheme's factor sequence on {A, B}; a
+    grade-g coefficient multiplies h^g.  The basis spans the free Lie algebra
+    up to degree 5, so the projection of this Lie element is exact.
     """
-    s = _unit(0, n)
-    for letter, coef in scheme.factor_sequence():
-        s = _mul(s, _exp_letter(letter, coef, n))
-    # log(1 + y) = sum_m (-1)^(m+1) y^m / m; y^m starts at degree m
-    y = s - _unit(0, n)
-    log_s = np.zeros_like(y)
-    power = y
-    for m in range(1, n + 1):
-        log_s += (-1) ** (m + 1) / m * power
-        power = _mul(power, y)
-    a, b = _unit(1, n), _unit(2, n)
-    basis = [v for v, g in zip(_commutator_basis(a, b), _BASIS_GRADES) if g <= n]
-    return np.linalg.lstsq(np.stack(basis, axis=1), log_s - a - b, rcond=None)[0]
+    log_s = _log_series(scheme.factor_sequence(), 2, n)
+    a, b = _zero(2, n), _zero(2, n)
+    a[1][0] = b[1][1] = 1.0
+    basis = [np.concatenate(v) for v, g in zip(_commutator_basis(a, b), _BASIS_GRADES)
+             if g <= n]
+    defect = np.concatenate([log_s[0], log_s[1] - 1, *log_s[2:]])
+    return np.linalg.lstsq(np.stack(basis, axis=1), defect, rcond=None)[0]
 
 
 def estimate_error_coefficients(scheme, max_order=3):

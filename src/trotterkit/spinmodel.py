@@ -47,7 +47,9 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 @dataclass(frozen=True)
 class XxzConfig:
-    """The chain: L sites (an int; 8.0 gives 8), anisotropy delta, boundary, coupling J."""
+    """The chain: L sites (an int; 8.0 gives 8), anisotropy delta, boundary, coupling J.
+
+    L is at most 62, so that the basis dimension 2^L fits an int64."""
 
     L: int
     delta: float = 1.0
@@ -60,6 +62,8 @@ class XxzConfig:
         object.__setattr__(self, "J", real_field(self.J, "J"))
         if self.L < 2:
             raise StructuralError(f"need L >= 2 sites, got {self.L}")
+        if self.L > 62:
+            raise StructuralError(f"'L' must be at most 62 (2^L must fit int64), got {self.L}")
         if self.boundary not in ("open", "periodic"):
             raise StructuralError(
                 f"boundary must be 'open' or 'periodic', got {self.boundary!r}"

@@ -433,6 +433,7 @@ def test_bench_refuses_a_non_finite_plan_value(capsys, tmp_path, field):
     ('{"model": {"L": 1e999}}', "'L'"),
     ('{"model": {"L": 3, "delta": [1]}}', "'delta'"),
     ('{"model": {"L": 3.9}}', "'L'"),
+    ('{"model": {"L": 100000}}', "'L'"),
     ('{"kappa": true}', "'kappa'"),
     ('{"model": {"L": 3, "delta": true}}', "'delta'"),
     ('{"t_total": "10"}', "'t_total'"),

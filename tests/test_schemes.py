@@ -16,10 +16,12 @@ from trotterkit.errors import (
     NotFoundError,
     StructuralError,
 )
+from trotterkit.multistage import to_multistage
 from trotterkit.schemes import (
     _BASIS_GRADES,
     TwoStageScheme,
     _bch_coefficients,
+    _log_series,
     efficiency,
     empirical_order,
     estimate_error_coefficients,
@@ -274,6 +276,69 @@ def test_coefficients_match_logm_defect(scheme):
             s = s @ scipy.linalg.expm(bi * h * b) @ scipy.linalg.expm(ai * h * a)
         recon = sum(c * h**g * m for c, g, m in zip(coeffs, _BASIS_GRADES, basis))
         residuals.append(np.linalg.norm(scipy.linalg.logm(s) - h * (a + b) - recon))
+    assert residuals[0] / residuals[1] > 40
+    assert residuals[1] / residuals[2] > 40
+
+
+# ---------------------------------------------------------------------------
+# the 2 -> Lambda transform in the free algebra on Lambda letters
+
+
+def _sweep_series(scheme, n_letters):
+    """log S of the scheme's Lambda-stage sweep on n_letters, to its order."""
+    sequence = to_multistage(scheme).factor_sequence(n_letters)
+    return _log_series(sequence, n_letters, scheme.order_n)
+
+
+@pytest.mark.parametrize("n_letters", [2, 3, 4])
+@pytest.mark.parametrize("scheme", load_catalog().values(), ids=lambda s: s.name)
+def test_sweep_keeps_the_order_on_lambda_letters(scheme, n_letters):
+    # the paper's claim in the algebra, not by a slope fit:
+    # log S = (A_1 + ... + A_Lambda) h + O(h^(n+1))
+    log_s = _sweep_series(scheme, n_letters)
+    np.testing.assert_allclose(log_s[1], np.ones(n_letters), rtol=0, atol=1e-15)
+    assert max(np.max(np.abs(block)) for block in log_s[2:]) <= 1e-14
+
+
+@pytest.mark.parametrize("n_letters", [2, 3, 4])
+def test_perturbed_scheme_loses_the_order_on_lambda_letters(n_letters):
+    # still consistent, so the transform is defined; its degree-2 block reads 1.4e-7
+    bm = get_scheme("blanes-moan4")
+    a = list(bm.a)
+    a[1] += 1e-6
+    a[2] -= 1e-6
+    bad = TwoStageScheme(name="bm-perturbed", order_n=4, a=a, b=bm.b, symmetric=False)
+    log_s = _sweep_series(bad, n_letters)
+    assert max(np.max(np.abs(block)) for block in log_s[2:]) > 1e-8
+
+
+def _word_matrices(parts, n):
+    """Each degree's words in the parts, in `_log_series` order, degrees 0..n."""
+    words = [[np.eye(len(parts[0]))]]
+    for _ in range(n):
+        words.append([w @ x for w in words[-1] for x in parts])
+    return words
+
+
+@pytest.mark.parametrize("scheme", [*load_catalog().values(), ASYM, LIE], ids=lambda s: s.name)
+def test_three_letter_series_matches_logm(scheme):
+    # Slow path: logm of the sweep's unmerged expm product on three random
+    # 6x6 parts.  The word polynomial to degree 5 leaves an O(h^6)
+    # (asymmetric) or O(h^7) (symmetric) residual.
+    rng = np.random.default_rng(2024)
+    parts = [random_hermitian(rng, 6) for _ in range(3)]
+    ms = to_multistage(scheme)
+    log_s = _log_series(ms.factor_sequence(3), 3, 5)
+    words = _word_matrices(parts, 5)
+    residuals = []
+    for h in (1 / 5, 1 / 10, 1 / 20):
+        s = np.eye(6)
+        for ci, di in zip(ms.c, ms.d):
+            for k, coef in zip((0, 1, 2, 2, 1, 0), (ci, ci, ci, di, di, di)):
+                s = s @ scipy.linalg.expm(coef * h * parts[k])
+        recon = sum(h**d * np.tensordot(block, w, axes=1)
+                    for d, (block, w) in enumerate(zip(log_s, words)))
+        residuals.append(np.linalg.norm(scipy.linalg.logm(s) - recon))
     assert residuals[0] / residuals[1] > 40
     assert residuals[1] / residuals[2] > 40
 

@@ -33,6 +33,7 @@ def test_config_validation():
     with pytest.raises(StructuralError):
         XxzConfig(L=4, boundary="moebius")
     assert XxzConfig(L=4).dim == 16
+    assert XxzConfig(L=62).dim == 2**62  # the largest power of two an int64 holds
     # a chain past the dense cap is split; its first dense access is refused
     for _, dense in dense_accesses(build_xxz(XxzConfig(L=13))):
         with pytest.raises(CapacityError):
@@ -41,6 +42,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("L", 3.9), ("L", "8"), ("L", True), ("L", None), ("L", float("inf")), ("L", float("nan")),
+    ("L", 63), ("L", 100000),
     ("delta", "x"), ("delta", True), ("delta", None), ("J", "1"), ("J", False),
 ])
 def test_config_refuses_a_field_of_the_wrong_type(field, value):
