@@ -101,6 +101,10 @@ run expm-chebyshev-real-prod expm --method chebyshev --k 16 --gamma-h 2.5 --axis
 run expm-chebyshev-real-sum expm --method chebyshev --k 16 --gamma-h 2.5 --axis real --scalar=-2 --sum
 run model-xxz model xxz
 run model-xxz-periodic model xxz --L 6 --delta 0.3 --bc periodic
+# a periodic L = 7 chain with delta = 0.3 and J = 0.7: H has non-integer
+# entries, so the order they are summed in shows in the bits, and
+# L % 3 == 1 recolours the wrap bond
+run model-xxz-periodic-l7 model xxz --L 7 --bc periodic --delta 0.3 --J 0.7
 run probe-stability probe-stability
 # no command applies a polynomial to a state, so this public-API snippet
 # does: the L = 8 Neel state, open and periodic (delta = 0.3), evolved by
@@ -130,3 +134,19 @@ for cfg in (tk.XxzConfig(L=8), tk.XxzConfig(L=8, boundary="periodic", delta=0.3)
                 print(f"{z.real:.17g} {z.imag:.17g}")
 PY
 record state-l8 python3 state-l8.py
+# no command alternates a step with its reversed sequence, so this
+# public-API snippet does: the Lie scheme, alternately reversed, on the
+# L = 6 periodic chain (delta = 0.3), an odd and an even number of steps,
+# every entry printed
+cat >"$work/alternate-l6.py" <<'PY'
+import trotterkit as tk
+
+split = tk.build_xxz(tk.XxzConfig(L=6, boundary="periodic", delta=0.3))
+ms = tk.to_multistage(tk.TwoStageScheme("lie", 1, a=[1, 0], b=[1], symmetric=False))
+for n in (3, 4):
+    u = tk.evolve(split, ms, 0.1, n, alternate_reversal=True)
+    print(f"# lie alternate_reversal steps={n}")
+    for z in u.ravel():
+        print(f"{z.real:.17g} {z.imag:.17g}")
+PY
+record alternate-l6 python3 alternate-l6.py

@@ -18,8 +18,8 @@ batched matmul, and the periodic wrap bond (L-1, 0) first moves site L-1
 next to site 0.  A split of dense parts has one term per part that acts on
 the whole space, and its gate is applied as one matrix product.  A step is
 the factor sequence applied to the packed identity (below), and the dense
-parts of a local split are its terms applied to the identity by the same
-kernel, built on first use; `_dense_dim` refuses both past DENSE_DIM_CAP.
+parts of a local split are placed from its terms' entries (`_term_entries`),
+built on first use; `_dense_dim` refuses both past DENSE_DIM_CAP.
 
 A real Hamiltonian stays real: a term or part whose imaginary part is
 exactly zero is stored as float64 (and so is `total` when every part is),
@@ -28,8 +28,8 @@ builds v diag(e^{z w}) v^T from a real v as one real GEMM.
 
 A split keeps the sectors that every gate preserves as its `sectors`: the
 connected components of the union of its terms' off-diagonal nonzero
-patterns, found by one component search (`_components`) over the edges
-the terms supply, with no dense matrix built.  e^{z op} has no entry
+patterns, found by one component search (`_components`) over the entries
+the same map places, with no dense matrix built.  e^{z op} has no entry
 outside op's components, so every step is block-diagonal over them.  For
 the XXZ chain they are its magnetization sectors, the blocks the exact
 oracle (`spinmodel.exact_evolution`) diagonalizes with the same search;
@@ -55,7 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, StructuralError
+from .errors import CapacityError, DimensionError, StructuralError, integer_field
 from .tolerances import DENSE_DIM_CAP, HERMITICITY_TOL
 
 __all__ = [
@@ -74,8 +74,8 @@ class OperatorSplit:
 
     terms[k] lists part k's terms (i, j, op).  A split built by `from_terms`
     is the two-site terms it was given, and its dense `parts` and `total`
-    are built from them on first use.  A split of dense parts has one
-    whole-space term (None, None, A_k) per part, and its `parts` are its
+    are placed from their entries on first use.  A split of dense parts has
+    one whole-space term (None, None, A_k) per part, and its `parts` are its
     validated copies.  A term or dense part with no nonzero imaginary entry
     is stored as float64, otherwise as complex128, in a read-only copy the
     split owns; a part built from terms is float64 when its terms are.  Each
@@ -114,8 +114,12 @@ class OperatorSplit:
         Hermitian 4x4 matrix on sites (i, j), first index site i, site 0
         the most significant bit.  Each bond joins neighbours, j = i + 1
         or the wrap bond (n_sites - 1, 0), and the terms of one part share
-        no site, so they commute.  Nothing dense is built here.
+        no site, so they commute.  n_sites is an int (4.0 gives 4) from 2
+        to 62, so 2^n_sites fits an int64.  Nothing dense is built here.
         """
+        n_sites = integer_field(n_sites, "n_sites")
+        if not 2 <= n_sites <= 62:
+            raise StructuralError(f"'n_sites' must be from 2 to 62, got {n_sites}")
         checked = []
         for k, part_terms in enumerate(terms):
             used = set()
@@ -144,8 +148,8 @@ class OperatorSplit:
 
     @cached_property
     def parts(self):
-        """The dense parts A_k, each its terms applied to the identity;
-        built on first use and kept."""
+        """The dense parts A_k, each placed from its terms' entries; built
+        on first use and kept."""
         return tuple(self._dense_parts())
 
     @cached_property
@@ -161,12 +165,12 @@ class OperatorSplit:
         return total
 
     def _dense_parts(self):
-        """The kept `parts`, or else an iterator that builds each part from
-        its terms applied to the identity (refused past DENSE_DIM_CAP)."""
+        """The kept `parts`, or else an iterator that places each part from
+        its terms' entries (`_placed_sum`; refused past DENSE_DIM_CAP)."""
         if "parts" in self.__dict__:
             return self.parts
-        eye = _identity(self.dim)
-        return (_applied_sum(part_terms, eye) for part_terms in self.terms)
+        dim = _dense_dim(self.dim)
+        return (_placed_sum(dim, part_terms) for part_terms in self.terms)
 
     @cached_property
     def sectors(self):
@@ -178,12 +182,12 @@ class OperatorSplit:
         magnetization sectors, of sizes C(L, m), the blocks
         `exact_evolution` diagonalizes; where parts cancel an entry of H
         they are unions of H's blocks.  Terms that couple everything give
-        one sector, the whole index range.  Built from the terms' edges
-        alone (`_term_edges`), so nothing dense is built, past the dense
-        cap too; computed on first use and kept.
+        one sector, the whole index range.  Read from the entries of the
+        terms with their diagonals zeroed (`_term_entries`), so nothing
+        dense is built, past the dense cap too; computed on first use and kept.
         """
         none = np.empty(0, dtype=np.intp)
-        edges = [(none, none)] + [_term_edges(self.dim, i, j, op)
+        edges = [(none, none)] + [_term_entries(self.dim, i, j, op - np.diag(np.diag(op)))[:2]
                                   for part_terms in self.terms for i, j, op in part_terms]
         rows, cols = (np.concatenate(e) for e in zip(*edges))
         return _components(self.dim, rows, cols)
@@ -275,22 +279,31 @@ def _components(n, rows, cols):
     return components
 
 
-def _term_edges(dim, i, j, op):
-    """The off-diagonal nonzero entries (rows, cols) of a term as a
-    (dim x dim) matrix: op's own for a whole-space term (i = None), else
+def _term_entries(dim, i, j, op):
+    """The nonzero entries (rows, cols, vals) of a term as a (dim x dim)
+    matrix, each once: op's own for a whole-space term (i = None), else
     those of op on sites (i, j) of a chain, every other site kept."""
     rows, cols = np.nonzero(op)
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
     if i is None:
-        return rows, cols
+        return rows, cols, op[rows, cols]
     n_sites = dim.bit_length() - 1
     bit_i, bit_j = 1 << (n_sites - 1 - i), 1 << (n_sites - 1 - j)
     rest = np.arange(dim)
     rest = rest[(rest & (bit_i | bit_j)) == 0]
     # op's index is 2 * (site i's bit) + (site j's bit)
-    place = (np.arange(4) >> 1) * bit_i + (np.arange(4) & 1) * bit_j
-    return (place[rows, None] + rest).ravel(), (place[cols, None] + rest).ravel()
+    place = ((np.arange(4) >> 1) * bit_i + (np.arange(4) & 1) * bit_j)[:, None] + rest
+    return place[rows].ravel(), place[cols].ravel(), op[rows, cols].repeat(len(rest))
+
+
+def _placed_sum(dim, terms):
+    """The sum of the terms (i, j, op) as a read-only (dim x dim) matrix,
+    each term's entries added in turn to a zero matrix."""
+    out = np.zeros((dim, dim), np.result_type(float, *(op for _, _, op in terms)))
+    for i, j, op in terms:
+        rows, cols, vals = _term_entries(dim, i, j, op)
+        out[rows, cols] += vals
+    out.setflags(write=False)
+    return out
 
 
 def _scattered(sectors, blocks):
@@ -327,12 +340,6 @@ def _dense_dim(dim):
     if dim > DENSE_DIM_CAP:
         raise CapacityError(f"dim {dim} exceeds dense capacity {DENSE_DIM_CAP}")
     return dim
-
-
-def _identity(dim):
-    """The float identity every dense part of a split is built on
-    (refused past DENSE_DIM_CAP)."""
-    return np.eye(_dense_dim(dim))
 
 
 def _packed_identity(split):
@@ -373,15 +380,6 @@ def _apply_term(g, i, j, x):
     y = x.reshape(2, mid, 2, -1).transpose(2, 0, 1, 3).reshape(4, -1)
     y = (g @ y).reshape(2, 2, mid, -1).transpose(1, 2, 0, 3)
     return y.reshape(x.shape)
-
-
-def _applied_sum(terms, x):
-    """The sum of the terms (i, j, op) applied to a block x, read-only."""
-    out = np.zeros(x.shape, np.result_type(x, *(op for _, _, op in terms)))
-    for i, j, op in terms:
-        out += _apply_term(op, i, j, x)
-    out.setflags(write=False)
-    return out
 
 
 def _apply_gates(split, sequence, h, block, direction):

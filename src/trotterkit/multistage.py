@@ -29,7 +29,7 @@ from .compose import (
     evolve_sequence,
     merge_factors,
 )
-from .errors import ConsistencyError, StructuralError
+from .errors import ConsistencyError, StructuralError, integer_field
 from .schemes import _fit_order, _require_consistent, random_hermitian
 from .tolerances import CONSISTENCY_TOL, DEFAULT_SEED
 
@@ -48,7 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MultiStageScheme:
-    """Per-sweep coefficient pairs (c_i, d_i), i = 1..q."""
+    """Per-sweep coefficient pairs (c_i, d_i), i = 1..q; order_n is an int >= 1."""
 
     name: str
     order_n: int
@@ -57,6 +57,11 @@ class MultiStageScheme:
     source_scheme: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise StructuralError(f"'name' must be a string, got {self.name!r}")
+        object.__setattr__(self, "order_n", integer_field(self.order_n, "order_n"))
+        if self.order_n < 1:
+            raise StructuralError(f"multistage scheme {self.name!r}: order_n must be >= 1")
         object.__setattr__(self, "c", tuple(complex(x) for x in self.c))
         object.__setattr__(self, "d", tuple(complex(x) for x in self.d))
         if len(self.c) != len(self.d) or not self.c:

@@ -6,7 +6,7 @@ three colors so the chain always presents a Lambda = 3 split; every color
 group consists of site-disjoint bonds.  The split records each color as
 its local terms (i, j, h_b), one shared 4x4 bond term, so the composer
 builds every step from cached 4x4 bond gates; the dense parts and H are
-the terms applied to the identity, built on first use, so a chain past the
+placed from the terms' entries, built on first use, so a chain past the
 dense cap (L > 12) is split but refused at its first dense access.  The
 chain is real in the computational basis, so the bond term, the parts and
 the total are float64, and the exact oracle diagonalizes H in real

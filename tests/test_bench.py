@@ -254,13 +254,13 @@ def test_run_builds_each_part_once(zeros_cache, monkeypatch):
     plan = BenchPlan(model=XxzConfig(L=5, boundary="periodic"), t_total=1.0,
                      methods=("exact", "strang", "taylor:12"), h_grid=(0.5,))
     builds = []
-    applied_sum = compose._applied_sum
+    placed_sum = compose._placed_sum
 
-    def counting(terms, x):
+    def counting(dim, terms):
         builds.append([(i, j) for i, j, _ in terms])
-        return applied_sum(terms, x)
+        return placed_sum(dim, terms)
 
-    monkeypatch.setattr(compose, "_applied_sum", counting)
+    monkeypatch.setattr(compose, "_placed_sum", counting)
     run_benchmark(plan, cache_dir=zeros_cache)
     parts = build_xxz(plan.model).terms
     assert len(parts) == 3

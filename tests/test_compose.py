@@ -136,6 +136,21 @@ def test_from_terms_validates_terms():
     assert not split.parts[2].any()
 
 
+@pytest.mark.parametrize("n_sites", [-3, 2.5, True, 63, 100000, "4"])
+def test_from_terms_refuses_site_counts_past_the_index_width(n_sites):
+    # refused before any term is read: this term has the wrong shape
+    with pytest.raises(StructuralError, match="'n_sites'"):
+        OperatorSplit.from_terms(n_sites, [[(0, 1, np.eye(2))]])
+
+
+def test_from_terms_accepts_two_to_62_sites():
+    bond = np.diag([1.0, -1.0, -1.0, 1.0])
+    assert OperatorSplit.from_terms(2, [[(0, 1, bond)]]).dim == 4
+    assert OperatorSplit.from_terms(4.0, [[(3, 0, bond)]]).dim == 16
+    wide = OperatorSplit.from_terms(62, [[(0, 1, bond)], [(61, 0, bond)]])
+    assert wide.dim == 2**62 and wide.n_parts == 2
+
+
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)]
 
 
@@ -397,20 +412,33 @@ def test_coupled_splits_have_one_sector():
 
 
 # ---------------------------------------------------------------------------
-# dense views: built from the terms on first use
+# dense views: placed from the terms' entries on first use
+
+# every chain of L = 2-10, open and periodic, delta in {1, 0.3, 0, -0.7}
+# and J in {1, 0.37}: J = 0.37 and delta = 0.3 or -0.7 give non-integer
+# entries, so any change of summation order shows in the bits
+DENSE_CHAINS = [
+    (L, b, d, J)
+    for L in range(2, 11)
+    for b in ("open", "periodic")
+    if b == "open" or L >= 3
+    for d in (1.0, 0.3, 0.0, -0.7)
+    for J in (1.0, 0.37)
+]
 
 
-def eager_dense(split):
-    """Reference dense parts and total, built eagerly term by term: each
-    part is its terms applied to the float identity in a zero matrix, then
-    narrowed; the total is the parts summed in order into a zero matrix."""
+def kernel_dense(split):
+    """Reference dense parts and total, built the slow way, by the gate
+    kernel: each part is its terms applied to the float identity, summed
+    term by term into a zero matrix; the total is the parts summed in
+    order into a zero matrix."""
     eye = np.eye(split.dim)
     parts = []
     for terms in split.terms:
         part = np.zeros(eye.shape, np.result_type(eye, *(op for _, _, op in terms)))
         for i, j, op in terms:
             part += _apply_term(op, i, j, eye)
-        parts.append(_narrowed(part))
+        parts.append(part)
     total = np.zeros(eye.shape, np.result_type(*parts))
     for p in parts:
         total += p
@@ -421,20 +449,39 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("L, boundary, delta", SECTOR_CHAINS)
-def test_lazy_dense_views_equal_the_eager_build_bit_for_bit(L, boundary, delta):
-    cfg = XxzConfig(L=L, boundary=boundary, delta=delta)
-    want_parts, want_total = eager_dense(build_xxz(cfg))
-    total_first = build_xxz(cfg)
+def assert_dense_views_are(make, want_parts, want_total):
+    """Splits from make() give want_parts and want_total bit for bit, read-only,
+    whether the total or the parts are read first."""
+    total_first = make()
     assert same_bits(total_first.total, want_total)
     assert "parts" not in vars(total_first)  # built for the sum, not kept
-    parts_first = build_xxz(cfg)
+    parts_first = make()
     for split in (total_first, parts_first):
         parts = split.parts
-        assert split.parts is parts and len(parts) == len(want_parts) == 3
+        assert split.parts is parts and len(parts) == len(want_parts)
         assert all(map(same_bits, parts, want_parts))
         assert not any(p.flags.writeable for p in parts)
         assert same_bits(split.total, want_total) and not split.total.flags.writeable
+
+
+@pytest.mark.parametrize("L, boundary, delta, J", DENSE_CHAINS)
+def test_lazy_dense_views_equal_the_kernel_build_bit_for_bit(L, boundary, delta, J):
+    cfg = XxzConfig(L=L, boundary=boundary, delta=delta, J=J)
+    want_parts, want_total = kernel_dense(build_xxz(cfg))
+    assert len(want_parts) == 3
+    assert_dense_views_are(lambda: build_xxz(cfg), want_parts, want_total)
+
+
+def test_complex_terms_and_an_empty_part_equal_the_kernel_build_bit_for_bit():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    a = a + a.conj().T
+    terms = [[(0, 1, a), (2, 3, 0.37 * a.real)], [], [(1, 2, a.real), (4, 0, a)]]
+    make = partial(OperatorSplit.from_terms, 5, terms)
+    want_parts, want_total = kernel_dense(make())
+    assert [p.dtype for p in want_parts] == [np.complex128, np.float64, np.complex128]
+    assert not want_parts[1].any()
+    assert_dense_views_are(make, want_parts, want_total)
 
 
 def test_dense_split_parts_are_its_validated_copies(monkeypatch):
@@ -451,8 +498,8 @@ def test_dense_split_parts_are_its_validated_copies(monkeypatch):
     def rebuild(*args):
         raise AssertionError("a dense split's part was rebuilt")
 
-    monkeypatch.setattr(compose_module, "_applied_sum", rebuild)
-    monkeypatch.setattr(compose_module, "_identity", rebuild)
+    monkeypatch.setattr(compose_module, "_placed_sum", rebuild)
+    monkeypatch.setattr(compose_module, "_dense_dim", rebuild)
     assert np.array_equal(split.total, parts[0] + parts[1])
     assert len(split.sectors) == 1 and split.parts is parts
 

@@ -81,6 +81,12 @@ def test_multistage_constructor_validates():
         MultiStageScheme(name="bad", order_n=2, c=(), d=())
     with pytest.raises(ConsistencyError):
         MultiStageScheme(name="bad", order_n=2, c=(0.5,), d=(0.9,))
+    with pytest.raises(StructuralError, match="'name'"):
+        MultiStageScheme(name=5, order_n=2, c=(0.5,), d=(0.5,))
+    for order_n in ("2", 2.5, 0, True):
+        with pytest.raises(StructuralError, match="order_n"):
+            MultiStageScheme(name="bad", order_n=order_n, c=(0.5,), d=(0.5,))
+    assert MultiStageScheme(name="ok", order_n=2.0, c=(0.5,), d=(0.5,)).order_n == 2
 
 
 # ---------------------------------------------------------------------------
