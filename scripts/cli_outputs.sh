@@ -11,26 +11,53 @@
 #
 # Every run has its own empty HOME and empty zero cache, so every zero is
 # solved cold; BLAS runs on one thread.
+#
+# Every command exits 0 unless its entry declares otherwise (`expect=1 run
+# ...`).  With --check, nothing is run: each entry's NAME.status in OUTDIR
+# must read its declared status, and a command declared to fail must have
+# printed exactly one line to stderr, an `error:` line.  The exit status
+# is 1 on any mismatch.
+#
+#   scripts/cli_outputs.sh --check /tmp/out-head
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
-    echo "usage: $0 TREE OUTDIR" >&2
+    echo "usage: $0 TREE OUTDIR | $0 --check OUTDIR" >&2
     exit 2
 fi
-tree=$(cd "$1" && pwd)
-mkdir -p "$2"
+check= tree=
+if [ "$1" = --check ]; then
+    check=1
+else
+    tree=$(cd "$1" && pwd)
+    mkdir -p "$2"
+fi
 out=$(cd "$2" && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 mkdir "$work/home"
 export HOME="$work/home" TROTTERKIT_ZEROS_DIR="$work/zeros" PYTHONPATH="$tree/src"
 export OMP_NUM_THREADS=1
+mismatches=0
 
 # record NAME CMD...: CMD, run in the work directory, into NAME.out,
-# NAME.err, NAME.status
+# NAME.err, NAME.status; with --check, NAME.status and NAME.err checked
+# against the declared status ${expect:-0}
 record() {
-    local name=$1 status=0
+    local name=$1 status=0 want=${expect:-0}
     shift
+    if [ -n "$check" ]; then
+        status=$(cat "$out/$name.status")
+        if [ "$status" != "$want" ]; then
+            echo "$name exited with status $status, declared $want"
+            mismatches=$((mismatches + 1))
+        elif [ "$want" != 0 ] && { [ "$(wc -l <"$out/$name.err")" != 1 ] ||
+                                    [ "$(head -c 6 "$out/$name.err")" != error: ]; }; then
+            echo "$name refused without exactly one error: line on stderr"
+            mismatches=$((mismatches + 1))
+        fi
+        return
+    fi
     (cd "$work" && "$@") >"$out/$name.out" 2>"$out/$name.err" || status=$?
     echo "$status" >"$out/$name.status"
 }
@@ -68,7 +95,7 @@ cat >"$work/bad-catalog.json" <<'CATALOG'
 [{"name": "strang", "order": 4, "a": [[0.5, 0.0], [0.5, 0.0]], "b": [[1.0, 0.0]],
   "symmetric": true}]
 CATALOG
-run bench-bad-catalog --catalog bad-catalog.json bench --out "$out/bench-bad-catalog.csv"
+expect=1 run bench-bad-catalog --catalog bad-catalog.json bench --out "$out/bench-bad-catalog.csv"
 run adapt-forest-ruth adapt forest-ruth
 run adapt-blanes-moan4 adapt blanes-moan4
 run adapt-check-blanes-moan4 adapt blanes-moan4 --check
@@ -150,3 +177,4 @@ for n in (3, 4):
         print(f"{z.real:.17g} {z.imag:.17g}")
 PY
 record alternate-l6 python3 alternate-l6.py
+[ "$mismatches" = 0 ]

@@ -14,12 +14,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from mpmath import mp
 
-from .compose import _blockwise, _eig_expm
+from .compose import _evolved_blocks, power_step
 from .errors import GridUnusableError, NotFoundError, StructuralError, real_field
-from .multistage import evolve, to_multistage
+from .multistage import to_multistage
 from .polyexp import SeriesSpec, eval_factorized, eval_summed, factorize, suggest_gamma
 from .schemes import get_scheme
-from .spinmodel import XxzConfig, build_xxz, frobenius_error
+from .spinmodel import XxzConfig, _sector_oracle, build_xxz
 from .tolerances import DEFAULT_KAPPA
 
 DEFAULT_METHODS = ("strang", "forest-ruth", "suzuki4", "blanes-moan4")
@@ -183,57 +183,57 @@ def _polynomial(method, h, gamma, cache_dir):
 def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     """All (method, h) cells of the plan, each a BenchmarkRecord.
 
-    Deterministic: the exact oracle comes from one eigendecomposition of
-    the whole H shared across cells (its eigenvalues also give the Chebyshev
-    Gamma) and is exponentiated once per distinct effective time, the
-    eigensystems of the split's bond terms are shared too, and wall_time
-    stays 0.0 unless timing is requested (times are informational, never
-    part of the data contract).
+    Deterministic: the eigensystems of the split's bond terms are shared
+    across cells, and wall_time stays 0.0 unless timing is requested
+    (times are informational, never part of the data contract).
 
-    Every step is block-diagonal over the chain's magnetization sectors
-    (`OperatorSplit.sectors`, the sectors every gate preserves, which for
-    the chain are the blocks of H's pattern).  A polynomial cell evaluates
-    its step on each sector block of H and powers it there, one
-    `compose._blockwise` map; a scheme cell builds its step's sector blocks
-    on the packed identity and powers them there (`multistage.evolve`),
-    so no step is assembled whole before its power.  Each error compares
-    the assembled operator with the whole-matrix oracle, whose eigenvalues
-    key the zero cache through Gamma; sector eigenvalues can differ from
-    them in the last bits.
+    Every cell is kept as its blocks over the chain's magnetization
+    sectors (`OperatorSplit.sectors`, the blocks of H's pattern), and
+    nothing is scattered.  H's sector blocks are gathered once: the exact
+    oracle (`spinmodel._sector_oracle`, as in `exact_evolution`)
+    diagonalizes each once and is exponentiated once per distinct
+    effective time, and a polynomial cell powers its step on each block.
+    A scheme cell builds and powers its step's blocks on the packed
+    identity (`compose._evolved_blocks`).  Each error is
+    sqrt(sum_s |U_s - E_s|_F^2), the Frobenius norm of the difference,
+    which vanishes off the sectors.  Only a plan with a Chebyshev method
+    diagonalizes the whole H: its eigenvalues give the Gamma that keys the
+    zero cache, and sector eigenvalues can differ from them in the last
+    bits.
     """
     methods = [parse_method(d, catalog_path=catalog_path) for d in plan.methods]
     split = build_xxz(plan.model)
-    evals, evecs = np.linalg.eigh(split.total)
     gamma = None
     if any(m.kind == "chebyshev" for m in methods):
-        gamma = suggest_gamma(split.total, eigvals=evals)
-    oracles = {}
+        gamma = suggest_gamma(split.total, eigvals=np.linalg.eigh(split.total)[0])
+    h_blocks = [split.total[np.ix_(s, s)] for s in split.sectors]
+    oracle = _sector_oracle(h_blocks)
+    exacts = {}
     records = []
     for method in methods:
         for h in plan.h_grid:
             steps = plan.steps_for(h)
             t_eff = steps * h
-            exact = oracles.get(t_eff)
+            exact = exacts.get(t_eff)
             if exact is None:
-                exact = oracles[t_eff] = _eig_expm(evals, evecs, -1j * t_eff)
+                exact = exacts[t_eff] = oracle(-1j * t_eff)
             begin = time.perf_counter()
             if method.kind == "exact":
                 u = exact
             elif method.kind == "scheme":
-                u = evolve(split, to_multistage(method.scheme), h, steps)
+                sequence = to_multistage(method.scheme).factor_sequence(split.n_parts)
+                u = _evolved_blocks(split, sequence, h, steps)
             else:
                 p = _polynomial(method, h, gamma, cache_dir)
-                u = _blockwise(split.sectors, split.total,
-                               lambda b: np.linalg.matrix_power(p(b), steps))
+                u = power_step([p(b) for b in h_blocks], steps)
             wall = time.perf_counter() - begin if timing else 0.0
-            err = frobenius_error(u, exact, t=t_eff, method=method.descriptor)
             records.append(
                 BenchmarkRecord(
                     method=method.descriptor,
                     h=h,
                     steps=steps,
                     cost=method.q_effective(plan.kappa) * steps / plan.t_total,
-                    error=err.value,
+                    error=math.hypot(*(np.linalg.norm(a - b) for a, b in zip(u, exact))),
                     wall_time=wall,
                 )
             )

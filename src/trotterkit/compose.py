@@ -41,10 +41,10 @@ kernel, and sector s's block of the step is rows s, columns 0..n_s-1
 (`_step_blocks`).  At L = 8 that is a 256 x 80 block instead of the
 256 x 256 identity.  `power_step` powers the blocks one at a time (at
 L = 8, sum n_s^3 = 0.74M multiply-adds per product against 16.8M for the
-whole matrix), and `compose` and `evolve_sequence` scatter them once into
-a zero matrix (`_scattered`).  One map (`_blockwise`) gathers each
-diagonal sector block of a matrix, computes on it and scatters the
-results: the oracle's exponentials and the bench's polynomial steps.
+whole matrix), `_evolved_blocks` adds the alternate-reversal pair and the
+odd step, and `compose` and `evolve_sequence` scatter the blocks once
+into a zero matrix (`_scattered`).  The bench keeps every cell as its
+blocks and compares them with the exact oracle's, so it scatters nothing.
 A split with one sector packs nothing: its packed identity is the
 identity.
 """
@@ -155,12 +155,14 @@ class OperatorSplit:
     @cached_property
     def total(self):
         """H = sum_k A_k, summed part by part in order into a zero matrix;
-        a part not kept in `parts` is built for the sum and dropped."""
+        a part not kept in `parts` is built for the sum and dropped before
+        the next is placed, so at most the total and one part are held."""
         parts = self._dense_parts()
         ops = (op for part_terms in self.terms for _, _, op in part_terms)
         total = np.zeros((self.dim, self.dim), np.result_type(float, *ops))
         for p in parts:
             total += p
+            del p  # else it stays alive while the generator places the next
         total.setflags(write=False)
         return total
 
@@ -316,12 +318,6 @@ def _scattered(sectors, blocks):
     return out
 
 
-def _blockwise(sectors, m, fn):
-    """The matrix holding fn of each diagonal block of m on the rows and
-    columns of its sector, zero elsewhere (`_scattered`)."""
-    return _scattered(sectors, (fn(m[np.ix_(s, s)]) for s in sectors))
-
-
 # The packed identity's width is rounded up to a multiple of this.  The
 # batched matmuls of `_apply_term` then take the same kernel path on every
 # column as on the full identity, whose width 2^L is a multiple of 16 from
@@ -423,10 +419,10 @@ def power_step(blocks, steps):
     return [np.linalg.matrix_power(b, steps) for b in blocks]
 
 
-def evolve_sequence(split, sequence, h, steps, direction="forward",
+def _evolved_blocks(split, sequence, h, steps, direction="forward",
                     alternate_reversal=False):
-    """`steps` repetitions of one step, powered by repeated squaring on its
-    sector blocks (`power_step`) and scattered once into a zero matrix.
+    """The sector blocks of `steps` repetitions of one step, in the order
+    of `split.sectors`, powered by repeated squaring (`power_step`).
 
     With alternate_reversal every second step uses the reversed sequence
     (the adjoint decomposition): the product S S_rev S S_rev ... is the
@@ -438,9 +434,18 @@ def evolve_sequence(split, sequence, h, steps, direction="forward",
         raise StructuralError(f"steps must be >= 1, got {steps}")
     step = _step_blocks(split, sequence, h, direction)
     if not alternate_reversal or sequence[::-1] == sequence:
-        return _scattered(split.sectors, power_step(step, steps))
+        return power_step(step, steps)
     reversed_step = _step_blocks(split, sequence[::-1], h, direction)
     u = power_step([a @ b for a, b in zip(step, reversed_step)], steps // 2)
     if steps % 2:
         u = [a @ b for a, b in zip(u, step)]
-    return _scattered(split.sectors, u)
+    return u
+
+
+def evolve_sequence(split, sequence, h, steps, direction="forward",
+                    alternate_reversal=False):
+    """`steps` repetitions of one step (`_evolved_blocks`), its sector
+    blocks scattered once into a zero matrix."""
+    # refused past the cap first
+    blocks = _evolved_blocks(split, sequence, h, steps, direction, alternate_reversal)
+    return _scattered(split.sectors, blocks)

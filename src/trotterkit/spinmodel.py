@@ -11,7 +11,8 @@ dense cap (L > 12) is split but refused at its first dense access.  The
 chain is real in the computational basis, so the bond term, the parts and
 the total are float64, and the exact oracle diagonalizes H in real
 arithmetic, one magnetization sector at a time: H conserves the number of
-up spins, so its blocks are of size C(L, m).
+up spins, so its blocks are of size C(L, m).  `exact_evolution` and the
+bench share the oracle's one implementation, `_sector_oracle`.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import numpy as np
 from .errors import DimensionError, StructuralError, integer_field, real_field
 from .compose import (
     OperatorSplit,
-    _blockwise,
     _components,
     _eig_expm,
     _hermitian,
+    _scattered,
     direction_prefactor,
 )
 
@@ -133,16 +134,25 @@ def exact_evolution(h_matrix, t, direction="forward"):
     C(L, m), so the L = 10 chain costs sum n_s^3 = 38M multiply-adds to
     diagonalize against 1,074M for the whole matrix.  Each block is
     V diag(e^{pref * lambda * t}) V^dagger from its own eigh, written into a
-    zero complex matrix.  The search is the one behind `split.sectors`, over
-    H's entries instead of the terms', so for the XXZ chain the blocks are
-    its `sectors`.  H must be finite and Hermitian, and t finite.
+    zero complex matrix (`_sector_oracle`, the bench's oracle too).  The
+    search is the one behind `split.sectors`, over H's entries instead of
+    the terms', so for the XXZ chain the blocks are its `sectors`.  H must
+    be finite and Hermitian, and t finite.
     """
     h = _hermitian(h_matrix, "H")
     if not np.isfinite(t):
         raise StructuralError(f"t must be finite, got {t!r}")
     z = direction_prefactor(direction) * t
     blocks = _components(len(h), *np.nonzero(h))
-    return _blockwise(blocks, h, lambda b: _eig_expm(*np.linalg.eigh(b), z))
+    return _scattered(blocks, _sector_oracle([h[np.ix_(s, s)] for s in blocks])(z))
+
+
+def _sector_oracle(blocks):
+    """The exact oracle on invariant blocks of H: one eigh per Hermitian
+    block, taken here, and a function of z that returns each block's
+    e^{z b} = V diag(e^{z lambda}) V^dagger (`_eig_expm`), in block order."""
+    eigensystems = [np.linalg.eigh(b) for b in blocks]
+    return lambda z: [_eig_expm(w, v, z) for w, v in eigensystems]
 
 
 def frobenius_error(u_approx, u_exact, *, t=0.0, method=""):

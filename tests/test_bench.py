@@ -23,7 +23,7 @@ from trotterkit.errors import (
     NotFoundError,
     StructuralError,
 )
-from trotterkit import bench, compose, polyexp
+from trotterkit import bench, compose, polyexp, spinmodel
 from trotterkit.polyexp import SeriesSpec, factorize, suggest_gamma
 from trotterkit.multistage import apply_multistage, to_multistage
 from trotterkit.schemes import load_catalog
@@ -204,8 +204,9 @@ def test_run_is_deterministic(tiny_records, zeros_cache):
 
 
 def test_run_diagonalizes_each_local_term_once(zeros_cache, monkeypatch):
-    # one eigh for the oracle plus one per distinct 4x4 bond term, whatever
-    # the number of cells; no full-size part is diagonalized
+    # one eigh per sector block of H for the oracle plus one per distinct
+    # 4x4 bond term, whatever the number of cells; with no Chebyshev
+    # method nothing full-size is diagonalized
     load_catalog()  # catalog validation diagonalizes its own test pairs
     split = build_xxz(TINY_PLAN.model)
     n_terms = len({op4.tobytes() for part in split.terms for _, _, op4 in part})
@@ -222,8 +223,8 @@ def test_run_diagonalizes_each_local_term_once(zeros_cache, monkeypatch):
     for plan in (one_cell, TINY_PLAN):
         shapes.clear()
         run_benchmark(plan, cache_dir=zeros_cache)
-        assert len(shapes) == n_terms + 1 == 2
-        assert sorted(shapes) == [(4, 4), (split.dim, split.dim)]
+        assert len(shapes) == n_terms + len(split.sectors) == 6
+        assert sorted(shapes) == sorted([(4, 4)] + [(len(s), len(s)) for s in split.sectors])
 
 
 def test_xxz_oracles_diagonalize_only_real_matrices(zeros_cache, monkeypatch):
@@ -242,9 +243,9 @@ def test_xxz_oracles_diagonalize_only_real_matrices(zeros_cache, monkeypatch):
     split = build_xxz(plan.model)
     exact_evolution(split.total, 1.0)
     exact_evolution(split.total, 1.0, direction="imaginary")
-    # the total and the bond term in the sweep, each sector block of the
-    # total in each oracle
-    assert len(dtypes) == 2 + 2 * len(split.sectors)
+    # the bond term and each sector block of the total in the sweep, and
+    # each sector block again in each oracle
+    assert len(dtypes) == 1 + 3 * len(split.sectors)
     assert set(dtypes) == {np.dtype(np.float64)}
 
 
@@ -267,85 +268,129 @@ def test_run_builds_each_part_once(zeros_cache, monkeypatch):
     assert builds == [[(i, j) for i, j, _ in terms] for terms in parts]
 
 
-def test_run_after_warm_zeros_solves_no_zeros(tmp_path, monkeypatch):
-    # warm the zeros the way a caller does, with Gamma from a plain eigh of
-    # the split's total; the sweep must then hit every zero set it needs.
-    # At L = 6 a real and a complex eigh of H differ in the last bit of the
-    # spectral radius, so a sweep that diagonalized otherwise would miss.
-    plan = BenchPlan(model=XxzConfig(L=6), t_total=2.0,
-                     methods=("strang", "taylor:12", "chebyshev:16"), h_grid=(1.0, 0.5))
+@pytest.mark.parametrize("plan", [
+    BenchPlan(model=XxzConfig(L=6), t_total=2.0,
+              methods=("strang", "taylor:12", "chebyshev:16"), h_grid=(1.0, 0.5)),
+    BenchPlan(methods=DEFAULT_METHODS + ("taylor:30", "chebyshev:40")),
+], ids=["l6", "sweep-benchmark"])
+def test_run_after_warm_zeros_solves_no_zeros(plan, tmp_path, monkeypatch):
+    # warm the zeros the way a caller does (the sweep benchmark's set-up
+    # among them), with Gamma from a plain eigh of the split's total; the
+    # sweep must then hit every zero set it needs.  At L = 6 a real and a
+    # complex eigh of H differ in the last bit of the spectral radius, and
+    # at L = 8 the sector eighs and eigvalsh differ from it too, so a sweep
+    # that diagonalized otherwise would miss.
     split = build_xxz(plan.model)
     gamma = suggest_gamma(split.total, eigvals=np.linalg.eigh(split.total)[0])
     cache_dir = str(tmp_path / "warm")
-    factorize(SeriesSpec("taylor", 12), cache_dir=cache_dir)
-    for h in plan.h_grid:
-        spec = SeriesSpec("chebyshev", 16, gamma_scale=gamma, axis="imaginary", h=h)
-        factorize(spec, cache_dir=cache_dir)
+    for method in map(parse_method, plan.methods):
+        if method.kind == "taylor":
+            factorize(SeriesSpec("taylor", method.k), cache_dir=cache_dir)
+        elif method.kind == "chebyshev":
+            for h in plan.h_grid:
+                spec = SeriesSpec("chebyshev", method.k, gamma_scale=gamma, axis="imaginary", h=h)
+                factorize(spec, cache_dir=cache_dir)
 
     def no_solve(*args):
         raise AssertionError("zero solve after warm-up")
 
     monkeypatch.setattr(polyexp, "_zeros_mp", no_solve)
     records = run_benchmark(plan, cache_dir=cache_dir)
-    assert len(records) == 6 and all(math.isfinite(r.error) for r in records)
+    assert len(records) == len(plan.methods) * len(plan.h_grid)
+    assert all(math.isfinite(r.error) for r in records)
 
 
-def test_run_multiplies_only_sector_blocks_after_the_oracle(zeros_cache, monkeypatch):
-    # the L = 8 plan with both polynomial families: apart from the oracle's
-    # exponential, every product and every power acts on one magnetization
-    # sector block, the largest C(8, 4) = 70 wide
-    plan = BenchPlan(model=XxzConfig(L=8),
-                     methods=DEFAULT_METHODS + ("taylor:30", "chebyshev:40"))
+@pytest.mark.parametrize("methods, whole", [
+    (DEFAULT_METHODS + ("taylor:30",), []),
+    (DEFAULT_METHODS + ("taylor:30", "chebyshev:40"), [(256, 256)]),
+], ids=["no-chebyshev", "chebyshev"])
+def test_run_multiplies_only_sector_blocks_after_the_oracle(methods, whole, zeros_cache,
+                                                            monkeypatch):
+    # the L = 8 plan: every eigh, product, power and oracle exponential
+    # acts on one magnetization sector block, the largest C(8, 4) = 70
+    # wide, or on a 4x4 bond term; the one exception is the whole-matrix
+    # eigh whose eigenvalues give a Chebyshev method's Gamma
+    load_catalog()  # catalog validation diagonalizes its own test pairs
+    plan = BenchPlan(model=XxzConfig(L=8), methods=methods)
     shapes = []
-    oracle = []
-    matmul, matrix_power, eig_expm = np.matmul, np.linalg.matrix_power, bench._eig_expm
+    eighs = []
+    matmul, matrix_power, eigh = np.matmul, np.linalg.matrix_power, np.linalg.eigh
+    eig_expm = spinmodel._eig_expm
 
     def recording_matmul(a, b, *args, **kwargs):
-        if not oracle:
-            shapes.append(np.shape(a)[-2:] + np.shape(b)[-2:])
+        shapes.append(np.shape(a)[-2:] + np.shape(b)[-2:])
         return matmul(a, b, *args, **kwargs)
 
     def recording_power(a, n):
         shapes.append(np.shape(a))
         return matrix_power(a, n)
 
-    def marked_oracle(*args):
-        oracle.append(True)
-        try:
-            return eig_expm(*args)
-        finally:
-            oracle.pop()
+    def recording_eigh(a, *args, **kwargs):
+        eighs.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def recording_expm(w, v, z):
+        shapes.append(np.shape(v))
+        return eig_expm(w, v, z)
 
     monkeypatch.setattr(np, "matmul", recording_matmul)
     monkeypatch.setattr(np.linalg, "matrix_power", recording_power)
-    monkeypatch.setattr(bench, "_eig_expm", marked_oracle)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(spinmodel, "_eig_expm", recording_expm)
     records = run_benchmark(plan, cache_dir=zeros_cache)
-    assert len(records) == 6 * len(plan.h_grid)
+    assert len(records) == len(methods) * len(plan.h_grid)
     assert max(max(s) for s in shapes) == 70
-    # every cell powers its nine sector blocks
-    assert sum(len(s) == 2 for s in shapes) == 9 * len(records)
+    sectors = [(len(s), len(s)) for s in build_xxz(plan.model).sectors]
+    assert sorted(eighs) == sorted([(4, 4)] + sectors + whole)
+    # every cell powers its nine sector blocks, and the oracle is
+    # exponentiated on them once per distinct effective time
+    t_effs = {plan.steps_for(h) * h for h in plan.h_grid}
+    assert sum(len(s) == 2 for s in shapes) == 9 * (len(records) + len(t_effs))
 
 
-def test_every_cell_matches_a_sector_by_sector_reference(zeros_cache):
-    # the exact control, two schemes and all four polynomial modes on a
-    # periodic chain: each step is built and powered per sector block,
-    # scattered, and compared with the whole-matrix oracle
-    plan = BenchPlan(model=XxzConfig(L=6, boundary="periodic", delta=0.3),
-                     methods=("exact", "strang", "blanes-moan4", "taylor:30",
-                              "taylor:20:sum", "chebyshev:40", "chebyshev:24:sum"))
+@pytest.fixture
+def cell_blocks(monkeypatch):
+    """The blocks of every non-exact cell, in the order the sweep powers
+    them."""
+    cells = []
+    for name in ("power_step", "_evolved_blocks"):
+        real = getattr(bench, name)
+
+        def recording(*args, real=real, **kwargs):
+            cells.append(real(*args, **kwargs))
+            return cells[-1]
+
+        monkeypatch.setattr(bench, name, recording)
+    return cells
+
+
+@pytest.mark.parametrize("plan", [
+    BenchPlan(model=XxzConfig(L=6, boundary="periodic", delta=0.3),
+              methods=("exact", "strang", "blanes-moan4", "taylor:30",
+                       "taylor:20:sum", "chebyshev:40", "chebyshev:24:sum")),
+    BenchPlan(),
+], ids=["l6-periodic", "default"])
+def test_every_cell_matches_a_sector_by_sector_reference(plan, zeros_cache, cell_blocks):
+    # the reference builds each step whole (a scheme) or on each gathered
+    # sector block of H (a polynomial), powers it per sector block and
+    # scatters it: the sweep's blocks are bit for bit the reference's, and
+    # each error lies within the sweep benchmark's tolerance of the dense
+    # error against the whole-matrix oracle
     records = run_benchmark(plan, cache_dir=zeros_cache)
     split = build_xxz(plan.model)
     evals, evecs = np.linalg.eigh(split.total)
     gamma = suggest_gamma(split.total, eigvals=evals)
     gathered = [np.ix_(s, s) for s in split.sectors]
-    assert len(records) == 7 * len(plan.h_grid)
+    assert len(records) == len(plan.methods) * len(plan.h_grid)
+    blocks = iter(cell_blocks)
     for r in records:
         method = parse_method(r.method)
         exact = compose._eig_expm(evals, evecs, -1j * (r.steps * r.h))
-        u = np.zeros_like(exact)
         if method.kind == "exact":
-            u = exact
-        elif method.kind == "scheme":
+            assert r.error == 0.0
+            continue
+        u = np.zeros_like(exact)
+        if method.kind == "scheme":
             step = apply_multistage(split, to_multistage(method.scheme), r.h)
             for ix in gathered:
                 u[ix] = np.linalg.matrix_power(step[ix], r.steps)
@@ -360,7 +405,36 @@ def test_every_cell_matches_a_sector_by_sector_reference(zeros_cache):
                 else:
                     p = polyexp.eval_summed(g, eye, spec)
                 u[ix] = np.linalg.matrix_power(p, r.steps)
-        assert r.error == float(np.linalg.norm(u - exact)), (r.method, r.h)
+        got = next(blocks)
+        assert all(np.array_equal(b, u[ix]) for b, ix in zip(got, gathered, strict=True))
+        dense = float(np.linalg.norm(u - exact))
+        tol = 1e-8 * dense + r.steps * split.dim * np.finfo(float).eps
+        assert abs(r.error - dense) <= tol, (r.method, r.h, r.error, dense)
+    assert next(blocks, None) is None
+
+
+@pytest.mark.parametrize("model", [
+    XxzConfig(L=4), XxzConfig(L=7, boundary="periodic", delta=0.3, J=0.7),
+    XxzConfig(L=10), XxzConfig(L=10, boundary="periodic", delta=-0.7),
+], ids=["l4-open", "l7-periodic", "l10-open", "l10-periodic"])
+def test_blockwise_error_equals_the_dense_error_against_the_sector_oracle(
+        model, zeros_cache, cell_blocks):
+    # with the oracle held fixed (exact_evolution, the same sector eigh),
+    # the error summed over the sectors is the dense Frobenius norm of the
+    # scattered difference, up to the order of the sum
+    plan = BenchPlan(model=model, t_total=2.0, h_grid=(0.5, 0.25),
+                     methods=("exact", "strang", "blanes-moan4", "taylor:30"))
+    records = run_benchmark(plan, cache_dir=zeros_cache)
+    split = build_xxz(model)
+    blocks = iter(cell_blocks)
+    for r in records:
+        exact = exact_evolution(split.total, r.steps * r.h)
+        if r.method == "exact":
+            assert r.error == 0.0
+            continue
+        dense = float(np.linalg.norm(compose._scattered(split.sectors, next(blocks)) - exact))
+        assert abs(r.error - dense) <= 1e-13 * dense, (r.method, r.h, r.error, dense)
+    assert next(blocks, None) is None
 
 
 # ---------------------------------------------------------------------------

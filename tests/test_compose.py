@@ -2,6 +2,7 @@
 
 from functools import partial
 from math import comb
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -366,13 +367,13 @@ def test_sectors_are_the_oracle_blocks_of_the_total(monkeypatch, make):
     # another's entry, so the two are the same arrays
     split = make()
     seen = []
-    blockwise = spinmodel._blockwise
+    scattered = spinmodel._scattered
 
-    def recording(blocks, m, fn, *args):
+    def recording(blocks, values):
         seen.append(blocks)
-        return blockwise(blocks, m, fn, *args)
+        return scattered(blocks, values)
 
-    monkeypatch.setattr(spinmodel, "_blockwise", recording)
+    monkeypatch.setattr(spinmodel, "_scattered", recording)
     exact_evolution(split.total, 0.5)
     (blocks,) = seen
     assert len(blocks) == len(split.sectors)
@@ -482,6 +483,20 @@ def test_complex_terms_and_an_empty_part_equal_the_kernel_build_bit_for_bit():
     assert [p.dtype for p in want_parts] == [np.complex128, np.float64, np.complex128]
     assert not want_parts[1].any()
     assert_dense_views_are(make, want_parts, want_total)
+
+
+def test_a_cold_total_holds_one_part_beside_it_at_most():
+    # each part placed for the sum is dropped once it has been added, before
+    # the next is placed: the peak is the total and one part, not two
+    split = build_xxz(XxzConfig(L=10, boundary="periodic", delta=0.3))
+    tracemalloc.start()
+    try:
+        total = split.total
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total.shape == (1024, 1024) and "parts" not in vars(split)
+    assert peak <= 2 * total.nbytes + 2**20
 
 
 def test_dense_split_parts_are_its_validated_copies(monkeypatch):
