@@ -177,4 +177,19 @@ for n in (3, 4):
         print(f"{z.real:.17g} {z.imag:.17g}")
 PY
 record alternate-l6 python3 alternate-l6.py
+# no command fits an order with alternate reversal, so this public-API
+# snippet does: the Lie scheme's fitted order on seeded random splits of 2
+# and 3 parts, plain and alternately reversed
+cat >"$work/order-random.py" <<'PY'
+import trotterkit as tk
+from trotterkit.multistage import random_split
+
+ms = tk.to_multistage(tk.TwoStageScheme("lie", 1, a=[1, 0], b=[1], symmetric=False))
+for n in (2, 3):
+    split = random_split(n, 8, seed=7)
+    for alternate in (False, True):
+        slope = tk.multistage_order(split, ms, alternate_reversal=alternate)
+        print(f"lambda={n} alternate_reversal={alternate} slope={slope:.17g}")
+PY
+record order-random python3 order-random.py
 [ "$mismatches" = 0 ]

@@ -19,7 +19,7 @@ from .errors import GridUnusableError, NotFoundError, StructuralError, real_fiel
 from .multistage import to_multistage
 from .polyexp import SeriesSpec, eval_factorized, eval_summed, factorize, suggest_gamma
 from .schemes import get_scheme
-from .spinmodel import XxzConfig, _sector_oracle, build_xxz
+from .spinmodel import XxzConfig, _sector_distance, _sector_oracle, build_xxz
 from .tolerances import DEFAULT_KAPPA
 
 DEFAULT_METHODS = ("strang", "forest-ruth", "suzuki4", "blanes-moan4")
@@ -191,12 +191,12 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     sectors (`OperatorSplit.sectors`, the blocks of H's pattern), and
     nothing is scattered.  H's sector blocks are gathered once: the exact
     oracle (`spinmodel._sector_oracle`, as in `exact_evolution`)
-    diagonalizes each once and is exponentiated once per distinct
+    diagonalizes each once and keeps its exponential per distinct
     effective time, and a polynomial cell powers its step on each block.
     A scheme cell builds and powers its step's blocks on the packed
-    identity (`compose._evolved_blocks`).  Each error is
-    sqrt(sum_s |U_s - E_s|_F^2), the Frobenius norm of the difference,
-    which vanishes off the sectors.  Only a plan with a Chebyshev method
+    identity (`compose._evolved_blocks`).  Each error is the Frobenius
+    norm of the difference, sqrt(sum_s |U_s - E_s|_F^2), as in the order
+    fit (`spinmodel._sector_distance`).  Only a plan with a Chebyshev method
     diagonalizes the whole H: its eigenvalues give the Gamma that keys the
     zero cache, and sector eigenvalues can differ from them in the last
     bits.
@@ -208,15 +208,11 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
         gamma = suggest_gamma(split.total, eigvals=np.linalg.eigh(split.total)[0])
     h_blocks = [split.total[np.ix_(s, s)] for s in split.sectors]
     oracle = _sector_oracle(h_blocks)
-    exacts = {}
     records = []
     for method in methods:
         for h in plan.h_grid:
             steps = plan.steps_for(h)
-            t_eff = steps * h
-            exact = exacts.get(t_eff)
-            if exact is None:
-                exact = exacts[t_eff] = oracle(-1j * t_eff)
+            exact = oracle(-1j * steps * h)
             begin = time.perf_counter()
             if method.kind == "exact":
                 u = exact
@@ -233,7 +229,7 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
                     h=h,
                     steps=steps,
                     cost=method.q_effective(plan.kappa) * steps / plan.t_total,
-                    error=math.hypot(*(np.linalg.norm(a - b) for a, b in zip(u, exact))),
+                    error=_sector_distance(u, exact),
                     wall_time=wall,
                 )
             )

@@ -43,8 +43,9 @@ kernel, and sector s's block of the step is rows s, columns 0..n_s-1
 L = 8, sum n_s^3 = 0.74M multiply-adds per product against 16.8M for the
 whole matrix), `_evolved_blocks` adds the alternate-reversal pair and the
 odd step, and `compose` and `evolve_sequence` scatter the blocks once
-into a zero matrix (`_scattered`).  The bench keeps every cell as its
-blocks and compares them with the exact oracle's, so it scatters nothing.
+into a zero matrix (`_scattered`).  The bench and the order fit keep
+their operators as blocks and compare them with the exact oracle's, so
+they scatter nothing.
 A split with one sector packs nothing: its packed identity is the
 identity.
 """

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .compose import (
     OperatorSplit,
     compose,
@@ -30,8 +28,8 @@ from .compose import (
     merge_factors,
 )
 from .errors import ConsistencyError, StructuralError, integer_field
-from .schemes import _fit_order, _require_consistent, random_hermitian
-from .tolerances import CONSISTENCY_TOL, DEFAULT_SEED
+from .schemes import _fit_order, _require_consistent, random_split  # noqa: F401 (cli, tests)
+from .tolerances import CONSISTENCY_TOL
 
 __all__ = [
     "MultiStageScheme",
@@ -151,25 +149,12 @@ def evolve(split, ms, h, steps, alternate_reversal=False, direction="forward"):
                            direction, alternate_reversal)
 
 
-def multistage_order(
-    split,
-    ms,
-    h_grid=None,
-    *,
-    t_total=1.0,
-    direction="forward",
-    alternate_reversal=False,
-):
+def multistage_order(split, ms, *, alternate_reversal=False):
     """Fitted log-log slope of the Lambda-stage decomposition error.
 
-    Error is the Frobenius distance to the exact exponential of the summed
-    operator after t/h steps; plateau points are excluded by the fit.
+    The error is the Frobenius distance to the exact exponential of the
+    summed operator at t = 1, after round(1/h) steps for h = 2^-2 .. 2^-6
+    (`schemes._fit_order`); plateau points are excluded by the fit.
     """
-    return _fit_order(split, ms.factor_sequence(split.n_parts), h_grid, t_total,
-                      direction, alternate_reversal)
-
-
-def random_split(n_parts, dim, *, seed=DEFAULT_SEED):
-    """Seeded random Hermitian split for order checks and tests."""
-    rng = np.random.default_rng(seed)
-    return OperatorSplit(tuple(random_hermitian(rng, dim) for _ in range(n_parts)))
+    return _fit_order(split, ms.factor_sequence(split.n_parts),
+                      alternate_reversal=alternate_reversal)

@@ -27,15 +27,16 @@ from importlib import resources
 
 import numpy as np
 
-from .compose import OperatorSplit, evolve_sequence, merge_factors
+from .compose import OperatorSplit, _evolved_blocks, merge_factors
 from .errors import (
     ConsistencyError,
     GridUnusableError,
     NotFoundError,
     StructuralError,
     integer_field,
+    real_field,
 )
-from .spinmodel import exact_evolution
+from .spinmodel import _sector_distance, _sector_oracle
 from .tolerances import (
     CATALOG_ORDER_SLOPE_TOL,
     CONSISTENCY_TOL,
@@ -200,6 +201,16 @@ def random_hermitian(rng, dim):
     return m / max(abs(w[0]), abs(w[-1]))
 
 
+def random_split(n_parts, dim, *, seed=DEFAULT_SEED):
+    """Seeded random Hermitian split for order checks and tests: n_parts
+    `random_hermitian` draws from one generator.  seed is an integer >= 0."""
+    seed = integer_field(seed, "seed")
+    if seed < 0:
+        raise StructuralError(f"'seed' must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
+    return OperatorSplit(tuple(random_hermitian(rng, dim) for _ in range(n_parts)))
+
+
 # ---------------------------------------------------------------------------
 # exact error coefficients in the truncated free algebra on Lambda letters
 #
@@ -359,45 +370,33 @@ def fit_loglog_slope(h_values, errors, plateau=PLATEAU_ERROR):
     return float(np.polyfit(np.log(np.asarray(hs)), np.log(np.asarray(es)), 1)[0])
 
 
-def _fit_order(split, sequence, h_grid=None, t_total=1.0, direction="forward",
-               alternate_reversal=False):
-    """Log-log slope of the Frobenius distance between `sequence` composed
-    over t/h steps and the exact oracle of the summed operator
-    (`spinmodel.exact_evolution`), computed once per distinct steps * h."""
+def _fit_order(split, sequence, h_grid=None, alternate_reversal=False):
+    """Log-log slope over h_grid of the error of `sequence` composed over
+    round(1/h) steps against e^{-i H steps h}, H the summed operator.  As in
+    the bench, both stay blocks over `split.sectors`: `_evolved_blocks`
+    against the exact oracle on H's gathered blocks (`_sector_oracle`, one
+    exponential per distinct steps * h), by `_sector_distance`."""
     if h_grid is None:
         h_grid = [2.0 ** (-j) for j in range(2, 7)]
-    oracles = {}
+    oracle = _sector_oracle([split.total[np.ix_(s, s)] for s in split.sectors])
     errors = []
     for h in h_grid:
-        steps = max(1, round(t_total / h))
-        t_eff = steps * h
-        if t_eff not in oracles:
-            oracles[t_eff] = exact_evolution(split.total, t_eff, direction)
-        u = evolve_sequence(split, sequence, h, steps, direction, alternate_reversal)
-        errors.append(float(np.linalg.norm(u - oracles[t_eff])))
+        steps = max(1, round(1.0 / h))
+        u = _evolved_blocks(split, sequence, h, steps, alternate_reversal=alternate_reversal)
+        errors.append(_sector_distance(u, oracle(-1j * steps * h)))
     return fit_loglog_slope(h_grid, errors)
 
 
-def empirical_order(
-    scheme,
-    dim=8,
-    h_grid=None,
-    *,
-    seed=DEFAULT_SEED,
-    t_total=1.0,
-):
-    """Fitted log-log order of a scheme on a random Hermitian pair.
+def empirical_order(scheme, dim=8, h_grid=None, *, seed=DEFAULT_SEED):
+    """Fitted log-log order of a scheme on `random_split(2, dim, seed=seed)`.
 
-    Fixed total time; error is the Frobenius distance between the composed
-    scheme over t/h steps and the exact exponential.  Points below the
-    round-off plateau are excluded from the fit.
+    Total time 1; the error is the Frobenius distance between the scheme
+    composed over round(1/h) steps and the exact exponential (`_fit_order`).
+    Points below the round-off plateau are excluded from the fit.
     """
     if h_grid is not None and len(h_grid) < 4:
         raise GridUnusableError("h_grid needs at least 4 points")
-    rng = np.random.default_rng(seed)
-    a = random_hermitian(rng, dim)
-    b = random_hermitian(rng, dim)
-    return _fit_order(OperatorSplit((a, b)), scheme.factor_sequence(), h_grid, t_total)
+    return _fit_order(random_split(2, dim, seed=seed), scheme.factor_sequence(), h_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +420,13 @@ _catalog_cache = {}
 
 
 def _scheme_from_record(rec):
-    """A catalog record's TwoStageScheme, its [re, im] pairs made complex."""
+    """A catalog record's TwoStageScheme, its [re, im] number pairs made complex."""
     try:
         return TwoStageScheme(
             name=rec["name"],
             order_n=rec["order"],
-            a=[complex(re, im) for re, im in rec["a"]],
-            b=[complex(re, im) for re, im in rec["b"]],
+            a=[complex(real_field(re, "a"), real_field(im, "a")) for re, im in rec["a"]],
+            b=[complex(real_field(re, "b"), real_field(im, "b")) for re, im in rec["b"]],
             symmetric=rec["symmetric"],
             source=rec.get("source", ""),
         )
@@ -436,7 +435,8 @@ def _scheme_from_record(rec):
 
 
 def load_catalog(path=None, *, validate=True):
-    """Load the scheme catalog, gate-keeping every entry.
+    """Load the scheme catalog, a JSON list of records with distinct names,
+    gate-keeping every entry.
 
     Each entry must pass `_scheme_gate` (consistency, the symmetry claim,
     and an empirical-order fit within +-0.5 of its declared order), so
@@ -462,10 +462,14 @@ def load_catalog(path=None, *, validate=True):
         records = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"catalog is not valid JSON: {exc}") from exc
+    if not isinstance(records, list):
+        raise StructuralError(f"catalog must be a JSON list, got {type(records).__name__}")
 
     catalog = {}
     for rec in records:
         scheme = _scheme_from_record(rec)
+        if scheme.name in catalog:
+            raise StructuralError(f"catalog names scheme {scheme.name!r} twice")
         if validate:
             report, slope, ok = _scheme_gate(scheme)
             if math.isnan(slope):

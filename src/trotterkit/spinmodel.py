@@ -11,12 +11,15 @@ dense cap (L > 12) is split but refused at its first dense access.  The
 chain is real in the computational basis, so the bond term, the parts and
 the total are float64, and the exact oracle diagonalizes H in real
 arithmetic, one magnetization sector at a time: H conserves the number of
-up spins, so its blocks are of size C(L, m).  `exact_evolution` and the
-bench share the oracle's one implementation, `_sector_oracle`.
+up spins, so its blocks are of size C(L, m).  `exact_evolution`, the bench
+and the order fit share one oracle, `_sector_oracle`, and the last two one
+error on blocks, `_sector_distance`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,10 +137,10 @@ def exact_evolution(h_matrix, t, direction="forward"):
     C(L, m), so the L = 10 chain costs sum n_s^3 = 38M multiply-adds to
     diagonalize against 1,074M for the whole matrix.  Each block is
     V diag(e^{pref * lambda * t}) V^dagger from its own eigh, written into a
-    zero complex matrix (`_sector_oracle`, the bench's oracle too).  The
-    search is the one behind `split.sectors`, over H's entries instead of
-    the terms', so for the XXZ chain the blocks are its `sectors`.  H must
-    be finite and Hermitian, and t finite.
+    zero complex matrix (`_sector_oracle`, the bench's and the order fit's
+    oracle too).  The search is the one behind `split.sectors`, over H's
+    entries instead of the terms', so for the XXZ chain the blocks are its
+    `sectors`.  H must be finite and Hermitian, and t finite.
     """
     h = _hermitian(h_matrix, "H")
     if not np.isfinite(t):
@@ -150,9 +153,16 @@ def exact_evolution(h_matrix, t, direction="forward"):
 def _sector_oracle(blocks):
     """The exact oracle on invariant blocks of H: one eigh per Hermitian
     block, taken here, and a function of z that returns each block's
-    e^{z b} = V diag(e^{z lambda}) V^dagger (`_eig_expm`), in block order."""
+    e^{z b} = V diag(e^{z lambda}) V^dagger (`_eig_expm`), in block order,
+    once per distinct z: the lists it returns are cached, not to be modified."""
     eigensystems = [np.linalg.eigh(b) for b in blocks]
-    return lambda z: [_eig_expm(w, v, z) for w, v in eigensystems]
+    return functools.cache(lambda z: [_eig_expm(w, v, z) for w, v in eigensystems])
+
+
+def _sector_distance(u, e):
+    """sqrt(sum_s |u_s - e_s|_F^2): the Frobenius distance of two matrices
+    held as their blocks over the same sectors, zero off them."""
+    return math.hypot(*(np.linalg.norm(a - b) for a, b in zip(u, e)))
 
 
 def frobenius_error(u_approx, u_exact, *, t=0.0, method=""):

@@ -174,6 +174,16 @@ def test_adapt_check_reports_slope(capsys):
     assert 3.7 <= float(fields["slope"]) <= 4.3
 
 
+@pytest.mark.parametrize("argv", [
+    ("schemes", "validate", "strang"),
+    ("adapt", "strang", "--check"),
+])
+def test_negative_seed_is_one_structural_error(capsys, argv):
+    rc, out, err = run_cli(capsys, "--seed", "-1", *argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:structural:") and "'seed'" in err and err.count("\n") == 1
+
+
 def test_adapt_unknown_scheme(capsys):
     rc, out, err = run_cli(capsys, "adapt", "no-such-scheme")
     assert rc == 1

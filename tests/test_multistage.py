@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
+from trotterkit import schemes
+from trotterkit.compose import evolve_sequence
 from trotterkit.errors import ConsistencyError, DimensionError, StructuralError
 from trotterkit.multistage import (
     MultiStageScheme,
@@ -21,7 +23,7 @@ from trotterkit.multistage import (
     to_multistage,
 )
 from trotterkit.schemes import TwoStageScheme, get_scheme, load_catalog, random_hermitian
-from trotterkit.spinmodel import XxzConfig, build_xxz
+from trotterkit.spinmodel import XxzConfig, build_xxz, exact_evolution
 
 THETA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 
@@ -145,6 +147,61 @@ def test_alternate_reversal_elevates_lie_to_order_two():
     elevated = multistage_order(split, ms, alternate_reversal=True)
     assert plain == pytest.approx(1.0, abs=0.3)
     assert elevated == pytest.approx(2.0, abs=0.3)
+
+
+def _fit_errors(monkeypatch, split, ms, alternate_reversal):
+    """The errors `multistage_order` passes to the slope fit."""
+    captured = []
+    fit = schemes.fit_loglog_slope
+
+    def capturing(h_values, errors):
+        captured.append(list(errors))
+        return fit(h_values, errors)
+
+    monkeypatch.setattr(schemes, "fit_loglog_slope", capturing)
+    multistage_order(split, ms, alternate_reversal=alternate_reversal)
+    return captured[0]
+
+
+def _dense_errors(split, ms, alternate_reversal):
+    """The slow path: each fit point scattered into a dense matrix and
+    measured against the dense oracle by one whole-matrix norm."""
+    sequence = ms.factor_sequence(split.n_parts)
+    errors = []
+    for h in (2.0 ** -j for j in range(2, 7)):
+        steps = max(1, round(1.0 / h))
+        u = evolve_sequence(split, sequence, h, steps, alternate_reversal=alternate_reversal)
+        errors.append(float(np.linalg.norm(u - exact_evolution(split.total, steps * h))))
+    return errors
+
+
+@pytest.mark.parametrize("n_parts", [2, 3])
+@pytest.mark.parametrize("alternate_reversal", [False, True])
+def test_order_fit_errors_equal_the_dense_errors_on_random_splits(
+        monkeypatch, n_parts, alternate_reversal):
+    # one sector: the gathered block is the whole matrix, bit for bit
+    split = random_split(n_parts, 8, seed=7)
+    for scheme in [LIE, *load_catalog().values()]:
+        ms = to_multistage(scheme)
+        assert (_fit_errors(monkeypatch, split, ms, alternate_reversal)
+                == _dense_errors(split, ms, alternate_reversal))
+
+
+@pytest.mark.parametrize("cfg", [
+    XxzConfig(L=6),
+    XxzConfig(L=6, delta=0.3, J=0.7),
+    XxzConfig(L=7, boundary="periodic", delta=0.3, J=0.7),
+], ids=["l6", "l6-delta0.3", "l7-periodic"])
+def test_order_fit_errors_match_the_dense_errors_on_the_chain(monkeypatch, cfg):
+    # per-sector norms summed in quadrature differ from one dense norm
+    # only in rounding
+    split = build_xxz(cfg)
+    for scheme in [LIE, *load_catalog().values()]:
+        ms = to_multistage(scheme)
+        for alternate_reversal in (False, True):
+            got = _fit_errors(monkeypatch, split, ms, alternate_reversal)
+            want = _dense_errors(split, ms, alternate_reversal)
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_reversal_is_identity_for_symmetric_schemes():

@@ -9,14 +9,14 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, strategies as st
 
-from trotterkit import schemes
+from trotterkit import compose, schemes, spinmodel
 from trotterkit.errors import (
     ConsistencyError,
     GridUnusableError,
     NotFoundError,
     StructuralError,
 )
-from trotterkit.multistage import to_multistage
+from trotterkit.multistage import multistage_order, to_multistage
 from trotterkit.schemes import (
     _BASIS_GRADES,
     TwoStageScheme,
@@ -29,8 +29,10 @@ from trotterkit.schemes import (
     get_scheme,
     load_catalog,
     random_hermitian,
+    random_split,
     validate_consistency,
 )
+from trotterkit.spinmodel import XxzConfig, build_xxz
 
 # A first-order asymmetric scheme and the plain Lie splitting e^{Ah} e^{Bh}.
 ASYM = TwoStageScheme(name="asym", order_n=1, a=(0.2, 0.8, 0.0), b=(0.6, 0.4), symmetric=False)
@@ -131,6 +133,8 @@ def test_catalog_refuses_an_inconsistent_entry(tmp_path):
     ({"order": 2.7}, "'order_n'"),
     ({"symmetric": "false"}, "'symmetric'"),
     ({"name": 5}, "'name'"),
+    ({"b": [[True, 0.0]]}, "'b'"),
+    ({"a": [[0.5, 0.0], [0.5, None]]}, "'a'"),
 ])
 def test_catalog_refuses_a_record_field_of_the_wrong_type(tmp_path, changes, field):
     path = _write_catalog(tmp_path / "cat.json", _strang_record(**changes))
@@ -145,6 +149,21 @@ def test_catalog_file_missing_or_not_json(tmp_path):
     path.write_text("[{")
     with pytest.raises(StructuralError, match="not valid JSON"):
         load_catalog(str(path))
+
+
+@pytest.mark.parametrize("text, kind", [("5", "int"), ("null", "NoneType"), ("{}", "dict")])
+def test_catalog_that_is_not_a_list_is_refused(tmp_path, text, kind):
+    path = tmp_path / "cat.json"
+    path.write_text(text)
+    with pytest.raises(StructuralError, match=f"must be a JSON list, got {kind}"):
+        load_catalog(str(path))
+
+
+def test_catalog_naming_a_scheme_twice_is_refused(tmp_path):
+    path = _write_catalog(tmp_path / "cat.json", _strang_record(),
+                          _strang_record(source="a second strang"))
+    with pytest.raises(StructuralError, match="'strang' twice"):
+        load_catalog(path)
 
 
 def test_catalog_is_cached_until_its_file_changes(tmp_path):
@@ -411,20 +430,64 @@ def test_empirical_orders_of_catalog_entries():
 
 
 def test_order_fit_runs_the_oracle_once_per_time(monkeypatch):
-    times = []
-    oracle = schemes.exact_evolution
+    # a random split is one sector, so the oracle exponentiates one block
+    # per distinct steps * h
+    strang = get_scheme("strang")
+    zs = []
+    expm = spinmodel._eig_expm
 
-    def recording(h_matrix, t, direction="forward"):
-        times.append(t)
-        return oracle(h_matrix, t, direction)
+    def recording(w, v, z):
+        zs.append(z)
+        return expm(w, v, z)
 
-    monkeypatch.setattr(schemes, "exact_evolution", recording)
-    empirical_order(get_scheme("strang"))  # h = 2^-j: steps * h = 1 every time
-    assert times == [1.0]
-    times.clear()
+    monkeypatch.setattr(spinmodel, "_eig_expm", recording)
+    empirical_order(strang)  # h = 2^-j: steps * h = 1 every time
+    assert zs == [-1j * 1.0]
+    zs.clear()
     grid = [0.3, 0.2, 0.15, 0.1]  # steps * h: 0.3 * 3, 1, 0.15 * 7, 1
-    empirical_order(get_scheme("strang"), h_grid=grid)
-    assert times == [0.3 * 3, 1.0, 0.15 * 7]
+    empirical_order(strang, h_grid=grid)
+    assert zs == [-1j * t for t in (0.3 * 3, 1.0, 0.15 * 7)]
+
+
+def test_order_fit_scatters_nothing(monkeypatch):
+    assert not hasattr(schemes, "exact_evolution") and not hasattr(schemes, "evolve_sequence")
+    calls = []
+    scattered = compose._scattered
+
+    def counting(sectors, blocks):
+        calls.append(len(sectors))
+        return scattered(sectors, blocks)
+
+    for module in (compose, spinmodel):
+        monkeypatch.setattr(module, "_scattered", counting)
+    monkeypatch.setattr(schemes, "_catalog_cache", {})
+    load_catalog()
+    multistage_order(build_xxz(XxzConfig(L=6)), to_multistage(get_scheme("suzuki4")))
+    assert calls == []
+
+
+def test_negative_or_boolean_seed_is_refused():
+    with pytest.raises(StructuralError, match="'seed' must be >= 0, got -1"):
+        random_split(2, 8, seed=-1)
+    with pytest.raises(StructuralError, match="'seed' must be an integer"):
+        empirical_order(get_scheme("strang"), seed=True)
+
+
+def test_empirical_order_fits_on_the_seeded_random_pair(monkeypatch):
+    splits = []
+    fit = schemes._fit_order
+
+    def recording(split, *args, **kwargs):
+        splits.append(split)
+        return fit(split, *args, **kwargs)
+
+    monkeypatch.setattr(schemes, "_fit_order", recording)
+    empirical_order(get_scheme("strang"), dim=6, seed=11)
+    rng = np.random.default_rng(11)
+    a = random_hermitian(rng, 6)
+    b = random_hermitian(rng, 6)
+    assert len(splits[0].parts) == 2
+    assert all(np.array_equal(p, q) for p, q in zip(splits[0].parts, (a, b)))
 
 
 def test_inconsistent_scheme_has_no_order():
