@@ -281,23 +281,25 @@ def emit_records(records, path, *, plan=None, plot_path=None):
 # matched-cost comparison (log-log interpolation between grid points)
 
 
-def matched_cost_errors(records, methods=None):
+def matched_cost_errors(records):
     """Errors interpolated to common cost values.
 
     Returns (costs, {method: [error, ...]}) sampled at every grid cost lying
-    inside all requested methods' cost ranges; interpolation is log-log
-    linear, so power-law segments are interpolated exactly.  Records with
-    nonpositive cost (the exact control) are ignored.
+    inside all methods' cost ranges; interpolation is log-log linear, so
+    power-law segments are interpolated exactly.  Records with nonpositive
+    cost (the exact control) are ignored; every other method needs two
+    costs at least.
     """
     by_method = {}
     for r in records:
         if r.cost > 0:
             by_method.setdefault(r.method, {})[r.cost] = r.error
-    if methods is None:
-        methods = sorted(by_method)
+    if not by_method:
+        raise NotFoundError("need >= 2 costed records for some method, got none")
+    methods = sorted(by_method)
     series = {}
     for name in methods:
-        if name not in by_method or len(by_method[name]) < 2:
+        if len(by_method[name]) < 2:
             raise NotFoundError(f"need >= 2 costed records for method {name!r}")
         pts = sorted(by_method[name].items())
         log_c = np.log([c for c, _ in pts])

@@ -431,6 +431,7 @@ def _evolved_blocks(split, sequence, h, steps, direction="forward",
     block by block.  A palindromic sequence reuses the step itself, so its
     result is bit-identical to the non-alternating one.
     """
+    steps = integer_field(steps, "steps")
     if steps < 1:
         raise StructuralError(f"steps must be >= 1, got {steps}")
     step = _step_blocks(split, sequence, h, direction)

@@ -4,6 +4,7 @@ Every error carries a short machine-readable category that the CLI
 prints as ``error:<category>: message`` on stderr.
 """
 
+import cmath
 import numbers
 
 
@@ -78,6 +79,19 @@ def real_field(value, name):
         return float(value)
     except OverflowError:
         raise StructuralError(f"{name!r} must be finite, got {value!r}") from None
+
+
+def complex_field(value, name):
+    """value as a finite complex, or a StructuralError naming the field (bools refused)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise StructuralError(f"{name!r} must be a number, got {value!r}")
+    try:
+        z = complex(value)
+        if cmath.isfinite(z):
+            return z
+    except OverflowError:
+        pass
+    raise StructuralError(f"{name!r} must be finite, got {value!r}")
 
 
 def integer_field(value, name):

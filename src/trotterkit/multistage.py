@@ -27,7 +27,7 @@ from .compose import (
     evolve_sequence,
     merge_factors,
 )
-from .errors import ConsistencyError, StructuralError, integer_field
+from .errors import ConsistencyError, StructuralError, complex_field, integer_field
 from .schemes import _fit_order, _require_consistent, random_split  # noqa: F401 (cli, tests)
 from .tolerances import CONSISTENCY_TOL
 
@@ -52,7 +52,6 @@ class MultiStageScheme:
     order_n: int
     c: tuple
     d: tuple
-    source_scheme: str = ""
 
     def __post_init__(self):
         if not isinstance(self.name, str):
@@ -60,8 +59,8 @@ class MultiStageScheme:
         object.__setattr__(self, "order_n", integer_field(self.order_n, "order_n"))
         if self.order_n < 1:
             raise StructuralError(f"multistage scheme {self.name!r}: order_n must be >= 1")
-        object.__setattr__(self, "c", tuple(complex(x) for x in self.c))
-        object.__setattr__(self, "d", tuple(complex(x) for x in self.d))
+        object.__setattr__(self, "c", tuple(complex_field(x, "c") for x in self.c))
+        object.__setattr__(self, "d", tuple(complex_field(x, "d") for x in self.d))
         if len(self.c) != len(self.d) or not self.c:
             raise StructuralError(
                 f"multistage scheme {self.name!r}: need len(c) = len(d) >= 1"
@@ -108,7 +107,6 @@ def to_multistage(scheme):
         order_n=scheme.order_n,
         c=tuple(c),
         d=tuple(d),
-        source_scheme=scheme.name,
     )
 
 
@@ -153,7 +151,7 @@ def multistage_order(split, ms, *, alternate_reversal=False):
     """Fitted log-log slope of the Lambda-stage decomposition error.
 
     The error is the Frobenius distance to the exact exponential of the
-    summed operator at t = 1, after round(1/h) steps for h = 2^-2 .. 2^-6
+    summed operator at t = 1, after 1/h steps for h = 2^-2 .. 2^-6
     (`schemes._fit_order`); plateau points are excluded by the fit.
     """
     return _fit_order(split, ms.factor_sequence(split.n_parts),

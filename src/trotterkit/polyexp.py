@@ -182,7 +182,7 @@ def bessel(kind, order, x):
     if not isinstance(order, (int, np.integer)) or order < 0:
         raise RangeError(f"order must be a non-negative integer, got {order!r}")
     x = float(x)
-    if x < 0:
+    if not x >= 0:  # nan too
         raise RangeError(f"x must be >= 0, got {x}")
     if x > BESSEL_X_MAX:
         raise RangeError(f"x = {x} beyond supported range (<= {BESSEL_X_MAX:g})")
@@ -198,10 +198,13 @@ def bessel(kind, order, x):
 
 
 def taylor_cutoff(lambda_max, h, epsilon):
-    """Smallest k with (lambda_max*h)^k / (k+1)! < epsilon."""
-    if lambda_max < 0 or h <= 0 or not (0 < epsilon < 1):
-        raise RangeError("need lambda_max >= 0, h > 0, 0 < epsilon < 1")
+    """Smallest k with (lambda_max*h)^k / (k+1)! < epsilon; lambda_max,
+    h and their product finite."""
+    if not (0 <= lambda_max < math.inf and 0 < h < math.inf and 0 < epsilon < 1):
+        raise RangeError("need finite lambda_max >= 0 and h > 0, 0 < epsilon < 1")
     lh = lambda_max * h
+    if lh == math.inf:
+        raise RangeError(f"lambda_max * h overflows: {lambda_max!r} * {h!r}")
     if lh == 0:
         return 1
     log_lh = math.log(lh)
@@ -244,9 +247,10 @@ def chebyshev_coefficients(spec):
 
 
 def chebyshev_admissible_k(gamma_h, axis, epsilon):
-    """Smallest k with |mu_{k+1}| < epsilon (series tail suppressed)."""
-    if gamma_h < 0 or not (0 < epsilon < 1):
-        raise RangeError("need gamma_h >= 0, 0 < epsilon < 1")
+    """Smallest k with |mu_{k+1}| < epsilon (series tail suppressed), for
+    gamma_h in [0, BESSEL_X_MAX]."""
+    if not (0 <= gamma_h <= BESSEL_X_MAX and 0 < epsilon < 1):
+        raise RangeError(f"need 0 <= gamma_h <= {BESSEL_X_MAX:g}, 0 < epsilon < 1")
     if axis not in ("real", "imaginary"):
         raise StructuralError(f"axis must be 'real' or 'imaginary', got {axis!r}")
     if gamma_h == 0:

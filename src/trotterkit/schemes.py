@@ -33,6 +33,7 @@ from .errors import (
     GridUnusableError,
     NotFoundError,
     StructuralError,
+    complex_field,
     integer_field,
     real_field,
 )
@@ -77,8 +78,8 @@ class TwoStageScheme:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise StructuralError(f"'name' must be a string, got {self.name!r}")
-        object.__setattr__(self, "a", tuple(complex(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(complex(x) for x in self.b))
+        object.__setattr__(self, "a", tuple(complex_field(x, "a") for x in self.a))
+        object.__setattr__(self, "b", tuple(complex_field(x, "b") for x in self.b))
         if len(self.a) != len(self.b) + 1 or len(self.b) < 1:
             raise StructuralError(
                 f"scheme {self.name!r}: need len(a) = len(b) + 1 >= 2, "
@@ -119,7 +120,6 @@ class ValidationReport:
     ok: bool
     a_residual: float
     b_residual: float
-    symmetric_claimed: bool
     symmetry_ok: bool
     symmetry_residual: float
 
@@ -171,7 +171,6 @@ def validate_consistency(scheme):
         ok=(a_res < CONSISTENCY_TOL and b_res < CONSISTENCY_TOL),
         a_residual=a_res,
         b_residual=b_res,
-        symmetric_claimed=scheme.symmetric,
         symmetry_ok=(sym_res < SYMMETRY_TOL),
         symmetry_residual=sym_res,
     )
@@ -203,7 +202,12 @@ def random_hermitian(rng, dim):
 
 def random_split(n_parts, dim, *, seed=DEFAULT_SEED):
     """Seeded random Hermitian split for order checks and tests: n_parts
-    `random_hermitian` draws from one generator.  seed is an integer >= 0."""
+    `random_hermitian` draws of size dim, both integers >= 1, from one
+    generator.  seed is an integer >= 0."""
+    n_parts = integer_field(n_parts, "n_parts")
+    dim = integer_field(dim, "dim")
+    if dim < 1:
+        raise StructuralError(f"'dim' must be >= 1, got {dim}")
     seed = integer_field(seed, "seed")
     if seed < 0:
         raise StructuralError(f"'seed' must be >= 0, got {seed}")
@@ -356,11 +360,11 @@ def efficiency(scheme, *, coeffs=None):
 # empirical order fit (double precision)
 
 
-def fit_loglog_slope(h_values, errors, plateau=PLATEAU_ERROR):
-    """Least-squares slope of log(error) vs log(h), plateau points excluded."""
+def fit_loglog_slope(h_values, errors):
+    """Least-squares slope of log(error) vs log(h), points <= PLATEAU_ERROR excluded."""
     hs, es = [], []
     for h, e in zip(h_values, errors):
-        if e > plateau:
+        if e > PLATEAU_ERROR:
             hs.append(h)
             es.append(e)
     if len(hs) < 3:
@@ -370,33 +374,33 @@ def fit_loglog_slope(h_values, errors, plateau=PLATEAU_ERROR):
     return float(np.polyfit(np.log(np.asarray(hs)), np.log(np.asarray(es)), 1)[0])
 
 
-def _fit_order(split, sequence, h_grid=None, alternate_reversal=False):
-    """Log-log slope over h_grid of the error of `sequence` composed over
-    round(1/h) steps against e^{-i H steps h}, H the summed operator.  As in
-    the bench, both stay blocks over `split.sectors`: `_evolved_blocks`
-    against the exact oracle on H's gathered blocks (`_sector_oracle`, one
-    exponential per distinct steps * h), by `_sector_distance`."""
-    if h_grid is None:
-        h_grid = [2.0 ** (-j) for j in range(2, 7)]
+_FIT_H_GRID = tuple(2.0 ** (-j) for j in range(2, 7))
+
+
+def _fit_order(split, sequence, alternate_reversal=False):
+    """Log-log slope over h = 2^-2 .. 2^-6 (_FIT_H_GRID) of the error of
+    `sequence` composed over 1/h steps against e^{-i H}, H the summed
+    operator.  As in the bench, both stay blocks over `split.sectors`:
+    `_evolved_blocks` against the exact oracle on H's gathered blocks
+    (`_sector_oracle`, whose one exponential serves every h), by
+    `_sector_distance`."""
     oracle = _sector_oracle([split.total[np.ix_(s, s)] for s in split.sectors])
     errors = []
-    for h in h_grid:
-        steps = max(1, round(1.0 / h))
+    for h in _FIT_H_GRID:
+        steps = round(1.0 / h)
         u = _evolved_blocks(split, sequence, h, steps, alternate_reversal=alternate_reversal)
         errors.append(_sector_distance(u, oracle(-1j * steps * h)))
-    return fit_loglog_slope(h_grid, errors)
+    return fit_loglog_slope(_FIT_H_GRID, errors)
 
 
-def empirical_order(scheme, dim=8, h_grid=None, *, seed=DEFAULT_SEED):
-    """Fitted log-log order of a scheme on `random_split(2, dim, seed=seed)`.
+def empirical_order(scheme, *, seed=DEFAULT_SEED):
+    """Fitted log-log order of a scheme on `random_split(2, 8, seed=seed)`.
 
     Total time 1; the error is the Frobenius distance between the scheme
-    composed over round(1/h) steps and the exact exponential (`_fit_order`).
+    composed over 1/h steps and the exact exponential (`_fit_order`).
     Points below the round-off plateau are excluded from the fit.
     """
-    if h_grid is not None and len(h_grid) < 4:
-        raise GridUnusableError("h_grid needs at least 4 points")
-    return _fit_order(random_split(2, dim, seed=seed), scheme.factor_sequence(), h_grid)
+    return _fit_order(random_split(2, 8, seed=seed), scheme.factor_sequence())
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,6 @@ class XxzConfig:
 @dataclass(frozen=True)
 class EvolutionError:
     value: float
-    t: float = 0.0
-    method: str = ""
 
 
 def bond_coloring(cfg):
@@ -165,12 +163,13 @@ def _sector_distance(u, e):
     return math.hypot(*(np.linalg.norm(a - b) for a, b in zip(u, e)))
 
 
-def frobenius_error(u_approx, u_exact, *, t=0.0, method=""):
+def frobenius_error(u_approx, u_exact):
+    """The Frobenius norm of u_approx - u_exact, two arrays of one shape."""
     a = np.asarray(u_approx)
     b = np.asarray(u_exact)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return EvolutionError(value=float(np.linalg.norm(a - b)), t=t, method=method)
+    return EvolutionError(value=float(np.linalg.norm(a - b)))
 
 
 def xxz_spectrum(cfg):

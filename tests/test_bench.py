@@ -522,10 +522,11 @@ def test_matched_cost_requires_overlap_and_presence():
     apart = synthetic("a", [1, 2], lambda c: 1.0) + synthetic("b", [10, 20], lambda c: 1.0)
     with pytest.raises(GridUnusableError):
         matched_cost_errors(apart)
-    with pytest.raises(NotFoundError):
-        matched_cost_errors(synthetic("a", [1, 2], lambda c: 1.0), methods=["a", "missing"])
     with pytest.raises(NotFoundError):  # a single point is not a curve
-        matched_cost_errors(synthetic("a", [1], lambda c: 1.0), methods=["a"])
+        matched_cost_errors(synthetic("a", [1], lambda c: 1.0))
+    with pytest.raises(NotFoundError):  # the exact control alone has no cost
+        matched_cost_errors([BenchmarkRecord(method="exact", h=0.5, steps=4, cost=0.0,
+                                             error=0.0)])
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,18 @@ def test_multistage_constructor_validates():
     assert MultiStageScheme(name="ok", order_n=2.0, c=(0.5,), d=(0.5,)).order_n == 2
 
 
+@pytest.mark.parametrize("field", ["c", "d"])
+@pytest.mark.parametrize("value", [True, "0.5", None, math.nan, math.inf],
+                         ids=["bool", "str", "none", "nan", "inf"])
+def test_multistage_constructor_refuses_a_coefficient_that_is_not_a_finite_number(
+        field, value):
+    # a nan would pass the consistency check: abs(nan - 1) > tol is False
+    fields = dict(name="m", order_n=1, c=[0.5], d=[0.5])
+    fields[field] = [value]
+    with pytest.raises(StructuralError, match=f"'{field}' must be"):
+        MultiStageScheme(**fields)
+
+
 # ---------------------------------------------------------------------------
 # merging identity: lambda = 2 equals the two-stage product
 
@@ -357,10 +369,20 @@ def test_apply_two_stage_shape_check():
         apply_two_stage(a, np.eye(6, dtype=complex), get_scheme("strang"), 0.1)
 
 
-def test_evolve_requires_positive_steps():
+@pytest.mark.parametrize("steps, match", [
+    (0, "steps must be >= 1"), (2.5, "'steps' must be an integer"),
+    (True, "'steps' must be an integer"), ("2", "'steps' must be an integer"),
+])
+def test_evolve_requires_a_positive_integer_step_count(steps, match):
     split = random_split(2, 4)
-    with pytest.raises(StructuralError):
-        evolve(split, to_multistage(get_scheme("strang")), 0.1, 0)
+    with pytest.raises(StructuralError, match=match):
+        evolve(split, to_multistage(get_scheme("strang")), 0.1, steps)
+
+
+def test_evolve_takes_an_integral_float_step_count():
+    split = random_split(2, 4)
+    ms = to_multistage(get_scheme("strang"))
+    assert np.array_equal(evolve(split, ms, 0.1, 3.0), evolve(split, ms, 0.1, 3))
 
 
 # ---------------------------------------------------------------------------

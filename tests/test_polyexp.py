@@ -1,10 +1,12 @@
 """Bessel oracle, cutoff rules, polynomial zeros, and factorized evaluation."""
 
 import cmath
+import contextlib
 import hashlib
 import json
 import math
 import os
+import signal
 
 import mpmath as mp
 import numpy as np
@@ -176,6 +178,46 @@ def test_admissible_tail_is_suppressed():
         kind = "J" if axis == "imaginary" else "I"
         assert 2.0 * abs(bessel(kind, k + 1, gh)) < eps
         assert 2.0 * abs(bessel(kind, k, gh)) >= eps
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Raise TimeoutError in the block once it runs past `seconds`, so a
+    call that never returns fails instead of holding the suite."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: taylor_cutoff(math.inf, 0.1, 1e-8),
+    lambda: taylor_cutoff(1.0, math.inf, 1e-8),
+    lambda: taylor_cutoff(1e200, 1e200, 1e-8),  # finite, but lambda * h overflows
+    lambda: taylor_cutoff(math.nan, 0.1, 1e-8),
+    lambda: taylor_cutoff(1.0, math.nan, 1e-8),
+    lambda: chebyshev_admissible_k(math.nan, "imaginary", 1e-8),
+    lambda: chebyshev_admissible_k(math.inf, "real", 1e-8),
+    lambda: chebyshev_admissible_k(1e6, "imaginary", 1e-8),
+    lambda: chebyshev_admissible_k(polyexp.BESSEL_X_MAX * (1 + 1e-15), "imaginary", 1e-8),
+    lambda: bessel("J", 2, math.nan),
+], ids=["taylor-inf-lambda", "taylor-inf-h", "taylor-overflow", "taylor-nan-lambda",
+        "taylor-nan-h", "chebyshev-nan", "chebyshev-inf", "chebyshev-1e6",
+        "chebyshev-past-max", "bessel-nan"])
+def test_out_of_range_cutoff_and_bessel_input_is_refused_within_a_second(call):
+    with _within(1.0), pytest.raises(RangeError):
+        call()
+
+
+def test_admissible_k_takes_the_largest_supported_gamma_h():
+    k = chebyshev_admissible_k(polyexp.BESSEL_X_MAX, "imaginary", 1e-8)
+    assert 2.0 * abs(bessel("J", k + 1, polyexp.BESSEL_X_MAX)) < 1e-8
 
 
 def test_taylor_to_chebyshev_k_ratio():

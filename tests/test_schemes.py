@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -44,11 +45,12 @@ LIE = TwoStageScheme(name="lie", order_n=1, a=(1.0, 0.0), b=(1.0,), symmetric=Fa
 
 
 def test_strang_validates_exactly():
-    rep = validate_consistency(get_scheme("strang"))
+    strang = get_scheme("strang")
+    rep = validate_consistency(strang)
     assert rep.ok
     assert rep.a_residual == 0.0
     assert rep.b_residual == 0.0
-    assert rep.symmetric_claimed and rep.symmetry_ok
+    assert strang.symmetric and rep.symmetry_ok
     assert rep.symmetry_residual == 0.0
 
 
@@ -65,7 +67,7 @@ def test_symmetry_claim_checked():
     s = TwoStageScheme(name="lying", order_n=2, a=(0.3, 0.4, 0.3), b=(0.7, 0.3), symmetric=True)
     rep = validate_consistency(s)
     assert rep.ok
-    assert rep.symmetric_claimed and not rep.symmetry_ok
+    assert s.symmetric and not rep.symmetry_ok
     assert rep.symmetry_residual >= 0.4 - 1e-15
 
 
@@ -90,6 +92,34 @@ def test_scheme_refuses_a_field_of_the_wrong_type(field, value):
     fields = dict(name="strang", order_n=2, a=(0.5, 0.5), b=(1.0,), symmetric=True)
     with pytest.raises(StructuralError, match=f"'{field}'"):
         TwoStageScheme(**dict(fields, **{field: value}))
+
+
+@pytest.mark.parametrize("field", ["a", "b"])
+@pytest.mark.parametrize("value", [True, "1", None, math.nan, complex(0.5, math.inf), 10**400],
+                         ids=["bool", "str", "none", "nan", "inf-imag", "huge-int"])
+def test_scheme_refuses_a_coefficient_that_is_not_a_finite_number(field, value):
+    fields = dict(name="x", order_n=1, a=[0.5, 0.5], b=[1.0], symmetric=False)
+    fields[field] = [value, *fields[field][1:]]
+    with pytest.raises(StructuralError, match=f"'{field}' must be"):
+        TwoStageScheme(**fields)
+
+
+def test_scheme_stores_its_coefficients_as_complex():
+    scheme = TwoStageScheme(name="x", order_n=1, a=[np.float64(0.25), 0.75], b=[1],
+                            symmetric=False)
+    assert scheme.a == (0.25 + 0j, 0.75 + 0j) and scheme.b == (1 + 0j,)
+    assert all(type(x) is complex for x in scheme.a + scheme.b)
+
+
+def test_bundled_catalog_coefficients_are_the_json_pairs():
+    records = json.loads(
+        resources.files("trotterkit").joinpath("data/schemes.json").read_text())
+    catalog = load_catalog()
+    for rec in records:
+        scheme = catalog[rec["name"]]
+        for field in ("a", "b"):
+            assert [repr(x) for x in getattr(scheme, field)] == [
+                repr(complex(re, im)) for re, im in rec[field]]
 
 
 def test_scheme_stores_an_integral_order_as_an_int():
@@ -429,10 +459,8 @@ def test_empirical_orders_of_catalog_entries():
     assert empirical_order(get_scheme("blanes-moan4")) == pytest.approx(4.0, abs=0.3)
 
 
-def test_order_fit_runs_the_oracle_once_per_time(monkeypatch):
-    # a random split is one sector, so the oracle exponentiates one block
-    # per distinct steps * h
-    strang = get_scheme("strang")
+def _recording_eig_expm(monkeypatch):
+    """The z of every `_eig_expm` the oracle runs, in call order."""
     zs = []
     expm = spinmodel._eig_expm
 
@@ -441,12 +469,24 @@ def test_order_fit_runs_the_oracle_once_per_time(monkeypatch):
         return expm(w, v, z)
 
     monkeypatch.setattr(spinmodel, "_eig_expm", recording)
-    empirical_order(strang)  # h = 2^-j: steps * h = 1 every time
+    return zs
+
+
+def test_order_fit_runs_the_oracle_once_per_time(monkeypatch):
+    # a random split is one sector, so the oracle exponentiates one block,
+    # once: h = 2^-j, so steps * h = 1 every time
+    zs = _recording_eig_expm(monkeypatch)
+    empirical_order(get_scheme("strang"))
     assert zs == [-1j * 1.0]
-    zs.clear()
-    grid = [0.3, 0.2, 0.15, 0.1]  # steps * h: 0.3 * 3, 1, 0.15 * 7, 1
-    empirical_order(strang, h_grid=grid)
+
+
+def test_sector_oracle_exponentiates_once_per_distinct_time(monkeypatch):
+    zs = _recording_eig_expm(monkeypatch)
+    oracle = spinmodel._sector_oracle([random_hermitian(np.random.default_rng(3), 6)])
+    ts = [0.3 * 3, 1.0, 0.15 * 7, 1.0]  # steps * h on the grid 0.3, 0.2, 0.15, 0.1
+    blocks = [oracle(-1j * t) for t in ts]
     assert zs == [-1j * t for t in (0.3 * 3, 1.0, 0.15 * 7)]
+    assert blocks[3] is blocks[1]
 
 
 def test_order_fit_scatters_nothing(monkeypatch):
@@ -473,6 +513,21 @@ def test_negative_or_boolean_seed_is_refused():
         empirical_order(get_scheme("strang"), seed=True)
 
 
+@pytest.mark.parametrize("n_parts, dim, match", [
+    (2, 0, "'dim' must be >= 1, got 0"), (2, -1, "'dim' must be >= 1, got -1"),
+    (2, 2.5, "'dim' must be an integer"), (2, True, "'dim' must be an integer"),
+    (0, 4, "at least one part"), (2.5, 4, "'n_parts' must be an integer"),
+    (True, 4, "'n_parts' must be an integer"),
+])
+def test_random_split_refuses_a_size_below_one_or_not_an_integer(n_parts, dim, match):
+    with pytest.raises(StructuralError, match=match):
+        random_split(n_parts, dim)
+
+
+def test_random_split_takes_an_integral_float_dimension():
+    assert random_split(2, 3.0).dim == 3
+
+
 def test_empirical_order_fits_on_the_seeded_random_pair(monkeypatch):
     splits = []
     fit = schemes._fit_order
@@ -482,10 +537,10 @@ def test_empirical_order_fits_on_the_seeded_random_pair(monkeypatch):
         return fit(split, *args, **kwargs)
 
     monkeypatch.setattr(schemes, "_fit_order", recording)
-    empirical_order(get_scheme("strang"), dim=6, seed=11)
+    empirical_order(get_scheme("strang"), seed=11)
     rng = np.random.default_rng(11)
-    a = random_hermitian(rng, 6)
-    b = random_hermitian(rng, 6)
+    a = random_hermitian(rng, 8)
+    b = random_hermitian(rng, 8)
     assert len(splits[0].parts) == 2
     assert all(np.array_equal(p, q) for p, q in zip(splits[0].parts, (a, b)))
 
@@ -547,7 +602,7 @@ def test_property_symmetric_schemes_have_even_order(q, x, y):
             symmetric=True,
         )
     assert validate_consistency(scheme).ok
-    assert empirical_order(scheme, dim=6) > 1.7
+    assert empirical_order(scheme) > 1.7
 
 
 @given(
