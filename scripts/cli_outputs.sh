@@ -161,6 +161,24 @@ for cfg in (tk.XxzConfig(L=8), tk.XxzConfig(L=8, boundary="periodic", delta=0.3)
                 print(f"{z.real:.17g} {z.imag:.17g}")
 PY
 record state-l8 python3 state-l8.py
+# no command prints a factorization's evaluation plan, so this public-API
+# snippet does: overall_scale and each factor group's kind and coeffs in
+# plan order, for Taylor and for Chebyshev on both axes
+cat >"$work/plans.py" <<'PY'
+import trotterkit as tk
+
+specs = [tk.SeriesSpec("taylor", k) for k in (30, 52, 152)]
+specs += [tk.SeriesSpec("chebyshev", k, gamma_scale=gh, axis=axis)
+          for k, gh, axis in ((40, 0.21304262029217305, "imaginary"),
+                              (100, 80.0, "imaginary"), (40, 20.0, "real"))]
+for spec in specs:
+    fact = tk.factorize(spec)
+    print(f"# {spec.family} k={spec.k} gamma_scale={spec.gamma_scale} axis={spec.axis}")
+    print(f"overall_scale {fact.overall_scale:.17g}")
+    for g in fact.groups:
+        print(g.kind, *(f"{c:.17g}" for c in g.coeffs))
+PY
+record plans python3 plans.py
 # no command alternates a step with its reversed sequence, so this
 # public-API snippet does: the Lie scheme, alternately reversed, on the
 # L = 6 periodic chain (delta = 0.3), an odd and an even number of steps,

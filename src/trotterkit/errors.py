@@ -94,6 +94,16 @@ def complex_field(value, name):
     raise StructuralError(f"{name!r} must be finite, got {value!r}")
 
 
+def complex_list(values, name):
+    """values as a tuple of `complex_field`s, or a StructuralError naming the
+    field if values is not a list at all."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise StructuralError(f"{name!r} must be a list of numbers, got {values!r}") from None
+    return tuple(complex_field(x, name) for x in items)
+
+
 def integer_field(value, name):
     """value as an int (8.0 gives 8), or a StructuralError naming the field (bools refused)."""
     if isinstance(value, float) and value.is_integer():

@@ -27,7 +27,7 @@ from .compose import (
     evolve_sequence,
     merge_factors,
 )
-from .errors import ConsistencyError, StructuralError, complex_field, integer_field
+from .errors import ConsistencyError, StructuralError, complex_list, integer_field
 from .schemes import _fit_order, _require_consistent, random_split  # noqa: F401 (cli, tests)
 from .tolerances import CONSISTENCY_TOL
 
@@ -59,8 +59,8 @@ class MultiStageScheme:
         object.__setattr__(self, "order_n", integer_field(self.order_n, "order_n"))
         if self.order_n < 1:
             raise StructuralError(f"multistage scheme {self.name!r}: order_n must be >= 1")
-        object.__setattr__(self, "c", tuple(complex_field(x, "c") for x in self.c))
-        object.__setattr__(self, "d", tuple(complex_field(x, "d") for x in self.d))
+        object.__setattr__(self, "c", complex_list(self.c, "c"))
+        object.__setattr__(self, "d", complex_list(self.d, "d"))
         if len(self.c) != len(self.d) or not self.c:
             raise StructuralError(
                 f"multistage scheme {self.name!r}: need len(c) = len(d) >= 1"

@@ -25,6 +25,7 @@ seeds plus downward recurrence.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import os
@@ -112,27 +113,20 @@ class SeriesSpec:
 class Group:
     """One evaluation factor: a conjugate pair (quad) or a real zero (lin).
 
-    coeffs is (2*Re(gamma), |gamma|^2) for quad and (gamma,) for lin;
-    sum_re is the real-part sum the ordering heuristic balances on;
-    index is the original position used for deterministic tie-breaks.
+    coeffs is (2*Re(gamma), |gamma|^2) for quad and (gamma,) for lin, one
+    per zero covered; coeffs[0] is the real-part sum the plan balances on.
     """
 
     kind: str
-    sum_re: float
     coeffs: tuple
-    gammas: tuple
-    index: int
-
-    @property
-    def n_factors(self):
-        return 2 if self.kind == "quad" else 1
 
 
 @dataclass(frozen=True)
 class FactorizedPolynomial:
+    """A spec's zeros (`_sort_conjugate_closed` order) and groups (plan order)."""
+
     spec: SeriesSpec
     zeros: tuple
-    gammas: tuple
     groups: tuple
     overall_scale: float
 
@@ -199,7 +193,11 @@ def bessel(kind, order, x):
 
 def taylor_cutoff(lambda_max, h, epsilon):
     """Smallest k with (lambda_max*h)^k / (k+1)! < epsilon; lambda_max,
-    h and their product finite."""
+    h and their product finite.
+
+    f(k) = k log(lambda_max*h) - lgamma(k + 2) is concave in k, so the k
+    with f(k) >= log epsilon form one run from 1: a doubling search past its
+    end and a bisection find the first k after it in O(log k) steps."""
     if not (0 <= lambda_max < math.inf and 0 < h < math.inf and 0 < epsilon < 1):
         raise RangeError("need finite lambda_max >= 0 and h > 0, 0 < epsilon < 1")
     lh = lambda_max * h
@@ -209,12 +207,23 @@ def taylor_cutoff(lambda_max, h, epsilon):
         return 1
     log_lh = math.log(lh)
     log_eps = math.log(epsilon)
-    k = 1
-    while k * log_lh - math.lgamma(k + 2) >= log_eps:
-        k += 1
-    return k
+
+    def above(k):
+        try:
+            return k * log_lh - math.lgamma(k + 2) >= log_eps
+        except OverflowError:
+            raise RangeError(f"the cutoff for lambda_max * h = {lh!r} overflows") from None
+
+    lo, hi = 0, 1  # every k <= lo is above; once the doubling stops, hi is not
+    while above(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
 
 
+@functools.lru_cache(maxsize=64)
 def _chebyshev_plane(spec, dps=None):
     """a_0..a_{k+1}, the truncation's coefficients in the working plane w =
     z / (Gamma*h): mu_i on the real axis and (-i)^i mu_i on the imaginary
@@ -223,11 +232,16 @@ def _chebyshev_plane(spec, dps=None):
     coefficient the truncation drops, the recurrence's seed.
 
     In double precision by default; with dps set, as mpmath numbers at that
-    working precision (call it inside mp.workdps(dps)).
+    working precision (call it inside mp.workdps(dps)).  A tuple, built once
+    per (spec, dps): the solve, its load check and `factorize` share it.
+    Every Chebyshev path reads it, so a Gamma*h past BESSEL_X_MAX is refused
+    here.
     """
+    if spec.gamma_h > BESSEL_X_MAX:
+        raise RangeError(f"Gamma*h = {spec.gamma_h} beyond supported range (<= {BESSEL_X_MAX:g})")
     kind = "J" if spec.axis == "imaginary" else "I"
     seq = _bessel_sequence(kind, spec.k, spec.gamma_h, dps=dps)
-    return [seq[0]] + [2 * f for f in seq[1:]]
+    return (seq[0], *(2 * f for f in seq[1:]))
 
 
 def chebyshev_coefficients(spec):
@@ -236,10 +250,7 @@ def chebyshev_coefficients(spec):
     J_i(Gh)), so the working-plane a_i times 1 or i^i."""
     if spec.family != "chebyshev":
         raise StructuralError("chebyshev_coefficients needs a chebyshev spec")
-    gh = spec.gamma_h
-    if gh > BESSEL_X_MAX:
-        raise RangeError(f"Gamma*h = {gh} beyond supported range (<= {BESSEL_X_MAX:g})")
-    a = _chebyshev_plane(spec)[:-1]
+    a = list(_chebyshev_plane(spec)[:-1])
     if spec.axis == "real":
         return a
     # i^i cycles exactly through (1, i, -1, -i); a complex power would not
@@ -649,12 +660,6 @@ def _colleague_guesses(a, sign):
     return list(np.linalg.eigvals(m * d[None, :] / d[:, None]).astype(complex))
 
 
-def _real_axis_guard_digits(gh):
-    """Real-axis Chebyshev sums cancel from I_0(Gh) ~ e^Gh down to O(1);
-    budget log10(e^Gh) extra digits for that."""
-    return int(0.44 * gh) + 10
-
-
 def _chebyshev_setup(spec, dps, zeros=None):
     """The Chebyshev solve at dps digits, as _taylor_setup.  Newton runs in
     w = z / (Gamma*h) = x on the real axis and i x on the imaginary one,
@@ -684,19 +689,22 @@ _SETUPS = {"taylor": _taylor_setup, "chebyshev": _chebyshev_setup}
 
 
 def _working_dps(spec):
-    """Base digits of a zero solve: 41 + k/4 for Taylor; 65 + k/4 for
-    Chebyshev, plus the cancellation guard on the real axis."""
+    """Digits of the zero solve, its load check and `factorize`'s p(0): 41 +
+    k/4 for Taylor; 65 + k/4 for Chebyshev, plus log10(e^Gh) + 10 on the real
+    axis, whose sums cancel from I_0(Gh) ~ e^Gh down to O(1)."""
     if spec.family == "taylor":
         return 41 + int(0.25 * spec.k)
-    guard = _real_axis_guard_digits(spec.gamma_h) if spec.axis == "real" else 0
+    guard = int(0.44 * spec.gamma_h) + 10 if spec.axis == "real" else 0
     return 65 + int(0.25 * spec.k) + guard
 
 
 def _zeros_mp(spec):
     """All k zeros (z-plane) of the truncation for spec, meeting the residual
     contract, with their worst residual: certified Newton from the family's
-    guesses, then from refined guesses, at the working precision and then
-    at 1.5 times it.  ConvergenceError names the check the last pass failed."""
+    guesses, then from refined guesses, at `_working_dps` and then at 1.5
+    times it (only the second pass solves some truncations far below their
+    admissible k: Chebyshev (24, 100), (80, 150) and (80, 172) on the
+    imaginary axis).  ConvergenceError names the check the last pass failed."""
     k = spec.k
     for boost in (1.0, 1.5):
         dps = int(_working_dps(spec) * boost)
@@ -813,19 +821,23 @@ def _zeros_cached(spec, cache_dir):
     return zs
 
 
-def taylor_zeros(k, *, cache_dir=None):
-    """All k zeros of sum_{i<=k} z^i/i!, conjugate-closed, as doubles."""
+def _solvable(k):
+    """k, refused with RangeError unless a zero solve supports it."""
     if not 1 <= k <= TAYLOR_K_MAX:
         raise RangeError(f"k must be in [1, {TAYLOR_K_MAX}], got {k}")
-    return _zeros_cached(SeriesSpec("taylor", k), cache_dir)
+    return k
+
+
+def taylor_zeros(k, *, cache_dir=None):
+    """All k zeros of sum_{i<=k} z^i/i!, conjugate-closed, as doubles."""
+    return _zeros_cached(SeriesSpec("taylor", _solvable(k)), cache_dir)
 
 
 def chebyshev_zeros(spec, *, cache_dir=None):
     """All k z-plane zeros of the Chebyshev truncation, conjugate-closed."""
     if spec.family != "chebyshev":
         raise StructuralError("chebyshev_zeros needs a chebyshev spec")
-    if not 1 <= spec.k <= TAYLOR_K_MAX:
-        raise RangeError(f"k must be in [1, {TAYLOR_K_MAX}], got {spec.k}")
+    _solvable(spec.k)
     return _zeros_cached(spec, cache_dir)
 
 
@@ -834,64 +846,50 @@ def chebyshev_zeros(spec, *, cache_dir=None):
 
 
 def gamma_for(zeros, k):
-    """Factor coefficients gamma_i = -k / z_i."""
+    """Factor coefficients gamma_i = -k / z_i, in the zeros' order.  Complex
+    division by a conjugate gives the exact conjugate, so conjugate zeros
+    give exactly conjugate gammas."""
     return [-k / z for z in zeros]
 
 
 def order_factors(gammas):
     """Deterministic greedy evaluation plan over conjugate-merged groups.
 
+    The gammas keep the zeros' `_sort_conjugate_closed` order: a real gamma
+    (imag == 0) is a lin group, and a non-real one followed by its exact
+    conjugate a quad group; anything else is refused with StructuralError.
     Groups are picked so the running sum of real parts tracks the ideal
     linear progress line total * (factors consumed / total factors); ties
-    break on smaller |Im gamma|, then original index.
+    break on smaller |Im gamma|, then position.
     """
     gam = list(gammas)
-    used = [False] * len(gam)
-    groups = []
-    for i, g in enumerate(gam):
-        if used[i]:
-            continue
-        if abs(g.imag) <= 1e-12 * abs(g):
-            used[i] = True
-            groups.append(Group("lin", g.real, (g.real,), (complex(g.real, 0.0),), i))
+    groups, ties = [], []  # ties[j]: group j's (|Im gamma|, position)
+    i = 0
+    while i < len(gam):
+        g = gam[i]
+        if g.imag == 0:
+            groups.append(Group("lin", (g.real,)))
+        elif i + 1 < len(gam) and gam[i + 1] == g.conjugate():
+            groups.append(Group("quad", (2 * g.real, abs(g) ** 2)))
         else:
-            best, best_d = -1, None
-            for j in range(i + 1, len(gam)):
-                if used[j]:
-                    continue
-                d = abs(gam[j] - g.conjugate())
-                if best_d is None or d < best_d:
-                    best_d, best = d, j
-                    if d == 0:  # an exact conjugate: no later j is closer
-                        break
-            if best < 0 or best_d > 1e-8 * abs(g):
-                raise StructuralError(
-                    f"gammas not conjugate-closed: no partner for index {i} ({g!r})"
-                )
-            used[i] = used[best] = True
-            groups.append(
-                Group("quad", 2 * g.real, (2 * g.real, abs(g) ** 2), (g, g.conjugate()), i)
+            raise StructuralError(
+                f"gammas not conjugate-closed: no partner for index {i} ({g!r}) next to it"
             )
+        ties.append((abs(g.imag), i))
+        i += len(groups[-1].coeffs)
 
-    total = sum(g.sum_re for g in groups)
-    n_factors = sum(g.n_factors for g in groups)
+    total = sum(g.coeffs[0] for g in groups)
     remaining = list(range(len(groups)))
-    plan = []
-    cum = 0.0
-    consumed = 0
+    plan, cum, consumed = [], 0.0, 0
     while remaining:
-        best_idx, best_key = None, None
-        for idx in remaining:
-            g = groups[idx]
-            miss = abs((cum + g.sum_re) - total * (consumed + g.n_factors) / n_factors)
-            key = (miss, abs(g.gammas[0].imag), g.index)
-            if best_key is None or key < best_key:
-                best_key, best_idx = key, idx
-        remaining.remove(best_idx)
-        g = groups[best_idx]
+        best = min(remaining, key=lambda j: (
+            abs((cum + groups[j].coeffs[0]) - total * (consumed + len(groups[j].coeffs)) / len(gam)),
+            *ties[j]))
+        remaining.remove(best)
+        g = groups[best]
         plan.append(g)
-        cum += g.sum_re
-        consumed += g.n_factors
+        cum += g.coeffs[0]
+        consumed += len(g.coeffs)
     return tuple(plan)
 
 
@@ -908,44 +906,33 @@ def r_valid(fact):
 
 
 def factorize(spec, *, cache_dir=None):
-    """Assemble the zero factorization for a series spec."""
+    """The zeros, their groups in plan order (`order_factors` on `gamma_for`)
+    and the scale: 1 for Taylor, and for Chebyshev p(0), read with the zero
+    clearance check's a_{k+1} at the solve's precision `_working_dps`."""
     if spec.family == "taylor":
         zeros = taylor_zeros(spec.k, cache_dir=cache_dir)
         scale = 1.0
     else:
         zeros = chebyshev_zeros(spec, cache_dir=cache_dir)
-        dps0 = 40
-        if spec.axis == "real":
-            dps0 += _real_axis_guard_digits(spec.gamma_h)
+        dps = _working_dps(spec)
         sign = -1 if spec.axis == "imaginary" else 1
-        with mp.workdps(dps0):
-            plane = _chebyshev_plane(spec, dps0)
+        with mp.workdps(dps):
+            plane = _chebyshev_plane(spec, dps)
             # p(0) = a_0 - sign a_2 + a_4 - ..., as t_2m(0) = (-sign)^m (the
             # basis of `_fixed_chebyshev`), from the top as Clenshaw sums it
             p0 = mp.mpf(0)
             for a in reversed(plane[:-1:2]):
                 p0 = a - sign * p0
         scale = float(p0)
-    gammas = gamma_for(zeros, spec.k)
-    groups = order_factors(gammas)
-    fact = FactorizedPolynomial(
-        spec=spec,
-        zeros=tuple(zeros),
-        gammas=tuple(gammas),
-        groups=groups,
-        overall_scale=scale,
-    )
-    if spec.family == "chebyshev":
-        _check_zero_clearance(fact, plane[-1])
-    return fact
+        _check_zero_clearance(spec, zeros, plane[-1])
+    return FactorizedPolynomial(spec, tuple(zeros), order_factors(gamma_for(zeros, spec.k)), scale)
 
 
-def _check_zero_clearance(fact, dropped):
-    """No zero of a Chebyshev factorization may sit on its approximation
+def _check_zero_clearance(spec, zeros, dropped):
+    """No zero of a Chebyshev truncation may sit on its approximation
     segment; dropped is a_{k+1}, the first coefficient the truncation drops
     (`_chebyshev_plane`).  (The Taylor disk, of radius r_valid <= 0.95
     min|z|, holds no zero by construction.)"""
-    spec = fact.spec
     gh = spec.gamma_h
     lo = -gh
     if spec.axis == "real":
@@ -958,7 +945,7 @@ def _check_zero_clearance(fact, dropped):
             lo = max(lo, math.log(tail) + 1.0)
     if lo >= gh:
         return
-    for z in fact.zeros:
+    for z in zeros:
         along, across = (z.imag, z.real) if spec.axis == "imaginary" else (z.real, z.imag)
         if across == 0.0 and lo <= along <= gh:
             raise StructuralError(f"zero at {z!r} lies on the approximation segment")

@@ -33,7 +33,7 @@ from .errors import (
     GridUnusableError,
     NotFoundError,
     StructuralError,
-    complex_field,
+    complex_list,
     integer_field,
     real_field,
 )
@@ -78,8 +78,8 @@ class TwoStageScheme:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise StructuralError(f"'name' must be a string, got {self.name!r}")
-        object.__setattr__(self, "a", tuple(complex_field(x, "a") for x in self.a))
-        object.__setattr__(self, "b", tuple(complex_field(x, "b") for x in self.b))
+        object.__setattr__(self, "a", complex_list(self.a, "a"))
+        object.__setattr__(self, "b", complex_list(self.b, "b"))
         if len(self.a) != len(self.b) + 1 or len(self.b) < 1:
             raise StructuralError(
                 f"scheme {self.name!r}: need len(a) = len(b) + 1 >= 2, "

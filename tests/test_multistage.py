@@ -103,6 +103,14 @@ def test_multistage_constructor_refuses_a_coefficient_that_is_not_a_finite_numbe
         MultiStageScheme(**fields)
 
 
+@pytest.mark.parametrize("field", ["c", "d"])
+@pytest.mark.parametrize("value", [5, None, 0.5], ids=["int", "none", "float"])
+def test_multistage_constructor_refuses_a_coefficient_list_that_is_not_a_list(field, value):
+    fields = dict(name="m", order_n=1, c=[0.5], d=[0.5])
+    with pytest.raises(StructuralError, match=f"'{field}' must be a list"):
+        MultiStageScheme(**dict(fields, **{field: value}))
+
+
 # ---------------------------------------------------------------------------
 # merging identity: lambda = 2 equals the two-stage product
 

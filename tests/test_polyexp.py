@@ -202,17 +202,46 @@ def _within(seconds):
     lambda: taylor_cutoff(1e200, 1e200, 1e-8),  # finite, but lambda * h overflows
     lambda: taylor_cutoff(math.nan, 0.1, 1e-8),
     lambda: taylor_cutoff(1.0, math.nan, 1e-8),
+    lambda: taylor_cutoff(1e306, 1.0, 1e-8),  # finite, but the cutoff k overflows
     lambda: chebyshev_admissible_k(math.nan, "imaginary", 1e-8),
     lambda: chebyshev_admissible_k(math.inf, "real", 1e-8),
     lambda: chebyshev_admissible_k(1e6, "imaginary", 1e-8),
     lambda: chebyshev_admissible_k(polyexp.BESSEL_X_MAX * (1 + 1e-15), "imaginary", 1e-8),
     lambda: bessel("J", 2, math.nan),
 ], ids=["taylor-inf-lambda", "taylor-inf-h", "taylor-overflow", "taylor-nan-lambda",
-        "taylor-nan-h", "chebyshev-nan", "chebyshev-inf", "chebyshev-1e6",
+        "taylor-nan-h", "taylor-k-overflow", "chebyshev-nan", "chebyshev-inf", "chebyshev-1e6",
         "chebyshev-past-max", "bessel-nan"])
 def test_out_of_range_cutoff_and_bessel_input_is_refused_within_a_second(call):
     with _within(1.0), pytest.raises(RangeError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: factorize(spec),
+    lambda spec: chebyshev_zeros(spec),
+    lambda spec: eval_summed(1j, 1.0, spec),
+], ids=["factorize", "chebyshev_zeros", "eval_summed"])
+def test_gamma_h_past_the_bessel_range_is_refused_on_every_chebyshev_path(call):
+    spec = SeriesSpec("chebyshev", 40, gamma_scale=math.nextafter(polyexp.BESSEL_X_MAX, math.inf),
+                      axis="imaginary")
+    with pytest.raises(RangeError, match="beyond supported range"):
+        call(spec)
+
+
+def test_taylor_cutoff_of_a_huge_lambda_h_returns_within_a_second():
+    with _within(1.0):
+        k = taylor_cutoff(1e12, 1.0, 1e-8)
+    log_term = lambda j: j * math.log(1e12) - math.lgamma(j + 2)  # noqa: E731
+    assert log_term(k) < math.log(1e-8) <= log_term(k - 1)
+
+
+def test_taylor_cutoff_search_matches_the_step_by_step_count():
+    rng = np.random.default_rng(31)
+    for lh, eps in zip(10 ** rng.uniform(-3, 3.3, 500), 10 ** rng.uniform(-17, -0.05, 500)):
+        k = 1
+        while k * math.log(lh) - math.lgamma(k + 2) >= math.log(eps):
+            k += 1
+        assert taylor_cutoff(float(lh), 1.0, float(eps)) == k, (lh, eps)
 
 
 def test_admissible_k_takes_the_largest_supported_gamma_h():
@@ -1041,8 +1070,8 @@ def test_factorize_taylor_scale_is_one(zeros_cache):
     fact = factorize(SeriesSpec("taylor", 25), cache_dir=zeros_cache)
     assert fact.overall_scale == 1.0
     assert len(fact.zeros) == 25
-    assert len(fact.gammas) == 25
-    assert sum(g.n_factors for g in fact.groups) == 25
+    assert len(gamma_for(fact.zeros, fact.k)) == 25
+    assert sum(len(g.coeffs) for g in fact.groups) == 25
 
 
 def test_factorize_chebyshev_scale_matches_p0(zeros_cache):
@@ -1067,12 +1096,11 @@ def test_chebyshev_k1_zero_matches_coefficients(zeros_cache):
 
 
 def hand_built(axis, zero):
-    """A k = 20 Chebyshev factorization on the segment Gamma h = 2 whose one
-    zero is given, and its dropped coefficient a_21; on the real axis the
+    """A k = 20 Chebyshev spec on the segment Gamma h = 2, the given zero as
+    its only one, and its dropped coefficient a_21; on the real axis the
     truncation tail leaves the whole segment [-2, 2] checked."""
     spec = SeriesSpec("chebyshev", 20, gamma_scale=2.0, axis=axis, h=1.0)
-    fact = polyexp.FactorizedPolynomial(spec, (zero,), (), (), 1.0)
-    return fact, polyexp._chebyshev_plane(spec)[-1]
+    return spec, (zero,), polyexp._chebyshev_plane(spec)[-1]
 
 
 @pytest.mark.parametrize("axis, zero", [
@@ -1110,8 +1138,7 @@ def test_r_valid_of_a_chebyshev_factorization_is_its_half_width(zeros_cache):
 def test_order_factors_golden():
     groups = order_factors([4.0 + 0j, 3.0 + 0j, 2.0 + 0j, 1.0 + 0j])
     assert [g.kind for g in groups] == ["lin", "lin", "lin", "lin"]
-    assert [g.sum_re for g in groups] == [3.0, 2.0, 4.0, 1.0]
-    assert [g.index for g in groups] == [1, 2, 0, 3]
+    assert [g.coeffs for g in groups] == [(3.0,), (2.0,), (4.0,), (1.0,)]
 
 
 def test_order_factors_groups_conjugate_pairs():
@@ -1119,9 +1146,8 @@ def test_order_factors_groups_conjugate_pairs():
     kinds = sorted(g.kind for g in groups)
     assert kinds == ["lin", "quad"]
     quad = next(g for g in groups if g.kind == "quad")
-    assert quad.gammas == (2.0 + 1.0j, 2.0 - 1.0j)
     assert quad.coeffs == pytest.approx((4.0, 5.0), rel=1e-15)  # (2 Re g, |g|^2)
-    assert quad.sum_re == 4.0
+    assert quad.coeffs[0] == 4.0
 
 
 def test_order_factors_refuses_a_complex_gamma_without_its_conjugate():
@@ -1129,12 +1155,52 @@ def test_order_factors_refuses_a_complex_gamma_without_its_conjugate():
         order_factors([1.0 + 1.0j, 5.0 + 0j])
 
 
+@pytest.mark.parametrize("gammas", [
+    [2.0 + 1.0j, 5.0 + 0j, 2.0 - 1.0j],  # the conjugate, but not next to it
+    [2.0 + 1.0j, 2.0 - 1.0000001j],  # next to it, but not the exact conjugate
+], ids=["apart", "inexact"])
+def test_order_factors_pairs_only_an_exact_conjugate_next_to_its_gamma(gammas):
+    with pytest.raises(StructuralError, match="no partner for index 0"):
+        order_factors(gammas)
+
+
 @given(st.lists(st.floats(min_value=-8.0, max_value=8.0, allow_nan=False), min_size=1, max_size=12))
 def test_property_order_factors_partitions_input(reals):
-    gammas = [complex(r, 0.0) for r in reals]
-    groups = order_factors(gammas)
-    flat = [g for grp in groups for g in grp.gammas]
-    assert sorted((g.real, g.imag) for g in flat) == sorted((g.real, g.imag) for g in gammas)
+    groups = order_factors([complex(r, 0.0) for r in reals])
+    assert all(g.kind == "lin" for g in groups)
+    assert sorted(c for g in groups for c in g.coeffs) == sorted(reals)
+
+
+def closed_in_adjacent_pairs(xs):
+    """True when xs is its real entries, then each entry above the real
+    axis followed at once by its exact conjugate."""
+    n_real = sum(x.imag == 0 for x in xs)
+    pairs = xs[n_real:]
+    return (all(x.imag == 0 for x in xs[:n_real])
+            and all(x.imag > 0 for x in pairs[::2])
+            and pairs[1::2] == [x.conjugate() for x in pairs[::2]])
+
+
+# the specs the benchmark's workloads factorize (sweep: chebyshev:40 on the
+# L = 8 chain's h grid; state-L10: taylor:52 and chebyshev:51 at Gamma =
+# 27.27; cold-start), and a small grid of both families on both axes
+SWEEP_GAMMA = 13.63472769869908
+CONJUGATE_SPECS = (
+    [SeriesSpec("taylor", k) for k in (30, 52, 152, *range(1, 13))]
+    + [SeriesSpec("chebyshev", 40, gamma_scale=SWEEP_GAMMA, axis="imaginary", h=2.0**-j)
+       for j in range(7)]
+    + [SeriesSpec("chebyshev", 51, gamma_scale=27.27, axis="imaginary"),
+       SeriesSpec("chebyshev", 100, gamma_scale=80.0, axis="imaginary")]
+    + [SeriesSpec("chebyshev", k, gamma_scale=gh, axis=axis)
+       for k in (5, 16) for gh in (0.5, 10.0) for axis in ("imaginary", "real")]
+)
+
+
+@pytest.mark.parametrize("spec", CONJUGATE_SPECS, ids=repr)
+def test_factorized_zeros_and_gammas_are_conjugate_closed_in_adjacent_pairs(spec, zeros_cache):
+    fact = factorize(spec, cache_dir=zeros_cache)
+    assert closed_in_adjacent_pairs(list(fact.zeros))
+    assert closed_in_adjacent_pairs(gamma_for(fact.zeros, fact.k))
 
 
 # ---------------------------------------------------------------------------
@@ -1246,7 +1312,7 @@ def test_property_pair_modes_agree(zeros_cache, radius, angle):
     fact = factorize(SeriesSpec("taylor", 12), cache_dir=zeros_cache)
     quad = eval_factorized(np.array([[z]], dtype=complex), np.eye(1, dtype=complex), fact)[0, 0]
     lin = fact.overall_scale
-    for g in fact.gammas:
+    for g in gamma_for(fact.zeros, 12):
         lin = lin + (g / 12) * z * lin
     assert abs(quad - lin) <= 1e-13 * max(abs(quad), 1.0)
 

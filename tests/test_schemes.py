@@ -104,6 +104,14 @@ def test_scheme_refuses_a_coefficient_that_is_not_a_finite_number(field, value):
         TwoStageScheme(**fields)
 
 
+@pytest.mark.parametrize("field", ["a", "b"])
+@pytest.mark.parametrize("value", [5, None, 0.5], ids=["int", "none", "float"])
+def test_scheme_refuses_a_coefficient_list_that_is_not_a_list(field, value):
+    fields = dict(name="x", order_n=1, a=[0.5, 0.5], b=[1.0], symmetric=False)
+    with pytest.raises(StructuralError, match=f"'{field}' must be a list"):
+        TwoStageScheme(**dict(fields, **{field: value}))
+
+
 def test_scheme_stores_its_coefficients_as_complex():
     scheme = TwoStageScheme(name="x", order_n=1, a=[np.float64(0.25), 0.75], b=[1],
                             symmetric=False)
