@@ -120,18 +120,28 @@ run zeros-taylor-400 zeros --family taylor --k 400
 run zeros-chebyshev-100-80-imaginary zeros --family chebyshev --k 100 --gamma-h 80 --axis imaginary
 run zeros-chebyshev-40-20-real zeros --family chebyshev --k 40 --gamma-h 20 --axis real
 run zeros-chebyshev-40-0.213-imaginary zeros --family chebyshev --k 40 --gamma-h 0.21304262029217305 --axis imaginary
+# an imaginary-axis truncation below its admissible k (k < Gamma*h), whose
+# solve runs at 0.09 (Gamma*h - k) = 4 digits more than a k >= Gamma*h one
+run zeros-chebyshev-52-100-imaginary zeros --family chebyshev --k 52 --gamma-h 100 --axis imaginary
 run expm-taylor-prod expm --method taylor --k 52 --scalar=-10j
 run expm-taylor-sum expm --method taylor --k 52 --scalar=-10j --sum
 run expm-chebyshev-prod expm --method chebyshev --k 40 --gamma-h 20 --axis imaginary --scalar=-15j
 run expm-chebyshev-sum expm --method chebyshev --k 40 --gamma-h 20 --axis imaginary --scalar=-15j --sum
 run expm-chebyshev-real-prod expm --method chebyshev --k 16 --gamma-h 2.5 --axis real --scalar=-2
 run expm-chebyshev-real-sum expm --method chebyshev --k 16 --gamma-h 2.5 --axis real --scalar=-2 --sum
+# the spectrum is the sector blocks' eigenvalues: the four model-xxz
+# entries moved in their last bits (at most 1.3e-13 at L = 10) when they
+# stopped coming from a whole-matrix eigvalsh, so a tree from before that
+# differs there
 run model-xxz model xxz
 run model-xxz-periodic model xxz --L 6 --delta 0.3 --bc periodic
 # a periodic L = 7 chain with delta = 0.3 and J = 0.7: H has non-integer
 # entries, so the order they are summed in shows in the bits, and
 # L % 3 == 1 recolours the wrap bond
 run model-xxz-periodic-l7 model xxz --L 7 --bc periodic --delta 0.3 --J 0.7
+run model-xxz-l10 model xxz --L 10
+# past the dense cap: refused before any sector search
+expect=1 run model-xxz-l13 model xxz --L 13
 run probe-stability probe-stability
 # no command applies a polynomial to a state, so this public-API snippet
 # does: the L = 8 Neel state, open and periodic (delta = 0.3), evolved by
@@ -179,6 +189,18 @@ for spec in specs:
         print(g.kind, *(f"{c:.17g}" for c in g.coeffs))
 PY
 record plans python3 plans.py
+# no command prints the admissible Chebyshev degree, so this public-API
+# snippet does, over Gamma*h from 0 to BESSEL_X_MAX, both axes and four
+# tolerances
+cat >"$work/admissible-k.py" <<'PY'
+import trotterkit as tk
+
+for axis in ("real", "imaginary"):
+    for gh in (0, 1e-3, 0.213, 1, 10, 27.27, 100, 499, 500):
+        ks = [tk.chebyshev_admissible_k(gh, axis, eps) for eps in (1e-4, 1e-8, 1e-12, 1e-16)]
+        print(axis, gh, *ks)
+PY
+record admissible-k python3 admissible-k.py
 # no command alternates a step with its reversed sequence, so this
 # public-API snippet does: the Lie scheme, alternately reversed, on the
 # L = 6 periodic chain (delta = 0.3), an odd and an even number of steps,

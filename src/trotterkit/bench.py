@@ -15,11 +15,11 @@ import numpy as np
 from mpmath import mp
 
 from .compose import _evolved_blocks, power_step
-from .errors import GridUnusableError, NotFoundError, StructuralError, real_field
+from .errors import GridUnusableError, NotFoundError, RangeError, StructuralError, real_field
 from .multistage import to_multistage
 from .polyexp import SeriesSpec, eval_factorized, eval_summed, factorize, suggest_gamma
 from .schemes import get_scheme
-from .spinmodel import XxzConfig, _sector_distance, _sector_oracle, build_xxz
+from .spinmodel import XxzConfig, _h_blocks, _sector_distance, _sector_oracle, build_xxz
 from .tolerances import DEFAULT_KAPPA
 
 DEFAULT_METHODS = ("strang", "forest-ruth", "suzuki4", "blanes-moan4")
@@ -189,25 +189,28 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
 
     Every cell is kept as its blocks over the chain's magnetization
     sectors (`OperatorSplit.sectors`, the blocks of H's pattern), and
-    nothing is scattered.  H's sector blocks are gathered once: the exact
-    oracle (`spinmodel._sector_oracle`, as in `exact_evolution`)
-    diagonalizes each once and keeps its exponential per distinct
-    effective time, and a polynomial cell powers its step on each block.
-    A scheme cell builds and powers its step's blocks on the packed
-    identity (`compose._evolved_blocks`).  Each error is the Frobenius
-    norm of the difference, sqrt(sum_s |U_s - E_s|_F^2), as in the order
-    fit (`spinmodel._sector_distance`).  Only a plan with a Chebyshev method
-    diagonalizes the whole H: its eigenvalues give the Gamma that keys the
-    zero cache, and sector eigenvalues can differ from them in the last
-    bits.
+    nothing is scattered.  H's sector blocks are gathered once
+    (`spinmodel._h_blocks`, which refuses a chain past the dense cap before
+    searching its sectors): the exact oracle (`spinmodel._sector_oracle`,
+    as in `exact_evolution`) diagonalizes each once and keeps its
+    exponential per distinct effective time, and a polynomial cell powers
+    its step on each block.  A scheme cell builds and powers its step's
+    blocks on the packed identity (`compose._evolved_blocks`).  Each error
+    is the Frobenius norm of the difference, sqrt(sum_s |U_s - E_s|_F^2),
+    as in the order fit (`spinmodel._sector_distance`).  Only a plan with a
+    Chebyshev method diagonalizes the whole H: its eigenvalues give the
+    Gamma that keys the zero cache, and sector eigenvalues can differ from
+    them in the last bits.  That eigh can move to the sector eigenvalues
+    only together with the perfbench `sweep` warm-up, which solves the
+    zeros for the whole-matrix Gamma.
     """
     methods = [parse_method(d, catalog_path=catalog_path) for d in plan.methods]
     split = build_xxz(plan.model)
+    h_blocks = _h_blocks(split)
     gamma = None
     if any(m.kind == "chebyshev" for m in methods):
         gamma = suggest_gamma(split.total, eigvals=np.linalg.eigh(split.total)[0])
-    h_blocks = [split.total[np.ix_(s, s)] for s in split.sectors]
-    oracle = _sector_oracle(h_blocks)
+    _, oracle = _sector_oracle(h_blocks)
     records = []
     for method in methods:
         for h in plan.h_grid:
@@ -329,13 +332,28 @@ def matched_cost_errors(records):
 
 
 def _taylor_reference(k, z):
-    """The truncation's true value at z, summed in extended precision.
+    """The truncation's true value at z, summed in extended precision, and
+    the digits it was summed at.
 
     This is the right yardstick: outside the validity radius the truncation
     itself no longer tracks exp(z), so comparing against exp(z) would charge
     the evaluation with the truncation's error.
+
+    The largest term T = |z|^i / i!, i = min(k, floor |z|), sets the digits:
+    40 plus 2 log10 T, as summing terms up to T to a value as small as about
+    1/T loses about that many, and at most 40 + |z|.  A z that is not
+    finite, whose k + 1 terms could sum past the double range, or at which
+    the truncation is exactly zero, has no relative error to measure and is
+    refused with RangeError.
     """
-    dps = 40 + int(abs(z))
+    r = abs(z)
+    if not r < math.inf:
+        raise RangeError(f"z must be finite, got {z}")
+    i = min(k, int(r))
+    log_t = i * math.log(r) - math.lgamma(i + 1) if i else 0.0
+    if log_t + math.log(k + 1) > math.log(np.finfo(float).max):
+        raise RangeError(f"the k = {k} Taylor terms at z = {z} pass the double range")
+    dps = 40 + min(int(r), 2 * math.ceil(log_t / math.log(10)))
     with mp.workdps(dps):
         zm = mp.mpc(z)
         term = mp.mpc(1)
@@ -343,6 +361,8 @@ def _taylor_reference(k, z):
         for i in range(1, k + 1):
             term = term * zm / i
             acc += term
+        if acc == 0:
+            raise RangeError(f"z = {z} is a zero of the k = {k} Taylor truncation")
         return acc, dps
 
 
@@ -350,18 +370,21 @@ def stability_probe(k_list, z_samples, *, cache_dir=None):
     """Relative errors of summed vs factorized scalar Taylor evaluation.
 
     Both run in plain double precision; the reference is the exact
-    polynomial value.  Summation collapses once |z| outgrows the stable
-    region (every k > 17 has one), factorization does not.
+    polynomial value (`_taylor_reference`, which refuses a point past the
+    double range or at a zero of the truncation).  Summation collapses once
+    |z| outgrows the stable region (every k > 17 has one), factorization
+    does not.  Each k goes to `SeriesSpec` as given, which refuses a
+    non-integer.
     """
     rows = []
     for k in k_list:
-        spec = SeriesSpec("taylor", int(k))
+        spec = SeriesSpec("taylor", k)
         fact = factorize(spec, cache_dir=cache_dir)
         for z in z_samples:
             zc = complex(z)
+            p_true, dps = _taylor_reference(spec.k, zc)
             p_sum = complex(eval_summed(zc, 1.0 + 0j, spec))
             p_prod = complex(eval_factorized(zc, 1.0 + 0j, fact))
-            p_true, dps = _taylor_reference(spec.k, zc)
             with mp.workdps(dps):
                 scale = abs(p_true)
                 err_sum = float(abs(mp.mpc(p_sum) - p_true) / scale)

@@ -259,18 +259,17 @@ def chebyshev_coefficients(spec):
 
 def chebyshev_admissible_k(gamma_h, axis, epsilon):
     """Smallest k with |mu_{k+1}| < epsilon (series tail suppressed), for
-    gamma_h in [0, BESSEL_X_MAX]."""
+    gamma_h in [0, BESSEL_X_MAX] (1 at gamma_h = 0): |mu_{k+1}| is the
+    dropped coefficient |a_{k+1}| of `_chebyshev_plane`, which is built once
+    up to order 2 gamma_h + 200 and checks the axis."""
     if not (0 <= gamma_h <= BESSEL_X_MAX and 0 < epsilon < 1):
         raise RangeError(f"need 0 <= gamma_h <= {BESSEL_X_MAX:g}, 0 < epsilon < 1")
-    if axis not in ("real", "imaginary"):
-        raise StructuralError(f"axis must be 'real' or 'imaginary', got {axis!r}")
     if gamma_h == 0:
         return 1
-    kind = "I" if axis == "real" else "J"
     n_hi = int(2 * gamma_h) + 200
-    seq = _bessel_sequence(kind, n_hi, gamma_h)
+    a = _chebyshev_plane(SeriesSpec("chebyshev", n_hi, gamma_scale=gamma_h, axis=axis))
     for k in range(1, n_hi):
-        if 2.0 * abs(seq[k + 1]) < epsilon:
+        if abs(a[k + 1]) < epsilon:
             return k
     raise RangeError(f"no admissible k below {n_hi} for Gamma*h = {gamma_h}")
 
@@ -691,31 +690,36 @@ _SETUPS = {"taylor": _taylor_setup, "chebyshev": _chebyshev_setup}
 def _working_dps(spec):
     """Digits of the zero solve, its load check and `factorize`'s p(0): 41 +
     k/4 for Taylor; 65 + k/4 for Chebyshev, plus log10(e^Gh) + 10 on the real
-    axis, whose sums cancel from I_0(Gh) ~ e^Gh down to O(1)."""
+    axis, whose sums cancel from I_0(Gh) ~ e^Gh down to O(1), and 0.09 (Gh -
+    k) on the imaginary axis when k < Gh, a truncation below its admissible
+    k.  0.09 is the smallest factor, in steps of 0.01, that lets one set-up
+    solve every spec of the zero-solve grid (k <= 152, Gh <= 172) that a
+    second solve at 1.5 times the digits used to: (24, 100), (80, 150) and
+    (80, 172) need 4, 6 and 5 more digits, and get 6, 6 and 8."""
     if spec.family == "taylor":
         return 41 + int(0.25 * spec.k)
-    guard = int(0.44 * spec.gamma_h) + 10 if spec.axis == "real" else 0
+    if spec.axis == "real":
+        guard = int(0.44 * spec.gamma_h) + 10
+    else:
+        guard = max(0, int(0.09 * (spec.gamma_h - spec.k)))
     return 65 + int(0.25 * spec.k) + guard
 
 
 def _zeros_mp(spec):
     """All k zeros (z-plane) of the truncation for spec, meeting the residual
-    contract, with their worst residual: certified Newton from the family's
-    guesses, then from refined guesses, at `_working_dps` and then at 1.5
-    times it (only the second pass solves some truncations far below their
-    admissible k: Chebyshev (24, 100), (80, 150) and (80, 172) on the
-    imaginary axis).  ConvergenceError names the check the last pass failed."""
+    contract, with their worst residual: one set-up at `_working_dps`, then
+    certified Newton from the family's guesses and, only if that fails, from
+    refined guesses.  ConvergenceError names the check the last pass failed."""
     k = spec.k
-    for boost in (1.0, 1.5):
-        dps = int(_working_dps(spec) * boost)
-        with mp.workdps(dps):
-            guesses, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps)
+    dps = _working_dps(spec)
+    with mp.workdps(dps):
+        guesses, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps)
+        zs, worst, failed = _newton_certified(k, guesses, scale, bits, kernel, slack)
+        if failed:
+            guesses = _refined_guesses(kernel, guesses, bits)
             zs, worst, failed = _newton_certified(k, guesses, scale, bits, kernel, slack)
-            if failed:
-                guesses = _refined_guesses(kernel, guesses, bits)
-                zs, worst, failed = _newton_certified(k, guesses, scale, bits, kernel, slack)
-        if not failed:
-            return zs, worst
+    if not failed:
+        return zs, worst
     tol = ZERO_RESIDUAL_PER_K * k
     what = f"{spec.family} zeros k={k}"
     what += f" Gamma*h={spec.gamma_h} {spec.axis}" if spec.family == "chebyshev" else ""

@@ -37,7 +37,7 @@ from .errors import (
     integer_field,
     real_field,
 )
-from .spinmodel import _sector_distance, _sector_oracle
+from .spinmodel import _h_blocks, _sector_distance, _sector_oracle
 from .tolerances import (
     CATALOG_ORDER_SLOPE_TOL,
     CONSISTENCY_TOL,
@@ -382,9 +382,9 @@ def _fit_order(split, sequence, alternate_reversal=False):
     `sequence` composed over 1/h steps against e^{-i H}, H the summed
     operator.  As in the bench, both stay blocks over `split.sectors`:
     `_evolved_blocks` against the exact oracle on H's gathered blocks
-    (`_sector_oracle`, whose one exponential serves every h), by
-    `_sector_distance`."""
-    oracle = _sector_oracle([split.total[np.ix_(s, s)] for s in split.sectors])
+    (`_sector_oracle` on `_h_blocks`, whose one exponential serves every h),
+    by `_sector_distance`."""
+    _, oracle = _sector_oracle(_h_blocks(split))
     errors = []
     for h in _FIT_H_GRID:
         steps = round(1.0 / h)

@@ -1,6 +1,7 @@
 """Benchmark harness: plans, the sweep, emission, and the stability probe."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -19,14 +20,16 @@ from trotterkit.bench import (
     stability_probe,
 )
 from trotterkit.errors import (
+    CapacityError,
     GridUnusableError,
     NotFoundError,
+    RangeError,
     StructuralError,
 )
 from trotterkit import bench, compose, polyexp, spinmodel
 from trotterkit.polyexp import SeriesSpec, factorize, suggest_gamma
-from trotterkit.multistage import apply_multistage, to_multistage
-from trotterkit.schemes import load_catalog
+from trotterkit.multistage import apply_multistage, multistage_order, to_multistage
+from trotterkit.schemes import get_scheme, load_catalog
 from trotterkit.spinmodel import XxzConfig, build_xxz, exact_evolution
 
 TINY_PLAN = BenchPlan(
@@ -559,6 +562,44 @@ def test_probe_rows_cover_grid(zeros_cache):
     ]
 
 
+@pytest.mark.parametrize("k, z", [(1, -1.0), (2, -1 + 1j)])
+def test_probe_refuses_an_exact_zero_of_the_truncation(zeros_cache, k, z):
+    # 1 + z and 1 + z + z^2/2 vanish exactly there: no relative error exists
+    with pytest.raises(RangeError, match="is a zero of the k = .* Taylor truncation"):
+        stability_probe([k], [z], cache_dir=zeros_cache)
+
+
+@pytest.mark.parametrize("k, z", [(304, -1e4), (10, -1e300), (10, math.inf), (10, math.nan)])
+def test_probe_refuses_a_point_past_the_double_range(zeros_cache, k, z):
+    # 1e4^304 / 304! is about 1e593: both evaluations would read inf or nan
+    with pytest.raises(RangeError, match="double range|must be finite"):
+        stability_probe([k], [z], cache_dir=zeros_cache)
+
+
+def test_probe_far_outside_the_validity_radius_returns_within_a_second(zeros_cache):
+    # the reference's digits follow the largest term, 1e6^10 / 10! ~ 3e53,
+    # not |z|: at 40 + |z| digits z = -1e6 did not finish in 20 s
+    stability_probe([10], [-5.0], cache_dir=zeros_cache)  # the zeros, off the clock
+
+    def expired(signum, frame):
+        raise TimeoutError("still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        rows = stability_probe([10], [-3e5, -1e6], cache_dir=zeros_cache)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert all(r.err_sum < 1e-14 and r.err_prod < 1e-14 for r in rows)
+
+
+def test_probe_passes_k_through_unconverted(zeros_cache):
+    # int(5.5) used to probe k = 5; the spec refuses it, as everywhere else
+    with pytest.raises(StructuralError, match="k must be an integer >= 1, got 5.5"):
+        stability_probe([5.5], [-1.0], cache_dir=zeros_cache)
+
+
 def test_emit_probe_format(zeros_cache, tmp_path):
     rows = stability_probe([10], [-5.0, 2j], cache_dir=zeros_cache)
     out = tmp_path / "probe.csv"
@@ -569,3 +610,25 @@ def test_emit_probe_format(zeros_cache, tmp_path):
     assert lines[2].startswith("10,2j,")
     with pytest.raises(StructuralError):
         emit_probe([], str(tmp_path / "empty.csv"))
+
+
+def test_a_chain_past_the_dense_cap_is_refused_before_its_sectors_are_searched(monkeypatch):
+    # a plan with no Chebyshev method and the order fit used to search the
+    # sectors first: about 38 MiB at L = 16, growing fourfold per two sites
+    splits = []
+
+    def recording(cfg):
+        splits.append(build_xxz(cfg))
+        return splits[-1]
+
+    monkeypatch.setattr(bench, "build_xxz", recording)
+    monkeypatch.setattr(spinmodel, "build_xxz", recording)
+    with pytest.raises(CapacityError):
+        run_benchmark(BenchPlan(model=XxzConfig(L=13), methods=("strang",)))
+    with pytest.raises(CapacityError):
+        spinmodel.xxz_spectrum(XxzConfig(L=13))
+    splits.append(build_xxz(XxzConfig(L=13)))
+    with pytest.raises(CapacityError):
+        multistage_order(splits[-1], to_multistage(get_scheme("strang")))
+    assert len(splits) == 3
+    assert all("sectors" not in split.__dict__ for split in splits)

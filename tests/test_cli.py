@@ -502,6 +502,14 @@ def test_probe_stability_stdout(capsys, zeros_cache):
         assert float(es) < 1e-11 and float(ep) < 1e-12
 
 
+@pytest.mark.parametrize("args", [("--k", "1", "--z=-1"), ("--k", "2", "--z=-1+1j"),
+                                  ("--k", "304", "--z=-1e4")])
+def test_probe_stability_refuses_a_zero_or_an_overflowing_point(capsys, zeros_cache, args):
+    rc, out, err = run_cli(capsys, "--zeros-cache", zeros_cache, "probe-stability", *args)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:range:") and len(err.splitlines()) == 1
+
+
 def test_probe_stability_file_output(capsys, tmp_path, zeros_cache):
     out_path = tmp_path / "probe.csv"
     rc, out, err = run_cli(

@@ -172,6 +172,27 @@ def test_chebyshev_admissible_rejects_unknown_axis():
             chebyshev_admissible_k(10.0, axis, 1e-8)
 
 
+def _admissible_k_reference(gamma_h, axis, epsilon):
+    """chebyshev_admissible_k as it was with its own Bessel sequence."""
+    if gamma_h == 0:
+        return 1
+    kind = "I" if axis == "real" else "J"
+    n_hi = int(2 * gamma_h) + 200
+    seq = polyexp._bessel_sequence(kind, n_hi, gamma_h)
+    for k in range(1, n_hi):
+        if 2.0 * abs(seq[k + 1]) < epsilon:
+            return k
+    raise AssertionError("no admissible k")
+
+
+@pytest.mark.parametrize("axis", ["real", "imaginary"])
+def test_admissible_k_reads_the_dropped_coefficient_of_the_plane(axis):
+    # a_{k+1} = 2 f_{k+1} exactly, from the same seeds and recurrence
+    for gh in (0, 1e-3, 0.213, 1, 10, 27.27, 100, 499, 500):
+        for eps in (1e-4, 1e-8, 1e-12, 1e-16):
+            assert chebyshev_admissible_k(gh, axis, eps) == _admissible_k_reference(gh, axis, eps)
+
+
 def test_admissible_tail_is_suppressed():
     for gh, axis, eps in [(20.0, "imaginary", 1e-12), (35.0, "real", 1e-10)]:
         k = chebyshev_admissible_k(gh, axis, eps)
@@ -392,7 +413,8 @@ def test_taylor_zeros_are_accurate(k, zeros_cache):
 
 def test_zero_solvers_raise_convergence_error(monkeypatch):
     # With a zero residual contract no solve can pass: both solvers must
-    # give up after their precision boost and report the residual reached.
+    # give up after their one set-up's two passes and report the residual
+    # reached.
     monkeypatch.setattr(polyexp, "ZERO_RESIDUAL_PER_K", 0.0)
     monkeypatch.setattr(polyexp, "_memo", {})
     with pytest.raises(ConvergenceError) as exc:
@@ -402,6 +424,58 @@ def test_zero_solvers_raise_convergence_error(monkeypatch):
     with pytest.raises(ConvergenceError) as exc:
         polyexp._zeros_mp(spec)
     assert math.isfinite(exc.value.worst_residual)
+
+
+# Imaginary-axis truncations below their admissible k that a second solve
+# at 1.5 times the working digits used to rescue, with the digest (as in
+# PINNED_ZEROS) and overall_scale of the zeros that solve gave.
+FAR_BELOW_ADMISSIBLE = {
+    (24, 100.0): ("fa67bca6dc96c80f9e4c1289f1e34cef42f4e97d867f81f5b44879fbdbbfff4d",
+                  "-0x1.4f29d82f7252ep-6"),
+    (80, 150.0): ("38ef8f50bdef6d231bf557c6174034fd9650112394e73d6aa265cef1ac3e21b6",
+                  "-0x1.27d6685e693c1p-5"),
+    (80, 172.0): ("3a7ce353e1bf0f78454ac0b774e54b737e089cb290e142637f407164cd284fa7",
+                  "-0x1.4fb207d8f7a56p-5"),
+}
+
+
+@pytest.mark.parametrize("k, gh", list(FAR_BELOW_ADMISSIBLE), ids=str)
+def test_a_truncation_below_its_admissible_k_solves_with_one_set_up(tmp_path, monkeypatch, k, gh):
+    # 0.09 (Gamma*h - k) more working digits let the guessed pass meet the
+    # contract, and the zeros and scale are those the second solve gave
+    spec = SeriesSpec("chebyshev", k, gamma_scale=gh, axis="imaginary")
+    setups, passes = [], []
+    setup, certified = polyexp._SETUPS["chebyshev"], polyexp._newton_certified
+
+    def recording_setup(spec, dps, zeros=None):
+        setups.append(dps)
+        return setup(spec, dps, zeros)
+
+    def recording_pass(*args):
+        got = certified(*args)
+        passes.append(got[2])
+        return got
+
+    monkeypatch.setitem(polyexp._SETUPS, "chebyshev", recording_setup)
+    monkeypatch.setattr(polyexp, "_newton_certified", recording_pass)
+    monkeypatch.setattr(polyexp, "_memo", {})
+    fact = factorize(spec, cache_dir=str(tmp_path))
+    assert setups == [65 + k // 4 + int(0.09 * (gh - k))] and passes == [None]
+    digest, scale = FAR_BELOW_ADMISSIBLE[k, gh]
+    text = " ".join(f"{z.real.hex()},{z.imag.hex()}" for z in fact.zeros)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert fact.overall_scale.hex() == scale
+
+
+def test_working_digits_grow_only_below_the_admissible_k_on_the_imaginary_axis():
+    def dps(k, gh=None, axis=None):
+        family = "taylor" if gh is None else "chebyshev"
+        return polyexp._working_dps(SeriesSpec(family, k, gamma_scale=gh, axis=axis))
+
+    assert [dps(k) for k in (1, 52, 400)] == [41, 54, 141]
+    assert dps(40, 20.0, "real") == 65 + 10 + int(0.44 * 20.0) + 10
+    assert dps(100, 80.0, "imaginary") == dps(100, 100.0, "imaginary") == 65 + 25
+    assert dps(52, 100.0, "imaginary") == 65 + 13 + 4
 
 
 def _to_mp(a, bits):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from trotterkit import spinmodel
 from trotterkit.compose import _eig_expm
 from trotterkit.errors import CapacityError, DimensionError, StructuralError
 from trotterkit.multistage import apply_multistage, evolve, to_multistage
@@ -208,6 +209,36 @@ def test_l2_spectrum_analytic():
         w = xxz_spectrum(XxzConfig(L=2, delta=delta))
         want = np.sort(np.array([delta, delta, 2.0 - delta, -2.0 - delta]))
         assert np.allclose(np.sort(w), want, rtol=0, atol=1e-13)
+
+
+SPECTRUM_CHAINS = [XxzConfig(L=L, boundary=b, delta=d)
+                   for L in range(2, 11) for b in ("open", "periodic") for d in (0.0, 0.3, 1.0)
+                   if b == "open" or L >= 3]
+
+
+@pytest.mark.parametrize("cfg", SPECTRUM_CHAINS, ids=str)
+def test_spectrum_is_the_oracles_sector_eigenvalues_sorted(cfg):
+    # the whole-matrix eigvalsh is only the reference here: the spectrum
+    # agrees with it to rounding, not bit for bit
+    split = build_xxz(cfg)
+    w = xxz_spectrum(cfg)
+    values, _ = spinmodel._sector_oracle(spinmodel._h_blocks(split))
+    assert np.array_equal(w, np.sort(np.concatenate(values)))
+    assert np.max(np.abs(w - np.linalg.eigvalsh(split.total))) < 1e-12
+
+
+def test_spectrum_diagonalizes_each_sector_block_once(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    xxz_spectrum(XxzConfig(L=6))
+    assert shapes == [(comb(6, m), comb(6, m)) for m in range(7)]
 
 
 def test_j_scaling():
