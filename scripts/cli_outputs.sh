@@ -120,9 +120,12 @@ run zeros-taylor-400 zeros --family taylor --k 400
 run zeros-chebyshev-100-80-imaginary zeros --family chebyshev --k 100 --gamma-h 80 --axis imaginary
 run zeros-chebyshev-40-20-real zeros --family chebyshev --k 40 --gamma-h 20 --axis real
 run zeros-chebyshev-40-0.213-imaginary zeros --family chebyshev --k 40 --gamma-h 0.21304262029217305 --axis imaginary
-# an imaginary-axis truncation below its admissible k (k < Gamma*h), whose
-# solve runs at 0.09 (Gamma*h - k) = 4 digits more than a k >= Gamma*h one
+# imaginary-axis truncations below their admissible k (k < Gamma*h), whose
+# digits rise to the residual floor where it is above 65 + k/4: not at
+# k = 52 (78 digits), at k = 24 (71 -> 76, where a second solve at 1.5
+# times the digits used to find these zeros)
 run zeros-chebyshev-52-100-imaginary zeros --family chebyshev --k 52 --gamma-h 100 --axis imaginary
+run zeros-chebyshev-24-100-imaginary zeros --family chebyshev --k 24 --gamma-h 100 --axis imaginary
 run expm-taylor-prod expm --method taylor --k 52 --scalar=-10j
 run expm-taylor-sum expm --method taylor --k 52 --scalar=-10j --sum
 run expm-chebyshev-prod expm --method chebyshev --k 40 --gamma-h 20 --axis imaginary --scalar=-15j
@@ -130,7 +133,7 @@ run expm-chebyshev-sum expm --method chebyshev --k 40 --gamma-h 20 --axis imagin
 run expm-chebyshev-real-prod expm --method chebyshev --k 16 --gamma-h 2.5 --axis real --scalar=-2
 run expm-chebyshev-real-sum expm --method chebyshev --k 16 --gamma-h 2.5 --axis real --scalar=-2 --sum
 # the spectrum is the sector blocks' eigenvalues: the four model-xxz
-# entries moved in their last bits (at most 1.3e-13 at L = 10) when they
+# entries moved in their last bits (at most 1.1e-13 at L = 10) when they
 # stopped coming from a whole-matrix eigvalsh, so a tree from before that
 # differs there
 run model-xxz model xxz

@@ -210,7 +210,7 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     gamma = None
     if any(m.kind == "chebyshev" for m in methods):
         gamma = suggest_gamma(split.total, eigvals=np.linalg.eigh(split.total)[0])
-    _, oracle = _sector_oracle(h_blocks)
+    oracle = _sector_oracle(h_blocks)
     records = []
     for method in methods:
         for h in plan.h_grid:

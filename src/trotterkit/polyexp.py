@@ -260,14 +260,16 @@ def chebyshev_coefficients(spec):
 def chebyshev_admissible_k(gamma_h, axis, epsilon):
     """Smallest k with |mu_{k+1}| < epsilon (series tail suppressed), for
     gamma_h in [0, BESSEL_X_MAX] (1 at gamma_h = 0): |mu_{k+1}| is the
-    dropped coefficient |a_{k+1}| of `_chebyshev_plane`, which is built once
-    up to order 2 gamma_h + 200 and checks the axis."""
+    dropped coefficient |a_{k+1}| of `_chebyshev_plane`'s builder, run once
+    up to order 2 gamma_h + 200 outside the solve's plane cache."""
     if not (0 <= gamma_h <= BESSEL_X_MAX and 0 < epsilon < 1):
         raise RangeError(f"need 0 <= gamma_h <= {BESSEL_X_MAX:g}, 0 < epsilon < 1")
+    if axis not in ("real", "imaginary"):
+        raise StructuralError(f"axis must be 'real' or 'imaginary', got {axis!r}")
     if gamma_h == 0:
         return 1
     n_hi = int(2 * gamma_h) + 200
-    a = _chebyshev_plane(SeriesSpec("chebyshev", n_hi, gamma_scale=gamma_h, axis=axis))
+    a = _chebyshev_plane.__wrapped__(SeriesSpec("chebyshev", n_hi, gamma_scale=gamma_h, axis=axis))
     for k in range(1, n_hi):
         if abs(a[k + 1]) < epsilon:
             return k
@@ -690,36 +692,62 @@ _SETUPS = {"taylor": _taylor_setup, "chebyshev": _chebyshev_setup}
 def _working_dps(spec):
     """Digits of the zero solve, its load check and `factorize`'s p(0): 41 +
     k/4 for Taylor; 65 + k/4 for Chebyshev, plus log10(e^Gh) + 10 on the real
-    axis, whose sums cancel from I_0(Gh) ~ e^Gh down to O(1), and 0.09 (Gh -
-    k) on the imaginary axis when k < Gh, a truncation below its admissible
-    k.  0.09 is the smallest factor, in steps of 0.01, that lets one set-up
-    solve every spec of the zero-solve grid (k <= 152, Gh <= 172) that a
-    second solve at 1.5 times the digits used to: (24, 100), (80, 150) and
-    (80, 172) need 4, 6 and 5 more digits, and get 6, 6 and 8."""
+    axis, whose sums cancel from I_0(Gh) ~ e^Gh down to O(1).  On the
+    imaginary axis with k < Gh, a truncation below its admissible k, they
+    rise to `_floor_digits` + 2 where that is more."""
     if spec.family == "taylor":
         return 41 + int(0.25 * spec.k)
+    dps = 65 + int(0.25 * spec.k)
     if spec.axis == "real":
-        guard = int(0.44 * spec.gamma_h) + 10
-    else:
-        guard = max(0, int(0.09 * (spec.gamma_h - spec.k)))
-    return 65 + int(0.25 * spec.k) + guard
+        return dps + int(0.44 * spec.gamma_h) + 10
+    if spec.k < spec.gamma_h:
+        dps = max(dps, _floor_digits(spec) + 2)
+    return dps
+
+
+def _floor_digits(spec):
+    """Digits at which the residual floor of a Chebyshev solve meets the
+    contract, estimated in double precision from the colleague guesses w_j:
+    `_chebyshev_setup`'s allowance over its fraction bits gives a z-plane
+    floor of Gh 4 reach 2^(terms - 16) 10^-dps / |p'(w_j)| at root j, with
+    terms = max_i log2 |a_i| rho^i (`_clenshaw_guard_bits`) and p'(w_j) =
+    a_k 2^(k-1) prod_{i != j} (w_j - w_i).  Far below the admissible k the
+    zeros crowd and |p'| is small, so the floor, not the guesses, decides
+    whether a solve meets the contract."""
+    k = spec.k
+    sign = -1 if spec.axis == "imaginary" else 1
+    a = _chebyshev_plane(spec)[:-1]
+    ws = np.array(_colleague_guesses(a, sign))
+    log_rho = _clenshaw_log_rho([complex(w.imag, -w.real) if sign < 0 else w for w in ws])
+    terms = max(math.log2(abs(m)) + i * log_rho for i, m in enumerate(a) if m != 0)
+    reach = 3 + math.ceil(np.max(np.abs(ws)))
+    gaps = np.abs(ws[:, None] - ws[None, :])
+    np.fill_diagonal(gaps, 1.0)
+    log_dp = math.log2(abs(a[k])) + k - 1 + np.min(np.sum(np.log2(gaps), axis=1))
+    floor_bits = math.log2(spec.gamma_h * 4 * reach) + terms - 16 - log_dp
+    return math.ceil((floor_bits - math.log2(ZERO_RESIDUAL_PER_K * k)) / math.log2(10))
 
 
 def _zeros_mp(spec):
     """All k zeros (z-plane) of the truncation for spec, meeting the residual
-    contract, with their worst residual: one set-up at `_working_dps`, then
-    certified Newton from the family's guesses and, only if that fails, from
-    refined guesses.  ConvergenceError names the check the last pass failed."""
+    contract, with their worst residual: certified Newton from the family's
+    guesses, then from refined guesses, at `_working_dps` and, only if both
+    fail, again at 1.5 times it.  The second set-up is the fallback for a
+    truncation far above its admissible k, where the double-precision
+    guesses are poor and no precision rule is known: imaginary-axis
+    Chebyshev (172, 7.5), (180, 5) and (188, 10) solve only there.
+    ConvergenceError names the check the last pass failed."""
     k = spec.k
-    dps = _working_dps(spec)
-    with mp.workdps(dps):
-        guesses, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps)
-        zs, worst, failed = _newton_certified(k, guesses, scale, bits, kernel, slack)
-        if failed:
-            guesses = _refined_guesses(kernel, guesses, bits)
+    for boost in (1.0, 1.5):
+        dps = int(_working_dps(spec) * boost)
+        with mp.workdps(dps):
+            guesses, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps)
             zs, worst, failed = _newton_certified(k, guesses, scale, bits, kernel, slack)
-    if not failed:
-        return zs, worst
+            if failed:
+                guesses = _refined_guesses(kernel, guesses, bits)
+                zs, worst, failed = _newton_certified(k, guesses, scale, bits, kernel, slack)
+        if not failed:
+            return zs, worst
     tol = ZERO_RESIDUAL_PER_K * k
     what = f"{spec.family} zeros k={k}"
     what += f" Gamma*h={spec.gamma_h} {spec.axis}" if spec.family == "chebyshev" else ""

@@ -384,7 +384,7 @@ def _fit_order(split, sequence, alternate_reversal=False):
     `_evolved_blocks` against the exact oracle on H's gathered blocks
     (`_sector_oracle` on `_h_blocks`, whose one exponential serves every h),
     by `_sector_distance`."""
-    _, oracle = _sector_oracle(_h_blocks(split))
+    oracle = _sector_oracle(_h_blocks(split))
     errors = []
     for h in _FIT_H_GRID:
         steps = round(1.0 / h)

