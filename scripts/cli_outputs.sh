@@ -143,6 +143,9 @@ run model-xxz-periodic model xxz --L 6 --delta 0.3 --bc periodic
 # L % 3 == 1 recolours the wrap bond
 run model-xxz-periodic-l7 model xxz --L 7 --bc periodic --delta 0.3 --J 0.7
 run model-xxz-l10 model xxz --L 10
+# at the dense cap, whose sector blocks are placed from the terms, with
+# non-integer entries whose summation order shows in the bits
+run model-xxz-l12 model xxz --L 12 --bc periodic --delta 0.3 --J 0.7
 # past the dense cap: refused before any sector search
 expect=1 run model-xxz-l13 model xxz --L 13
 run probe-stability probe-stability

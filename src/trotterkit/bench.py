@@ -189,20 +189,18 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
 
     Every cell is kept as its blocks over the chain's magnetization
     sectors (`OperatorSplit.sectors`, the blocks of H's pattern), and
-    nothing is scattered.  H's sector blocks are gathered once
-    (`spinmodel._h_blocks`, which refuses a chain past the dense cap before
-    searching its sectors): the exact oracle (`spinmodel._sector_oracle`,
-    as in `exact_evolution`) diagonalizes each once and keeps its
+    nothing is scattered.  H's sector blocks are placed once from the
+    terms (`spinmodel._h_blocks`, which refuses a chain past the dense cap
+    before searching its sectors): the exact oracle
+    (`spinmodel._sector_oracle`) diagonalizes each once and keeps its
     exponential per distinct effective time, and a polynomial cell powers
     its step on each block.  A scheme cell builds and powers its step's
     blocks on the packed identity (`compose._evolved_blocks`).  Each error
-    is the Frobenius norm of the difference, sqrt(sum_s |U_s - E_s|_F^2),
-    as in the order fit (`spinmodel._sector_distance`).  Only a plan with a
-    Chebyshev method diagonalizes the whole H: its eigenvalues give the
-    Gamma that keys the zero cache, and sector eigenvalues can differ from
-    them in the last bits.  That eigh can move to the sector eigenvalues
-    only together with the perfbench `sweep` warm-up, which solves the
-    zeros for the whole-matrix Gamma.
+    is sqrt(sum_s |U_s - E_s|_F^2) (`spinmodel._sector_distance`).  Only a
+    plan with a Chebyshev method builds and diagonalizes the whole H: its
+    eigenvalues give the Gamma that keys the zero cache (the perfbench
+    `sweep` warm-up solves the zeros for it), and sector eigenvalues can
+    differ from them in the last bits.
     """
     methods = [parse_method(d, catalog_path=catalog_path) for d in plan.methods]
     split = build_xxz(plan.model)
@@ -287,11 +285,11 @@ def emit_records(records, path, *, plan=None, plot_path=None):
 def matched_cost_errors(records):
     """Errors interpolated to common cost values.
 
-    Returns (costs, {method: [error, ...]}) sampled at every grid cost lying
-    inside all methods' cost ranges; interpolation is log-log linear, so
-    power-law segments are interpolated exactly.  Records with nonpositive
-    cost (the exact control) are ignored; every other method needs two
-    costs at least.
+    Returns (costs, {method: [error, ...]}) sampled at every record cost
+    inside all methods' cost ranges, each the record's own value;
+    interpolation is log-log linear, so power-law segments are interpolated
+    exactly.  Records with nonpositive cost (the exact control) are
+    ignored; every other method needs two costs at least.
     """
     by_method = {}
     for r in records:
@@ -304,24 +302,15 @@ def matched_cost_errors(records):
     for name in methods:
         if len(by_method[name]) < 2:
             raise NotFoundError(f"need >= 2 costed records for method {name!r}")
-        pts = sorted(by_method[name].items())
-        log_c = np.log([c for c, _ in pts])
-        log_e = np.log([max(e, 1e-300) for _, e in pts])
-        series[name] = (log_c, log_e)
+        costs, errors = zip(*sorted(by_method[name].items()))
+        series[name] = (costs, np.log(costs), np.log([max(e, 1e-300) for e in errors]))
     lo = max(s[0][0] for s in series.values())
     hi = min(s[0][-1] for s in series.values())
     if not lo < hi:
         raise GridUnusableError("methods' cost ranges do not overlap")
-    sample = sorted(
-        {
-            float(c)
-            for log_c, _ in series.values()
-            for c in np.exp(log_c)
-            if lo <= math.log(c) <= hi
-        }
-    )
+    sample = sorted({float(c) for costs, _, _ in series.values() for c in costs if lo <= c <= hi})
     table = {
-        name: [float(math.exp(np.interp(math.log(c), *series[name]))) for c in sample]
+        name: [float(math.exp(np.interp(math.log(c), *series[name][1:]))) for c in sample]
         for name in methods
     }
     return sample, table

@@ -17,9 +17,9 @@ on a (2^L x m) block by one reshape to (2^i, 4, 2^(L-i-2) m) and one
 batched matmul, and the periodic wrap bond (L-1, 0) first moves site L-1
 next to site 0.  A split of dense parts has one term per part that acts on
 the whole space, and its gate is applied as one matrix product.  A step is
-the factor sequence applied to the packed identity (below), and the dense
-parts of a local split are placed from its terms' entries (`_term_entries`),
-built on first use; `_dense_dim` refuses both past DENSE_DIM_CAP.
+the factor sequence applied to the packed identity (below); the parts, the
+total and H's sector blocks are placed from the terms' entries by one
+builder, `OperatorSplit._placed`.  Both are refused past DENSE_DIM_CAP.
 
 A real Hamiltonian stays real: a term or part whose imaginary part is
 exactly zero is stored as float64 (and so is `total` when every part is),
@@ -28,9 +28,9 @@ builds v diag(e^{z w}) v^T from a real v as one real GEMM.
 
 A split keeps the sectors that every gate preserves as its `sectors`: the
 connected components of the union of its terms' off-diagonal nonzero
-patterns, found by one component search (`_components`) over the entries
-the same map places, with no dense matrix built.  e^{z op} has no entry
-outside op's components, so every step is block-diagonal over them.  For
+patterns, found by one component search (`_components`) over the terms'
+entries (`_term_entries`), with no dense matrix built.  e^{z op} has no
+entry outside op's components, so each step is block-diagonal over them.  For
 the XXZ chain they are its magnetization sectors, the blocks the exact
 oracle (`spinmodel.exact_evolution`) diagonalizes with the same search;
 they are coarser than H's blocks only where parts cancel an entry of H.
@@ -149,31 +149,43 @@ class OperatorSplit:
 
     @cached_property
     def parts(self):
-        """The dense parts A_k, each placed from its terms' entries; built
-        on first use and kept."""
-        return tuple(self._dense_parts())
+        """The dense parts A_k, each placed on the whole range (`_placed`)."""
+        return tuple(self._placed([np.arange(_dense_dim(self.dim))], [t])[0] for t in self.terms)
 
     @cached_property
     def total(self):
-        """H = sum_k A_k, summed part by part in order into a zero matrix;
-        a part not kept in `parts` is built for the sum and dropped before
-        the next is placed, so at most the total and one part are held."""
-        parts = self._dense_parts()
-        ops = (op for part_terms in self.terms for _, _, op in part_terms)
-        total = np.zeros((self.dim, self.dim), np.result_type(float, *ops))
-        for p in parts:
-            total += p
-            del p  # else it stays alive while the generator places the next
-        total.setflags(write=False)
-        return total
+        """H = sum_k A_k, every part placed on the whole range (`_placed`);
+        refused past DENSE_DIM_CAP unless the split holds dense parts."""
+        dim = self.dim if "parts" in self.__dict__ else _dense_dim(self.dim)
+        return self._placed([np.arange(dim)], self.terms)[0]
 
-    def _dense_parts(self):
-        """The kept `parts`, or else an iterator that places each part from
-        its terms' entries (`_placed_sum`; refused past DENSE_DIM_CAP)."""
-        if "parts" in self.__dict__:
-            return self.parts
-        dim = _dense_dim(self.dim)
-        return (_placed_sum(dim, part_terms) for part_terms in self.terms)
+    def _placed(self, index_sets, terms):
+        """The sum of the parts with these terms on each sorted index set:
+        one read-only block per set, end to end in one buffer.  The sets
+        partition the range, and no term joins two.  A part's buffer starts
+        at zero and takes its terms' entries in term order (`_term_entries`,
+        read once; op[np.ix_(s, s)] for a whole-space term), and the parts
+        are summed in order into a zero buffer, rounding as a dense sum does."""
+        ends = np.cumsum([0] + [len(s) ** 2 for s in index_sets])
+        # each index's place in its set, and where its row starts in the buffer
+        at, row = np.empty((2, self.dim), dtype=np.intp)
+        for s, start in zip(index_sets, ends):
+            at[s] = np.arange(len(s))
+            row[s] = start + at[s] * len(s)
+        total = np.zeros(ends[-1], np.result_type(float, *(op for t in terms for _, _, op in t)))
+        for part_terms in terms:
+            part = np.zeros(total.shape, total.dtype)  # not zeros_like, which writes every page
+            for i, j, op in part_terms:
+                if i is None:
+                    for s, start in zip(index_sets, ends):
+                        part[start:start + len(s) ** 2] += op[np.ix_(s, s)].ravel()
+                else:
+                    rows, cols, vals = _term_entries(self.dim, i, j, op)
+                    part[row[rows] + at[cols]] += vals
+            total += part
+            del part  # else it stays alive while the next is allocated
+        total.setflags(write=False)
+        return [total[a:b].reshape(len(s), len(s)) for s, a, b in zip(index_sets, ends, ends[1:])]
 
     @cached_property
     def sectors(self):
@@ -296,17 +308,6 @@ def _term_entries(dim, i, j, op):
     # op's index is 2 * (site i's bit) + (site j's bit)
     place = ((np.arange(4) >> 1) * bit_i + (np.arange(4) & 1) * bit_j)[:, None] + rest
     return place[rows].ravel(), place[cols].ravel(), op[rows, cols].repeat(len(rest))
-
-
-def _placed_sum(dim, terms):
-    """The sum of the terms (i, j, op) as a read-only (dim x dim) matrix,
-    each term's entries added in turn to a zero matrix."""
-    out = np.zeros((dim, dim), np.result_type(float, *(op for _, _, op in terms)))
-    for i, j, op in terms:
-        rows, cols, vals = _term_entries(dim, i, j, op)
-        out[rows, cols] += vals
-    out.setflags(write=False)
-    return out
 
 
 def _scattered(sectors, blocks):

@@ -728,18 +728,25 @@ def _floor_digits(spec):
     return math.ceil((floor_bits - math.log2(ZERO_RESIDUAL_PER_K * k)) / math.log2(10))
 
 
+def _digit_levels(spec):
+    """The digits a zero solve sets up at, in order, and so those its load
+    check tries: `_working_dps`, then 1.5 times it, the fallback for a
+    truncation far above its admissible k, where the double-precision
+    guesses are poor and no precision rule is known: imaginary-axis
+    Chebyshev (172, 7.5), (180, 5), (188, 10) and (304, 100) solve only
+    there."""
+    dps = _working_dps(spec)
+    return dps, int(dps * 1.5)
+
+
 def _zeros_mp(spec):
     """All k zeros (z-plane) of the truncation for spec, meeting the residual
     contract, with their worst residual: certified Newton from the family's
-    guesses, then from refined guesses, at `_working_dps` and, only if both
-    fail, again at 1.5 times it.  The second set-up is the fallback for a
-    truncation far above its admissible k, where the double-precision
-    guesses are poor and no precision rule is known: imaginary-axis
-    Chebyshev (172, 7.5), (180, 5) and (188, 10) solve only there.
-    ConvergenceError names the check the last pass failed."""
+    guesses, then from refined guesses, at the first of `_digit_levels` and,
+    only if both fail, again at the second.  ConvergenceError names the
+    check the last pass failed."""
     k = spec.k
-    for boost in (1.0, 1.5):
-        dps = int(_working_dps(spec) * boost)
+    for dps in _digit_levels(spec):
         with mp.workdps(dps):
             guesses, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps)
             zs, worst, failed = _newton_certified(k, guesses, scale, bits, kernel, slack)
@@ -789,11 +796,13 @@ def default_cache_dir():
 def _load_zeros(path, header, spec):
     """The zeros of a cache file, or None unless its header matches, its
     zeros are k, exactly conjugate-closed and of a stored residual within
-    the contract, and the solve's fixed-point kernel, at the base working
-    precision and set up for the stored zeros (no guesses), certifies them
-    again with the solve's `_residual`: |p/p'| at each stored double z
-    within its rounding allowance 2^-50 |z|, and disjoint disks of radius
-    k * max |p/p'| (a legacy bare-list file fails)."""
+    the contract, and the solve's fixed-point kernel, set up for the stored
+    zeros (no guesses), certifies them again with the solve's `_residual`
+    at one of the solve's `_digit_levels`, tried in order: |p/p'| at each
+    stored double z within its rounding allowance 2^-50 |z|, and disjoint
+    disks of radius k * max |p/p'| (a legacy bare-list file fails).  So a
+    file written by the fallback set-up loads at the fallback's digits; the
+    header does not record the digits, and `_SOLVER` is unchanged."""
     k = spec.k
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -805,16 +814,16 @@ def _load_zeros(path, header, spec):
         if len(zs) != k or not 0 <= residual < ZERO_RESIDUAL_PER_K * k:
             return None
         reps = [z for z in zs if z.imag >= 0]  # a conjugate's |p/p'| is its partner's
-        dps = _working_dps(spec)
-        with mp.workdps(dps):
-            _, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps, reps)
-            ws = [(_fixed(mp.mpf(z.real) / scale, bits), _fixed(mp.mpf(z.imag) / scale, bits))
-                  for z in reps]
-        steps = np.array([_residual(kernel(w), slack, scale) for w in ws])
+        for dps in _digit_levels(spec):
+            with mp.workdps(dps):
+                _, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps, reps)
+                ws = [(_fixed(mp.mpf(z.real) / scale, bits), _fixed(mp.mpf(z.imag) / scale, bits))
+                      for z in reps]
+            steps = np.array([_residual(kernel(w), slack, scale) for w in ws])
+            if np.all(steps <= _rounding(reps)) and _disks_disjoint(zs, k * np.max(steps)):
+                return zs
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError, ConvergenceError):
-        return None
-    if np.all(steps <= _rounding(reps)) and _disks_disjoint(zs, k * np.max(steps)):
-        return zs
+        pass
     return None
 
 

@@ -5,17 +5,17 @@ H = J sum_bonds (sx sx + sy sy + Delta sz sz) over nearest-neighbour bonds
 three colors so the chain always presents a Lambda = 3 split; every color
 group consists of site-disjoint bonds.  The split records each color as
 its local terms (i, j, h_b), one shared 4x4 bond term, so the composer
-builds every step from cached 4x4 bond gates; the dense parts and H are
-placed from the terms' entries, built on first use, so a chain past the
-dense cap (L > 12) is split but refused at its first dense access.  The
-chain is real in the computational basis, so the bond term, the parts and
-the total are float64, and the exact oracle diagonalizes H in real
+builds every step from cached 4x4 bond gates; the dense parts, H and H's
+sector blocks are placed from the terms' entries on first use, so a chain
+past the dense cap (L > 12) is split but refused at its first dense
+access.  The chain is real in the computational basis, so the bond term,
+the parts and the total are float64, and the exact oracle diagonalizes H in real
 arithmetic, one magnetization sector at a time: H conserves the number of
 up spins, so its blocks are of size C(L, m).  `exact_evolution`, the bench
 and the order fit share one oracle, `_sector_oracle`, and the last two one
 error on blocks, `_sector_distance`; the bench, the order fit and
-`xxz_spectrum` gather H's blocks through `_h_blocks`, and the spectrum is
-their eigenvalues, sorted.
+`xxz_spectrum` take H's blocks from `_h_blocks`, with no dense H built, and
+the spectrum is their eigenvalues, sorted.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import DimensionError, StructuralError, integer_field, real_field
 from .compose import (
     OperatorSplit,
     _components,
+    _dense_dim,
     _eig_expm,
     _hermitian,
     _scattered,
@@ -151,11 +152,11 @@ def exact_evolution(h_matrix, t, direction="forward"):
 
 
 def _h_blocks(split):
-    """H's blocks over `split.sectors`, in their order: what the bench, the
-    order fit and `xxz_spectrum` diagonalize.  `split.total` is read first,
-    so a chain past the dense cap is refused before its sectors are searched."""
-    total = split.total
-    return [total[np.ix_(s, s)] for s in split.sectors]
+    """H's blocks over `split.sectors`, in order: what the bench, the order
+    fit and `xxz_spectrum` diagonalize, placed from the terms (`_placed`).
+    A chain past the dense cap is refused before its sectors are searched."""
+    _dense_dim(split.dim)
+    return split._placed(split.sectors, split.terms)
 
 
 def _sector_oracle(blocks):

@@ -253,22 +253,44 @@ def test_xxz_oracles_diagonalize_only_real_matrices(zeros_cache, monkeypatch):
 
 
 def test_run_builds_each_part_once(zeros_cache, monkeypatch):
-    # each part is built once for the total, and the sectors read the
+    # each part is placed once, on H's sectors, and the sectors read the
     # terms alone, so no part is built a second time
     plan = BenchPlan(model=XxzConfig(L=5, boundary="periodic"), t_total=1.0,
                      methods=("exact", "strang", "taylor:12"), h_grid=(0.5,))
     builds = []
-    placed_sum = compose._placed_sum
+    placed = compose.OperatorSplit._placed
 
-    def counting(dim, terms):
-        builds.append([(i, j) for i, j, _ in terms])
-        return placed_sum(dim, terms)
+    def counting(split, index_sets, terms):
+        assert index_sets is split.sectors
+        builds.append([[(i, j) for i, j, _ in part_terms] for part_terms in terms])
+        return placed(split, index_sets, terms)
 
-    monkeypatch.setattr(compose, "_placed_sum", counting)
+    monkeypatch.setattr(compose.OperatorSplit, "_placed", counting)
     run_benchmark(plan, cache_dir=zeros_cache)
     parts = build_xxz(plan.model).terms
     assert len(parts) == 3
-    assert builds == [[(i, j) for i, j, _ in terms] for terms in parts]
+    assert builds == [[[(i, j) for i, j, _ in terms] for terms in parts]]
+
+
+def test_no_dense_h_without_a_chebyshev_method(zeros_cache, monkeypatch):
+    # H's sector blocks come from the terms, so a run with no Chebyshev
+    # method, the spectrum and an order fit build no dense total
+    splits = []
+
+    def recording(cfg):
+        splits.append(build_xxz(cfg))
+        return splits[-1]
+
+    monkeypatch.setattr(bench, "build_xxz", recording)
+    monkeypatch.setattr(spinmodel, "build_xxz", recording)
+    run_benchmark(BenchPlan(model=XxzConfig(L=6, boundary="periodic", delta=0.3), t_total=1.0,
+                            methods=("exact", "strang", "taylor:12", "taylor:12:sum"),
+                            h_grid=(0.5,)), cache_dir=zeros_cache)
+    spinmodel.xxz_spectrum(XxzConfig(L=7, J=0.7))
+    splits.append(build_xxz(XxzConfig(L=5)))
+    multistage_order(splits[-1], to_multistage(get_scheme("strang")))
+    assert len(splits) == 3
+    assert all("total" not in vars(split) for split in splits)
 
 
 @pytest.mark.parametrize("plan", [
@@ -505,8 +527,8 @@ def test_matched_cost_interpolates_power_laws_exactly():
         "slow", [3, 6, 12, 24], lambda c: 20.0 / c
     )
     costs, table = matched_cost_errors(records)
-    assert costs == sorted(costs)
-    assert min(costs) >= 3.0 and max(costs) <= 16.0
+    # the records' own costs in the common range, not their log/exp images
+    assert costs == [3.0, 4.0, 6.0, 8.0, 12.0, 16.0]
     for c, e_fast, e_slow in zip(costs, table["fast"], table["slow"]):
         assert e_fast == pytest.approx(10.0 * c**-2.0, rel=1e-12)
         assert e_slow == pytest.approx(20.0 / c, rel=1e-12)

@@ -513,9 +513,22 @@ def test_dense_split_parts_are_its_validated_copies(monkeypatch):
     def rebuild(*args):
         raise AssertionError("a dense split's part was rebuilt")
 
-    monkeypatch.setattr(compose_module, "_placed_sum", rebuild)
+    placed = []
+    builder = OperatorSplit._placed
+
+    def recording(self, index_sets, terms):
+        placed.append((index_sets, terms))
+        return builder(self, index_sets, terms)
+
+    # the total sums the kept parts, with no scan of their entries
+    monkeypatch.setattr(OperatorSplit, "_placed", recording)
+    monkeypatch.setattr(compose_module, "_term_entries", rebuild)
     monkeypatch.setattr(compose_module, "_dense_dim", rebuild)
     assert np.array_equal(split.total, parts[0] + parts[1])
+    ((index_sets, terms),) = placed
+    assert [s.tolist() for s in index_sets] == [[0, 1, 2, 3]]
+    assert all(op is part for ((_, _, op),), part in zip(terms, parts))
+    monkeypatch.undo()
     assert len(split.sectors) == 1 and split.parts is parts
 
 

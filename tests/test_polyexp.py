@@ -880,6 +880,29 @@ def test_cache_file_is_read_back(tmp_path, monkeypatch):
     assert sorted((z.real, z.imag) for z in zs) == sorted((a, b) for a, b in seeded)
 
 
+def test_a_file_from_the_fallback_set_up_loads_at_its_digits(tmp_path, monkeypatch):
+    # with the base digits patched to 12, the stored Taylor k = 20 zeros
+    # fail the load check there (the first passing level is 14) and pass
+    # at the fallback's 18, so the file is served, not solved again
+    monkeypatch.setattr(polyexp, "_memo", {})
+    want = taylor_zeros(20, cache_dir=str(tmp_path))
+    setups = []
+    setup = polyexp._SETUPS["taylor"]
+
+    def recording_setup(spec, dps, zeros=None):
+        setups.append(dps)
+        return setup(spec, dps, zeros)
+
+    monkeypatch.setitem(polyexp._SETUPS, "taylor", recording_setup)
+    monkeypatch.setattr(polyexp, "_working_dps", lambda spec: 12)
+    monkeypatch.setattr(polyexp, "_zeros_mp", _no_solve)
+    monkeypatch.setattr(polyexp, "_memo", {})
+    got = taylor_zeros(20, cache_dir=str(tmp_path))
+    assert setups == [12, 18]
+    assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+        (z.real.hex(), z.imag.hex()) for z in want]
+
+
 def test_memo_is_kept_per_cache_file(tmp_path, monkeypatch):
     # zeros met in one directory are still written to the next, and a
     # directory that has met them needs neither its file nor a solve

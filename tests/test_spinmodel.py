@@ -13,6 +13,7 @@ from trotterkit.multistage import apply_multistage, evolve, to_multistage
 from trotterkit.schemes import get_scheme
 from trotterkit.spinmodel import (
     XxzConfig,
+    _h_blocks,
     bond_coloring,
     build_xxz,
     exact_evolution,
@@ -337,6 +338,44 @@ def test_sector_oracle_matches_full_diagonalization(L, boundary, delta):
         want = _eig_expm(w, v, z)
         assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
         assert not got[off].any()
+
+
+H_BLOCK_CHAINS = [
+    (L, b, d, J)
+    for L in range(2, 13)
+    for b in ("open", "periodic")
+    if b == "open" or L >= 3
+    for d, J in ((0.0, 1.0), (0.3, 0.7), (1.0, 1.0))
+]
+
+
+@pytest.mark.parametrize("L, boundary, delta, J", H_BLOCK_CHAINS)
+def test_h_blocks_are_the_totals_sector_blocks_bit_for_bit(L, boundary, delta, J):
+    # placed from the terms, each block sums its entries in the order the
+    # dense total does, and no dense H is built for them
+    split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=delta, J=J))
+    blocks = _h_blocks(split)
+    assert "total" not in vars(split) and "parts" not in vars(split)
+    assert len(blocks) == len(split.sectors)
+    for b, s in zip(blocks, split.sectors):
+        want = split.total[np.ix_(s, s)]
+        assert (b.dtype, b.shape) == (want.dtype, want.shape) and b.tobytes() == want.tobytes()
+        assert not b.flags.writeable
+
+
+def test_h_blocks_at_the_dense_cap_hold_less_than_one_dense_h():
+    # at L = 12 the blocks hold sum_m C(12, m)^2 entries (21.6 MB), and the
+    # dense total alone would take 128 MiB
+    split = build_xxz(XxzConfig(L=12, boundary="periodic", delta=0.3, J=0.7))
+    tracemalloc.start()
+    try:
+        blocks = _h_blocks(split)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(b) for b in blocks] == [comb(12, m) for m in range(13)]
+    assert peak < 2**12 * 2**12 * 8
+    assert "total" not in vars(split)
 
 
 def random_hermitian(rng, n):
