@@ -187,20 +187,19 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     across cells, and wall_time stays 0.0 unless timing is requested
     (times are informational, never part of the data contract).
 
-    Every cell is kept as its blocks over the chain's magnetization
-    sectors (`OperatorSplit.sectors`, the blocks of H's pattern), and
-    nothing is scattered.  H's sector blocks are placed once from the
-    terms (`spinmodel._h_blocks`, which refuses a chain past the dense cap
-    before searching its sectors): the exact oracle
-    (`spinmodel._sector_oracle`) diagonalizes each once and keeps its
-    exponential per distinct effective time, and a polynomial cell powers
-    its step on each block.  A scheme cell builds and powers its step's
-    blocks on the packed identity (`compose._evolved_blocks`).  Each error
-    is sqrt(sum_s |U_s - E_s|_F^2) (`spinmodel._sector_distance`).  Only a
-    plan with a Chebyshev method builds and diagonalizes the whole H: its
-    eigenvalues give the Gamma that keys the zero cache (the perfbench
-    `sweep` warm-up solves the zeros for it), and sector eigenvalues can
-    differ from them in the last bits.
+    Every cell is kept as its blocks over the chain's magnetization sectors
+    (`OperatorSplit.sectors`, the blocks of H's pattern), and nothing is
+    scattered.  H's sector blocks are placed once from the terms
+    (`spinmodel._h_blocks`, which refuses a chain past the dense cap before
+    searching its sectors): the exact oracle (`spinmodel._sector_oracle`)
+    diagonalizes each once and keeps its exponential per distinct effective
+    time, and a polynomial cell powers its step on each block.  A scheme
+    cell builds and powers its step's blocks on the packed identity
+    (`compose._evolved_blocks`).  Each error is sqrt(sum_s |U_s - E_s|_F^2)
+    (`spinmodel._sector_distance`).  Only a plan with a Chebyshev method
+    builds and diagonalizes the whole H: its eigenvalues give the Gamma that
+    keys the zero cache (the perfbench `sweep` warm-up solves the zeros for
+    it), and sector eigenvalues can differ from them in the last bits.
     """
     methods = [parse_method(d, catalog_path=catalog_path) for d in plan.methods]
     split = build_xxz(plan.model)

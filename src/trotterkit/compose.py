@@ -17,9 +17,9 @@ on a (2^L x m) block by one reshape to (2^i, 4, 2^(L-i-2) m) and one
 batched matmul, and the periodic wrap bond (L-1, 0) first moves site L-1
 next to site 0.  A split of dense parts has one term per part that acts on
 the whole space, and its gate is applied as one matrix product.  A step is
-the factor sequence applied to the packed identity (below); the parts, the
-total and H's sector blocks are placed from the terms' entries by one
-builder, `OperatorSplit._placed`.  Both are refused past DENSE_DIM_CAP.
+the factor sequence applied to the packed identity (below); one builder,
+`OperatorSplit._placed`, places the parts, the total and H's sector blocks
+from the terms' entries, and refuses a local split's past DENSE_DIM_CAP.
 
 A real Hamiltonian stays real: a term or part whose imaginary part is
 exactly zero is stored as float64 (and so is `total` when every part is),
@@ -160,12 +160,10 @@ class OperatorSplit:
         return self._placed([np.arange(dim)], self.terms)[0]
 
     def _placed(self, index_sets, terms):
-        """The sum of the parts with these terms on each sorted index set:
-        one read-only block per set, end to end in one buffer.  The sets
-        partition the range, and no term joins two.  A part's buffer starts
-        at zero and takes its terms' entries in term order (`_term_entries`,
-        read once; op[np.ix_(s, s)] for a whole-space term), and the parts
-        are summed in order into a zero buffer, rounding as a dense sum does."""
+        """The parts with these terms summed on each sorted index set (the
+        sets partition the range, no term joins two): one read-only block
+        per set, end to end in one buffer.  Each part's term entries are
+        summed in term order, the parts in part order, as dense sums round."""
         ends = np.cumsum([0] + [len(s) ** 2 for s in index_sets])
         # each index's place in its set, and where its row starts in the buffer
         at, row = np.empty((2, self.dim), dtype=np.intp)
@@ -173,16 +171,19 @@ class OperatorSplit:
             at[s] = np.arange(len(s))
             row[s] = start + at[s] * len(s)
         total = np.zeros(ends[-1], np.result_type(float, *(op for t in terms for _, _, op in t)))
-        for part_terms in terms:
-            part = np.zeros(total.shape, total.dtype)  # not zeros_like, which writes every page
+        for k, part_terms in enumerate(terms):
+            # a sum from +0.0 holds no -0.0: a first or one-term part goes straight in
+            part = total if k == 0 or len(part_terms) < 2 else np.zeros(total.shape, total.dtype)
             for i, j, op in part_terms:
                 if i is None:
                     for s, start in zip(index_sets, ends):
-                        part[start:start + len(s) ** 2] += op[np.ix_(s, s)].ravel()
+                        block = op if len(s) == self.dim else op[np.ix_(s, s)]
+                        part[start:start + len(s) ** 2] += block.ravel()
                 else:
                     rows, cols, vals = _term_entries(self.dim, i, j, op)
                     part[row[rows] + at[cols]] += vals
-            total += part
+            if part is not total:
+                total += part
             del part  # else it stays alive while the next is allocated
         total.setflags(write=False)
         return [total[a:b].reshape(len(s), len(s)) for s, a, b in zip(index_sets, ends, ends[1:])]

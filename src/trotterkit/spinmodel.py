@@ -7,9 +7,9 @@ group consists of site-disjoint bonds.  The split records each color as
 its local terms (i, j, h_b), one shared 4x4 bond term, so the composer
 builds every step from cached 4x4 bond gates; the dense parts, H and H's
 sector blocks are placed from the terms' entries on first use, so a chain
-past the dense cap (L > 12) is split but refused at its first dense
-access.  The chain is real in the computational basis, so the bond term,
-the parts and the total are float64, and the exact oracle diagonalizes H in real
+past the dense cap (L > 12) is split but refused at its first dense access.
+The chain is real in the computational basis, so the bond term, the parts
+and the total are float64, and the exact oracle diagonalizes H in real
 arithmetic, one magnetization sector at a time: H conserves the number of
 up spins, so its blocks are of size C(L, m).  `exact_evolution`, the bench
 and the order fit share one oracle, `_sector_oracle`, and the last two one

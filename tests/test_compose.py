@@ -515,6 +515,7 @@ def test_dense_split_parts_are_its_validated_copies(monkeypatch):
 
     placed = []
     builder = OperatorSplit._placed
+    term_entries = compose_module._term_entries
 
     def recording(self, index_sets, terms):
         placed.append((index_sets, terms))
@@ -528,7 +529,9 @@ def test_dense_split_parts_are_its_validated_copies(monkeypatch):
     ((index_sets, terms),) = placed
     assert [s.tolist() for s in index_sets] == [[0, 1, 2, 3]]
     assert all(op is part for ((_, _, op),), part in zip(terms, parts))
-    monkeypatch.undo()
+    # the sectors read the parts' entries, but place nothing dense
+    monkeypatch.setattr(OperatorSplit, "_placed", rebuild)
+    monkeypatch.setattr(compose_module, "_term_entries", term_entries)
     assert len(split.sectors) == 1 and split.parts is parts
 
 

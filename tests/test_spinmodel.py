@@ -138,21 +138,26 @@ _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def lift_bond(op4, i, j, L):
-    """Independent two-site embedding via bit arithmetic (site 0 = MSB)."""
-    dim = 2**L
-    idx = np.arange(dim)
+def bond_entries(op4, i, j, L):
+    """Independent two-site embedding via bit arithmetic (site 0 = MSB):
+    rows x, columns y and values, each place once, of every pair of states
+    that agree off sites i and j."""
+    idx = np.arange(2**L)
     bi = (idx >> (L - 1 - i)) & 1
     bj = (idx >> (L - 1 - j)) & 1
     rest = idx & ~((1 << (L - 1 - i)) | (1 << (L - 1 - j)))
+    groups = np.argsort(rest, kind="stable").reshape(-1, 4)
+    x = np.repeat(groups, 4, axis=1).ravel()
+    y = np.tile(groups, (1, 4)).ravel()
     t = np.asarray(op4).reshape(2, 2, 2, 2)
-    m = np.zeros((dim, dim), dtype=complex)
-    order = np.argsort(rest, kind="stable")
-    for g in range(0, dim, 4):
-        block = order[g : g + 4]
-        for x in block:
-            for y in block:
-                m[x, y] = t[bi[x], bj[x], bi[y], bj[y]]
+    return x, y, t[bi[x], bj[x], bi[y], bj[y]]
+
+
+def lift_bond(op4, i, j, L):
+    """The dense (2^L x 2^L) embedding of `bond_entries`."""
+    m = np.zeros((2**L, 2**L), dtype=complex)
+    x, y, vals = bond_entries(op4, i, j, L)
+    m[x, y] = vals
     return m
 
 
@@ -349,18 +354,42 @@ H_BLOCK_CHAINS = [
 ]
 
 
+def sector_blocks_from_bonds(split, L):
+    """H's blocks over split.sectors from `bond_entries`, with no dense
+    matrix: each part's terms added in term order to zero blocks, and the
+    parts in order to zero blocks, as a dense sum of lifted bonds rounds."""
+    dtype = np.result_type(float, *(op for t in split.terms for _, _, op in t))
+    entries = [[bond_entries(op, i, j, L) for i, j, op in t] for t in split.terms]
+    blocks = []
+    for s in split.sectors:
+        place = np.full(split.dim, -1)
+        place[s] = np.arange(len(s))
+        total = np.zeros((len(s), len(s)), dtype)
+        for part_entries in entries:
+            part = np.zeros_like(total)
+            for x, y, vals in part_entries:
+                # a zero adds nothing to a sum started at +0.0
+                keep = (place[x] >= 0) & (vals != 0)
+                assert (place[y[keep]] >= 0).all()  # no entry leaves the sector
+                part[place[x[keep]], place[y[keep]]] += vals[keep]
+            total += part
+        blocks.append(total)
+    return blocks
+
+
 @pytest.mark.parametrize("L, boundary, delta, J", H_BLOCK_CHAINS)
 def test_h_blocks_are_the_totals_sector_blocks_bit_for_bit(L, boundary, delta, J):
-    # placed from the terms, each block sums its entries in the order the
-    # dense total does, and no dense H is built for them
+    # placed from the terms, each block sums its entries in the order a
+    # dense sum of the lifted bonds does, and no dense H is built for them
     split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=delta, J=J))
     blocks = _h_blocks(split)
     assert "total" not in vars(split) and "parts" not in vars(split)
     assert len(blocks) == len(split.sectors)
-    for b, s in zip(blocks, split.sectors):
-        want = split.total[np.ix_(s, s)]
+    for b, want in zip(blocks, sector_blocks_from_bonds(split, L)):
         assert (b.dtype, b.shape) == (want.dtype, want.shape) and b.tobytes() == want.tobytes()
         assert not b.flags.writeable
+    for b, s in zip(blocks, split.sectors):
+        assert b.tobytes() == split.total[np.ix_(s, s)].tobytes()
 
 
 def test_h_blocks_at_the_dense_cap_hold_less_than_one_dense_h():
