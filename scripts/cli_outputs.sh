@@ -106,16 +106,21 @@ run schemes-validate-catalog schemes validate "$tree/src/trotterkit/data/schemes
 for name in blanes-moan4 strang forest-ruth suzuki4 omelyan2 triple-jump-complex; do
     run "schemes-efficiency-$name" schemes efficiency "$name"
 done
-for k in 1 5 20 21 52; do
+# k = 2 and 3, where the Szego curve is coarsest: their guesses start
+# furthest from the zeros that the double-precision polish reaches
+for k in 1 2 3 5 20 21 52; do
     run "zeros-taylor-$k" zeros --family taylor --k "$k"
 done
 run zeros-chebyshev-20-10-imaginary zeros --family chebyshev --k 20 --gamma-h 10 --axis imaginary
 run zeros-chebyshev-16-2.5-real zeros --family chebyshev --k 16 --gamma-h 2.5 --axis real
-# the cold-start benchmark's two zero solves, the largest Taylor order (u^k
-# far below the fixed-point resolution), a real-axis solve at k = 40, and
+# the cold-start benchmark's two zero solves, a Taylor order where a few
+# roots take a third Newton evaluation if the polish's constant is rounded
+# in double precision, the largest Taylor order (u^k far below the
+# fixed-point resolution), a real-axis solve at k = 40, and
 # the over-resolved imaginary-axis solve of the sweep benchmark's
 # chebyshev:40 cells (290 guard bits)
 run zeros-taylor-152 zeros --family taylor --k 152
+run zeros-taylor-304 zeros --family taylor --k 304
 run zeros-taylor-400 zeros --family taylor --k 400
 run zeros-chebyshev-100-80-imaginary zeros --family chebyshev --k 100 --gamma-h 80 --axis imaginary
 run zeros-chebyshev-40-20-real zeros --family chebyshev --k 40 --gamma-h 20 --axis real

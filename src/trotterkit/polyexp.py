@@ -11,15 +11,15 @@ direct sum suffers catastrophic cancellation (large negative or large
 imaginary arguments with k > 17).
 
 Zeros are computed once in extended precision by certified Newton: from
-asymptotic (Taylor) or colleague-matrix (Chebyshev) guesses, one zero of
-each conjugate pair is solved by Newton in fixed-point integer arithmetic
-and the other mirrored exactly.  Each zero's residual |p/p'| comes from
-the kernel's own last evaluation, |p| widened by its evaluation allowance,
-and must meet a per-root contract; disjoint inclusion disks certify that all
-k were found.  The zeros are cached on disk with their provenance, certified
-again by the same residual when loaded, and rounded to doubles for
-evaluation.  The Chebyshev coefficients are Bessel values from mpmath J/I
-seeds plus downward recurrence.
+asymptotic guesses polished in double precision (Taylor) or colleague-matrix
+guesses (Chebyshev), one zero of each conjugate pair is solved by Newton in
+fixed-point integer arithmetic and the other mirrored exactly.  Each zero's
+residual |p/p'| comes from the kernel's own last evaluation, |p| widened by
+its evaluation allowance, and must meet a per-root contract; disjoint
+inclusion disks certify that all k were found.  The zeros are cached on
+disk with their provenance, certified again by the same residual when
+loaded, and rounded to doubles for evaluation.  The Chebyshev coefficients
+are Bessel values from mpmath J/I seeds plus downward recurrence.
 """
 
 from __future__ import annotations
@@ -292,10 +292,19 @@ def suggest_gamma(h_matrix, eigvals=None):
 
 
 def _szego_guesses(k):
-    """Double-precision zero guesses on the k-scaled Szego curve.
+    """The zeros of the Taylor truncation s_k in double precision: the real
+    one (odd k), each upper-half zero, then their conjugates.
 
-    Solves k(ln w + 1 - w) - ln(sqrt(2 pi k)(1-w)/w) = 2 pi i m by Newton
-    continuation from the leftmost crossing; odd k adds the real root.
+    Guesses in w = z / k come from the Szego curve with the first-order
+    correction of Carpenter, Varga & Waldvogel: the solutions of k(ln w + 1
+    - w) - ln(sqrt(2 pi k)(1-w)/w) = 2 pi i m by Newton continuation from the
+    leftmost crossing, and for odd k one Newton step of that equation on the
+    real axis from the crossing.  They are only 1e-3 (k = 400) to 0.6 (k =
+    1) accurate at their worst root.  `_polished` takes them to within 8e-16
+    of the zeros (relative, k = 1..400), from which fixed-point Newton
+    certifies each zero in two kernel evaluations, one step and the one that
+    meets its stop rule; from the guesses themselves it takes up to 8.  If
+    the polish fails, the guesses stand.
     """
     r0 = 0.2784645427610738  # -W(1/e): curve crossing of the negative real axis
     out = []
@@ -312,17 +321,60 @@ def _szego_guesses(k):
                 break
         out.append(w)
     if k % 2 == 1:
-        xr = -r0
-        for _ in range(60):
-            f = k * (math.log(-xr) + 1 - xr) - math.log(
-                math.sqrt(2 * math.pi * k) * (1 - xr) / (-xr)
-            )
-            df = k * (1 / xr - 1) + 1 / (1 - xr) + 1 / xr
-            xr -= f / df
-        out.append(complex(xr, 0.0))
-    upper = [z for z in out if z.imag > 0]
-    rest = [z for z in out if z.imag <= 0]
-    return [z * k for z in rest + upper + [z.conjugate() for z in upper]]
+        # the curve equation vanishes at -r0 but for its correction term
+        corr = math.log(math.sqrt(2 * math.pi * k) * (1 + r0) / r0)
+        out.append(complex(-r0 - corr / (k * (1 / r0 + 1) + 1 / r0 - 1 / (1 + r0))))
+    ws = list(_polished(np.array(out, dtype=complex), k) * k)
+    upper = ws[:k // 2]
+    return ws[k // 2:] + upper + [z.conjugate() for z in upper]
+
+
+def _polished(ws, k):
+    """The w-plane zeros of s_k(k w) from the guesses ws (the upper-half
+    ones in falling argument, then the real one for odd k), by Newton in
+    double precision on all of them at once; or ws itself if a run misses
+    the stop test, a result is not finite, or the results leave the upper
+    half plane or their order, as two that coincide do.
+
+    e^-z s_k(z) = Q(k+1, z), the regularized upper incomplete gamma
+    function, so the zeros are where P(k+1, k w) = e^L(w) is 1, with
+
+        L(w) = (k+1) ln(k w) - k w - ln Gamma(k+2) + ln M(w)
+             = (k+1) ln w + k (1 - w) + const + ln M(w),
+        M(w) = sum_n w^n prod_{m<=n} k / (k+1+m),   L'(w) = (k+1) / (w M(w)),
+
+    M cut where its terms fall below 1e-22 at the largest |w|.  Newton on
+    e^L - 1 steps by (1 - e^-L) / L', with no branch of the logarithm to
+    pick, and stops after a step below 1e-10 |w|, which leaves rounding
+    error alone (4 sweeps for most k, 6 at k = 1, 3 and 5).  const = (k+1)
+    ln k - ln Gamma(k+2) - k comes from mpmath: rounded in double precision
+    it moves the zeros near w = 1, where |L'| is smallest, so far that some
+    of them need a third kernel evaluation (4 at k = 304, 1 at k = 350).
+    The real root's rounding-level imaginary part is dropped."""
+    c = [1.0]
+    reach = float(np.max(np.abs(ws)))
+    while c[-1] * reach ** (len(c) - 1) >= 1e-22:
+        c.append(c[-1] * k / (k + 1 + len(c)))
+    with mp.workdps(30):
+        const = float((k + 1) * mp.log(k) - mp.loggamma(k + 2) - k)
+    w = ws
+    with np.errstate(all="ignore"):  # a diverging run fails the checks below
+        for _ in range(12):
+            m = np.full_like(w, c[-1])
+            for cn in c[-2::-1]:
+                m *= w
+                m += cn
+            ell = (k + 1) * np.log(w) + k * (1 - w) + const + np.log(m)
+            step = (1 - np.exp(-ell)) * w * m / (k + 1)
+            w = w - step
+            if np.all(np.abs(step) <= 1e-10 * np.abs(w)):
+                break
+        else:
+            return ws
+        upper = w[:k // 2]
+        w[k // 2:] = w[k // 2:].real
+        ordered = np.all(upper.imag > 0) and np.all(np.diff(np.angle(upper)) < -1e-8)
+    return w if ordered and np.all(np.isfinite(w)) else ws
 
 
 def _representatives(guesses):

@@ -19,10 +19,12 @@ PLATEAU_ERROR = 1e-12         # round-off plateau cut in order fits
 # Polynomial factorization
 ZERO_RESIDUAL_PER_K = 1e-25   # per root: (|p| + kernel allowance) / |p'| < this * k
 # Newton steps requested (kernel evaluations) per root, and sweeps of the
-# guess refinement.  Szego and colleague guesses meet the stop rule within
-# 8 evaluations (Taylor k = 400; 7 up to k = 300, 3-5 for well-resolved
-# Chebyshev), refined guesses within 2; the colleague guesses of an
-# over-resolved real-axis truncation take up to 40 or miss.
+# guess refinement.  Polished Szego guesses meet the stop rule in 2
+# evaluations at every Taylor k up to TAYLOR_K_MAX (1 at k = 1), the
+# unpolished ones a failed polish leaves within 8 (7 up to k = 300);
+# colleague guesses within 3-5 for well-resolved Chebyshev, refined guesses
+# within 2; the colleague guesses of an over-resolved real-axis truncation
+# take up to 40 or miss.
 NEWTON_MAX_STEPS = 100
 TAYLOR_K_MAX = 400
 BESSEL_X_MAX = 500.0

@@ -622,14 +622,66 @@ def test_taylor_zeros_match_polyroots(k):
 
 
 def test_szego_guesses_need_no_refinement(monkeypatch):
-    # the Szego curve is coarse at small k, but its guesses certify directly
+    # the Szego curve is coarse at small k, but its polished guesses certify
+    # directly, each representative in one Newton step and the evaluation
+    # that meets the stop rule; at k = 304 a few take a third where the
+    # polish's constant is rounded in double precision
     def refine(*args):
         raise AssertionError("refinement stage reached")
 
+    evaluations = []
+    newton = polyexp._newton_fixed
+
+    def counted(kernel, *args):
+        evaluations.append(0)
+
+        def counting(w):
+            evaluations[-1] += 1
+            return kernel(w)
+
+        return newton(counting, *args)
+
     monkeypatch.setattr(polyexp, "_refined_guesses", refine)
-    for k in range(1, 21):
+    monkeypatch.setattr(polyexp, "_newton_fixed", counted)
+    for k in [*range(1, 21), 52, 152, 304]:
+        evaluations.clear()
         zs, worst = polyexp._zeros_mp(SeriesSpec("taylor", k))
         assert len(zs) == k and worst < 1e-25 * k
+        assert len(evaluations) == (k + 1) // 2 and max(evaluations) <= 2
+
+
+@pytest.mark.parametrize("k", [5, 52, 152])
+def test_polished_szego_guesses_are_the_zeros_in_double(k):
+    zs = np.array(polyexp._zeros_mp(SeriesSpec("taylor", k))[0])
+    guesses = polyexp._szego_guesses(k)
+    nearest = [np.argmin(np.abs(zs - g)) for g in guesses]
+    assert sorted(nearest) == list(range(k))
+    for g, i in zip(guesses, nearest):
+        assert abs(g - zs[i]) <= 1e-14 * abs(zs[i])
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda ws: [np.nan, *ws[1:]],                     # not finite: no run stops
+    lambda ws: [ws[0], ws[0] * (1 + 1e-6), *ws[2:]],  # two runs end at one zero
+    lambda ws: [ws[0].conjugate(), *ws[1:]],          # a run ends below the axis
+    lambda ws: [ws[1], ws[0], *ws[2:]],               # two runs swap places
+])
+def test_a_failed_polish_returns_the_guesses_whole(monkeypatch, spoil):
+    given = []  # the w-plane guesses `_szego_guesses` hands to `_polished`
+    with monkeypatch.context() as m:
+        m.setattr(polyexp, "_polished", lambda ws, k: given.append(ws) or ws)
+        polyexp._szego_guesses(7)
+    (ws,) = given
+    assert np.all(polyexp._polished(ws, 7) != ws)
+    bad = np.array(spoil(ws), dtype=complex)
+    assert polyexp._polished(bad, 7) is bad
+
+
+def test_unpolished_szego_guesses_certify_the_same_zeros(monkeypatch):
+    # a failed polish costs Newton steps, never the solve or its zeros
+    want = [polyexp._zeros_mp(SeriesSpec("taylor", k))[0] for k in (7, 52)]
+    monkeypatch.setattr(polyexp, "_polished", lambda ws, k: ws)
+    assert [polyexp._zeros_mp(SeriesSpec("taylor", k))[0] for k in (7, 52)] == want
 
 
 def _duplicate_guesses(monkeypatch):
