@@ -243,4 +243,23 @@ for n in (2, 3):
         print(f"lambda={n} alternate_reversal={alternate} slope={slope:.17g}")
 PY
 record order-random python3 order-random.py
+# no command prints the exact error coefficients at both truncations, so
+# this public-API snippet does: every field of each catalog scheme's
+# coefficients at max_order 3 and 5, and its efficiency score
+cat >"$work/coefficients-catalog.py" <<'PY'
+import dataclasses
+
+import trotterkit as tk
+
+for name, scheme in tk.load_catalog().items():
+    for max_order in (3, 5):
+        coeffs = tk.estimate_error_coefficients(scheme, max_order=max_order)
+        print(f"# {name} max_order={max_order}")
+        for field in dataclasses.fields(coeffs):
+            values = getattr(coeffs, field.name)
+            values = values if isinstance(values, tuple) else (values,)
+            print(field.name, *(f"{v.real:.17g} {v.imag:.17g}" for v in values))
+    print(f"eff {tk.efficiency(scheme).eff:.17g}")
+PY
+record coefficients-catalog python3 coefficients-catalog.py
 [ "$mismatches" = 0 ]

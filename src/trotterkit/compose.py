@@ -170,21 +170,28 @@ class OperatorSplit:
         for s, start in zip(index_sets, ends):
             at[s] = np.arange(len(s))
             row[s] = start + at[s] * len(s)
+
+        def entries(i, j, op):  # (places in the buffer, values) of one term
+            if i is None:
+                for s, start in zip(index_sets, ends):
+                    block = op if len(s) == self.dim else op[np.ix_(s, s)]
+                    yield slice(start, start + len(s) ** 2), block.ravel()
+            else:
+                rows, cols, vals = _term_entries(self.dim, i, j, op)
+                yield row[rows] + at[cols], vals
+
         total = np.zeros(ends[-1], np.result_type(float, *(op for t in terms for _, _, op in t)))
-        for k, part_terms in enumerate(terms):
-            # a sum from +0.0 holds no -0.0: a first or one-term part goes straight in
-            part = total if k == 0 or len(part_terms) < 2 else np.zeros(total.shape, total.dtype)
-            for i, j, op in part_terms:
-                if i is None:
-                    for s, start in zip(index_sets, ends):
-                        block = op if len(s) == self.dim else op[np.ix_(s, s)]
-                        part[start:start + len(s) ** 2] += block.ravel()
-                else:
-                    rows, cols, vals = _term_entries(self.dim, i, j, op)
-                    part[row[rows] + at[cols]] += vals
-            if part is not total:
-                total += part
-            del part  # else it stays alive while the next is allocated
+        for part_terms in terms:
+            placed = [e for term in part_terms for e in entries(*term)]
+            # a part of several (local) terms is summed alone on the places it
+            # touches; a sum from +0.0 holds no -0.0, so one term goes straight in
+            if len(part_terms) > 1:
+                places, slot = np.unique(np.concatenate([p for p, _ in placed]), return_inverse=True)
+                part = np.zeros(len(places), total.dtype)
+                np.add.at(part, slot, np.concatenate([v for _, v in placed]))
+                placed = [(places, part)]
+            for places, vals in placed:
+                total[places] += vals
         total.setflags(write=False)
         return [total[a:b].reshape(len(s), len(s)) for s, a, b in zip(index_sets, ends, ends[1:])]
 

@@ -18,6 +18,7 @@ vanishing of its words of degree 2..n.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -218,77 +219,98 @@ def random_split(n_parts, dim, *, seed=DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 # exact error coefficients in the truncated free algebra on Lambda letters
 #
-# An element is a list of degree blocks 0..n: block d holds the Lambda**d
-# words of degree d in A_1 .. A_Lambda, indexed by their letters read as
-# base-Lambda digits, so that concatenating two words is an outer product of
-# their blocks.  A word's degree counts its powers of h, so products of
-# e^{c A_k} expand S(h) at h = 1.
+# An element of degree <= n is one flat complex vector of degree blocks
+# 0..n: block d holds the Lambda**d words of degree d in A_1 .. A_Lambda,
+# indexed by their letters as base-Lambda digits, so word i of degree p then
+# word j of degree q is word i * Lambda**q + j of degree p + q.  A word's
+# degree counts its powers of h: products of e^{c A_k} expand S(h) at h = 1.
+# A product adds the pairs of one cached table (`_product_table`) into each
+# word from +0.0, prefix degree p ascending: the additions, in order, of a
+# sum over p of the outer products of degree-p and degree-(d - p) blocks.
 
-# graded commutator basis: grades of the 14 elements, in order
-_BASIS_GRADES = (1, 1, 2, 3, 3, 4, 4, 4, 5, 5, 5, 5, 5, 5)
+# graded commutator basis (see ErrorCoefficients): the word x_1 x_2 .. a b
+# is the right-nested [x_1, [x_2, .. [a, b]]], its length its grade
+_BASIS_WORDS = ("a", "b", "ab", "aab", "bab", "aaab", "abab", "bbab",
+                "aaaab", "aabab", "baaab", "bbbab", "bbaab", "abbab")
+_BASIS_GRADES = tuple(len(w) for w in _BASIS_WORDS)
+
+
+@functools.lru_cache(maxsize=None)
+def _starts(n_letters, n):
+    """Where the degree blocks 0..n start, then the element's length."""
+    return tuple(np.cumsum([0] + [n_letters**d for d in range(n + 1)]).tolist())
 
 
 def _zero(n_letters, n):
-    return [np.zeros(n_letters**d, dtype=complex) for d in range(n + 1)]
+    return np.zeros(_starts(n_letters, n)[-1], dtype=complex)
 
 
-def _mul(x, y):
-    """x y, truncated at the top degree of x and y: degree d sums the outer
-    products of x's degree-p and y's degree-(d - p) blocks, p ascending."""
-    return [sum(np.outer(x[p], y[d - p]).ravel() for p in range(d + 1))
-            for d in range(len(x))]
+@functools.lru_cache(maxsize=None)
+def _product_table(n_letters, n):
+    """Read-only (prefix, suffix, product) word indices of every pair of
+    words of total degree <= n, the prefix ascending (so its degree too)."""
+    start = np.array(_starts(n_letters, n))
+    deg = np.repeat(np.arange(n + 1), np.diff(start))
+    at = np.arange(len(deg)) - start[deg]  # each word's index in its block
+    count = start[n + 1 - deg]  # a prefix's suffixes: the words of degree <= n - deg
+    i = np.repeat(np.arange(len(deg)), count)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+    table = np.stack([i, j, start[deg[i] + deg[j]] + at[i] * n_letters ** deg[j] + at[j]])
+    table.setflags(write=False)
+    return table
 
 
-def _comm(x, y):
-    return [u - v for u, v in zip(_mul(x, y), _mul(y, x))]
+def _mul(x, y, n_letters, n):
+    """x y, truncated at degree n: each word sums its table pairs' x_u y_v in
+    table order from +0.0, by one `np.bincount` per real and imaginary part."""
+    i, j, k = _product_table(n_letters, n)
+    t = x[i] * y[j]
+    out = np.empty(len(x), dtype=complex)
+    out.real, out.imag = (np.bincount(k, part, len(x)) for part in (t.real, t.imag))
+    return out
+
+
+def _comm(x, y, n_letters, n):
+    return _mul(x, y, n_letters, n) - _mul(y, x, n_letters, n)
 
 
 def _exp_letter(letter, coef, n_letters, n):
-    """e^{coef A_letter}: degree d holds the word A_letter^d, at coef^d / d!."""
+    """e^{coef A_letter}: degree d holds the word A_letter^d, at coef^d / d!;
+    its index in block d, letter * (1 + .. + Lambda^(d-1)), is letter * start."""
     x = _zero(n_letters, n)
-    for d, block in enumerate(x):
-        block.reshape((n_letters,) * d)[(letter,) * d] = coef**d / math.factorial(d)
+    for d, start in enumerate(_starts(n_letters, n)[:-1]):
+        x[(letter + 1) * start] = coef**d / math.factorial(d)
     return x
 
 
 def _log_series(sequence, n_letters, n):
-    """log S as degree blocks 0..n (block d: the words of h^d in log S(h)),
+    """log S as views of its degree blocks 0..n (block d: the words of h^d),
     S the product of e^{c A_k} over a (k, c) factor sequence on n_letters."""
     s = _zero(n_letters, n)
-    s[0][0] = 1.0
+    s[0] = 1.0
     for letter, coef in sequence:
-        s = _mul(s, _exp_letter(letter, coef, n_letters, n))
-    # log(1 + y) = sum_m (-1)^(m+1) y^m / m; y^m starts at degree m
-    y = [s[0] - 1, *s[1:]]
-    log_s = _zero(n_letters, n)
-    power = y
+        s = _mul(s, _exp_letter(letter, coef, n_letters, n), n_letters, n)
+    # log(1 + y) = sum_m (-1)^(m+1) y^m / m, y = S - 1; y^m starts at degree m
+    y = s
+    y[0] -= 1
+    log_s, power = _zero(n_letters, n), y
     for m in range(1, n + 1):
-        log_s = [acc + (-1) ** (m + 1) / m * p for acc, p in zip(log_s, power)]
-        power = _mul(power, y)
-    return log_s
+        log_s = log_s + (-1) ** (m + 1) / m * power
+        power = _mul(power, y, n_letters, n)
+    return np.split(log_s, _starts(n_letters, n)[1:-1])
 
 
-def _commutator_basis(a, b):
-    """The 14 graded basis elements, grades 1..5 (see ErrorCoefficients)."""
-    ab = _comm(a, b)
-    aab = _comm(a, ab)
-    bab = _comm(b, ab)
-    return [
-        a,                      # grade 1: (nu - 1)
-        b,                      # grade 1: (sigma - 1)
-        ab,                     # grade 2
-        aab,                    # grade 3: alpha
-        bab,                    # grade 3: beta
-        _comm(a, aab),          # grade 4
-        _comm(a, bab),          # grade 4 (= [B,[A,[A,B]]] by Jacobi)
-        _comm(b, bab),          # grade 4
-        _comm(a, _comm(a, aab)),  # grade 5: gamma_1
-        _comm(a, _comm(a, bab)),  # gamma_2
-        _comm(b, _comm(a, aab)),  # gamma_3
-        _comm(b, _comm(b, bab)),  # gamma_4
-        _comm(b, _comm(b, aab)),  # gamma_5
-        _comm(a, _comm(b, bab)),  # gamma_6
-    ]
+def _commutator_basis(n):
+    """The basis elements of grade <= n, in _BASIS_WORDS order, as elements
+    of degree n on {A, B}; each commutator is formed once."""
+    made = dict(zip("ab", np.eye(_starts(2, n)[-1], dtype=complex)[1:3]))
+
+    def element(word):
+        if word not in made:
+            made[word] = _comm(made[word[0]], element(word[1:]), 2, n)
+        return made[word]
+
+    return [element(w) for w in _BASIS_WORDS if len(w) <= n]
 
 
 def _bch_coefficients(scheme, n):
@@ -298,13 +320,9 @@ def _bch_coefficients(scheme, n):
     grade-g coefficient multiplies h^g.  The basis spans the free Lie algebra
     up to degree 5, so the projection of this Lie element is exact.
     """
-    log_s = _log_series(scheme.factor_sequence(), 2, n)
-    a, b = _zero(2, n), _zero(2, n)
-    a[1][0] = b[1][1] = 1.0
-    basis = [np.concatenate(v) for v, g in zip(_commutator_basis(a, b), _BASIS_GRADES)
-             if g <= n]
-    defect = np.concatenate([log_s[0], log_s[1] - 1, *log_s[2:]])
-    return np.linalg.lstsq(np.stack(basis, axis=1), defect, rcond=None)[0]
+    defect = np.concatenate(_log_series(scheme.factor_sequence(), 2, n))
+    defect[1:3] -= 1
+    return np.linalg.lstsq(np.stack(_commutator_basis(n), axis=1), defect, rcond=None)[0]
 
 
 def estimate_error_coefficients(scheme, max_order=3):

@@ -1,5 +1,6 @@
 """Catalog validation, error-coefficient estimation, and efficiency scores."""
 
+import itertools
 import json
 import math
 import os
@@ -301,12 +302,8 @@ def test_max_order_must_be_three_or_five():
         estimate_error_coefficients(get_scheme("strang"), 4)
 
 
-def _matrix_basis(a, b):
-    """The 14 graded commutators of ErrorCoefficients, as matrices."""
-
-    def comm(x, y):
-        return x @ y - y @ x
-
+def _graded_basis(a, b, comm):
+    """The 14 graded commutators of ErrorCoefficients, formed by comm."""
     ab = comm(a, b)
     aab, bab = comm(a, ab), comm(b, ab)
     return [
@@ -324,7 +321,7 @@ def test_coefficients_match_logm_defect(scheme):
     # (symmetric) residual, so it must fall by 2^6 or 2^7 per halving of h.
     rng = np.random.default_rng(2024)
     a, b = random_hermitian(rng, 6), random_hermitian(rng, 6)
-    basis = _matrix_basis(a, b)
+    basis = _graded_basis(a, b, lambda x, y: x @ y - y @ x)
     coeffs = _bch_coefficients(scheme, 5)
     residuals = []
     for h in (1 / 5, 1 / 10, 1 / 20):
@@ -398,6 +395,119 @@ def test_three_letter_series_matches_logm(scheme):
         residuals.append(np.linalg.norm(scipy.linalg.logm(s) - recon))
     assert residuals[0] / residuals[1] > 40
     assert residuals[1] / residuals[2] > 40
+
+
+# ---------------------------------------------------------------------------
+# the flat free-algebra product against the block-list product it replaced
+
+
+def _block_mul(x, y):
+    """Reference product on lists of degree blocks: degree d sums the outer
+    products of x's degree-p and y's degree-(d - p) blocks, p ascending."""
+    return [sum(np.outer(x[p], y[d - p]).ravel() for p in range(d + 1))
+            for d in range(len(x))]
+
+
+def _block_zero(n_letters, n):
+    return [np.zeros(n_letters**d, dtype=complex) for d in range(n + 1)]
+
+
+def _block_log_series(sequence, n_letters, n):
+    """log S as degree blocks, every product a `_block_mul`."""
+    s = _block_zero(n_letters, n)
+    s[0][0] = 1.0
+    for letter, coef in sequence:
+        e = _block_zero(n_letters, n)
+        for d, block in enumerate(e):
+            block.reshape((n_letters,) * d)[(letter,) * d] = coef**d / math.factorial(d)
+        s = _block_mul(s, e)
+    y = [s[0] - 1, *s[1:]]
+    log_s = _block_zero(n_letters, n)
+    power = y
+    for m in range(1, n + 1):
+        log_s = [acc + (-1) ** (m + 1) / m * p for acc, p in zip(log_s, power)]
+        power = _block_mul(power, y)
+    return log_s
+
+
+def _block_bch_coefficients(scheme, n):
+    """`_bch_coefficients` on degree blocks, every product a `_block_mul`."""
+    log_s = _block_log_series(scheme.factor_sequence(), 2, n)
+    a, b = _block_zero(2, n), _block_zero(2, n)
+    a[1][0] = b[1][1] = 1.0
+
+    def comm(x, y):
+        return [u - v for u, v in zip(_block_mul(x, y), _block_mul(y, x))]
+
+    basis = [np.concatenate(v) for v, g in zip(_graded_basis(a, b, comm), _BASIS_GRADES)
+             if g <= n]
+    defect = np.concatenate([log_s[0], log_s[1] - 1, *log_s[2:]])
+    return np.linalg.lstsq(np.stack(basis, axis=1), defect, rcond=None)[0]
+
+
+def _assert_same_blocks(blocks, reference):
+    assert len(blocks) == len(reference)
+    for block, ref in zip(blocks, reference):
+        assert block.dtype == ref.dtype and block.shape == ref.shape
+        assert block.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n_letters", [2, 3, 4])
+@pytest.mark.parametrize("scheme", [*load_catalog().values(), ASYM, LIE], ids=lambda s: s.name)
+def test_log_series_is_the_block_products_bit_for_bit(scheme, n_letters):
+    sequence = to_multistage(scheme).factor_sequence(n_letters)
+    for n in range(1, 6):
+        _assert_same_blocks(_log_series(sequence, n_letters, n),
+                            _block_log_series(sequence, n_letters, n))
+
+
+@pytest.mark.parametrize("scheme", [*load_catalog().values(), ASYM, LIE], ids=lambda s: s.name)
+def test_bch_coefficients_are_the_block_products_bit_for_bit(scheme):
+    for n in range(1, 6):
+        _assert_same_blocks([_bch_coefficients(scheme, n)], [_block_bch_coefficients(scheme, n)])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_complex_sequences_match_the_block_products_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n_letters, n = 2 + seed % 3, 1 + seed % 5
+    sequence = [(int(rng.integers(n_letters)), complex(*rng.standard_normal(2)))
+                for _ in range(int(rng.integers(1, 13)))]
+    _assert_same_blocks(_log_series(sequence, n_letters, n),
+                        _block_log_series(sequence, n_letters, n))
+
+
+@pytest.mark.parametrize("n_letters, n", [(1, 4), (2, 3), (2, 5), (3, 4), (4, 3)])
+def test_product_table_lists_each_word_pair_once(n_letters, n):
+    table = schemes._product_table(n_letters, n)
+    # every word of degree <= n, in flat order: degree, then base-Lambda digits
+    words = [w for d in range(n + 1) for w in itertools.product(range(n_letters), repeat=d)]
+    prefix, suffix, product = (index.tolist() for index in table)
+    pairs = list(zip(prefix, suffix))
+    assert len(set(pairs)) == len(pairs)
+    assert set(pairs) == {(u, v) for u, x in enumerate(words) for v, y in enumerate(words)
+                          if len(x) + len(y) <= n}
+    assert all(words[w] == words[u] + words[v] for u, v, w in zip(prefix, suffix, product))
+    degrees = [len(words[u]) for u in prefix]
+    assert degrees == sorted(degrees)
+    assert not table.flags.writeable and not any(index.flags.writeable for index in table)
+    assert schemes._product_table(n_letters, n) is table
+
+
+def test_commutator_basis_at_grade_3_forms_no_grade_4_product(monkeypatch):
+    products = []
+    mul = schemes._mul
+
+    def spy(*args):
+        products.append(mul(*args))
+        return products[-1]
+
+    monkeypatch.setattr(schemes, "_mul", spy)
+    basis = schemes._commutator_basis(3)
+    # [A,B], [A,[A,B]] and [B,[A,B]], two products each; a grade-4 product,
+    # truncated at degree 3, would be zero
+    assert len(basis) == 5 and len(products) == 6
+    assert all(np.any(p) for p in products)
 
 
 # ---------------------------------------------------------------------------
