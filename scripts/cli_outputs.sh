@@ -125,12 +125,15 @@ run zeros-taylor-400 zeros --family taylor --k 400
 run zeros-chebyshev-100-80-imaginary zeros --family chebyshev --k 100 --gamma-h 80 --axis imaginary
 run zeros-chebyshev-40-20-real zeros --family chebyshev --k 40 --gamma-h 20 --axis real
 run zeros-chebyshev-40-0.213-imaginary zeros --family chebyshev --k 40 --gamma-h 0.21304262029217305 --axis imaginary
-# imaginary-axis truncations below their admissible k (k < Gamma*h), whose
-# digits rise to the residual floor where it is above 65 + k/4: not at
-# k = 52 (78 digits), at k = 24 (71 -> 76, where a second solve at 1.5
-# times the digits used to find these zeros)
+# imaginary-axis truncations below their admissible k (k < Gamma*h), and
+# one far above it, whose digits rise by the residual floor a failed pass
+# at 65 + k/4 measures: not at k = 52 (78 digits), at k = 24 (71 -> 77),
+# k = 128 (97 -> 159) and k = 172 at Gamma*h = 7.5 (108 -> 111, with poor
+# double-precision guesses)
 run zeros-chebyshev-52-100-imaginary zeros --family chebyshev --k 52 --gamma-h 100 --axis imaginary
 run zeros-chebyshev-24-100-imaginary zeros --family chebyshev --k 24 --gamma-h 100 --axis imaginary
+run zeros-chebyshev-128-172-imaginary zeros --family chebyshev --k 128 --gamma-h 172 --axis imaginary
+run zeros-chebyshev-172-7.5-imaginary zeros --family chebyshev --k 172 --gamma-h 7.5 --axis imaginary
 run expm-taylor-prod expm --method taylor --k 52 --scalar=-10j
 run expm-taylor-sum expm --method taylor --k 52 --scalar=-10j --sum
 run expm-chebyshev-prod expm --method chebyshev --k 40 --gamma-h 20 --axis imaginary --scalar=-15j
@@ -233,7 +236,7 @@ record alternate-l6 python3 alternate-l6.py
 # and 3 parts, plain and alternately reversed
 cat >"$work/order-random.py" <<'PY'
 import trotterkit as tk
-from trotterkit.multistage import random_split
+from trotterkit.schemes import random_split
 
 ms = tk.to_multistage(tk.TwoStageScheme("lie", 1, a=[1, 0], b=[1], symmetric=False))
 for n in (2, 3):

@@ -26,7 +26,7 @@ from .bench import (
     stability_probe,
 )
 from .errors import StructuralError, TrotterkitError
-from .multistage import multistage_order, random_split, to_multistage
+from .multistage import multistage_order, to_multistage
 from .polyexp import (
     SeriesSpec,
     chebyshev_zeros,
@@ -36,7 +36,7 @@ from .polyexp import (
     gamma_for,
     taylor_zeros,
 )
-from .schemes import _lookup, _scheme_gate, efficiency, load_catalog
+from .schemes import _lookup, _scheme_gate, efficiency, load_catalog, random_split
 from .spinmodel import XxzConfig, xxz_spectrum
 from .tolerances import DEFAULT_SEED
 

@@ -28,7 +28,7 @@ from .compose import (
     merge_factors,
 )
 from .errors import ConsistencyError, StructuralError, complex_list, integer_field
-from .schemes import _fit_order, _require_consistent, random_split  # noqa: F401 (cli, tests)
+from .schemes import _fit_order, _require_consistent
 from .tolerances import CONSISTENCY_TOL
 
 __all__ = [

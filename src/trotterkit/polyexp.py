@@ -742,72 +742,44 @@ _SETUPS = {"taylor": _taylor_setup, "chebyshev": _chebyshev_setup}
 
 
 def _working_dps(spec):
-    """Digits of the zero solve, its load check and `factorize`'s p(0): 41 +
-    k/4 for Taylor; 65 + k/4 for Chebyshev, plus log10(e^Gh) + 10 on the real
-    axis, whose sums cancel from I_0(Gh) ~ e^Gh down to O(1).  On the
-    imaginary axis with k < Gh, a truncation below its admissible k, they
-    rise to `_floor_digits` + 2 where that is more."""
+    """Digits a zero solve first sets up at, the least a zero file may
+    record, and those of `factorize`'s p(0): 41 + k/4 for Taylor; 65 + k/4
+    for Chebyshev, plus log10(e^Gh) + 10 on the real axis, whose sums
+    cancel from I_0(Gh) ~ e^Gh down to O(1).  Where they fall short, on the
+    imaginary axis far below or far above the admissible k, `_zeros_mp`
+    raises them by what its failed pass measures."""
     if spec.family == "taylor":
         return 41 + int(0.25 * spec.k)
     dps = 65 + int(0.25 * spec.k)
-    if spec.axis == "real":
-        return dps + int(0.44 * spec.gamma_h) + 10
-    if spec.k < spec.gamma_h:
-        dps = max(dps, _floor_digits(spec) + 2)
-    return dps
-
-
-def _floor_digits(spec):
-    """Digits at which the residual floor of a Chebyshev solve meets the
-    contract, estimated in double precision from the colleague guesses w_j:
-    `_chebyshev_setup`'s allowance over its fraction bits gives a z-plane
-    floor of Gh 4 reach 2^(terms - 16) 10^-dps / |p'(w_j)| at root j, with
-    terms = max_i log2 |a_i| rho^i (`_clenshaw_guard_bits`) and p'(w_j) =
-    a_k 2^(k-1) prod_{i != j} (w_j - w_i).  Far below the admissible k the
-    zeros crowd and |p'| is small, so the floor, not the guesses, decides
-    whether a solve meets the contract."""
-    k = spec.k
-    sign = -1 if spec.axis == "imaginary" else 1
-    a = _chebyshev_plane(spec)[:-1]
-    ws = np.array(_colleague_guesses(a, sign))
-    log_rho = _clenshaw_log_rho([complex(w.imag, -w.real) if sign < 0 else w for w in ws])
-    terms = max(math.log2(abs(m)) + i * log_rho for i, m in enumerate(a) if m != 0)
-    reach = 3 + math.ceil(np.max(np.abs(ws)))
-    gaps = np.abs(ws[:, None] - ws[None, :])
-    np.fill_diagonal(gaps, 1.0)
-    log_dp = math.log2(abs(a[k])) + k - 1 + np.min(np.sum(np.log2(gaps), axis=1))
-    floor_bits = math.log2(spec.gamma_h * 4 * reach) + terms - 16 - log_dp
-    return math.ceil((floor_bits - math.log2(ZERO_RESIDUAL_PER_K * k)) / math.log2(10))
-
-
-def _digit_levels(spec):
-    """The digits a zero solve sets up at, in order, and so those its load
-    check tries: `_working_dps`, then 1.5 times it, the fallback for a
-    truncation far above its admissible k, where the double-precision
-    guesses are poor and no precision rule is known: imaginary-axis
-    Chebyshev (172, 7.5), (180, 5), (188, 10) and (304, 100) solve only
-    there."""
-    dps = _working_dps(spec)
-    return dps, int(dps * 1.5)
+    return dps + int(0.44 * spec.gamma_h) + 10 if spec.axis == "real" else dps
 
 
 def _zeros_mp(spec):
     """All k zeros (z-plane) of the truncation for spec, meeting the residual
-    contract, with their worst residual: certified Newton from the family's
-    guesses, then from refined guesses, at the first of `_digit_levels` and,
-    only if both fail, again at the second.  ConvergenceError names the
-    check the last pass failed."""
-    k = spec.k
-    for dps in _digit_levels(spec):
+    contract, with their worst residual and the digits they were certified
+    at: certified Newton at `_working_dps` from the family's guesses, then,
+    if that pass fails, from refined guesses.  A pass's residual floor,
+    scale (|p| + 1 + slack) / |p'| with slack a fixed count of 2^-bits
+    units, scales as 10^-dps (`_fraction_bits`), so a refined pass that
+    fails with a finite worst residual at or above the contract measures
+    the digits it lacks: one more set-up, at dps + ceil(log10(worst / tol))
+    + 2, starts from the refined guesses and refines nothing again.
+    ConvergenceError names the check the last pass failed."""
+    k, tol = spec.k, ZERO_RESIDUAL_PER_K * spec.k
+    dps, zeros = _working_dps(spec), None
+    while True:
         with mp.workdps(dps):
-            guesses, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps)
+            guesses, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps, zeros)
             zs, worst, failed = _newton_certified(k, guesses, scale, bits, kernel, slack)
-            if failed:
+            if failed and zeros is None:
                 guesses = _refined_guesses(kernel, guesses, bits)
                 zs, worst, failed = _newton_certified(k, guesses, scale, bits, kernel, slack)
         if not failed:
-            return zs, worst
-    tol = ZERO_RESIDUAL_PER_K * k
+            return zs, worst, dps
+        if zeros is not None or not 0 < tol <= worst < math.inf:
+            break
+        dps += math.ceil(math.log10(worst / tol)) + 2
+        zeros = [w * scale for w in guesses]
     what = f"{spec.family} zeros k={k}"
     what += f" Gamma*h={spec.gamma_h} {spec.axis}" if spec.family == "chebyshev" else ""
     raise ConvergenceError(
@@ -835,7 +807,7 @@ def _sort_conjugate_closed(zs):
 # disk cache
 
 # written into every cache file; a file from another solver version is recomputed
-_SOLVER = "certified-newton-1"
+_SOLVER = "certified-newton-2"
 
 
 def default_cache_dir():
@@ -846,34 +818,33 @@ def default_cache_dir():
 
 
 def _load_zeros(path, header, spec):
-    """The zeros of a cache file, or None unless its header matches, its
-    zeros are k, exactly conjugate-closed and of a stored residual within
-    the contract, and the solve's fixed-point kernel, set up for the stored
-    zeros (no guesses), certifies them again with the solve's `_residual`
-    at one of the solve's `_digit_levels`, tried in order: |p/p'| at each
-    stored double z within its rounding allowance 2^-50 |z|, and disjoint
-    disks of radius k * max |p/p'| (a legacy bare-list file fails).  So a
-    file written by the fallback set-up loads at the fallback's digits; the
-    header does not record the digits, and `_SOLVER` is unchanged."""
+    """The zeros of a cache file, or None unless its header matches, it
+    records the digits the solve certified them at (an int, at least
+    `_working_dps`), its zeros are k, exactly conjugate-closed and of a
+    stored residual within the contract, and the solve's fixed-point kernel,
+    set up once at those digits for the stored zeros (no guesses), certifies
+    them again with the solve's `_residual`: |p/p'| at each stored double z
+    within its rounding allowance 2^-50 |z|, and disjoint disks of radius k
+    * max |p/p'| (a legacy bare-list file fails)."""
     k = spec.k
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict) or any(data.get(f) != v for f, v in header.items()):
             return None
-        residual = float(data["residual"])
+        residual, dps = float(data["residual"]), data["digits"]
         zs = _sort_conjugate_closed([complex(float(re), float(im)) for re, im in data["zeros"]])
-        if len(zs) != k or not 0 <= residual < ZERO_RESIDUAL_PER_K * k:
+        if (len(zs) != k or not 0 <= residual < ZERO_RESIDUAL_PER_K * k
+                or type(dps) is not int or dps < _working_dps(spec)):
             return None
         reps = [z for z in zs if z.imag >= 0]  # a conjugate's |p/p'| is its partner's
-        for dps in _digit_levels(spec):
-            with mp.workdps(dps):
-                _, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps, reps)
-                ws = [(_fixed(mp.mpf(z.real) / scale, bits), _fixed(mp.mpf(z.imag) / scale, bits))
-                      for z in reps]
-            steps = np.array([_residual(kernel(w), slack, scale) for w in ws])
-            if np.all(steps <= _rounding(reps)) and _disks_disjoint(zs, k * np.max(steps)):
-                return zs
+        with mp.workdps(dps):
+            _, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps, reps)
+            ws = [(_fixed(mp.mpf(z.real) / scale, bits), _fixed(mp.mpf(z.imag) / scale, bits))
+                  for z in reps]
+        steps = np.array([_residual(kernel(w), slack, scale) for w in ws])
+        if np.all(steps <= _rounding(reps)) and _disks_disjoint(zs, k * np.max(steps)):
+            return zs
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError, ConvergenceError):
         pass
     return None
@@ -898,11 +869,11 @@ def _zeros_cached(spec, cache_dir):
         return list(got)
     zs = _load_zeros(path, header, spec)
     if zs is None:
-        zs, residual = _zeros_mp(spec)
+        zs, residual, dps = _zeros_mp(spec)
         zs = _sort_conjugate_closed(zs)
         try:
             os.makedirs(cdir, exist_ok=True)
-            payload = dict(header, residual=residual,
+            payload = dict(header, residual=residual, digits=dps,
                            zeros=[[f"{z.real:.35g}", f"{z.imag:.35g}"] for z in zs])
             fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -1001,7 +972,7 @@ def r_valid(fact):
 def factorize(spec, *, cache_dir=None):
     """The zeros, their groups in plan order (`order_factors` on `gamma_for`)
     and the scale: 1 for Taylor, and for Chebyshev p(0), read with the zero
-    clearance check's a_{k+1} at the solve's precision `_working_dps`."""
+    clearance check's a_{k+1} at the solve's first precision `_working_dps`."""
     if spec.family == "taylor":
         zeros = taylor_zeros(spec.k, cache_dir=cache_dir)
         scale = 1.0

@@ -296,7 +296,8 @@ def _log_series(sequence, n_letters, n):
     log_s, power = _zero(n_letters, n), y
     for m in range(1, n + 1):
         log_s = log_s + (-1) ** (m + 1) / m * power
-        power = _mul(power, y, n_letters, n)
+        if m < n:
+            power = _mul(power, y, n_letters, n)
     return np.split(log_s, _starts(n_letters, n)[1:-1])
 
 

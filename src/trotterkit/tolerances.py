@@ -24,7 +24,11 @@ ZERO_RESIDUAL_PER_K = 1e-25   # per root: (|p| + kernel allowance) / |p'| < this
 # unpolished ones a failed polish leaves within 8 (7 up to k = 300);
 # colleague guesses within 3-5 for well-resolved Chebyshev, refined guesses
 # within 2; the colleague guesses of an over-resolved real-axis truncation
-# take up to 40 or miss.
+# take up to 40 or miss, as do those of an imaginary-axis one far above its
+# admissible k at its first digits.  There the refined pass misses the
+# contract too, and the one set-up at the digits it measures certifies
+# each refined guess within 2, as on the imaginary axis below the
+# admissible k.
 NEWTON_MAX_STEPS = 100
 TAYLOR_K_MAX = 400
 BESSEL_X_MAX = 500.0

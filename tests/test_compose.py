@@ -24,8 +24,8 @@ from trotterkit.compose import (
     power_step,
 )
 from trotterkit.errors import DimensionError, StructuralError
-from trotterkit.multistage import apply_two_stage, evolve, random_split, to_multistage
-from trotterkit.schemes import get_scheme, load_catalog
+from trotterkit.multistage import apply_two_stage, evolve, to_multistage
+from trotterkit.schemes import get_scheme, load_catalog, random_split
 from trotterkit.spinmodel import XxzConfig, build_xxz, exact_evolution
 
 CHAINS = [(L, b) for L in range(3, 9) for b in ("open", "periodic")]

@@ -18,11 +18,16 @@ from trotterkit.multistage import (
     direction_prefactor,
     evolve,
     multistage_order,
-    random_split,
     reconstruct_two_stage,
     to_multistage,
 )
-from trotterkit.schemes import TwoStageScheme, get_scheme, load_catalog, random_hermitian
+from trotterkit.schemes import (
+    TwoStageScheme,
+    get_scheme,
+    load_catalog,
+    random_hermitian,
+    random_split,
+)
 from trotterkit.spinmodel import XxzConfig, build_xxz, exact_evolution
 
 THETA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))

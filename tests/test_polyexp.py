@@ -421,8 +421,9 @@ def test_taylor_zeros_are_accurate(k, zeros_cache):
 
 
 def test_zero_solvers_raise_convergence_error(monkeypatch):
-    # With a zero residual contract no solve can pass: both solvers must
-    # give up after their precision boost and report the residual reached.
+    # With a zero residual contract no solve can pass, and no number of
+    # digits meets it: both solvers must give up and report the residual
+    # reached.
     monkeypatch.setattr(polyexp, "ZERO_RESIDUAL_PER_K", 0.0)
     monkeypatch.setattr(polyexp, "_memo", {})
     with pytest.raises(ConvergenceError) as exc:
@@ -434,82 +435,132 @@ def test_zero_solvers_raise_convergence_error(monkeypatch):
     assert math.isfinite(exc.value.worst_residual)
 
 
-def test_a_solve_that_fails_at_its_digits_sets_up_again_at_one_and_a_half_times(monkeypatch):
-    # Taylor k = 20 needs about 23 digits: at 20 both passes miss, at 30
-    # the fallback set-up finds the zeros the 46-digit solve finds
-    spec = SeriesSpec("taylor", 20)
-    want = polyexp._sort_conjugate_closed(polyexp._zeros_mp(spec)[0])
-    setups = []
-    setup = polyexp._SETUPS["taylor"]
+def _recorded_solves(monkeypatch, family):
+    """Lists that record the zero solves of family from here on: each
+    set-up's (digits, started from given zeros), each pass's (failed check,
+    worst residual), and each refinement."""
+    setups, passes, refined = [], [], []
+    setup, certified = polyexp._SETUPS[family], polyexp._newton_certified
+    refine = polyexp._refined_guesses
 
     def recording_setup(spec, dps, zeros=None):
-        setups.append(dps)
+        setups.append((dps, zeros is not None))
         return setup(spec, dps, zeros)
 
-    monkeypatch.setitem(polyexp._SETUPS, "taylor", recording_setup)
-    monkeypatch.setattr(polyexp, "_working_dps", lambda spec: 20)
-    assert polyexp._sort_conjugate_closed(polyexp._zeros_mp(spec)[0]) == want
-    assert setups == [20, 30]
+    def recording_pass(*args):
+        got = certified(*args)
+        passes.append((got[2], got[1]))
+        return got
+
+    monkeypatch.setitem(polyexp._SETUPS, family, recording_setup)
+    monkeypatch.setattr(polyexp, "_newton_certified", recording_pass)
+    monkeypatch.setattr(polyexp, "_refined_guesses", lambda *a: refined.append(1) or refine(*a))
+    return setups, passes, refined
+
+
+def _measured_raise(dps, passes, k):
+    """The digits the solve's rule gives after the failed refined pass."""
+    return dps + math.ceil(math.log10(passes[1][1] / (1e-25 * k))) + 2
+
+
+@pytest.mark.parametrize("base", [12, 16, 20])
+def test_a_solve_that_fails_at_its_digits_sets_up_again_at_the_digits_it_measured(
+        monkeypatch, base):
+    # Taylor k = 20 needs about 23 digits: below that both passes miss
+    # Newton's stop rule, and their worst residual measures the digits
+    # missing; the one set-up at those digits, started from the refined
+    # guesses, finds the zeros the 46-digit solve finds and refines nothing
+    spec = SeriesSpec("taylor", 20)
+    want = polyexp._sort_conjugate_closed(polyexp._zeros_mp(spec)[0])
+    monkeypatch.setattr(polyexp, "_working_dps", lambda spec: base)
+    setups, passes, refined = _recorded_solves(monkeypatch, "taylor")
+    zs, _, dps = polyexp._zeros_mp(spec)
+    assert polyexp._sort_conjugate_closed(zs) == want
+    assert [failed for failed, _ in passes] == ["Newton missed its stop rule"] * 2 + [None]
+    assert setups == [(base, False), (dps, True)] and refined == [1]
+    assert dps == _measured_raise(base, passes, 20) == 25
+
+
+def test_a_raised_set_up_that_fails_refines_nothing_and_gives_up(monkeypatch):
+    # every pass misses the contract by a factor 2000: the solve sets up
+    # once more, 4 + 2 digits up, from the refined guesses, refines only at
+    # its first digits, and reports the raised pass's residual
+    monkeypatch.setattr(polyexp, "_newton_certified",
+                        lambda k, *args: ([], 2e-22 * k, "residual above contract"))
+    setups, passes, refined = _recorded_solves(monkeypatch, "taylor")
+    spec = SeriesSpec("taylor", 5)
+    with pytest.raises(ConvergenceError) as exc:
+        polyexp._zeros_mp(spec)
+    base = polyexp._working_dps(spec)
+    assert setups == [(base, False), (base + 6, True)] and refined == [1] and len(passes) == 3
+    assert exc.value.worst_residual == 2e-22 * 5
 
 
 # Imaginary-axis truncations below their admissible k that a second solve
-# at 1.5 times the working digits used to rescue, with the digest (as in
-# PINNED_ZEROS) and overall_scale of the zeros that solve gave.  (48, 70) is
-# off the grid the three others came from.
+# at 1.5 times the working digits used to rescue, with the digits their
+# failed pass measures, and the digest (as in PINNED_ZEROS) and
+# overall_scale of the zeros that second solve gave.  (48, 70) is off the
+# grid the three others came from.
 FAR_BELOW_ADMISSIBLE = {
-    (24, 100.0): ("fa67bca6dc96c80f9e4c1289f1e34cef42f4e97d867f81f5b44879fbdbbfff4d",
+    (24, 100.0): (77, "fa67bca6dc96c80f9e4c1289f1e34cef42f4e97d867f81f5b44879fbdbbfff4d",
                   "-0x1.4f29d82f7252ep-6"),
-    (80, 150.0): ("38ef8f50bdef6d231bf557c6174034fd9650112394e73d6aa265cef1ac3e21b6",
+    (80, 150.0): (93, "38ef8f50bdef6d231bf557c6174034fd9650112394e73d6aa265cef1ac3e21b6",
                   "-0x1.27d6685e693c1p-5"),
-    (80, 172.0): ("3a7ce353e1bf0f78454ac0b774e54b737e089cb290e142637f407164cd284fa7",
+    (80, 172.0): (92, "3a7ce353e1bf0f78454ac0b774e54b737e089cb290e142637f407164cd284fa7",
                   "-0x1.4fb207d8f7a56p-5"),
-    (48, 70.0): ("c06dd32bb785355d051c1b43c9f2803335b1713091ae899ff33ae98ddf4d691e",
+    (48, 70.0): (85, "c06dd32bb785355d051c1b43c9f2803335b1713091ae899ff33ae98ddf4d691e",
                  "0x1.bc2415fbe7a86p-4"),
 }
 
 
 @pytest.mark.parametrize("k, gh", list(FAR_BELOW_ADMISSIBLE), ids=str)
-def test_a_truncation_below_its_admissible_k_solves_with_one_set_up(tmp_path, monkeypatch, k, gh):
-    # digits up to the residual floor let the guessed pass meet the
-    # contract, and the zeros and scale are those the second solve gave
+def test_a_truncation_below_its_admissible_k_solves_at_the_digits_its_failed_pass_measures(
+        tmp_path, monkeypatch, k, gh):
+    # at the base digits both passes miss the contract on the residual
+    # floor; one set-up at the digits the refined pass measures meets it,
+    # with the zeros and scale the second solve gave, and the file records
+    # those digits
     spec = SeriesSpec("chebyshev", k, gamma_scale=gh, axis="imaginary")
-    setups, passes = [], []
-    setup, certified = polyexp._SETUPS["chebyshev"], polyexp._newton_certified
-
-    def recording_setup(spec, dps, zeros=None):
-        setups.append(dps)
-        return setup(spec, dps, zeros)
-
-    def recording_pass(*args):
-        got = certified(*args)
-        passes.append(got[2])
-        return got
-
-    monkeypatch.setitem(polyexp._SETUPS, "chebyshev", recording_setup)
-    monkeypatch.setattr(polyexp, "_newton_certified", recording_pass)
     monkeypatch.setattr(polyexp, "_memo", {})
+    setups, passes, refined = _recorded_solves(monkeypatch, "chebyshev")
     fact = factorize(spec, cache_dir=str(tmp_path))
-    assert setups == [polyexp._floor_digits(spec) + 2] and passes == [None]
-    assert setups[0] > 65 + k // 4
-    digest, scale = FAR_BELOW_ADMISSIBLE[k, gh]
+    base = polyexp._working_dps(spec)
+    digits, digest, scale = FAR_BELOW_ADMISSIBLE[k, gh]
+    assert base == 65 + k // 4
+    assert [failed for failed, _ in passes] == ["residual above contract"] * 2 + [None]
+    assert setups == [(base, False), (digits, True)] and refined == [1]
+    assert _measured_raise(base, passes, k) == digits
     text = " ".join(f"{z.real.hex()},{z.imag.hex()}" for z in fact.zeros)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert fact.overall_scale.hex() == scale
+    (path,) = tmp_path.iterdir()
+    assert json.loads(path.read_text())["digits"] == digits
 
 
-def test_the_residual_floor_estimate_tracks_the_digits_a_solve_needs():
-    # two digits under the estimate neither pass meets the contract
+def test_the_residual_floor_falls_as_ten_to_the_minus_digits():
+    # the worst residual w of a refined pass that misses the contract tol
+    # measures the floor: from the same guesses, two digits short of
+    # log10(w / tol) more neither meets it, and two digits over it does
     spec = SeriesSpec("chebyshev", 48, gamma_scale=70.0, axis="imaginary")
-    dps = polyexp._floor_digits(spec) - 2
-    assert dps > 65 + 48 // 4
-    with mp.workdps(dps):
-        guesses, scale, bits, kernel, slack = polyexp._SETUPS["chebyshev"](spec, dps)
-        assert polyexp._newton_certified(48, guesses, scale, bits, kernel, slack)[2]
-        guesses = polyexp._refined_guesses(kernel, guesses, bits)
-        assert polyexp._newton_certified(48, guesses, scale, bits, kernel, slack)[2]
+    dps, tol = polyexp._working_dps(spec), 1e-25 * 48
+
+    def refined_pass(dps, zeros=None):
+        with mp.workdps(dps):
+            guesses, scale, bits, kernel, slack = polyexp._SETUPS["chebyshev"](spec, dps, zeros)
+            if zeros is None:
+                guesses = polyexp._refined_guesses(kernel, guesses, bits)
+            _, worst, failed = polyexp._newton_certified(48, guesses, scale, bits, kernel, slack)
+        return [w * scale for w in guesses], worst, failed
+
+    start, worst, failed = refined_pass(dps)
+    assert failed == "residual above contract"
+    missing = math.ceil(math.log10(worst / tol))
+    assert missing > 4
+    assert refined_pass(dps + missing - 2, start)[2] == "residual above contract"
+    assert refined_pass(dps + missing + 2, start)[2] is None
 
 
-def test_working_digits_grow_only_below_the_admissible_k_on_the_imaginary_axis():
+def test_working_digits_are_the_base_rule_alone():
     def dps(k, gh=None, axis=None):
         family = "taylor" if gh is None else "chebyshev"
         return polyexp._working_dps(SeriesSpec(family, k, gamma_scale=gh, axis=axis))
@@ -517,9 +568,10 @@ def test_working_digits_grow_only_below_the_admissible_k_on_the_imaginary_axis()
     assert [dps(k) for k in (1, 52, 400)] == [41, 54, 141]
     assert dps(40, 20.0, "real") == 65 + 10 + int(0.44 * 20.0) + 10
     assert dps(100, 80.0, "imaginary") == dps(100, 100.0, "imaginary") == 65 + 25
-    # below the admissible k, but with the floor under the base digits
+    # below and far above the admissible k alike: the solve raises them
     assert dps(52, 100.0, "imaginary") == 65 + 13
-    assert dps(24, 100.0, "imaginary") == 76
+    assert dps(24, 100.0, "imaginary") == 65 + 6
+    assert dps(304, 100.0, "imaginary") == 65 + 76
 
 
 def _to_mp(a, bits):
@@ -612,7 +664,7 @@ def test_fixed_clenshaw_matches_mpmath(k, gh, axis):
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 20, 21])
 def test_taylor_zeros_match_polyroots(k):
     # mpmath's polyroots (Durand-Kerner) is an independent solver
-    zs, _ = polyexp._zeros_mp(SeriesSpec("taylor", k))
+    zs, _, _ = polyexp._zeros_mp(SeriesSpec("taylor", k))
     with mp.workdps(50):
         coeffs = [1 / mp.factorial(i) for i in range(k, -1, -1)]
         ref = mp.polyroots(coeffs, maxsteps=200, extraprec=200)
@@ -645,7 +697,7 @@ def test_szego_guesses_need_no_refinement(monkeypatch):
     monkeypatch.setattr(polyexp, "_newton_fixed", counted)
     for k in [*range(1, 21), 52, 152, 304]:
         evaluations.clear()
-        zs, worst = polyexp._zeros_mp(SeriesSpec("taylor", k))
+        zs, worst, _ = polyexp._zeros_mp(SeriesSpec("taylor", k))
         assert len(zs) == k and worst < 1e-25 * k
         assert len(evaluations) == (k + 1) // 2 and max(evaluations) <= 2
 
@@ -718,7 +770,7 @@ def test_overresolved_chebyshev_is_solved_from_refined_guesses(monkeypatch):
     refine = polyexp._refined_guesses
     monkeypatch.setattr(polyexp, "_refined_guesses", lambda *a: calls.append(1) or refine(*a))
     spec = SeriesSpec("chebyshev", 60, gamma_scale=20.0, axis="real")
-    zs, worst = polyexp._zeros_mp(spec)
+    zs, worst, _ = polyexp._zeros_mp(spec)
     assert calls == [1] and worst < 1e-25 * 60
     assert len(polyexp._sort_conjugate_closed(zs)) == 60
     with mp.workdps(120):
@@ -862,7 +914,7 @@ def test_line_roots_stay_exactly_real():
     # guesses on the symmetry line are snapped onto it; Newton keeps them there
     cheb = [SeriesSpec("chebyshev", 7, gamma_scale=0.5, axis="real"),
             SeriesSpec("chebyshev", 7, gamma_scale=2.0, axis="imaginary")]
-    for zs, _ in [polyexp._zeros_mp(s) for s in [SeriesSpec("taylor", 21)] + cheb]:
+    for zs, _, _ in [polyexp._zeros_mp(s) for s in [SeriesSpec("taylor", 21)] + cheb]:
         assert sum(1 for z in zs if z.imag == 0.0) % 2 == 1
         assert polyexp._sort_conjugate_closed(zs)
 
@@ -923,7 +975,7 @@ def test_cache_file_is_read_back(tmp_path, monkeypatch):
     # unit in the last place, and check the loader trusts the file: the
     # rounding of a double root is within the load check's allowance.
     seeded = [[-1.0, 1.0 + 2.0**-52], [-1.0, -1.0 - 2.0**-52]]
-    payload = dict(_cache_header("taylor", 2), residual=1e-30,
+    payload = dict(_cache_header("taylor", 2), residual=1e-30, digits=41,
                    zeros=[[repr(a), repr(b)] for a, b in seeded])
     (tmp_path / "taylor_2.json").write_text(json.dumps(payload))
     monkeypatch.setattr(polyexp, "_memo", {})
@@ -932,27 +984,43 @@ def test_cache_file_is_read_back(tmp_path, monkeypatch):
     assert sorted((z.real, z.imag) for z in zs) == sorted((a, b) for a, b in seeded)
 
 
-def test_a_file_from_the_fallback_set_up_loads_at_its_digits(tmp_path, monkeypatch):
-    # with the base digits patched to 12, the stored Taylor k = 20 zeros
-    # fail the load check there (the first passing level is 14) and pass
-    # at the fallback's 18, so the file is served, not solved again
+@pytest.mark.parametrize("base, digits", [(None, 46), (12, 25)], ids=["base", "raised"])
+def test_a_file_loads_with_one_set_up_at_its_recorded_digits(tmp_path, monkeypatch, base, digits):
+    # Taylor k = 20 solved at its base digits, and with them patched to 12,
+    # where the solve raises them to 25: either file is certified again by
+    # one set-up at the digits it records, and served, not solved again
+    if base is not None:
+        monkeypatch.setattr(polyexp, "_working_dps", lambda spec: base)
     monkeypatch.setattr(polyexp, "_memo", {})
     want = taylor_zeros(20, cache_dir=str(tmp_path))
-    setups = []
-    setup = polyexp._SETUPS["taylor"]
-
-    def recording_setup(spec, dps, zeros=None):
-        setups.append(dps)
-        return setup(spec, dps, zeros)
-
-    monkeypatch.setitem(polyexp._SETUPS, "taylor", recording_setup)
-    monkeypatch.setattr(polyexp, "_working_dps", lambda spec: 12)
+    assert json.loads((tmp_path / "taylor_20.json").read_text())["digits"] == digits
+    setups, passes, refined = _recorded_solves(monkeypatch, "taylor")
     monkeypatch.setattr(polyexp, "_zeros_mp", _no_solve)
     monkeypatch.setattr(polyexp, "_memo", {})
     got = taylor_zeros(20, cache_dir=str(tmp_path))
-    assert setups == [12, 18]
+    assert setups == [(digits, True)] and passes == [] and refined == []
     assert [(z.real.hex(), z.imag.hex()) for z in got] == [
         (z.real.hex(), z.imag.hex()) for z in want]
+
+
+@pytest.mark.parametrize("digits", ["missing", 46.0, "46", True, 45], ids=str)
+def test_a_file_without_valid_digits_is_solved_again(tmp_path, monkeypatch, digits):
+    # the digits must be an int no lower than the base digits (46 at k =
+    # 20), whether or not the zeros would pass a check at the value given
+    monkeypatch.setattr(polyexp, "_memo", {})
+    want = taylor_zeros(20, cache_dir=str(tmp_path))
+    path = tmp_path / "taylor_20.json"
+    data = json.loads(path.read_text())
+    if digits == "missing":
+        del data["digits"]
+    else:
+        data["digits"] = digits
+    solves = []
+    solve = polyexp._zeros_mp
+    monkeypatch.setattr(polyexp, "_zeros_mp", lambda s: solves.append(s) or solve(s))
+    zs, written = _recomputed(path, data, lambda: taylor_zeros(20, cache_dir=str(tmp_path)),
+                              monkeypatch)
+    assert solves == [SeriesSpec("taylor", 20)] and zs == want and written["digits"] == 46
 
 
 def test_memo_is_kept_per_cache_file(tmp_path, monkeypatch):
@@ -1048,7 +1116,7 @@ def test_load_setup_from_the_zeros_matches_the_solve(spec):
     # axis) gives the load check the fraction bits and allowance the solve
     # took from the colleague guesses
     dps = polyexp._working_dps(spec)
-    zs, _ = polyexp._zeros_mp(spec)
+    zs, _, _ = polyexp._zeros_mp(spec)
     with mp.workdps(dps):
         _, _, bits, _, slack = polyexp._chebyshev_setup(spec, dps)
         _, _, load_bits, _, load_slack = polyexp._chebyshev_setup(spec, dps, zs)
@@ -1066,7 +1134,7 @@ def _corrupted_file_recomputed(tmp_path, monkeypatch, spec, corruption):
     cheb = spec.family == "chebyshev"
     header = (_cache_header("chebyshev", spec.k, spec.gamma_h, spec.axis) if cheb
               else _cache_header("taylor", spec.k))
-    payload = dict(header, residual=1e-40, zeros=zeros)
+    payload = dict(header, residual=1e-40, digits=polyexp._working_dps(spec), zeros=zeros)
     if corruption == "not_closed":
         zeros[1][1] = repr(float(zeros[1][1]) * (1 + 1e-15))
     elif corruption == "overlapping":
@@ -1087,7 +1155,7 @@ def _corrupted_file_recomputed(tmp_path, monkeypatch, spec, corruption):
     zs, data = _recomputed(tmp_path / f"{name}.json", payload,
                            lambda: factorize(spec, cache_dir=str(tmp_path)).zeros, monkeypatch)
     assert list(zs) == good
-    assert data == dict(header, residual=data["residual"],
+    assert data == dict(header, residual=data["residual"], digits=polyexp._working_dps(spec),
                         zeros=[[f"{z.real:.35g}", f"{z.imag:.35g}"] for z in good])
 
 
@@ -1110,7 +1178,7 @@ def test_gamma_h_mismatched_cache_file_recomputed(tmp_path, monkeypatch):
     near = SeriesSpec("chebyshev", 6, gamma_scale=1.2500001, axis="real")
     want = chebyshev_zeros(near, cache_dir=str(tmp_path / "ref"))
     path = tmp_path / f"chebyshev_6_{(1.2500001).hex()}_real.json"
-    payload = dict(_cache_header("chebyshev", 6, 1.25, "real"), residual=1e-40,
+    payload = dict(_cache_header("chebyshev", 6, 1.25, "real"), residual=1e-40, digits=76,
                    zeros=[[repr(z.real), repr(z.imag)] for z in want])
     payload["gamma_h"] = (1.25).hex()
     zs, data = _recomputed(path, payload,
@@ -1176,8 +1244,8 @@ def test_chebyshev_cache_filename(tmp_path):
 # The zeros (sha256 of the float.hex parts of each zero, "re,im" joined by
 # spaces) and overall_scale of the specs scripts/cli_outputs.sh solves cold,
 # its real-axis k = 40 solve left out, and of the (51, 27.27) spec that
-# perfbench's state-L10 solves cold, with the residual the same solver
-# (certified-newton-1) recorded in their cache files: for the first ten
+# perfbench's state-L10 solves cold, with the residual that solver
+# certified-newton-1 recorded in their cache files: for the first ten
 # when Newton still evaluated once more after its stop rule, for the last
 # two when the Chebyshev kernel summed p and p' together over complex mu.
 PINNED_ZEROS = {
@@ -1223,9 +1291,9 @@ PINNED_ZEROS = {
 @pytest.mark.parametrize("spec", list(PINNED_ZEROS), ids=str)
 def test_cold_zeros_match_the_pinned_digest(tmp_path, monkeypatch, spec):
     # A cold solve gives the pinned zeros and scale bit for bit.  The file
-    # it writes differs from the earlier one only in its residual, which is
-    # within the contract, so the earlier loader accepts it.  The earlier
-    # file (these zeros, its residual) loads here without a solve.
+    # it writes differs from the earlier one in its residual, which is within
+    # the contract, its solver and its digits.  These zeros with the earlier
+    # residual load here without a solve.
     digest, scale, residual = PINNED_ZEROS[spec]
     monkeypatch.setattr(polyexp, "_memo", {})
     fact = factorize(spec, cache_dir=str(tmp_path))
@@ -1234,7 +1302,8 @@ def test_cold_zeros_match_the_pinned_digest(tmp_path, monkeypatch, spec):
     assert fact.overall_scale.hex() == scale
     (path,) = tmp_path.iterdir()
     data = json.loads(path.read_text())
-    assert data["solver"] == polyexp._SOLVER == "certified-newton-1"
+    assert data["solver"] == polyexp._SOLVER == "certified-newton-2"
+    assert data["digits"] == polyexp._working_dps(spec)
     assert 0 <= data["residual"] < 1e-25 * spec.k
     data["residual"] = float.fromhex(residual)
     path.write_text(json.dumps(data))
@@ -1251,7 +1320,7 @@ def test_colleague_guesses_need_no_refinement(monkeypatch, spec):
         raise AssertionError("refinement stage reached")
 
     monkeypatch.setattr(polyexp, "_refined_guesses", refine)
-    zs, worst = polyexp._zeros_mp(spec)
+    zs, worst, _ = polyexp._zeros_mp(spec)
     assert len(zs) == spec.k and worst < 1e-25 * spec.k
 
 

@@ -510,6 +510,17 @@ def test_commutator_basis_at_grade_3_forms_no_grade_4_product(monkeypatch):
     assert all(np.any(p) for p in products)
 
 
+@pytest.mark.parametrize("n_letters, n", [(2, 1), (2, 5), (3, 4), (4, 3)])
+def test_log_series_forms_no_power_it_does_not_add(monkeypatch, n_letters, n):
+    # one product per factor, then y^2..y^n; y^(n + 1) is never added
+    calls = []
+    mul = schemes._mul
+    monkeypatch.setattr(schemes, "_mul", lambda *args: calls.append(args) or mul(*args))
+    sequence = to_multistage(get_scheme("blanes-moan4")).factor_sequence(n_letters)
+    _log_series(sequence, n_letters, n)
+    assert len(calls) == len(sequence) + n - 1
+
+
 # ---------------------------------------------------------------------------
 # efficiency scores
 
