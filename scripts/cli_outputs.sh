@@ -9,8 +9,9 @@
 #   scripts/cli_outputs.sh ../base /tmp/out-base
 #   diff -r /tmp/out-base /tmp/out-head
 #
-# Every run has its own empty HOME and empty zero cache, so every zero is
-# solved cold; BLAS runs on one thread.
+# Every run has its own empty HOME, and every zero is solved cold but in
+# the entries that read back a zero file they wrote; BLAS runs on one
+# thread.
 #
 # Every command exits 0 unless its entry declares otherwise (`expect=1 run
 # ...`).  With --check, nothing is run: each entry's NAME.status in OUTDIR
@@ -36,7 +37,7 @@ out=$(cd "$2" && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 mkdir "$work/home"
-export HOME="$work/home" TROTTERKIT_ZEROS_DIR="$work/zeros" PYTHONPATH="$tree/src"
+export HOME="$work/home" PYTHONPATH="$tree/src"
 export OMP_NUM_THREADS=1
 mismatches=0
 
@@ -134,6 +135,13 @@ run zeros-chebyshev-52-100-imaginary zeros --family chebyshev --k 52 --gamma-h 1
 run zeros-chebyshev-24-100-imaginary zeros --family chebyshev --k 24 --gamma-h 100 --axis imaginary
 run zeros-chebyshev-128-172-imaginary zeros --family chebyshev --k 128 --gamma-h 172 --axis imaginary
 run zeros-chebyshev-172-7.5-imaginary zeros --family chebyshev --k 172 --gamma-h 7.5 --axis imaginary
+# a zero file written through --zeros-cache, then read back by a second
+# process: Taylor k = 152, and the far-above solve that refines and raises
+for step in write read; do
+    run "zeros-taylor-152-file-$step" --zeros-cache zeros zeros --family taylor --k 152
+    run "zeros-chebyshev-172-7.5-imaginary-file-$step" --zeros-cache zeros \
+        zeros --family chebyshev --k 172 --gamma-h 7.5 --axis imaginary
+done
 run expm-taylor-prod expm --method taylor --k 52 --scalar=-10j
 run expm-taylor-sum expm --method taylor --k 52 --scalar=-10j --sum
 run expm-chebyshev-prod expm --method chebyshev --k 40 --gamma-h 20 --axis imaginary --scalar=-15j

@@ -235,7 +235,8 @@ def _build_parser():
     )
     parser.add_argument(
         "--zeros-cache", default=None, metavar="DIR",
-        help="zero cache directory (default: TROTTERKIT_ZEROS_DIR or ~/.cache)",
+        help="directory of zero files, each a start for the next solve of its "
+        "spec (default: none; zeros are kept for one process only)",
     )
     parser.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,

@@ -16,10 +16,12 @@ guesses (Chebyshev), one zero of each conjugate pair is solved by Newton in
 fixed-point integer arithmetic and the other mirrored exactly.  Each zero's
 residual |p/p'| comes from the kernel's own last evaluation, |p| widened by
 its evaluation allowance, and must meet a per-root contract; disjoint
-inclusion disks certify that all k were found.  The zeros are cached on
-disk with their provenance, certified again by the same residual when
-loaded, and rounded to doubles for evaluation.  The Chebyshev coefficients
-are Bessel values from mpmath J/I seeds plus downward recurrence.
+inclusion disks certify that all k were found.  The zeros are kept in an
+in-process memo and, given a directory, in a file there, which is only a
+start: Newton from the stored zeros takes the place of the guesses, and
+what it certifies is served.  They are rounded to doubles for evaluation.
+The Chebyshev coefficients are Bessel values from mpmath J/I seeds plus
+downward recurrence.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ __all__ = [
     "eval_summed",
     "r_valid",
     "suggest_gamma",
-    "default_cache_dir",
 ]
 
 
@@ -233,7 +234,7 @@ def _chebyshev_plane(spec, dps=None):
 
     In double precision by default; with dps set, as mpmath numbers at that
     working precision (call it inside mp.workdps(dps)).  A tuple, built once
-    per (spec, dps): the solve, its load check and `factorize` share it.
+    per (spec, dps): the solve and `factorize` share it.
     Every Chebyshev path reads it, so a Gamma*h past BESSEL_X_MAX is refused
     here.
     """
@@ -440,16 +441,11 @@ def _newton_fixed(p_and_dp, w, bits, stop, slack, scale):
     return w, _residual(value, slack, scale), False
 
 
-def _rounding(zs):
-    """The rounding allowance 2^-50 |z| of each double root z in zs."""
-    return 2.0**-50 * np.abs(np.asarray(zs, dtype=complex))
-
-
 def _disks_disjoint(zs, radius):
     """True when the disks of the given radius around the double roots zs,
-    widened by their rounding, are pairwise disjoint."""
+    widened by their rounding allowance 2^-50 |z|, are pairwise disjoint."""
     z = np.asarray(zs, dtype=complex)
-    rad = radius + _rounding(z)
+    rad = radius + 2.0**-50 * np.abs(z)
     gap = np.abs(z[:, None] - z[None, :]) - (rad[:, None] + rad[None, :])
     np.fill_diagonal(gap, np.inf)
     return bool(np.all(gap > 0))
@@ -569,7 +565,7 @@ def _taylor_setup(spec, dps, zeros=None):
     """The Taylor solve at dps digits (inside mp.workdps(dps)): guesses,
     scale, fraction bits, the fixed-point kernel for p and p', and the
     allowance for the error of p, as _newton_certified takes them; given
-    z-plane zeros (the points a load checks), they stand in for the guesses.
+    z-plane zeros (a start), they stand in for the guesses.
     Newton runs in u = z/k, where the coefficients k^i/i! are all >= 1 and
     every zero has |u| <= 1, so no error grows: the kernel's p is within
     2(k + 1) units of 2^-bits (`_fixed_horner`), and 3(k + 1) bound it.  The
@@ -718,8 +714,8 @@ def _chebyshev_setup(spec, dps, zeros=None):
     w = z / (Gamma*h) = x on the real axis and i x on the imaginary one,
     where the truncation is sum a_i t_i(w) with real a_i
     (`_chebyshev_plane`), so its roots are symmetric about Im w = 0.  The
-    guesses are `_colleague_guesses`, or the given zeros, which then take
-    their place and spare a load the colleague matrix.  The fraction bits
+    guesses are `_colleague_guesses`, or the given zeros (a start), which
+    then take their place and spare the colleague matrix.  The fraction bits
     take `_clenshaw_guard_bits` over those points, and the allowance is
     `_fixed_chebyshev`'s bound for p over them, (k + 1)(3 + max |w|) units
     of 2^-bits times 2^ceil(k log2 rho) >= rho^k, with a factor 4 for Newton
@@ -742,44 +738,48 @@ _SETUPS = {"taylor": _taylor_setup, "chebyshev": _chebyshev_setup}
 
 
 def _working_dps(spec):
-    """Digits a zero solve first sets up at, the least a zero file may
-    record, and those of `factorize`'s p(0): 41 + k/4 for Taylor; 65 + k/4
-    for Chebyshev, plus log10(e^Gh) + 10 on the real axis, whose sums
-    cancel from I_0(Gh) ~ e^Gh down to O(1).  Where they fall short, on the
-    imaginary axis far below or far above the admissible k, `_zeros_mp`
-    raises them by what its failed pass measures."""
+    """Digits a zero solve first sets up at, and those of `factorize`'s
+    p(0): 41 + k/4 for Taylor; 65 + k/4 for Chebyshev, plus log10(e^Gh) +
+    10 on the real axis, whose sums cancel from I_0(Gh) ~ e^Gh down to
+    O(1).  Where they fall short, on the imaginary axis far below or far
+    above the admissible k, `_zeros_mp` raises them by what its failed pass
+    measures."""
     if spec.family == "taylor":
         return 41 + int(0.25 * spec.k)
     dps = 65 + int(0.25 * spec.k)
     return dps + int(0.44 * spec.gamma_h) + 10 if spec.axis == "real" else dps
 
 
-def _zeros_mp(spec):
+def _zeros_mp(spec, start=None):
     """All k zeros (z-plane) of the truncation for spec, meeting the residual
     contract, with their worst residual and the digits they were certified
-    at: certified Newton at `_working_dps` from the family's guesses, then,
-    if that pass fails, from refined guesses.  A pass's residual floor,
-    scale (|p| + 1 + slack) / |p'| with slack a fixed count of 2^-bits
-    units, scales as 10^-dps (`_fraction_bits`), so a refined pass that
+    at: certified Newton at `_working_dps` from start (z-plane zeros, such
+    as a zero file's) or else the family's guesses.  A pass's residual
+    floor, scale (|p| + 1 + slack) / |p'| with slack a fixed count of
+    2^-bits units, scales as 10^-dps (`_fraction_bits`), so a pass that
     fails with a finite worst residual at or above the contract measures
     the digits it lacks: one more set-up, at dps + ceil(log10(worst / tol))
-    + 2, starts from the refined guesses and refines nothing again.
+    + 2, starts from that pass's guesses and is not raised again.  Before
+    that, a first pass from the family's guesses whose Newton runs missed
+    their stop rule or collided is run again from refined guesses; one
+    whose roots all converged but missed the contract raises straight from
+    its own, and a start or a raised set-up refines nothing.
     ConvergenceError names the check the last pass failed."""
     k, tol = spec.k, ZERO_RESIDUAL_PER_K * spec.k
-    dps, zeros = _working_dps(spec), None
+    dps, zeros, raised = _working_dps(spec), start, False
     while True:
         with mp.workdps(dps):
             guesses, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps, zeros)
             zs, worst, failed = _newton_certified(k, guesses, scale, bits, kernel, slack)
-            if failed and zeros is None:
+            if failed not in (None, "residual above contract") and zeros is None:
                 guesses = _refined_guesses(kernel, guesses, bits)
                 zs, worst, failed = _newton_certified(k, guesses, scale, bits, kernel, slack)
         if not failed:
             return zs, worst, dps
-        if zeros is not None or not 0 < tol <= worst < math.inf:
+        if raised or not 0 < tol <= worst < math.inf:
             break
         dps += math.ceil(math.log10(worst / tol)) + 2
-        zeros = [w * scale for w in guesses]
+        zeros, raised = [w * scale for w in guesses], True
     what = f"{spec.family} zeros k={k}"
     what += f" Gamma*h={spec.gamma_h} {spec.axis}" if spec.family == "chebyshev" else ""
     raise ConvergenceError(
@@ -804,48 +804,19 @@ def _sort_conjugate_closed(zs):
 
 
 # ---------------------------------------------------------------------------
-# disk cache
-
-# written into every cache file; a file from another solver version is recomputed
-_SOLVER = "certified-newton-2"
+# zero files
 
 
-def default_cache_dir():
-    env = os.environ.get("TROTTERKIT_ZEROS_DIR")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "trotterkit", "zeros")
-
-
-def _load_zeros(path, header, spec):
-    """The zeros of a cache file, or None unless its header matches, it
-    records the digits the solve certified them at (an int, at least
-    `_working_dps`), its zeros are k, exactly conjugate-closed and of a
-    stored residual within the contract, and the solve's fixed-point kernel,
-    set up once at those digits for the stored zeros (no guesses), certifies
-    them again with the solve's `_residual`: |p/p'| at each stored double z
-    within its rounding allowance 2^-50 |z|, and disjoint disks of radius k
-    * max |p/p'| (a legacy bare-list file fails)."""
-    k = spec.k
+def _stored_zeros(path, header):
+    """The zeros of the zero file at path, a start for the solve, or None
+    unless it parses and holds the spec's fields of header (any other
+    field is ignored)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if not isinstance(data, dict) or any(data.get(f) != v for f, v in header.items()):
-            return None
-        residual, dps = float(data["residual"]), data["digits"]
-        zs = _sort_conjugate_closed([complex(float(re), float(im)) for re, im in data["zeros"]])
-        if (len(zs) != k or not 0 <= residual < ZERO_RESIDUAL_PER_K * k
-                or type(dps) is not int or dps < _working_dps(spec)):
-            return None
-        reps = [z for z in zs if z.imag >= 0]  # a conjugate's |p/p'| is its partner's
-        with mp.workdps(dps):
-            _, scale, bits, kernel, slack = _SETUPS[spec.family](spec, dps, reps)
-            ws = [(_fixed(mp.mpf(z.real) / scale, bits), _fixed(mp.mpf(z.imag) / scale, bits))
-                  for z in reps]
-        steps = np.array([_residual(kernel(w), slack, scale) for w in ws])
-        if np.all(steps <= _rounding(reps)) and _disks_disjoint(zs, k * np.max(steps)):
-            return zs
-    except (OSError, ValueError, KeyError, TypeError, ArithmeticError, ConvergenceError):
+        if isinstance(data, dict) and all(data.get(f) == v for f, v in header.items()):
+            return [complex(float(re), float(im)) for re, im in data["zeros"]]
+    except (OSError, ValueError, KeyError, TypeError):
         pass
     return None
 
@@ -854,33 +825,41 @@ _memo = {}
 
 
 def _zeros_cached(spec, cache_dir):
+    """The zeros of spec, sorted by `_sort_conjugate_closed`, from the
+    in-process memo or `_zeros_mp`.  With a cache_dir, the spec's zero file
+    there is a start for the solve: what that solve certifies is served, a
+    start it cannot certify from is dropped for the family's guesses, and
+    the file is rewritten only when the served zeros differ from it."""
     # the file's record of its spec names the file; Taylor specs of any h share one
     cheb = spec.family == "chebyshev"
     header = {"family": spec.family, "k": spec.k,
               "gamma_h": float(spec.gamma_h).hex() if cheb else None,
-              "axis": spec.axis if cheb else None, "solver": _SOLVER}
-    cdir = cache_dir if cache_dir is not None else default_cache_dir()
+              "axis": spec.axis if cheb else None}
     name = f"chebyshev_{spec.k}_{header['gamma_h']}_{spec.axis}" if cheb else f"taylor_{spec.k}"
-    path = os.path.join(cdir, name + ".json")
+    path = None if cache_dir is None else os.path.join(cache_dir, name + ".json")
     # the memo key: a zero set met in one directory is still written to the next
     key = (path, *header.values())
     got = _memo.get(key)
     if got is not None:
         return list(got)
-    zs = _load_zeros(path, header, spec)
-    if zs is None:
-        zs, residual, dps = _zeros_mp(spec)
-        zs = _sort_conjugate_closed(zs)
+    stored = None if path is None else _stored_zeros(path, header)
+    zs = None
+    if stored is not None:
         try:
-            os.makedirs(cdir, exist_ok=True)
-            payload = dict(header, residual=residual, digits=dps,
-                           zeros=[[f"{z.real:.35g}", f"{z.imag:.35g}"] for z in zs])
-            fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
+            zs = _zeros_mp(spec, stored)[0]
+        except (ConvergenceError, ArithmeticError, ValueError):
+            pass  # NaN, inf or far-off points also fail the set-up's floats
+    zs = _sort_conjugate_closed(_zeros_mp(spec)[0] if zs is None else zs)
+    if path is not None and zs != stored:
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+            payload = dict(header, zeros=[[f"{z.real:.35g}", f"{z.imag:.35g}"] for z in zs])
+            fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh)
             os.replace(tmp, path)
         except OSError:
-            pass  # cache is an optimization; never fail the computation
+            pass  # a zero file is an optimization; never fail the computation
     _memo[key] = tuple(zs)
     return zs
 

@@ -21,14 +21,16 @@ ZERO_RESIDUAL_PER_K = 1e-25   # per root: (|p| + kernel allowance) / |p'| < this
 # Newton steps requested (kernel evaluations) per root, and sweeps of the
 # guess refinement.  Polished Szego guesses meet the stop rule in 2
 # evaluations at every Taylor k up to TAYLOR_K_MAX (1 at k = 1), the
-# unpolished ones a failed polish leaves within 8 (7 up to k = 300);
-# colleague guesses within 3-5 for well-resolved Chebyshev, refined guesses
-# within 2; the colleague guesses of an over-resolved real-axis truncation
-# take up to 40 or miss, as do those of an imaginary-axis one far above its
+# unpolished ones a failed polish leaves within 8 (7 up to k = 300), and
+# the stored zeros a zero file starts a solve from within 2; colleague
+# guesses within 3-5 for well-resolved Chebyshev, refined guesses within 2;
+# the colleague guesses of an over-resolved real-axis truncation take up
+# to 40 or miss, as do those of an imaginary-axis one far above its
 # admissible k at its first digits.  There the refined pass misses the
 # contract too, and the one set-up at the digits it measures certifies
-# each refined guess within 2, as on the imaginary axis below the
-# admissible k.
+# each refined guess within 2.  Below the admissible k on the imaginary
+# axis the colleague guesses converge within 3 but miss the contract, and
+# the set-up at the digits that pass measures certifies each within 3.
 NEWTON_MAX_STEPS = 100
 TAYLOR_K_MAX = 400
 BESSEL_X_MAX = 500.0

@@ -1,9 +1,10 @@
 """Shared test configuration.
 
 Registers a seeded hypothesis profile (every randomized property runs at
-least 100 cases, derandomized so CI is reproducible), a session-wide
-zeros cache so the certified Newton zero solves happen once, and a
-per-test default zeros directory so no test writes under ~/.cache.
+least 100 cases, derandomized so CI is reproducible) and a session-wide
+zeros directory for the tests that keep zero files.  Without a directory
+zeros are kept in the in-process memo only, so no test writes under HOME,
+and a test that needs a cold solve clears `polyexp._memo` itself.
 """
 
 import sys
@@ -24,13 +25,6 @@ settings.load_profile("trotterkit")
 @pytest.fixture(scope="session")
 def zeros_cache(tmp_path_factory):
     return str(tmp_path_factory.mktemp("zeros"))
-
-
-@pytest.fixture(autouse=True)
-def hermetic_zeros_dir(tmp_path, monkeypatch):
-    """Point the default zeros cache at a per-test directory, so no test
-    writes under the user's home."""
-    monkeypatch.setenv("TROTTERKIT_ZEROS_DIR", str(tmp_path / "zeros"))
 
 
 def pytest_terminal_summary(terminalreporter):

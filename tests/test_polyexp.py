@@ -458,9 +458,10 @@ def _recorded_solves(monkeypatch, family):
     return setups, passes, refined
 
 
-def _measured_raise(dps, passes, k):
-    """The digits the solve's rule gives after the failed refined pass."""
-    return dps + math.ceil(math.log10(passes[1][1] / (1e-25 * k))) + 2
+def _measured_raise(dps, failed_pass, k):
+    """The digits the solve's rule gives after failed_pass, a (failed
+    check, worst residual) of `_recorded_solves`."""
+    return dps + math.ceil(math.log10(failed_pass[1] / (1e-25 * k))) + 2
 
 
 @pytest.mark.parametrize("base", [12, 16, 20])
@@ -478,13 +479,14 @@ def test_a_solve_that_fails_at_its_digits_sets_up_again_at_the_digits_it_measure
     assert polyexp._sort_conjugate_closed(zs) == want
     assert [failed for failed, _ in passes] == ["Newton missed its stop rule"] * 2 + [None]
     assert setups == [(base, False), (dps, True)] and refined == [1]
-    assert dps == _measured_raise(base, passes, 20) == 25
+    assert dps == _measured_raise(base, passes[1], 20) == 25
 
 
 def test_a_raised_set_up_that_fails_refines_nothing_and_gives_up(monkeypatch):
-    # every pass misses the contract by a factor 2000: the solve sets up
-    # once more, 4 + 2 digits up, from the refined guesses, refines only at
-    # its first digits, and reports the raised pass's residual
+    # every pass misses the contract by a factor 2000, its roots all
+    # converged: the solve sets up once more, 4 + 2 digits up, from the
+    # first pass's own guesses, refines nothing, and reports the raised
+    # pass's residual
     monkeypatch.setattr(polyexp, "_newton_certified",
                         lambda k, *args: ([], 2e-22 * k, "residual above contract"))
     setups, passes, refined = _recorded_solves(monkeypatch, "taylor")
@@ -492,7 +494,7 @@ def test_a_raised_set_up_that_fails_refines_nothing_and_gives_up(monkeypatch):
     with pytest.raises(ConvergenceError) as exc:
         polyexp._zeros_mp(spec)
     base = polyexp._working_dps(spec)
-    assert setups == [(base, False), (base + 6, True)] and refined == [1] and len(passes) == 3
+    assert setups == [(base, False), (base + 6, True)] and refined == [] and len(passes) == 2
     assert exc.value.worst_residual == 2e-22 * 5
 
 
@@ -515,49 +517,45 @@ FAR_BELOW_ADMISSIBLE = {
 
 @pytest.mark.parametrize("k, gh", list(FAR_BELOW_ADMISSIBLE), ids=str)
 def test_a_truncation_below_its_admissible_k_solves_at_the_digits_its_failed_pass_measures(
-        tmp_path, monkeypatch, k, gh):
-    # at the base digits both passes miss the contract on the residual
-    # floor; one set-up at the digits the refined pass measures meets it,
-    # with the zeros and scale the second solve gave, and the file records
-    # those digits
+        monkeypatch, k, gh):
+    # at the base digits the guessed pass misses the contract on the
+    # residual floor, its roots all converged; one set-up from its own
+    # guesses, at the digits it measures, meets it with the zeros and
+    # scale the second solve gave, and nothing is refined
     spec = SeriesSpec("chebyshev", k, gamma_scale=gh, axis="imaginary")
     monkeypatch.setattr(polyexp, "_memo", {})
     setups, passes, refined = _recorded_solves(monkeypatch, "chebyshev")
-    fact = factorize(spec, cache_dir=str(tmp_path))
+    fact = factorize(spec)
     base = polyexp._working_dps(spec)
     digits, digest, scale = FAR_BELOW_ADMISSIBLE[k, gh]
     assert base == 65 + k // 4
-    assert [failed for failed, _ in passes] == ["residual above contract"] * 2 + [None]
-    assert setups == [(base, False), (digits, True)] and refined == [1]
-    assert _measured_raise(base, passes, k) == digits
+    assert [failed for failed, _ in passes] == ["residual above contract", None]
+    assert setups == [(base, False), (digits, True)] and refined == []
+    assert _measured_raise(base, passes[0], k) == digits
     text = " ".join(f"{z.real.hex()},{z.imag.hex()}" for z in fact.zeros)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert fact.overall_scale.hex() == scale
-    (path,) = tmp_path.iterdir()
-    assert json.loads(path.read_text())["digits"] == digits
 
 
 def test_the_residual_floor_falls_as_ten_to_the_minus_digits():
-    # the worst residual w of a refined pass that misses the contract tol
+    # the worst residual w of a guessed pass that misses the contract tol
     # measures the floor: from the same guesses, two digits short of
     # log10(w / tol) more neither meets it, and two digits over it does
     spec = SeriesSpec("chebyshev", 48, gamma_scale=70.0, axis="imaginary")
     dps, tol = polyexp._working_dps(spec), 1e-25 * 48
 
-    def refined_pass(dps, zeros=None):
+    def guessed_pass(dps, zeros=None):
         with mp.workdps(dps):
             guesses, scale, bits, kernel, slack = polyexp._SETUPS["chebyshev"](spec, dps, zeros)
-            if zeros is None:
-                guesses = polyexp._refined_guesses(kernel, guesses, bits)
             _, worst, failed = polyexp._newton_certified(48, guesses, scale, bits, kernel, slack)
         return [w * scale for w in guesses], worst, failed
 
-    start, worst, failed = refined_pass(dps)
+    start, worst, failed = guessed_pass(dps)
     assert failed == "residual above contract"
     missing = math.ceil(math.log10(worst / tol))
     assert missing > 4
-    assert refined_pass(dps + missing - 2, start)[2] == "residual above contract"
-    assert refined_pass(dps + missing + 2, start)[2] is None
+    assert guessed_pass(dps + missing - 2, start)[2] == "residual above contract"
+    assert guessed_pass(dps + missing + 2, start)[2] is None
 
 
 def test_working_digits_are_the_base_rule_alone():
@@ -949,20 +947,15 @@ def test_gamma_for_inverts_zeros(zeros_cache):
 
 
 # ---------------------------------------------------------------------------
-# zero cache files
+# zero files
 
 
-def _cache_header(family, k, gh=None, axis=None):
-    return {
-        "family": family,
-        "k": k,
-        "gamma_h": None if gh is None else float(gh).hex(),
-        "axis": axis,
-        "solver": polyexp._SOLVER,
-    }
+def _file_header(family, k, gh=None, axis=None):
+    return {"family": family, "k": k, "gamma_h": None if gh is None else float(gh).hex(),
+            "axis": axis}
 
 
-def _no_solve(spec):
+def _no_solve(spec, start=None):
     raise AssertionError(f"zero solve for {spec}")
 
 
@@ -970,57 +963,49 @@ def _no_guesses(*args):
     raise AssertionError("zero guesses made")
 
 
-def test_cache_file_is_read_back(tmp_path, monkeypatch):
-    # Pre-seed a well-formed entry for k=2 whose zeros -1 +- i are off by one
-    # unit in the last place, and check the loader trusts the file: the
-    # rounding of a double root is within the load check's allowance.
+def _as_written(zs):
+    """The zeros field of the zero file a solve writes for the zeros zs."""
+    return [[f"{z.real:.35g}", f"{z.imag:.35g}"] for z in zs]
+
+
+def test_a_file_one_unit_off_starts_the_solve_and_is_rewritten(tmp_path, monkeypatch):
+    # the k = 2 zeros -1 +- i stored one unit in the last place off: the
+    # solve starts from them, with one set-up at the base digits and no
+    # guesses, serves the zeros it certifies, and rewrites the file
     seeded = [[-1.0, 1.0 + 2.0**-52], [-1.0, -1.0 - 2.0**-52]]
-    payload = dict(_cache_header("taylor", 2), residual=1e-30, digits=41,
-                   zeros=[[repr(a), repr(b)] for a, b in seeded])
-    (tmp_path / "taylor_2.json").write_text(json.dumps(payload))
+    path = tmp_path / "taylor_2.json"
+    path.write_text(json.dumps(dict(_file_header("taylor", 2),
+                                    zeros=[[repr(a), repr(b)] for a, b in seeded])))
     monkeypatch.setattr(polyexp, "_memo", {})
-    monkeypatch.setattr(polyexp, "_zeros_mp", _no_solve)
-    zs = taylor_zeros(2, cache_dir=str(tmp_path))
-    assert sorted((z.real, z.imag) for z in zs) == sorted((a, b) for a, b in seeded)
-
-
-@pytest.mark.parametrize("base, digits", [(None, 46), (12, 25)], ids=["base", "raised"])
-def test_a_file_loads_with_one_set_up_at_its_recorded_digits(tmp_path, monkeypatch, base, digits):
-    # Taylor k = 20 solved at its base digits, and with them patched to 12,
-    # where the solve raises them to 25: either file is certified again by
-    # one set-up at the digits it records, and served, not solved again
-    if base is not None:
-        monkeypatch.setattr(polyexp, "_working_dps", lambda spec: base)
-    monkeypatch.setattr(polyexp, "_memo", {})
-    want = taylor_zeros(20, cache_dir=str(tmp_path))
-    assert json.loads((tmp_path / "taylor_20.json").read_text())["digits"] == digits
+    monkeypatch.setattr(polyexp, "_szego_guesses", _no_guesses)
     setups, passes, refined = _recorded_solves(monkeypatch, "taylor")
-    monkeypatch.setattr(polyexp, "_zeros_mp", _no_solve)
-    monkeypatch.setattr(polyexp, "_memo", {})
-    got = taylor_zeros(20, cache_dir=str(tmp_path))
-    assert setups == [(digits, True)] and passes == [] and refined == []
-    assert [(z.real.hex(), z.imag.hex()) for z in got] == [
-        (z.real.hex(), z.imag.hex()) for z in want]
+    zs = taylor_zeros(2, cache_dir=str(tmp_path))
+    assert zs == [complex(-1.0, 1.0), complex(-1.0, -1.0)]
+    assert setups == [(41, True)] and [failed for failed, _ in passes] == [None]
+    assert refined == []
+    assert json.loads(path.read_text()) == dict(_file_header("taylor", 2), zeros=_as_written(zs))
 
 
-@pytest.mark.parametrize("digits", ["missing", 46.0, "46", True, 45], ids=str)
-def test_a_file_without_valid_digits_is_solved_again(tmp_path, monkeypatch, digits):
-    # the digits must be an int no lower than the base digits (46 at k =
-    # 20), whether or not the zeros would pass a check at the value given
+@pytest.mark.parametrize("k, gh", [(24, 100.0), (48, 70.0)], ids=str)
+def test_a_raised_spec_reads_its_file_back_after_one_raise(tmp_path, monkeypatch, k, gh):
+    # the stored zeros of a spec whose solve raised its digits start a pass
+    # that misses the contract at the base digits, their roots all
+    # converged; one raise from them meets it, at the digits of the cold
+    # solve, with nothing refined, no guesses and the file left as it is
+    spec = SeriesSpec("chebyshev", k, gamma_scale=gh, axis="imaginary")
     monkeypatch.setattr(polyexp, "_memo", {})
-    want = taylor_zeros(20, cache_dir=str(tmp_path))
-    path = tmp_path / "taylor_20.json"
-    data = json.loads(path.read_text())
-    if digits == "missing":
-        del data["digits"]
-    else:
-        data["digits"] = digits
-    solves = []
-    solve = polyexp._zeros_mp
-    monkeypatch.setattr(polyexp, "_zeros_mp", lambda s: solves.append(s) or solve(s))
-    zs, written = _recomputed(path, data, lambda: taylor_zeros(20, cache_dir=str(tmp_path)),
-                              monkeypatch)
-    assert solves == [SeriesSpec("taylor", 20)] and zs == want and written["digits"] == 46
+    want = factorize(spec, cache_dir=str(tmp_path)).zeros
+    (path,) = tmp_path.iterdir()
+    written = path.read_text()
+    monkeypatch.setattr(polyexp, "_memo", {})
+    monkeypatch.setattr(polyexp, "_colleague_guesses", _no_guesses)
+    setups, passes, refined = _recorded_solves(monkeypatch, "chebyshev")
+    assert factorize(spec, cache_dir=str(tmp_path)).zeros == want
+    base, digits = polyexp._working_dps(spec), FAR_BELOW_ADMISSIBLE[k, gh][0]
+    assert [failed for failed, _ in passes] == ["residual above contract", None]
+    assert setups == [(base, True), (digits, True)] and refined == []
+    assert _measured_raise(base, passes[0], k) == digits
+    assert path.read_text() == written
 
 
 def test_memo_is_kept_per_cache_file(tmp_path, monkeypatch):
@@ -1036,40 +1021,72 @@ def test_memo_is_kept_per_cache_file(tmp_path, monkeypatch):
     assert taylor_zeros(3, cache_dir=str(a)) == want
 
 
+def test_without_a_directory_zeros_are_kept_in_the_memo_only(tmp_path, monkeypatch):
+    # no directory, no file, neither in the working directory nor under
+    # HOME: a second call is served from the memo
+    monkeypatch.setattr(polyexp, "_memo", {})
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    want = taylor_zeros(4)
+    monkeypatch.setattr(polyexp, "_zeros_mp", _no_solve)
+    assert taylor_zeros(4) == want
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("spec", [
     SeriesSpec("taylor", 1), SeriesSpec("taylor", 12), SeriesSpec("taylor", 52),
     SeriesSpec("chebyshev", 16, gamma_scale=2.5, axis="real"),
     SeriesSpec("chebyshev", 60, gamma_scale=20.0, axis="real"),
     SeriesSpec("chebyshev", 40, gamma_scale=20.0, axis="imaginary"),
 ], ids=str)
-def test_cache_file_reloads_until_a_pair_moves(tmp_path, monkeypatch, spec):
-    # a file the solver wrote passes the load check as it stands ...
+def test_a_file_is_left_as_it_is_until_a_pair_moves(tmp_path, monkeypatch, spec):
+    # a file the solver wrote starts a solve that makes no guesses and
+    # serves the zeros it holds, so it is not written again ...
     monkeypatch.setattr(polyexp, "_memo", {})
     want = factorize(spec, cache_dir=str(tmp_path)).zeros
     (path,) = tmp_path.iterdir()
     written = path.read_text()
-    solve = polyexp._zeros_mp
     monkeypatch.setattr(polyexp, "_memo", {})
-    monkeypatch.setattr(polyexp, "_zeros_mp", _no_solve)
-    # the load check is set up for the stored zeros and makes no guesses
-    guesses = polyexp._szego_guesses, polyexp._colleague_guesses
-    monkeypatch.setattr(polyexp, "_szego_guesses", _no_guesses)
-    monkeypatch.setattr(polyexp, "_colleague_guesses", _no_guesses)
-    assert factorize(spec, cache_dir=str(tmp_path)).zeros == want
+    with monkeypatch.context() as m:
+        m.setattr(polyexp, "_szego_guesses", _no_guesses)
+        m.setattr(polyexp, "_colleague_guesses", _no_guesses)
+        assert factorize(spec, cache_dir=str(tmp_path)).zeros == want
     assert path.read_text() == written
-    monkeypatch.setattr(polyexp, "_szego_guesses", guesses[0])
-    monkeypatch.setattr(polyexp, "_colleague_guesses", guesses[1])
-    # ... and is solved again and rewritten once a zero moves by 1e-3 (the
-    # last zero: a pair's lower half, moved with its partner, if there is one)
+    # ... and once a zero moves by 1e-3 (the last zero: a pair's lower
+    # half, moved with its partner, if there is one), the zeros served are
+    # the same and the file is rewritten with them
     data = json.loads(written)
     for pair in data["zeros"][-2 if data["zeros"][-1][1] != "0" else -1:]:
         pair[0] = repr(float(pair[0]) + 1e-3)
     path.write_text(json.dumps(data))
-    solves = []
     monkeypatch.setattr(polyexp, "_memo", {})
-    monkeypatch.setattr(polyexp, "_zeros_mp", lambda s: solves.append(s) or solve(s))
     assert factorize(spec, cache_dir=str(tmp_path)).zeros == want
-    assert solves == [spec] and path.read_text() == written
+    assert path.read_text() == written
+
+
+@pytest.mark.parametrize("solver", ["certified-newton-1", "certified-newton-2"])
+@pytest.mark.parametrize("spec", [
+    SeriesSpec("taylor", 52), SeriesSpec("chebyshev", 40, gamma_scale=20.0, axis="imaginary"),
+], ids=str)
+def test_a_legacy_file_starts_the_solve_and_is_not_rewritten(tmp_path, monkeypatch, solver,
+                                                              spec):
+    # the files of the solvers that recorded their version and residual,
+    # and from certified-newton-2 their digits, hold the spec's fields too:
+    # read back, they make no guesses, serve the cold solve's zeros and
+    # stay as they are
+    monkeypatch.setattr(polyexp, "_memo", {})
+    want = factorize(spec, cache_dir=str(tmp_path)).zeros
+    (path,) = tmp_path.iterdir()
+    data = dict(json.loads(path.read_text()), solver=solver, residual=1e-40)
+    if solver == "certified-newton-2":
+        data["digits"] = polyexp._working_dps(spec)
+    legacy = json.dumps(data)
+    path.write_text(legacy)
+    monkeypatch.setattr(polyexp, "_memo", {})
+    monkeypatch.setattr(polyexp, "_szego_guesses", _no_guesses)
+    monkeypatch.setattr(polyexp, "_colleague_guesses", _no_guesses)
+    assert factorize(spec, cache_dir=str(tmp_path)).zeros == want
+    assert path.read_text() == legacy
 
 
 def test_corrupt_cache_file_recomputed(tmp_path):
@@ -1080,10 +1097,7 @@ def test_corrupt_cache_file_recomputed(tmp_path):
     assert len(zs) == 3
     assert sum(1 for z in zs if z.imag == 0.0) == 1
     data = json.loads(path.read_text())  # rewritten with a valid payload
-    assert {f: data[f] for f in _cache_header("taylor", 3)} == _cache_header("taylor", 3)
-    assert 0 <= data["residual"] < 1e-25 * 3
-    assert len(data["zeros"]) == 3
-    assert all(isinstance(re, str) and isinstance(im, str) for re, im in data["zeros"])
+    assert data == dict(_file_header("taylor", 3), zeros=_as_written(zs))
     reloaded = [complex(float(re), float(im)) for re, im in data["zeros"]]
     assert sorted((z.real, z.imag) for z in reloaded) == sorted((z.real, z.imag) for z in zs)
 
@@ -1097,24 +1111,14 @@ def _recomputed(path, payload, solve, monkeypatch):
     return zs, json.loads(path.read_text())
 
 
-def test_legacy_cache_file_recomputed(tmp_path, monkeypatch):
-    # a bare list of the right length (the format before provenance headers)
-    # is not trusted, even though it parses and pairs up
-    legacy = [["-1.5", "0.8"], ["-1.5", "-0.8"], ["-2.0", "0.0"], ["-7.0", "0.0"], ["-9.0", "0.0"]]
-    zs, data = _recomputed(tmp_path / "taylor_5.json", legacy,
-                           lambda: taylor_zeros(5, cache_dir=str(tmp_path)), monkeypatch)
-    assert all(abs(mp_exp_poly(5, z)) < 1e-12 for z in zs)
-    assert isinstance(data, dict) and data["solver"] == polyexp._SOLVER
-
-
 @pytest.mark.parametrize("spec", [
     SeriesSpec("chebyshev", k, gamma_scale=gh, axis=axis)
     for k, gh in [(6, 2.0), (20, 10.0), (40, 20.0)] for axis in ("real", "imaginary")
 ] + [SeriesSpec("chebyshev", 100, gamma_scale=80.0, axis="imaginary")], ids=str)
 def test_load_setup_from_the_zeros_matches_the_solve(spec):
-    # rho over the stored zeros (x = z / Gamma*h, times -i on the imaginary
-    # axis) gives the load check the fraction bits and allowance the solve
-    # took from the colleague guesses
+    # rho over the certified zeros (x = z / Gamma*h, times -i on the
+    # imaginary axis) gives a solve started from them the fraction bits and
+    # allowance the solve took from the colleague guesses
     dps = polyexp._working_dps(spec)
     zs, _, _ = polyexp._zeros_mp(spec)
     with mp.workdps(dps):
@@ -1123,30 +1127,39 @@ def test_load_setup_from_the_zeros_matches_the_solve(spec):
     assert (load_bits, load_slack) == (bits, slack)
 
 
-CORRUPTIONS = ["not_closed", "overlapping", "residual", "solver", "k", "moved"]
+CORRUPTIONS = ["nan", "inf", "too_few", "too_many", "not_closed", "overlapping", "far", "k",
+               "moved"]
 
 
 def _corrupted_file_recomputed(tmp_path, monkeypatch, spec, corruption):
-    """Write spec's zeros with one corruption to its cache file (a zero set
-    with one real zero first, then pairs) and check it is solved again."""
+    """Write spec's zeros with one corruption to its zero file (a zero set
+    with one real zero first, then pairs) and check that a read serves the
+    cold solve's zeros bit for bit and rewrites the file with them."""
     good = polyexp._sort_conjugate_closed(polyexp._zeros_mp(spec)[0])
     zeros = [[repr(z.real), repr(z.imag)] for z in good]
     cheb = spec.family == "chebyshev"
-    header = (_cache_header("chebyshev", spec.k, spec.gamma_h, spec.axis) if cheb
-              else _cache_header("taylor", spec.k))
-    payload = dict(header, residual=1e-40, digits=polyexp._working_dps(spec), zeros=zeros)
-    if corruption == "not_closed":
+    header = (_file_header("chebyshev", spec.k, spec.gamma_h, spec.axis) if cheb
+              else _file_header("taylor", spec.k))
+    payload = dict(header, zeros=zeros)
+    if corruption in ("nan", "inf"):
+        zeros[0][0] = corruption
+    elif corruption == "too_few":
+        del zeros[1:3]
+    elif corruption == "too_many":
+        zeros += zeros[1:3]
+    elif corruption == "not_closed":
         zeros[1][1] = repr(float(zeros[1][1]) * (1 + 1e-15))
     elif corruption == "overlapping":
         # conjugate-closed, but one real zero twice
         zeros[:3] = [["-1.0", "0.0"], ["-1.0", "0.0"], ["-3.0", "0.0"]]
-    elif corruption == "residual":
-        payload["residual"] = 1.0  # above the contract 1e-25 * k
-    elif corruption == "solver":
-        payload["solver"] = "aberth"
+    elif corruption == "far":
+        # one conjugate pair 1e300 times too far out: past what the
+        # set-up's floats hold
+        for pair in zeros[1:3]:
+            pair[:] = [repr(float(x) * 1e300) for x in pair]
     elif corruption == "moved":
         # one conjugate pair moved by 1e-3: still closed, and its disks of
-        # radius k |p/p'| stay disjoint, but |p/p'| is far above rounding
+        # radius k |p/p'| stay disjoint
         for pair in zeros[1:3]:
             pair[0] = repr(float(pair[0]) + 1e-3)
     else:
@@ -1154,9 +1167,9 @@ def _corrupted_file_recomputed(tmp_path, monkeypatch, spec, corruption):
     name = f"chebyshev_{spec.k}_{spec.gamma_h.hex()}_{spec.axis}" if cheb else f"taylor_{spec.k}"
     zs, data = _recomputed(tmp_path / f"{name}.json", payload,
                            lambda: factorize(spec, cache_dir=str(tmp_path)).zeros, monkeypatch)
-    assert list(zs) == good
-    assert data == dict(header, residual=data["residual"], digits=polyexp._working_dps(spec),
-                        zeros=[[f"{z.real:.35g}", f"{z.imag:.35g}"] for z in good])
+    assert [(z.real.hex(), z.imag.hex()) for z in zs] == [
+        (z.real.hex(), z.imag.hex()) for z in good]
+    assert data == dict(header, zeros=_as_written(good))
 
 
 @pytest.mark.parametrize("corruption", CORRUPTIONS)
@@ -1166,8 +1179,8 @@ def test_corrupted_cache_file_recomputed(tmp_path, monkeypatch, corruption):
 
 @pytest.mark.parametrize("corruption", CORRUPTIONS)
 def test_corrupted_chebyshev_cache_file_recomputed(tmp_path, monkeypatch, corruption):
-    # the load check takes its guard bits and allowance from the stored
-    # zeros, the corrupted ones too
+    # a start sets the guard bits and allowance up from its own zeros, the
+    # corrupted ones too
     spec = SeriesSpec("chebyshev", 9, gamma_scale=5.0, axis="imaginary")
     _corrupted_file_recomputed(tmp_path, monkeypatch, spec, corruption)
 
@@ -1178,9 +1191,8 @@ def test_gamma_h_mismatched_cache_file_recomputed(tmp_path, monkeypatch):
     near = SeriesSpec("chebyshev", 6, gamma_scale=1.2500001, axis="real")
     want = chebyshev_zeros(near, cache_dir=str(tmp_path / "ref"))
     path = tmp_path / f"chebyshev_6_{(1.2500001).hex()}_real.json"
-    payload = dict(_cache_header("chebyshev", 6, 1.25, "real"), residual=1e-40, digits=76,
+    payload = dict(_file_header("chebyshev", 6, 1.25, "real"),
                    zeros=[[repr(z.real), repr(z.imag)] for z in want])
-    payload["gamma_h"] = (1.25).hex()
     zs, data = _recomputed(path, payload,
                            lambda: chebyshev_zeros(near, cache_dir=str(tmp_path)), monkeypatch)
     assert zs == want
@@ -1199,17 +1211,20 @@ def test_nearby_gamma_h_get_their_own_zeros(tmp_path):
 
 
 def test_nearby_gamma_h_keep_their_own_cache_files(tmp_path, monkeypatch):
-    # Gamma*h one ulp apart, as two eigh runs can give: each is solved once
-    # into its own file, and neither overwrites the other
+    # Gamma*h one ulp apart, as two eigh runs can give: each is solved cold
+    # once into its own file, then started from it, and neither overwrites
+    # the other
     specs = [SeriesSpec("chebyshev", 6, gamma_scale=gh, axis="real")
              for gh in (1.25, math.nextafter(1.25, 2.0))]
     solves = []
     solve = polyexp._zeros_mp
-    monkeypatch.setattr(polyexp, "_zeros_mp", lambda spec: solves.append(spec) or solve(spec))
+    monkeypatch.setattr(polyexp, "_zeros_mp",
+                        lambda spec, start=None: solves.append((spec, start is None))
+                        or solve(spec, start))
     for spec in specs + specs:
         monkeypatch.setattr(polyexp, "_memo", {})
         chebyshev_zeros(spec, cache_dir=str(tmp_path))
-    assert solves == specs
+    assert solves == [(spec, True) for spec in specs] + [(spec, False) for spec in specs]
     assert len(list(tmp_path.glob("chebyshev_6_*_real.json"))) == 2
 
 
@@ -1244,72 +1259,65 @@ def test_chebyshev_cache_filename(tmp_path):
 # The zeros (sha256 of the float.hex parts of each zero, "re,im" joined by
 # spaces) and overall_scale of the specs scripts/cli_outputs.sh solves cold,
 # its real-axis k = 40 solve left out, and of the (51, 27.27) spec that
-# perfbench's state-L10 solves cold, with the residual that solver
-# certified-newton-1 recorded in their cache files: for the first ten
-# when Newton still evaluated once more after its stop rule, for the last
-# two when the Chebyshev kernel summed p and p' together over complex mu.
+# perfbench's state-L10 solves cold.
 PINNED_ZEROS = {
     SeriesSpec("taylor", 1): (
         "2b2653580743ebf19186f2d13417f9cbf7abbae868fdb9d6d1e9358a5b204a88",
-        "0x1.0000000000000p+0", "0x1.c000000000000p-151"),
+        "0x1.0000000000000p+0"),
     SeriesSpec("taylor", 5): (
         "252897eed67b310330d569354246c2419801ad5fb9c4d94cd4d5f87244232b0d",
-        "0x1.0000000000000p+0", "0x1.71f2099cfff6ep-151"),
+        "0x1.0000000000000p+0"),
     SeriesSpec("taylor", 20): (
         "9653e650a587c988813584d23e163db4413918e92cd3db4f1bcf172bf68cafed",
-        "0x1.0000000000000p+0", "0x1.2ac87d90f14c7p-156"),
+        "0x1.0000000000000p+0"),
     SeriesSpec("taylor", 21): (
         "c5f2c906a7e7f362de123d5aeabf5cf1a3511a94ea69d16545f9971f9b640c20",
-        "0x1.0000000000000p+0", "0x1.a3fb16532eacep-156"),
+        "0x1.0000000000000p+0"),
     SeriesSpec("taylor", 52): (
         "fed0f08d9795d03ea14f91317f1e10ec69b1b0116f0235b85abde3f7d0058389",
-        "0x1.0000000000000p+0", "0x1.615612946fb58p-169"),
+        "0x1.0000000000000p+0"),
     SeriesSpec("taylor", 152): (
         "e5da741b4036e70209155f065b90f66177e04d8665dac9653f1672225fa708ca",
-        "0x1.0000000000000p+0", "0x1.7dfd9e2db90afp-172"),
+        "0x1.0000000000000p+0"),
     SeriesSpec("taylor", TAYLOR_K_MAX): (
         "fb01248f99d1c5bd59db85bda49ae1f58cdc4075d73040fc10f9de667714f699",
-        "0x1.0000000000000p+0", "0x1.19bb0ad882a75p-162"),
+        "0x1.0000000000000p+0"),
     SeriesSpec("chebyshev", 20, gamma_scale=10.0, axis="imaginary"): (
         "08ef9100bc8365a78d8eff4b5b06a4cc1e6fb3d5d21df710298d46c1684350c4",
-        "0x1.ffffcecf41564p-1", "0x1.f9e8b4a045cedp-173"),
+        "0x1.ffffcecf41564p-1"),
     SeriesSpec("chebyshev", 16, gamma_scale=2.5, axis="real"): (
         "953596db7efc6919493931786ec6d3edbcd95fc46c0821520810546fc2f91fa7",
-        "0x1.0000000000054p+0", "0x1.0f479dcb5abddp-174"),
+        "0x1.0000000000054p+0"),
     SeriesSpec("chebyshev", 100, gamma_scale=80.0, axis="imaginary"): (
         "22f300781213b1f0aff6944ea6a576598a2d7779098598f8bd3224a1b12c6c50",
-        "0x1.ffffa2bb1c333p-1", "0x1.64ddc85946cadp-166"),
+        "0x1.ffffa2bb1c333p-1"),
     SeriesSpec("chebyshev", 51, gamma_scale=27.27, axis="imaginary"): (
         "c538ef5edfa1d117171c7c9b3ad01d7e0447521c292ec12dc6b8e177fb7ee94e",
-        "0x1.ffffffff637cep-1", "0x1.4e9827e9d5428p-86"),
+        "0x1.ffffffff637cep-1"),
     SeriesSpec("chebyshev", 40, gamma_scale=0.21304262029217305, axis="imaginary"): (
         "56b4e72465b32a670e202aefb72d746337d79bc61f7a3ab59016e5b25e9c3506",
-        "0x1.0000000000000p+0", "0x1.9c862999d2bffp-86"),
+        "0x1.0000000000000p+0"),
 }
 
 
 @pytest.mark.parametrize("spec", list(PINNED_ZEROS), ids=str)
 def test_cold_zeros_match_the_pinned_digest(tmp_path, monkeypatch, spec):
-    # A cold solve gives the pinned zeros and scale bit for bit.  The file
-    # it writes differs from the earlier one in its residual, which is within
-    # the contract, its solver and its digits.  These zeros with the earlier
-    # residual load here without a solve.
-    digest, scale, residual = PINNED_ZEROS[spec]
+    # A cold solve gives the pinned zeros and scale bit for bit, and the
+    # file it writes, read back, serves them again and stays as it is.
+    digest, scale = PINNED_ZEROS[spec]
     monkeypatch.setattr(polyexp, "_memo", {})
     fact = factorize(spec, cache_dir=str(tmp_path))
     text = " ".join(f"{z.real.hex()},{z.imag.hex()}" for z in fact.zeros)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert fact.overall_scale.hex() == scale
     (path,) = tmp_path.iterdir()
-    data = json.loads(path.read_text())
-    assert data["solver"] == polyexp._SOLVER == "certified-newton-2"
-    assert data["digits"] == polyexp._working_dps(spec)
-    assert 0 <= data["residual"] < 1e-25 * spec.k
-    data["residual"] = float.fromhex(residual)
-    path.write_text(json.dumps(data))
+    written = path.read_text()
+    assert json.loads(written) == dict(
+        _file_header(spec.family, spec.k, spec.gamma_scale, spec.axis),
+        zeros=_as_written(fact.zeros))
     monkeypatch.setattr(polyexp, "_memo", {})
-    monkeypatch.setattr(polyexp, "_zeros_mp", _no_solve)
     assert factorize(spec, cache_dir=str(tmp_path)).zeros == fact.zeros
+    assert path.read_text() == written
 
 
 @pytest.mark.parametrize("spec", [s for s in PINNED_ZEROS if s.family == "chebyshev"], ids=str)
