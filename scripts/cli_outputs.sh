@@ -104,6 +104,30 @@ run adapt-check-strang-4 adapt strang --check --lambda 4
 run schemes-list schemes list
 run schemes-validate-suzuki4 schemes validate suzuki4
 run schemes-validate-catalog schemes validate "$tree/src/trotterkit/data/schemes.json"
+# the gate refuses an order claimed below the scheme's exact order, and a
+# blanes-moan4 whose outer a's moved by +1e-8 and middle a by -2e-8: still
+# consistent and symmetric, but of exact order 2
+cat >"$work/underclaimed-catalog.json" <<'CATALOG'
+[{"name": "suzuki4", "order": 2,
+  "a": [[0.20724538589718788, 0.0], [0.41449077179437577, 0.0], [-0.12173615769156361, 0.0],
+        [-0.12173615769156361, 0.0], [0.41449077179437577, 0.0], [0.20724538589718788, 0.0]],
+  "b": [[0.41449077179437577, 0.0], [0.41449077179437577, 0.0], [-0.657963087177503, 0.0],
+        [0.41449077179437577, 0.0], [0.41449077179437577, 0.0]],
+  "symmetric": true}]
+CATALOG
+expect=1 run schemes-validate-underclaimed schemes validate underclaimed-catalog.json
+cat >"$work/moved-catalog.json" <<'CATALOG'
+[{"name": "blanes-moan4-moved", "order": 4,
+  "a": [[0.07920370643119569, 0.0], [0.353172906049774, 0.0], [-0.0420650803577195, 0.0],
+        [0.21937693575349962, 0.0], [-0.0420650803577195, 0.0], [0.353172906049774, 0.0],
+        [0.07920370643119569, 0.0]],
+  "b": [[0.209515106613362, 0.0], [-0.143851773179818, 0.0], [0.434336666566456, 0.0],
+        [0.434336666566456, 0.0], [-0.143851773179818, 0.0], [0.209515106613362, 0.0]],
+  "symmetric": true}]
+CATALOG
+expect=1 run schemes-validate-moved schemes validate moved-catalog.json
+# --seed is checked on every command, also on one that draws no operators
+expect=1 run seed-negative-schemes-list --seed -1 schemes list
 for name in blanes-moan4 strang forest-ruth suzuki4 omelyan2 triple-jump-complex; do
     run "schemes-efficiency-$name" schemes efficiency "$name"
 done

@@ -36,7 +36,14 @@ from .polyexp import (
     gamma_for,
     taylor_zeros,
 )
-from .schemes import _lookup, _scheme_gate, efficiency, load_catalog, random_split
+from .schemes import (
+    _exact_order,
+    _lookup,
+    _scheme_gate,
+    efficiency,
+    load_catalog,
+    random_split,
+)
 from .spinmodel import XxzConfig, xxz_spectrum
 from .tolerances import DEFAULT_SEED
 
@@ -98,12 +105,13 @@ def _cmd_schemes_validate(args):
         entries = [_catalog_scheme(args, args.target)]
     failures = []
     for scheme in entries:
-        report, slope, ok = _scheme_gate(scheme, seed=args.seed)
+        report, order, ok = _scheme_gate(scheme)
         verdict = "ok" if ok else "FAIL"
         print(
             f"{scheme.name}: {verdict} order={scheme.order_n} q={scheme.q} "
             f"a_residual={_g(report.a_residual)} b_residual={_g(report.b_residual)} "
-            f"symmetry_residual={_g(report.symmetry_residual)} slope={_g(slope)}"
+            f"symmetry_residual={_g(report.symmetry_residual)} "
+            f"exact_order={'none' if order is None else order}"
         )
         if not ok:
             failures.append(scheme.name)
@@ -125,7 +133,16 @@ def _cmd_adapt(args):
     if args.check:
         split = random_split(args.n_stage, 8, seed=args.seed)
         slope = multistage_order(split, ms)
-        print(f"name={args.name} lambda={args.n_stage} slope={_g(slope)}")
+        # A word of degree <= n uses at most n letters, and dropping the
+        # other parts from a sweep leaves the sweep on the parts kept, so
+        # the order read through degree n on min(Lambda, n) letters is the
+        # Lambda-stage order, without Lambda^n words.
+        n_max = ms.order_n + 1
+        letters = min(args.n_stage, n_max)
+        order = _exact_order(ms.factor_sequence(letters), letters, n_max)
+        print(
+            f"name={args.name} lambda={args.n_stage} exact_order={order} slope={_g(slope)}"
+        )
         return 0
     print(
         f'{{"name": {json.dumps(args.name)}, '
@@ -240,7 +257,8 @@ def _build_parser():
     )
     parser.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,
-        help="seed for the random operators of order fits and adapt --check",
+        help="seed (an integer >= 0) for the random operators of the order fit "
+        "of adapt --check, its only user",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -314,6 +332,9 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        # checked once, on every command, whether or not it draws operators
+        if args.seed < 0:
+            raise StructuralError(f"'seed' must be >= 0, got {args.seed}")
         return args.func(args)
     except TrotterkitError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)

@@ -11,9 +11,11 @@ sequence on Lambda letters is expanded in the truncated free algebra as one
 block of words per degree (the BCH route of Omelyan, Mryglod & Folk,
 Comput. Phys. Commun. 146 (2002) 188), all in double precision.  A two-stage
 scheme's expansion, on Lambda = 2 letters {A, B}, is projected onto a graded
-commutator basis; the same expansion of its Lambda-stage sweep
-(`multistage`) checks the order of the 2 -> Lambda transform by the
-vanishing of its words of degree 2..n.
+commutator basis.  The same expansion gives a factor sequence's exact order,
+the last degree through which its words of degree >= 2 vanish
+(`_exact_order`): the catalog gate checks each entry's declared order by
+it, and `adapt --check` reads the order of the Lambda-stage sweep
+(`multistage`) by it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .errors import (
 )
 from .spinmodel import _h_blocks, _sector_distance, _sector_oracle
 from .tolerances import (
-    CATALOG_ORDER_SLOPE_TOL,
     CONSISTENCY_TOL,
     DEFAULT_SEED,
     LEADING_ERROR_ZERO_TOL,
@@ -301,6 +302,22 @@ def _log_series(sequence, n_letters, n):
     return np.split(log_s, _starts(n_letters, n)[1:-1])
 
 
+def _exact_order(sequence, n_letters, n_max):
+    """Order of S, the product of e^{c A_k} over a consistent (k, c) factor
+    sequence on n_letters, read through degree n_max: the largest p <= n_max
+    whose words of degree 2..p in log S all read as zero within
+    CONSISTENCY_TOL.  log S is expanded through degree 2, 4, 8, .. (n_max at
+    most), and the read stops at the first degree with a nonzero word, so an
+    order claimed far above the sequence's own is never expanded that far."""
+    n = 1
+    while n < n_max:
+        n = min(2 * n, n_max)
+        for d, block in enumerate(_log_series(sequence, n_letters, n)[2:], start=2):
+            if np.max(np.abs(block)) >= CONSISTENCY_TOL:
+                return d - 1
+    return n_max
+
+
 def _commutator_basis(n):
     """The basis elements of grade <= n, in _BASIS_WORDS order, as elements
     of degree n on {A, B}; each commutator is formed once."""
@@ -426,17 +443,19 @@ def empirical_order(scheme, *, seed=DEFAULT_SEED):
 # catalog
 
 
-def _scheme_gate(scheme, *, seed=DEFAULT_SEED):
-    """(report, slope, ok) of the catalog gate: consistency, the symmetry
-    claim, then an `empirical_order` slope within CATALOG_ORDER_SLOPE_TOL of
-    the declared order (slope nan, and no fit run, if the first two fail)."""
+def _scheme_gate(scheme):
+    """(report, order, ok) of the catalog gate: consistency, the symmetry
+    claim, then the `_exact_order` of the scheme's factor sequence, read
+    through degree order_n + 1, equal to the declared order (order None, and
+    nothing expanded, if the first two fail).  Over- and under-claimed
+    orders are both refused."""
     report = validate_consistency(scheme)
     ok = report.ok and (not scheme.symmetric or report.symmetry_ok)
-    slope = float("nan")
+    order = None
     if ok:
-        slope = empirical_order(scheme, seed=seed)
-        ok = abs(slope - scheme.order_n) <= CATALOG_ORDER_SLOPE_TOL
-    return report, slope, ok
+        order = _exact_order(scheme.factor_sequence(), 2, scheme.order_n + 1)
+        ok = order == scheme.order_n
+    return report, order, ok
 
 
 _catalog_cache = {}
@@ -462,8 +481,9 @@ def load_catalog(path=None, *, validate=True):
     gate-keeping every entry.
 
     Each entry must pass `_scheme_gate` (consistency, the symmetry claim,
-    and an empirical-order fit within +-0.5 of its declared order), so
-    transcription mistakes in the data file are caught at load time.
+    and an exact order, from its order conditions in the free algebra, equal
+    to its declared order), so transcription mistakes in the data file are
+    caught at load time.  No random operator is drawn and no order is fitted.
     """
     if path is None:
         key = ("<bundled>", validate)
@@ -494,17 +514,18 @@ def load_catalog(path=None, *, validate=True):
         if scheme.name in catalog:
             raise StructuralError(f"catalog names scheme {scheme.name!r} twice")
         if validate:
-            report, slope, ok = _scheme_gate(scheme)
-            if math.isnan(slope):
+            report, order, ok = _scheme_gate(scheme)
+            if order is None:
                 raise ConsistencyError(
                     f"catalog entry {scheme.name!r} failed validation: "
                     f"a-res {report.a_residual:.2e}, b-res {report.b_residual:.2e}, "
                     f"symmetry-res {report.symmetry_residual:.2e}"
                 )
             if not ok:
+                found = f"at least {order}" if order > scheme.order_n else order
                 raise ConsistencyError(
                     f"catalog entry {scheme.name!r} claims order {scheme.order_n} "
-                    f"but fits slope {slope:.3f}"
+                    f"but its exact order is {found}"
                 )
         catalog[scheme.name] = scheme
     _catalog_cache[key] = catalog

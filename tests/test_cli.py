@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import trotterkit
-from trotterkit import polyexp
+from trotterkit import cli, polyexp
 from trotterkit.cli import _build_parser, main
 
 # In-process zero computations here share the polyexp memo with the rest of
@@ -60,7 +60,7 @@ def test_schemes_validate_single_entry(capsys):
     rc, out, err = run_cli(capsys, "schemes", "validate", "strang")
     assert rc == 0 and err == ""
     assert out.startswith("strang: ok order=2 q=1")
-    assert "a_residual=0" in out and "slope=" in out
+    assert "a_residual=0" in out and out.endswith(" exact_order=2\n")
 
 
 def test_schemes_validate_unknown_name(capsys):
@@ -171,7 +171,20 @@ def test_adapt_check_reports_slope(capsys):
     assert rc == 0
     fields = dict(kv.split("=") for kv in out.split())
     assert fields["name"] == "blanes-moan4" and fields["lambda"] == "2"
+    assert fields["exact_order"] == "4"
     assert 3.7 <= float(fields["slope"]) <= 4.3
+
+
+@pytest.mark.parametrize("name, order", [("strang", 2), ("forest-ruth", 4)])
+@pytest.mark.parametrize("n_stage", [3, 4, 7])
+def test_adapt_check_reports_the_exact_order_of_the_sweep(capsys, monkeypatch, name, order,
+                                                          n_stage):
+    # the fit is stubbed out; past order + 1 parts the order is read on
+    # order + 1 letters
+    monkeypatch.setattr(cli, "multistage_order", lambda split, ms: 0.0)
+    rc, out, err = run_cli(capsys, "adapt", "--check", "--lambda", str(n_stage), name)
+    assert rc == 0 and err == ""
+    assert out == f"name={name} lambda={n_stage} exact_order={order} slope=0\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -182,6 +195,17 @@ def test_negative_seed_is_one_structural_error(capsys, argv):
     rc, out, err = run_cli(capsys, "--seed", "-1", *argv)
     assert rc == 1 and out == ""
     assert err.startswith("error:structural:") and "'seed'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("schemes", "list"),
+    ("schemes", "efficiency", "strang"),
+    ("model", "xxz", "--L", "2"),
+])
+def test_negative_seed_is_refused_on_commands_that_draw_no_operators(capsys, argv):
+    rc, out, err = run_cli(capsys, "--seed", "-1", *argv)
+    assert (rc, out) == (1, "")
+    assert err == "error:structural: 'seed' must be >= 0, got -1\n"
 
 
 def test_adapt_unknown_scheme(capsys):

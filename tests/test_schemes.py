@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
@@ -23,7 +25,9 @@ from trotterkit.schemes import (
     _BASIS_GRADES,
     TwoStageScheme,
     _bch_coefficients,
+    _exact_order,
     _log_series,
+    _scheme_gate,
     efficiency,
     empirical_order,
     estimate_error_coefficients,
@@ -158,8 +162,107 @@ def _write_catalog(path, *records):
 
 def test_catalog_refuses_an_entry_whose_order_does_not_fit(tmp_path):
     path = _write_catalog(tmp_path / "cat.json", _strang_record(order=4))
-    with pytest.raises(ConsistencyError, match="claims order 4 but fits slope 2.003"):
+    with pytest.raises(ConsistencyError, match="claims order 4 but its exact order is 2$"):
         load_catalog(path)
+
+
+def _record(scheme, **changes):
+    """A catalog record of a scheme, with changes."""
+    rec = {"name": scheme.name, "order": scheme.order_n, "symmetric": scheme.symmetric,
+           "a": [[x.real, x.imag] for x in scheme.a], "b": [[x.real, x.imag] for x in scheme.b]}
+    return dict(rec, **changes)
+
+
+def _moved_blanes_moan4():
+    """blanes-moan4 with its outer a's moved by +1e-8 and its middle a by
+    -2e-8: still consistent and symmetric, but of exact order 2."""
+    bm = get_scheme("blanes-moan4")
+    a = list(bm.a)
+    a[0] += 1e-8
+    a[-1] += 1e-8
+    a[3] -= 2e-8
+    return TwoStageScheme(name="bm-moved", order_n=4, a=a, b=bm.b, symmetric=True)
+
+
+@pytest.mark.parametrize("scheme", load_catalog().values(), ids=lambda s: s.name)
+def test_exact_order_of_each_catalog_entry_is_its_declared_order(scheme):
+    assert _exact_order(scheme.factor_sequence(), 2, scheme.order_n + 1) == scheme.order_n
+    report, order, ok = _scheme_gate(scheme)
+    assert (order, ok) == (scheme.order_n, True)
+
+
+def test_catalog_refuses_an_underclaimed_order(tmp_path):
+    path = _write_catalog(tmp_path / "cat.json", _record(get_scheme("suzuki4"), order=2))
+    with pytest.raises(ConsistencyError, match="claims order 2 but its exact order is at least 3"):
+        load_catalog(path)
+
+
+def test_catalog_refuses_moved_coefficients_that_the_fit_accepts(tmp_path):
+    moved = _moved_blanes_moan4()
+    report = validate_consistency(moved)
+    assert report.ok and report.symmetry_ok
+    # a slope fit cannot tell the moved scheme from blanes-moan4
+    assert abs(empirical_order(moved) - 4) < 0.5
+    assert _scheme_gate(moved)[1:] == (2, False)
+    path = _write_catalog(tmp_path / "cat.json", _record(moved))
+    with pytest.raises(ConsistencyError, match="'bm-moved' claims order 4 but its exact order is 2"):
+        load_catalog(path)
+
+
+def test_complex_entry_passes_the_gate():
+    scheme = get_scheme("triple-jump-complex")
+    assert any(x.imag for x in scheme.a) and _scheme_gate(scheme)[1:] == (4, True)
+
+
+@pytest.mark.parametrize("scheme, order", [(LIE, 1), (ASYM, 1), (get_scheme("strang"), 2)])
+def test_exact_order_stops_at_the_first_nonzero_degree(monkeypatch, scheme, order):
+    # read through degree 40, but expanded only through degree 4: the windows
+    # 2 and 4 already hold a nonzero word
+    degrees = []
+    series = schemes._log_series
+
+    def recording(sequence, n_letters, n):
+        degrees.append(n)
+        return series(sequence, n_letters, n)
+
+    monkeypatch.setattr(schemes, "_log_series", recording)
+    assert _exact_order(scheme.factor_sequence(), 2, 40) == order
+    assert degrees == ([2] if order == 1 else [2, 4])
+
+
+@pytest.mark.parametrize("scheme", [*load_catalog().values(), _moved_blanes_moan4()],
+                         ids=lambda s: s.name)
+def test_sweep_order_on_more_letters_than_its_degree_is_read_on_fewer(scheme):
+    # the words of degree <= n use at most n letters, and dropping a part
+    # from a sweep leaves the sweep on the others
+    ms = to_multistage(scheme)
+    n = scheme.order_n + 1
+    wide = _exact_order(ms.factor_sequence(n + 1), n + 1, n)
+    assert wide == _exact_order(ms.factor_sequence(n), n, n)
+    assert wide == (2 if scheme.name == "bm-moved" else scheme.order_n)
+
+
+def test_catalog_load_fits_no_order_and_draws_no_operator(monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the load ran an order fit")
+
+    monkeypatch.setattr(schemes, "_fit_order", forbidden)
+    monkeypatch.setattr(schemes, "random_split", forbidden)
+    bundled = resources.files("trotterkit").joinpath("data/schemes.json").read_text()
+    path = tmp_path / "cat.json"
+    path.write_text(bundled)
+    assert list(load_catalog(str(path))) == list(load_catalog())
+
+
+def test_import_and_catalog_load_leave_numpy_random_unimported():
+    # a fresh process, which imports the same trotterkit as this one
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(schemes.__file__)))
+    pythonpath = os.pathsep.join(p for p in (src_root, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, trotterkit; trotterkit.load_catalog(); "
+            "print('numpy.random' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert res.stdout == "False\n"
 
 
 def test_catalog_refuses_an_inconsistent_entry(tmp_path):
@@ -586,6 +689,10 @@ def test_fit_loglog_slope_needs_three_points():
 def test_empirical_orders_of_catalog_entries():
     assert empirical_order(get_scheme("strang")) == pytest.approx(2.0, abs=0.2)
     assert empirical_order(get_scheme("blanes-moan4")) == pytest.approx(4.0, abs=0.3)
+    # the composer's check, on the default-seed random pair: every entry's
+    # fitted slope lands within 0.5 of its declared order
+    for scheme in load_catalog().values():
+        assert abs(empirical_order(scheme) - scheme.order_n) <= 0.5, scheme.name
 
 
 def _recording_eig_expm(monkeypatch):
