@@ -254,28 +254,61 @@ def merge_factors(pairs):
     return tuple(out)
 
 
+def _is_complex(a):
+    """Whether an entry of the array a has a nonzero imaginary part."""
+    return np.iscomplexobj(a) and a.imag.any()
+
+
 def _narrowed(a):
     """A new array holding a: float64 when no entry has a nonzero imaginary
     part, else complex128."""
     a = np.asarray(a)
-    if np.iscomplexobj(a) and a.imag.any():
+    if _is_complex(a):
         return np.array(a, dtype=complex)
     return np.array(a.real, dtype=float)
+
+
+def _require_square(a, what):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"{what} must be square, got shape {a.shape}")
+
+
+def _require_hermitian(blocks, what):
+    """Refuse a non-finite entry in any block, then a block that is not
+    Hermitian within HERMITICITY_TOL, component-wise (the largest deviation
+    over all blocks is reported)."""
+    if not all(np.isfinite(b).all() for b in blocks):
+        raise StructuralError(f"{what} has a non-finite entry")
+    dev = max((np.max(np.abs(b - b.conj().T)) for b in blocks if b.size), default=0.0)
+    if dev > HERMITICITY_TOL:
+        raise StructuralError(f"{what} is not Hermitian (max deviation {dev:.3e})")
 
 
 def _hermitian(a, what):
     """A read-only `_narrowed` copy of a, which must be a finite square
     matrix that is Hermitian within HERMITICITY_TOL, component-wise."""
     a = _narrowed(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{what} must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise StructuralError(f"{what} has a non-finite entry")
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if dev > HERMITICITY_TOL:
-        raise StructuralError(f"{what} is not Hermitian (max deviation {dev:.3e})")
+    _require_square(a, what)
+    _require_hermitian([a], what)
     a.setflags(write=False)
     return a
+
+
+def _hermitian_blocks(a, what):
+    """(sectors, blocks) of a square matrix a: the connected components of
+    its exact nonzero pattern (`_components`) and a's blocks on them, each
+    narrowed as `_narrowed` narrows the whole a.  a is zero off the blocks
+    both ways, so the checks of `_hermitian` run on the blocks alone, with
+    the same refusals in the same order and the same reported deviation."""
+    a = np.asarray(a)
+    _require_square(a, what)
+    sectors = _components(len(a), *np.nonzero(a))
+    if _is_complex(a):
+        blocks = [np.ascontiguousarray(a[np.ix_(s, s)], dtype=complex) for s in sectors]
+    else:
+        blocks = [np.ascontiguousarray(a[np.ix_(s, s)].real, dtype=float) for s in sectors]
+    _require_hermitian(blocks, what)
+    return sectors, blocks
 
 
 def _components(n, rows, cols):

@@ -10,12 +10,12 @@ even order.  Leading error coefficients are exact: log S(h) of any factor
 sequence on Lambda letters is expanded in the truncated free algebra as one
 block of words per degree (the BCH route of Omelyan, Mryglod & Folk,
 Comput. Phys. Commun. 146 (2002) 188), all in double precision.  A two-stage
-scheme's expansion, on Lambda = 2 letters {A, B}, is projected onto a graded
-commutator basis.  The same expansion gives a factor sequence's exact order,
-the last degree through which its words of degree >= 2 vanish
-(`_exact_order`): the catalog gate checks each entry's declared order by
-it, and `adapt --check` reads the order of the Lambda-stage sweep
-(`multistage`) by it.
+scheme's expansion, on Lambda = 2 letters {A, B}, holds each graded
+commutator coefficient on one pivot word.  The same expansion gives a
+factor sequence's exact order, the last degree through which its words of
+degree >= 2 vanish (`_exact_order`): the catalog gate checks each entry's
+declared order by it, and `adapt --check` reads the order of the
+Lambda-stage sweep (`multistage`) by it.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ class ErrorCoefficients:
         [B,[B,[B,[A,B]]]], [B,[B,[A,[A,B]]]], [A,[B,[B,[A,B]]]]
 
     and is empty when the coefficients were requested at max_order = 3.
-    They are computed in double precision; extended precision is left to
-    the zero solve in polyexp.
+    Each is read off one word of log S (`_PIVOTS`), in double precision;
+    extended precision is left to the zero solve in polyexp.
     """
 
     nu_minus_1: complex
@@ -230,10 +230,24 @@ def random_split(n_parts, dim, *, seed=DEFAULT_SEED):
 # sum over p of the outer products of degree-p and degree-(d - p) blocks.
 
 # graded commutator basis (see ErrorCoefficients): the word x_1 x_2 .. a b
-# is the right-nested [x_1, [x_2, .. [a, b]]], its length its grade
+# is the right-nested [x_1, [x_2, .. [a, b]]], its length its grade.  Each
+# element has a pivot word of its grade that no other element of that grade
+# contains (_PIVOTS: the word and the element's integer coefficient on it),
+# so a Lie element's coordinate is read off that one word, as Casas & Murua
+# (J. Math. Phys. 50 (2009) 033513) read BCH coordinates; no element is formed.
 _BASIS_WORDS = ("a", "b", "ab", "aab", "bab", "aaab", "abab", "bbab",
                 "aaaab", "aabab", "baaab", "bbbab", "bbaab", "abbab")
 _BASIS_GRADES = tuple(len(w) for w in _BASIS_WORDS)
+_PIVOTS = (("a", 1), ("b", 1), ("ab", 1), ("aab", 1), ("abb", -1),
+           ("aaab", 1), ("aabb", -1), ("abbb", 1),
+           ("aaaab", 1), ("aabba", 1), ("baaab", 2), ("abbbb", -1), ("baabb", -1),
+           ("abbba", -2))
+# _PIVOTS as arrays: each pivot word's index in a flat element on {A, B},
+# whose degree-d block starts at 2^d - 1, and the element's coefficient
+# there, complex like the entries it divides
+_PIVOT_AT = np.array([2 ** len(w) - 1 + int(w.replace("a", "0").replace("b", "1"), 2)
+                      for w, _ in _PIVOTS])
+_PIVOT_COEF = np.array([k for _, k in _PIVOTS], dtype=complex)
 
 
 @functools.lru_cache(maxsize=None)
@@ -269,10 +283,6 @@ def _mul(x, y, n_letters, n):
     out = np.empty(len(x), dtype=complex)
     out.real, out.imag = (np.bincount(k, part, len(x)) for part in (t.real, t.imag))
     return out
-
-
-def _comm(x, y, n_letters, n):
-    return _mul(x, y, n_letters, n) - _mul(y, x, n_letters, n)
 
 
 def _exp_letter(letter, coef, n_letters, n):
@@ -318,42 +328,31 @@ def _exact_order(sequence, n_letters, n_max):
     return n_max
 
 
-def _commutator_basis(n):
-    """The basis elements of grade <= n, in _BASIS_WORDS order, as elements
-    of degree n on {A, B}; each commutator is formed once."""
-    made = dict(zip("ab", np.eye(_starts(2, n)[-1], dtype=complex)[1:3]))
-
-    def element(word):
-        if word not in made:
-            made[word] = _comm(made[word[0]], element(word[1:]), 2, n)
-        return made[word]
-
-    return [element(w) for w in _BASIS_WORDS if len(w) <= n]
-
-
 def _bch_coefficients(scheme, n):
     """Coefficients of log S - (A + B) on the basis elements of grade <= n.
 
     log S is `_log_series` of the scheme's factor sequence on {A, B}; a
-    grade-g coefficient multiplies h^g.  The basis spans the free Lie algebra
-    up to degree 5, so the projection of this Lie element is exact.
+    grade-g coefficient multiplies h^g.  It is its pivot word's entry in
+    log S - (A + B) divided exactly by +-1 or +-2 (`_PIVOTS`).
     """
     defect = np.concatenate(_log_series(scheme.factor_sequence(), 2, n))
     defect[1:3] -= 1
-    return np.linalg.lstsq(np.stack(_commutator_basis(n), axis=1), defect, rcond=None)[0]
+    m = sum(g <= n for g in _BASIS_GRADES)
+    # + 0.0: a zero over -1 or -2 reads +0.0, not -0.0
+    return defect[_PIVOT_AT[:m]] / _PIVOT_COEF[:m] + 0.0
 
 
 def estimate_error_coefficients(scheme, max_order=3):
     """Exact (nu-1, sigma-1, alpha, beta[, gamma]) of a scheme.
 
     log S(h) is expanded in the free associative algebra on {A, B},
-    truncated at degree max_order, and projected onto the graded
-    commutator basis (see ErrorCoefficients).
+    truncated at degree max_order, and each graded commutator basis
+    coefficient (see ErrorCoefficients) is read off its pivot word.
     """
     if max_order not in (3, 5):
         raise StructuralError("max_order must be 3 or 5")
     _require_consistent(scheme)
-    c = [complex(v) for v in _bch_coefficients(scheme, max_order)]
+    c = _bch_coefficients(scheme, max_order).tolist()
     return ErrorCoefficients(
         nu_minus_1=c[0],
         sigma_minus_1=c[1],

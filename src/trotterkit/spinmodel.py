@@ -29,10 +29,9 @@ import numpy as np
 from .errors import DimensionError, StructuralError, integer_field, real_field
 from .compose import (
     OperatorSplit,
-    _components,
     _dense_dim,
     _eig_expm,
-    _hermitian,
+    _hermitian_blocks,
     _scattered,
     direction_prefactor,
 )
@@ -141,14 +140,14 @@ def exact_evolution(h_matrix, t, direction="forward"):
     zero complex matrix (`_sector_oracle`, the bench's and the order fit's
     oracle too).  The search is the one behind `split.sectors`, over H's
     entries instead of the terms', so for the XXZ chain the blocks are its
-    `sectors`.  H must be finite and Hermitian, and t finite.
+    `sectors`.  H must be finite and Hermitian, checked on its blocks
+    (`_hermitian_blocks`), and t finite.
     """
-    h = _hermitian(h_matrix, "H")
+    sectors, blocks = _hermitian_blocks(h_matrix, "H")
     if not np.isfinite(t):
         raise StructuralError(f"t must be finite, got {t!r}")
     z = direction_prefactor(direction) * t
-    blocks = _components(len(h), *np.nonzero(h))
-    return _scattered(blocks, _sector_oracle([h[np.ix_(s, s)] for s in blocks])(z))
+    return _scattered(sectors, _sector_oracle(blocks)(z))
 
 
 def _h_blocks(split):

@@ -23,6 +23,7 @@ from trotterkit.errors import (
 from trotterkit.multistage import multistage_order, to_multistage
 from trotterkit.schemes import (
     _BASIS_GRADES,
+    _PIVOTS,
     TwoStageScheme,
     _bch_coefficients,
     _exact_order,
@@ -437,6 +438,60 @@ def test_coefficients_match_logm_defect(scheme):
     assert residuals[1] / residuals[2] > 40
 
 
+# the words on {a, b} of each degree 0..5, in `_log_series` block order
+_WORDS = [["".join(w) for w in itertools.product("ab", repeat=d)] for d in range(6)]
+
+
+def _flat_basis(n):
+    """The 14 graded commutators of ErrorCoefficients as flat free-algebra
+    elements of degree n on {A, B}, each commutator from two `_mul`s."""
+    def comm(x, y):
+        return schemes._mul(x, y, 2, n) - schemes._mul(y, x, 2, n)
+
+    a, b = np.eye(schemes._starts(2, n)[-1], dtype=complex)[1:3]
+    return _graded_basis(a, b, comm)
+
+
+def _projected_coefficients(scheme, n):
+    """Reference: the least-squares projection of log S - (A + B) onto the
+    flat basis elements of grade <= n."""
+    defect = np.concatenate(_log_series(scheme.factor_sequence(), 2, n))
+    defect[1:3] -= 1
+    basis = [e for e, g in zip(_flat_basis(n), _BASIS_GRADES) if g <= n]
+    return np.linalg.lstsq(np.stack(basis, axis=1), defect, rcond=None)[0]
+
+
+def test_each_pivot_word_sits_in_its_basis_element_alone():
+    basis = _flat_basis(5)
+    starts = schemes._starts(2, 5)
+    for i, (word, coef) in enumerate(_PIVOTS):
+        grade = _BASIS_GRADES[i]
+        assert len(word) == grade
+        at = starts[grade] + _WORDS[grade].index(word)
+        for j, (element, g) in enumerate(zip(basis, _BASIS_GRADES)):
+            if g == grade:
+                assert element[at] == (coef if j == i else 0)
+
+
+def _random_scheme(seed):
+    """A seeded two-stage scheme with random complex coefficients, q = 1..4,
+    not consistent: log S - (A + B) is a Lie element all the same."""
+    rng = np.random.default_rng(seed)
+    q = 1 + seed % 4
+    a, b = (rng.standard_normal((m, 2)) @ [1, 1j] / (q + 1) for m in (q + 1, q))
+    return TwoStageScheme(name=f"random-{seed}", order_n=1, a=a.tolist(), b=b.tolist(),
+                          symmetric=False)
+
+
+@pytest.mark.parametrize("scheme", [*load_catalog().values(), ASYM, LIE,
+                                    *map(_random_scheme, range(20))], ids=lambda s: s.name)
+def test_pivot_reads_are_the_least_squares_projection(scheme):
+    for n in range(1, 6):
+        c = _bch_coefficients(scheme, n)
+        assert c.shape == (sum(g <= n for g in _BASIS_GRADES),)
+        np.testing.assert_allclose(c, _projected_coefficients(scheme, n), rtol=0, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # the 2 -> Lambda transform in the free algebra on Lambda letters
 
@@ -536,16 +591,9 @@ def _block_log_series(sequence, n_letters, n):
 def _block_bch_coefficients(scheme, n):
     """`_bch_coefficients` on degree blocks, every product a `_block_mul`."""
     log_s = _block_log_series(scheme.factor_sequence(), 2, n)
-    a, b = _block_zero(2, n), _block_zero(2, n)
-    a[1][0] = b[1][1] = 1.0
-
-    def comm(x, y):
-        return [u - v for u, v in zip(_block_mul(x, y), _block_mul(y, x))]
-
-    basis = [np.concatenate(v) for v, g in zip(_graded_basis(a, b, comm), _BASIS_GRADES)
-             if g <= n]
-    defect = np.concatenate([log_s[0], log_s[1] - 1, *log_s[2:]])
-    return np.linalg.lstsq(np.stack(basis, axis=1), defect, rcond=None)[0]
+    c = np.array([log_s[len(w)][_WORDS[len(w)].index(w)] / k for w, k in _PIVOTS if len(w) <= n])
+    c[:2] -= 1
+    return c + 0.0
 
 
 def _assert_same_blocks(blocks, reference):
@@ -595,22 +643,6 @@ def test_product_table_lists_each_word_pair_once(n_letters, n):
     assert degrees == sorted(degrees)
     assert not table.flags.writeable and not any(index.flags.writeable for index in table)
     assert schemes._product_table(n_letters, n) is table
-
-
-def test_commutator_basis_at_grade_3_forms_no_grade_4_product(monkeypatch):
-    products = []
-    mul = schemes._mul
-
-    def spy(*args):
-        products.append(mul(*args))
-        return products[-1]
-
-    monkeypatch.setattr(schemes, "_mul", spy)
-    basis = schemes._commutator_basis(3)
-    # [A,B], [A,[A,B]] and [B,[A,B]], two products each; a grade-4 product,
-    # truncated at degree 3, would be zero
-    assert len(basis) == 5 and len(products) == 6
-    assert all(np.any(p) for p in products)
 
 
 @pytest.mark.parametrize("n_letters, n", [(2, 1), (2, 5), (3, 4), (4, 3)])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from trotterkit import compose
 from trotterkit.compose import _eig_expm
 from trotterkit.errors import CapacityError, DimensionError, StructuralError
 from trotterkit.multistage import apply_multistage, evolve, to_multistage
@@ -14,6 +15,7 @@ from trotterkit.schemes import get_scheme
 from trotterkit.spinmodel import (
     XxzConfig,
     _h_blocks,
+    _sector_oracle,
     bond_coloring,
     build_xxz,
     exact_evolution,
@@ -454,6 +456,84 @@ def test_exact_evolution_refuses_non_finite_entries(bad):
     h[2, 2] = bad
     with pytest.raises(StructuralError, match="H has a non-finite entry"):
         exact_evolution(h, 1.0)
+
+
+def whole_matrix_oracle(h):
+    """(sectors, oracle) as taken from the whole of h: one `_hermitian`
+    copy, checked and narrowed whole, and its blocks on the components of
+    its nonzero pattern."""
+    whole = compose._hermitian(h, "H")
+    sectors = compose._components(len(whole), *np.nonzero(whole))
+    return sectors, _sector_oracle([whole[np.ix_(s, s)] for s in sectors])
+
+
+def assert_scattered_bit_for_bit(u, sectors, blocks):
+    """u holds each block on its sector, bit for bit, and zero elsewhere."""
+    assert u.dtype == np.complex128
+    for s, b in zip(sectors, blocks):
+        assert u[np.ix_(s, s)].tobytes() == b.tobytes()
+    assert np.count_nonzero(u) == sum(map(np.count_nonzero, blocks))
+
+
+@pytest.mark.parametrize("L, boundary", [(L, b) for L in range(4, 13)
+                                         for b in ("open", "periodic")])
+def test_exact_evolution_checked_by_blocks_is_the_whole_matrix_path_bit_for_bit(L, boundary):
+    h = build_xxz(XxzConfig(L=L, boundary=boundary, delta=0.3, J=0.7)).total
+    sectors, oracle = whole_matrix_oracle(h)
+    for direction, z in (("forward", -0.9j), ("imaginary", -0.9)):
+        assert_scattered_bit_for_bit(exact_evolution(h, 0.9, direction), sectors, oracle(z))
+
+
+def test_complex_h_keeps_its_real_blocks_complex():
+    # one nonzero imaginary entry makes H complex, so its real blocks are
+    # diagonalized in complex arithmetic, as a whole-matrix narrowing does
+    rng = np.random.default_rng(21)
+    sizes, real = [3, 1, 4, 2, 5], [True, True, False, True, False]
+    dim = sum(sizes)
+    blocked = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for n, r in zip(sizes, real):
+        b = random_hermitian(rng, n)
+        blocked[start:start + n, start:start + n] = b.real if r else b
+        start += n
+    perm = rng.permutation(dim)
+    h = blocked[np.ix_(perm, perm)]
+    sectors, oracle = whole_matrix_oracle(h)
+    assert len(sectors) == len(sizes)
+    assert any(not h[np.ix_(s, s)].imag.any() for s in sectors)
+    for direction, z in (("forward", -0.7j), ("imaginary", -0.7)):
+        assert_scattered_bit_for_bit(exact_evolution(h, 0.7, direction), sectors, oracle(z))
+
+
+def _refusal(call):
+    with pytest.raises((DimensionError, StructuralError)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def _two_off_blocks():
+    """A 5 x 5 H of blocks {0, 1, 2} and {3, 4}, each off Hermitian: by 0.5
+    in the first and by 2.0 in the second."""
+    h = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex)
+    h[0, 2], h[2, 0] = 1.0, 1.5
+    h[3, 4], h[4, 3] = 1j, 1j
+    return h
+
+
+@pytest.mark.parametrize("h, t, want", [
+    (np.zeros((2, 3)), 1.0, (DimensionError, "H must be square, got shape (2, 3)")),
+    (np.full((2, 2, 2), np.nan), np.nan, (DimensionError, "H must be square, got shape (2, 2, 2)")),
+    (np.array([[np.nan, 1.0], [0.0, 0.0]]), np.nan, (StructuralError, "H has a non-finite entry")),
+    (_two_off_blocks(), np.inf,
+     (StructuralError, "H is not Hermitian (max deviation 2.000e+00)")),
+    (np.eye(3), np.nan, (StructuralError, "t must be finite, got nan")),
+], ids=["non-square", "non-square-first", "non-finite-first", "non-hermitian-first", "non-finite-t"])
+def test_exact_evolution_refuses_in_the_whole_matrix_order(h, t, want):
+    # non-square, then non-finite, then non-Hermitian, then a non-finite t;
+    # the message is the whole-matrix check's
+    assert _refusal(lambda: exact_evolution(h, t)) == want
+    if want[1] != "t must be finite, got nan":
+        assert _refusal(lambda: compose._hermitian(h, "H")) == want
 
 
 def test_frobenius_error_examples():
