@@ -303,10 +303,8 @@ def _hermitian_blocks(a, what):
     a = np.asarray(a)
     _require_square(a, what)
     sectors = _components(len(a), *np.nonzero(a))
-    if _is_complex(a):
-        blocks = [np.ascontiguousarray(a[np.ix_(s, s)], dtype=complex) for s in sectors]
-    else:
-        blocks = [np.ascontiguousarray(a[np.ix_(s, s)].real, dtype=float) for s in sectors]
+    part, dtype = (a, complex) if _is_complex(a) else (a.real, float)
+    blocks = [np.ascontiguousarray(part[np.ix_(s, s)], dtype=dtype) for s in sectors]
     _require_hermitian(blocks, what)
     return sectors, blocks
 
