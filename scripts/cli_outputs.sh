@@ -252,6 +252,8 @@ record admissible-k python3 admissible-k.py
 # L = 6 periodic chain (delta = 0.3), an odd and an even number of steps,
 # every entry printed
 cat >"$work/alternate-l6.py" <<'PY'
+import numpy as np
+
 import trotterkit as tk
 
 split = tk.build_xxz(tk.XxzConfig(L=6, boundary="periodic", delta=0.3))
@@ -259,10 +261,36 @@ ms = tk.to_multistage(tk.TwoStageScheme("lie", 1, a=[1, 0], b=[1], symmetric=Fal
 for n in (3, 4):
     u = tk.evolve(split, ms, 0.1, n, alternate_reversal=True)
     print(f"# lie alternate_reversal steps={n}")
-    for z in u.ravel():
+    for z in np.asarray(u).ravel():
         print(f"{z.real:.17g} {z.imag:.17g}")
 PY
 record alternate-l6 python3 alternate-l6.py
+# no command evolves a state, so this public-API snippet does: the L = 8
+# Neel state, on an open chain and on a periodic chain with delta = 0.3,
+# after each of 20 blanes-moan4 steps of h = 0.05 and under the exact
+# oracle at t = 1, every entry of each state
+cat >"$work/state-trotter-l8.py" <<'PY'
+import numpy as np
+
+import trotterkit as tk
+
+ms = tk.to_multistage(tk.get_scheme("blanes-moan4"))
+for cfg in (tk.XxzConfig(L=8), tk.XxzConfig(L=8, boundary="periodic", delta=0.3)):
+    split = tk.build_xxz(cfg)
+    psi0 = np.zeros(cfg.dim, complex)
+    psi0[int("01" * 4, 2)] = 1.0
+    step = tk.apply_multistage(split, ms, 0.05)
+    psi = psi0
+    for n in range(1, 21):
+        psi = step @ psi
+        print(f"# {cfg.boundary} delta={cfg.delta} blanes-moan4 step {n}")
+        for z in psi:
+            print(f"{z.real:.17g} {z.imag:.17g}")
+    print(f"# {cfg.boundary} delta={cfg.delta} exact t=1")
+    for z in tk.exact_evolution(split.total, 1.0) @ psi0:
+        print(f"{z.real:.17g} {z.imag:.17g}")
+PY
+record state-trotter-l8 python3 state-trotter-l8.py
 # no command fits an order with alternate reversal, so this public-API
 # snippet does: the Lie scheme's fitted order on seeded random splits of 2
 # and 3 parts, plain and alternately reversed

@@ -14,12 +14,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from mpmath import mp
 
-from .compose import _evolved_blocks, power_step
+from .compose import SectorBlocks, evolve_sequence, power_step
 from .errors import GridUnusableError, NotFoundError, RangeError, StructuralError, real_field
 from .multistage import to_multistage
 from .polyexp import SeriesSpec, eval_factorized, eval_summed, factorize, suggest_gamma
 from .schemes import get_scheme
-from .spinmodel import XxzConfig, _h_blocks, _sector_distance, _sector_oracle, build_xxz
+from .spinmodel import XxzConfig, _h_blocks, _sector_oracle, build_xxz, frobenius_error
 from .tolerances import DEFAULT_KAPPA
 
 DEFAULT_METHODS = ("strang", "forest-ruth", "suzuki4", "blanes-moan4")
@@ -188,18 +188,18 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     (times are informational, never part of the data contract).
 
     Every cell is kept as its blocks over the chain's magnetization sectors
-    (`OperatorSplit.sectors`, the blocks of H's pattern), and nothing is
-    scattered.  H's sector blocks are placed once from the terms
-    (`spinmodel._h_blocks`, which refuses a chain past the dense cap before
-    searching its sectors): the exact oracle (`spinmodel._sector_oracle`)
-    diagonalizes each once and keeps its exponential per distinct effective
-    time, and a polynomial cell powers its step on each block.  A scheme
-    cell builds and powers its step's blocks on the packed identity
-    (`compose._evolved_blocks`).  Each error is sqrt(sum_s |U_s - E_s|_F^2)
-    (`spinmodel._sector_distance`).  Only a plan with a Chebyshev method
-    builds and diagonalizes the whole H: its eigenvalues give the Gamma that
-    keys the zero cache (the perfbench `sweep` warm-up solves the zeros for
-    it), and sector eigenvalues can differ from them in the last bits.
+    (`OperatorSplit.sectors`, the blocks of H's pattern), a `SectorBlocks`,
+    and nothing is scattered.  H's sector blocks are placed once from the
+    terms (`spinmodel._h_blocks`, which refuses a chain past the dense cap
+    before searching its sectors): the exact oracle
+    (`spinmodel._sector_oracle`) diagonalizes each once and keeps its
+    exponential per distinct effective time, and a polynomial cell powers
+    its step on each block.  A scheme cell is `evolve_sequence`.  Each error
+    is `frobenius_error`, sqrt(sum_s |U_s - E_s|_F^2) on the blocks.  Only a
+    plan with a Chebyshev method builds and diagonalizes the whole H: its
+    eigenvalues give the Gamma that keys the zero cache (the perfbench
+    `sweep` warm-up solves the zeros for it), and sector eigenvalues can
+    differ from them in the last bits.
     """
     methods = [parse_method(d, catalog_path=catalog_path) for d in plan.methods]
     split = build_xxz(plan.model)
@@ -207,7 +207,7 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     gamma = None
     if any(m.kind == "chebyshev" for m in methods):
         gamma = suggest_gamma(split.total, eigvals=np.linalg.eigh(split.total)[0])
-    oracle = _sector_oracle(h_blocks)
+    oracle = _sector_oracle(split.sectors, h_blocks)
     records = []
     for method in methods:
         for h in plan.h_grid:
@@ -218,10 +218,10 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
                 u = exact
             elif method.kind == "scheme":
                 sequence = to_multistage(method.scheme).factor_sequence(split.n_parts)
-                u = _evolved_blocks(split, sequence, h, steps)
+                u = evolve_sequence(split, sequence, h, steps)
             else:
                 p = _polynomial(method, h, gamma, cache_dir)
-                u = power_step([p(b) for b in h_blocks], steps)
+                u = SectorBlocks(split.sectors, power_step([p(b) for b in h_blocks], steps))
             wall = time.perf_counter() - begin if timing else 0.0
             records.append(
                 BenchmarkRecord(
@@ -229,7 +229,7 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
                     h=h,
                     steps=steps,
                     cost=method.q_effective(plan.kappa) * steps / plan.t_total,
-                    error=_sector_distance(u, exact),
+                    error=frobenius_error(u, exact).value,
                     wall_time=wall,
                 )
             )

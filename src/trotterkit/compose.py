@@ -41,17 +41,19 @@ kernel, and sector s's block of the step is rows s, columns 0..n_s-1
 (`_step_blocks`).  At L = 8 that is a 256 x 80 block instead of the
 256 x 256 identity.  `power_step` powers the blocks one at a time (at
 L = 8, sum n_s^3 = 0.74M multiply-adds per product against 16.8M for the
-whole matrix), `_evolved_blocks` adds the alternate-reversal pair and the
-odd step, and `compose` and `evolve_sequence` scatter the blocks once
-into a zero matrix (`_scattered`).  The bench and the order fit keep
-their operators as blocks and compare them with the exact oracle's, so
-they scatter nothing.
+whole matrix), and `evolve_sequence` adds the alternate-reversal pair
+and the odd step.  `compose` and `evolve_sequence` return the blocks as
+they are, a `SectorBlocks`: `U @ x` multiplies block by block, and
+`np.asarray(U)` scatters them into a zero matrix, the one dense form.
+The bench and the order fit compare such values with the exact oracle's
+block by block (`spinmodel.frobenius_error`), so they scatter nothing.
 A split with one sector packs nothing: its packed identity is the
 identity.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -61,6 +63,7 @@ from .tolerances import DENSE_DIM_CAP, HERMITICITY_TOL
 
 __all__ = [
     "OperatorSplit",
+    "SectorBlocks",
     "direction_prefactor",
     "merge_factors",
     "compose",
@@ -230,6 +233,61 @@ class OperatorSplit:
         return g
 
 
+class SectorBlocks:
+    """A block-diagonal complex (dim x dim) matrix kept as its blocks:
+    blocks[i] on the rows and columns of sectors[i], zero elsewhere, the
+    sectors partitioning 0..dim-1.  Every step, evolution and exact
+    oracle is returned as one; the blocks are read-only.
+
+    `U @ x` multiplies block by block, for any array x whose leading axis
+    is dim: a sector where x is zero gets exact zeros and no product.
+    `np.asarray(U)` scatters the blocks into a zero complex matrix; it is
+    the one dense form.
+    """
+
+    __slots__ = ("sectors", "blocks")
+
+    def __init__(self, sectors, blocks):
+        self.sectors = tuple(sectors)
+        # read-only views: the caller's arrays keep their own flags
+        self.blocks = tuple(np.asarray(b).view() for b in blocks)
+        if len(self.blocks) != len(self.sectors):
+            raise DimensionError(f"{len(self.blocks)} blocks for {len(self.sectors)} sectors")
+        for s, b in zip(self.sectors, self.blocks):
+            if b.shape != (len(s), len(s)):
+                raise DimensionError(f"block of shape {b.shape} on a sector of {len(s)}")
+            b.setflags(write=False)
+
+    @property
+    def shape(self):
+        dim = sum(map(len, self.sectors))
+        return (dim, dim)
+
+    @property
+    def dtype(self):
+        return np.dtype(complex)
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        if x.ndim == 0 or len(x) != self.shape[1]:
+            raise DimensionError(f"cannot apply a {self.shape} matrix to shape {x.shape}")
+        flat = x.reshape(len(x), math.prod(x.shape[1:]))
+        out = np.zeros(flat.shape, np.result_type(complex, x))
+        for s, b in zip(self.sectors, self.blocks):
+            part = flat[s]
+            if part.any():
+                out[s] = b @ part
+        return out.reshape(x.shape)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a SectorBlocks has no dense array to share")
+        out = np.zeros(self.shape, complex)
+        for s, b in zip(self.sectors, self.blocks):
+            out[np.ix_(s, s)] = b
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
 def direction_prefactor(direction):
     """Generator prefactor: -i for real-time, -1 for imaginary-time."""
     if direction == "forward":
@@ -349,16 +407,6 @@ def _term_entries(dim, i, j, op):
     return place[rows].ravel(), place[cols].ravel(), op[rows, cols].repeat(len(rest))
 
 
-def _scattered(sectors, blocks):
-    """The complex matrix holding each block on the rows and columns of its
-    sector, zero elsewhere; the sectors partition its index range."""
-    dim = sum(map(len, sectors))
-    out = np.zeros((dim, dim), complex)
-    for s, b in zip(sectors, blocks):
-        out[np.ix_(s, s)] = b
-    return out
-
-
 # The packed identity's width is rounded up to a multiple of this.  The
 # batched matmuls of `_apply_term` then take the same kernel path on every
 # column as on the full identity, whose width 2^L is a multiple of 16 from
@@ -447,10 +495,10 @@ def _step_blocks(split, sequence, h, direction):
 
 
 def compose(split, sequence, h, direction="forward"):
-    """The ordered product of e^{A_k * prefactor * c * h} over sequence: the
-    sector blocks of the step (`_step_blocks`) in a zero matrix."""
+    """The ordered product of e^{A_k * prefactor * c * h} over sequence, as
+    the sector blocks of the step (`_step_blocks`)."""
     blocks = _step_blocks(split, sequence, h, direction)  # refused past the cap first
-    return _scattered(split.sectors, blocks)
+    return SectorBlocks(split.sectors, blocks)
 
 
 def power_step(blocks, steps):
@@ -460,10 +508,10 @@ def power_step(blocks, steps):
     return [np.linalg.matrix_power(b, steps) for b in blocks]
 
 
-def _evolved_blocks(split, sequence, h, steps, direction="forward",
+def evolve_sequence(split, sequence, h, steps, direction="forward",
                     alternate_reversal=False):
-    """The sector blocks of `steps` repetitions of one step, in the order
-    of `split.sectors`, powered by repeated squaring (`power_step`).
+    """`steps` repetitions of one step, as its sector blocks powered by
+    repeated squaring (`power_step`).
 
     With alternate_reversal every second step uses the reversed sequence
     (the adjoint decomposition): the product S S_rev S S_rev ... is the
@@ -476,18 +524,9 @@ def _evolved_blocks(split, sequence, h, steps, direction="forward",
         raise StructuralError(f"steps must be >= 1, got {steps}")
     step = _step_blocks(split, sequence, h, direction)
     if not alternate_reversal or sequence[::-1] == sequence:
-        return power_step(step, steps)
+        return SectorBlocks(split.sectors, power_step(step, steps))
     reversed_step = _step_blocks(split, sequence[::-1], h, direction)
     u = power_step([a @ b for a, b in zip(step, reversed_step)], steps // 2)
     if steps % 2:
         u = [a @ b for a, b in zip(u, step)]
-    return u
-
-
-def evolve_sequence(split, sequence, h, steps, direction="forward",
-                    alternate_reversal=False):
-    """`steps` repetitions of one step (`_evolved_blocks`), its sector
-    blocks scattered once into a zero matrix."""
-    # refused past the cap first
-    blocks = _evolved_blocks(split, sequence, h, steps, direction, alternate_reversal)
-    return _scattered(split.sectors, blocks)
+    return SectorBlocks(split.sectors, u)

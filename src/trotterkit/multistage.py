@@ -13,7 +13,8 @@ yields the adjoint decomposition, and alternating the two across steps
 elevates an odd-order scheme to the next even order.  Every operator here
 is built from the scheme's merged factor sequence by `compose`: one step's
 sector blocks on the packed sector identity, powered block by block for
-`evolve`, and scattered once into the dense matrix returned.
+`evolve`, and returned as those blocks, a `compose.SectorBlocks`
+(`U @ psi` block by block, `np.asarray(U)` the dense matrix).
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from importlib import resources
 
 import numpy as np
 
-from .compose import OperatorSplit, _evolved_blocks, merge_factors
+from .compose import OperatorSplit, evolve_sequence, merge_factors
 from .errors import (
     ConsistencyError,
     GridUnusableError,
@@ -40,7 +40,7 @@ from .errors import (
     integer_field,
     real_field,
 )
-from .spinmodel import _h_blocks, _sector_distance, _sector_oracle
+from .spinmodel import _h_blocks, _sector_oracle, frobenius_error
 from .tolerances import (
     CONSISTENCY_TOL,
     DEFAULT_SEED,
@@ -416,15 +416,16 @@ def _fit_order(split, sequence, alternate_reversal=False):
     """Log-log slope over h = 2^-2 .. 2^-6 (_FIT_H_GRID) of the error of
     `sequence` composed over 1/h steps against e^{-i H}, H the summed
     operator.  As in the bench, both stay blocks over `split.sectors`:
-    `_evolved_blocks` against the exact oracle on H's gathered blocks
+    `evolve_sequence` against the exact oracle on H's gathered blocks
     (`_sector_oracle` on `_h_blocks`, whose one exponential serves every h),
-    by `_sector_distance`."""
-    oracle = _sector_oracle(_h_blocks(split))
+    by `frobenius_error`."""
+    h_blocks = _h_blocks(split)  # refused past the cap before the sectors are searched
+    oracle = _sector_oracle(split.sectors, h_blocks)
     errors = []
     for h in _FIT_H_GRID:
         steps = round(1.0 / h)
-        u = _evolved_blocks(split, sequence, h, steps, alternate_reversal=alternate_reversal)
-        errors.append(_sector_distance(u, oracle(-1j * steps * h)))
+        u = evolve_sequence(split, sequence, h, steps, alternate_reversal=alternate_reversal)
+        errors.append(frobenius_error(u, oracle(-1j * steps * h)).value)
     return fit_loglog_slope(_FIT_H_GRID, errors)
 
 

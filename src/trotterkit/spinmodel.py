@@ -12,8 +12,9 @@ The chain is real in the computational basis, so the bond term, the parts
 and the total are float64, and the exact oracle diagonalizes H in real
 arithmetic, one magnetization sector at a time: H conserves the number of
 up spins, so its blocks are of size C(L, m).  `exact_evolution`, the bench
-and the order fit share one oracle, `_sector_oracle`, and the last two one
-error on blocks, `_sector_distance`; the bench, the order fit and
+and the order fit share one oracle, `_sector_oracle`, which returns its
+exponentials as `compose.SectorBlocks`; `frobenius_error` reads two of them
+on equal sectors block by block.  The bench, the order fit and
 `xxz_spectrum` take H's blocks from `_h_blocks`, with no dense H built, and
 the spectrum is their eigenvalues, sorted.
 """
@@ -29,10 +30,10 @@ import numpy as np
 from .errors import DimensionError, StructuralError, integer_field, real_field
 from .compose import (
     OperatorSplit,
+    SectorBlocks,
     _dense_dim,
     _eig_expm,
     _hermitian_blocks,
-    _scattered,
     direction_prefactor,
 )
 
@@ -136,18 +137,18 @@ def exact_evolution(h_matrix, t, direction="forward"):
     (no tolerance): for the XXZ chain its magnetization sectors, of sizes
     C(L, m), so the L = 10 chain costs sum n_s^3 = 38M multiply-adds to
     diagonalize against 1,074M for the whole matrix.  Each block is
-    V diag(e^{pref * lambda * t}) V^dagger from its own eigh, written into a
-    zero complex matrix (`_sector_oracle`, the bench's and the order fit's
-    oracle too).  The search is the one behind `split.sectors`, over H's
-    entries instead of the terms', so for the XXZ chain the blocks are its
-    `sectors`.  H must be finite and Hermitian, checked on its blocks
+    V diag(e^{pref * lambda * t}) V^dagger from its own eigh, and U is
+    returned as these blocks, a `SectorBlocks` (`_sector_oracle`, the
+    bench's and the order fit's oracle too).  The search is the one behind
+    `split.sectors`, over H's entries instead of the terms', so for the XXZ
+    chain the blocks are its `sectors`.  H must be finite and Hermitian, checked on its blocks
     (`_hermitian_blocks`), and t finite.
     """
     sectors, blocks = _hermitian_blocks(h_matrix, "H")
     if not np.isfinite(t):
         raise StructuralError(f"t must be finite, got {t!r}")
     z = direction_prefactor(direction) * t
-    return _scattered(sectors, _sector_oracle(blocks)(z))
+    return _sector_oracle(sectors, blocks)(z)
 
 
 def _h_blocks(split):
@@ -158,28 +159,29 @@ def _h_blocks(split):
     return split._placed(split.sectors, split.terms)
 
 
-def _sector_oracle(blocks):
-    """The exact oracle on invariant blocks of H: one eigh per Hermitian
-    block, taken here, and a function of z that returns each block's
-    e^{z b} = V diag(e^{z lambda}) V^dagger (`_eig_expm`), in block order,
-    once per distinct z: the lists it returns are cached, not to be modified."""
+def _sector_oracle(sectors, blocks):
+    """The exact oracle on H's invariant blocks over these sectors: one eigh
+    per Hermitian block, taken here, and a function of z that returns
+    e^{z H} as the blocks e^{z b} = V diag(e^{z lambda}) V^dagger
+    (`_eig_expm`), a `SectorBlocks`, computed once per distinct z."""
     eigensystems = [np.linalg.eigh(b) for b in blocks]
-    return functools.cache(lambda z: [_eig_expm(w, v, z) for w, v in eigensystems])
-
-
-def _sector_distance(u, e):
-    """sqrt(sum_s |u_s - e_s|_F^2): the Frobenius distance of two matrices
-    held as their blocks over the same sectors, zero off them."""
-    return math.hypot(*(np.linalg.norm(a - b) for a, b in zip(u, e)))
+    return functools.cache(
+        lambda z: SectorBlocks(sectors, [_eig_expm(w, v, z) for w, v in eigensystems]))
 
 
 def frobenius_error(u_approx, u_exact):
-    """The Frobenius norm of u_approx - u_exact, two arrays of one shape."""
-    a = np.asarray(u_approx)
-    b = np.asarray(u_exact)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return EvolutionError(value=float(np.linalg.norm(a - b)))
+    """The Frobenius norm of u_approx - u_exact.  Two `SectorBlocks` on
+    equal sectors are read block by block, sqrt(sum_s |u_s - e_s|_F^2);
+    anything else as two arrays of one shape."""
+    if (isinstance(u_approx, SectorBlocks) and isinstance(u_exact, SectorBlocks)
+            and len(u_approx.sectors) == len(u_exact.sectors)
+            and all(map(np.array_equal, u_approx.sectors, u_exact.sectors))):
+        pairs = zip(u_approx.blocks, u_exact.blocks)
+        return EvolutionError(value=math.hypot(*(np.linalg.norm(a - b) for a, b in pairs)))
+    if np.shape(u_approx) != np.shape(u_exact):
+        raise DimensionError(f"shape mismatch: {np.shape(u_approx)} vs {np.shape(u_exact)}")
+    diff = np.asarray(u_approx) - np.asarray(u_exact)
+    return EvolutionError(value=float(np.linalg.norm(diff)))
 
 
 def xxz_spectrum(cfg):

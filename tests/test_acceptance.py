@@ -65,7 +65,8 @@ def test_criterion_1_transform_equivalence():
     for scheme in load_catalog().values():
         ms = to_multistage(scheme)
         for h in (0.5, 0.1):
-            diff = apply_multistage(split, ms, h) - apply_two_stage(a, b, scheme, h)
+            diff = np.asarray(apply_multistage(split, ms, h)) - np.asarray(
+                apply_two_stage(a, b, scheme, h))
             worst = max(worst, float(np.linalg.norm(diff)))
     ok = worst < 1e-12
     assert record(

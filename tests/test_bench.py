@@ -378,12 +378,13 @@ def cell_blocks(monkeypatch):
     """The blocks of every non-exact cell, in the order the sweep powers
     them."""
     cells = []
-    for name in ("power_step", "_evolved_blocks"):
+    for name in ("power_step", "evolve_sequence"):
         real = getattr(bench, name)
 
         def recording(*args, real=real, **kwargs):
-            cells.append(real(*args, **kwargs))
-            return cells[-1]
+            got = real(*args, **kwargs)
+            cells.append(getattr(got, "blocks", got))
+            return got
 
         monkeypatch.setattr(bench, name, recording)
     return cells
@@ -416,7 +417,7 @@ def test_every_cell_matches_a_sector_by_sector_reference(plan, zeros_cache, cell
             continue
         u = np.zeros_like(exact)
         if method.kind == "scheme":
-            step = apply_multistage(split, to_multistage(method.scheme), r.h)
+            step = np.asarray(apply_multistage(split, to_multistage(method.scheme), r.h))
             for ix in gathered:
                 u[ix] = np.linalg.matrix_power(step[ix], r.steps)
         else:
@@ -453,11 +454,12 @@ def test_blockwise_error_equals_the_dense_error_against_the_sector_oracle(
     split = build_xxz(model)
     blocks = iter(cell_blocks)
     for r in records:
-        exact = exact_evolution(split.total, r.steps * r.h)
+        exact = np.asarray(exact_evolution(split.total, r.steps * r.h))
         if r.method == "exact":
             assert r.error == 0.0
             continue
-        dense = float(np.linalg.norm(compose._scattered(split.sectors, next(blocks)) - exact))
+        u = np.asarray(compose.SectorBlocks(split.sectors, next(blocks)))
+        dense = float(np.linalg.norm(u - exact))
         assert abs(r.error - dense) <= 1e-13 * dense, (r.method, r.h, r.error, dense)
     assert next(blocks, None) is None
 

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from trotterkit import compose as compose_module, spinmodel
+from trotterkit.bench import BenchPlan, run_benchmark
 from trotterkit.compose import (
     OperatorSplit,
+    SectorBlocks,
     _apply_gates,
     _apply_term,
     _components,
     _eig_expm,
+    _hermitian_blocks,
     _narrowed,
-    _scattered,
     _step_blocks,
     compose,
     direction_prefactor,
@@ -24,8 +26,14 @@ from trotterkit.compose import (
     power_step,
 )
 from trotterkit.errors import DimensionError, StructuralError
-from trotterkit.multistage import apply_two_stage, evolve, to_multistage
-from trotterkit.schemes import get_scheme, load_catalog, random_split
+from trotterkit.multistage import (
+    apply_multistage,
+    apply_two_stage,
+    evolve,
+    multistage_order,
+    to_multistage,
+)
+from trotterkit.schemes import TwoStageScheme, get_scheme, load_catalog, random_split
 from trotterkit.spinmodel import XxzConfig, build_xxz, exact_evolution
 
 CHAINS = [(L, b) for L in range(3, 9) for b in ("open", "periodic")]
@@ -38,6 +46,16 @@ def block_pairs(ms, n_parts):
         pairs += [(k, ci) for k in range(n_parts)]
         pairs += [(k, di) for k in reversed(range(n_parts))]
     return pairs
+
+
+def scatter(sectors, blocks):
+    """The reference for `SectorBlocks.__array__`: each block on the rows
+    and columns of its sector, zero elsewhere."""
+    dim = sum(map(len, sectors))
+    out = np.zeros((dim, dim), complex)
+    for s, b in zip(sectors, blocks):
+        out[np.ix_(s, s)] = b
+    return out
 
 
 def real_matmul(m, x):
@@ -110,13 +128,13 @@ def test_gate_path_diagonalizes_only_bond_terms(monkeypatch):
 def test_alternate_reversal_powering_matches_sequential_product():
     split = build_xxz(XxzConfig(L=5))
     seq = ((0, 0.3), (1, 0.5), (2, 0.2))  # not a palindrome
-    step = compose(split, seq, 0.2)
-    step_rev = compose(split, seq[::-1], 0.2)
+    step = np.asarray(compose(split, seq, 0.2))
+    step_rev = np.asarray(compose(split, seq[::-1], 0.2))
     for steps in (1, 2, 5):
         u = step
         for i in range(1, steps):
             u = u @ (step_rev if i % 2 else step)
-        got = evolve_sequence(split, seq, 0.2, steps, alternate_reversal=True)
+        got = np.asarray(evolve_sequence(split, seq, 0.2, steps, alternate_reversal=True))
         assert np.linalg.norm(got - u) <= 1e-13
 
 
@@ -361,23 +379,14 @@ def test_sectors_are_the_components_of_the_parts_pattern(make):
 
 
 @pytest.mark.parametrize("make", SECTOR_SPLITS)
-def test_sectors_are_the_oracle_blocks_of_the_total(monkeypatch, make):
+def test_sectors_are_the_oracle_blocks_of_the_total(make):
     # the sectors come from the terms, the oracle's blocks from H's entries
     # (`_components` of total != 0); no term of these splits cancels
     # another's entry, so the two are the same arrays
     split = make()
-    seen = []
-    scattered = spinmodel._scattered
-
-    def recording(blocks, values):
-        seen.append(blocks)
-        return scattered(blocks, values)
-
-    monkeypatch.setattr(spinmodel, "_scattered", recording)
-    exact_evolution(split.total, 0.5)
-    (blocks,) = seen
-    assert len(blocks) == len(split.sectors)
-    assert all(map(same_bits, blocks, split.sectors))
+    sectors = exact_evolution(split.total, 0.5).sectors
+    assert len(sectors) == len(split.sectors)
+    assert all(map(same_bits, sectors, split.sectors))
 
 
 @pytest.mark.parametrize("pattern", [
@@ -603,7 +612,7 @@ def test_sector_power_matches_matrix_power(monkeypatch, L, boundary):
             for steps in (1, 2, 7, 60):
                 want = np.linalg.matrix_power(step, steps)
                 shapes = record_powers(monkeypatch)
-                got = _scattered(split.sectors, power_step(blocks, steps))
+                got = scatter(split.sectors, power_step(blocks, steps))
                 monkeypatch.undo()
                 assert shapes == [(len(s), len(s)) for s in split.sectors]
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -660,7 +669,8 @@ def test_cancelling_split_sectors_hold_every_step(split):
     assert np.array_equal(compose(split, seq, 0.1), step)
     want = np.linalg.matrix_power(step, 7)
     blocks = _step_blocks(split, seq, 0.1, "forward")
-    for got in (_scattered(split.sectors, power_step(blocks, 7)), evolve(split, ms, 0.1, 7)):
+    evolved = np.asarray(evolve(split, ms, 0.1, 7))
+    for got in (scatter(split.sectors, power_step(blocks, 7)), evolved):
         if len(split.sectors) == 1:
             assert np.array_equal(got, want)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
@@ -731,3 +741,171 @@ def test_compose_builds_each_distinct_gate_once(monkeypatch, split):
             monkeypatch.undo()
             assert len(builds) == len(distinct), (name, direction)
             assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# SectorBlocks: what every step, evolution and exact oracle returns
+
+LIE = TwoStageScheme("lie", 1, a=[1, 0], b=[1], symmetric=False)
+
+
+def pair_power_blocks(step, reversed_step, steps):
+    """The blocks of S S_rev S S_rev ... (`steps` factors), each sector's
+    pair powered by `power_step` and the odd step multiplied on last."""
+    u = power_step([a @ b for a, b in zip(step, reversed_step)], steps // 2)
+    return [a @ b for a, b in zip(u, step)] if steps % 2 else u
+
+
+@pytest.mark.parametrize("L, boundary", [(L, b) for L in range(3, 11)
+                                         for b in ("open", "periodic")])
+def test_dense_form_is_the_scatter_of_the_built_blocks_bit_for_bit(L, boundary):
+    # np.asarray of a step, an evolution with and without alternate
+    # reversal, and the exact oracle is each block placed on its sector.
+    # Every catalog scheme and Lie up to L = 8; at L = 9, 10, where one
+    # pass over the catalog's steps takes 0.1-0.5 s, Lie and blanes-moan4
+    # stand for them.
+    split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=0.3))
+    catalog = load_catalog()
+    schemes = [LIE, *catalog.values()] if L <= 8 else [LIE, catalog["blanes-moan4"]]
+    for scheme in schemes:
+        ms = to_multistage(scheme)
+        seq = ms.factor_sequence(split.n_parts)
+        for direction in ("forward", "imaginary"):
+            step = _step_blocks(split, seq, 0.1, direction)
+            want = {
+                "step": scatter(split.sectors, step),
+                "plain": scatter(split.sectors, power_step(step, 5)),
+            }
+            # a palindromic sequence is its own reversal, and reuses the step
+            reversed_step = _step_blocks(split, seq[::-1], 0.1, direction)
+            alternate = scatter(split.sectors, pair_power_blocks(step, reversed_step, 5))
+            want["alternate"] = want["plain"] if seq[::-1] == seq else alternate
+            got = {
+                "step": apply_multistage(split, ms, 0.1, direction),
+                "plain": evolve(split, ms, 0.1, 5, direction=direction),
+                "alternate": evolve(split, ms, 0.1, 5, alternate_reversal=True,
+                                    direction=direction),
+            }
+            for key, u in got.items():
+                assert isinstance(u, SectorBlocks) and u.sectors == split.sectors
+                dense = np.asarray(u)
+                assert dense.dtype == np.complex128 and u.dtype == dense.dtype
+                assert u.shape == dense.shape == (split.dim, split.dim)
+                assert np.array_equal(dense, want[key]), (scheme.name, direction, key)
+    h = split.total
+    sectors, blocks = _hermitian_blocks(h, "H")
+    oracle = spinmodel._sector_oracle(sectors, blocks)
+    for direction, z in (("forward", -0.9j), ("imaginary", -0.9)):
+        want = scatter(sectors, oracle(z).blocks)
+        assert np.array_equal(np.asarray(exact_evolution(h, 0.9, direction)), want)
+
+
+def test_two_stage_dense_form_is_the_scatter_of_the_built_blocks_bit_for_bit():
+    rng = np.random.default_rng(5)
+    parts = []
+    for _ in range(2):
+        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        parts.append(m + m.conj().T)
+    split = OperatorSplit(parts)
+    for scheme in [LIE, *load_catalog().values()]:
+        for direction in ("forward", "imaginary"):
+            u = apply_two_stage(*parts, scheme, 0.2, direction)
+            blocks = _step_blocks(split, scheme.factor_sequence(), 0.2, direction)
+            want = scatter(split.sectors, blocks)
+            assert np.array_equal(np.asarray(u), want), (scheme.name, direction)
+
+
+def sector_states(dim, rng):
+    """The Neel state, a domain wall, a random state and a (dim x 3) block
+    of them, as (name, x) pairs."""
+    L = dim.bit_length() - 1
+    neel = np.zeros(dim, complex)
+    neel[int("01" * (L // 2) + "0" * (L % 2), 2)] = 1.0
+    wall = np.zeros(dim, complex)
+    wall[int("1" * (L // 2) + "0" * (L - L // 2), 2)] = 1.0
+    noise = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    noise /= np.linalg.norm(noise)
+    return [("neel", neel), ("wall", wall), ("random", noise),
+            ("block", np.stack([neel, wall, noise], axis=1))]
+
+
+@pytest.mark.parametrize("L, boundary", [(6, "open"), (8, "periodic"), (9, "open")])
+def test_blocks_times_x_is_the_dense_product(L, boundary):
+    # U @ x is taken block by block; it agrees with the dense product, and
+    # a sector where x is zero comes out as exact zeros
+    split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=0.3))
+    ms = to_multistage(get_scheme("blanes-moan4"))
+    rng = np.random.default_rng(L)
+    values = [apply_multistage(split, ms, 0.05),
+              evolve(split, ms, 0.05, 20, alternate_reversal=True),
+              exact_evolution(split.total, 1.0),
+              apply_multistage(split, ms, 0.05, "imaginary")]
+    for u in values:
+        dense = np.asarray(u)
+        for name, x in sector_states(split.dim, rng):
+            got = u @ x
+            want = dense @ x
+            assert got.shape == want.shape and got.dtype == np.complex128
+            assert np.linalg.norm(got - want) <= 1e-14 * max(1.0, np.linalg.norm(want)), name
+            for s in split.sectors:
+                if not x[s].any():
+                    assert not got[s].any(), name
+    # a real x is multiplied as complex, a list is read as an array, and
+    # every axis after the leading one is kept
+    real = np.arange(split.dim, dtype=float)
+    assert np.array_equal(values[0] @ real, values[0] @ real.astype(complex))
+    assert np.array_equal(values[0] @ list(real), values[0] @ real)
+    cube = rng.normal(size=(split.dim, 2, 3))
+    want = np.einsum("ij,jkl->ikl", np.asarray(values[0]), cube)
+    assert np.linalg.norm(values[0] @ cube - want) <= 1e-14 * np.linalg.norm(want)
+    assert (values[0] @ np.ones((split.dim, 0))).shape == (split.dim, 0)
+
+
+def test_blocks_times_x_refuses_a_wrong_leading_axis():
+    split = build_xxz(XxzConfig(L=4))
+    u = apply_multistage(split, to_multistage(get_scheme("strang")), 0.1)
+    for x in (np.ones(15), np.ones(17), np.ones((15, 2)), np.ones((2, 16)), np.float64(1.0)):
+        with pytest.raises(DimensionError):
+            u @ x
+
+
+def test_sector_blocks_are_read_only_and_dense_on_request():
+    split = build_xxz(XxzConfig(L=5))
+    u = evolve(split, to_multistage(get_scheme("suzuki4")), 0.1, 3)
+    assert all(not b.flags.writeable for b in u.blocks)
+    dense = np.asarray(u)
+    dense[0, 0] = 7.0  # each dense form is a new array
+    assert np.asarray(u)[0, 0] != 7.0
+    assert np.array_equal(np.asarray(u, dtype=np.complex64), np.asarray(u).astype(np.complex64))
+    with pytest.raises(ValueError):
+        np.asarray(u, copy=False)
+    # the caller's arrays keep their flags
+    block = np.eye(2, dtype=complex)
+    SectorBlocks([np.arange(2)], [block])
+    assert block.flags.writeable
+    with pytest.raises(DimensionError):
+        SectorBlocks([np.arange(2), np.arange(2, 4)], [block])
+    with pytest.raises(DimensionError):
+        SectorBlocks([np.arange(3)], [block])
+
+
+def test_block_results_build_no_dense_evolution(monkeypatch, zeros_cache):
+    # with the dense form refused, a state is evolved, a sweep is run and
+    # an order is fitted from the blocks alone
+    def refused(self, dtype=None, copy=None):
+        raise AssertionError("dense form built")
+
+    monkeypatch.setattr(SectorBlocks, "__array__", refused)
+    split = build_xxz(XxzConfig(L=8, boundary="periodic", delta=0.3))
+    ms = to_multistage(get_scheme("blanes-moan4"))
+    psi = sector_states(split.dim, np.random.default_rng(0))[0][1]
+    with pytest.raises(AssertionError, match="dense form built"):
+        np.asarray(apply_multistage(split, ms, 0.05))
+    apply_multistage(split, ms, 0.05) @ psi
+    evolve(split, ms, 0.05, 20, alternate_reversal=True) @ psi
+    exact_evolution(split.total, 1.0) @ psi
+    plan = BenchPlan(model=XxzConfig(L=6), t_total=1.0, h_grid=(0.5, 0.25),
+                     methods=("exact", "strang", "blanes-moan4", "taylor:20", "taylor:20:sum"))
+    assert len(run_benchmark(plan, cache_dir=zeros_cache)) == 10
+    multistage_order(split, ms)
+    multistage_order(random_split(2, 8, seed=7), to_multistage(LIE), alternate_reversal=True)

@@ -13,14 +13,14 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, strategies as st
 
-from trotterkit import compose, schemes, spinmodel
+from trotterkit import schemes, spinmodel
 from trotterkit.errors import (
     ConsistencyError,
     GridUnusableError,
     NotFoundError,
     StructuralError,
 )
-from trotterkit.multistage import multistage_order, to_multistage
+from trotterkit.multistage import to_multistage
 from trotterkit.schemes import (
     _BASIS_GRADES,
     _PIVOTS,
@@ -39,7 +39,6 @@ from trotterkit.schemes import (
     random_split,
     validate_consistency,
 )
-from trotterkit.spinmodel import XxzConfig, build_xxz
 
 # A first-order asymmetric scheme and the plain Lie splitting e^{Ah} e^{Bh}.
 ASYM = TwoStageScheme(name="asym", order_n=1, a=(0.2, 0.8, 0.0), b=(0.6, 0.4), symmetric=False)
@@ -750,28 +749,12 @@ def test_order_fit_runs_the_oracle_once_per_time(monkeypatch):
 
 def test_sector_oracle_exponentiates_once_per_distinct_time(monkeypatch):
     zs = _recording_eig_expm(monkeypatch)
-    oracle = spinmodel._sector_oracle([random_hermitian(np.random.default_rng(3), 6)])
+    h = random_hermitian(np.random.default_rng(3), 6)
+    oracle = spinmodel._sector_oracle([np.arange(6)], [h])
     ts = [0.3 * 3, 1.0, 0.15 * 7, 1.0]  # steps * h on the grid 0.3, 0.2, 0.15, 0.1
     blocks = [oracle(-1j * t) for t in ts]
     assert zs == [-1j * t for t in (0.3 * 3, 1.0, 0.15 * 7)]
     assert blocks[3] is blocks[1]
-
-
-def test_order_fit_scatters_nothing(monkeypatch):
-    assert not hasattr(schemes, "exact_evolution") and not hasattr(schemes, "evolve_sequence")
-    calls = []
-    scattered = compose._scattered
-
-    def counting(sectors, blocks):
-        calls.append(len(sectors))
-        return scattered(sectors, blocks)
-
-    for module in (compose, spinmodel):
-        monkeypatch.setattr(module, "_scattered", counting)
-    monkeypatch.setattr(schemes, "_catalog_cache", {})
-    load_catalog()
-    multistage_order(build_xxz(XxzConfig(L=6)), to_multistage(get_scheme("suzuki4")))
-    assert calls == []
 
 
 def test_negative_or_boolean_seed_is_refused():

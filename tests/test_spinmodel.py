@@ -1,5 +1,6 @@
 """XXZ chain construction, colorings, exact evolution, and error metric."""
 
+import math
 import tracemalloc
 from math import comb
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trotterkit import compose
-from trotterkit.compose import _eig_expm
+from trotterkit.compose import SectorBlocks, _eig_expm
 from trotterkit.errors import CapacityError, DimensionError, StructuralError
 from trotterkit.multistage import apply_multistage, evolve, to_multistage
 from trotterkit.schemes import get_scheme
@@ -265,9 +266,9 @@ def test_delta_zero_open_spectrum_symmetric():
 
 def test_exact_evolution_is_unitary_group():
     split = build_xxz(XxzConfig(L=8))
-    u1 = exact_evolution(split.total, 0.7)
-    u2 = exact_evolution(split.total, 1.6)
-    u12 = exact_evolution(split.total, 2.3)
+    u1 = np.asarray(exact_evolution(split.total, 0.7))
+    u2 = np.asarray(exact_evolution(split.total, 1.6))
+    u12 = np.asarray(exact_evolution(split.total, 2.3))
     eye = np.eye(split.dim)
     assert np.linalg.norm(u1.conj().T @ u1 - eye) < 1e-12
     assert np.linalg.norm(u1 @ u2 - u12) < 1e-11
@@ -283,11 +284,11 @@ def test_real_oracle_matches_complex_oracle(L, boundary):
     w, v = np.linalg.eigh(hc)
     eye = np.eye(len(h))
     for direction, z in (("forward", -0.9j), ("imaginary", -0.9)):
-        got = exact_evolution(h, 0.9, direction)
+        got = np.asarray(exact_evolution(h, 0.9, direction))
         assert np.array_equal(exact_evolution(hc, 0.9, direction), got)
         want = (v * np.exp(z * w)) @ v.conj().T
         assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
-    u = exact_evolution(h, 0.9)
+    u = np.asarray(exact_evolution(h, 0.9))
     assert np.linalg.norm(u.conj().T @ u - eye) <= 1e-12
 
 
@@ -341,7 +342,7 @@ def test_sector_oracle_matches_full_diagonalization(L, boundary, delta):
     w, v = np.linalg.eigh(h)
     off = off_blocks(split.sectors, split.dim)
     for direction, z in (("forward", -0.9j), ("imaginary", -0.9)):
-        got = exact_evolution(h, 0.9, direction)
+        got = np.asarray(exact_evolution(h, 0.9, direction))
         want = _eig_expm(w, v, z)
         assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
         assert not got[off].any()
@@ -431,7 +432,7 @@ def test_permuted_block_oracle_matches_full_diagonalization():
     off = off_blocks(blocks, dim)
     assert any(np.any(np.diff(np.sort(b)) > 1) for b in blocks)
     for direction, z in (("forward", -0.7j), ("imaginary", -0.7)):
-        got = exact_evolution(h, 0.7, direction)
+        got = np.asarray(exact_evolution(h, 0.7, direction))
         want = full_eigh_oracle(h, z)
         assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
         assert not got[off].any()
@@ -464,24 +465,24 @@ def whole_matrix_oracle(h):
     its nonzero pattern."""
     whole = compose._hermitian(h, "H")
     sectors = compose._components(len(whole), *np.nonzero(whole))
-    return sectors, _sector_oracle([whole[np.ix_(s, s)] for s in sectors])
+    return sectors, _sector_oracle(sectors, [whole[np.ix_(s, s)] for s in sectors])
 
 
-def assert_scattered_bit_for_bit(u, sectors, blocks):
-    """u holds each block on its sector, bit for bit, and zero elsewhere."""
-    assert u.dtype == np.complex128
-    for s, b in zip(sectors, blocks):
-        assert u[np.ix_(s, s)].tobytes() == b.tobytes()
-    assert np.count_nonzero(u) == sum(map(np.count_nonzero, blocks))
+def assert_same_blocks_bit_for_bit(u, want):
+    """u holds want's blocks on want's sectors, bit for bit."""
+    assert u.dtype == np.complex128 and len(u.sectors) == len(want.sectors)
+    for s, b, ws, wb in zip(u.sectors, u.blocks, want.sectors, want.blocks):
+        assert np.array_equal(s, ws)
+        assert b.dtype == np.complex128 and b.tobytes() == wb.tobytes()
 
 
 @pytest.mark.parametrize("L, boundary", [(L, b) for L in range(4, 13)
                                          for b in ("open", "periodic")])
 def test_exact_evolution_checked_by_blocks_is_the_whole_matrix_path_bit_for_bit(L, boundary):
     h = build_xxz(XxzConfig(L=L, boundary=boundary, delta=0.3, J=0.7)).total
-    sectors, oracle = whole_matrix_oracle(h)
+    _, oracle = whole_matrix_oracle(h)
     for direction, z in (("forward", -0.9j), ("imaginary", -0.9)):
-        assert_scattered_bit_for_bit(exact_evolution(h, 0.9, direction), sectors, oracle(z))
+        assert_same_blocks_bit_for_bit(exact_evolution(h, 0.9, direction), oracle(z))
 
 
 def test_complex_h_keeps_its_real_blocks_complex():
@@ -502,7 +503,7 @@ def test_complex_h_keeps_its_real_blocks_complex():
     assert len(sectors) == len(sizes)
     assert any(not h[np.ix_(s, s)].imag.any() for s in sectors)
     for direction, z in (("forward", -0.7j), ("imaginary", -0.7)):
-        assert_scattered_bit_for_bit(exact_evolution(h, 0.7, direction), sectors, oracle(z))
+        assert_same_blocks_bit_for_bit(exact_evolution(h, 0.7, direction), oracle(z))
 
 
 def _refusal(call):
@@ -544,6 +545,33 @@ def test_frobenius_error_examples():
     assert e.value == pytest.approx(eps, rel=1e-12)
     with pytest.raises(DimensionError):
         frobenius_error(np.eye(2), np.eye(3))
+
+
+def sector_distance(u, e):
+    """The blockwise error as the bench and the order fit computed it
+    before `frobenius_error` read blocks: sqrt(sum_s |u_s - e_s|_F^2)."""
+    return math.hypot(*(np.linalg.norm(a - b) for a, b in zip(u, e)))
+
+
+@pytest.mark.parametrize("L, boundary", [(5, "open"), (8, "periodic")])
+def test_frobenius_error_reads_equal_sectors_by_their_blocks(L, boundary):
+    # on equal sectors, held or not by the same arrays, the error is the
+    # blockwise sum bit for bit; otherwise it is the dense norm
+    split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=0.3))
+    ms = to_multistage(get_scheme("suzuki4"))
+    exact = exact_evolution(split.total, 1.0)  # its sectors are H's components
+    assert exact.sectors is not split.sectors
+    for u in (evolve(split, ms, 0.1, 10), evolve(split, ms, 0.25, 4, alternate_reversal=True)):
+        got = frobenius_error(u, exact).value
+        assert got == sector_distance(u.blocks, exact.blocks)
+        dense = float(np.linalg.norm(np.asarray(u) - np.asarray(exact)))
+        assert got == pytest.approx(dense, rel=1e-13, abs=0)
+        whole = SectorBlocks([np.arange(split.dim)], [np.asarray(exact)])
+        for other in (np.asarray(exact), whole):
+            assert frobenius_error(u, other).value == dense
+            assert frobenius_error(other, u).value == dense
+    with pytest.raises(DimensionError):
+        frobenius_error(exact, np.eye(split.dim + 1))
 
 
 def test_strang_error_halves_as_h_squared():
