@@ -172,6 +172,9 @@ run expm-chebyshev-prod expm --method chebyshev --k 40 --gamma-h 20 --axis imagi
 run expm-chebyshev-sum expm --method chebyshev --k 40 --gamma-h 20 --axis imaginary --scalar=-15j --sum
 run expm-chebyshev-real-prod expm --method chebyshev --k 16 --gamma-h 2.5 --axis real --scalar=-2
 run expm-chebyshev-real-sum expm --method chebyshev --k 16 --gamma-h 2.5 --axis real --scalar=-2 --sum
+# a value that overflows is refused with one error:range: line
+expect=1 run expm-taylor-overflow expm --method taylor --k 52 --scalar=1e308j
+expect=1 run expm-chebyshev-overflow expm --method chebyshev --k 40 --gamma-h 20 --axis imaginary --scalar=1e10
 # the spectrum is the sector blocks' eigenvalues: the four model-xxz
 # entries moved in their last bits (at most 1.1e-13 at L = 10) when they
 # stopped coming from a whole-matrix eigvalsh, so a tree from before that
@@ -188,6 +191,11 @@ run model-xxz-l10 model xxz --L 10
 run model-xxz-l12 model xxz --L 12 --bc periodic --delta 0.3 --J 0.7
 # past the dense cap: refused before any sector search
 expect=1 run model-xxz-l13 model xxz --L 13
+# a non-finite field is refused at construction, and a bond term that
+# overflows by the split, each with one error:structural: line and no warning
+expect=1 run model-xxz-delta-nan model xxz --L 3 --delta nan
+expect=1 run model-xxz-j-inf model xxz --L 3 --J inf
+expect=1 run model-xxz-huge model xxz --L 3 --J 1e308 --delta 1e308
 run probe-stability probe-stability
 # no command applies a polynomial to a state, so this public-API snippet
 # does: the L = 8 Neel state, open and periodic (delta = 0.3), evolved by

@@ -54,13 +54,13 @@ class BenchPlan:
         object.__setattr__(self, "h_grid", tuple(real_field(h, "h_grid") for h in self.h_grid))
         object.__setattr__(self, "t_total", real_field(self.t_total, "t_total"))
         object.__setattr__(self, "kappa", real_field(self.kappa, "kappa"))
-        if not 0 < self.t_total < math.inf:
+        if not self.t_total > 0:
             raise StructuralError(f"t_total must be finite and > 0, got {self.t_total}")
-        if not 0 < self.kappa < math.inf:
+        if not self.kappa > 0:
             raise StructuralError(f"kappa must be finite and > 0, got {self.kappa}")
         if not self.methods:
             raise StructuralError("plan needs at least one method")
-        if not self.h_grid or any(not 0 < h < math.inf for h in self.h_grid):
+        if not self.h_grid or any(not h > 0 for h in self.h_grid):
             raise StructuralError("h_grid must be nonempty with finite positive entries")
         for h in self.h_grid:
             if not math.isfinite(self.t_total / h):

@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import os
@@ -25,7 +26,7 @@ from .bench import (
     run_benchmark,
     stability_probe,
 )
-from .errors import StructuralError, TrotterkitError
+from .errors import RangeError, StructuralError, TrotterkitError
 from .multistage import multistage_order, to_multistage
 from .polyexp import (
     SeriesSpec,
@@ -180,6 +181,8 @@ def _cmd_expm(args):
     else:
         fact = factorize(spec, cache_dir=args.zeros_cache)
         value = complex(eval_factorized(z, 1.0 + 0j, fact))
+    if not cmath.isfinite(value):
+        raise RangeError(f"the {args.mode} value at z = {args.scalar} is not finite: {value}")
     with mp.workdps(40):
         exact = mp.exp(mp.mpc(z))
         rel = float(abs(mp.mpc(value) - exact) / abs(exact))

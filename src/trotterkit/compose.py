@@ -38,7 +38,7 @@ A step is built on the packed identity, one (dim x w) block in which
 sector s holds its identity columns 0..n_s-1 on its own rows, w the widest
 sector padded to _PACK_COLUMNS: the gates act on it through the same
 kernel, and sector s's block of the step is rows s, columns 0..n_s-1
-(`_step_blocks`).  At L = 8 that is a 256 x 80 block instead of the
+(`compose`).  At L = 8 that is a 256 x 80 block instead of the
 256 x 256 identity.  `power_step` powers the blocks one at a time (at
 L = 8, sum n_s^3 = 0.74M multiply-adds per product against 16.8M for the
 whole matrix), and `evolve_sequence` adds the alternate-reversal pair
@@ -240,9 +240,9 @@ class SectorBlocks:
     oracle is returned as one; the blocks are read-only.
 
     `U @ x` multiplies block by block, for any array x whose leading axis
-    is dim: a sector where x is zero gets exact zeros and no product.
-    `np.asarray(U)` scatters the blocks into a zero complex matrix; it is
-    the one dense form.
+    is dim: a sector where x is zero gets exact zeros and no product, and
+    `U @ V` on equal sectors is a SectorBlocks.  `np.asarray(U)` scatters
+    the blocks into a zero complex matrix; it is the one dense form.
     """
 
     __slots__ = ("sectors", "blocks")
@@ -267,7 +267,14 @@ class SectorBlocks:
     def dtype(self):
         return np.dtype(complex)
 
+    def _same_sectors(self, other):
+        """Whether other is a SectorBlocks on these sectors, in this order."""
+        return (isinstance(other, SectorBlocks) and len(other.sectors) == len(self.sectors)
+                and all(map(np.array_equal, self.sectors, other.sectors)))
+
     def __matmul__(self, x):
+        if self._same_sectors(x):
+            return SectorBlocks(self.sectors, [a @ b for a, b in zip(self.blocks, x.blocks)])
         x = np.asarray(x)
         if x.ndim == 0 or len(x) != self.shape[1]:
             raise DimensionError(f"cannot apply a {self.shape} matrix to shape {x.shape}")
@@ -485,20 +492,14 @@ def _apply_gates(split, sequence, h, block, direction):
     return x
 
 
-def _step_blocks(split, sequence, h, direction):
-    """The sector blocks of one step, in the order of `split.sectors`: the
-    factor sequence applied to the packed identity, whose columns never
-    mix the sectors they hold, since every gate preserves every sector;
-    sector s's block is rows s, columns 0..n_s-1."""
-    x = _apply_gates(split, sequence, h, _packed_identity(split), direction)
-    return [x[s, :len(s)] for s in split.sectors]
-
-
 def compose(split, sequence, h, direction="forward"):
     """The ordered product of e^{A_k * prefactor * c * h} over sequence, as
-    the sector blocks of the step (`_step_blocks`)."""
-    blocks = _step_blocks(split, sequence, h, direction)  # refused past the cap first
-    return SectorBlocks(split.sectors, blocks)
+    the sector blocks of the step: the factor sequence applied to the
+    packed identity (refused past the cap before the sectors are read),
+    whose columns never mix the sectors they hold, since every gate
+    preserves every sector; sector s's block is rows s, columns 0..n_s-1."""
+    x = _apply_gates(split, sequence, h, _packed_identity(split), direction)
+    return SectorBlocks(split.sectors, [x[s, :len(s)] for s in split.sectors])
 
 
 def power_step(blocks, steps):
@@ -515,18 +516,16 @@ def evolve_sequence(split, sequence, h, steps, direction="forward",
 
     With alternate_reversal every second step uses the reversed sequence
     (the adjoint decomposition): the product S S_rev S S_rev ... is the
-    power of the pair S S_rev, times S when steps is odd, each formed
-    block by block.  A palindromic sequence reuses the step itself, so its
-    result is bit-identical to the non-alternating one.
+    power of the pair S S_rev, times S when steps is odd, each product a
+    `SectorBlocks @` of block products.  A palindromic sequence reuses the
+    step itself, so its result is bit-identical to the non-alternating one.
     """
     steps = integer_field(steps, "steps")
     if steps < 1:
         raise StructuralError(f"steps must be >= 1, got {steps}")
-    step = _step_blocks(split, sequence, h, direction)
+    step = compose(split, sequence, h, direction)
     if not alternate_reversal or sequence[::-1] == sequence:
-        return SectorBlocks(split.sectors, power_step(step, steps))
-    reversed_step = _step_blocks(split, sequence[::-1], h, direction)
-    u = power_step([a @ b for a, b in zip(step, reversed_step)], steps // 2)
-    if steps % 2:
-        u = [a @ b for a, b in zip(u, step)]
-    return SectorBlocks(split.sectors, u)
+        return SectorBlocks(split.sectors, power_step(step.blocks, steps))
+    pair = step @ compose(split, sequence[::-1], h, direction)
+    u = SectorBlocks(split.sectors, power_step(pair.blocks, steps // 2))
+    return u @ step if steps % 2 else u

@@ -72,13 +72,10 @@ class ConvergenceError(TrotterkitError):
 
 
 def real_field(value, name):
-    """value as a float, or a StructuralError naming the field (bools refused)."""
+    """value as a finite float, or a StructuralError naming the field (bools refused)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise StructuralError(f"{name!r} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise StructuralError(f"{name!r} must be finite, got {value!r}") from None
+    return complex_field(value, name).real
 
 
 def complex_field(value, name):

@@ -7,8 +7,9 @@ rewritten as q sweeps over Lambda operators,
 
 where an ascending block is e^{A_1 c h} e^{A_2 c h} ... e^{A_L c h} and a
 descending block runs k = L..1.  For Lambda = 2 adjacent same-operator
-exponentials merge and U reduces to S exactly; for general Lambda the
-order of the source scheme is preserved.  Reversing the (c, d) sequence
+exponentials merge and U reduces to S exactly (which inverts the
+transform); for general Lambda the order of the source scheme is
+preserved.  Reversing the (c, d) sequence
 yields the adjoint decomposition, and alternating the two across steps
 elevates an odd-order scheme to the next even order.  Every operator here
 is built from the scheme's merged factor sequence by `compose`: one step's
@@ -36,7 +37,6 @@ __all__ = [
     "MultiStageScheme",
     "OperatorSplit",
     "to_multistage",
-    "reconstruct_two_stage",
     "apply_two_stage",
     "apply_multistage",
     "evolve",
@@ -89,7 +89,7 @@ def to_multistage(scheme):
     """Transform (a, b) to (c, d): c1=a1, d1=b1-c1, ci=ai-d(i-1), di=bi-ci.
 
     The recurrence consumes a_1..a_q and b_1..b_q; consistency forces the
-    final a_{q+1} to close the sequence (checked by the round trip).
+    final a_{q+1} to close the sequence.  Its inverse is `factor_sequence(2)`.
     """
     report = _require_consistent(scheme)
     c = [scheme.a[0]]
@@ -109,17 +109,6 @@ def to_multistage(scheme):
         c=tuple(c),
         d=tuple(d),
     )
-
-
-def reconstruct_two_stage(ms):
-    """Invert the transform: a1=c1, bi=ci+di, a(i+1)=di+c(i+1), a(q+1)=dq."""
-    q = ms.q
-    a = [ms.c[0]]
-    b = []
-    for i in range(q):
-        b.append(ms.c[i] + ms.d[i])
-        a.append(ms.d[i] + ms.c[i + 1] if i + 1 < q else ms.d[i])
-    return tuple(a), tuple(b)
 
 
 # ---------------------------------------------------------------------------

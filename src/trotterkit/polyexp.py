@@ -20,8 +20,8 @@ inclusion disks certify that all k were found.  The zeros are kept in an
 in-process memo and, given a directory, in a file there, which is only a
 start: Newton from the stored zeros takes the place of the guesses, and
 what it certifies is served.  They are rounded to doubles for evaluation.
-The Chebyshev coefficients are Bessel values from mpmath J/I seeds plus
-downward recurrence.
+Every Chebyshev path works on one basis, the real working-plane coefficients
+(`_chebyshev_plane`): Bessel values from mpmath J/I seeds plus recurrence.
 """
 
 from __future__ import annotations
@@ -53,9 +53,7 @@ __all__ = [
     "SeriesSpec",
     "Group",
     "FactorizedPolynomial",
-    "bessel",
     "taylor_cutoff",
-    "chebyshev_coefficients",
     "chebyshev_admissible_k",
     "taylor_zeros",
     "chebyshev_zeros",
@@ -92,8 +90,6 @@ class SeriesSpec:
         object.__setattr__(self, "h", real_field(self.h, "h"))
         if self.gamma_scale is not None:
             object.__setattr__(self, "gamma_scale", real_field(self.gamma_scale, "gamma_scale"))
-        if not math.isfinite(self.h):
-            raise StructuralError(f"h must be finite, got {self.h!r}")
         if self.family == "chebyshev":
             if self.gamma_scale is None or not self.gamma_scale > 0:
                 raise StructuralError("chebyshev spec needs gamma_scale > 0")
@@ -137,14 +133,7 @@ class FactorizedPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions (mpmath J/I, and sequences by downward recurrence)
-
-
-def _bessel_function(kind):
-    """mpmath's I or J."""
-    if kind not in ("I", "J"):
-        raise StructuralError(f"kind must be 'I' or 'J', got {kind!r}")
-    return mp.besseli if kind == "I" else mp.besselj
+# Bessel sequences (mpmath J/I seeds, downward recurrence)
 
 
 def _bessel_sequence(kind, n_max, x, *, dps=None):
@@ -156,7 +145,7 @@ def _bessel_sequence(kind, n_max, x, *, dps=None):
     Returns mpmath numbers at dps when it is set (the zero solver needs
     extended-precision coefficients), doubles otherwise.
     """
-    f = _bessel_function(kind)
+    f = mp.besseli if kind == "I" else mp.besselj
     num = float if dps is None else mp.mpf
     if x == 0:
         return [num(1)] + [num(0)] * (n_max + 1)
@@ -170,22 +159,6 @@ def _bessel_sequence(kind, n_max, x, *, dps=None):
             out.append(cur)
     with mp.workdps(dps or 16):
         return [num(v) for v in reversed(out)]
-
-
-def bessel(kind, order, x):
-    """J_order(x) or I_order(x) for x in [0, 500], relative error < 1e-13."""
-    if not isinstance(order, (int, np.integer)) or order < 0:
-        raise RangeError(f"order must be a non-negative integer, got {order!r}")
-    x = float(x)
-    if not x >= 0:  # nan too
-        raise RangeError(f"x must be >= 0, got {x}")
-    if x > BESSEL_X_MAX:
-        raise RangeError(f"x = {x} beyond supported range (<= {BESSEL_X_MAX:g})")
-    if order > 2 * x + 200:
-        raise RangeError(f"order {order} beyond supported range (<= 2x + 200 = {2 * x + 200:g})")
-    f = _bessel_function(kind)
-    with mp.workdps(26):
-        return float(f(int(order), x))
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +199,10 @@ def taylor_cutoff(lambda_max, h, epsilon):
 
 @functools.lru_cache(maxsize=64)
 def _chebyshev_plane(spec, dps=None):
-    """a_0..a_{k+1}, the truncation's coefficients in the working plane w =
-    z / (Gamma*h): mu_i on the real axis and (-i)^i mu_i on the imaginary
-    one, so 2 I_i(Gamma*h) or 2 J_i(Gamma*h) (a_0 undoubled), all real, from
-    mpmath J/I seeds plus downward recurrence.  a_{k+1} is the first
-    coefficient the truncation drops, the recurrence's seed.
+    """a_0..a_{k+1}, the real coefficients of the truncation sum_i a_i t_i(w)
+    in the working plane w = z / (Gamma*h) (t_i as in `eval_summed`): 2
+    I_i(Gamma*h) on the real axis, 2 J_i(Gamma*h) on the imaginary one (a_0
+    undoubled).  a_{k+1} is the first coefficient the truncation drops.
 
     In double precision by default; with dps set, as mpmath numbers at that
     working precision (call it inside mp.workdps(dps)).  A tuple, built once
@@ -245,24 +217,11 @@ def _chebyshev_plane(spec, dps=None):
     return (seq[0], *(2 * f for f in seq[1:]))
 
 
-def chebyshev_coefficients(spec):
-    """mu_0..mu_k of a Chebyshev spec in double precision: Bessel-I on the
-    real axis, phased Bessel-J on the imaginary axis (I_i(i*Gh) = i^i
-    J_i(Gh)), so the working-plane a_i times 1 or i^i."""
-    if spec.family != "chebyshev":
-        raise StructuralError("chebyshev_coefficients needs a chebyshev spec")
-    a = list(_chebyshev_plane(spec)[:-1])
-    if spec.axis == "real":
-        return a
-    # i^i cycles exactly through (1, i, -1, -i); a complex power would not
-    return [(1 + 0j, 1j, -1 + 0j, -1j)[i % 4] * m for i, m in enumerate(a)]
-
-
 def chebyshev_admissible_k(gamma_h, axis, epsilon):
-    """Smallest k with |mu_{k+1}| < epsilon (series tail suppressed), for
-    gamma_h in [0, BESSEL_X_MAX] (1 at gamma_h = 0): |mu_{k+1}| is the
-    dropped coefficient |a_{k+1}| of `_chebyshev_plane`'s builder, run once
-    up to order 2 gamma_h + 200 outside the solve's plane cache."""
+    """Smallest k with |a_{k+1}| < epsilon (series tail suppressed), for
+    gamma_h in [0, BESSEL_X_MAX] (1 at gamma_h = 0): a_{k+1} is the
+    dropped coefficient of `_chebyshev_plane`'s builder, run once up to
+    order 2 gamma_h + 200 outside the solve's plane cache."""
     if not (0 <= gamma_h <= BESSEL_X_MAX and 0 < epsilon < 1):
         raise RangeError(f"need 0 <= gamma_h <= {BESSEL_X_MAX:g}, 0 < epsilon < 1")
     if axis not in ("real", "imaginary"):
@@ -669,7 +628,7 @@ def _clenshaw_guard_bits(a, xs):
     large as max_i |a_i| rho^i (Taylor-like zeros far off the segment have
     rho ~ 2|x| and tiny high-order a_i).  The shortfall grows with rho, so
     the outermost point decides.  a_0..a_k are the working-plane
-    coefficients (`_chebyshev_plane`); |a_i| = |mu_i|."""
+    coefficients (`_chebyshev_plane`)."""
     k = len(a) - 1
     log_rho = _clenshaw_log_rho(xs)
     terms = max(mp.mag(m) + i * log_rho for i, m in enumerate(a) if m != 0)
@@ -1170,7 +1129,9 @@ def eval_summed(h_op, target, spec):
     """Direct accumulation: Taylor running-term sum, or the Chebyshev
     three-term recurrence.  Reference path; unstable for Taylor k > 17 at
     large |lambda h|.  H is applied once per term, k times in all, by
-    `_applier`, as in `eval_factorized`."""
+    `_applier`, as in `eval_factorized`.  The Chebyshev sum is sum_i a_i
+    t_i(M / (Gamma*h)), a_i from `_chebyshev_plane`, t_{i+1} = 2 w t_i - sign
+    t_{i-1}: sign -1 on the imaginary axis (t_i(w) = i^i T_i(w / i)), else 1."""
     k = spec.k
     m, t = _operands(h_op, target)
     if spec.family == "taylor":
@@ -1180,13 +1141,12 @@ def eval_summed(h_op, target, spec):
             term = apply_h(term) / i
             acc = acc + term
         return acc
-    mu = chebyshev_coefficients(spec)
-    gh = spec.gamma_h
-    denom = (1j * gh) if spec.axis == "imaginary" else gh
-    apply_x = _applier(m, spec.h / denom, t, k)
-    t_prev, t_cur = t, apply_x(t)
-    acc = mu[0] * t_prev + mu[1] * t_cur
+    a = _chebyshev_plane(spec)
+    sign = -1 if spec.axis == "imaginary" else 1
+    apply_w = _applier(m, spec.h / spec.gamma_h, t, k)
+    t_prev, t_cur = t, apply_w(t)
+    acc = a[0] * t_prev + a[1] * t_cur
     for i in range(2, k + 1):
-        t_prev, t_cur = t_cur, 2 * apply_x(t_cur) - t_prev
-        acc = acc + mu[i] * t_cur
+        t_prev, t_cur = t_cur, 2 * apply_w(t_cur) - sign * t_prev
+        acc = acc + a[i] * t_cur
     return acc

@@ -98,17 +98,6 @@ class TwoStageScheme:
         """Cycle count (number of force calculations)."""
         return len(self.b)
 
-    def reversed(self):
-        """The adjoint scheme: both coefficient lists reversed."""
-        return TwoStageScheme(
-            name=self.name + "-reversed",
-            order_n=self.order_n,
-            a=self.a[::-1],
-            b=self.b[::-1],
-            symmetric=self.symmetric,
-            source=self.source,
-        )
-
     def factor_sequence(self):
         """Merged (part, coefficient) sequence of S(h) on parts (A, B)."""
         pairs = [(0, self.a[0])]

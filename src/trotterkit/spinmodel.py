@@ -114,10 +114,12 @@ def bond_coloring(cfg):
 
 
 def _bond_matrix(cfg):
-    """The shared two-site bond term J (sx sx + sy sy + Delta sz sz)."""
-    return cfg.J * (
-        np.kron(_SX, _SX) + np.kron(_SY, _SY) + cfg.delta * np.kron(_SZ, _SZ)
-    )
+    """The shared two-site bond term J (sx sx + sy sy + Delta sz sz); where
+    it overflows it is non-finite, with no warning, and `from_terms` refuses it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return cfg.J * (
+            np.kron(_SX, _SX) + np.kron(_SY, _SY) + cfg.delta * np.kron(_SZ, _SZ)
+        )
 
 
 def build_xxz(cfg):
@@ -173,9 +175,7 @@ def frobenius_error(u_approx, u_exact):
     """The Frobenius norm of u_approx - u_exact.  Two `SectorBlocks` on
     equal sectors are read block by block, sqrt(sum_s |u_s - e_s|_F^2);
     anything else as two arrays of one shape."""
-    if (isinstance(u_approx, SectorBlocks) and isinstance(u_exact, SectorBlocks)
-            and len(u_approx.sectors) == len(u_exact.sectors)
-            and all(map(np.array_equal, u_approx.sectors, u_exact.sectors))):
+    if isinstance(u_approx, SectorBlocks) and u_approx._same_sectors(u_exact):
         pairs = zip(u_approx.blocks, u_exact.blocks)
         return EvolutionError(value=math.hypot(*(np.linalg.norm(a - b) for a, b in pairs)))
     if np.shape(u_approx) != np.shape(u_exact):

@@ -78,6 +78,14 @@ def test_plan_refuses_non_finite_values(field, value):
         plan_from_dict(data)
 
 
+@pytest.mark.parametrize("field", ["delta", "J"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_plan_refuses_a_non_finite_model_value(field, value):
+    # the chain refuses it at construction, so no plan holds it
+    with pytest.raises(StructuralError, match=f"'{field}' must be finite"):
+        plan_from_dict({"model": {"L": 4, field: value}})
+
+
 @pytest.mark.parametrize("field, value", [
     ("t_total", "10"), ("t_total", None), ("kappa", True),
     pytest.param("kappa", 10**400, id="kappa-int-past-float"),

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -353,6 +354,30 @@ def test_expm_rejects_unparseable_scalar(capsys):
     rc, out, err = run_cli(capsys, "expm", "--method", "taylor", "--k", "5", "--scalar", "abc")
     assert rc == 1
     assert err.startswith("error:structural:")
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (("expm", "--method", "taylor", "--k", "52", "--scalar=1e308j"), "error:range:"),
+    (("expm", "--method", "taylor", "--k", "52", "--scalar=1e308j", "--sum"), "error:range:"),
+    (("expm", "--method", "chebyshev", "--k", "40", "--gamma-h", "20", "--axis", "imaginary",
+      "--scalar=1e10"), "error:range:"),
+    (("expm", "--method", "chebyshev", "--k", "40", "--gamma-h", "20", "--axis", "imaginary",
+      "--scalar=1e10", "--sum"), "error:range:"),
+    (("model", "xxz", "--L", "3", "--delta", "nan"), "error:structural:"),
+    (("model", "xxz", "--L", "3", "--delta", "inf"), "error:structural:"),
+    (("model", "xxz", "--L", "3", "--J=-inf"), "error:structural:"),
+    (("model", "xxz", "--L", "3", "--J", "1e308", "--delta", "1e308"), "error:structural:"),
+], ids=["expm-taylor-prod", "expm-taylor-sum", "expm-chebyshev-prod", "expm-chebyshev-sum",
+        "xxz-delta-nan", "xxz-delta-inf", "xxz-j-minus-inf", "xxz-bond-overflow"])
+def test_non_finite_input_or_value_is_one_error_line(capsys, argv, prefix):
+    # an overflowing value is refused, not printed as nan with status 0,
+    # and an overflowing bond term is refused without a NumPy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    assert rc == 1 and out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

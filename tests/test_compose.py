@@ -19,7 +19,6 @@ from trotterkit.compose import (
     _eig_expm,
     _hermitian_blocks,
     _narrowed,
-    _step_blocks,
     compose,
     direction_prefactor,
     evolve_sequence,
@@ -608,7 +607,7 @@ def test_sector_power_matches_matrix_power(monkeypatch, L, boundary):
         seq = to_multistage(get_scheme(name)).factor_sequence(split.n_parts)
         for direction in ("forward", "imaginary"):
             step = compose(split, seq, 0.05, direction)
-            blocks = _step_blocks(split, seq, 0.05, direction)
+            blocks = step.blocks
             for steps in (1, 2, 7, 60):
                 want = np.linalg.matrix_power(step, steps)
                 shapes = record_powers(monkeypatch)
@@ -622,7 +621,7 @@ def test_one_sector_split_powers_the_step_whole(monkeypatch):
     split = random_split(3, 16)
     seq = to_multistage(get_scheme("suzuki4")).factor_sequence(3)
     step = compose(split, seq, 0.1)
-    (block,) = _step_blocks(split, seq, 0.1, "forward")
+    (block,) = step.blocks
     assert np.array_equal(block, step)
     want = np.linalg.matrix_power(step, 9)
     shapes = record_powers(monkeypatch)
@@ -668,7 +667,7 @@ def test_cancelling_split_sectors_hold_every_step(split):
     step = full_identity_step(split, seq, 0.1)
     assert np.array_equal(compose(split, seq, 0.1), step)
     want = np.linalg.matrix_power(step, 7)
-    blocks = _step_blocks(split, seq, 0.1, "forward")
+    blocks = compose(split, seq, 0.1).blocks
     evolved = np.asarray(evolve(split, ms, 0.1, 7))
     for got in (scatter(split.sectors, power_step(blocks, 7)), evolved):
         if len(split.sectors) == 1:
@@ -676,11 +675,27 @@ def test_cancelling_split_sectors_hold_every_step(split):
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
+def dense_form_refused(self, dtype=None, copy=None):
+    raise AssertionError("dense form built")
+
+
 def test_evolve_powers_sector_blocks(monkeypatch):
     split = build_xxz(XxzConfig(L=6))
     seq = ((0, 0.3), (1, 0.5), (2, 0.2))  # not a palindrome
     step = compose(split, seq, 0.2)
-    pair = step @ compose(split, seq[::-1], 0.2)
+    reverse = compose(split, seq[::-1], 0.2)
+    with monkeypatch.context() as patch:
+        # the pair is multiplied block by block, with nothing scattered
+        patch.setattr(SectorBlocks, "__array__", dense_form_refused)
+        pair = step @ reverse
+        odd = evolve_sequence(split, seq, 0.2, 7, alternate_reversal=True)
+    assert isinstance(pair, SectorBlocks)
+    products = [a @ b for a, b in zip(step.blocks, reverse.blocks)]
+    assert all(map(np.array_equal, pair.blocks, products))
+    # the odd step is one more block product: bit for bit the blocks of
+    # the powered pair times the step
+    want = [u @ b for u, b in zip(power_step(products, 3), step.blocks)]
+    assert all(map(np.array_equal, odd.blocks, want))
     blocks = [(len(s), len(s)) for s in split.sectors]
     for alternate, base, n in ((False, step, 6), (True, pair, 3)):
         shapes = record_powers(monkeypatch)
@@ -771,13 +786,13 @@ def test_dense_form_is_the_scatter_of_the_built_blocks_bit_for_bit(L, boundary):
         ms = to_multistage(scheme)
         seq = ms.factor_sequence(split.n_parts)
         for direction in ("forward", "imaginary"):
-            step = _step_blocks(split, seq, 0.1, direction)
+            step = compose(split, seq, 0.1, direction).blocks
             want = {
                 "step": scatter(split.sectors, step),
                 "plain": scatter(split.sectors, power_step(step, 5)),
             }
             # a palindromic sequence is its own reversal, and reuses the step
-            reversed_step = _step_blocks(split, seq[::-1], 0.1, direction)
+            reversed_step = compose(split, seq[::-1], 0.1, direction).blocks
             alternate = scatter(split.sectors, pair_power_blocks(step, reversed_step, 5))
             want["alternate"] = want["plain"] if seq[::-1] == seq else alternate
             got = {
@@ -810,7 +825,7 @@ def test_two_stage_dense_form_is_the_scatter_of_the_built_blocks_bit_for_bit():
     for scheme in [LIE, *load_catalog().values()]:
         for direction in ("forward", "imaginary"):
             u = apply_two_stage(*parts, scheme, 0.2, direction)
-            blocks = _step_blocks(split, scheme.factor_sequence(), 0.2, direction)
+            blocks = compose(split, scheme.factor_sequence(), 0.2, direction).blocks
             want = scatter(split.sectors, blocks)
             assert np.array_equal(np.asarray(u), want), (scheme.name, direction)
 
@@ -861,6 +876,21 @@ def test_blocks_times_x_is_the_dense_product(L, boundary):
     assert (values[0] @ np.ones((split.dim, 0))).shape == (split.dim, 0)
 
 
+def test_blocks_times_blocks_on_other_sectors_is_the_dense_product():
+    # only equal sectors multiply block by block; blocks on other sectors
+    # are read as the dense matrix, as any other operand is
+    u = SectorBlocks([np.arange(2), np.arange(2, 4)], [np.eye(2) * 2, np.ones((2, 2))])
+    v = SectorBlocks([np.arange(4)], [np.arange(16.0).reshape(4, 4)])
+    w = SectorBlocks([np.array([0, 2]), np.array([1, 3])], [np.eye(2), np.eye(2) * 3])
+    for x in (v, w):
+        got = u @ x
+        assert type(got) is np.ndarray
+        assert np.array_equal(got, np.asarray(u) @ np.asarray(x))
+    same = u @ SectorBlocks(u.sectors, [np.ones((2, 2)), np.eye(2)])
+    assert isinstance(same, SectorBlocks)
+    assert all(map(np.array_equal, same.blocks, [2 * np.ones((2, 2)), np.ones((2, 2))]))
+
+
 def test_blocks_times_x_refuses_a_wrong_leading_axis():
     split = build_xxz(XxzConfig(L=4))
     u = apply_multistage(split, to_multistage(get_scheme("strang")), 0.1)
@@ -892,10 +922,7 @@ def test_sector_blocks_are_read_only_and_dense_on_request():
 def test_block_results_build_no_dense_evolution(monkeypatch, zeros_cache):
     # with the dense form refused, a state is evolved, a sweep is run and
     # an order is fitted from the blocks alone
-    def refused(self, dtype=None, copy=None):
-        raise AssertionError("dense form built")
-
-    monkeypatch.setattr(SectorBlocks, "__array__", refused)
+    monkeypatch.setattr(SectorBlocks, "__array__", dense_form_refused)
     split = build_xxz(XxzConfig(L=8, boundary="periodic", delta=0.3))
     ms = to_multistage(get_scheme("blanes-moan4"))
     psi = sector_states(split.dim, np.random.default_rng(0))[0][1]

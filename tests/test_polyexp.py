@@ -19,9 +19,7 @@ from trotterkit.bench import BenchPlan, run_benchmark
 from trotterkit.errors import ConvergenceError, DimensionError, RangeError, StructuralError
 from trotterkit.polyexp import (
     SeriesSpec,
-    bessel,
     chebyshev_admissible_k,
-    chebyshev_coefficients,
     chebyshev_zeros,
     eval_factorized,
     eval_summed,
@@ -54,18 +52,25 @@ def mp_exp_poly(k, z, dps=80):
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions
+# Bessel sequences
 
 
-def test_bessel_known_values():
-    assert bessel("I", 0, 0.0) == 1.0
-    assert bessel("J", 0, 0.0) == 1.0
-    assert bessel("I", 1, 1.0) == pytest.approx(0.565159103992485, rel=1e-12)
-    assert abs(bessel("J", 0, 2.404825557695773)) < 1e-10  # first J0 zero
+def bessel_seq(kind, order, x):
+    """f_order(x) from `_bessel_sequence` run from order 2x + 200, the
+    reach of `chebyshev_admissible_k`, so it comes out of the recurrence."""
+    return polyexp._bessel_sequence(kind, int(2 * x) + 200, x)[order]
+
+
+def test_bessel_sequence_known_values():
+    assert polyexp._bessel_sequence("I", 3, 0.0) == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert polyexp._bessel_sequence("J", 3, 0.0) == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert bessel_seq("I", 1, 1.0) == pytest.approx(0.565159103992485, rel=1e-12)
+    assert abs(bessel_seq("J", 0, 2.404825557695773)) < 1e-10  # first J0 zero
 
 
 @pytest.mark.parametrize("kind", ["I", "J"])
-def test_bessel_against_mpmath_grid(kind):
+def test_bessel_sequence_against_mpmath_grid(kind):
+    # every value is the correctly rounded double, up to order 1200 at x = 500
     ref = mp.besseli if kind == "I" else mp.besselj
     for order, x in [
         (0, 0.3),
@@ -80,34 +85,20 @@ def test_bessel_against_mpmath_grid(kind):
         (250, 500.0),
         (1200, 500.0),
     ]:
-        got = bessel(kind, order, x)
+        got = bessel_seq(kind, order, x)
         with mp.workdps(40):
             want = float(ref(order, x))
-        if want == 0.0:
-            assert got == 0.0
-        else:
-            assert got == pytest.approx(want, rel=1e-13)
+        assert got == want, (order, x)
 
 
 @pytest.mark.parametrize("kind", ["I", "J"])
-def test_bessel_against_scipy_grid(kind):
+def test_bessel_sequence_against_scipy_grid(kind):
     # scipy's iv/jv drift to ~1e-10 themselves at large order/argument, so
     # this is a loose independence check next to the tight mpmath one.
     fn = scipy.special.iv if kind == "I" else scipy.special.jv
     for order, x in [(0, 1.0), (3, 7.5), (20, 30.0), (80, 90.0), (146, 100.0)]:
         want = float(fn(order, x))
-        assert bessel(kind, order, x) == pytest.approx(want, rel=5e-10)
-
-
-def test_bessel_range_errors():
-    with pytest.raises(RangeError):
-        bessel("I", 0, -1.0)
-    with pytest.raises(RangeError):
-        bessel("J", 0, 500.5)
-    with pytest.raises(RangeError):
-        bessel("I", 601, 200.0)  # order > 2x + 200
-    with pytest.raises(RangeError):
-        bessel("J", -1, 1.0)
+        assert bessel_seq(kind, order, x) == pytest.approx(want, rel=5e-10)
 
 
 @given(
@@ -115,8 +106,10 @@ def test_bessel_range_errors():
     st.integers(min_value=0, max_value=60),
     st.floats(min_value=0.01, max_value=120.0, allow_nan=False),
 )
-def test_property_bessel_matches_mpmath(kind, order, x):
-    got = bessel(kind, order, x)
+def test_property_bessel_sequence_matches_mpmath(kind, order, x):
+    # seeded at order 61 and 60, so every drawn order below 60 comes out of
+    # the recurrence, the way `_chebyshev_plane` reads a_0..a_{k-1}
+    got = polyexp._bessel_sequence(kind, 60, x)[order]
     ref = mp.besseli if kind == "I" else mp.besselj
     with mp.workdps(40):
         want = float(ref(order, x))
@@ -206,8 +199,8 @@ def test_admissible_tail_is_suppressed():
     for gh, axis, eps in [(20.0, "imaginary", 1e-12), (35.0, "real", 1e-10)]:
         k = chebyshev_admissible_k(gh, axis, eps)
         kind = "J" if axis == "imaginary" else "I"
-        assert 2.0 * abs(bessel(kind, k + 1, gh)) < eps
-        assert 2.0 * abs(bessel(kind, k, gh)) >= eps
+        assert 2.0 * abs(bessel_seq(kind, k + 1, gh)) < eps
+        assert 2.0 * abs(bessel_seq(kind, k, gh)) >= eps
 
 
 @contextlib.contextmanager
@@ -237,10 +230,9 @@ def _within(seconds):
     lambda: chebyshev_admissible_k(math.inf, "real", 1e-8),
     lambda: chebyshev_admissible_k(1e6, "imaginary", 1e-8),
     lambda: chebyshev_admissible_k(polyexp.BESSEL_X_MAX * (1 + 1e-15), "imaginary", 1e-8),
-    lambda: bessel("J", 2, math.nan),
 ], ids=["taylor-inf-lambda", "taylor-inf-h", "taylor-overflow", "taylor-nan-lambda",
         "taylor-nan-h", "taylor-k-overflow", "chebyshev-nan", "chebyshev-inf", "chebyshev-1e6",
-        "chebyshev-past-max", "bessel-nan"])
+        "chebyshev-past-max"])
 def test_out_of_range_cutoff_and_bessel_input_is_refused_within_a_second(call):
     with _within(1.0), pytest.raises(RangeError):
         call()
@@ -276,7 +268,7 @@ def test_taylor_cutoff_search_matches_the_step_by_step_count():
 
 def test_admissible_k_takes_the_largest_supported_gamma_h():
     k = chebyshev_admissible_k(polyexp.BESSEL_X_MAX, "imaginary", 1e-8)
-    assert 2.0 * abs(bessel("J", k + 1, polyexp.BESSEL_X_MAX)) < 1e-8
+    assert 2.0 * abs(bessel_seq("J", k + 1, polyexp.BESSEL_X_MAX)) < 1e-8
 
 
 def test_taylor_to_chebyshev_k_ratio():
@@ -336,45 +328,34 @@ def test_series_spec_refuses_a_non_number(family, field, value):
 
 
 def test_chebyshev_helpers_reject_taylor_spec():
-    t = SeriesSpec("taylor", 5)
     with pytest.raises(StructuralError):
-        chebyshev_coefficients(t)
-    with pytest.raises(StructuralError):
-        chebyshev_zeros(t)
+        chebyshev_zeros(SeriesSpec("taylor", 5))
 
 
 @pytest.mark.parametrize("k, gh, axis", [(302, 100.0, "imaginary"), (304, 20.0, "real")])
-def test_chebyshev_coefficients_correctly_rounded(k, gh, axis):
-    mu = chebyshev_coefficients(SeriesSpec("chebyshev", k, gamma_scale=gh, axis=axis))
+def test_chebyshev_plane_correctly_rounded(k, gh, axis):
+    a = polyexp._chebyshev_plane(SeriesSpec("chebyshev", k, gamma_scale=gh, axis=axis))
+    assert len(a) == k + 2
     with mp.workdps(50):
-        for i, got in enumerate(mu):
-            if axis == "imaginary":
-                want = mp.mpc(0, 1) ** i * mp.besselj(i, gh)
-            else:
-                want = mp.besseli(i, gh)
+        for i, got in enumerate(a):
+            want = mp.besselj(i, gh) if axis == "imaginary" else mp.besseli(i, gh)
             want = want if i == 0 else 2 * want
             if abs(want) > 1e-290:
-                assert abs(mp.mpc(got) - want) <= 2e-16 * abs(want), i
+                assert abs(mp.mpf(got) - want) <= 2e-16 * abs(want), i
 
 
-def test_chebyshev_coefficients_exact_quarter_turn_phase():
-    mu = chebyshev_coefficients(SeriesSpec("chebyshev", 152, gamma_scale=100.0, axis="imaginary"))
-    assert all(m.imag == 0.0 for m in mu[0::2])
-    assert all(m.real == 0.0 for m in mu[1::2])
+def test_chebyshev_plane_high_order_tiny_argument():
+    # a_i underflows to zero from i = 80 on; nothing overflows on the way.
+    a = polyexp._chebyshev_plane(SeriesSpec("chebyshev", 200, gamma_scale=0.005, axis="real"))
+    assert len(a) == 202
+    assert all(math.isfinite(m) for m in a)
+    assert a[0] == pytest.approx(1.0, rel=1e-5)
 
 
-def test_chebyshev_coefficients_high_order_tiny_argument():
-    # mu_i underflows to zero from i = 80 on; nothing overflows on the way.
-    mu = chebyshev_coefficients(SeriesSpec("chebyshev", 200, gamma_scale=0.005, axis="real"))
-    assert len(mu) == 201
-    assert all(math.isfinite(m) for m in mu)
-    assert mu[0] == pytest.approx(1.0, rel=1e-5)
-
-
-def test_chebyshev_coefficients_range_gate():
+def test_chebyshev_plane_range_gate():
     spec = SeriesSpec("chebyshev", 10, gamma_scale=501.0, axis="real", h=1.0)
     with pytest.raises(RangeError):
-        chebyshev_coefficients(spec)
+        polyexp._chebyshev_plane(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -1346,10 +1327,11 @@ def test_factorize_taylor_scale_is_one(zeros_cache):
 
 def test_factorize_chebyshev_scale_matches_p0(zeros_cache):
     # The product form is scale * prod(1 - z/z_i); at z = 0 that is scale,
-    # so scale must equal P(0) = mu_0 + sum_i mu_i T_i(0).
+    # so scale must equal P(0) = a_0 + sum_i a_i t_i(0).
     spec = SeriesSpec("chebyshev", 1, gamma_scale=2.0, axis="imaginary", h=1.0)
     fact = factorize(spec, cache_dir=zeros_cache)
-    assert fact.overall_scale == pytest.approx(bessel("J", 0, 2.0), rel=1e-13)
+    with mp.workdps(40):
+        assert fact.overall_scale == pytest.approx(float(mp.besselj(0, 2.0)), rel=1e-13)
     # and for an admissible k it approximates exp(0) = 1
     gh = 20.0
     k = chebyshev_admissible_k(gh, "imaginary", 1e-12)
@@ -1361,8 +1343,9 @@ def test_factorize_chebyshev_scale_matches_p0(zeros_cache):
 def test_chebyshev_k1_zero_matches_coefficients(zeros_cache):
     spec = SeriesSpec("chebyshev", 1, gamma_scale=2.0, axis="imaginary", h=1.0)
     fact = factorize(spec, cache_dir=zeros_cache)
-    mu = chebyshev_coefficients(spec)
-    assert fact.zeros[0] == pytest.approx(-mu[0] / mu[1] * (1j * 2.0), rel=1e-13)
+    a = polyexp._chebyshev_plane(spec)
+    # a_0 + a_1 w vanishes at w = -a_0 / a_1, z = w * Gamma*h
+    assert fact.zeros[0] == pytest.approx(-a[0] / a[1] * 2.0, rel=1e-13)
 
 
 def hand_built(axis, zero):
@@ -1503,12 +1486,55 @@ def test_eval_matrix_diagonal_case(zeros_cache):
 
 
 def test_chebyshev_t2_recurrence_path():
-    # mu_0 T_0 + mu_1 T_1(x) + mu_2 T_2(x) at x = 0.5: T_2(0.5) = -0.5.
+    # a_0 T_0 + a_1 T_1(x) + a_2 T_2(x) at x = 0.5: T_2(0.5) = -0.5.
     spec = SeriesSpec("chebyshev", 2, gamma_scale=1.0, axis="real", h=1.0)
-    mu = chebyshev_coefficients(spec)
+    a = polyexp._chebyshev_plane(spec)
     got = eval_summed(np.array([[0.5]], dtype=complex), np.eye(1, dtype=complex), spec)[0, 0]
-    want = mu[0] + mu[1] * 0.5 + mu[2] * (-0.5)
+    want = a[0] + a[1] * 0.5 + a[2] * (-0.5)
     assert got == pytest.approx(want, rel=1e-14)
+
+
+def mu_basis_summed(h_op, target, spec):
+    """The Chebyshev branch of `eval_summed` as it was in the phased basis:
+    mu_i = a_i on the real axis and i^i a_i on the imaginary one, summed
+    over T_i(x) for x = M / (Gamma*h) or M / (i Gamma*h)."""
+    a = polyexp._chebyshev_plane(spec)[:-1]
+    if spec.axis == "real":
+        mu = list(a)
+    else:
+        # i^i cycles exactly through (1, i, -1, -i); a complex power would not
+        mu = [(1 + 0j, 1j, -1 + 0j, -1j)[i % 4] * m for i, m in enumerate(a)]
+    m, t = polyexp._operands(h_op, target)
+    denom = (1j * spec.gamma_h) if spec.axis == "imaginary" else spec.gamma_h
+    apply_x = polyexp._applier(m, spec.h / denom, t, spec.k)
+    t_prev, t_cur = t, apply_x(t)
+    acc = mu[0] * t_prev + mu[1] * t_cur
+    for i in range(2, spec.k + 1):
+        t_prev, t_cur = t_cur, 2 * apply_x(t_cur) - t_prev
+        acc = acc + mu[i] * t_cur
+    return acc
+
+
+@pytest.mark.parametrize("k", [1, 2, 40, 100])
+@pytest.mark.parametrize("axis", ["real", "imaginary"])
+def test_summed_chebyshev_is_the_mu_basis_sum_bit_for_bit(k, axis):
+    # the working-plane recurrence t_{i+1} = 2 w t_i - sign t_{i-1} gives
+    # t_i(w) = i^i T_i(x) exactly, so every byte agrees, signed zeros too
+    h_total = build_xxz(XxzConfig(L=8)).total
+    gamma = suggest_gamma(h_total)
+    gen = -1j * h_total if axis == "imaginary" else -h_total
+    states = chain_states(8)
+    block = np.random.default_rng(47).normal(size=(256, 3)) + 0j
+    for h in (0.1, 1.0):
+        spec = SeriesSpec("chebyshev", k, gamma_scale=gamma, axis=axis, h=h)
+        reach = 0.9 * spec.gamma_h / h
+        scalars = [(z, 1.0 + 0j) for z in (0j, 0.3j * reach, -1j * reach, -reach + 0j, 0.6 * reach + 0j)]
+        cases = scalars + [(gen, states["neel"]), (gen, states["random"]), (gen, block)]
+        for h_op, target in cases:
+            got = np.asarray(eval_summed(h_op, target, spec))
+            want = np.asarray(mu_basis_summed(h_op, target, spec))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (h, np.shape(target), h_op if np.isscalar(h_op) else "H")
 
 
 def test_chebyshev_eval_matches_exp_on_imaginary_axis(zeros_cache):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from math import comb
 
 import numpy as np
@@ -52,6 +53,21 @@ def test_config_validation():
 def test_config_refuses_a_field_of_the_wrong_type(field, value):
     with pytest.raises(StructuralError, match=f"'{field}'"):
         XxzConfig(**dict({"L": 4}, **{field: value}))
+
+
+@pytest.mark.parametrize("field", ["delta", "J"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_refuses_a_non_finite_field(field, value):
+    with pytest.raises(StructuralError, match=f"'{field}' must be finite"):
+        XxzConfig(**{"L": 3, field: value})
+
+
+def test_bond_term_that_overflows_is_refused_without_a_warning():
+    # 1e308 * 1e308 overflows inside the bond term; the split refuses it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructuralError, match=r"term \(0, 1\) of part 0 has a non-finite entry"):
+            build_xxz(XxzConfig(L=3, J=1e308, delta=1e308))
 
 
 def test_config_stores_an_integral_length_as_an_int():
