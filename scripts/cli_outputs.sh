@@ -175,6 +175,17 @@ run expm-chebyshev-real-sum expm --method chebyshev --k 16 --gamma-h 2.5 --axis 
 # a value that overflows is refused with one error:range: line
 expect=1 run expm-taylor-overflow expm --method taylor --k 52 --scalar=1e308j
 expect=1 run expm-chebyshev-overflow expm --method chebyshev --k 40 --gamma-h 20 --axis imaginary --scalar=1e10
+# so is a finite value whose e^z overflows or underflows the double range
+expect=1 run expm-taylor-exact-overflow expm --method taylor --k 52 --scalar=1000
+expect=1 run expm-taylor-exact-underflow-sum expm --method taylor --k 52 --scalar=-800 --sum
+# one SeriesSpec per command: a Taylor command refuses the Chebyshev
+# settings, and a Chebyshev one without them gets SeriesSpec's refusal
+expect=1 run zeros-taylor-gamma-h zeros --family taylor --k 5 --gamma-h 2
+expect=1 run expm-taylor-axis expm --method taylor --k 5 --axis real --scalar=1
+expect=1 run zeros-chebyshev-no-gamma-h zeros --family chebyshev --k 5
+# zeros serves a real-axis truncation far below its admissible k, whose
+# zero at 96.46 on the approximation segment factorize refuses
+run zeros-chebyshev-20-100-real zeros --family chebyshev --k 20 --gamma-h 100 --axis real
 # the spectrum is the sector blocks' eigenvalues: the four model-xxz
 # entries moved in their last bits (at most 1.1e-13 at L = 10) when they
 # stopped coming from a whole-matrix eigvalsh, so a tree from before that

@@ -28,15 +28,7 @@ from .bench import (
 )
 from .errors import RangeError, StructuralError, TrotterkitError
 from .multistage import multistage_order, to_multistage
-from .polyexp import (
-    SeriesSpec,
-    chebyshev_zeros,
-    eval_factorized,
-    eval_summed,
-    factorize,
-    gamma_for,
-    taylor_zeros,
-)
+from .polyexp import SeriesSpec, eval_factorized, eval_summed, factorize, truncation_zeros
 from .schemes import (
     _exact_order,
     _lookup,
@@ -152,30 +144,19 @@ def _cmd_adapt(args):
     return 0
 
 
-def _chebyshev_spec(args):
-    if args.gamma_h is None or args.axis is None:
-        raise StructuralError("chebyshev needs --gamma-h and --axis")
-    return SeriesSpec("chebyshev", args.k, gamma_scale=args.gamma_h, axis=args.axis)
-
-
 def _cmd_zeros(args):
-    if args.family == "taylor":
-        zeros = taylor_zeros(args.k, cache_dir=args.zeros_cache)
-    else:
-        zeros = chebyshev_zeros(_chebyshev_spec(args), cache_dir=args.zeros_cache)
-    gammas = gamma_for(zeros, args.k)
+    spec = SeriesSpec(args.family, args.k, gamma_scale=args.gamma_h, axis=args.axis)
+    zeros = truncation_zeros(spec, cache_dir=args.zeros_cache)
     print("index,z_re,z_im,gamma_re,gamma_im")
-    for i, (z, g) in enumerate(zip(zeros, gammas)):
+    for i, z in enumerate(zeros):
+        g = -args.k / z
         print(f"{i},{_g(z.real)},{_g(z.imag)},{_g(g.real)},{_g(g.imag)}")
     return 0
 
 
 def _cmd_expm(args):
     z = _parse_complex(args.scalar)
-    if args.method == "taylor":
-        spec = SeriesSpec("taylor", args.k)
-    else:
-        spec = _chebyshev_spec(args)
+    spec = SeriesSpec(args.method, args.k, gamma_scale=args.gamma_h, axis=args.axis)
     if args.mode == "sum":
         value = complex(eval_summed(z, 1.0 + 0j, spec))
     else:
@@ -187,6 +168,9 @@ def _cmd_expm(args):
         exact = mp.exp(mp.mpc(z))
         rel = float(abs(mp.mpc(value) - exact) / abs(exact))
         exact_c = complex(exact)
+    if not (cmath.isfinite(exact_c) and cmath.isfinite(rel)) or exact_c == 0:
+        raise RangeError(f"e^z at z = {args.scalar} is {exact_c} in double precision, "
+                         f"relative error {rel}: outside the double range")
     print("value_re,value_im,exact_re,exact_im,rel_error")
     print(
         f"{_g(value.real)},{_g(value.imag)},"

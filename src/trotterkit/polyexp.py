@@ -8,7 +8,9 @@ real or imaginary segment) is rewritten over its complex zeros z_i as
 and evaluated as a product of degree-<=2 real-coefficient factors
 (conjugate pairs merged).  The product form stays accurate where the
 direct sum suffers catastrophic cancellation (large negative or large
-imaginary arguments with k > 17).
+imaginary arguments with k > 17).  One `SeriesSpec` names the truncation,
+`truncation_zeros` is the one door to its zeros, and `factorize` builds
+its plan from them by position alone.
 
 Zeros are computed once in extended precision by certified Newton: from
 asymptotic guesses polished in double precision (Taylor) or colleague-matrix
@@ -55,10 +57,7 @@ __all__ = [
     "FactorizedPolynomial",
     "taylor_cutoff",
     "chebyshev_admissible_k",
-    "taylor_zeros",
-    "chebyshev_zeros",
-    "gamma_for",
-    "order_factors",
+    "truncation_zeros",
     "factorize",
     "eval_factorized",
     "eval_summed",
@@ -73,8 +72,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """Which truncation: family, order k (an int), and (Chebyshev) scale
-    and axis; h and gamma_scale are numbers, stored as floats."""
+    """Which truncation: family, order k (an int), and for Chebyshev alone
+    the scale and axis; h and gamma_scale are numbers, stored as floats."""
 
     family: str
     k: int
@@ -90,15 +89,16 @@ class SeriesSpec:
         object.__setattr__(self, "h", real_field(self.h, "h"))
         if self.gamma_scale is not None:
             object.__setattr__(self, "gamma_scale", real_field(self.gamma_scale, "gamma_scale"))
-        if self.family == "chebyshev":
+        if self.family == "taylor":
+            if (self.gamma_scale, self.axis) != (None, None):
+                raise StructuralError("a taylor spec takes no gamma_scale or axis")
+        else:
             if self.gamma_scale is None or not self.gamma_scale > 0:
                 raise StructuralError("chebyshev spec needs gamma_scale > 0")
             if not 0 < self.gamma_h < math.inf:
                 raise StructuralError(f"Gamma*h must be finite and > 0, got {self.gamma_h!r}")
             if self.axis not in ("real", "imaginary"):
-                raise StructuralError(
-                    f"axis must be 'real' or 'imaginary', got {self.axis!r}"
-                )
+                raise StructuralError(f"axis must be 'real' or 'imaginary', got {self.axis!r}")
 
     @property
     def gamma_h(self):
@@ -747,18 +747,11 @@ def _zeros_mp(spec, start=None):
 
 
 def _sort_conjugate_closed(zs):
-    """Deterministic order: real zeros first (ascending), then each
-    upper-half zero immediately followed by its conjugate.  Raises
-    ConvergenceError unless the set is exactly closed under conjugation."""
+    """Deterministic order of a certified zero set, which holds the exact
+    conjugate of each non-real zero (`_newton_certified`): real zeros first
+    (ascending), then each upper-half zero followed by its conjugate."""
     reals = sorted(z.real for z in zs if z.imag == 0)
     upper = sorted((z for z in zs if z.imag > 0), key=lambda z: (z.imag, z.real))
-    lower = sorted((z.conjugate() for z in zs if z.imag < 0), key=lambda z: (z.imag, z.real))
-    if upper != lower or len(reals) + 2 * len(upper) != len(zs):
-        raise ConvergenceError(
-            f"zero set not conjugate-closed: {len(zs)} roots, "
-            f"{len(reals)} real, {len(upper)} above and {len(lower)} below the real axis",
-            worst_residual=math.inf,
-        )
     return [complex(x, 0.0) for x in reals] + [w for z in upper for w in (z, z.conjugate())]
 
 
@@ -783,12 +776,15 @@ def _stored_zeros(path, header):
 _memo = {}
 
 
-def _zeros_cached(spec, cache_dir):
-    """The zeros of spec, sorted by `_sort_conjugate_closed`, from the
+def truncation_zeros(spec, *, cache_dir=None):
+    """All k z-plane zeros of spec's truncation as doubles, in
+    `_sort_conjugate_closed` order, for 1 <= k <= TAYLOR_K_MAX, from the
     in-process memo or `_zeros_mp`.  With a cache_dir, the spec's zero file
     there is a start for the solve: what that solve certifies is served, a
     start it cannot certify from is dropped for the family's guesses, and
     the file is rewritten only when the served zeros differ from it."""
+    if spec.k > TAYLOR_K_MAX:
+        raise RangeError(f"k must be in [1, {TAYLOR_K_MAX}], got {spec.k}")
     # the file's record of its spec names the file; Taylor specs of any h share one
     cheb = spec.family == "chebyshev"
     header = {"family": spec.family, "k": spec.k,
@@ -823,60 +819,28 @@ def _zeros_cached(spec, cache_dir):
     return zs
 
 
-def _solvable(k):
-    """k, refused with RangeError unless a zero solve supports it."""
-    if not 1 <= k <= TAYLOR_K_MAX:
-        raise RangeError(f"k must be in [1, {TAYLOR_K_MAX}], got {k}")
-    return k
-
-
-def taylor_zeros(k, *, cache_dir=None):
-    """All k zeros of sum_{i<=k} z^i/i!, conjugate-closed, as doubles."""
-    return _zeros_cached(SeriesSpec("taylor", _solvable(k)), cache_dir)
-
-
-def chebyshev_zeros(spec, *, cache_dir=None):
-    """All k z-plane zeros of the Chebyshev truncation, conjugate-closed."""
-    if spec.family != "chebyshev":
-        raise StructuralError("chebyshev_zeros needs a chebyshev spec")
-    _solvable(spec.k)
-    return _zeros_cached(spec, cache_dir)
-
-
 # ---------------------------------------------------------------------------
 # factor ordering and assembly
 
 
-def gamma_for(zeros, k):
-    """Factor coefficients gamma_i = -k / z_i, in the zeros' order.  Complex
-    division by a conjugate gives the exact conjugate, so conjugate zeros
-    give exactly conjugate gammas."""
-    return [-k / z for z in zeros]
-
-
-def order_factors(gammas):
+def _plan(zeros, k):
     """Deterministic greedy evaluation plan over conjugate-merged groups.
 
-    The gammas keep the zeros' `_sort_conjugate_closed` order: a real gamma
-    (imag == 0) is a lin group, and a non-real one followed by its exact
-    conjugate a quad group; anything else is refused with StructuralError.
-    Groups are picked so the running sum of real parts tracks the ideal
-    linear progress line total * (factors consumed / total factors); ties
-    break on smaller |Im gamma|, then position.
+    The zeros are in `_sort_conjugate_closed` order and each factor is
+    gamma = -k / z: a real zero is a lin group, and a non-real one and the
+    exact conjugate after it a quad group.  Groups are picked so the
+    running sum of real parts tracks the ideal linear progress line total *
+    (factors consumed / total factors); ties break on smaller |Im gamma|,
+    then position.
     """
-    gam = list(gammas)
     groups, ties = [], []  # ties[j]: group j's (|Im gamma|, position)
     i = 0
-    while i < len(gam):
-        g = gam[i]
-        if g.imag == 0:
+    while i < len(zeros):
+        g = -k / zeros[i]
+        if zeros[i].imag == 0:
             groups.append(Group("lin", (g.real,)))
-        elif i + 1 < len(gam) and gam[i + 1] == g.conjugate():
-            groups.append(Group("quad", (2 * g.real, abs(g) ** 2)))
         else:
-            raise StructuralError(
-                f"gammas not conjugate-closed: no partner for index {i} ({g!r}) next to it"
-            )
+            groups.append(Group("quad", (2 * g.real, abs(g) ** 2)))
         ties.append((abs(g.imag), i))
         i += len(groups[-1].coeffs)
 
@@ -885,7 +849,7 @@ def order_factors(gammas):
     plan, cum, consumed = [], 0.0, 0
     while remaining:
         best = min(remaining, key=lambda j: (
-            abs((cum + groups[j].coeffs[0]) - total * (consumed + len(groups[j].coeffs)) / len(gam)),
+            abs((cum + groups[j].coeffs[0]) - total * (consumed + len(groups[j].coeffs)) / len(zeros)),
             *ties[j]))
         remaining.remove(best)
         g = groups[best]
@@ -908,14 +872,12 @@ def r_valid(fact):
 
 
 def factorize(spec, *, cache_dir=None):
-    """The zeros, their groups in plan order (`order_factors` on `gamma_for`)
+    """The zeros (`truncation_zeros`), their groups in plan order (`_plan`)
     and the scale: 1 for Taylor, and for Chebyshev p(0), read with the zero
     clearance check's a_{k+1} at the solve's first precision `_working_dps`."""
-    if spec.family == "taylor":
-        zeros = taylor_zeros(spec.k, cache_dir=cache_dir)
-        scale = 1.0
-    else:
-        zeros = chebyshev_zeros(spec, cache_dir=cache_dir)
+    zeros = truncation_zeros(spec, cache_dir=cache_dir)
+    scale = 1.0
+    if spec.family == "chebyshev":
         dps = _working_dps(spec)
         sign = -1 if spec.axis == "imaginary" else 1
         with mp.workdps(dps):
@@ -927,7 +889,7 @@ def factorize(spec, *, cache_dir=None):
                 p0 = a - sign * p0
         scale = float(p0)
         _check_zero_clearance(spec, zeros, plane[-1])
-    return FactorizedPolynomial(spec, tuple(zeros), order_factors(gamma_for(zeros, spec.k)), scale)
+    return FactorizedPolynomial(spec, tuple(zeros), _plan(zeros, spec.k), scale)
 
 
 def _check_zero_clearance(spec, zeros, dropped):

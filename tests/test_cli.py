@@ -236,8 +236,31 @@ def test_zeros_taylor_table(capsys, tmp_path):
 
 def test_zeros_chebyshev_requires_scale(capsys):
     rc, out, err = run_cli(capsys, "zeros", "--family", "chebyshev", "--k", "5")
-    assert rc == 1
-    assert err.startswith("error:structural:")
+    assert rc == 1 and out == ""
+    assert err == "error:structural: chebyshev spec needs gamma_scale > 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeros", "--family", "taylor", "--k", "5", "--gamma-h", "2"),
+    ("zeros", "--family", "taylor", "--k", "5", "--axis", "imaginary"),
+    ("expm", "--method", "taylor", "--k", "5", "--axis", "real", "--scalar=1"),
+    ("expm", "--method", "taylor", "--k", "5", "--gamma-h", "2", "--scalar=1", "--sum"),
+])
+def test_taylor_commands_refuse_the_chebyshev_options(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err == "error:structural: a taylor spec takes no gamma_scale or axis\n"
+
+
+def test_zeros_serves_a_truncation_that_factorize_refuses(capsys):
+    # zeros prints a real-axis truncation far below its admissible k whose
+    # zero on the approximation segment expm's factorization refuses
+    args = ("--k", "20", "--gamma-h", "100", "--axis", "real")
+    rc, out, err = run_cli(capsys, "zeros", "--family", "chebyshev", *args)
+    assert rc == 0 and err == "" and len(out.splitlines()) == 21
+    rc, out, err = run_cli(capsys, "expm", "--method", "chebyshev", *args, "--scalar=1")
+    assert rc == 1 and out == ""
+    assert err.startswith("error:structural: zero at ") and "approximation segment" in err
 
 
 def test_zeros_chebyshev_refuses_infinite_gamma_h(capsys, tmp_path):
@@ -363,11 +386,16 @@ def test_expm_rejects_unparseable_scalar(capsys):
       "--scalar=1e10"), "error:range:"),
     (("expm", "--method", "chebyshev", "--k", "40", "--gamma-h", "20", "--axis", "imaginary",
       "--scalar=1e10", "--sum"), "error:range:"),
+    # a finite value whose e^z overflows or underflows the double range
+    (("expm", "--method", "taylor", "--k", "52", "--scalar=1000"), "error:range:"),
+    (("expm", "--method", "taylor", "--k", "52", "--scalar=-800"), "error:range:"),
+    (("expm", "--method", "taylor", "--k", "52", "--scalar=-800", "--sum"), "error:range:"),
     (("model", "xxz", "--L", "3", "--delta", "nan"), "error:structural:"),
     (("model", "xxz", "--L", "3", "--delta", "inf"), "error:structural:"),
     (("model", "xxz", "--L", "3", "--J=-inf"), "error:structural:"),
     (("model", "xxz", "--L", "3", "--J", "1e308", "--delta", "1e308"), "error:structural:"),
 ], ids=["expm-taylor-prod", "expm-taylor-sum", "expm-chebyshev-prod", "expm-chebyshev-sum",
+        "expm-exact-overflow", "expm-exact-underflow", "expm-exact-underflow-sum",
         "xxz-delta-nan", "xxz-delta-inf", "xxz-j-minus-inf", "xxz-bond-overflow"])
 def test_non_finite_input_or_value_is_one_error_line(capsys, argv, prefix):
     # an overflowing value is refused, not printed as nan with status 0,

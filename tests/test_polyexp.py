@@ -14,22 +14,20 @@ import pytest
 import scipy.special
 from hypothesis import given, strategies as st
 
+import trotterkit
 from trotterkit import bench, polyexp
 from trotterkit.bench import BenchPlan, run_benchmark
 from trotterkit.errors import ConvergenceError, DimensionError, RangeError, StructuralError
 from trotterkit.polyexp import (
     SeriesSpec,
     chebyshev_admissible_k,
-    chebyshev_zeros,
     eval_factorized,
     eval_summed,
     factorize,
-    gamma_for,
-    order_factors,
     r_valid,
     suggest_gamma,
     taylor_cutoff,
-    taylor_zeros,
+    truncation_zeros,
 )
 from trotterkit.spinmodel import XxzConfig, build_xxz
 from trotterkit.tolerances import TAYLOR_K_MAX
@@ -240,9 +238,9 @@ def test_out_of_range_cutoff_and_bessel_input_is_refused_within_a_second(call):
 
 @pytest.mark.parametrize("call", [
     lambda spec: factorize(spec),
-    lambda spec: chebyshev_zeros(spec),
+    lambda spec: truncation_zeros(spec),
     lambda spec: eval_summed(1j, 1.0, spec),
-], ids=["factorize", "chebyshev_zeros", "eval_summed"])
+], ids=["factorize", "truncation_zeros", "eval_summed"])
 def test_gamma_h_past_the_bessel_range_is_refused_on_every_chebyshev_path(call):
     spec = SeriesSpec("chebyshev", 40, gamma_scale=math.nextafter(polyexp.BESSEL_X_MAX, math.inf),
                       axis="imaginary")
@@ -283,6 +281,11 @@ def test_suggest_gamma():
     assert suggest_gamma(None, eigvals=[-4.0, 2.0]) == pytest.approx(1.01 * 4.0, rel=1e-15)
 
 
+def test_every_public_name_resolves():
+    for module in (trotterkit, polyexp):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
 # ---------------------------------------------------------------------------
 # spec validation
 
@@ -303,8 +306,6 @@ def test_series_spec_validation():
     for k in (5.5, 5.0, True):
         with pytest.raises(StructuralError):
             SeriesSpec("taylor", k)
-    with pytest.raises(StructuralError):
-        taylor_zeros(5.5)
     for h in (math.inf, math.nan):
         with pytest.raises(StructuralError):
             SeriesSpec("taylor", 5, h=h)
@@ -327,9 +328,14 @@ def test_series_spec_refuses_a_non_number(family, field, value):
         SeriesSpec(family, 10, **dict(fields, **{field: value}))
 
 
-def test_chebyshev_helpers_reject_taylor_spec():
-    with pytest.raises(StructuralError):
-        chebyshev_zeros(SeriesSpec("taylor", 5))
+@pytest.mark.parametrize("fields", [
+    {"gamma_scale": 2.0}, {"axis": "real"}, {"gamma_scale": 2.0, "axis": "imaginary"},
+    {"gamma_scale": math.nan},
+], ids=["gamma_scale", "axis", "both", "nan-gamma_scale"])
+def test_taylor_spec_refuses_the_chebyshev_fields(fields):
+    # a Taylor truncation reads neither, so neither is accepted and ignored
+    with pytest.raises(StructuralError, match="gamma_scale"):
+        SeriesSpec("taylor", 5, **fields)
 
 
 @pytest.mark.parametrize("k, gh, axis", [(302, 100.0, "imaginary"), (304, 20.0, "real")])
@@ -363,20 +369,22 @@ def test_chebyshev_plane_range_gate():
 
 
 def test_taylor_k1_zero_is_minus_one():
-    (z,) = taylor_zeros(1)
+    (z,) = truncation_zeros(SeriesSpec("taylor", 1))
     assert abs(z + 1.0) < 1e-14
 
 
-def test_taylor_zeros_range_errors():
-    with pytest.raises(RangeError):
-        taylor_zeros(0)
-    with pytest.raises(RangeError):
-        taylor_zeros(401)
+@pytest.mark.parametrize("family", ["taylor", "chebyshev"])
+def test_truncation_zeros_range_errors(family):
+    fields = {} if family == "taylor" else {"gamma_scale": 20.0, "axis": "imaginary"}
+    with pytest.raises(StructuralError, match="k must be an integer >= 1"):
+        truncation_zeros(SeriesSpec(family, 0, **fields))
+    with pytest.raises(RangeError, match=r"k must be in \[1, 400\], got 401"):
+        truncation_zeros(SeriesSpec(family, TAYLOR_K_MAX + 1, **fields))
 
 
 @pytest.mark.parametrize("k", [25, 52])
 def test_taylor_zeros_conjugate_closed(k, zeros_cache):
-    zs = taylor_zeros(k, cache_dir=zeros_cache)
+    zs = truncation_zeros(SeriesSpec("taylor", k), cache_dir=zeros_cache)
     assert len(zs) == k
     as_pairs = sorted((z.real, z.imag) for z in zs)
     conjugated = sorted((z.real, -z.imag) for z in zs)
@@ -388,7 +396,7 @@ def test_taylor_zeros_conjugate_closed(k, zeros_cache):
 @pytest.mark.parametrize("k", [25, 52])
 def test_taylor_zeros_are_accurate(k, zeros_cache):
     # Newton correction at each double-rounded zero is at rounding level.
-    zs = taylor_zeros(k, cache_dir=zeros_cache)
+    zs = truncation_zeros(SeriesSpec("taylor", k), cache_dir=zeros_cache)
     with mp.workdps(60):
         coeffs = [mp.mpf(1) / mp.factorial(i) for i in range(k + 1)]
         for z in zs:
@@ -904,7 +912,7 @@ def test_szego_curve_convergence(zeros_cache):
     # only like k^{-1/2}.
     devs = []
     for k in (25, 50, 100, 200):
-        zs = taylor_zeros(k, cache_dir=zeros_cache)
+        zs = truncation_zeros(SeriesSpec("taylor", k), cache_dir=zeros_cache)
         ws = sorted((z / k for z in zs), key=lambda w: abs(w - 1.0))[2:]
         devs.append(max(abs(abs(w * cmath.exp(1.0 - w)) - 1.0) for w in ws))
     assert devs == sorted(devs, reverse=True)
@@ -916,15 +924,17 @@ def test_zero_modulus_floor(zeros_cache):
     # crossing of the negative real axis), so that is the honest floor.
     floor = 0.27846
     for k in (25, 50, 100, 200):
-        zs = taylor_zeros(k, cache_dir=zeros_cache)
+        zs = truncation_zeros(SeriesSpec("taylor", k), cache_dir=zeros_cache)
         assert min(abs(z) for z in zs) > floor * k
 
 
-def test_gamma_for_inverts_zeros(zeros_cache):
-    zs = taylor_zeros(25, cache_dir=zeros_cache)
-    gs = gamma_for(zs, 25)
-    for z, g in zip(zs, gs):
-        assert g == pytest.approx(-25.0 / z, rel=1e-15)
+def test_plan_factors_vanish_at_the_zeros(zeros_cache):
+    # each zero z is a root of its group's factor 1 + c1 z/k (+ c2 (z/k)^2)
+    fact = factorize(SeriesSpec("taylor", 25), cache_dir=zeros_cache)
+    for z in fact.zeros:
+        u = z / 25
+        assert min(abs(1 + sum(c * u ** (j + 1) for j, c in enumerate(g.coeffs)))
+                   for g in fact.groups) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -960,7 +970,7 @@ def test_a_file_one_unit_off_starts_the_solve_and_is_rewritten(tmp_path, monkeyp
     monkeypatch.setattr(polyexp, "_memo", {})
     monkeypatch.setattr(polyexp, "_szego_guesses", _no_guesses)
     setups, passes, refined = _recorded_solves(monkeypatch, "taylor")
-    zs = taylor_zeros(2, cache_dir=str(tmp_path))
+    zs = truncation_zeros(SeriesSpec("taylor", 2), cache_dir=str(tmp_path))
     assert zs == [complex(-1.0, 1.0), complex(-1.0, -1.0)]
     assert setups == [(41, True)] and [failed for failed, _ in passes] == [None]
     assert refined == []
@@ -994,12 +1004,12 @@ def test_memo_is_kept_per_cache_file(tmp_path, monkeypatch):
     # directory that has met them needs neither its file nor a solve
     monkeypatch.setattr(polyexp, "_memo", {})
     a, b = tmp_path / "a", tmp_path / "b"
-    want = taylor_zeros(3, cache_dir=str(a))
-    assert taylor_zeros(3, cache_dir=str(b)) == want
+    want = truncation_zeros(SeriesSpec("taylor", 3), cache_dir=str(a))
+    assert truncation_zeros(SeriesSpec("taylor", 3), cache_dir=str(b)) == want
     assert [p.name for p in b.iterdir()] == ["taylor_3.json"]
     (a / "taylor_3.json").unlink()
     monkeypatch.setattr(polyexp, "_zeros_mp", _no_solve)
-    assert taylor_zeros(3, cache_dir=str(a)) == want
+    assert truncation_zeros(SeriesSpec("taylor", 3), cache_dir=str(a)) == want
 
 
 def test_without_a_directory_zeros_are_kept_in_the_memo_only(tmp_path, monkeypatch):
@@ -1008,9 +1018,9 @@ def test_without_a_directory_zeros_are_kept_in_the_memo_only(tmp_path, monkeypat
     monkeypatch.setattr(polyexp, "_memo", {})
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.chdir(tmp_path)
-    want = taylor_zeros(4)
+    want = truncation_zeros(SeriesSpec("taylor", 4))
     monkeypatch.setattr(polyexp, "_zeros_mp", _no_solve)
-    assert taylor_zeros(4) == want
+    assert truncation_zeros(SeriesSpec("taylor", 4)) == want
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1073,7 +1083,7 @@ def test_a_legacy_file_starts_the_solve_and_is_not_rewritten(tmp_path, monkeypat
 def test_corrupt_cache_file_recomputed(tmp_path):
     path = tmp_path / "taylor_3.json"
     path.write_text("{ not json !")
-    zs = taylor_zeros(3, cache_dir=str(tmp_path))
+    zs = truncation_zeros(SeriesSpec("taylor", 3), cache_dir=str(tmp_path))
     # 1 + z + z^2/2 + z^3/6 has one real root and a conjugate pair
     assert len(zs) == 3
     assert sum(1 for z in zs if z.imag == 0.0) == 1
@@ -1170,12 +1180,12 @@ def test_gamma_h_mismatched_cache_file_recomputed(tmp_path, monkeypatch):
     # the file named for Gamma*h = 1.2500001 holds the zeros of 1.25: its
     # header tells them apart
     near = SeriesSpec("chebyshev", 6, gamma_scale=1.2500001, axis="real")
-    want = chebyshev_zeros(near, cache_dir=str(tmp_path / "ref"))
+    want = truncation_zeros(near, cache_dir=str(tmp_path / "ref"))
     path = tmp_path / f"chebyshev_6_{(1.2500001).hex()}_real.json"
     payload = dict(_file_header("chebyshev", 6, 1.25, "real"),
                    zeros=[[repr(z.real), repr(z.imag)] for z in want])
     zs, data = _recomputed(path, payload,
-                           lambda: chebyshev_zeros(near, cache_dir=str(tmp_path)), monkeypatch)
+                           lambda: truncation_zeros(near, cache_dir=str(tmp_path)), monkeypatch)
     assert zs == want
     assert data["gamma_h"] == (1.2500001).hex()
 
@@ -1183,9 +1193,9 @@ def test_gamma_h_mismatched_cache_file_recomputed(tmp_path, monkeypatch):
 def test_nearby_gamma_h_get_their_own_zeros(tmp_path):
     # keyed on the exact Gamma*h: a rounded key returned the zeros of 10.0
     # for 10.0000004, off by ~2.6e-7
-    a = chebyshev_zeros(SeriesSpec("chebyshev", 20, gamma_scale=10.0, axis="imaginary"),
+    a = truncation_zeros(SeriesSpec("chebyshev", 20, gamma_scale=10.0, axis="imaginary"),
                         cache_dir=str(tmp_path))
-    b = chebyshev_zeros(SeriesSpec("chebyshev", 20, gamma_scale=10.0000004, axis="imaginary"),
+    b = truncation_zeros(SeriesSpec("chebyshev", 20, gamma_scale=10.0000004, axis="imaginary"),
                         cache_dir=str(tmp_path))
     moved = max(abs(x - y) for x, y in zip(a, b))
     assert 1e-8 < moved < 1e-5
@@ -1204,14 +1214,14 @@ def test_nearby_gamma_h_keep_their_own_cache_files(tmp_path, monkeypatch):
                         or solve(spec, start))
     for spec in specs + specs:
         monkeypatch.setattr(polyexp, "_memo", {})
-        chebyshev_zeros(spec, cache_dir=str(tmp_path))
+        truncation_zeros(spec, cache_dir=str(tmp_path))
     assert solves == [(spec, True) for spec in specs] + [(spec, False) for spec in specs]
     assert len(list(tmp_path.glob("chebyshev_6_*_real.json"))) == 2
 
 
 def test_wrong_length_cache_file_recomputed(tmp_path):
     (tmp_path / "taylor_4.json").write_text(json.dumps([["-1.0", "0.0"], ["-2.0", "0.0"]]))
-    zs = taylor_zeros(4, cache_dir=str(tmp_path))
+    zs = truncation_zeros(SeriesSpec("taylor", 4), cache_dir=str(tmp_path))
     assert len(zs) == 4
     with mp.workdps(40):
         for z in zs:
@@ -1225,14 +1235,14 @@ def test_uncreatable_cache_directory_still_returns_the_zeros(tmp_path, monkeypat
     (tmp_path / "file").write_text("")
     blocked = tmp_path / "file" / "zeros"
     monkeypatch.setattr(polyexp, "_memo", {})
-    zs = taylor_zeros(6, cache_dir=str(blocked))
+    zs = truncation_zeros(SeriesSpec("taylor", 6), cache_dir=str(blocked))
     assert zs == polyexp._sort_conjugate_closed(polyexp._zeros_mp(SeriesSpec("taylor", 6))[0])
     assert not blocked.exists()
 
 
 def test_chebyshev_cache_filename(tmp_path):
     spec = SeriesSpec("chebyshev", 2, gamma_scale=1.25, axis="imaginary", h=1.0)
-    zs = chebyshev_zeros(spec, cache_dir=str(tmp_path))
+    zs = truncation_zeros(spec, cache_dir=str(tmp_path))
     assert len(zs) == 2
     assert (tmp_path / f"chebyshev_2_{(1.25).hex()}_imaginary.json").exists()
 
@@ -1321,7 +1331,6 @@ def test_factorize_taylor_scale_is_one(zeros_cache):
     fact = factorize(SeriesSpec("taylor", 25), cache_dir=zeros_cache)
     assert fact.overall_scale == 1.0
     assert len(fact.zeros) == 25
-    assert len(gamma_for(fact.zeros, fact.k)) == 25
     assert sum(len(g.coeffs) for g in fact.groups) == 25
 
 
@@ -1388,14 +1397,81 @@ def test_r_valid_of_a_chebyshev_factorization_is_its_half_width(zeros_cache):
     assert r_valid(fact) == 2.0
 
 
-def test_order_factors_golden():
-    groups = order_factors([4.0 + 0j, 3.0 + 0j, 2.0 + 0j, 1.0 + 0j])
+def gamma_for(zeros, k):
+    """The factor coefficients gamma_i = -k / z_i in the zeros' order: the
+    reference `_plan` replaced, kept here as it stood."""
+    return [-k / z for z in zeros]
+
+
+def order_factors(gammas):
+    """The greedy plan over the groups of gammas, as it stood before
+    `_plan`: the reference `test_plan_is_the_order_factors_plan_bit_for_bit`
+    compares against, with its refusal of a gamma without its exact
+    conjugate next to it."""
+    gam = list(gammas)
+    groups, ties = [], []
+    i = 0
+    while i < len(gam):
+        g = gam[i]
+        if g.imag == 0:
+            groups.append(polyexp.Group("lin", (g.real,)))
+        elif i + 1 < len(gam) and gam[i + 1] == g.conjugate():
+            groups.append(polyexp.Group("quad", (2 * g.real, abs(g) ** 2)))
+        else:
+            raise StructuralError(f"gammas not conjugate-closed: no partner for index {i}")
+        ties.append((abs(g.imag), i))
+        i += len(groups[-1].coeffs)
+    total = sum(g.coeffs[0] for g in groups)
+    remaining = list(range(len(groups)))
+    plan, cum, consumed = [], 0.0, 0
+    while remaining:
+        best = min(remaining, key=lambda j: (
+            abs((cum + groups[j].coeffs[0]) - total * (consumed + len(groups[j].coeffs)) / len(gam)),
+            *ties[j]))
+        remaining.remove(best)
+        g = groups[best]
+        plan.append(g)
+        cum += g.coeffs[0]
+        consumed += len(g.coeffs)
+    return tuple(plan)
+
+
+def plan_bits(groups):
+    return [(g.kind, tuple(c.hex() for c in g.coeffs)) for g in groups]
+
+
+# the Chebyshev specs of scripts/zero_grid.py's quick grid that factorize:
+# certified at the base digits, refined, raised, and refined and raised
+QUICK_CHEBYSHEV = [
+    (6, 2.0, "real"), (16, 2.5, "real"), (20, 10.0, "imaginary"), (40, 20.0, "real"),
+    (40, 20.0, "imaginary"), (40, 0.21304262029217305, "imaginary"), (100, 80.0, "imaginary"),
+    (152, 100.0, "imaginary"), (52, 100.0, "imaginary"),
+    (60, 20.0, "real"), (100, 5.0, "real"), (100, 80.0, "real"), (152, 172.0, "real"),
+    (64, 1.0, "imaginary"), (80, 10.0, "imaginary"),
+    (24, 100.0, "imaginary"), (48, 70.0, "imaginary"), (80, 150.0, "imaginary"),
+    (80, 172.0, "imaginary"), (72, 80.0, "imaginary"), (128, 172.0, "imaginary"),
+    (172, 7.5, "imaginary"),
+]
+
+
+@pytest.mark.parametrize("spec", [SeriesSpec("taylor", k) for k in (*range(1, 61), 152, 304, 400)]
+                         + [SeriesSpec("chebyshev", k, gamma_scale=gh, axis=axis)
+                            for k, gh, axis in QUICK_CHEBYSHEV], ids=repr)
+def test_plan_is_the_order_factors_plan_bit_for_bit(spec, zeros_cache):
+    fact = factorize(spec, cache_dir=zeros_cache)
+    assert plan_bits(fact.groups) == plan_bits(order_factors(gamma_for(fact.zeros, spec.k)))
+
+
+def test_plan_golden():
+    # zeros -3, -4, -6, -12 at k = 12: gammas 4, 3, 2, 1, exactly
+    groups = polyexp._plan([-3.0 + 0j, -4.0 + 0j, -6.0 + 0j, -12.0 + 0j], 12)
     assert [g.kind for g in groups] == ["lin", "lin", "lin", "lin"]
     assert [g.coeffs for g in groups] == [(3.0,), (2.0,), (4.0,), (1.0,)]
 
 
-def test_order_factors_groups_conjugate_pairs():
-    groups = order_factors([2.0 + 1.0j, 2.0 - 1.0j, 5.0 + 0j])
+def test_plan_groups_conjugate_pairs():
+    # zeros -1 and -2 +- i at k = 5: gammas 5 and 2 -+ i, exactly
+    groups = polyexp._plan([-1.0 + 0j, -2.0 + 1.0j, -2.0 - 1.0j], 5)
     kinds = sorted(g.kind for g in groups)
     assert kinds == ["lin", "quad"]
     quad = next(g for g in groups if g.kind == "quad")
@@ -1403,25 +1479,20 @@ def test_order_factors_groups_conjugate_pairs():
     assert quad.coeffs[0] == 4.0
 
 
-def test_order_factors_refuses_a_complex_gamma_without_its_conjugate():
-    with pytest.raises(StructuralError, match="no partner for index 0"):
-        order_factors([1.0 + 1.0j, 5.0 + 0j])
+NONZERO = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False).filter(lambda x: abs(x) >= 1e-3)
 
 
-@pytest.mark.parametrize("gammas", [
-    [2.0 + 1.0j, 5.0 + 0j, 2.0 - 1.0j],  # the conjugate, but not next to it
-    [2.0 + 1.0j, 2.0 - 1.0000001j],  # next to it, but not the exact conjugate
-], ids=["apart", "inexact"])
-def test_order_factors_pairs_only_an_exact_conjugate_next_to_its_gamma(gammas):
-    with pytest.raises(StructuralError, match="no partner for index 0"):
-        order_factors(gammas)
-
-
-@given(st.lists(st.floats(min_value=-8.0, max_value=8.0, allow_nan=False), min_size=1, max_size=12))
-def test_property_order_factors_partitions_input(reals):
-    groups = order_factors([complex(r, 0.0) for r in reals])
-    assert all(g.kind == "lin" for g in groups)
-    assert sorted(c for g in groups for c in g.coeffs) == sorted(reals)
+@given(st.lists(NONZERO, max_size=12), st.lists(st.tuples(NONZERO, NONZERO), max_size=6))
+def test_property_plan_partitions_input(reals, pairs):
+    # reals ascending, then each upper-half zero followed by its conjugate
+    uppers = [complex(x, abs(y)) for x, y in pairs]
+    zeros = [complex(x, 0.0) for x in sorted(reals)] + [w for z in uppers for w in (z, z.conjugate())]
+    k = len(zeros)
+    groups = polyexp._plan(zeros, k)
+    lins = sorted(c for g in groups if g.kind == "lin" for c in g.coeffs)
+    quads = sorted(g.coeffs for g in groups if g.kind == "quad")
+    assert lins == sorted((-k / z).real for z in zeros[:len(reals)])
+    assert quads == sorted((2 * (-k / z).real, abs(-k / z) ** 2) for z in uppers)
 
 
 def closed_in_adjacent_pairs(xs):
@@ -1608,7 +1679,7 @@ def test_property_pair_modes_agree(zeros_cache, radius, angle):
     fact = factorize(SeriesSpec("taylor", 12), cache_dir=zeros_cache)
     quad = eval_factorized(np.array([[z]], dtype=complex), np.eye(1, dtype=complex), fact)[0, 0]
     lin = fact.overall_scale
-    for g in gamma_for(fact.zeros, 12):
+    for g in (-12 / zi for zi in fact.zeros):
         lin = lin + (g / 12) * z * lin
     assert abs(quad - lin) <= 1e-13 * max(abs(quad), 1.0)
 
