@@ -34,17 +34,24 @@ entry outside op's components, so each step is block-diagonal over them.  For
 the XXZ chain they are its magnetization sectors, the blocks the exact
 oracle (`spinmodel.exact_evolution`) diagonalizes with the same search;
 they are coarser than H's blocks only where parts cancel an entry of H.
-A step is built on the packed identity, one (dim x w) block in which
+A step is built on the packed identity, the (dim x w) matrix in which
 sector s holds its identity columns 0..n_s-1 on its own rows, w the widest
 sector padded to _PACK_COLUMNS: the gates act on it through the same
 kernel, and sector s's block of the step is rows s, columns 0..n_s-1
 (`compose`).  At L = 8 that is a 256 x 80 block instead of the
-256 x 256 identity.  `power_step` powers the blocks one at a time (at
-L = 8, sum n_s^3 = 0.74M multiply-adds per product against 16.8M for the
-whole matrix), and `evolve_sequence` adds the alternate-reversal pair
-and the odd step.  `compose` and `evolve_sequence` return the blocks as
-they are, a `SectorBlocks`: `U @ x` multiplies block by block, and
-`np.asarray(U)` scatters them into a zero matrix, the one dense form.
+256 x 256 identity.  It is never held whole: `compose` makes it one
+column block at a time, sized by _BLOCK_BYTES (one block up to L = 8,
+8 blocks of 32 columns at L = 10, 16 columns from L = 11), applies every
+gate to that block, and writes its columns into each sector's block, so
+at L = 12 a step holds 2 MiB above its 41 MiB of sector blocks instead
+of the 58 MiB packed identity and its products.  `power_step` powers the
+blocks one at a time (at L = 8, sum n_s^3 = 0.74M multiply-adds per
+product against 16.8M for the whole matrix), and `evolve_sequence` adds
+the alternate-reversal pair and the odd step.  `compose` and
+`evolve_sequence` return the blocks as they are, a `SectorBlocks`:
+`U @ x` gathers x's rows into sector order once and multiplies only the
+sectors x meets, and `np.asarray(U)` scatters the blocks into a zero
+matrix, the one dense form.
 The bench and the order fit compare such values with the exact oracle's
 block by block (`spinmodel.frobenius_error`), so they scatter nothing.
 A split with one sector packs nothing: its packed identity is the
@@ -55,6 +62,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -240,12 +248,13 @@ class SectorBlocks:
     oracle is returned as one; the blocks are read-only.
 
     `U @ x` multiplies block by block, for any array x whose leading axis
-    is dim: a sector where x is zero gets exact zeros and no product, and
-    `U @ V` on equal sectors is a SectorBlocks.  `np.asarray(U)` scatters
-    the blocks into a zero complex matrix; it is the one dense form.
+    is dim: x's rows are gathered into sector order once, a sector where x
+    is zero gets exact zeros and no product, and `U @ V` on equal sectors
+    is a SectorBlocks.  `np.asarray(U)` scatters the blocks into a zero
+    complex matrix; it is the one dense form.
     """
 
-    __slots__ = ("sectors", "blocks")
+    __slots__ = ("sectors", "blocks", "_order", "_starts", "_rows")
 
     def __init__(self, sectors, blocks):
         self.sectors = tuple(sectors)
@@ -256,12 +265,20 @@ class SectorBlocks:
         for s, b in zip(self.sectors, self.blocks):
             if b.shape != (len(s), len(s)):
                 raise DimensionError(f"block of shape {b.shape} on a sector of {len(s)}")
+            if not len(s):
+                raise DimensionError("a sector must hold at least one index")
             b.setflags(write=False)
+        # the sector permutation, where each sector starts in it, and the
+        # rows of the permuted order that each sector holds
+        sizes = np.array([len(s) for s in self.sectors], dtype=np.intp)
+        self._order = np.concatenate([np.empty(0, np.intp), *self.sectors])
+        ends = np.cumsum(sizes)
+        self._starts = ends - sizes
+        self._rows = tuple(map(slice, self._starts, ends))
 
     @property
     def shape(self):
-        dim = sum(map(len, self.sectors))
-        return (dim, dim)
+        return (len(self._order), len(self._order))
 
     @property
     def dtype(self):
@@ -276,14 +293,15 @@ class SectorBlocks:
         if self._same_sectors(x):
             return SectorBlocks(self.sectors, [a @ b for a, b in zip(self.blocks, x.blocks)])
         x = np.asarray(x)
-        if x.ndim == 0 or len(x) != self.shape[1]:
+        if x.ndim == 0 or len(x) != len(self._order):
             raise DimensionError(f"cannot apply a {self.shape} matrix to shape {x.shape}")
-        flat = x.reshape(len(x), math.prod(x.shape[1:]))
-        out = np.zeros(flat.shape, np.result_type(complex, x))
-        for s, b in zip(self.sectors, self.blocks):
-            part = flat[s]
-            if part.any():
-                out[s] = b @ part
+        out = np.zeros((len(x), math.prod(x.shape[1:])), np.result_type(complex, x))
+        # one gather into sector order; each met sector's rows are a
+        # contiguous slice of it, multiplied and written back to its rows
+        gathered = x.reshape(out.shape)[self._order]
+        met = np.logical_or.reduceat(gathered.any(axis=1), self._starts)
+        for s, rows, b in compress(zip(self.sectors, self._rows, self.blocks), met):
+            out[s] = b @ gathered[rows]
         return out.reshape(x.shape)
 
     def __array__(self, dtype=None, copy=None):
@@ -414,16 +432,22 @@ def _term_entries(dim, i, j, op):
     return place[rows].ravel(), place[cols].ravel(), op[rows, cols].repeat(len(rest))
 
 
-# The packed identity's width is rounded up to a multiple of this.  The
-# batched matmuls of `_apply_term` then take the same kernel path on every
-# column as on the full identity, whose width 2^L is a multiple of 16 from
-# L = 4 on, so each sector block is bit for bit the full-identity step's.
-# With OpenBLAS 0.3.31 on one thread, the unpadded widest sector left
-# entries of 147 of 320 catalog steps (L = 3-10, open and periodic, both
-# directions) up to 7e-16 apart, and moved 20 of the 42 errors of an
-# L = 8 bench sweep by up to 8.5e-11 relative; a multiple of 4, 8 or 16
-# left none apart.
+# The packed identity's width, and the width of each column block it is
+# built in, are multiples of this.  The batched matmuls of `_apply_term`
+# then take the same kernel path on every column as on the full identity,
+# whose width 2^L is a multiple of 16 from L = 4 on, so each sector block
+# is bit for bit the full-identity step's.  With OpenBLAS 0.3.31 on one
+# thread, the unpadded widest sector left entries of 147 of 320 catalog
+# steps (L = 3-10, open and periodic, both directions) up to 7e-16 apart,
+# and moved 20 of the 42 errors of an L = 8 bench sweep by up to 8.5e-11
+# relative; a multiple of 4, 8 or 16 left none apart.
 _PACK_COLUMNS = 16
+
+# A column block of the packed identity is the widest multiple of
+# _PACK_COLUMNS columns c whose (dim x c) complex array fits in this many
+# bytes, and at least _PACK_COLUMNS: the whole packed identity up to L = 8,
+# 32 columns at L = 10, 16 from L = 11.
+_BLOCK_BYTES = 2**19
 
 
 def _dense_dim(dim):
@@ -432,19 +456,6 @@ def _dense_dim(dim):
     if dim > DENSE_DIM_CAP:
         raise CapacityError(f"dim {dim} exceeds dense capacity {DENSE_DIM_CAP}")
     return dim
-
-
-def _packed_identity(split):
-    """The (dim x w) complex block every step is built on (refused past
-    DENSE_DIM_CAP): sector s holds its identity columns 0..n_s-1 on its
-    own rows, and w is the widest sector rounded up to _PACK_COLUMNS, at
-    most dim.  With one sector it is the identity."""
-    dim = _dense_dim(split.dim)
-    column = np.empty(dim, dtype=np.intp)
-    for s in split.sectors:
-        column[s] = np.arange(len(s))
-    width = -(-max(map(len, split.sectors)) // _PACK_COLUMNS) * _PACK_COLUMNS
-    return np.eye(min(width, dim), dtype=complex)[column]
 
 
 def _eig_expm(w, v, z):
@@ -474,13 +485,13 @@ def _apply_term(g, i, j, x):
     return y.reshape(x.shape)
 
 
-def _apply_gates(split, sequence, h, block, direction):
-    """The factor sequence of a split applied to a (dim x m) block.  Each
-    distinct (term, z) gate is built once per call: the bonds of an XXZ
-    part share one term, and a merged sequence repeats coefficients."""
+def _resolve_gates(split, sequence, h, direction):
+    """The gates of a split's factor sequence as (gate, i, j), in the order
+    they act (the last factor first).  Each distinct (term, z) gate is
+    built once: the bonds of an XXZ part share one term, and a merged
+    sequence repeats coefficients."""
     pref = direction_prefactor(direction)
-    x = np.asarray(block, dtype=complex)
-    gates = {}
+    gates, out = {}, []
     for k, coef in reversed(sequence):
         z = pref * coef * h
         for n, (i, j, _) in enumerate(split.terms[k]):
@@ -488,8 +499,8 @@ def _apply_gates(split, sequence, h, block, direction):
             g = gates.get(key)
             if g is None:
                 g = gates[key] = split.term_gate(k, n, z)
-            x = _apply_term(g, i, j, x)
-    return x
+            out.append((g, i, j))
+    return out
 
 
 def compose(split, sequence, h, direction="forward"):
@@ -497,9 +508,32 @@ def compose(split, sequence, h, direction="forward"):
     the sector blocks of the step: the factor sequence applied to the
     packed identity (refused past the cap before the sectors are read),
     whose columns never mix the sectors they hold, since every gate
-    preserves every sector; sector s's block is rows s, columns 0..n_s-1."""
-    x = _apply_gates(split, sequence, h, _packed_identity(split), direction)
-    return SectorBlocks(split.sectors, [x[s, :len(s)] for s in split.sectors])
+    preserves every sector; sector s's block is rows s, columns 0..n_s-1.
+    The packed identity is built and applied one column block at a time
+    (`_BLOCK_BYTES`), each block's columns written into the sector blocks."""
+    dim = _dense_dim(split.dim)
+    sectors = split.sectors
+    gates = _resolve_gates(split, sequence, h, direction)
+    # each index's column in the packed identity: its place in its sector
+    at = np.empty(dim, dtype=np.intp)
+    for s in sectors:
+        at[s] = np.arange(len(s))
+    width = min(-(-max(map(len, sectors)) // _PACK_COLUMNS) * _PACK_COLUMNS, dim)
+    most = max(_BLOCK_BYTES // (16 * dim) // _PACK_COLUMNS, 1) * _PACK_COLUMNS
+    blocks = [np.empty((len(s), len(s)), complex) for s in sectors]
+    for a in range(0, width, most):
+        c = min(most, width - a)
+        rows = np.flatnonzero((a <= at) & (at < a + c))
+        x = np.zeros((dim, c), complex)
+        x[rows, at[rows] - a] = 1
+        # applied here, not through a helper, so the identity block is freed
+        # by the first gate: at most three blocks are alive, at a wrap bond
+        for g, i, j in gates:
+            x = _apply_term(g, i, j, x)
+        for s, b in zip(sectors, blocks):
+            if len(s) > a:
+                b[:, a:a + c] = x[s, :len(s) - a]
+    return SectorBlocks(sectors, blocks)
 
 
 def power_step(blocks, steps):

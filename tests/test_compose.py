@@ -13,7 +13,6 @@ from trotterkit.bench import BenchPlan, run_benchmark
 from trotterkit.compose import (
     OperatorSplit,
     SectorBlocks,
-    _apply_gates,
     _apply_term,
     _components,
     _eig_expm,
@@ -94,6 +93,15 @@ def test_gate_backend_matches_eigenbasis_composer(L, boundary):
             assert np.linalg.norm(got - want) <= 1e-12, (scheme.name, direction)
 
 
+def apply_gates(split, sequence, h, block, direction="forward"):
+    """The split's gates for the factor sequence applied to a (dim x m)
+    block, as one pass with no column blocks."""
+    x = np.asarray(block, dtype=complex)
+    for g, i, j in compose_module._resolve_gates(split, sequence, h, direction):
+        x = _apply_term(g, i, j, x)
+    return x
+
+
 @pytest.mark.parametrize("L, boundary", [(3, "periodic"), (5, "open"), (7, "periodic"), (8, "open")])
 def test_sequence_on_a_block_matches_dense_step(L, boundary):
     split = build_xxz(XxzConfig(L=L, boundary=boundary))
@@ -102,7 +110,7 @@ def test_sequence_on_a_block_matches_dense_step(L, boundary):
     for name in ("blanes-moan4", "triple-jump-complex"):
         seq = to_multistage(get_scheme(name)).factor_sequence(split.n_parts)
         for direction in ("forward", "imaginary"):
-            got = _apply_gates(split, seq, 0.1, block, direction)
+            got = apply_gates(split, seq, 0.1, block, direction)
             want = compose(split, seq, 0.1, direction) @ block
             assert got.shape == block.shape
             assert np.linalg.norm(got - want) <= 1e-12
@@ -546,7 +554,7 @@ def test_dense_split_parts_are_its_validated_copies(monkeypatch):
 def full_identity_step(split, sequence, h, direction="forward"):
     """Reference step: the split's gates applied to the whole identity,
     with no sectors packed."""
-    return _apply_gates(split, sequence, h, np.eye(split.dim, dtype=complex), direction)
+    return apply_gates(split, sequence, h, np.eye(split.dim, dtype=complex), direction)
 
 
 @pytest.mark.parametrize("L, boundary, delta", SECTOR_CHAINS)
@@ -585,6 +593,59 @@ def test_compose_equals_the_full_identity_step_bit_for_bit(L, boundary):
             want = full_identity_step(split, seq, 0.1, direction)
             got = compose(split, seq, 0.1, direction)
             assert np.array_equal(got, want), (name, direction)
+
+
+def gate_widths(monkeypatch):
+    """Record the column count of each block a gate is applied to."""
+    widths = []
+    real = compose_module._apply_term
+
+    def recording(g, i, j, x):
+        widths.append(x.shape[1])
+        return real(g, i, j, x)
+
+    monkeypatch.setattr(compose_module, "_apply_term", recording)
+    return widths
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_blocked_build_is_the_one_block_build_bit_for_bit(monkeypatch, boundary):
+    # At L = 11 the packed identity is 2048 x 464 (the widest sector, 462,
+    # padded): 29 column blocks of 16 within the budget, one block when
+    # the budget holds the whole of it.  The periodic chain has the wrap bond.
+    split = build_xxz(XxzConfig(L=11, boundary=boundary, delta=0.3))
+    seq = to_multistage(get_scheme("blanes-moan4")).factor_sequence(split.n_parts)
+    n_gates = sum(len(split.terms[k]) for k, _ in seq)
+    for direction in ("forward", "imaginary"):
+        with monkeypatch.context() as patch:
+            widths = gate_widths(patch)
+            got = compose(split, seq, 0.1, direction)
+        assert widths == [16] * 29 * n_gates
+        with monkeypatch.context() as patch:
+            patch.setattr(compose_module, "_BLOCK_BYTES", split.dim * 464 * 16)
+            widths = gate_widths(patch)
+            want = compose(split, seq, 0.1, direction)
+        assert widths == [464] * n_gates
+        assert all(map(np.array_equal, got.blocks, want.blocks)), direction
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_blocked_build_holds_a_few_blocks_beside_its_result(boundary):
+    # Above the returned sector blocks, building a step holds at most the
+    # current column block and a wrap bond's two temporaries, not the
+    # 2048 x 464 packed identity (14.5 MiB) and its product.
+    split = build_xxz(XxzConfig(L=11, boundary=boundary, delta=0.3))
+    seq = to_multistage(get_scheme("blanes-moan4")).factor_sequence(split.n_parts)
+    for direction in ("forward", "imaginary"):
+        compose(split, seq, 0.1, direction)  # the sectors and eigensystems
+        tracemalloc.start()
+        try:
+            step = compose(split, seq, 0.1, direction)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(b.nbytes for b in step.blocks)
+        assert peak - kept < 4 * compose_module._BLOCK_BYTES, direction
 
 
 def record_powers(monkeypatch):
@@ -876,6 +937,49 @@ def test_blocks_times_x_is_the_dense_product(L, boundary):
     assert (values[0] @ np.ones((split.dim, 0))).shape == (split.dim, 0)
 
 
+def per_sector_product(u, x):
+    """The reference for `SectorBlocks @ x`: each sector's rows of x
+    gathered, tested and multiplied on their own, exact zeros where x is
+    zero."""
+    x = np.asarray(x)
+    flat = x.reshape(len(x), int(np.prod(x.shape[1:])))
+    out = np.zeros(flat.shape, np.result_type(complex, x))
+    for s, b in zip(u.sectors, u.blocks):
+        part = flat[s]
+        if part.any():
+            out[s] = b @ part
+    return out.reshape(x.shape)
+
+
+@pytest.mark.parametrize("L, boundary", [(6, "periodic"), (7, "open"), (8, "open"),
+                                         (9, "periodic"), (10, "periodic")])
+def test_blocks_times_x_is_the_per_sector_product_bit_for_bit(L, boundary):
+    # U @ x gathers x into sector order once and multiplies only the
+    # sectors x meets: bit for bit the product taken one sector at a time
+    split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=0.3))
+    ms = to_multistage(get_scheme("blanes-moan4"))
+    rng = np.random.default_rng(50 + L)
+    values = {"step": apply_multistage(split, ms, 0.05),
+              "imaginary step": apply_multistage(split, ms, 0.05, "imaginary"),
+              "evolution": evolve(split, ms, 0.05, 20, alternate_reversal=True),
+              "oracle": exact_evolution(split.total, 1.0)}
+    states = dict(sector_states(split.dim, rng))
+    neel, wall = states["neel"], states["wall"]
+    states["cube"] = np.stack([neel, wall, 1j * neel, wall - neel, 0 * wall, neel],
+                              axis=1).reshape(split.dim, 2, 3)
+    states["empty"] = np.ones((split.dim, 0))
+    for key, u in values.items():
+        for name, x in states.items():
+            got = u @ x
+            want = per_sector_product(u, x)
+            assert got.shape == x.shape and got.dtype == np.complex128
+            assert np.array_equal(got, want), (key, name)
+            unmet = [s for s in u.sectors if not x[s].any()]
+            assert all(not got[s].any() for s in unmet), (key, name)
+            if name in ("neel", "wall", "cube"):  # all in the half-filled sector
+                assert len(unmet) == len(u.sectors) - 1, (key, name)
+
+
 def test_blocks_times_blocks_on_other_sectors_is_the_dense_product():
     # only equal sectors multiply block by block; blocks on other sectors
     # are read as the dense matrix, as any other operand is
@@ -917,6 +1021,8 @@ def test_sector_blocks_are_read_only_and_dense_on_request():
         SectorBlocks([np.arange(2), np.arange(2, 4)], [block])
     with pytest.raises(DimensionError):
         SectorBlocks([np.arange(3)], [block])
+    with pytest.raises(DimensionError):
+        SectorBlocks([np.arange(2), np.arange(0)], [block, np.zeros((0, 0))])
 
 
 def test_block_results_build_no_dense_evolution(monkeypatch, zeros_cache):
