@@ -284,8 +284,20 @@ def _exp_letter(letter, coef, n_letters, n):
 
 
 def _log_series(sequence, n_letters, n):
-    """log S as views of its degree blocks 0..n (block d: the words of h^d),
-    S the product of e^{c A_k} over a (k, c) factor sequence on n_letters."""
+    """log S as a tuple of read-only views of its degree blocks 0..n (block
+    d: the words of h^d), S the product of e^{c A_k} over a (k, c) factor
+    sequence on n_letters.  Expanded once per process (`_expanded_log`), so
+    the catalog gate, scoring and `_exact_order` share one expansion."""
+    return _expanded_log(tuple(sequence), n_letters, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _expanded_log(sequence, n_letters, n):
+    """`_log_series` of a factor sequence given as a tuple, the 64 latest
+    (sequence, Lambda, n) kept: a Lambda = 4, degree-5 element is 22 KB, so
+    about 1.4 MB at that size.  Keys equal as tuples of complex coefficients
+    give the same blocks bit for bit: each word is a sum from +0.0, in which a
+    coefficient's signed zero is lost."""
     s = _zero(n_letters, n)
     s[0] = 1.0
     for letter, coef in sequence:
@@ -298,7 +310,8 @@ def _log_series(sequence, n_letters, n):
         log_s = log_s + (-1) ** (m + 1) / m * power
         if m < n:
             power = _mul(power, y, n_letters, n)
-    return np.split(log_s, _starts(n_letters, n)[1:-1])
+    log_s.setflags(write=False)
+    return tuple(np.split(log_s, _starts(n_letters, n)[1:-1]))
 
 
 def _exact_order(sequence, n_letters, n_max):

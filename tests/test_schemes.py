@@ -612,12 +612,18 @@ def test_bch_coefficients_are_the_block_products_bit_for_bit(scheme):
         _assert_same_blocks([_bch_coefficients(scheme, n)], [_block_bch_coefficients(scheme, n)])
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_random_complex_sequences_match_the_block_products_bit_for_bit(seed):
+def _random_sequence(seed):
+    """(sequence, Lambda, n): a seeded list of 1..12 random complex factors."""
     rng = np.random.default_rng(seed)
     n_letters, n = 2 + seed % 3, 1 + seed % 5
     sequence = [(int(rng.integers(n_letters)), complex(*rng.standard_normal(2)))
                 for _ in range(int(rng.integers(1, 13)))]
+    return sequence, n_letters, n
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_complex_sequences_match_the_block_products_bit_for_bit(seed):
+    sequence, n_letters, n = _random_sequence(seed)
     _assert_same_blocks(_log_series(sequence, n_letters, n),
                         _block_log_series(sequence, n_letters, n))
 
@@ -646,8 +652,72 @@ def test_log_series_forms_no_power_it_does_not_add(monkeypatch, n_letters, n):
     mul = schemes._mul
     monkeypatch.setattr(schemes, "_mul", lambda *args: calls.append(args) or mul(*args))
     sequence = to_multistage(get_scheme("blanes-moan4")).factor_sequence(n_letters)
+    schemes._expanded_log.cache_clear()  # count a cold expansion
     _log_series(sequence, n_letters, n)
     assert len(calls) == len(sequence) + n - 1
+
+
+# ---------------------------------------------------------------------------
+# one expansion per (sequence, Lambda, n) and process
+
+
+def _hex_words(blocks):
+    return [float.hex(part) for block in blocks for z in block.tolist()
+            for part in (z.real, z.imag)]
+
+
+def test_scoring_after_the_catalog_load_forms_no_product(monkeypatch):
+    # the gate reads each entry through degree order_n + 1, its scoring degree
+    monkeypatch.setattr(schemes, "_catalog_cache", {})
+    schemes._expanded_log.cache_clear()
+    catalog = load_catalog()
+    calls = []
+    mul = schemes._mul
+    monkeypatch.setattr(schemes, "_mul", lambda *args: calls.append(args) or mul(*args))
+    for scheme in catalog.values():
+        coeffs = estimate_error_coefficients(scheme, max_order=5 if scheme.order_n == 4 else 3)
+        efficiency(scheme, coeffs=coeffs)
+        efficiency(scheme)
+    assert calls == []
+
+
+def test_cached_blocks_are_read_only():
+    sequence = get_scheme("suzuki4").factor_sequence()
+    blocks = _log_series(sequence, 2, 5)
+    assert isinstance(blocks, tuple) and _log_series(list(sequence), 2, 5) is blocks
+    for block in blocks:
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0] = 1.0
+        with pytest.raises(ValueError):
+            block += 1.0
+
+
+def test_cached_blocks_are_a_cold_expansion_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(schemes, "_catalog_cache", {})
+    schemes._expanded_log.cache_clear()
+    catalog = load_catalog()  # the gate's expansions are the first cached
+    cases = [(scheme.factor_sequence(), 2, n) for scheme in catalog.values() for n in (3, 5)]
+    cases += [_random_sequence(seed) for seed in range(20)]
+    cached = []
+    for sequence, n_letters, n in cases:
+        blocks = _log_series(sequence, n_letters, n)
+        # a list and a tuple are one key, and a list edited later leaves it be
+        as_list = list(sequence)
+        assert _log_series(as_list, n_letters, n) is blocks
+        as_list.append((0, 1j))
+        assert _log_series(tuple(sequence), n_letters, n) is blocks
+        cached.append(_hex_words(blocks))
+    schemes._expanded_log.cache_clear()
+    for (sequence, n_letters, n), words in zip(cases, cached):
+        assert _hex_words(_log_series(sequence, n_letters, n)) == words
+        assert _hex_words(_log_series(list(sequence), n_letters, n)) == words
+
+
+def test_memo_bound_is_the_one_its_docstring_states():
+    maxsize = schemes._expanded_log.cache_info().maxsize
+    assert maxsize == 64
+    assert f"the {maxsize} latest" in " ".join(schemes._expanded_log.__doc__.split())
 
 
 # ---------------------------------------------------------------------------
