@@ -12,13 +12,18 @@ process with one BLAS thread.
 
 The JSON written to FILE holds every pair's end-to-end metrics and failed
 checks, and per metric: the median and quartiles of each side, the
-median ratio B/A, how many pairs each side won (lower is better for every
-end-to-end metric), and two verdicts.  A metric is "unresolved" when A's
-quartile spread, relative to its median, exceeds the metric's bound in
-TREE_A's BENCHMARK.json: a change that small or smaller cannot be told
-from noise.  "worse_beyond_bound" is B's median above A's by more than the
-bound; "claim_met" is B lower in at least 90% of the pairs with the median
-difference above A's quartile spread.
+ratio of the medians B/A, the median and quartiles of the per-pair ratio
+B/A, how many pairs each side won (lower is better for every end-to-end
+metric), and three verdicts.  The per-pair ratio compares each run with
+the other side's run of its own pair, so a phase of the machine that
+moves both runs of a pair cancels in it, where it can move one side's
+median alone; it is reported beside the verdicts and changes none.  A
+metric is "unresolved" when A's quartile spread, relative to its median,
+exceeds the metric's bound in TREE_A's BENCHMARK.json: a change that
+small or smaller cannot be told from noise.  "worse_beyond_bound" is B's
+median above A's by more than the bound; "claim_met" is B lower in at
+least 90% of the pairs with the median difference above A's quartile
+spread.
 """
 
 from __future__ import annotations
@@ -60,12 +65,14 @@ def quartiles(values):
 
 def summarize(a, b, bound):
     qa, qb = quartiles(a), quartiles(b)
+    qr = quartiles([y / x for x, y in zip(a, b)])
     spread = qa[2] - qa[0]
     b_lower = sum(y < x for x, y in zip(a, b))
     return {
         "A": {"median": qa[1], "q1": qa[0], "q3": qa[2]},
         "B": {"median": qb[1], "q1": qb[0], "q3": qb[2]},
         "ratio_B_over_A": qb[1] / qa[1],
+        "pair_ratio_B_over_A": {"median": qr[1], "q1": qr[0], "q3": qr[2]},
         "B_lower_pairs": b_lower,
         "A_lower_pairs": sum(x < y for x, y in zip(a, b)),
         "bound": bound,
@@ -127,9 +134,11 @@ def main(argv=None):
         fh.write("\n")
     for name, s in summary.items():
         flags = [k for k in ("unresolved", "worse_beyond_bound", "claim_met") if s[k]]
+        pr = s["pair_ratio_B_over_A"]
         print(f"{name:16s} A {s['A']['median']:.4g}  B {s['B']['median']:.4g}  "
-              f"B/A {s['ratio_B_over_A']:.3f}  B lower {s['B_lower_pairs']}/{args.pairs}  "
-              f"{' '.join(flags)}")
+              f"B/A {s['ratio_B_over_A']:.3f}  "
+              f"pair B/A {pr['median']:.3f} [{pr['q1']:.3f}, {pr['q3']:.3f}]  "
+              f"B lower {s['B_lower_pairs']}/{args.pairs}  {' '.join(flags)}")
     return 0
 
 

@@ -14,12 +14,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from mpmath import mp
 
-from .compose import SectorBlocks, evolve_sequence, power_step
+from .compose import SectorBlocks, compose, power_step
 from .errors import GridUnusableError, NotFoundError, RangeError, StructuralError, real_field
 from .multistage import to_multistage
 from .polyexp import SeriesSpec, eval_factorized, eval_summed, factorize, suggest_gamma
 from .schemes import get_scheme
-from .spinmodel import XxzConfig, _h_blocks, _sector_oracle, build_xxz, frobenius_error
+from .spinmodel import XxzConfig, _sector_oracle, build_xxz, frobenius_error
 from .tolerances import DEFAULT_KAPPA
 
 DEFAULT_METHODS = ("strang", "forest-ruth", "suzuki4", "blanes-moan4")
@@ -164,20 +164,20 @@ def plan_from_dict(data):
 # the sweep
 
 
-def _polynomial(method, h, gamma, cache_dir):
-    """The method's truncation of exp(-i H h) as a function of a sector
-    block b of H: the factorized or summed polynomial in -i b, evaluated
-    on the sector's identity."""
+def _polynomial(method, h, gamma, h_blocks, cache_dir):
+    """The method's truncation of exp(-i H h) on H's sector blocks (a
+    `SectorBlocks`): the factorized or summed polynomial in -i b, evaluated
+    on each sector's identity, as a `SectorBlocks` on the same sectors."""
     if method.kind == "taylor":
         spec = SeriesSpec("taylor", method.k, h=h)
     else:
-        spec = SeriesSpec(
-            "chebyshev", method.k, gamma_scale=gamma, axis="imaginary", h=h
-        )
+        spec = SeriesSpec("chebyshev", method.k, gamma_scale=gamma, axis="imaginary", h=h)
     if method.mode == "prod":
-        fact = factorize(spec, cache_dir=cache_dir)
-        return lambda b: eval_factorized(-1j * b, np.eye(len(b), dtype=complex), fact)
-    return lambda b: eval_summed(-1j * b, np.eye(len(b), dtype=complex), spec)
+        evaluate, series = eval_factorized, factorize(spec, cache_dir=cache_dir)
+    else:
+        evaluate, series = eval_summed, spec
+    blocks = [evaluate(-1j * b, np.eye(len(b), dtype=complex), series) for b in h_blocks.blocks]
+    return SectorBlocks(h_blocks.sectors, blocks)
 
 
 def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
@@ -190,12 +190,13 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     Every cell is kept as its blocks over the chain's magnetization sectors
     (`OperatorSplit.sectors`, the blocks of H's pattern), a `SectorBlocks`,
     and nothing is scattered.  H's sector blocks are placed once from the
-    terms (`spinmodel._h_blocks`, which refuses a chain past the dense cap
-    before searching its sectors): the exact oracle
-    (`spinmodel._sector_oracle`) diagonalizes each once and keeps its
-    exponential per distinct effective time, and a polynomial cell powers
-    its step on each block.  A scheme cell is `evolve_sequence`.  Each error
-    is `frobenius_error`, sqrt(sum_s |U_s - E_s|_F^2) on the blocks.  Only a
+    terms (`split.blocks`, which refuses a chain past the dense cap before
+    searching its sectors): the exact oracle (`spinmodel._sector_oracle`)
+    diagonalizes each once and keeps its exponential per distinct effective
+    time.  Every other cell is one step, powered once (`power_step`): a
+    scheme's step is `compose`d from its factor sequence, a polynomial's is
+    its truncation on each block of H (`_polynomial`).  Each error is
+    `frobenius_error`, sqrt(sum_s |U_s - E_s|_F^2) on the blocks.  Only a
     plan with a Chebyshev method builds and diagonalizes the whole H: its
     eigenvalues give the Gamma that keys the zero cache (the perfbench
     `sweep` warm-up solves the zeros for it), and sector eigenvalues can
@@ -203,11 +204,10 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
     """
     methods = [parse_method(d, catalog_path=catalog_path) for d in plan.methods]
     split = build_xxz(plan.model)
-    h_blocks = _h_blocks(split)
     gamma = None
     if any(m.kind == "chebyshev" for m in methods):
         gamma = suggest_gamma(split.total, eigvals=np.linalg.eigh(split.total)[0])
-    oracle = _sector_oracle(split.sectors, h_blocks)
+    oracle = _sector_oracle(split.blocks)
     records = []
     for method in methods:
         for h in plan.h_grid:
@@ -218,10 +218,9 @@ def run_benchmark(plan, *, cache_dir=None, catalog_path=None, timing=False):
                 u = exact
             elif method.kind == "scheme":
                 sequence = to_multistage(method.scheme).factor_sequence(split.n_parts)
-                u = evolve_sequence(split, sequence, h, steps)
+                u = power_step(compose(split, sequence, h), steps)
             else:
-                p = _polynomial(method, h, gamma, cache_dir)
-                u = SectorBlocks(split.sectors, power_step([p(b) for b in h_blocks], steps))
+                u = power_step(_polynomial(method, h, gamma, split.blocks, cache_dir), steps)
             wall = time.perf_counter() - begin if timing else 0.0
             records.append(
                 BenchmarkRecord(

@@ -19,7 +19,8 @@ next to site 0.  A split of dense parts has one term per part that acts on
 the whole space, and its gate is applied as one matrix product.  A step is
 the factor sequence applied to the packed identity (below); one builder,
 `OperatorSplit._placed`, places the parts, the total and H's sector blocks
-from the terms' entries, and refuses a local split's past DENSE_DIM_CAP.
+(`OperatorSplit.blocks`, one `SectorBlocks`) from the terms' entries, and
+refuses a local split's past DENSE_DIM_CAP.
 
 A real Hamiltonian stays real: a term or part whose imaginary part is
 exactly zero is stored as float64 (and so is `total` when every part is),
@@ -44,14 +45,15 @@ column block at a time, sized by _BLOCK_BYTES (one block up to L = 8,
 8 blocks of 32 columns at L = 10, 16 columns from L = 11), applies every
 gate to that block, and writes its columns into each sector's block, so
 at L = 12 a step holds 2 MiB above its 41 MiB of sector blocks instead
-of the 58 MiB packed identity and its products.  `power_step` powers the
-blocks one at a time (at L = 8, sum n_s^3 = 0.74M multiply-adds per
-product against 16.8M for the whole matrix), and `evolve_sequence` adds
-the alternate-reversal pair and the odd step.  `compose` and
-`evolve_sequence` return the blocks as they are, a `SectorBlocks`:
-`U @ x` gathers x's rows into sector order once and multiplies only the
-sectors x meets, and `np.asarray(U)` scatters the blocks into a zero
-matrix, the one dense form.
+of the 58 MiB packed identity and its products.  `power_step` takes a
+step as a `SectorBlocks` and powers its blocks one at a time (at L = 8,
+sum n_s^3 = 0.74M multiply-adds per product against 16.8M for the whole
+matrix), and `evolve_sequence` adds the alternate-reversal pair and the
+odd step.  `compose`, `power_step` and `evolve_sequence` return the
+blocks as they are, a `SectorBlocks`: `U @ x` gathers x's rows into
+sector order once and multiplies only the sectors x meets, and
+`np.asarray(U)` scatters the blocks into a zero matrix of their type,
+the one dense form.
 The bench and the order fit compare such values with the exact oracle's
 block by block (`spinmodel.frobenius_error`), so they scatter nothing.
 A split with one sector packs nothing: its packed identity is the
@@ -226,6 +228,14 @@ class OperatorSplit:
         rows, cols = (np.concatenate(e) for e in zip(*edges))
         return _components(self.dim, rows, cols)
 
+    @cached_property
+    def blocks(self):
+        """H's blocks over `sectors`, in order, a `SectorBlocks` placed from
+        the terms (`_placed`): float64 when every term is.  A split past
+        DENSE_DIM_CAP is refused before its sectors are searched."""
+        _dense_dim(self.dim)
+        return SectorBlocks(self.sectors, self._placed(self.sectors, self.terms))
+
     def term_gate(self, k, n, z):
         """e^{z op} for term n (i, j, op) of part k, from the cached eigh of
         its distinct value."""
@@ -242,16 +252,18 @@ class OperatorSplit:
 
 
 class SectorBlocks:
-    """A block-diagonal complex (dim x dim) matrix kept as its blocks:
-    blocks[i] on the rows and columns of sectors[i], zero elsewhere, the
-    sectors partitioning 0..dim-1.  Every step, evolution and exact
-    oracle is returned as one; the blocks are read-only.
+    """A block-diagonal (dim x dim) matrix kept as its blocks: blocks[i]
+    on the rows and columns of sectors[i], zero elsewhere, the sectors
+    partitioning 0..dim-1.  Every step, evolution and exact oracle is
+    returned as one (complex), and so is H (`OperatorSplit.blocks`, real
+    for a real H); the blocks are read-only, and `dtype` is their result
+    type.
 
     `U @ x` multiplies block by block, for any array x whose leading axis
     is dim: x's rows are gathered into sector order once, a sector where x
     is zero gets exact zeros and no product, and `U @ V` on equal sectors
     is a SectorBlocks.  `np.asarray(U)` scatters the blocks into a zero
-    complex matrix; it is the one dense form.
+    matrix of that type; it is the one dense form.
     """
 
     __slots__ = ("sectors", "blocks", "_order", "_starts", "_rows")
@@ -282,7 +294,7 @@ class SectorBlocks:
 
     @property
     def dtype(self):
-        return np.dtype(complex)
+        return np.result_type(*self.blocks) if self.blocks else np.dtype(complex)
 
     def _same_sectors(self, other):
         """Whether other is a SectorBlocks on these sectors, in this order."""
@@ -295,7 +307,7 @@ class SectorBlocks:
         x = np.asarray(x)
         if x.ndim == 0 or len(x) != len(self._order):
             raise DimensionError(f"cannot apply a {self.shape} matrix to shape {x.shape}")
-        out = np.zeros((len(x), math.prod(x.shape[1:])), np.result_type(complex, x))
+        out = np.zeros((len(x), math.prod(x.shape[1:])), np.result_type(self.dtype, x))
         # one gather into sector order; each met sector's rows are a
         # contiguous slice of it, multiplied and written back to its rows
         gathered = x.reshape(out.shape)[self._order]
@@ -307,7 +319,7 @@ class SectorBlocks:
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("a SectorBlocks has no dense array to share")
-        out = np.zeros(self.shape, complex)
+        out = np.zeros(self.shape, self.dtype)
         for s, b in zip(self.sectors, self.blocks):
             out[np.ix_(s, s)] = b
         return out if dtype is None else out.astype(dtype, copy=False)
@@ -378,18 +390,18 @@ def _hermitian(a, what):
 
 
 def _hermitian_blocks(a, what):
-    """(sectors, blocks) of a square matrix a: the connected components of
-    its exact nonzero pattern (`_components`) and a's blocks on them, each
-    narrowed as `_narrowed` narrows the whole a.  a is zero off the blocks
-    both ways, so the checks of `_hermitian` run on the blocks alone, with
-    the same refusals in the same order and the same reported deviation."""
+    """A square matrix a as a `SectorBlocks`: its blocks on the connected
+    components of its exact nonzero pattern (`_components`), each narrowed
+    as `_narrowed` narrows the whole a.  a is zero off the blocks both
+    ways, so the checks of `_hermitian` run on the blocks alone, with the
+    same refusals in the same order and the same reported deviation."""
     a = np.asarray(a)
     _require_square(a, what)
     sectors = _components(len(a), *np.nonzero(a))
     part, dtype = (a, complex) if _is_complex(a) else (a.real, float)
     blocks = [np.ascontiguousarray(part[np.ix_(s, s)], dtype=dtype) for s in sectors]
     _require_hermitian(blocks, what)
-    return sectors, blocks
+    return SectorBlocks(sectors, blocks)
 
 
 def _components(n, rows, cols):
@@ -536,11 +548,11 @@ def compose(split, sequence, h, direction="forward"):
     return SectorBlocks(sectors, blocks)
 
 
-def power_step(blocks, steps):
-    """Each sector block of a step to the power `steps`, by repeated
-    squaring: at L = 8, sum n_s^3 = 0.74M multiply-adds per product
-    against 16.8M for the whole matrix."""
-    return [np.linalg.matrix_power(b, steps) for b in blocks]
+def power_step(u, steps):
+    """A step u, a `SectorBlocks`, to the power `steps`: each block by
+    repeated squaring, on u's sectors.  At L = 8, sum n_s^3 = 0.74M
+    multiply-adds per product against 16.8M for the whole matrix."""
+    return SectorBlocks(u.sectors, [np.linalg.matrix_power(b, steps) for b in u.blocks])
 
 
 def evolve_sequence(split, sequence, h, steps, direction="forward",
@@ -559,7 +571,6 @@ def evolve_sequence(split, sequence, h, steps, direction="forward",
         raise StructuralError(f"steps must be >= 1, got {steps}")
     step = compose(split, sequence, h, direction)
     if not alternate_reversal or sequence[::-1] == sequence:
-        return SectorBlocks(split.sectors, power_step(step.blocks, steps))
-    pair = step @ compose(split, sequence[::-1], h, direction)
-    u = SectorBlocks(split.sectors, power_step(pair.blocks, steps // 2))
+        return power_step(step, steps)
+    u = power_step(step @ compose(split, sequence[::-1], h, direction), steps // 2)
     return u @ step if steps % 2 else u

@@ -40,7 +40,7 @@ from .errors import (
     integer_field,
     real_field,
 )
-from .spinmodel import _h_blocks, _sector_oracle, frobenius_error
+from .spinmodel import _sector_oracle, frobenius_error
 from .tolerances import (
     CONSISTENCY_TOL,
     DEFAULT_SEED,
@@ -288,16 +288,17 @@ def _log_series(sequence, n_letters, n):
     d: the words of h^d), S the product of e^{c A_k} over a (k, c) factor
     sequence on n_letters.  Expanded once per process (`_expanded_log`), so
     the catalog gate, scoring and `_exact_order` share one expansion."""
-    return _expanded_log(tuple(sequence), n_letters, n)
+    return _expanded_log(tuple(sequence), n_letters, n)[1]
 
 
 @functools.lru_cache(maxsize=64)
 def _expanded_log(sequence, n_letters, n):
-    """`_log_series` of a factor sequence given as a tuple, the 64 latest
-    (sequence, Lambda, n) kept: a Lambda = 4, degree-5 element is 22 KB, so
-    about 1.4 MB at that size.  Keys equal as tuples of complex coefficients
-    give the same blocks bit for bit: each word is a sum from +0.0, in which a
-    coefficient's signed zero is lost."""
+    """log S of a factor sequence given as a tuple, as the read-only flat
+    element and the tuple of its degree blocks' views (`_log_series`), the
+    64 latest (sequence, Lambda, n) kept: a Lambda = 4, degree-5 element is
+    22 KB, so about 1.4 MB at that size.  Keys equal as tuples of complex
+    coefficients give the same blocks bit for bit: each word is a sum from
+    +0.0, in which a coefficient's signed zero is lost."""
     s = _zero(n_letters, n)
     s[0] = 1.0
     for letter, coef in sequence:
@@ -311,7 +312,7 @@ def _expanded_log(sequence, n_letters, n):
         if m < n:
             power = _mul(power, y, n_letters, n)
     log_s.setflags(write=False)
-    return tuple(np.split(log_s, _starts(n_letters, n)[1:-1]))
+    return log_s, tuple(np.split(log_s, _starts(n_letters, n)[1:-1]))
 
 
 def _exact_order(sequence, n_letters, n_max):
@@ -333,15 +334,17 @@ def _exact_order(sequence, n_letters, n_max):
 def _bch_coefficients(scheme, n):
     """Coefficients of log S - (A + B) on the basis elements of grade <= n.
 
-    log S is `_log_series` of the scheme's factor sequence on {A, B}; a
-    grade-g coefficient multiplies h^g.  It is its pivot word's entry in
-    log S - (A + B) divided exactly by +-1 or +-2 (`_PIVOTS`).
+    log S is the scheme's factor sequence on {A, B} expanded once per
+    process (`_expanded_log`); a grade-g coefficient multiplies h^g.  It is
+    its pivot word's entry in log S - (A + B), read from the cached flat
+    element, divided exactly by +-1 or +-2 (`_PIVOTS`).
     """
-    defect = np.concatenate(_log_series(scheme.factor_sequence(), 2, n))
-    defect[1:3] -= 1
+    log_s = _expanded_log(tuple(scheme.factor_sequence()), 2, n)[0]
     m = sum(g <= n for g in _BASIS_GRADES)
+    defect = log_s[_PIVOT_AT[:m]]
+    defect[:2] -= 1  # words A and B
     # + 0.0: a zero over -1 or -2 reads +0.0, not -0.0
-    return defect[_PIVOT_AT[:m]] / _PIVOT_COEF[:m] + 0.0
+    return defect / _PIVOT_COEF[:m] + 0.0
 
 
 def estimate_error_coefficients(scheme, max_order=3):
@@ -418,11 +421,10 @@ def _fit_order(split, sequence, alternate_reversal=False):
     """Log-log slope over h = 2^-2 .. 2^-6 (_FIT_H_GRID) of the error of
     `sequence` composed over 1/h steps against e^{-i H}, H the summed
     operator.  As in the bench, both stay blocks over `split.sectors`:
-    `evolve_sequence` against the exact oracle on H's gathered blocks
-    (`_sector_oracle` on `_h_blocks`, whose one exponential serves every h),
-    by `frobenius_error`."""
-    h_blocks = _h_blocks(split)  # refused past the cap before the sectors are searched
-    oracle = _sector_oracle(split.sectors, h_blocks)
+    `evolve_sequence` against the exact oracle on H's sector blocks
+    (`_sector_oracle` on `split.blocks`, whose one exponential serves every
+    h), by `frobenius_error`."""
+    oracle = _sector_oracle(split.blocks)  # refused past the cap before the sectors are searched
     errors = []
     for h in _FIT_H_GRID:
         steps = round(1.0 / h)

@@ -6,17 +6,18 @@ three colors so the chain always presents a Lambda = 3 split; every color
 group consists of site-disjoint bonds.  The split records each color as
 its local terms (i, j, h_b), one shared 4x4 bond term, so the composer
 builds every step from cached 4x4 bond gates; the dense parts, H and H's
-sector blocks are placed from the terms' entries on first use, so a chain
-past the dense cap (L > 12) is split but refused at its first dense access.
+sector blocks (`OperatorSplit.blocks`) are placed from the terms' entries
+on first use, so a chain past the dense cap (L > 12) is split but refused
+at its first dense access.
 The chain is real in the computational basis, so the bond term, the parts
 and the total are float64, and the exact oracle diagonalizes H in real
 arithmetic, one magnetization sector at a time: H conserves the number of
 up spins, so its blocks are of size C(L, m).  `exact_evolution`, the bench
-and the order fit share one oracle, `_sector_oracle`, which returns its
-exponentials as `compose.SectorBlocks`; `frobenius_error` reads two of them
-on equal sectors block by block.  The bench, the order fit and
-`xxz_spectrum` take H's blocks from `_h_blocks`, with no dense H built, and
-the spectrum is their eigenvalues, sorted.
+and the order fit share one oracle, `_sector_oracle`, which takes H as a
+`compose.SectorBlocks` and returns its exponentials as one;
+`frobenius_error` reads two of them on equal sectors block by block.  The
+bench, the order fit and `xxz_spectrum` read H as `split.blocks`, with no
+dense H built, and the spectrum is its blocks' eigenvalues, sorted.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import DimensionError, StructuralError, integer_field, real_field
 from .compose import (
     OperatorSplit,
     SectorBlocks,
-    _dense_dim,
     _eig_expm,
     _hermitian_blocks,
     direction_prefactor,
@@ -146,29 +146,22 @@ def exact_evolution(h_matrix, t, direction="forward"):
     chain the blocks are its `sectors`.  H must be finite and Hermitian, checked on its blocks
     (`_hermitian_blocks`), and t finite.
     """
-    sectors, blocks = _hermitian_blocks(h_matrix, "H")
+    h = _hermitian_blocks(h_matrix, "H")
     if not np.isfinite(t):
         raise StructuralError(f"t must be finite, got {t!r}")
     z = direction_prefactor(direction) * t
-    return _sector_oracle(sectors, blocks)(z)
+    return _sector_oracle(h)(z)
 
 
-def _h_blocks(split):
-    """H's blocks over `split.sectors`, in order: what the bench, the order
-    fit and `xxz_spectrum` diagonalize, placed from the terms (`_placed`).
-    A chain past the dense cap is refused before its sectors are searched."""
-    _dense_dim(split.dim)
-    return split._placed(split.sectors, split.terms)
-
-
-def _sector_oracle(sectors, blocks):
-    """The exact oracle on H's invariant blocks over these sectors: one eigh
-    per Hermitian block, taken here, and a function of z that returns
+def _sector_oracle(h):
+    """The exact oracle on H's invariant blocks, h a `SectorBlocks`: one
+    eigh per Hermitian block, taken here, and a function of z that returns
     e^{z H} as the blocks e^{z b} = V diag(e^{z lambda}) V^dagger
-    (`_eig_expm`), a `SectorBlocks`, computed once per distinct z."""
-    eigensystems = [np.linalg.eigh(b) for b in blocks]
+    (`_eig_expm`) on h's sectors, a `SectorBlocks`, computed once per
+    distinct z."""
+    eigensystems = [np.linalg.eigh(b) for b in h.blocks]
     return functools.cache(
-        lambda z: SectorBlocks(sectors, [_eig_expm(w, v, z) for w, v in eigensystems]))
+        lambda z: SectorBlocks(h.sectors, [_eig_expm(w, v, z) for w, v in eigensystems]))
 
 
 def frobenius_error(u_approx, u_exact):
@@ -186,7 +179,7 @@ def frobenius_error(u_approx, u_exact):
 
 def xxz_spectrum(cfg):
     """Sorted eigenvalues of the chain Hamiltonian: those of its sector
-    blocks (`_h_blocks`), one eigvalsh per block.  They agree with a
-    whole-matrix eigvalsh to rounding, not bit for bit (within 1e-12 up to
-    L = 10)."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in _h_blocks(build_xxz(cfg))]))
+    blocks (`OperatorSplit.blocks`), one eigvalsh per block.  They agree
+    with a whole-matrix eigvalsh to rounding, not bit for bit (within 1e-12
+    up to L = 10)."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in build_xxz(cfg).blocks.blocks]))

@@ -384,17 +384,16 @@ def test_run_multiplies_only_sector_blocks_after_the_oracle(methods, whole, zero
 @pytest.fixture
 def cell_blocks(monkeypatch):
     """The blocks of every non-exact cell, in the order the sweep powers
-    them."""
+    them: each cell is one `power_step`."""
     cells = []
-    for name in ("power_step", "evolve_sequence"):
-        real = getattr(bench, name)
+    real = bench.power_step
 
-        def recording(*args, real=real, **kwargs):
-            got = real(*args, **kwargs)
-            cells.append(getattr(got, "blocks", got))
-            return got
+    def recording(*args, **kwargs):
+        got = real(*args, **kwargs)
+        cells.append(got.blocks)
+        return got
 
-        monkeypatch.setattr(bench, name, recording)
+    monkeypatch.setattr(bench, "power_step", recording)
     return cells
 
 

@@ -23,7 +23,7 @@ from trotterkit.compose import (
     evolve_sequence,
     power_step,
 )
-from trotterkit.errors import DimensionError, StructuralError
+from trotterkit.errors import CapacityError, DimensionError, StructuralError
 from trotterkit.multistage import (
     apply_multistage,
     apply_two_stage,
@@ -396,6 +396,65 @@ def test_sectors_are_the_oracle_blocks_of_the_total(make):
     assert all(map(same_bits, sectors, split.sectors))
 
 
+@pytest.mark.parametrize("L, boundary, delta", [(L, b, d) for L in range(3, 11)
+                                                for b in ("open", "periodic") for d in (0.3, 1.0)])
+def test_split_blocks_are_the_total_bit_for_bit(L, boundary, delta):
+    # H's sector blocks, placed from the terms, are one value, kept: its
+    # dense form is the total bit for bit, real like it
+    split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=delta))
+    h = split.blocks
+    assert isinstance(h, SectorBlocks) and split.blocks is h
+    assert len(h.sectors) == len(split.sectors)
+    assert all(map(same_bits, h.sectors, split.sectors))
+    dense = np.asarray(h)
+    assert h.dtype == np.float64 and same_bits(dense, split.total)
+    x = np.random.default_rng(L).normal(size=split.dim)
+    want = split.total @ x
+    assert (h @ x).dtype == np.float64
+    assert np.linalg.norm(h @ x - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def complex_xy_chain(L):
+    """An L-site chain of complex hopping bonds, which keep the
+    magnetization: complex blocks on the magnetization sectors."""
+    hop = np.zeros((4, 4), complex)
+    hop[1, 2], hop[2, 1] = np.exp(0.7j), np.exp(-0.7j)
+    bond = hop + 0.3 * np.diag([1.0, -1.0, -1.0, 1.0])
+    return OperatorSplit.from_terms(L, [[(i, i + 1, bond) for i in range(c, L - 1, 2)]
+                                        for c in (0, 1)])
+
+
+@pytest.mark.parametrize("make", [partial(random_split, 3, 6), partial(complex_xy_chain, 6)],
+                         ids=["random", "complex-chain"])
+def test_complex_split_blocks_are_complex(make):
+    split = make()
+    h = split.blocks
+    assert h.dtype == np.complex128 and same_bits(np.asarray(h), split.total)
+    assert all(b.dtype == np.complex128 for b in h.blocks)
+
+
+def test_split_blocks_past_the_dense_cap_are_refused_before_the_sectors_are_searched():
+    split = build_xxz(XxzConfig(L=13))
+    with pytest.raises(CapacityError):
+        split.blocks
+    assert "sectors" not in split.__dict__ and "blocks" not in split.__dict__
+
+
+@pytest.mark.parametrize("L, boundary", [(4, "open"), (7, "periodic"), (8, "open")])
+def test_power_step_is_the_per_block_matrix_power_bit_for_bit(L, boundary):
+    # a step, a step in imaginary time and H itself, each powered on its
+    # own sectors: the blocks of the list-in, list-out power it replaced
+    split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=0.3))
+    seq = to_multistage(get_scheme("blanes-moan4")).factor_sequence(split.n_parts)
+    for u in (compose(split, seq, 0.05), compose(split, seq, 0.05, "imaginary"), split.blocks):
+        for steps in (1, 2, 7, 60):
+            got = power_step(u, steps)
+            want = [np.linalg.matrix_power(b, steps) for b in u.blocks]
+            assert isinstance(got, SectorBlocks) and len(got.sectors) == len(u.sectors)
+            assert all(map(same_bits, got.sectors, u.sectors))
+            assert all(map(same_bits, got.blocks, want)) and len(got.blocks) == len(want)
+
+
 @pytest.mark.parametrize("pattern", [
     np.ones((5, 5), dtype=bool),
     np.eye(1, dtype=bool),
@@ -668,11 +727,10 @@ def test_sector_power_matches_matrix_power(monkeypatch, L, boundary):
         seq = to_multistage(get_scheme(name)).factor_sequence(split.n_parts)
         for direction in ("forward", "imaginary"):
             step = compose(split, seq, 0.05, direction)
-            blocks = step.blocks
             for steps in (1, 2, 7, 60):
                 want = np.linalg.matrix_power(step, steps)
                 shapes = record_powers(monkeypatch)
-                got = scatter(split.sectors, power_step(blocks, steps))
+                got = scatter(split.sectors, power_step(step, steps).blocks)
                 monkeypatch.undo()
                 assert shapes == [(len(s), len(s)) for s in split.sectors]
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -686,7 +744,7 @@ def test_one_sector_split_powers_the_step_whole(monkeypatch):
     assert np.array_equal(block, step)
     want = np.linalg.matrix_power(step, 9)
     shapes = record_powers(monkeypatch)
-    (got,) = power_step([block], 9)
+    (got,) = power_step(step, 9).blocks
     assert np.array_equal(got, want)
     assert shapes == [(16, 16)]
 
@@ -728,9 +786,9 @@ def test_cancelling_split_sectors_hold_every_step(split):
     step = full_identity_step(split, seq, 0.1)
     assert np.array_equal(compose(split, seq, 0.1), step)
     want = np.linalg.matrix_power(step, 7)
-    blocks = compose(split, seq, 0.1).blocks
+    powered = power_step(compose(split, seq, 0.1), 7).blocks
     evolved = np.asarray(evolve(split, ms, 0.1, 7))
-    for got in (scatter(split.sectors, power_step(blocks, 7)), evolved):
+    for got in (scatter(split.sectors, powered), evolved):
         if len(split.sectors) == 1:
             assert np.array_equal(got, want)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
@@ -755,7 +813,8 @@ def test_evolve_powers_sector_blocks(monkeypatch):
     assert all(map(np.array_equal, pair.blocks, products))
     # the odd step is one more block product: bit for bit the blocks of
     # the powered pair times the step
-    want = [u @ b for u, b in zip(power_step(products, 3), step.blocks)]
+    want = [u @ b for u, b in zip(power_step(SectorBlocks(split.sectors, products), 3).blocks,
+                                  step.blocks)]
     assert all(map(np.array_equal, odd.blocks, want))
     blocks = [(len(s), len(s)) for s in split.sectors]
     for alternate, base, n in ((False, step, 6), (True, pair, 3)):
@@ -828,8 +887,9 @@ LIE = TwoStageScheme("lie", 1, a=[1, 0], b=[1], symmetric=False)
 def pair_power_blocks(step, reversed_step, steps):
     """The blocks of S S_rev S S_rev ... (`steps` factors), each sector's
     pair powered by `power_step` and the odd step multiplied on last."""
-    u = power_step([a @ b for a, b in zip(step, reversed_step)], steps // 2)
-    return [a @ b for a, b in zip(u, step)] if steps % 2 else u
+    pair = [a @ b for a, b in zip(step.blocks, reversed_step.blocks)]
+    u = power_step(SectorBlocks(step.sectors, pair), steps // 2).blocks
+    return [a @ b for a, b in zip(u, step.blocks)] if steps % 2 else u
 
 
 @pytest.mark.parametrize("L, boundary", [(L, b) for L in range(3, 11)
@@ -847,13 +907,13 @@ def test_dense_form_is_the_scatter_of_the_built_blocks_bit_for_bit(L, boundary):
         ms = to_multistage(scheme)
         seq = ms.factor_sequence(split.n_parts)
         for direction in ("forward", "imaginary"):
-            step = compose(split, seq, 0.1, direction).blocks
+            step = compose(split, seq, 0.1, direction)
             want = {
-                "step": scatter(split.sectors, step),
-                "plain": scatter(split.sectors, power_step(step, 5)),
+                "step": scatter(split.sectors, step.blocks),
+                "plain": scatter(split.sectors, power_step(step, 5).blocks),
             }
             # a palindromic sequence is its own reversal, and reuses the step
-            reversed_step = compose(split, seq[::-1], 0.1, direction).blocks
+            reversed_step = compose(split, seq[::-1], 0.1, direction)
             alternate = scatter(split.sectors, pair_power_blocks(step, reversed_step, 5))
             want["alternate"] = want["plain"] if seq[::-1] == seq else alternate
             got = {
@@ -869,10 +929,10 @@ def test_dense_form_is_the_scatter_of_the_built_blocks_bit_for_bit(L, boundary):
                 assert u.shape == dense.shape == (split.dim, split.dim)
                 assert np.array_equal(dense, want[key]), (scheme.name, direction, key)
     h = split.total
-    sectors, blocks = _hermitian_blocks(h, "H")
-    oracle = spinmodel._sector_oracle(sectors, blocks)
+    h_blocks = _hermitian_blocks(h, "H")
+    oracle = spinmodel._sector_oracle(h_blocks)
     for direction, z in (("forward", -0.9j), ("imaginary", -0.9)):
-        want = scatter(sectors, oracle(z).blocks)
+        want = scatter(h_blocks.sectors, oracle(z).blocks)
         assert np.array_equal(np.asarray(exact_evolution(h, 0.9, direction)), want)
 
 

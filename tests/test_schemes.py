@@ -15,6 +15,7 @@ import scipy.linalg
 from hypothesis import assume, given, strategies as st
 
 from trotterkit import schemes, spinmodel
+from trotterkit.compose import SectorBlocks
 from trotterkit.errors import (
     ConsistencyError,
     GridUnusableError,
@@ -815,7 +816,7 @@ def test_order_fit_runs_the_oracle_once_per_time(monkeypatch):
 def test_sector_oracle_exponentiates_once_per_distinct_time(monkeypatch):
     zs = _recording_eig_expm(monkeypatch)
     h = random_hermitian(np.random.default_rng(3), 6)
-    oracle = spinmodel._sector_oracle([np.arange(6)], [h])
+    oracle = spinmodel._sector_oracle(SectorBlocks([np.arange(6)], [h]))
     ts = [0.3 * 3, 1.0, 0.15 * 7, 1.0]  # steps * h on the grid 0.3, 0.2, 0.15, 0.1
     blocks = [oracle(-1j * t) for t in ts]
     assert zs == [-1j * t for t in (0.3 * 3, 1.0, 0.15 * 7)]

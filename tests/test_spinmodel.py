@@ -16,7 +16,6 @@ from trotterkit.multistage import apply_multistage, evolve, to_multistage
 from trotterkit.schemes import get_scheme
 from trotterkit.spinmodel import (
     XxzConfig,
-    _h_blocks,
     _sector_oracle,
     bond_coloring,
     build_xxz,
@@ -401,7 +400,7 @@ def test_h_blocks_are_the_totals_sector_blocks_bit_for_bit(L, boundary, delta, J
     # placed from the terms, each block sums its entries in the order a
     # dense sum of the lifted bonds does, and no dense H is built for them
     split = build_xxz(XxzConfig(L=L, boundary=boundary, delta=delta, J=J))
-    blocks = _h_blocks(split)
+    blocks = split.blocks.blocks
     assert "total" not in vars(split) and "parts" not in vars(split)
     assert len(blocks) == len(split.sectors)
     for b, want in zip(blocks, sector_blocks_from_bonds(split, L)):
@@ -417,7 +416,7 @@ def test_h_blocks_at_the_dense_cap_hold_less_than_one_dense_h():
     split = build_xxz(XxzConfig(L=12, boundary="periodic", delta=0.3, J=0.7))
     tracemalloc.start()
     try:
-        blocks = _h_blocks(split)
+        blocks = split.blocks.blocks
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -481,7 +480,7 @@ def whole_matrix_oracle(h):
     its nonzero pattern."""
     whole = compose._hermitian(h, "H")
     sectors = compose._components(len(whole), *np.nonzero(whole))
-    return sectors, _sector_oracle(sectors, [whole[np.ix_(s, s)] for s in sectors])
+    return sectors, _sector_oracle(SectorBlocks(sectors, [whole[np.ix_(s, s)] for s in sectors]))
 
 
 def assert_same_blocks_bit_for_bit(u, want):
