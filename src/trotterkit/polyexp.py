@@ -40,6 +40,7 @@ from typing import Optional
 import mpmath as mp
 import numpy as np
 
+from .compose import _nonzero, _require_finite, _require_square
 from .errors import ConvergenceError, DimensionError, RangeError, StructuralError, real_field
 from .tolerances import (
     BESSEL_X_MAX,
@@ -238,13 +239,23 @@ def chebyshev_admissible_k(gamma_h, axis, epsilon):
 
 def suggest_gamma(h_matrix, eigvals=None):
     """Gamma = margin * spectral-radius bound (Gershgorin, or exact when
-    an eigenvalue list is already available)."""
+    an eigenvalue list is already available).  h_matrix must be a square
+    matrix holding at least one index and eigvals a non-empty list.  A
+    Gamma that is not finite is refused: the bound is checked, not each
+    entry of the matrix."""
     if eigvals is not None:
+        if not np.size(eigvals):
+            raise DimensionError("eigvals must hold at least one eigenvalue")
         bound = float(np.max(np.abs(eigvals)))
     else:
         m = np.asarray(h_matrix)
-        bound = float(np.max(np.sum(np.abs(m), axis=1)))
-    return GAMMA_MARGIN * bound
+        _require_square(m, "h_matrix")
+        with np.errstate(over="ignore"):  # a row sum past the float range is inf, refused below
+            bound = float(np.max(np.sum(np.abs(m), axis=1)))
+    gamma = GAMMA_MARGIN * bound
+    if not math.isfinite(gamma):
+        raise StructuralError(f"the spectral bound {bound!r} gives no finite Gamma")
+    return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -922,43 +933,37 @@ def _check_zero_clearance(spec, zeros, dropped):
 def _operands(h_op, target):
     """The operator and the target an evaluation runs on: a scalar h_op
     with the target as given, or else both as arrays, checked to be a
-    square matrix and a target whose leading axis matches it."""
+    square matrix holding at least one index (`compose._require_square`)
+    and a state or a block whose leading axis matches it."""
     if np.isscalar(h_op):
         return h_op, target
     m = np.asarray(h_op)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"operator must be square, got shape {m.shape}")
+    _require_square(m, "operator")
     t = np.asarray(target)
     if t.ndim == 0 or t.shape[0] != m.shape[0]:
         raise DimensionError(
             f"target of shape {t.shape} does not match operator dim {m.shape[0]}"
         )
+    if t.ndim > 2:
+        raise DimensionError(f"target must be a state or a block, got shape {t.shape}")
     return m, t
 
 
-def _finite(m):
-    """m, refused with StructuralError if any entry is not finite."""
-    if not np.isfinite(m).all():
-        raise StructuralError("h_op has a non-finite entry")
-    return m
-
-
-def _applier(m, factor, t, k):
+def _applier(m, factor, t):
     """A callable that multiplies (m * factor) into arrays of t's shape,
     for m and t from `_operands`.
 
     A scalar multiplies.  A matrix on a 1-D target (a state) whose nonzeros
-    fill at most ENTRY_APPLY_MAX_FILL of it is applied through its entry
-    table, cut to the rows of R_k: t's support (t != 0), grown by at most
-    k rounds in which row i joins when m[i, j] != 0 for some j already in
-    the set, stopping early once a round adds nothing.  k applies of m
-    leave every entry outside R_k exactly zero, so those rows need no sum,
-    and each kept row sums all its entries in the whole matrix's order and
-    rounding.  For a Hermitian m, R_k lies in the blocks of m's nonzero
-    pattern that meet the support, and is their union once the rounds
-    reach a fixed point.  For the XXZ chain's H these blocks are the
-    split's `OperatorSplit.sectors`, which for any split are unions of H's
-    blocks.
+    (`compose._nonzero`) fill at most ENTRY_APPLY_MAX_FILL of it is applied
+    through its entry table, cut to the rows of the sectors the state meets:
+    t's support (t != 0), grown until a round adds nothing, where a round
+    adds row i when m[i, j] != 0 for some j already in the set (`_reach`).
+    Any number of applies of m leaves every entry outside that set exactly
+    zero, so those rows need no sum, and each kept row sums all its entries
+    in the whole matrix's order and rounding.  For a Hermitian m the set is
+    the union of the blocks of m's nonzero pattern that meet the support;
+    for the XXZ chain's H these blocks are the split's
+    `OperatorSplit.sectors`, which for any split are unions of H's blocks.
 
     Any other matrix, and every matrix on a 2-D target (a block, which
     BLAS-3 GEMM serves better), is applied as the dense (m * factor) @ v.
@@ -967,7 +972,7 @@ def _applier(m, factor, t, k):
     m is refused on every path.
     """
     if np.isscalar(m):
-        val = _finite(m) * factor
+        val = _require_finite(m, "h_op") * factor
         return lambda v: val * v
     if t.ndim == 1:
         m = np.ascontiguousarray(m)
@@ -976,34 +981,24 @@ def _applier(m, factor, t, k):
         if np.count_nonzero(nonzero) <= ENTRY_APPLY_MAX_FILL * m.size:
             rows, cols = np.divmod(np.flatnonzero(nonzero), len(m))
             del nonzero
-            vals = _finite(m[rows, cols])
-            keep = _reach(rows, cols, t != 0, k)[rows]
+            vals = _require_finite(m[rows, cols], "h_op")
+            keep = _reach(rows, cols, t != 0)[rows]
             return _entry_applier(rows[keep], cols[keep], vals[keep] * factor, len(m))
         del nonzero
-    m = _finite(m) * factor
+    m = _require_finite(m, "h_op") * factor
     return lambda v: np.matmul(m, v)
 
 
-def _nonzero(m):
-    """m != 0 for a C-contiguous m.  A complex m is compared as its real
-    and imaginary parts and each pair of flags read as one uint16, the same
-    (n, n) flags about 2.5x faster than comparing the complex entries."""
-    if np.iscomplexobj(m):
-        return (m.view(m.real.dtype) != 0).view(np.uint16) != 0
-    return m != 0
-
-
-def _reach(rows, cols, mark, k):
-    """The boolean mask of R_k: the set marked in mark, grown by at most k
-    rounds over the entry table (rows, cols), each round adding every row
-    with an entry in a marked column; a round that adds nothing ends it."""
-    for _ in range(k):
+def _reach(rows, cols, mark):
+    """The boolean mask of the set marked in mark, grown over the entry
+    table (rows, cols) to its fixed point: each round adds every row with an
+    entry in a marked column, and the first round that adds nothing ends it."""
+    while True:
         grown = mark.copy()
         grown[rows[mark[cols]]] = True
         if np.array_equal(grown, mark):
-            break
+            return mark
         mark = grown
-    return mark
 
 
 def _entry_applier(rows, cols, vals, n):
@@ -1058,9 +1053,10 @@ def eval_factorized(h_op, target, fact):
     thin block, a 1x1 input or a scalar gets H applied once per factor,
     twice per quadratic group, k times in all, by `_applier`: on a state,
     when H's nonzeros fill at most ENTRY_APPLY_MAX_FILL of it, through the
-    entries of its rows in R_k, the indices k applies of H can reach from
-    the state's support (bit for bit the whole-range result up to the sign
-    of a zero), otherwise as a dense product.  A block of m columns, dim n
+    entries of its rows in the sectors the state meets, the indices any
+    number of applies of H can reach from the state's support (bit for bit
+    the whole-range result up to the sign of a zero), otherwise as a dense
+    product.  A block of m columns, dim n
     and q quadratic groups with q (m - 1) > n, such as the identity, takes
     one product per group from H^2 formed once: acc + D @ acc, with the
     identity kept out of D (`_block_product`).  There H^2 and the q
@@ -1069,10 +1065,10 @@ def eval_factorized(h_op, target, fact):
     m, t = _operands(h_op, target)
     quads = sum(g.kind == "quad" for g in fact.groups)
     if not np.isscalar(m) and t.ndim == 2 and quads * (t.shape[1] - 1) > t.shape[0]:
-        acc = _block_product(_finite(m), t, fact)
+        acc = _block_product(_require_finite(m, "h_op"), t, fact)
     else:
         k = fact.spec.k
-        apply_h = _applier(m, fact.spec.h, t, k)
+        apply_h = _applier(m, fact.spec.h, t)
         acc = t
         for g in fact.groups:
             if g.kind == "quad":
@@ -1097,7 +1093,7 @@ def eval_summed(h_op, target, spec):
     k = spec.k
     m, t = _operands(h_op, target)
     if spec.family == "taylor":
-        apply_h = _applier(m, spec.h, t, k)
+        apply_h = _applier(m, spec.h, t)
         acc = term = t
         for i in range(1, k + 1):
             term = apply_h(term) / i
@@ -1105,7 +1101,7 @@ def eval_summed(h_op, target, spec):
         return acc
     a = _chebyshev_plane(spec)
     sign = -1 if spec.axis == "imaginary" else 1
-    apply_w = _applier(m, spec.h / spec.gamma_h, t, k)
+    apply_w = _applier(m, spec.h / spec.gamma_h, t)
     t_prev, t_cur = t, apply_w(t)
     acc = a[0] * t_prev + a[1] * t_cur
     for i in range(2, k + 1):

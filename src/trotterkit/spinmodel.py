@@ -142,9 +142,10 @@ def exact_evolution(h_matrix, t, direction="forward"):
     V diag(e^{pref * lambda * t}) V^dagger from its own eigh, and U is
     returned as these blocks, a `SectorBlocks` (`_sector_oracle`, the
     bench's and the order fit's oracle too).  The search is the one behind
-    `split.sectors`, over H's entries instead of the terms', so for the XXZ
-    chain the blocks are its `sectors`.  H must be finite and Hermitian, checked on its blocks
-    (`_hermitian_blocks`), and t finite.
+    `split.sectors`, over H's entries (`compose._nonzero`, the one pattern
+    scan) instead of the terms', so for the XXZ chain the blocks are its
+    `sectors`.  H must be a square matrix holding at least one index, finite
+    and Hermitian, checked on its blocks (`_hermitian_blocks`), and t finite.
     """
     h = _hermitian_blocks(h_matrix, "H")
     if not np.isfinite(t):

@@ -48,11 +48,11 @@ VALIDITY_TRUNCATION = 1e-13   # truncation level defining the Taylor validity di
 # operator costs 4.5-8x through its entries at n = 64-1024.  At n <= 128 the
 # gemv is ahead at any fill, by at most 3 us per apply.  An L = 10 XXZ H
 # (fill 0.54%) is scanned for its nonzeros in 0.94-1.03 ms (2.2-2.4 ms as
-# complex m != 0), found reaching the Neel state's 252-state sector in 16
-# rounds and 0.26-0.34 ms, and then applied through that sector's rows to
-# a full-length vector in 0.011-0.018 ms, against 0.047 ms through all its
-# entries and 0.74-0.77 ms as a gemv (one BLAS thread, medians of 200-2000
-# runs).
+# complex m != 0), its table cut to the one 252-state sector the Neel
+# state meets, a search of 16 rounds, the last adding nothing, in 0.33-0.40
+# ms, and then applied through that sector's rows to a full-length vector
+# in 0.011-0.018 ms, against 0.047 ms through all its entries and
+# 0.74-0.77 ms as a gemv (one BLAS thread, medians of 200-2000 runs).
 ENTRY_APPLY_MAX_FILL = 1 / 8
 
 # Model / bench

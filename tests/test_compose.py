@@ -31,6 +31,7 @@ from trotterkit.multistage import (
     multistage_order,
     to_multistage,
 )
+from trotterkit.polyexp import SeriesSpec, eval_factorized, eval_summed, factorize
 from trotterkit.schemes import TwoStageScheme, get_scheme, load_catalog, random_split
 from trotterkit.spinmodel import XxzConfig, build_xxz, exact_evolution
 
@@ -1083,6 +1084,42 @@ def test_sector_blocks_are_read_only_and_dense_on_request():
         SectorBlocks([np.arange(3)], [block])
     with pytest.raises(DimensionError):
         SectorBlocks([np.arange(2), np.arange(0)], [block, np.zeros((0, 0))])
+
+
+def test_sector_blocks_refuse_sectors_that_do_not_partition():
+    i2 = np.eye(2)
+    refused = [
+        ([[0, 1], [1, 2]], [i2, i2]),  # overlap: index 1 twice, index 3 never
+        ([[0, 5]], [i2]),  # out of range
+        ([[-1, 0]], [i2]),
+        ([[0], [2]], [np.eye(1), np.eye(1)]),  # a gap
+        ([[0.5, 1]], [i2]),  # not integers
+        ([np.array([0.0, 1.0])], [i2]),
+        ([[True, False]], [i2]),
+        ([], []),  # no sectors: dim 0
+    ]
+    for sectors, blocks in refused:
+        with pytest.raises(DimensionError, match="each index of 0..dim-1 once"):
+            SectorBlocks(sectors, blocks)
+    # any order of the indices is a partition
+    u = SectorBlocks([[2], [1, 0]], [np.eye(1), np.array([[1.0, 2.0], [3.0, 4.0]])])
+    assert np.array_equal(np.asarray(u), [[4.0, 3.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert np.array_equal(u @ np.array([1.0, 0.0, 5.0]), [4.0, 2.0, 5.0])
+
+
+def test_an_empty_operator_is_refused_where_it_is_given(zeros_cache):
+    empty = np.zeros((0, 0))
+    with pytest.raises(DimensionError, match=r"part 0 must hold at least one index, got shape \(0, 0\)"):
+        OperatorSplit([empty])
+    with pytest.raises(DimensionError, match=r"H must hold at least one index, got shape \(0, 0\)"):
+        exact_evolution(empty, 1.0)
+    fact = factorize(SeriesSpec("taylor", 5), cache_dir=zeros_cache)
+    for evaluate, arg in ((eval_factorized, fact), (eval_summed, fact.spec)):
+        with pytest.raises(DimensionError, match="operator must hold at least one index"):
+            evaluate(empty, np.zeros(0), arg)
+    # a non-square shape keeps its own refusal
+    with pytest.raises(DimensionError, match=r"part 0 must be square, got shape \(0, 2\)"):
+        OperatorSplit([np.zeros((0, 2))])
 
 
 def test_block_results_build_no_dense_evolution(monkeypatch, zeros_cache):

@@ -281,6 +281,36 @@ def test_suggest_gamma():
     assert suggest_gamma(None, eigvals=[-4.0, 2.0]) == pytest.approx(1.01 * 4.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("h_matrix, eigvals, error, message", [
+    (np.zeros((0, 0)), None, DimensionError, "h_matrix must hold at least one index"),
+    (np.ones(3), None, DimensionError, "h_matrix must be square"),
+    (np.ones((2, 3)), None, DimensionError, "h_matrix must be square"),
+    ([[math.inf]], None, StructuralError, "no finite Gamma"),
+    ([[1e308, 1e308], [1e308, 1e308]], None, StructuralError, "no finite Gamma"),
+    (None, [math.nan], StructuralError, "no finite Gamma"),
+    (None, [], DimensionError, "at least one eigenvalue"),
+])
+def test_suggest_gamma_refuses_what_it_cannot_use(h_matrix, eigvals, error, message):
+    with pytest.raises(error, match=message):
+        suggest_gamma(h_matrix, eigvals=eigvals)
+
+
+def test_suggest_gamma_checks_the_bound_not_the_matrix(monkeypatch):
+    h_total = build_xxz(XxzConfig(L=6)).total
+    want = suggest_gamma(h_total)
+    scans = []
+    real = np.isfinite
+
+    def recording(a, *args, **kwargs):
+        scans.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", recording)
+    assert suggest_gamma(h_total) == want
+    assert suggest_gamma(h_total, eigvals=[-4.0, 2.0]) == pytest.approx(1.01 * 4.0, rel=1e-15)
+    assert scans == []
+
+
 def test_every_public_name_resolves():
     for module in (trotterkit, polyexp):
         assert [name for name in module.__all__ if not hasattr(module, name)] == []
@@ -1577,7 +1607,7 @@ def mu_basis_summed(h_op, target, spec):
         mu = [(1 + 0j, 1j, -1 + 0j, -1j)[i % 4] * m for i, m in enumerate(a)]
     m, t = polyexp._operands(h_op, target)
     denom = (1j * spec.gamma_h) if spec.axis == "imaginary" else spec.gamma_h
-    apply_x = polyexp._applier(m, spec.h / denom, t, spec.k)
+    apply_x = polyexp._applier(m, spec.h / denom, t)
     t_prev, t_cur = t, apply_x(t)
     acc = mu[0] * t_prev + mu[1] * t_cur
     for i in range(2, spec.k + 1):
@@ -1809,6 +1839,9 @@ def test_operator_and_target_shapes_are_checked(zeros_cache):
     for target in (np.zeros(4), np.zeros((4, 2)), np.array(1.0)):
         with pytest.raises(DimensionError, match="does not match"):
             eval_summed(np.zeros((3, 3)), target, fact.spec)
+    for evaluate, arg in ((eval_factorized, fact), (eval_summed, fact.spec)):
+        with pytest.raises(DimensionError, match="target must be a state or a block"):
+            evaluate(np.eye(3), np.ones((3, 2, 2)), arg)
 
 
 def test_block_target_never_scans_for_nonzeros(zeros_cache, monkeypatch):
@@ -1830,7 +1863,7 @@ def test_block_target_never_scans_for_nonzeros(zeros_cache, monkeypatch):
 # a state runs on the indices its polynomial can reach
 
 
-def whole_range_applier(m, factor, t, k):
+def whole_range_applier(m, factor, t):
     """`_applier` for a matrix without the reach: a state is multiplied
     through all of m's nonzero entries (when they fill at most
     ENTRY_APPLY_MAX_FILL of it) or by the dense gemv, on every index."""
@@ -1900,9 +1933,9 @@ def test_reach_keeps_every_term_of_a_row(zeros_cache, monkeypatch):
     t = np.zeros(64)
     t[1:4] = 1.0
     seen = spy_entry_applier(monkeypatch)
-    polyexp._applier(m, 1.0, t, 1)
+    polyexp._applier(m, 1.0, t)
     ((rows, cols, _, n),) = seen
-    # row 4 is the one row of R_1 with entries, and it keeps all four
+    # row 4 is the one row of the reach with entries, and it keeps all four
     assert list(rows) == [4] * 4 and list(cols) == [0, 1, 2, 3] and n == 64
     spec = SeriesSpec("taylor", 1)
     fact = factorize(spec, cache_dir=zeros_cache)
@@ -1913,14 +1946,15 @@ def test_reach_keeps_every_term_of_a_row(zeros_cache, monkeypatch):
 
 
 def test_reach_on_a_shift(zeros_cache, monkeypatch):
-    # the shift e_i -> e_(i+1): k applies to e_0 reach e_0 ... e_k
+    # the shift e_i -> e_(i+1): k applies to e_0 reach e_0 ... e_k, and the
+    # table holds the shift's whole closure from e_0
     shift = np.eye(64, k=-1)
     e0 = basis_state(64, 0)
     seen = spy_entry_applier(monkeypatch)
-    polyexp._applier(shift, 1.0, e0, 5)
+    polyexp._applier(shift, 1.0, e0)
     ((rows, cols, _, n),) = seen
-    # R_5 = {0, ..., 5}, of whose rows all but row 0 hold an entry
-    assert list(rows) == [1, 2, 3, 4, 5] and list(cols) == [0, 1, 2, 3, 4] and n == 64
+    # the reach is {0, ..., 63}, of whose rows all but row 0 hold an entry
+    assert list(rows) == list(range(1, 64)) and list(cols) == list(range(63)) and n == 64
     fact = factorize(SeriesSpec("taylor", 5), cache_dir=zeros_cache)
     got = eval_factorized(shift, e0, fact)
     assert np.all(got[:6] != 0) and not got[6:].any()
@@ -1937,10 +1971,7 @@ def test_reach_fixed_point_is_a_sector(L, boundary, delta):
         for i in sector:
             start = np.zeros(dim, dtype=bool)
             start[i] = True
-            assert np.array_equal(np.flatnonzero(polyexp._reach(rows, cols, start, dim)),
-                                  sector)
-            # short of the fixed point, R_k stays inside the sector
-            assert set(np.flatnonzero(polyexp._reach(rows, cols, start, 2))) <= set(sector)
+            assert np.array_equal(np.flatnonzero(polyexp._reach(rows, cols, start)), sector)
 
 
 def test_neel_state_table_holds_its_sector(zeros_cache, monkeypatch):
@@ -1950,12 +1981,12 @@ def test_neel_state_table_holds_its_sector(zeros_cache, monkeypatch):
     assert len(sector) == 252
     gen = -1j * split.total
     seen = spy_entry_applier(monkeypatch)
-    polyexp._applier(gen, 0.5, psi, 52)
+    polyexp._applier(gen, 0.5, psi)
     ((rows, cols, _, n),) = seen
     # the table's rows are exactly the sector, applied to full-length vectors
     assert n == 1024 and np.array_equal(np.unique(rows), sector)
     assert np.isin(cols, sector).all()
-    # every entry outside R_k is exactly zero
+    # every entry outside the sector is exactly zero
     outside = np.setdiff1d(np.arange(1024), sector)
     fact = factorize(SeriesSpec("taylor", 52, h=0.5), cache_dir=zeros_cache)
     for got in (eval_factorized(gen, psi, fact), eval_summed(gen, psi, fact.spec)):
@@ -1966,7 +1997,7 @@ def test_non_finite_operator_is_refused_on_every_path(zeros_cache):
     gen = -1j * build_xxz(XxzConfig(L=6)).total
     psi = chain_states(6)["neel"]
     # an entry of the all-up sector, which the Neel state never reaches
-    assert not polyexp._reach(*np.nonzero(gen), psi != 0, 64)[63]
+    assert not polyexp._reach(*np.nonzero(gen), psi != 0)[63]
     spec = SeriesSpec("taylor", 20, h=0.1)
     fact = factorize(spec, cache_dir=zeros_cache)
     dense = np.full((64, 64), 0.01 + 0j)
